@@ -7,9 +7,10 @@
 #
 #   1. cold-cache offline release build
 #   2. offline test run (root package tier-1, then the whole workspace)
-#   3. the parallel/sequential differential suite at 1, 2, and 8
-#      threads, so the global-pool entry points are exercised at every
-#      thread count the determinism contract promises
+#   3. the suites that drive the global pool's par_map (sweep and
+#      batch determinism, the Table I / Fig. 7 goldens) at 1, 2, and 8
+#      threads, so every thread count the determinism contract promises
+#      is exercised
 #   4. smoke tier: every bench binary end-to-end into a scratch results
 #      dir, checking CSV headers/row counts against results/ and
 #      rejecting NaN/inf cells
@@ -150,13 +151,14 @@ cargo test -q --offline
 echo "==> cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
 
-echo "==> par vs seq + interner golden suites at A4A_THREADS=1,2,8"
+echo "==> determinism + golden results suites at A4A_THREADS=1,2,8"
 for t in 1 2 8; do
     echo "    A4A_THREADS=$t"
-    A4A_THREADS=$t cargo test -q --offline --test par_vs_seq \
-        --test interner_golden > /dev/null
+    A4A_THREADS=$t cargo test -q --offline --test determinism > /dev/null
+    A4A_THREADS=$t cargo test -q --offline -p a4a-bench \
+        --test golden_results > /dev/null
 done
-echo "OK: differential + golden suites at every thread count"
+echo "OK: determinism + golden results suites at every thread count"
 
 echo "==> fault-injection tier (seeded adversarial scenarios)"
 cargo test -q --offline --test fault_injection > /dev/null

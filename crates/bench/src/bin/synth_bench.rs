@@ -83,8 +83,8 @@ fn main() {
     }));
 
     // A wide product state space: three independent 6-stage handshake
-    // pipelines composed into one STG. Exercises the per-level parallel
-    // fan-out and the interner at thousands of states.
+    // pipelines composed into one STG. Exercises packed markings and the
+    // interner at thousands of states.
     let a = prop_support::pipeline_stg_with_prefix(6, 0b101010, "a");
     let b = prop_support::pipeline_stg_with_prefix(6, 0b010101, "b");
     let c = prop_support::pipeline_stg_with_prefix(6, 0b110011, "c");

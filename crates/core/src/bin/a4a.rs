@@ -201,11 +201,14 @@ ack- req+
         }
         impl TempFile {
             pub fn with_contents(text: &str) -> TempFile {
-                let path = std::env::temp_dir().join(format!(
-                    "a4a_cli_test_{}_{}.g",
-                    std::process::id(),
-                    text.len()
-                ));
+                // One path per file: tests run in parallel, and a shared
+                // path lets one test's drop delete or rewrite the file
+                // another test is reading.
+                use std::sync::atomic::{AtomicUsize, Ordering};
+                static NEXT: AtomicUsize = AtomicUsize::new(0);
+                let n = NEXT.fetch_add(1, Ordering::Relaxed);
+                let pid = std::process::id();
+                let path = std::env::temp_dir().join(format!("a4a_cli_test_{pid}_{n}.g"));
                 std::fs::write(&path, text).expect("write temp spec");
                 TempFile { path }
             }

@@ -196,20 +196,14 @@ impl ReachabilityGraph {
     }
 }
 
-/// Frontiers narrower than this are expanded inline: the per-state work
-/// is a handful of vector ops, so shipping one or two states to the
-/// pool costs more than it saves.
-const PAR_FRONTIER_MIN: usize = 8;
-
 impl PetriNet {
     /// Explores the state space breadth-first from the initial marking,
-    /// on the global thread pool ([`a4a_rt::Pool::global`]).
+    /// packed to the bit-per-place representation when safe
+    /// ([`Marking::pack_if_safe`]), so every interned state costs a few
+    /// words instead of a `Vec<u32>`.
     ///
-    /// State numbering is breadth-first discovery order and is
-    /// *identical for every thread count*: each BFS level occupies a
-    /// contiguous id range, levels are expanded in parallel but merged
-    /// sequentially in (parent id, transition id) order — exactly the
-    /// order the sequential loop discovers successors in.
+    /// States are numbered in breadth-first discovery order: parents in
+    /// id order, each parent's successors in transition-id order.
     ///
     /// # Errors
     ///
@@ -220,42 +214,21 @@ impl PetriNet {
     /// the 32-bit id space; [`ExploreError::TokenOverflow`] if a place's
     /// token counter overflows.
     pub fn explore(&self, max_states: usize) -> Result<ReachabilityGraph, ExploreError> {
-        self.explore_from(self.initial_marking(), max_states)
+        self.explore_from(self.initial_marking().pack_if_safe(), max_states)
     }
 
-    /// Explores the state space breadth-first from an arbitrary marking.
-    ///
-    /// The marking is packed to the bit-per-place representation when
-    /// safe ([`Marking::pack_if_safe`]), so every interned state costs a
-    /// few words instead of a `Vec<u32>`.
+    /// Explores the state space breadth-first from an arbitrary marking,
+    /// keeping whatever representation `initial` has: a dense marking
+    /// drives the reference engine the packed-vs-reference differential
+    /// suite compares [`PetriNet::explore`] against. Every observable —
+    /// state numbering, edge order, error trip points — is identical for
+    /// both representations.
     ///
     /// # Errors
     ///
     /// As for [`PetriNet::explore`].
     pub fn explore_from(
         &self,
-        initial: Marking,
-        max_states: usize,
-    ) -> Result<ReachabilityGraph, ExploreError> {
-        self.explore_with(a4a_rt::Pool::global(), initial.pack_if_safe(), max_states)
-    }
-
-    /// [`PetriNet::explore_from`] on an explicit pool — the entry point
-    /// the differential tests use to compare thread counts in-process.
-    ///
-    /// Exploration keeps whatever representation `initial` has: pass a
-    /// packed marking (via [`Marking::pack_if_safe`]) for the fast path,
-    /// or a dense one for the reference engine the packed-vs-reference
-    /// differential suite compares against. Either way every observable
-    /// — state numbering, edge order, error trip points — is
-    /// bit-identical.
-    ///
-    /// # Errors
-    ///
-    /// As for [`PetriNet::explore`].
-    pub fn explore_with(
-        &self,
-        pool: &a4a_rt::Pool,
         initial: Marking,
         max_states: usize,
     ) -> Result<ReachabilityGraph, ExploreError> {
@@ -272,104 +245,41 @@ impl PetriNet {
         states.push(initial);
         successors.push(Vec::new());
 
-        // Level-synchronised BFS: states[level_start..level_end] is one
-        // completed level; expand it (in parallel when wide enough),
-        // then merge the per-state successor lists in id order. The
-        // merge — and therefore numbering, edge order, and the point at
-        // which the state limit or a token overflow trips — replays the
-        // sequential loop exactly.
-        let mut level_start = 0usize;
-        // Sequential expansion reuses one successor scratch buffer for
-        // the whole run; the parallel path necessarily materialises one
-        // list per state to ship results between threads.
-        let mut scratch: Vec<Firing> = Vec::new();
-        while level_start < states.len() {
-            let level_end = states.len();
-            let expand = |marking: &Marking, out: &mut Vec<Firing>| {
-                for t in self.transition_ids() {
-                    if self.is_enabled(t, marking) {
-                        out.push((t, self.try_fire(t, marking)));
+        // The arena doubles as the BFS queue: ids are assigned in
+        // discovery order, so visiting them in id order is breadth-first.
+        let mut current = 0usize;
+        while current < states.len() {
+            for t in self.transition_ids() {
+                if !self.is_enabled(t, &states[current]) {
+                    continue;
+                }
+                let next = self.try_fire(t, &states[current]).map_err(|e| {
+                    ExploreError::TokenOverflow {
+                        place: self.place(e.place).name.clone(),
+                        transition: self.transition(e.transition).name.clone(),
                     }
-                }
-            };
-            if pool.threads() <= 1 || level_end - level_start < PAR_FRONTIER_MIN {
-                for i in level_start..level_end {
-                    scratch.clear();
-                    expand(&states[i], &mut scratch);
-                    let firings = std::mem::take(&mut scratch);
-                    self.merge_firings(
-                        StateId(i as u32),
-                        firings.iter().cloned(),
-                        max_states,
-                        &mut table,
-                        &mut states,
-                        &mut successors,
-                    )?;
-                    scratch = firings;
-                }
-            } else {
-                let expanded: Vec<Vec<Firing>> =
-                    pool.par_map_range(level_start..level_end, |i| {
-                        let mut out = Vec::new();
-                        expand(&states[i], &mut out);
-                        out
-                    });
-                for (offset, firings) in expanded.into_iter().enumerate() {
-                    self.merge_firings(
-                        StateId((level_start + offset) as u32),
-                        firings.into_iter(),
-                        max_states,
-                        &mut table,
-                        &mut states,
-                        &mut successors,
-                    )?;
-                }
+                })?;
+                let hash = next.fx_hash();
+                let next_id = match table.get(hash, |id| states[id as usize] == next) {
+                    Some(id) => StateId(id),
+                    None => {
+                        if states.len() >= max_states {
+                            return Err(ExploreError::StateLimit { limit: max_states });
+                        }
+                        let id = StateId(states.len() as u32);
+                        table.insert(hash, id.0);
+                        states.push(next);
+                        successors.push(Vec::new());
+                        id
+                    }
+                };
+                successors[current].push((t, next_id));
             }
-            level_start = level_end;
+            current += 1;
         }
         Ok(ReachabilityGraph { states, successors })
     }
-
-    /// Merges one state's firing outcomes into the graph in transition
-    /// order — the single code path both the sequential and parallel
-    /// engines fund their determinism contract with.
-    fn merge_firings(
-        &self,
-        current: StateId,
-        firings: impl Iterator<Item = Firing>,
-        max_states: usize,
-        table: &mut IdTable,
-        states: &mut Vec<Marking>,
-        successors: &mut Vec<Vec<(TransitionId, StateId)>>,
-    ) -> Result<(), ExploreError> {
-        for (t, outcome) in firings {
-            let next = outcome.map_err(|e| ExploreError::TokenOverflow {
-                place: self.place(e.place).name.clone(),
-                transition: self.transition(e.transition).name.clone(),
-            })?;
-            let hash = next.fx_hash();
-            let next_id = match table.get(hash, |id| states[id as usize] == next) {
-                Some(id) => StateId(id),
-                None => {
-                    if states.len() >= max_states {
-                        return Err(ExploreError::StateLimit { limit: max_states });
-                    }
-                    let id = StateId(states.len() as u32);
-                    table.insert(hash, id.0);
-                    states.push(next);
-                    successors.push(Vec::new());
-                    id
-                }
-            };
-            successors[current.index()].push((t, next_id));
-        }
-        Ok(())
-    }
 }
-
-/// One enabled firing out of a frontier state: the transition plus the
-/// successor marking or the token overflow it commits.
-type Firing = (TransitionId, Result<Marking, crate::TokenOverflow>);
 
 #[cfg(test)]
 mod tests {

@@ -16,10 +16,10 @@
 //!   reproducing seed printed on every failure (`A4A_PROP_SEED`).
 //! - [`bench`]: a warmup + median-of-N wall-clock timer emitting JSON
 //!   lines, replacing `criterion` for the kernel benchmarks.
-//! - [`pool`]: a scoped thread pool (`A4A_THREADS`-sized) whose
+//! - [`pool`]: an `A4A_THREADS`-sized thread count whose
 //!   order-preserving [`pool::Pool::par_map`] keeps parallel results
-//!   bit-identical to the sequential loop — the substrate under the
-//!   parallel reachability engine and the Figure 7 sweeps.
+//!   bit-identical to the sequential loop — used by the Figure 6/7
+//!   sweeps and the ablation batches.
 //! - [`fault`]: seeded adversarial fault plans (SplitMix64 child seeds)
 //!   and hostile-value samplers for the fault-injection tier
 //!   (`tests/fault_injection.rs`), which drives them against the
@@ -28,6 +28,8 @@
 //!   aliases, and the [`hash::IdTable`] id-interner under the
 //!   state-space engines (markings stored once in the arena, never
 //!   cloned into the index).
+
+#![forbid(unsafe_code)]
 
 pub mod bench;
 pub mod fault;

@@ -217,24 +217,6 @@ impl StateGraph {
     }
 }
 
-/// Frontiers narrower than this are expanded inline (the pool's
-/// bookkeeping would dominate the handful of vector ops per state).
-const PAR_FRONTIER_MIN: usize = 8;
-
-/// One enabled firing out of a frontier state: the transition plus
-/// either the successor key or the fault it commits.
-type Firing = (TransitionId, Result<(Marking, u64), FireFault>);
-
-/// A fault committed by firing a transition, detected during expansion
-/// and surfaced in merge order so all thread counts report the same one.
-#[derive(Debug, Clone)]
-enum FireFault {
-    /// The edge toggles a signal that already holds its target value.
-    Inconsistent,
-    /// The firing overflowed a place's token counter.
-    Overflow(a4a_petri::TokenOverflow),
-}
-
 /// The interner hash of a (marking, code) state: the marking's canonical
 /// fx stream extended by the code word.
 fn state_hash(marking: &Marking, code: u64) -> u64 {
@@ -245,75 +227,56 @@ fn state_hash(marking: &Marking, code: u64) -> u64 {
 }
 
 impl Stg {
-    /// Builds the binary-encoded state graph on the global thread pool
-    /// ([`a4a_rt::Pool::global`]).
+    /// Builds the binary-encoded state graph breadth-first from the
+    /// initial marking, packed to the bit-per-place representation when
+    /// safe ([`Marking::pack_if_safe`]), so exploration of safe nets
+    /// interns word-sized keys.
     ///
-    /// State numbering is breadth-first discovery order and is
-    /// *identical for every thread count*: each BFS level occupies a
-    /// contiguous id range, levels are expanded in parallel but merged
-    /// sequentially in (parent id, transition id) order — exactly the
-    /// order the sequential loop discovers successors in. Consistency
-    /// violations and the state limit also trip at the same firing, so
-    /// errors (including their traces) are bit-identical too.
+    /// States are numbered in breadth-first discovery order: parents in
+    /// id order, each parent's successors in transition-id order. Errors
+    /// trip at the first offending firing in that order, so the reported
+    /// transition and trace are deterministic.
     ///
     /// # Errors
     ///
     /// * [`StgError::Inconsistent`] if any reachable firing toggles a
     ///   signal that already holds the edge's target value;
     /// * [`StgError::StateLimit`] if more than `max_states` states are
-    ///   reachable.
+    ///   reachable;
+    /// * [`StgError::LimitOverflow`] if `max_states` exceeds the 32-bit
+    ///   id space;
+    /// * [`StgError::TokenOverflow`] if a place's token counter
+    ///   overflows.
     pub fn state_graph(&self, max_states: usize) -> Result<StateGraph, StgError> {
-        self.state_graph_with(a4a_rt::Pool::global(), max_states)
+        self.state_graph_from(self.net.initial_marking().pack_if_safe(), max_states)
     }
 
-    /// [`Stg::state_graph`] on an explicit pool — the entry point the
-    /// differential tests use to compare thread counts in-process.
-    ///
-    /// The initial marking is packed ([`Marking::pack_if_safe`]), so
-    /// exploration of safe nets interns word-sized keys.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Stg::state_graph`].
-    pub fn state_graph_with(
-        &self,
-        pool: &a4a_rt::Pool,
-        max_states: usize,
-    ) -> Result<StateGraph, StgError> {
-        self.state_graph_from(pool, self.net.initial_marking().pack_if_safe(), max_states)
-    }
-
-    /// [`Stg::state_graph_with`] on the dense (`Vec<u32>`) marking
+    /// [`Stg::state_graph`] on the dense (`Vec<u32>`) marking
     /// representation — the reference engine the packed-vs-reference
     /// differential suite compares against. Every observable (state
-    /// numbering, edge order, error trip points) is bit-identical to the
+    /// numbering, edge order, error trip points) is identical to the
     /// packed fast path.
     ///
     /// # Errors
     ///
     /// As for [`Stg::state_graph`].
-    pub fn state_graph_ref_with(
-        &self,
-        pool: &a4a_rt::Pool,
-        max_states: usize,
-    ) -> Result<StateGraph, StgError> {
-        self.state_graph_from(pool, self.net.initial_marking(), max_states)
+    pub fn state_graph_ref(&self, max_states: usize) -> Result<StateGraph, StgError> {
+        self.state_graph_from(self.net.initial_marking(), max_states)
     }
 
     /// The engine behind both entry points: exploration keeps whatever
     /// representation `initial` has.
     fn state_graph_from(
         &self,
-        pool: &a4a_rt::Pool,
         initial: Marking,
         max_states: usize,
     ) -> Result<StateGraph, StgError> {
         if max_states > u32::MAX as usize {
             return Err(StgError::LimitOverflow { limit: max_states });
         }
-        // Interner: (marking, code) states live once, in the parallel
-        // arenas below; the table maps fx-hash → id and equality checks
-        // go through the arenas.
+        // Interner: (marking, code) states live once, in the arenas below
+        // (one entry per id); the table maps fx-hash → id and equality
+        // checks go through the arenas.
         let mut table = IdTable::new();
         let mut markings: Vec<Marking> = Vec::new();
         let mut codes: Vec<u64> = Vec::new();
@@ -326,81 +289,59 @@ impl Stg {
         successors.push(Vec::new());
         parents.push(None);
 
-        // Level-synchronised BFS (see `PetriNet::explore_with` for the
-        // determinism argument): expand one completed level in
-        // parallel, merge sequentially in id order. Faults are carried
-        // through the merge, not raised during expansion, so the firing
-        // they surface at is the same for every thread count.
-        let mut level_start = 0usize;
-        // Sequential expansion reuses one successor scratch buffer; the
-        // parallel path necessarily materialises one list per state to
-        // ship results between threads.
-        let mut scratch: Vec<Firing> = Vec::new();
-        while level_start < markings.len() {
-            let level_end = markings.len();
-            // Firing outcomes depend only on the parent (marking, code)
-            // pair, so they are computable without the index.
-            let expand = |marking: &Marking, code: u64, out: &mut Vec<Firing>| {
-                for t in self.net.transition_ids() {
-                    if !self.net.is_enabled(t, marking) {
-                        continue;
-                    }
-                    let next_code = match self.labels[t.index()] {
-                        Label::Dummy => code,
-                        Label::Edge(e) => {
-                            let cur = code & e.signal.mask() != 0;
-                            if cur == e.polarity.target_value() {
-                                // Fires against current value.
-                                out.push((t, Err(FireFault::Inconsistent)));
-                                continue;
-                            }
-                            code ^ e.signal.mask()
+        // The arenas double as the BFS queue: ids are assigned in
+        // discovery order, so visiting them in id order is breadth-first.
+        let mut current = 0usize;
+        while current < markings.len() {
+            let code = codes[current];
+            for t in self.net.transition_ids() {
+                if !self.net.is_enabled(t, &markings[current]) {
+                    continue;
+                }
+                let next_code = match self.labels[t.index()] {
+                    Label::Dummy => code,
+                    Label::Edge(e) => {
+                        if (code & e.signal.mask() != 0) == e.polarity.target_value() {
+                            // Fires against the signal's current value.
+                            let id = SgStateId(current as u32);
+                            let mut trace = self.trace_names(&parents, id);
+                            trace.push(self.transition_name(t));
+                            return Err(StgError::Inconsistent {
+                                signal: self.signal(e.signal).name.clone(),
+                                transition: self.transition_name(t),
+                                trace,
+                            });
                         }
-                    };
-                    out.push((t, match self.net.try_fire(t, marking) {
-                        Ok(next) => Ok((next, next_code)),
-                        Err(e) => Err(FireFault::Overflow(e)),
-                    }));
-                }
-            };
-            if pool.threads() <= 1 || level_end - level_start < PAR_FRONTIER_MIN {
-                for i in level_start..level_end {
-                    scratch.clear();
-                    expand(&markings[i], codes[i], &mut scratch);
-                    let firings = std::mem::take(&mut scratch);
-                    self.merge_firings(
-                        SgStateId(i as u32),
-                        firings.iter().cloned(),
-                        max_states,
-                        &mut table,
-                        &mut markings,
-                        &mut codes,
-                        &mut successors,
-                        &mut parents,
-                    )?;
-                    scratch = firings;
-                }
-            } else {
-                let expanded: Vec<Vec<Firing>> =
-                    pool.par_map_range(level_start..level_end, |i| {
-                        let mut out = Vec::new();
-                        expand(&markings[i], codes[i], &mut out);
-                        out
-                    });
-                for (offset, firings) in expanded.into_iter().enumerate() {
-                    self.merge_firings(
-                        SgStateId((level_start + offset) as u32),
-                        firings.into_iter(),
-                        max_states,
-                        &mut table,
-                        &mut markings,
-                        &mut codes,
-                        &mut successors,
-                        &mut parents,
-                    )?;
-                }
+                        code ^ e.signal.mask()
+                    }
+                };
+                let next = self.net.try_fire(t, &markings[current]).map_err(|e| {
+                    StgError::TokenOverflow {
+                        place: self.net.place(e.place).name.clone(),
+                        transition: self.net.transition(e.transition).name.clone(),
+                    }
+                })?;
+                let hash = state_hash(&next, next_code);
+                let next_id = match table.get(hash, |id| {
+                    codes[id as usize] == next_code && markings[id as usize] == next
+                }) {
+                    Some(id) => SgStateId(id),
+                    None => {
+                        if markings.len() >= max_states {
+                            return Err(StgError::StateLimit { limit: max_states });
+                        }
+                        let id = SgStateId(markings.len() as u32);
+                        table.insert(hash, id.0);
+                        markings.push(next);
+                        codes.push(next_code);
+                        successors.push(Vec::new());
+                        parents.push(Some((t, SgStateId(current as u32))));
+                        id
+                    }
+                };
+                successors[current].push((t, next_id));
             }
-            level_start = level_end;
+            current += 1;
         }
         Ok(StateGraph {
             markings,
@@ -408,68 +349,6 @@ impl Stg {
             successors,
             parents,
         })
-    }
-
-    /// Merges one state's firing outcomes into the graph in transition
-    /// order — the single code path both the sequential and parallel
-    /// engines fund their determinism contract with.
-    #[allow(clippy::too_many_arguments)]
-    fn merge_firings(
-        &self,
-        current: SgStateId,
-        firings: impl Iterator<Item = Firing>,
-        max_states: usize,
-        table: &mut IdTable,
-        markings: &mut Vec<Marking>,
-        codes: &mut Vec<u64>,
-        successors: &mut Vec<Vec<(TransitionId, SgStateId)>>,
-        parents: &mut Vec<Option<(TransitionId, SgStateId)>>,
-    ) -> Result<(), StgError> {
-        for (t, outcome) in firings {
-            let (next, next_code) = match outcome {
-                Err(FireFault::Inconsistent) => {
-                    let e = match self.labels[t.index()] {
-                        Label::Edge(e) => e,
-                        Label::Dummy => unreachable!("dummy cannot be inconsistent"),
-                    };
-                    let mut trace: Vec<String> =
-                        self.trace_names(parents, current).into_iter().collect();
-                    trace.push(self.transition_name(t));
-                    return Err(StgError::Inconsistent {
-                        signal: self.signal(e.signal).name.clone(),
-                        transition: self.transition_name(t),
-                        trace,
-                    });
-                }
-                Err(FireFault::Overflow(e)) => {
-                    return Err(StgError::TokenOverflow {
-                        place: self.net.place(e.place).name.clone(),
-                        transition: self.net.transition(e.transition).name.clone(),
-                    });
-                }
-                Ok(key) => key,
-            };
-            let hash = state_hash(&next, next_code);
-            let next_id = match table.get(hash, |id| {
-                codes[id as usize] == next_code && markings[id as usize] == next
-            }) {
-                Some(id) => SgStateId(id),
-                None => {
-                    if markings.len() >= max_states {
-                        return Err(StgError::StateLimit { limit: max_states });
-                    }
-                    let id = SgStateId(markings.len() as u32);
-                    table.insert(hash, id.0);
-                    markings.push(next);
-                    codes.push(next_code);
-                    successors.push(Vec::new());
-                    parents.push(Some((t, current)));
-                    id
-                }
-            };
-            successors[current.index()].push((t, next_id));
-        }
-        Ok(())
     }
 
     fn trace_names(

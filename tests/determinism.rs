@@ -4,7 +4,7 @@
 
 use a4a::scenario::{self, ControllerKind};
 use a4a::A4aFlow;
-use a4a_bench::ablation;
+use a4a_bench::{ablation, experiments};
 use a4a_rt::Pool;
 use a4a_sim::Time;
 use a4a_synth::{synthesize, SynthOptions, SynthStyle};
@@ -84,19 +84,44 @@ fn ablation_digest(pool: &Pool, root: u64) -> String {
     out
 }
 
+/// Renders short Figure 7a/7b sweeps on a given pool as an exact digest
+/// (raw `f64` bits), the sweep counterpart of [`ablation_digest`].
+fn sweep_digest(pool: &Pool) -> String {
+    let coils = &scenario::coil_grid()[..2];
+    let loads = &scenario::load_grid()[..2];
+    let mut out = String::new();
+    for point in experiments::fig7a_on(pool, coils)
+        .into_iter()
+        .chain(experiments::fig7b_on(pool, loads))
+    {
+        for y in std::iter::once(point.x).chain(point.y) {
+            out.push_str(&format!("{:016x} ", y.to_bits()));
+        }
+    }
+    out
+}
+
 #[test]
 fn ablation_batches_identical_across_pool_sizes() {
     // The seeded scenario batches split one root seed with SplitMix64,
     // so the result is a function of the seed alone — never of which
-    // worker ran which scenario. Pools of 1, 2, and 8 threads must
-    // produce the same bits.
+    // thread ran which scenario. The Figure 7 sweep cells are fresh
+    // testbenches with no shared state. Pools of 1, 2, and 8 threads
+    // must produce the same bits for both.
     let root = ablation::DEFAULT_ROOT_SEED;
     let baseline = ablation_digest(&Pool::new(1), root);
+    let sweep_baseline = sweep_digest(&Pool::new(1));
     for threads in [2, 8] {
+        let pool = Pool::new(threads);
         assert_eq!(
-            ablation_digest(&Pool::new(threads), root),
+            ablation_digest(&pool, root),
             baseline,
             "ablation batch differs on a {threads}-thread pool"
+        );
+        assert_eq!(
+            sweep_digest(&pool),
+            sweep_baseline,
+            "fig7a/7b sweep differs on a {threads}-thread pool"
         );
     }
     // A different root seed must change the digest (the seed is live).

@@ -1,148 +1,114 @@
-//! Differential suite: parallel state-graph construction and Petri-net
-//! reachability must be *bit-identical* to the sequential baseline —
-//! same state counts, same codes, same state numbering, same edge
-//! order, same verification verdicts — for every thread count, **and**
-//! the packed (bit-per-place) marking representation must be
-//! indistinguishable from the dense `Vec<u32>` reference engine
-//! (`state_graph_ref_with` / a dense initial marking).
+//! Differential suite: the packed (bit-per-place) marking
+//! representation must be indistinguishable from the dense `Vec<u32>`
+//! reference engine (`Stg::state_graph_ref` / a dense initial marking
+//! for `PetriNet::explore_from`) — same state counts, same codes, same
+//! state numbering, same edge order, same verification verdicts, and
+//! the same typed errors at the same firing.
 //!
 //! The corpus is every STG this repo ships (the controller modules, the
-//! composed token ring, the A2A element zoo) plus randomly generated
-//! handshake pipelines from `a4a_rt::prop`. `ci.sh` re-runs the whole
-//! file at `A4A_THREADS=1`, `2`, and `8`, which additionally routes the
-//! default `state_graph`/`explore` entry points (global pool) through
-//! each thread count.
+//! composed token ring, the A2A element zoo) plus randomly generated and
+//! composed handshake pipelines from `a4a_rt::prop`. Test names keep
+//! their historical `par_vs_seq` suffix: read it as packed fast path vs
+//! dense reference.
 
 use a4a_petri::{Marking, NetBuilder, PetriNet};
-use a4a_rt::Pool;
 use a4a_stg::{prop_support, StateGraph, Stg};
-
-/// Thread counts compared against the sequential pool-of-1 baseline.
-const THREADS: [usize; 2] = [2, 8];
 
 /// Asserts two state graphs are identical in every observable: count,
 /// numbering (marking per id), codes, successor lists, and traces.
-fn assert_sg_identical(label: &str, seq: &StateGraph, par: &StateGraph) {
+fn assert_sg_identical(label: &str, reference: &StateGraph, packed: &StateGraph) {
     assert_eq!(
-        seq.state_count(),
-        par.state_count(),
+        reference.state_count(),
+        packed.state_count(),
         "{label}: state count differs"
     );
-    assert_eq!(seq.edge_count(), par.edge_count(), "{label}: edge count");
-    for s in seq.state_ids() {
-        assert_eq!(seq.marking(s), par.marking(s), "{label}: marking of {s}");
-        assert_eq!(seq.code(s), par.code(s), "{label}: code of {s}");
+    assert_eq!(
+        reference.edge_count(),
+        packed.edge_count(),
+        "{label}: edge count"
+    );
+    for s in reference.state_ids() {
         assert_eq!(
-            seq.successors(s),
-            par.successors(s),
+            reference.marking(s),
+            packed.marking(s),
+            "{label}: marking of {s}"
+        );
+        assert_eq!(reference.code(s), packed.code(s), "{label}: code of {s}");
+        assert_eq!(
+            reference.successors(s),
+            packed.successors(s),
             "{label}: successors of {s}"
         );
-        assert_eq!(seq.trace_to(s), par.trace_to(s), "{label}: trace to {s}");
+        assert_eq!(
+            reference.trace_to(s),
+            packed.trace_to(s),
+            "{label}: trace to {s}"
+        );
     }
 }
 
-/// Builds the state graph sequentially and on each parallel pool, and
-/// checks graphs plus verification verdicts match.
+/// Builds the state graph on both engines and checks graphs plus
+/// verification verdicts match.
 fn check_stg(label: &str, stg: &Stg, max_states: usize) {
-    let seq_pool = Pool::new(1);
-    let seq = stg
-        .state_graph_with(&seq_pool, max_states)
-        .unwrap_or_else(|e| panic!("{label}: sequential build failed: {e}"));
-    // Packed vs reference: the dense engine must be indistinguishable.
+    let packed = stg
+        .state_graph(max_states)
+        .unwrap_or_else(|e| panic!("{label}: packed build failed: {e}"));
     let reference = stg
-        .state_graph_ref_with(&seq_pool, max_states)
+        .state_graph_ref(max_states)
         .unwrap_or_else(|e| panic!("{label}: reference build failed: {e}"));
-    assert_sg_identical(&format!("{label} packed-vs-ref"), &reference, &seq);
-    let seq_report = stg.verify(&seq);
-    for threads in THREADS {
-        let pool = Pool::new(threads);
-        let par = stg
-            .state_graph_with(&pool, max_states)
-            .unwrap_or_else(|e| panic!("{label}: parallel({threads}) build failed: {e}"));
-        assert_sg_identical(&format!("{label} t{threads}"), &seq, &par);
-        let par_ref = stg
-            .state_graph_ref_with(&pool, max_states)
-            .unwrap_or_else(|e| panic!("{label}: reference({threads}) build failed: {e}"));
-        assert_sg_identical(&format!("{label} t{threads} packed-vs-ref"), &par_ref, &par);
-        let par_report = stg.verify(&par);
-        assert_eq!(
-            seq_report.deadlocks, par_report.deadlocks,
-            "{label} t{threads}: deadlock verdicts"
-        );
-        assert_eq!(
-            seq_report.persistence, par_report.persistence,
-            "{label} t{threads}: persistence verdicts"
-        );
-        assert_eq!(
-            seq_report.coding, par_report.coding,
-            "{label} t{threads}: coding verdicts"
-        );
-        assert_eq!(
-            seq_report.is_clean(),
-            par_report.is_clean(),
-            "{label} t{threads}: clean verdict"
-        );
-    }
+    assert_sg_identical(label, &reference, &packed);
+    let packed_report = stg.verify(&packed);
+    let reference_report = stg.verify(&reference);
+    assert_eq!(
+        reference_report.deadlocks, packed_report.deadlocks,
+        "{label}: deadlock verdicts"
+    );
+    assert_eq!(
+        reference_report.persistence, packed_report.persistence,
+        "{label}: persistence verdicts"
+    );
+    assert_eq!(
+        reference_report.coding, packed_report.coding,
+        "{label}: coding verdicts"
+    );
+    assert_eq!(
+        reference_report.is_clean(),
+        packed_report.is_clean(),
+        "{label}: clean verdict"
+    );
 }
 
-/// Same comparison for raw Petri-net reachability.
-fn check_net(label: &str, net: &PetriNet, max_states: usize) {
-    let seq_pool = Pool::new(1);
-    // The dense initial marking drives the reference engine; packing it
-    // drives the fast path. Every observable must agree between the two
-    // and across thread counts.
-    let seq = net
-        .explore_with(&seq_pool, net.initial_marking(), max_states)
-        .unwrap_or_else(|e| panic!("{label}: sequential explore failed: {e}"));
-    let packed = net
-        .explore_with(
-            &seq_pool,
-            net.initial_marking().pack_if_safe(),
-            max_states,
-        )
-        .unwrap_or_else(|e| panic!("{label}: packed explore failed: {e}"));
-    assert_eq!(seq.state_count(), packed.state_count(), "{label} packed");
-    for s in seq.state_ids() {
-        assert_eq!(seq.marking(s), packed.marking(s), "{label} packed: {s}");
-        assert_eq!(seq.successors(s), packed.successors(s), "{label} packed: {s}");
-    }
-    for threads in THREADS {
-        let pool = Pool::new(threads);
-        let par = net
-            .explore_with(&pool, net.initial_marking(), max_states)
-            .unwrap_or_else(|e| panic!("{label}: parallel({threads}) explore failed: {e}"));
-        let par_packed = net
-            .explore_with(&pool, net.initial_marking().pack_if_safe(), max_states)
-            .unwrap_or_else(|e| panic!("{label}: packed({threads}) explore failed: {e}"));
-        assert_eq!(seq.state_count(), par.state_count(), "{label} t{threads}");
-        assert_eq!(seq.edge_count(), par.edge_count(), "{label} t{threads}");
+/// Asserts two reachability graphs are identical in every observable.
+fn assert_reach_identical(
+    label: &str,
+    reference: &a4a_petri::ReachabilityGraph,
+    packed: &a4a_petri::ReachabilityGraph,
+) {
+    assert_eq!(reference.state_count(), packed.state_count(), "{label}");
+    assert_eq!(reference.edge_count(), packed.edge_count(), "{label}");
+    for s in reference.state_ids() {
+        assert_eq!(reference.marking(s), packed.marking(s), "{label}: {s}");
         assert_eq!(
-            par.state_count(),
-            par_packed.state_count(),
-            "{label} t{threads} packed"
+            reference.successors(s),
+            packed.successors(s),
+            "{label}: {s}"
         );
-        for s in seq.state_ids() {
-            assert_eq!(seq.marking(s), par.marking(s), "{label} t{threads}: {s}");
-            assert_eq!(
-                seq.successors(s),
-                par.successors(s),
-                "{label} t{threads}: {s}"
-            );
-            assert_eq!(
-                par.marking(s),
-                par_packed.marking(s),
-                "{label} t{threads} packed: {s}"
-            );
-            assert_eq!(
-                par.successors(s),
-                par_packed.successors(s),
-                "{label} t{threads} packed: {s}"
-            );
-        }
-        assert_eq!(seq.deadlocks(), par.deadlocks(), "{label} t{threads}");
-        assert_eq!(seq.is_safe(), par.is_safe(), "{label} t{threads}");
-        assert_eq!(seq.bound(), par.bound(), "{label} t{threads}");
     }
+    assert_eq!(reference.deadlocks(), packed.deadlocks(), "{label}");
+    assert_eq!(reference.is_safe(), packed.is_safe(), "{label}");
+    assert_eq!(reference.bound(), packed.bound(), "{label}");
+}
+
+/// Same comparison for raw Petri-net reachability: the dense initial
+/// marking drives the reference engine, `explore` the packed one.
+fn check_net(label: &str, net: &PetriNet, max_states: usize) {
+    let reference = net
+        .explore_from(net.initial_marking(), max_states)
+        .unwrap_or_else(|e| panic!("{label}: reference explore failed: {e}"));
+    let packed = net
+        .explore(max_states)
+        .unwrap_or_else(|e| panic!("{label}: packed explore failed: {e}"));
+    assert_reach_identical(label, &reference, &packed);
 }
 
 #[test]
@@ -162,8 +128,7 @@ fn a2a_zoo_par_vs_seq() {
 
 #[test]
 fn token_ring_par_vs_seq() {
-    // The composed ring is the widest state space in the repo — the
-    // case where frontier expansion actually fans out to the workers.
+    // The composed ring is the widest shipped state space.
     let ring = a4a_ctrl::stgs::token_ring_stg();
     check_stg("token_ring", &ring, 500_000);
 }
@@ -186,8 +151,8 @@ fn random_pipelines_par_vs_seq() {
 #[test]
 fn composed_pipelines_par_vs_seq() {
     // Two independent pipelines composed share no signals, so the
-    // product state space is wide (2n * 2m states) — a better stress of
-    // per-level parallelism than a single ring.
+    // product state space is wide (2n * 2m states) and interleaves many
+    // markings per code.
     a4a_rt::prop::check_with(
         &a4a_rt::Config::with_cases(8),
         "composed_pipelines_par_vs_seq",
@@ -196,9 +161,9 @@ fn composed_pipelines_par_vs_seq() {
             let m = g.usize(2..6);
             let a = prop_support::pipeline_stg_with_prefix(n, g.any_u64(), "a");
             let b = prop_support::pipeline_stg_with_prefix(m, g.any_u64(), "b");
-            let ab = a.compose(&b).map_err(|e| {
-                a4a_rt::PropError::Fail(format!("compose failed: {e}"))
-            })?;
+            let ab = a
+                .compose(&b)
+                .map_err(|e| a4a_rt::PropError::Fail(format!("compose failed: {e}")))?;
             check_stg(&format!("composed n={n} m={m}"), &ab, 200_000);
             Ok(())
         },
@@ -207,31 +172,25 @@ fn composed_pipelines_par_vs_seq() {
 
 #[test]
 fn state_limit_trips_identically() {
-    // The limit error must fire at the same discovery index for every
-    // thread count.
+    // The limit error must fire on both engines.
     let ring = a4a_ctrl::stgs::token_ring_stg();
-    let seq = ring.state_graph_with(&Pool::new(1), 10).unwrap_err();
-    for threads in THREADS {
-        let par = ring.state_graph_with(&Pool::new(threads), 10).unwrap_err();
-        assert_eq!(format!("{seq}"), format!("{par}"), "t{threads}");
-    }
+    let packed = ring.state_graph(10).unwrap_err();
+    assert_eq!(packed, a4a_stg::StgError::StateLimit { limit: 10 });
+    assert_eq!(ring.state_graph_ref(10).unwrap_err(), packed);
 }
 
 #[test]
 fn inconsistency_error_is_identical() {
-    // An STG wide enough to hit the parallel path, with an inconsistent
-    // signal buried in it: the reported transition and trace must not
-    // depend on the thread count.
+    // A wide STG with an inconsistent signal buried in it: the reported
+    // transition and trace must not depend on the marking representation.
     let mut b = a4a_stg::StgBuilder::new("bad_wide");
     // Eight independent toggles make the second BFS level 8 states wide.
-    let mut firsts = Vec::new();
     for i in 0..8 {
         let s = b.input(format!("x{i}"), false);
         let up = b.rise(s);
         let down = b.fall(s);
         b.connect_marked(down, up);
         b.connect(up, down);
-        firsts.push(up);
     }
     // An inconsistent pair: two rises of the same signal in a cycle.
     let bad = b.input("bad", false);
@@ -240,13 +199,12 @@ fn inconsistency_error_is_identical() {
     b.connect_marked(r2, r1);
     b.connect(r1, r2);
     let stg = b.build();
-    let seq = stg.state_graph_with(&Pool::new(1), 100_000).unwrap_err();
-    for threads in THREADS {
-        let par = stg
-            .state_graph_with(&Pool::new(threads), 100_000)
-            .unwrap_err();
-        assert_eq!(format!("{seq}"), format!("{par}"), "t{threads}");
-    }
+    let packed = stg.state_graph(100_000).unwrap_err();
+    assert!(
+        matches!(packed, a4a_stg::StgError::Inconsistent { .. }),
+        "{packed}"
+    );
+    assert_eq!(stg.state_graph_ref(100_000).unwrap_err(), packed);
 }
 
 #[test]
@@ -257,15 +215,12 @@ fn unbounded_net_limit_identical() {
     b.arc_read(p, t);
     b.arc_tp(t, p);
     let net = b.build();
-    let seq = net
-        .explore_with(&Pool::new(1), net.initial_marking(), 16)
-        .unwrap_err();
-    for threads in THREADS {
-        let par = net
-            .explore_with(&Pool::new(threads), net.initial_marking(), 16)
-            .unwrap_err();
-        assert_eq!(seq, par, "t{threads}");
-    }
+    let packed = net.explore(16).unwrap_err();
+    assert_eq!(packed, a4a_petri::ExploreError::StateLimit { limit: 16 });
+    assert_eq!(
+        net.explore_from(net.initial_marking(), 16).unwrap_err(),
+        packed
+    );
 }
 
 #[test]
@@ -273,7 +228,7 @@ fn explore_from_arbitrary_marking_par_vs_seq() {
     let ring = a4a_ctrl::stgs::token_ring_stg();
     let net = ring.net();
     // Walk a few steps from the initial marking, then explore from
-    // there on every pool.
+    // there in both representations.
     let mut m = net.initial_marking();
     for _ in 0..3 {
         let Some(t) = net.transition_ids().find(|&t| net.is_enabled(t, &m)) else {
@@ -281,26 +236,16 @@ fn explore_from_arbitrary_marking_par_vs_seq() {
         };
         m = net.fire(t, &m);
     }
-    let seq = net
-        .explore_with(&Pool::new(1), m.clone(), 500_000)
-        .unwrap();
-    for threads in THREADS {
-        let par = net
-            .explore_with(&Pool::new(threads), m.clone(), 500_000)
-            .unwrap();
-        assert_eq!(seq.state_count(), par.state_count(), "t{threads}");
-        for s in seq.state_ids() {
-            assert_eq!(seq.marking(s), par.marking(s), "t{threads}: {s}");
-            assert_eq!(seq.successors(s), par.successors(s), "t{threads}: {s}");
-        }
-    }
+    let reference = net.explore_from(m.clone(), 500_000).unwrap();
+    let packed = net.explore_from(m.pack_if_safe(), 500_000).unwrap();
+    assert_reach_identical("ring from step 3", &reference, &packed);
 }
 
 #[test]
 fn token_overflow_is_typed_and_identical() {
     // A place already at u32::MAX gains one more token on the first
     // firing: a typed TokenOverflow (not a panic), with the same payload
-    // for every thread count and both marking representations.
+    // for both marking representations.
     let mut b = NetBuilder::new();
     let src = b.place_with_tokens("src", 1);
     let sink = b.place_with_tokens("sink", u32::MAX);
@@ -308,32 +253,17 @@ fn token_overflow_is_typed_and_identical() {
     b.arc_pt(src, t);
     b.arc_tp(t, sink);
     let net = b.build();
-    let seq = net
-        .explore_with(&Pool::new(1), net.initial_marking(), 100)
-        .unwrap_err();
+    let reference = net.explore_from(net.initial_marking(), 100).unwrap_err();
     assert_eq!(
-        seq,
+        reference,
         a4a_petri::ExploreError::TokenOverflow {
             place: "sink".into(),
             transition: "t".into(),
         }
     );
-    for threads in THREADS {
-        let par = net
-            .explore_with(&Pool::new(threads), net.initial_marking(), 100)
-            .unwrap_err();
-        assert_eq!(seq, par, "t{threads}");
-        // pack_if_safe leaves the unsafe marking dense, so this also
-        // covers handing an explicitly packed-or-not marking in.
-        let packed = net
-            .explore_with(
-                &Pool::new(threads),
-                net.initial_marking().pack_if_safe(),
-                100,
-            )
-            .unwrap_err();
-        assert_eq!(seq, packed, "t{threads} packed");
-    }
+    // pack_if_safe leaves the unsafe marking dense, so `explore` also
+    // covers handing a packed-or-not marking in.
+    assert_eq!(net.explore(100).unwrap_err(), reference);
 }
 
 #[test]
@@ -348,6 +278,17 @@ fn oversized_state_limit_is_typed() {
     );
     assert_eq!(
         ring.net().explore(too_big).unwrap_err(),
+        a4a_petri::ExploreError::LimitOverflow { limit: too_big }
+    );
+    // The largest representable limit is still accepted.
+    assert_eq!(
+        ring.state_graph_ref(too_big).unwrap_err(),
+        a4a_stg::StgError::LimitOverflow { limit: too_big }
+    );
+    assert_eq!(
+        ring.net()
+            .explore_from(ring.net().initial_marking(), too_big)
+            .unwrap_err(),
         a4a_petri::ExploreError::LimitOverflow { limit: too_big }
     );
     // The largest representable limit is still accepted.
