@@ -25,8 +25,9 @@
 #   7. fail if any Cargo.toml re-introduces a registry (non-path)
 #      dependency
 #   8. fail if a library crate of the simulation stack (sim, analog,
-#      core) grows a new `unwrap()` outside #[cfg(test)] — failures
-#      there must flow through the typed SimError model
+#      core) or of the formal engines (petri, stg) grows a new
+#      `unwrap()` outside #[cfg(test)] — failures there must flow
+#      through the typed SimError / ExploreError / StgError models
 #
 # `./ci.sh --quick` runs only the build and the smoke tier (4) — the
 # sub-minute loop for "did I break an experiment binary".
@@ -201,20 +202,22 @@ if [ "$bad" -ne 0 ]; then
 fi
 echo "OK: hermetic (no registry dependencies)"
 
-echo "==> checking simulation-stack library crates for unwrap()"
+echo "==> checking simulation-stack and formal-engine library crates for unwrap()"
 # The sim/analog/core libraries route every failure through the typed
-# SimError model; `.unwrap()` belongs only in #[cfg(test)] modules (and
+# SimError model, and the petri/stg engines through ExploreError and
+# StgError; `.unwrap()` belongs only in #[cfg(test)] modules (and
 # experiment binaries under core/src/bin/, which may die loudly). The
 # scan stops at the first #[cfg(test)] marker — library code above it
 # must be unwrap-free.
 bad=0
-for src in crates/sim/src/*.rs crates/analog/src/*.rs crates/core/src/*.rs; do
+for src in crates/sim/src/*.rs crates/analog/src/*.rs crates/core/src/*.rs \
+           crates/petri/src/*.rs crates/stg/src/*.rs; do
     offenders=$(awk -v f="$src" '
         /#\[cfg\(test\)\]/ { exit }
         /\.unwrap\(\)/ { print f ":" FNR ": " $0 }
     ' "$src")
     if [ -n "$offenders" ]; then
-        echo "ERROR: unwrap() outside #[cfg(test)] — use SimError:" >&2
+        echo "ERROR: unwrap() outside #[cfg(test)] — use a typed error:" >&2
         echo "$offenders" | sed 's/^/    /' >&2
         bad=1
     fi
@@ -222,4 +225,4 @@ done
 if [ "$bad" -ne 0 ]; then
     exit 1
 fi
-echo "OK: simulation-stack libraries are unwrap-free (typed errors only)"
+echo "OK: simulation-stack and formal-engine libraries are unwrap-free (typed errors only)"

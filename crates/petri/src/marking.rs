@@ -7,7 +7,9 @@ use crate::net::PlaceId;
 ///
 /// Markings are value types: firing a transition produces a fresh marking,
 /// leaving the original untouched, so state-space exploration can keep
-/// markings as hash-map keys.
+/// markings as hash-map keys. The explorers fire into one scratch marking
+/// ([`crate::PetriNet::try_fire_into`]), whose [`Clone::clone_from`]
+/// reuses the scratch's allocation, and clone it only for new states.
 ///
 /// # Representations
 ///
@@ -36,7 +38,7 @@ use crate::net::PlaceId;
 /// assert!(safe.is_packed());
 /// assert_eq!(safe, Marking::new(vec![1, 0, 1]));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Marking {
     repr: Repr,
 }
@@ -47,9 +49,10 @@ enum Repr {
     Dense(Vec<u32>),
     /// One bit per place, little-endian within `u64` words; bits at and
     /// above `places` are always zero. Places 0..64 live in the inline
-    /// `word0`, so nets of up to 64 places (every STG in this repo)
-    /// clone without touching the heap; `rest` holds words 1.. and
-    /// stays empty for them.
+    /// `word0`, so nets of up to 64 places (every shipped controller
+    /// STG) clone without touching the heap; `rest` holds words 1.. and
+    /// stays empty for them. Wider nets, such as compositions of several
+    /// pipelines, keep their extra words in `rest`.
     Packed {
         word0: u64,
         rest: Vec<u64>,
@@ -64,6 +67,40 @@ fn packed_word(word0: u64, rest: &[u64], w: usize) -> u64 {
         word0
     } else {
         rest[w - 1]
+    }
+}
+
+impl Clone for Marking {
+    fn clone(&self) -> Self {
+        Marking {
+            repr: self.repr.clone(),
+        }
+    }
+
+    /// Overwrites `self` with `source`, reusing `self`'s heap buffer when
+    /// both have the same representation — firing into a scratch marking
+    /// then costs no allocation.
+    fn clone_from(&mut self, source: &Self) {
+        match (&mut self.repr, &source.repr) {
+            (Repr::Dense(dst), Repr::Dense(src)) => dst.clone_from(src),
+            (
+                Repr::Packed {
+                    word0,
+                    rest,
+                    places,
+                },
+                Repr::Packed {
+                    word0: src_word0,
+                    rest: src_rest,
+                    places: src_places,
+                },
+            ) => {
+                *word0 = *src_word0;
+                rest.clone_from(src_rest);
+                *places = *src_places;
+            }
+            (dst, src) => *dst = src.clone(),
+        }
     }
 }
 
@@ -146,6 +183,30 @@ impl Marking {
                 (packed_word(*word0, rest, i / 64) >> (i % 64)) as u32 & 1
             }
         })
+    }
+
+    /// Calls `f` on every place holding at least one token, in place-id
+    /// order: the set bits of a packed marking, the non-zero counters of
+    /// a dense one.
+    pub fn for_each_marked_place(&self, mut f: impl FnMut(PlaceId)) {
+        match &self.repr {
+            Repr::Dense(v) => {
+                for (i, &t) in v.iter().enumerate() {
+                    if t > 0 {
+                        f(PlaceId(i as u32));
+                    }
+                }
+            }
+            Repr::Packed { word0, rest, .. } => {
+                for (w, &word) in std::iter::once(word0).chain(rest).enumerate() {
+                    let mut bits = word;
+                    while bits != 0 {
+                        f(PlaceId((w * 64) as u32 + bits.trailing_zeros()));
+                        bits &= bits - 1;
+                    }
+                }
+            }
+        }
     }
 
     /// Converts to the packed representation when safe; returns `self`

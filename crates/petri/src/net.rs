@@ -92,6 +92,60 @@ pub enum ArcKind {
 pub struct PetriNet {
     pub(crate) places: Vec<Place>,
     pub(crate) transitions: Vec<Transition>,
+    preset: PresetIndex,
+}
+
+/// Which transitions can be enabled by a token in which place, built once
+/// by [`NetBuilder::build`] so [`PetriNet::enabled_into`] looks only at
+/// the transitions of marked places.
+#[derive(Debug, Clone)]
+struct PresetIndex {
+    /// The transitions consuming or reading place `p` are
+    /// `users[start[p]..start[p + 1]]`, in id order.
+    start: Vec<usize>,
+    users: Vec<TransitionId>,
+    /// Transitions with no consumed and no read place: enabled in every
+    /// marking.
+    unguarded: Vec<TransitionId>,
+}
+
+impl PresetIndex {
+    fn new(places: usize, transitions: &[Transition]) -> PresetIndex {
+        fn guards(tr: &Transition) -> impl Iterator<Item = usize> + '_ {
+            tr.consume.iter().chain(&tr.read).map(|&(p, _)| p.index())
+        }
+        // Counting sort by place; visiting transitions in id order keeps
+        // every place's list in id order.
+        let mut start = vec![0; places + 1];
+        for p in transitions.iter().flat_map(guards) {
+            start[p + 1] += 1;
+        }
+        for p in 0..places {
+            start[p + 1] += start[p];
+        }
+        let mut fill = start.clone();
+        let mut users = vec![TransitionId(0); start[places]];
+        let mut unguarded = Vec::new();
+        for (i, tr) in transitions.iter().enumerate() {
+            let t = TransitionId(i as u32);
+            if tr.consume.is_empty() && tr.read.is_empty() {
+                unguarded.push(t);
+            }
+            for p in guards(tr) {
+                users[fill[p]] = t;
+                fill[p] += 1;
+            }
+        }
+        PresetIndex {
+            start,
+            users,
+            unguarded,
+        }
+    }
+
+    fn users_of(&self, p: PlaceId) -> &[TransitionId] {
+        &self.users[self.start[p.index()]..self.start[p.index() + 1]]
+    }
 }
 
 impl PetriNet {
@@ -181,9 +235,23 @@ impl PetriNet {
 
     /// All transitions enabled in `marking`, in id order.
     pub fn enabled(&self, marking: &Marking) -> Vec<TransitionId> {
-        self.transition_ids()
-            .filter(|&t| self.is_enabled(t, marking))
-            .collect()
+        let mut out = Vec::new();
+        self.enabled_into(marking, &mut out);
+        out
+    }
+
+    /// Replaces the contents of `out` with the transitions enabled in
+    /// `marking`, in id order — [`PetriNet::enabled`] into a reusable
+    /// buffer. Only the transitions of marked places (plus those with an
+    /// empty preset) are tested, so the cost follows the marking, not
+    /// the size of the net.
+    pub fn enabled_into(&self, marking: &Marking, out: &mut Vec<TransitionId>) {
+        out.clear();
+        out.extend_from_slice(&self.preset.unguarded);
+        marking.for_each_marked_place(|p| out.extend_from_slice(self.preset.users_of(p)));
+        out.sort_unstable();
+        out.dedup();
+        out.retain(|&t| self.is_enabled(t, marking));
     }
 
     /// Fires `t` in `marking`, returning the successor marking.
@@ -214,8 +282,36 @@ impl PetriNet {
             "transition {} is not enabled",
             self.transition(t).name
         );
+        let mut next = Marking::default();
+        self.try_fire_into(t, marking, &mut next)?;
+        Ok(next)
+    }
+
+    /// [`PetriNet::try_fire`] into a caller-owned scratch marking:
+    /// `next` is overwritten with the successor of `marking`, reusing its
+    /// buffer, whatever it held before. The explorers fire every edge
+    /// into one scratch and clone it only when the successor is new.
+    ///
+    /// `t` must be enabled in `marking` (as every transition
+    /// [`PetriNet::enabled_into`] lists is); this is not re-checked.
+    ///
+    /// # Errors
+    ///
+    /// [`TokenOverflow`] when a produced place would exceed `u32::MAX`
+    /// tokens; `next` is then left partly fired.
+    ///
+    /// # Panics
+    ///
+    /// Panics on token underflow, i.e. if a consumed place of `t` holds
+    /// fewer tokens than the arc weight.
+    pub fn try_fire_into(
+        &self,
+        t: TransitionId,
+        marking: &Marking,
+        next: &mut Marking,
+    ) -> Result<(), TokenOverflow> {
         let tr = self.transition(t);
-        let mut next = marking.clone();
+        next.clone_from(marking);
         for &(p, w) in &tr.consume {
             next.remove(p, w);
         }
@@ -225,7 +321,7 @@ impl PetriNet {
                 transition: t,
             })?;
         }
-        Ok(next)
+        Ok(())
     }
 }
 
@@ -384,9 +480,11 @@ impl NetBuilder {
 
     /// Finalises the builder into an immutable net.
     pub fn build(self) -> PetriNet {
+        let preset = PresetIndex::new(self.places.len(), &self.transitions);
         PetriNet {
             places: self.places,
             transitions: self.transitions,
+            preset,
         }
     }
 }

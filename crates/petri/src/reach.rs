@@ -97,8 +97,11 @@ impl Error for ExploreError {}
 #[derive(Debug, Clone)]
 pub struct ReachabilityGraph {
     states: Vec<Marking>,
-    /// Outgoing edges per state: (fired transition, successor).
-    successors: Vec<Vec<(TransitionId, StateId)>>,
+    /// Every edge (fired transition, successor), grouped by source state
+    /// in id order.
+    edges: Vec<(TransitionId, StateId)>,
+    /// The edges of state `s` are `edges[offsets[s]..offsets[s + 1]]`.
+    offsets: Vec<usize>,
 }
 
 impl ReachabilityGraph {
@@ -109,7 +112,7 @@ impl ReachabilityGraph {
 
     /// Number of edges (firings) in the graph.
     pub fn edge_count(&self) -> usize {
-        self.successors.iter().map(Vec::len).sum()
+        self.edges.len()
     }
 
     /// The marking of `state`.
@@ -127,7 +130,7 @@ impl ReachabilityGraph {
     ///
     /// Panics if `state` does not belong to this graph.
     pub fn successors(&self, state: StateId) -> &[(TransitionId, StateId)] {
-        &self.successors[state.index()]
+        &self.edges[self.offsets[state.index()]..self.offsets[state.index() + 1]]
     }
 
     /// Iterates over all state ids in discovery order.
@@ -138,7 +141,7 @@ impl ReachabilityGraph {
     /// States with no enabled transitions.
     pub fn deadlocks(&self) -> Vec<StateId> {
         self.state_ids()
-            .filter(|s| self.successors[s.index()].is_empty())
+            .filter(|&s| self.successors(s).is_empty())
             .collect()
     }
 
@@ -177,7 +180,7 @@ impl ReachabilityGraph {
             if s == target {
                 break;
             }
-            for &(t, succ) in &self.successors[s.index()] {
+            for &(t, succ) in self.successors(s) {
                 if !visited[succ.index()] {
                     visited[succ.index()] = true;
                     parent[succ.index()] = Some((s, t));
@@ -239,26 +242,26 @@ impl PetriNet {
         // fx-hash → StateId and equality checks go through the arena.
         let mut table = IdTable::new();
         let mut states: Vec<Marking> = Vec::new();
-        let mut successors: Vec<Vec<(TransitionId, StateId)>> = Vec::new();
+        let mut edges: Vec<(TransitionId, StateId)> = Vec::new();
+        let mut offsets = vec![0];
 
         table.insert(initial.fx_hash(), 0);
         states.push(initial);
-        successors.push(Vec::new());
 
         // The arena doubles as the BFS queue: ids are assigned in
         // discovery order, so visiting them in id order is breadth-first.
+        // Every successor is fired into `next`; only new states clone it.
+        let mut enabled = Vec::new();
+        let mut next = Marking::default();
         let mut current = 0usize;
         while current < states.len() {
-            for t in self.transition_ids() {
-                if !self.is_enabled(t, &states[current]) {
-                    continue;
-                }
-                let next = self.try_fire(t, &states[current]).map_err(|e| {
-                    ExploreError::TokenOverflow {
+            self.enabled_into(&states[current], &mut enabled);
+            for &t in &enabled {
+                self.try_fire_into(t, &states[current], &mut next)
+                    .map_err(|e| ExploreError::TokenOverflow {
                         place: self.place(e.place).name.clone(),
                         transition: self.transition(e.transition).name.clone(),
-                    }
-                })?;
+                    })?;
                 let hash = next.fx_hash();
                 let next_id = match table.get(hash, |id| states[id as usize] == next) {
                     Some(id) => StateId(id),
@@ -268,16 +271,20 @@ impl PetriNet {
                         }
                         let id = StateId(states.len() as u32);
                         table.insert(hash, id.0);
-                        states.push(next);
-                        successors.push(Vec::new());
+                        states.push(next.clone());
                         id
                     }
                 };
-                successors[current].push((t, next_id));
+                edges.push((t, next_id));
             }
+            offsets.push(edges.len());
             current += 1;
         }
-        Ok(ReachabilityGraph { states, successors })
+        Ok(ReachabilityGraph {
+            states,
+            edges,
+            offsets,
+        })
     }
 }
 

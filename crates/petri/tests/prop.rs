@@ -182,3 +182,79 @@ fn unsafe_and_safe_markings_stay_distinct() {
         Ok(())
     });
 }
+
+/// A random net over `places` places: every transition gets up to two
+/// consumed, two read and two produced places with weights 1–3, so some
+/// transitions have an empty preset and some a place both consumed and
+/// read.
+fn random_net(g: &mut Gen, places: usize) -> PetriNet {
+    let mut b = NetBuilder::new();
+    let ps: Vec<_> = (0..places).map(|i| b.place(format!("p{i}"))).collect();
+    for i in 0..g.usize(1..24) {
+        let t = b.transition(format!("t{i}"));
+        for kind in 0..3 {
+            let mut picks: Vec<usize> = (0..places).collect();
+            g.shuffle(&mut picks);
+            for &p in picks.iter().take(g.usize(0..3)) {
+                let w = g.u64(1..4) as u32;
+                match kind {
+                    0 => b.arc_pt_weighted(ps[p], t, w),
+                    1 => b.arc_read_weighted(ps[p], t, w),
+                    _ => b.arc_tp_weighted(t, ps[p], w),
+                }
+            }
+        }
+    }
+    b.build()
+}
+
+/// A random marking over `places` places: packed (tokens 0–1) or dense
+/// (tokens 0–3, usually unsafe).
+fn random_marking(g: &mut Gen, places: usize) -> a4a_petri::Marking {
+    let packed = g.bool();
+    let max = if packed { 2 } else { 4 };
+    let tokens = (0..places).map(|_| g.u64(0..max) as u32).collect();
+    let m = a4a_petri::Marking::new(tokens);
+    if packed {
+        m.pack_if_safe()
+    } else {
+        m
+    }
+}
+
+/// `enabled_into` (candidates from the preset index of the marked
+/// places) lists exactly the transitions a brute-force scan finds
+/// enabled, in id order, for packed markings over more than one word
+/// and for unsafe dense ones; `try_fire_into` into a dirty scratch of
+/// any representation and length equals `try_fire`.
+#[test]
+fn enabled_into_and_try_fire_into_match_brute_force() {
+    prop::check("enabled_into_matches_brute_force", |g: &mut Gen| -> PropResult {
+        let places = g.usize(1..140);
+        let net = random_net(g, places);
+        let m = random_marking(g, places);
+        let mut marked = Vec::new();
+        m.for_each_marked_place(|p| marked.push(p));
+        let want_marked: Vec<_> = net.place_ids().filter(|&p| m.tokens(p) > 0).collect();
+        prop_assert_eq!(marked, want_marked);
+
+        let want: Vec<_> = net.transition_ids().filter(|&t| net.is_enabled(t, &m)).collect();
+        // A dirty buffer: enabled_into must replace, not append.
+        let mut got: Vec<_> = net.transition_ids().collect();
+        got.reverse();
+        net.enabled_into(&m, &mut got);
+        prop_assert_eq!(&got, &want);
+        prop_assert_eq!(net.enabled(&m), want.clone());
+
+        for &t in &want {
+            let fired = net.try_fire(t, &m).expect("weights stay far from u32::MAX");
+            let scratch_places = g.usize(0..140);
+            let mut scratch = random_marking(g, scratch_places);
+            net.try_fire_into(t, &m, &mut scratch).expect("no overflow");
+            prop_assert_eq!(&scratch, &fired);
+            prop_assert_eq!(scratch.is_packed(), fired.is_packed());
+            prop_assert_eq!(scratch.fx_hash(), fired.fx_hash());
+        }
+        Ok(())
+    });
+}

@@ -1,6 +1,8 @@
 use std::error::Error;
 use std::fmt;
 
+use a4a_petri::{PetriNet, TokenOverflow};
+
 /// Errors raised while building, parsing, or exploring an STG.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StgError {
@@ -76,6 +78,17 @@ impl fmt::Display for StgError {
 }
 
 impl Error for StgError {}
+
+impl StgError {
+    /// The typed, name-carrying form of a firing's token-counter
+    /// overflow in `net`.
+    pub(crate) fn token_overflow(net: &PetriNet, e: TokenOverflow) -> StgError {
+        StgError::TokenOverflow {
+            place: net.place(e.place).name.clone(),
+            transition: net.transition(e.transition).name.clone(),
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {

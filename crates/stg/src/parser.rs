@@ -9,18 +9,28 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use a4a_petri::{NetBuilder, PlaceId, TransitionId};
+use a4a_petri::{Marking, NetBuilder, PlaceId, TransitionId};
 
+use crate::stategraph::state_hash;
 use crate::{Label, Polarity, Signal, SignalId, SignalKind, Stg, StgError};
 
 impl Stg {
     /// Parses an STG from `.g` text.
     ///
+    /// Without an `.initial_state` directive, each signal's initial value
+    /// is inferred from its first reachable edge. The inference searches
+    /// the (marking, signal parity) space breadth-first and stops as soon
+    /// as every signal's first edge has been seen: for a spec whose
+    /// signals all fire, usually a small part of its state graph.
+    ///
     /// # Errors
     ///
-    /// Returns [`StgError::Parse`] on malformed input and
-    /// [`StgError::StateLimit`] if initial-value inference has to explore
-    /// more than an internal budget of markings.
+    /// Returns [`StgError::Parse`] on malformed input;
+    /// [`StgError::StateLimit`] if some signal never fires and the
+    /// inference runs through more than an internal budget of 200 000
+    /// (marking, parity) pairs looking for it; and
+    /// [`StgError::TokenOverflow`] if a firing on the way overflows a
+    /// place's token counter.
     ///
     /// # Examples
     ///
@@ -564,6 +574,12 @@ fn parse_edge_name(
 /// Infers the initial value of each signal from the first reachable edge:
 /// a first-seen rising edge means the signal started low, and vice versa.
 /// Signals with no reachable edge default to low.
+///
+/// The search is breadth-first over (marking, toggle parity) pairs and
+/// stops as soon as every signal's first edge has been seen: a value is
+/// fixed at first sight, so nothing later can change it. Only a spec
+/// with a signal that never fires needs the whole space, and only then
+/// can the budget trip.
 fn infer_initial_values(
     net: &a4a_petri::PetriNet,
     labels: &[Label],
@@ -571,39 +587,55 @@ fn infer_initial_values(
 ) -> Result<(), StgError> {
     const BUDGET: usize = 200_000;
     let mut inferred: Vec<Option<bool>> = vec![None; signals.len()];
-    // Explore (marking, toggle-parity) pairs; parity tracks how many times
-    // each signal flipped relative to the initial state.
-    let mut seen: a4a_rt::FxHashSet<(a4a_petri::Marking, u64)> =
-        a4a_rt::FxHashSet::default();
-    let mut queue = std::collections::VecDeque::new();
-    let start = (net.initial_marking(), 0u64);
-    seen.insert(start.clone());
-    queue.push_back(start);
-    while let Some((marking, parity)) = queue.pop_front() {
-        if seen.len() > BUDGET {
+    let mut unseen = signals.len();
+    // Interner and BFS queue in one, as in the state-graph engine: the
+    // parity word tracks which signals flipped an odd number of times
+    // relative to the initial state.
+    let mut table = a4a_rt::IdTable::new();
+    let mut markings: Vec<Marking> = Vec::new();
+    let mut parities: Vec<u64> = Vec::new();
+    let initial = net.initial_marking().pack_if_safe();
+    table.insert(state_hash(&initial, 0), 0);
+    markings.push(initial);
+    parities.push(0);
+    let mut enabled = Vec::new();
+    let mut next = Marking::default();
+    let mut current = 0usize;
+    while unseen > 0 && current < markings.len() {
+        if markings.len() > BUDGET {
             return Err(StgError::StateLimit { limit: BUDGET });
         }
-        for t in net.transition_ids() {
-            if !net.is_enabled(t, &marking) {
-                continue;
-            }
+        let parity = parities[current];
+        net.enabled_into(&markings[current], &mut enabled);
+        for &t in &enabled {
             let mut next_parity = parity;
             if let Label::Edge(e) = labels[t.index()] {
                 let idx = e.signal.index();
                 let flipped = (parity >> idx) & 1 == 1;
-                // value before firing = initial ^ flipped; must be
-                // !target.
-                let required_initial = !e.polarity.target_value() ^ flipped;
                 if inferred[idx].is_none() {
-                    inferred[idx] = Some(required_initial);
+                    // value before firing = initial ^ flipped; must be
+                    // !target.
+                    inferred[idx] = Some(!e.polarity.target_value() ^ flipped);
+                    unseen -= 1;
+                    if unseen == 0 {
+                        break;
+                    }
                 }
                 next_parity ^= 1u64 << idx;
             }
-            let next = (net.fire(t, &marking), next_parity);
-            if seen.insert(next.clone()) {
-                queue.push_back(next);
+            net.try_fire_into(t, &markings[current], &mut next)
+                .map_err(|e| StgError::token_overflow(net, e))?;
+            let hash = state_hash(&next, next_parity);
+            let known = table.get(hash, |id| {
+                parities[id as usize] == next_parity && markings[id as usize] == next
+            });
+            if known.is_none() {
+                table.insert(hash, markings.len() as u32);
+                markings.push(next.clone());
+                parities.push(next_parity);
             }
         }
+        current += 1;
     }
     for (i, s) in signals.iter_mut().enumerate() {
         s.initial = inferred[i].unwrap_or(false);
@@ -790,6 +822,55 @@ a+ p0
         let back = Stg::parse_g(&text).unwrap();
         assert!(back.signal(back.signal_by_name("a").unwrap()).initial);
         assert_eq!(back.state_graph(100).unwrap().state_count(), 4);
+    }
+
+    /// An `n`-signal handshake pipeline whose token starts after the
+    /// rise of signal `high - 1`, so signals `0..high` start high.
+    fn rotated_pipeline(prefix: &str, n: usize, high: usize) -> Stg {
+        let mut b = StgBuilder::new(format!("{prefix}{n}"));
+        let signals: Vec<_> = (0..n)
+            .map(|i| {
+                let name = format!("{prefix}{i}");
+                if i % 2 == 1 {
+                    b.output(name, i < high)
+                } else {
+                    b.input(name, i < high)
+                }
+            })
+            .collect();
+        let mut chain: Vec<_> = signals.iter().map(|&s| b.rise(s)).collect();
+        chain.extend(signals.iter().map(|&s| b.fall(s)));
+        chain.rotate_left(high);
+        for w in chain.windows(2) {
+            b.connect(w[0], w[1]);
+        }
+        b.connect_marked(chain[chain.len() - 1], chain[0]);
+        b.build()
+    }
+
+    #[test]
+    fn inference_stops_once_every_signal_has_fired() {
+        // Four 11-signal pipelines: 22^4 = 234 256 (marking, parity)
+        // pairs, more than the inference budget of 200 000, yet every
+        // signal's first edge lies within ten firings of the start.
+        let mut stg = rotated_pipeline("a", 11, 0);
+        for (prefix, high) in [("b", 3), ("c", 6), ("d", 10)] {
+            stg = stg.compose(&rotated_pipeline(prefix, 11, high)).unwrap();
+        }
+        assert_eq!(stg.signal_count(), 44);
+        // Drop the `.initial_state` line so the parser must infer.
+        let text: String = stg
+            .to_g()
+            .lines()
+            .filter(|l| !l.starts_with(".initial_state"))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        let back = Stg::parse_g(&text).unwrap();
+        for s in stg.signals() {
+            let id = back.signal_by_name(&s.name).unwrap();
+            assert_eq!(back.signal(id).initial, s.initial, "signal {}", s.name);
+        }
+        assert_eq!(back.initial_code().count_ones(), 3 + 6 + 10);
     }
 
     #[test]

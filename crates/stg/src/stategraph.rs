@@ -54,7 +54,11 @@ impl fmt::Display for SgStateId {
 pub struct StateGraph {
     markings: Vec<Marking>,
     codes: Vec<u64>,
-    successors: Vec<Vec<(TransitionId, SgStateId)>>,
+    /// Every edge (fired transition, successor), grouped by source state
+    /// in id order.
+    edges: Vec<(TransitionId, SgStateId)>,
+    /// The edges of state `s` are `edges[offsets[s]..offsets[s + 1]]`.
+    offsets: Vec<usize>,
     /// For each state, a (transition, predecessor) pair on a shortest path
     /// from the initial state; `None` for the initial state.
     parents: Vec<Option<(TransitionId, SgStateId)>>,
@@ -68,7 +72,7 @@ impl StateGraph {
 
     /// Number of edges.
     pub fn edge_count(&self) -> usize {
-        self.successors.iter().map(Vec::len).sum()
+        self.edges.len()
     }
 
     /// The marking of `state`.
@@ -104,7 +108,7 @@ impl StateGraph {
     ///
     /// Panics if `state` does not belong to this graph.
     pub fn successors(&self, state: SgStateId) -> &[(TransitionId, SgStateId)] {
-        &self.successors[state.index()]
+        &self.edges[self.offsets[state.index()]..self.offsets[state.index() + 1]]
     }
 
     /// Iterates over all states in discovery order.
@@ -219,7 +223,7 @@ impl StateGraph {
 
 /// The interner hash of a (marking, code) state: the marking's canonical
 /// fx stream extended by the code word.
-fn state_hash(marking: &Marking, code: u64) -> u64 {
+pub(crate) fn state_hash(marking: &Marking, code: u64) -> u64 {
     let mut h = FxHasher::default();
     marking.hash(&mut h);
     h.write_u64(code);
@@ -280,24 +284,25 @@ impl Stg {
         let mut table = IdTable::new();
         let mut markings: Vec<Marking> = Vec::new();
         let mut codes: Vec<u64> = Vec::new();
-        let mut successors: Vec<Vec<(TransitionId, SgStateId)>> = Vec::new();
+        let mut edges: Vec<(TransitionId, SgStateId)> = Vec::new();
+        let mut offsets = vec![0];
         let mut parents: Vec<Option<(TransitionId, SgStateId)>> = Vec::new();
 
         table.insert(state_hash(&initial, self.initial_code()), 0);
         markings.push(initial);
         codes.push(self.initial_code());
-        successors.push(Vec::new());
         parents.push(None);
 
         // The arenas double as the BFS queue: ids are assigned in
         // discovery order, so visiting them in id order is breadth-first.
+        // Every successor is fired into `next`; only new states clone it.
+        let mut enabled = Vec::new();
+        let mut next = Marking::default();
         let mut current = 0usize;
         while current < markings.len() {
             let code = codes[current];
-            for t in self.net.transition_ids() {
-                if !self.net.is_enabled(t, &markings[current]) {
-                    continue;
-                }
+            self.net.enabled_into(&markings[current], &mut enabled);
+            for &t in &enabled {
                 let next_code = match self.labels[t.index()] {
                     Label::Dummy => code,
                     Label::Edge(e) => {
@@ -315,12 +320,9 @@ impl Stg {
                         code ^ e.signal.mask()
                     }
                 };
-                let next = self.net.try_fire(t, &markings[current]).map_err(|e| {
-                    StgError::TokenOverflow {
-                        place: self.net.place(e.place).name.clone(),
-                        transition: self.net.transition(e.transition).name.clone(),
-                    }
-                })?;
+                self.net
+                    .try_fire_into(t, &markings[current], &mut next)
+                    .map_err(|e| StgError::token_overflow(&self.net, e))?;
                 let hash = state_hash(&next, next_code);
                 let next_id = match table.get(hash, |id| {
                     codes[id as usize] == next_code && markings[id as usize] == next
@@ -332,21 +334,22 @@ impl Stg {
                         }
                         let id = SgStateId(markings.len() as u32);
                         table.insert(hash, id.0);
-                        markings.push(next);
+                        markings.push(next.clone());
                         codes.push(next_code);
-                        successors.push(Vec::new());
                         parents.push(Some((t, SgStateId(current as u32))));
                         id
                     }
                 };
-                successors[current].push((t, next_id));
+                edges.push((t, next_id));
             }
+            offsets.push(edges.len());
             current += 1;
         }
         Ok(StateGraph {
             markings,
             codes,
-            successors,
+            edges,
+            offsets,
             parents,
         })
     }

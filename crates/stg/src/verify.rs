@@ -5,7 +5,7 @@
 //! [`StateGraph`] can only exist for a consistent STG.
 
 
-use crate::{Edge, SgStateId, SignalId, SignalKind, StateGraph, Stg};
+use crate::{Edge, Polarity, SgStateId, SignalId, SignalKind, StateGraph, Stg};
 
 /// An output-persistence violation: an enabled output edge was disabled
 /// by another transition firing.
@@ -97,10 +97,11 @@ impl Stg {
     /// Runs the standard A4A sanity checks over a previously built state
     /// graph.
     pub fn verify(&self, sg: &StateGraph) -> VerifyReport {
+        let masks = edge_masks(self, sg);
         VerifyReport {
             deadlocks: deadlocks(sg),
-            persistence: output_persistence(self, sg),
-            coding: coding_conflicts(self, sg),
+            persistence: output_persistence(self, sg, &masks),
+            coding: coding_conflicts(self, sg, &masks),
         }
     }
 
@@ -140,71 +141,109 @@ fn deadlocks(sg: &StateGraph) -> Vec<SgStateId> {
         .collect()
 }
 
-fn output_persistence(stg: &Stg, sg: &StateGraph) -> Vec<PersistenceViolation> {
+/// Bit `2·signal + rising` of an enabled-edge mask: one bit per signal
+/// edge, so 64 signals fit a `u128`.
+fn edge_bit(e: Edge) -> u128 {
+    1 << (2 * e.signal.index() + usize::from(e.polarity == Polarity::Rising))
+}
+
+/// Both edge bits of `signal`.
+fn signal_bits(signal: SignalId) -> u128 {
+    0b11 << (2 * signal.index())
+}
+
+/// The enabled-edge mask of every state: the bits of the signal edges its
+/// successors fire ([`StateGraph::enabled_edges`] as a set).
+fn edge_masks(stg: &Stg, sg: &StateGraph) -> Vec<u128> {
+    sg.state_ids()
+        .map(|s| {
+            sg.successors(s)
+                .iter()
+                .filter_map(|&(t, _)| stg.label(t).edge())
+                .fold(0, |mask, e| mask | edge_bit(e))
+        })
+        .collect()
+}
+
+fn output_persistence(stg: &Stg, sg: &StateGraph, masks: &[u128]) -> Vec<PersistenceViolation> {
+    let implemented = stg
+        .signal_ids()
+        .filter(|&s| stg.signal(s).kind.is_implemented())
+        .fold(0, |mask, s| mask | signal_bits(s));
     let mut violations = Vec::new();
     for s in sg.state_ids() {
-        let enabled = sg.enabled_edges(stg, s);
-        let outputs: Vec<Edge> = enabled
-            .into_iter()
-            .filter(|e| stg.signal(e.signal).kind.is_implemented())
-            .collect();
-        if outputs.is_empty() {
-            continue;
-        }
-        for &(t, succ) in sg.successors(s) {
-            let fired = stg.label(t).edge();
-            let after = sg.enabled_edges(stg, succ);
-            for &out in &outputs {
-                if fired == Some(out) {
-                    continue; // the edge itself fired
-                }
-                // Firing an edge of the same signal counts as the signal
-                // making progress (choice between multiple transitions of
-                // one edge is not a persistence violation).
-                if let Some(f) = fired {
-                    if f.signal == out.signal {
-                        continue;
-                    }
-                }
-                if !after.contains(&out) {
-                    violations.push(PersistenceViolation {
-                        state: s,
-                        disabled: out,
-                        by: stg.transition_name(t),
-                        trace: sg
-                            .trace_to(s)
-                            .into_iter()
-                            .map(|t| stg.transition_name(t))
-                            .collect(),
-                    });
-                }
-            }
+        // A state can violate only if some successor disables an enabled
+        // output edge of another signal than the one that fired.
+        let outputs = masks[s.index()] & implemented;
+        let may_violate = outputs != 0
+            && sg.successors(s).iter().any(|&(t, succ)| {
+                let progressed = stg.label(t).edge().map_or(0, |f| signal_bits(f.signal));
+                outputs & !progressed & !masks[succ.index()] != 0
+            });
+        if may_violate {
+            state_persistence(stg, sg, s, &mut violations);
         }
     }
     violations
 }
 
-fn coding_conflicts(stg: &Stg, sg: &StateGraph) -> Vec<CscConflict> {
+/// The violations of one state, in report order: successors in edge
+/// order, then the state's enabled output edges in enabled-edge order.
+fn state_persistence(
+    stg: &Stg,
+    sg: &StateGraph,
+    s: SgStateId,
+    violations: &mut Vec<PersistenceViolation>,
+) {
+    let outputs: Vec<Edge> = sg
+        .enabled_edges(stg, s)
+        .into_iter()
+        .filter(|e| stg.signal(e.signal).kind.is_implemented())
+        .collect();
+    for &(t, succ) in sg.successors(s) {
+        let fired = stg.label(t).edge();
+        let after = sg.enabled_edges(stg, succ);
+        for &out in &outputs {
+            // Firing an edge of the same signal counts as the signal
+            // making progress (choice between multiple transitions of
+            // one edge is not a persistence violation).
+            if fired.is_some_and(|f| f.signal == out.signal) {
+                continue;
+            }
+            if !after.contains(&out) {
+                violations.push(PersistenceViolation {
+                    state: s,
+                    disabled: out,
+                    by: stg.transition_name(t),
+                    trace: sg
+                        .trace_to(s)
+                        .into_iter()
+                        .map(|t| stg.transition_name(t))
+                        .collect(),
+                });
+            }
+        }
+    }
+}
+
+fn coding_conflicts(stg: &Stg, sg: &StateGraph, masks: &[u128]) -> Vec<CscConflict> {
     let non_inputs: Vec<SignalId> = stg
         .signal_ids()
         .filter(|&s| stg.signal(s).kind != SignalKind::Input)
         .collect();
+    let excited = |s: SgStateId, sig: SignalId| masks[s.index()] & signal_bits(sig) != 0;
+    // States grouped by code: codes ascending, each group in discovery
+    // order.
+    let mut by_code: Vec<(u64, SgStateId)> = sg.state_ids().map(|s| (sg.code(s), s)).collect();
+    by_code.sort_unstable();
     let mut conflicts = Vec::new();
-    let mut by_code: a4a_rt::FxHashMap<u64, Vec<SgStateId>> = sg.states_by_code();
-    let mut codes: Vec<u64> = by_code.keys().copied().collect();
-    codes.sort_unstable();
-    for code in codes {
-        let states = by_code.remove(&code).expect("key from map");
-        if states.len() < 2 {
-            continue;
-        }
-        for i in 0..states.len() {
-            for j in (i + 1)..states.len() {
-                let (x, y) = (states[i], states[j]);
+    for group in by_code.chunk_by(|a, b| a.0 == b.0) {
+        for (i, &(code, x)) in group.iter().enumerate() {
+            for &(_, y) in &group[i + 1..] {
                 let signals: Vec<SignalId> = non_inputs
                     .iter()
                     .copied()
-                    .filter(|&sig| sg.is_excited(stg, x, sig) != sg.is_excited(stg, y, sig))
+                    .filter(|&sig| excited(x, sig) != excited(y, sig))
                     .collect();
                 conflicts.push(CscConflict {
                     first: x,

@@ -8,7 +8,7 @@
 //! STG specifications."
 
 use a4a::A4aFlow;
-use a4a_stg::Stg;
+use a4a_stg::{Stg, VerifyReport};
 use a4a_synth::{synthesize, verify_si, SynthOptions, SynthStyle};
 
 fn all_specs() -> Vec<(&'static str, Stg)> {
@@ -104,3 +104,138 @@ fn timer_sharing_possibility() {
     assert_eq!(eq(&pmos), eq(&nmos));
     assert_eq!(eq(&pmos), eq(&ext));
 }
+
+/// An output racing an input and another output for one token, after a
+/// `go+` prefix, beside a one-shot input `u+`: four persistence
+/// violations from each of two states, and three deadlocks.
+const FAN_G: &str = "\
+.model fan
+.inputs go a u
+.outputs o x
+.graph
+s go+
+go+ p
+p a+ o+ x+
+r u+
+.marking { s r }
+.end
+";
+
+/// The `a+ a- b+ b- c+ c-` cycle with a dummy `d` racing output `b+`:
+/// the dummy's firing disables `b+`, and code 000 is shared by three
+/// states (two CSC conflicts, one USC conflict).
+const DUMMY_CSC_G: &str = "\
+.model dummy_csc
+.inputs a c
+.outputs b
+.dummy d
+.graph
+c- a+
+a+ a-
+a- q
+q b+ d
+b+ b-
+b- q2
+d q2
+q2 c+
+c+ c-
+.marking { <c-,a+> }
+.end
+";
+
+/// Renders every field of a report, in report order, with names instead
+/// of ids so the golden text reads on its own.
+fn render_report(stg: &Stg, report: &VerifyReport) -> String {
+    let mut out = String::new();
+    let deadlocks: Vec<String> = report.deadlocks.iter().map(|s| s.to_string()).collect();
+    out.push_str(&format!("deadlocks [{}]\n", deadlocks.join(" ")));
+    for v in &report.persistence {
+        out.push_str(&format!(
+            "persistence {} {}{} by {} trace [{}]\n",
+            v.state,
+            stg.signal(v.disabled.signal).name,
+            v.disabled.polarity,
+            v.by,
+            v.trace.join(" ")
+        ));
+    }
+    for c in &report.coding {
+        let signals: Vec<&str> = c
+            .signals
+            .iter()
+            .map(|&s| stg.signal(s).name.as_str())
+            .collect();
+        out.push_str(&format!(
+            "coding {} {} code {:#b} [{}]\n",
+            c.first,
+            c.second,
+            c.code,
+            signals.join(" ")
+        ));
+    }
+    out
+}
+
+/// The violating specs of the golden report: two `.g` texts, and the
+/// dummy/CSC spec composed with a two-signal pipeline so that the
+/// violations and the three-state code groups recur across the
+/// pipeline's states with longer traces.
+fn violating_specs() -> Vec<Stg> {
+    let fan = Stg::parse_g(FAN_G).expect("fan parses");
+    let dummy_csc = Stg::parse_g(DUMMY_CSC_G).expect("dummy_csc parses");
+    let pipe = a4a_stg::prop_support::pipeline_stg_with_prefix(2, 0b10, "q");
+    let composed = dummy_csc.compose(&pipe).expect("disjoint signals compose");
+    vec![fan, dummy_csc, composed]
+}
+
+#[test]
+fn violating_reports_are_pinned() {
+    let got: String = violating_specs()
+        .iter()
+        .map(|stg| {
+            let sg = stg.state_graph(1_000).expect("consistent");
+            let report = render_report(stg, &stg.verify(&sg));
+            format!("== {}\n{report}", stg.name())
+        })
+        .collect();
+    assert_eq!(got, VIOLATING_REPORTS_GOLDEN);
+}
+
+/// The pinned reports, captured from the per-edge reference checks: any
+/// change to violation order, traces or conflict pairs shows here.
+const VIOLATING_REPORTS_GOLDEN: &str = "\
+== fan
+deadlocks [q7 q8 q9]
+persistence q1 o+ by a+ trace [go+]
+persistence q1 x+ by a+ trace [go+]
+persistence q1 x+ by o+ trace [go+]
+persistence q1 o+ by x+ trace [go+]
+persistence q6 o+ by a+ trace [go+ u+]
+persistence q6 x+ by a+ trace [go+ u+]
+persistence q6 x+ by o+ trace [go+ u+]
+persistence q6 o+ by x+ trace [go+ u+]
+== dummy_csc
+deadlocks []
+persistence q2 b+ by d trace [a+ a-]
+coding q0 q2 code 0b0 [b]
+coding q0 q4 code 0b0 []
+coding q2 q4 code 0b0 [b]
+== dummy_csc||pipeline2
+deadlocks []
+persistence q3 b+ by d trace [a+ a-]
+persistence q8 b+ by d trace [a+ a- q0+]
+persistence q14 b+ by d trace [a+ a- q0+ q1+]
+persistence q19 b+ by d trace [a+ a- q0+ q1+ q0-]
+coding q0 q3 code 0b0 [b]
+coding q0 q7 code 0b0 []
+coding q3 q7 code 0b0 [b]
+coding q2 q8 code 0b1000 [b]
+coding q2 q13 code 0b1000 []
+coding q8 q13 code 0b1000 [b]
+coding q10 q19 code 0b10000 [b]
+coding q10 q22 code 0b10000 []
+coding q19 q22 code 0b10000 [b]
+coding q5 q14 code 0b11000 [b]
+coding q5 q18 code 0b11000 []
+coding q14 q18 code 0b11000 [b]
+";
