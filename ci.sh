@@ -25,9 +25,10 @@
 #   7. fail if any Cargo.toml re-introduces a registry (non-path)
 #      dependency
 #   8. fail if a library crate of the simulation stack (sim, analog,
-#      core) or of the formal engines (petri, stg) grows a new
-#      `unwrap()` outside #[cfg(test)] — failures there must flow
-#      through the typed SimError / ExploreError / StgError models
+#      core), of the formal engines (petri, stg), of synthesis (boolmin,
+#      synth, netlist), of the controllers (ctrl, a2a) or the runtime
+#      (rt) grows a new `unwrap()` outside #[cfg(test)] — failures there
+#      must flow through the crates' typed errors
 #
 # `./ci.sh --quick` runs only the build and the smoke tier (4) — the
 # sub-minute loop for "did I break an experiment binary".
@@ -202,16 +203,17 @@ if [ "$bad" -ne 0 ]; then
 fi
 echo "OK: hermetic (no registry dependencies)"
 
-echo "==> checking simulation-stack and formal-engine library crates for unwrap()"
+echo "==> checking library crates for unwrap()"
 # The sim/analog/core libraries route every failure through the typed
-# SimError model, and the petri/stg engines through ExploreError and
-# StgError; `.unwrap()` belongs only in #[cfg(test)] modules (and
-# experiment binaries under core/src/bin/, which may die loudly). The
+# SimError model, the petri/stg engines through ExploreError and
+# StgError, and synthesis through SynthError; elsewhere a broken
+# invariant is an `expect` that says which. `.unwrap()` belongs only in
+# #[cfg(test)] modules (and experiment binaries under core/src/bin/ and
+# crates/bench, which may die loudly). The
 # scan stops at the first #[cfg(test)] marker — library code above it
 # must be unwrap-free.
 bad=0
-for src in crates/sim/src/*.rs crates/analog/src/*.rs crates/core/src/*.rs \
-           crates/petri/src/*.rs crates/stg/src/*.rs; do
+for src in crates/{sim,analog,core,petri,stg,boolmin,synth,netlist,ctrl,a2a,rt}/src/*.rs; do
     offenders=$(awk -v f="$src" '
         /#\[cfg\(test\)\]/ { exit }
         /\.unwrap\(\)/ { print f ":" FNR ": " $0 }
@@ -225,4 +227,4 @@ done
 if [ "$bad" -ne 0 ]; then
     exit 1
 fi
-echo "OK: simulation-stack and formal-engine libraries are unwrap-free (typed errors only)"
+echo "OK: library crates are unwrap-free (typed errors only)"

@@ -13,7 +13,7 @@
 //!   explorations of the same net;
 //! * `synth/state_graph_composed_pipelines` — one build of a 3-way
 //!   composed handshake-pipeline product (the widest state space the
-//!   repo constructs, thousands of states — where packed markings and
+//!   repo constructs, thousands of states — where the row kernel and
 //!   the id-interner dominate);
 //! * `synth/minimize_qm10` — a representative 10-variable
 //!   Quine–McCluskey minimisation with a seeded ON/OFF/DC partition;
@@ -83,7 +83,7 @@ fn main() {
     }));
 
     // A wide product state space: three independent 6-stage handshake
-    // pipelines composed into one STG. Exercises packed markings and the
+    // pipelines composed into one STG. Exercises the row kernel and the
     // interner at thousands of states.
     let a = prop_support::pipeline_stg_with_prefix(6, 0b101010, "a");
     let b = prop_support::pipeline_stg_with_prefix(6, 0b010101, "b");

@@ -669,7 +669,7 @@ mod tests {
         for inv in &invariants {
             let s0 = inv.sum(&m0);
             for st in sg.state_ids() {
-                assert_eq!(inv.sum(sg.marking(st)), s0, "invariant broke");
+                assert_eq!(inv.sum(&sg.marking(st)), s0, "invariant broke");
             }
         }
         // And the ring is 1-bounded: a single token.

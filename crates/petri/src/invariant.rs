@@ -249,7 +249,7 @@ mod tests {
             let s0 = inv.sum(&m0);
             let g = net.explore(100).unwrap();
             for s in g.state_ids() {
-                assert_eq!(inv.sum(g.marking(s)), s0, "invariant violated");
+                assert_eq!(inv.sum(&g.marking(s)), s0, "invariant violated");
             }
         }
         assert!(net.covered_by_invariants());

@@ -1,0 +1,487 @@
+//! The exploration kernel shared by every explicit state-space engine:
+//! [`PetriNet::explore`], the STG state graph and the `.g` parser's
+//! initial-value inference.
+//!
+//! An engine keeps each state as one fixed-width row of `u64` words in a
+//! single arena ([`RowSet`]): first the marking, in the words a
+//! [`Layout`] describes, then whatever words the engine adds (a signal
+//! code, a parity word). An interner equality probe is one compare
+//! against a contiguous row. Two firing rules read and write the marking
+//! words ([`Kernel`]):
+//!
+//! * the **kernel** ([`Engine::Kernel`]), for nets whose arcs all have
+//!   weight 1: one bit per place, and per-transition word masks
+//!   `need = consume | read`, `consume` and `produce`. A transition is
+//!   enabled iff `row & need == need` on every word, and fires to
+//!   `(row & !consume) | produce`;
+//! * the **reference** engine ([`Engine::Reference`]): one token counter
+//!   per place, with arc weights and the `u32` overflow check.
+//!
+//! An engine is written once, generic over the [`Kernel`] it is handed,
+//! so both rules run the same breadth-first search: state numbering,
+//! edge order and error trip points agree. A kernel firing that would
+//! put a second token on a place stops the search with [`Halt::Unsafe`];
+//! [`PetriNet::explore_with`] then drops the partial result and reruns
+//! the search on the reference engine from the start
+//! ([`Engine::Restarted`]).
+
+use std::hash::Hasher;
+
+use a4a_rt::{FxHasher, IdTable};
+
+use crate::net::Transition;
+use crate::{Marking, PetriNet, PlaceId, TokenOverflow, TransitionId};
+
+/// Which engine built a state space.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Engine {
+    /// The safe-net kernel: one bit per place, firing by word masks.
+    Kernel,
+    /// The reference engine, one token counter per place: asked for
+    /// explicitly, or the net has a weighted arc, or its initial marking
+    /// has a place with two or more tokens.
+    Reference,
+    /// The kernel met a firing that would put a second token on a place,
+    /// so the reference engine explored again from the start.
+    Restarted,
+}
+
+/// How the leading words of a state row encode a marking.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Layout {
+    engine: Engine,
+    places: usize,
+}
+
+impl Layout {
+    /// The engine whose rows these are.
+    pub fn engine(self) -> Engine {
+        self.engine
+    }
+
+    /// Number of marking words at the start of every row: one bit per
+    /// place for the kernel, one counter word per place otherwise.
+    pub fn words(self) -> usize {
+        match self.engine {
+            Engine::Kernel => self.places.div_ceil(64),
+            Engine::Reference | Engine::Restarted => self.places,
+        }
+    }
+
+    /// Appends the marking words of `marking` to `row`. For the kernel
+    /// layout `marking` must be safe.
+    pub fn encode(self, marking: &Marking, row: &mut Vec<u64>) {
+        match self.engine {
+            Engine::Kernel => {
+                debug_assert!(marking.is_safe());
+                let start = row.len();
+                row.resize(start + self.words(), 0);
+                for (p, t) in marking.iter().enumerate() {
+                    row[start + p / 64] |= u64::from(t) << (p % 64);
+                }
+            }
+            Engine::Reference | Engine::Restarted => row.extend(marking.iter().map(u64::from)),
+        }
+    }
+
+    /// The marking held by the leading words of `row`.
+    pub fn decode(self, row: &[u64]) -> Marking {
+        Marking::new((0..self.places).map(|p| self.tokens(row, p)).collect())
+    }
+
+    /// The tokens on place `p` in `row`.
+    fn tokens(self, row: &[u64], p: usize) -> u32 {
+        match self.engine {
+            Engine::Kernel => (row[p / 64] >> (p % 64)) as u32 & 1,
+            // Reference counters never exceed u32::MAX: `fire_into`
+            // checks every addition.
+            Engine::Reference | Engine::Restarted => row[p] as u32,
+        }
+    }
+
+    /// The largest token count on any place of `row`.
+    pub fn max_tokens(self, row: &[u64]) -> u32 {
+        (0..self.places)
+            .map(|p| self.tokens(row, p))
+            .max()
+            .unwrap_or(0)
+    }
+}
+
+/// Why a kernel-generic search stopped early.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Halt<E> {
+    /// A kernel firing would put a second token on a place: the
+    /// marking leaves the kernel's one-bit-per-place layout.
+    Unsafe,
+    /// The search failed with an error of its own.
+    Error(E),
+}
+
+impl<E> Halt<E> {
+    /// Maps the error of a [`Halt::Error`].
+    pub fn map<F>(self, f: impl FnOnce(E) -> F) -> Halt<F> {
+        match self {
+            Halt::Unsafe => Halt::Unsafe,
+            Halt::Error(e) => Halt::Error(f(e)),
+        }
+    }
+}
+
+/// A firing rule on the marking words of state rows: one bit per place
+/// and per-transition word masks for [`Engine::Kernel`], one token
+/// counter word per place for the reference engine. A transition is
+/// enabled under the masks iff `row & need == need` on every word
+/// (`need = consume | read`) and fires to `(row & !consume) | produce`.
+/// Engines are written once, generic over the `Kernel` that
+/// [`PetriNet::explore_with`] or [`PetriNet::explore_ref_with`] hands
+/// them, so both rules run the same search.
+#[derive(Debug, Clone, Copy)]
+pub struct Kernel<'n> {
+    net: &'n PetriNet,
+    layout: Layout,
+    /// `need`, `consume`, `produce` of transition `t`, `words` each,
+    /// from `masks[3 * words * t]`; empty for the reference engine.
+    masks: &'n [u64],
+}
+
+impl<'n> Kernel<'n> {
+    /// The row layout of this engine's markings.
+    pub fn layout(&self) -> Layout {
+        self.layout
+    }
+
+    /// Replaces the contents of `out` with the transitions enabled in
+    /// the marking of `row`, in id order. Candidates are the transitions
+    /// of the marked places (through the net's preset index) plus those
+    /// with an empty preset.
+    pub fn enabled_into(&self, row: &[u64], out: &mut Vec<TransitionId>) {
+        let preset = self.net.preset();
+        out.clear();
+        out.extend_from_slice(preset.unguarded());
+        let words = &row[..self.layout.words()];
+        match self.layout.engine {
+            Engine::Kernel => {
+                for (w, &word) in words.iter().enumerate() {
+                    let mut bits = word;
+                    while bits != 0 {
+                        let p = w * 64 + bits.trailing_zeros() as usize;
+                        out.extend_from_slice(preset.users_of(p));
+                        bits &= bits - 1;
+                    }
+                }
+            }
+            Engine::Reference | Engine::Restarted => {
+                for (p, &count) in words.iter().enumerate() {
+                    if count > 0 {
+                        out.extend_from_slice(preset.users_of(p));
+                    }
+                }
+            }
+        }
+        out.sort_unstable();
+        out.dedup();
+        out.retain(|&t| self.is_enabled(t, row));
+    }
+
+    fn is_enabled(&self, t: TransitionId, row: &[u64]) -> bool {
+        match self.layout.engine {
+            Engine::Kernel => {
+                let words = self.layout.words();
+                let need = &self.masks[3 * words * t.index()..][..words];
+                row.iter().zip(need).all(|(&r, &n)| r & n == n)
+            }
+            Engine::Reference | Engine::Restarted => {
+                let tr = self.net.transition(t);
+                let holds = |&(p, w): &(PlaceId, u32)| row[p.index()] >= u64::from(w);
+                tr.consume.iter().all(holds) && tr.read.iter().all(holds)
+            }
+        }
+    }
+
+    /// Writes the marking words of the successor of `row` under `t` to
+    /// the front of `next`, whatever they held; the words after the
+    /// marking are left alone. `t` must be enabled in `row`, as every
+    /// transition [`Kernel::enabled_into`] lists is.
+    ///
+    /// # Errors
+    ///
+    /// [`Halt::Unsafe`] when a kernel firing would put a second token on
+    /// a place; [`Halt::Error`] with [`TokenOverflow`] when a reference
+    /// firing would push a counter past `u32::MAX`. `next` is then left
+    /// partly written.
+    pub fn fire_into(
+        &self,
+        t: TransitionId,
+        row: &[u64],
+        next: &mut [u64],
+    ) -> Result<(), Halt<TokenOverflow>> {
+        let words = self.layout.words();
+        match self.layout.engine {
+            Engine::Kernel => {
+                let masks = &self.masks[3 * words * t.index()..][..3 * words];
+                let (consume, produce) = masks[words..].split_at(words);
+                let mut clash = 0;
+                for i in 0..words {
+                    let kept = row[i] & !consume[i];
+                    clash |= kept & produce[i];
+                    next[i] = kept | produce[i];
+                }
+                if clash != 0 {
+                    return Err(Halt::Unsafe);
+                }
+            }
+            Engine::Reference | Engine::Restarted => {
+                let tr = self.net.transition(t);
+                next[..words].copy_from_slice(&row[..words]);
+                for &(p, w) in &tr.consume {
+                    next[p.index()] -= u64::from(w);
+                }
+                for &(p, w) in &tr.produce {
+                    let count = next[p.index()] + u64::from(w);
+                    if count > u64::from(u32::MAX) {
+                        return Err(Halt::Error(TokenOverflow {
+                            place: p,
+                            transition: t,
+                        }));
+                    }
+                    next[p.index()] = count;
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The kernel's word masks of a net, `need`, `consume` and `produce` per
+/// transition (see [`Kernel`]); `None` when some arc has a weight other
+/// than 1, which only the reference engine handles.
+pub(crate) fn word_masks(places: usize, transitions: &[Transition]) -> Option<Vec<u64>> {
+    let unit = |arcs: &[(PlaceId, u32)]| arcs.iter().all(|&(_, w)| w == 1);
+    if !transitions
+        .iter()
+        .all(|tr| unit(&tr.consume) && unit(&tr.read) && unit(&tr.produce))
+    {
+        return None;
+    }
+    fn set(mask: &mut [u64], arcs: &[(PlaceId, u32)]) {
+        for &(p, _) in arcs {
+            mask[p.index() / 64] |= 1 << (p.index() % 64);
+        }
+    }
+    let words = places.div_ceil(64);
+    let mut masks = vec![0u64; 3 * words * transitions.len()];
+    for (t, tr) in transitions.iter().enumerate() {
+        let (need, rest) = masks[3 * words * t..][..3 * words].split_at_mut(words);
+        let (consume, produce) = rest.split_at_mut(words);
+        set(need, &tr.consume);
+        set(need, &tr.read);
+        set(consume, &tr.consume);
+        set(produce, &tr.produce);
+    }
+    Some(masks)
+}
+
+impl PetriNet {
+    /// Runs the breadth-first search `explore` from `initial` on the
+    /// kernel when the net has no weighted arc and `initial` is safe,
+    /// else on the reference engine. If the kernel run stops with
+    /// [`Halt::Unsafe`], its partial result is dropped and `explore` runs
+    /// again on the reference engine ([`Engine::Restarted`]).
+    ///
+    /// `explore` must encode `initial` itself (with
+    /// [`Layout::encode`]); `initial` is passed here only to choose the
+    /// engine.
+    ///
+    /// # Errors
+    ///
+    /// Whatever error `explore` stops with.
+    pub fn explore_with<T, E>(
+        &self,
+        initial: &Marking,
+        mut explore: impl FnMut(Kernel<'_>) -> Result<T, Halt<E>>,
+    ) -> Result<T, E> {
+        match self.masks() {
+            Some(masks) if initial.is_safe() => match explore(self.kernel(Engine::Kernel, masks)) {
+                Err(Halt::Unsafe) => finish(explore(self.kernel(Engine::Restarted, &[]))),
+                done => finish(done),
+            },
+            _ => finish(explore(self.kernel(Engine::Reference, &[]))),
+        }
+    }
+
+    /// Runs `explore` on the reference engine only — the engine the
+    /// kernel-versus-reference differential suites compare against.
+    ///
+    /// # Errors
+    ///
+    /// Whatever error `explore` stops with.
+    pub fn explore_ref_with<T, E>(
+        &self,
+        explore: impl FnOnce(Kernel<'_>) -> Result<T, Halt<E>>,
+    ) -> Result<T, E> {
+        finish(explore(self.kernel(Engine::Reference, &[])))
+    }
+
+    fn kernel<'n>(&'n self, engine: Engine, masks: &'n [u64]) -> Kernel<'n> {
+        Kernel {
+            net: self,
+            layout: Layout {
+                engine,
+                places: self.place_count(),
+            },
+            masks,
+        }
+    }
+}
+
+/// A result that is not [`Halt::Unsafe`]: the reference engine counts
+/// tokens, so it never halts on an unsafe firing.
+fn finish<T, E>(result: Result<T, Halt<E>>) -> Result<T, E> {
+    result.map_err(|halt| match halt {
+        Halt::Error(e) => e,
+        Halt::Unsafe => unreachable!("the reference engine counts tokens"),
+    })
+}
+
+/// Fixed-width rows of `u64` words interned to ids `0, 1, 2, …` in
+/// insertion order: one flat arena plus an [`IdTable`] of row hashes, so
+/// an equality probe is one compare against a contiguous row.
+#[derive(Debug, Clone)]
+pub struct RowSet {
+    width: usize,
+    len: usize,
+    words: Vec<u64>,
+    table: IdTable,
+}
+
+impl RowSet {
+    /// An empty set of rows of `width` words.
+    pub fn new(width: usize) -> RowSet {
+        RowSet {
+            width,
+            len: 0,
+            words: Vec::new(),
+            table: IdTable::new(),
+        }
+    }
+
+    /// Number of interned rows.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Returns `true` when nothing has been interned yet.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The row with id `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` has not been interned.
+    pub fn row(&self, id: usize) -> &[u64] {
+        assert!(id < self.len, "row {id} not interned");
+        &self.words[id * self.width..][..self.width]
+    }
+
+    /// Interns `row`: `Some((id, false))` if an equal row is present,
+    /// else `Some((id, true))` with the next id — or `None` when that
+    /// would make more than `limit` rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is not `width` words long.
+    pub fn intern(&mut self, row: &[u64], limit: usize) -> Option<(u32, bool)> {
+        assert_eq!(row.len(), self.width, "row width");
+        let hash = row_hash(row);
+        let (words, width) = (&self.words, self.width);
+        if let Some(id) = self
+            .table
+            .get(hash, |id| &words[id as usize * width..][..width] == row)
+        {
+            return Some((id, false));
+        }
+        if self.len >= limit {
+            return None;
+        }
+        let id = self.len as u32;
+        self.table.insert(hash, id);
+        self.words.extend_from_slice(row);
+        self.len += 1;
+        Some((id, true))
+    }
+
+    /// The rows back to back, in id order, without the hash table.
+    pub fn into_words(self) -> Vec<u64> {
+        self.words
+    }
+}
+
+/// The interner hash of a row: [`FxHasher`] over its words, with the
+/// high half folded into the low half, because [`IdTable`] picks slots
+/// by the low bits and Fx leaves them depending on the low bits of the
+/// last word only.
+fn row_hash(row: &[u64]) -> u64 {
+    let mut h = FxHasher::default();
+    for &word in row {
+        h.write_u64(word);
+    }
+    let h = h.finish();
+    h ^ (h >> 32)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::NetBuilder;
+
+    #[test]
+    fn layouts_round_trip() {
+        let m = Marking::new((0..130).map(|p| u32::from(p % 3 == 0)).collect());
+        for engine in [Engine::Kernel, Engine::Reference] {
+            let layout = Layout {
+                engine,
+                places: 130,
+            };
+            let mut row = vec![7];
+            layout.encode(&m, &mut row);
+            assert_eq!(row.len(), 1 + layout.words());
+            assert_eq!(layout.decode(&row[1..]), m);
+            assert_eq!(layout.max_tokens(&row[1..]), 1);
+        }
+    }
+
+    #[test]
+    fn weighted_arcs_have_no_masks() {
+        let mut b = NetBuilder::new();
+        let p = b.place_with_tokens("p", 1);
+        let t = b.transition("t");
+        b.arc_pt(p, t);
+        assert!(b.clone().build().masks().is_some());
+        b.arc_tp_weighted(t, p, 2);
+        assert!(b.build().masks().is_none());
+    }
+
+    #[test]
+    fn row_set_interns_in_order() {
+        let mut rows = RowSet::new(2);
+        assert_eq!(rows.intern(&[1, 2], 10), Some((0, true)));
+        assert_eq!(rows.intern(&[2, 1], 10), Some((1, true)));
+        assert_eq!(rows.intern(&[1, 2], 10), Some((0, false)));
+        assert_eq!(rows.intern(&[3, 3], 2), None, "limit reached");
+        assert_eq!(rows.intern(&[2, 1], 2), Some((1, false)), "known rows pass");
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows.row(1), &[2, 1]);
+        assert_eq!(rows.into_words(), vec![1, 2, 2, 1]);
+    }
+
+    #[test]
+    fn zero_width_rows_are_one_state() {
+        let mut rows = RowSet::new(0);
+        assert_eq!(rows.intern(&[], 5), Some((0, true)));
+        assert_eq!(rows.intern(&[], 5), Some((0, false)));
+        assert_eq!(rows.row(0), &[] as &[u64]);
+    }
+}

@@ -8,6 +8,10 @@
 //!   consuming/producing arcs and non-consuming *read arcs*;
 //! * [`Marking`] — token vectors with the standard enabledness and firing
 //!   rule;
+//! * [`Kernel`] and [`RowSet`] — the exploration kernel every explicit
+//!   state-space engine runs on: states as flat word rows, safe nets
+//!   fired by per-transition bit masks, a token-counting reference
+//!   engine for the rest;
 //! * [`ReachabilityGraph`] — explicit (bounded) state-space exploration,
 //!   deadlock detection and boundedness checks.
 //!
@@ -39,11 +43,13 @@
 #![warn(missing_docs)]
 
 mod invariant;
+mod kernel;
 mod marking;
 mod net;
 mod reach;
 
 pub use invariant::PlaceInvariant;
+pub use kernel::{Engine, Halt, Kernel, Layout, RowSet};
 pub use marking::Marking;
 pub use net::{
     ArcKind, NetBuilder, PetriNet, Place, PlaceId, TokenOverflow, Transition, TransitionId,

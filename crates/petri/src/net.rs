@@ -1,5 +1,9 @@
 use std::fmt;
+use std::sync::OnceLock;
 
+use a4a_rt::{fx_hash_one, IdTable};
+
+use crate::kernel::word_masks;
 use crate::Marking;
 
 /// Index of a place within its [`PetriNet`].
@@ -93,13 +97,17 @@ pub struct PetriNet {
     pub(crate) places: Vec<Place>,
     pub(crate) transitions: Vec<Transition>,
     preset: PresetIndex,
+    /// The exploration kernel's per-transition word masks, compiled on
+    /// the first exploration: most nets the flow builds (composition
+    /// parts, the parser's first pass) are never explored.
+    masks: OnceLock<Option<Vec<u64>>>,
 }
 
 /// Which transitions can be enabled by a token in which place, built once
-/// by [`NetBuilder::build`] so [`PetriNet::enabled_into`] looks only at
-/// the transitions of marked places.
+/// by [`NetBuilder::build`] so the exploration engines look only at the
+/// transitions of marked places.
 #[derive(Debug, Clone)]
-struct PresetIndex {
+pub(crate) struct PresetIndex {
     /// The transitions consuming or reading place `p` are
     /// `users[start[p]..start[p + 1]]`, in id order.
     start: Vec<usize>,
@@ -143,8 +151,14 @@ impl PresetIndex {
         }
     }
 
-    fn users_of(&self, p: PlaceId) -> &[TransitionId] {
-        &self.users[self.start[p.index()]..self.start[p.index() + 1]]
+    /// The transitions consuming or reading place `p`, in id order.
+    pub(crate) fn users_of(&self, p: usize) -> &[TransitionId] {
+        &self.users[self.start[p]..self.start[p + 1]]
+    }
+
+    /// The transitions enabled in every marking, in id order.
+    pub(crate) fn unguarded(&self) -> &[TransitionId] {
+        &self.unguarded
     }
 }
 
@@ -223,6 +237,18 @@ impl PetriNet {
         Marking::new(self.places.iter().map(|p| p.initial_tokens).collect())
     }
 
+    pub(crate) fn preset(&self) -> &PresetIndex {
+        &self.preset
+    }
+
+    /// The exploration kernel's word masks; `None` when some arc is
+    /// weighted (see [`crate::Kernel`]).
+    pub(crate) fn masks(&self) -> Option<&[u64]> {
+        self.masks
+            .get_or_init(|| word_masks(self.places.len(), &self.transitions))
+            .as_deref()
+    }
+
     /// Returns `true` if `t` is enabled in `marking`.
     ///
     /// A transition is enabled when every consumed place holds at least the
@@ -235,23 +261,9 @@ impl PetriNet {
 
     /// All transitions enabled in `marking`, in id order.
     pub fn enabled(&self, marking: &Marking) -> Vec<TransitionId> {
-        let mut out = Vec::new();
-        self.enabled_into(marking, &mut out);
-        out
-    }
-
-    /// Replaces the contents of `out` with the transitions enabled in
-    /// `marking`, in id order — [`PetriNet::enabled`] into a reusable
-    /// buffer. Only the transitions of marked places (plus those with an
-    /// empty preset) are tested, so the cost follows the marking, not
-    /// the size of the net.
-    pub fn enabled_into(&self, marking: &Marking, out: &mut Vec<TransitionId>) {
-        out.clear();
-        out.extend_from_slice(&self.preset.unguarded);
-        marking.for_each_marked_place(|p| out.extend_from_slice(self.preset.users_of(p)));
-        out.sort_unstable();
-        out.dedup();
-        out.retain(|&t| self.is_enabled(t, marking));
+        self.transition_ids()
+            .filter(|&t| self.is_enabled(t, marking))
+            .collect()
     }
 
     /// Fires `t` in `marking`, returning the successor marking.
@@ -269,49 +281,20 @@ impl PetriNet {
 
     /// Fires `t` in `marking`, returning the successor marking, or a
     /// typed [`TokenOverflow`] when a produced place would exceed
-    /// `u32::MAX` tokens — the fallible form the state-space explorers
-    /// use so an absurdly unbounded net fails cleanly mid-BFS.
+    /// `u32::MAX` tokens.
     ///
     /// # Panics
     ///
     /// Panics if `t` is not enabled — callers must check with
     /// [`PetriNet::is_enabled`] first.
     pub fn try_fire(&self, t: TransitionId, marking: &Marking) -> Result<Marking, TokenOverflow> {
+        let tr = self.transition(t);
         assert!(
             self.is_enabled(t, marking),
             "transition {} is not enabled",
-            self.transition(t).name
+            tr.name
         );
-        let mut next = Marking::default();
-        self.try_fire_into(t, marking, &mut next)?;
-        Ok(next)
-    }
-
-    /// [`PetriNet::try_fire`] into a caller-owned scratch marking:
-    /// `next` is overwritten with the successor of `marking`, reusing its
-    /// buffer, whatever it held before. The explorers fire every edge
-    /// into one scratch and clone it only when the successor is new.
-    ///
-    /// `t` must be enabled in `marking` (as every transition
-    /// [`PetriNet::enabled_into`] lists is); this is not re-checked.
-    ///
-    /// # Errors
-    ///
-    /// [`TokenOverflow`] when a produced place would exceed `u32::MAX`
-    /// tokens; `next` is then left partly fired.
-    ///
-    /// # Panics
-    ///
-    /// Panics on token underflow, i.e. if a consumed place of `t` holds
-    /// fewer tokens than the arc weight.
-    pub fn try_fire_into(
-        &self,
-        t: TransitionId,
-        marking: &Marking,
-        next: &mut Marking,
-    ) -> Result<(), TokenOverflow> {
-        let tr = self.transition(t);
-        next.clone_from(marking);
+        let mut next = marking.clone();
         for &(p, w) in &tr.consume {
             next.remove(p, w);
         }
@@ -321,7 +304,7 @@ impl PetriNet {
                 transition: t,
             })?;
         }
-        Ok(())
+        Ok(next)
     }
 }
 
@@ -350,10 +333,33 @@ impl std::error::Error for TokenOverflow {}
 ///
 /// Names are deduplicated: adding a place or transition with an existing
 /// name panics, because silent merging would corrupt STG semantics.
-#[derive(Debug, Clone, Default)]
+/// [`NetBuilder::try_place`] reports a taken name instead.
+#[derive(Debug, Clone)]
 pub struct NetBuilder {
     places: Vec<Place>,
     transitions: Vec<Transition>,
+    /// Name indexes for the duplicate checks: fx hashes of the names,
+    /// with the names themselves kept once, in `places`/`transitions`.
+    place_index: IdTable,
+    transition_index: IdTable,
+}
+
+/// Names each builder index holds before its first regrowth. Every
+/// shipped module and A2A spec and every handshake pipeline of up to 28
+/// signals fits, so their builders allocate each index once instead of
+/// regrowing it from eight slots four times (measurably slower when
+/// building the dozens of small nets of a flow run).
+const NAME_INDEX_CAPACITY: usize = 56;
+
+impl Default for NetBuilder {
+    fn default() -> Self {
+        NetBuilder {
+            places: Vec::new(),
+            transitions: Vec::new(),
+            place_index: IdTable::with_capacity(NAME_INDEX_CAPACITY),
+            transition_index: IdTable::with_capacity(NAME_INDEX_CAPACITY),
+        }
+    }
 }
 
 impl NetBuilder {
@@ -377,17 +383,34 @@ impl NetBuilder {
     ///
     /// Panics if a place with the same name already exists.
     pub fn place_with_tokens(&mut self, name: impl Into<String>, tokens: u32) -> PlaceId {
-        let name = name.into();
-        assert!(
-            !self.places.iter().any(|p| p.name == name),
-            "duplicate place name {name:?}"
-        );
+        self.add_place(name.into(), tokens)
+            .unwrap_or_else(|name| panic!("duplicate place name {name:?}"))
+    }
+
+    /// Adds a place with zero initial tokens, or returns `None` (and adds
+    /// nothing) if a place with the same name already exists.
+    pub fn try_place(&mut self, name: impl Into<String>) -> Option<PlaceId> {
+        self.add_place(name.into(), 0).ok()
+    }
+
+    /// Adds a place, or hands back its name if the name is taken.
+    fn add_place(&mut self, name: String, tokens: u32) -> Result<PlaceId, String> {
+        let hash = fx_hash_one(name.as_str());
+        let places = &self.places;
+        if self
+            .place_index
+            .get(hash, |id| places[id as usize].name == name)
+            .is_some()
+        {
+            return Err(name);
+        }
         let id = PlaceId(self.places.len() as u32);
+        self.place_index.insert(hash, id.0);
         self.places.push(Place {
             name,
             initial_tokens: tokens,
         });
-        id
+        Ok(id)
     }
 
     /// Adds a transition.
@@ -397,11 +420,17 @@ impl NetBuilder {
     /// Panics if a transition with the same name already exists.
     pub fn transition(&mut self, name: impl Into<String>) -> TransitionId {
         let name = name.into();
-        assert!(
-            !self.transitions.iter().any(|t| t.name == name),
-            "duplicate transition name {name:?}"
-        );
+        let hash = fx_hash_one(name.as_str());
+        let transitions = &self.transitions;
+        if self
+            .transition_index
+            .get(hash, |id| transitions[id as usize].name == name)
+            .is_some()
+        {
+            panic!("duplicate transition name {name:?}");
+        }
         let id = TransitionId(self.transitions.len() as u32);
+        self.transition_index.insert(hash, id.0);
         self.transitions.push(Transition {
             name,
             consume: Vec::new(),
@@ -485,6 +514,7 @@ impl NetBuilder {
             places: self.places,
             transitions: self.transitions,
             preset,
+            masks: OnceLock::new(),
         }
     }
 }
@@ -596,6 +626,23 @@ mod tests {
         let mut b = NetBuilder::new();
         b.place("p");
         b.place("p");
+    }
+
+    #[test]
+    fn try_place_reports_taken_names() {
+        let mut b = NetBuilder::new();
+        let p = b.place_with_tokens("p", 1);
+        assert_eq!(b.try_place("p"), None);
+        let q = b.try_place("q").unwrap();
+        let net = b.build();
+        assert_eq!(net.place_count(), 2);
+        assert_eq!(net.place_by_name("p"), Some(p));
+        assert_eq!(
+            net.place(p).initial_tokens,
+            1,
+            "the first place is untouched"
+        );
+        assert_eq!(net.place_by_name("q"), Some(q));
     }
 
     #[test]

@@ -1,9 +1,7 @@
 use std::error::Error;
 use std::fmt;
 
-use a4a_rt::IdTable;
-
-use crate::{Marking, PetriNet, TransitionId};
+use crate::{Engine, Halt, Kernel, Layout, Marking, PetriNet, RowSet, TokenOverflow, TransitionId};
 
 /// Index of a state (marking) within a [`ReachabilityGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -71,6 +69,15 @@ impl fmt::Display for ExploreError {
 
 impl Error for ExploreError {}
 
+impl ExploreError {
+    fn token_overflow(net: &PetriNet, e: TokenOverflow) -> ExploreError {
+        ExploreError::TokenOverflow {
+            place: net.place(e.place).name.clone(),
+            transition: net.transition(e.transition).name.clone(),
+        }
+    }
+}
+
 /// The explicit reachability graph of a [`PetriNet`].
 ///
 /// States are markings, numbered in breadth-first discovery order starting
@@ -96,7 +103,10 @@ impl Error for ExploreError {}
 /// ```
 #[derive(Debug, Clone)]
 pub struct ReachabilityGraph {
-    states: Vec<Marking>,
+    /// The marking of state `s` is the row `rows[s * width..][..width]`
+    /// in `layout`, with `width = layout.words()`.
+    rows: Vec<u64>,
+    layout: Layout,
     /// Every edge (fired transition, successor), grouped by source state
     /// in id order.
     edges: Vec<(TransitionId, StateId)>,
@@ -107,7 +117,7 @@ pub struct ReachabilityGraph {
 impl ReachabilityGraph {
     /// Number of distinct reachable markings.
     pub fn state_count(&self) -> usize {
-        self.states.len()
+        self.offsets.len() - 1
     }
 
     /// Number of edges (firings) in the graph.
@@ -120,8 +130,21 @@ impl ReachabilityGraph {
     /// # Panics
     ///
     /// Panics if `state` does not belong to this graph.
-    pub fn marking(&self, state: StateId) -> &Marking {
-        &self.states[state.index()]
+    pub fn marking(&self, state: StateId) -> Marking {
+        self.layout.decode(self.row(state.index()))
+    }
+
+    fn row(&self, s: usize) -> &[u64] {
+        assert!(s < self.state_count(), "unknown state s{s}");
+        let width = self.layout.words();
+        &self.rows[s * width..][..width]
+    }
+
+    /// The engine that built this graph: [`Engine::Kernel`] unless the
+    /// net has a weighted arc or turned out not to be safe, or the
+    /// reference engine was asked for.
+    pub fn engine(&self) -> Engine {
+        self.layout.engine()
     }
 
     /// Outgoing edges of `state` as (transition, successor) pairs.
@@ -135,7 +158,7 @@ impl ReachabilityGraph {
 
     /// Iterates over all state ids in discovery order.
     pub fn state_ids(&self) -> impl Iterator<Item = StateId> {
-        (0..self.states.len() as u32).map(StateId)
+        (0..self.state_count() as u32).map(StateId)
     }
 
     /// States with no enabled transitions.
@@ -147,15 +170,14 @@ impl ReachabilityGraph {
 
     /// Returns `true` when every reachable marking is 1-bounded.
     pub fn is_safe(&self) -> bool {
-        self.states.iter().all(Marking::is_safe)
+        self.bound() <= 1
     }
 
     /// The maximum token count observed in any place over all reachable
     /// markings (the net's bound).
     pub fn bound(&self) -> u32 {
-        self.states
-            .iter()
-            .flat_map(Marking::iter)
+        (0..self.state_count())
+            .map(|s| self.layout.max_tokens(self.row(s)))
             .max()
             .unwrap_or(0)
     }
@@ -169,10 +191,11 @@ impl ReachabilityGraph {
     ///
     /// Panics if `target` does not belong to this graph.
     pub fn trace_to(&self, target: StateId) -> Vec<TransitionId> {
-        assert!(target.index() < self.states.len(), "unknown state {target}");
+        let n = self.state_count();
+        assert!(target.index() < n, "unknown state {target}");
         // BFS from the initial state recording parents.
-        let mut parent: Vec<Option<(StateId, TransitionId)>> = vec![None; self.states.len()];
-        let mut visited = vec![false; self.states.len()];
+        let mut parent: Vec<Option<(StateId, TransitionId)>> = vec![None; n];
+        let mut visited = vec![false; n];
         let mut queue = std::collections::VecDeque::new();
         visited[StateId::INITIAL.index()] = true;
         queue.push_back(StateId::INITIAL);
@@ -201,9 +224,9 @@ impl ReachabilityGraph {
 
 impl PetriNet {
     /// Explores the state space breadth-first from the initial marking,
-    /// packed to the bit-per-place representation when safe
-    /// ([`Marking::pack_if_safe`]), so every interned state costs a few
-    /// words instead of a `Vec<u32>`.
+    /// on the safe-net kernel when the net allows it (see
+    /// [`PetriNet::explore_with`]; [`ReachabilityGraph::engine`] tells
+    /// which engine ran).
     ///
     /// States are numbered in breadth-first discovery order: parents in
     /// id order, each parent's successors in transition-id order.
@@ -217,15 +240,17 @@ impl PetriNet {
     /// the 32-bit id space; [`ExploreError::TokenOverflow`] if a place's
     /// token counter overflows.
     pub fn explore(&self, max_states: usize) -> Result<ReachabilityGraph, ExploreError> {
-        self.explore_from(self.initial_marking().pack_if_safe(), max_states)
+        let initial = self.initial_marking();
+        self.explore_with(&initial, |kernel| {
+            self.explore_on(kernel, &initial, max_states)
+        })
     }
 
-    /// Explores the state space breadth-first from an arbitrary marking,
-    /// keeping whatever representation `initial` has: a dense marking
-    /// drives the reference engine the packed-vs-reference differential
-    /// suite compares [`PetriNet::explore`] against. Every observable —
-    /// state numbering, edge order, error trip points — is identical for
-    /// both representations.
+    /// Explores the state space breadth-first from an arbitrary marking
+    /// on the reference engine — the engine the kernel-versus-reference
+    /// differential suite compares [`PetriNet::explore`] against. Every
+    /// observable (state numbering, edge order, error trip points) is
+    /// identical for both engines.
     ///
     /// # Errors
     ///
@@ -235,53 +260,52 @@ impl PetriNet {
         initial: Marking,
         max_states: usize,
     ) -> Result<ReachabilityGraph, ExploreError> {
+        self.explore_ref_with(|kernel| self.explore_on(kernel, &initial, max_states))
+    }
+
+    /// The breadth-first search behind both entry points.
+    fn explore_on(
+        &self,
+        kernel: Kernel<'_>,
+        initial: &Marking,
+        max_states: usize,
+    ) -> Result<ReachabilityGraph, Halt<ExploreError>> {
         if max_states > u32::MAX as usize {
-            return Err(ExploreError::LimitOverflow { limit: max_states });
+            return Err(Halt::Error(ExploreError::LimitOverflow {
+                limit: max_states,
+            }));
         }
-        // Interner: markings live once, in `states`; the table maps
-        // fx-hash → StateId and equality checks go through the arena.
-        let mut table = IdTable::new();
-        let mut states: Vec<Marking> = Vec::new();
+        let layout = kernel.layout();
+        let mut rows = RowSet::new(layout.words());
+        let mut row = Vec::new();
+        layout.encode(initial, &mut row);
+        rows.intern(&row, usize::MAX);
         let mut edges: Vec<(TransitionId, StateId)> = Vec::new();
         let mut offsets = vec![0];
 
-        table.insert(initial.fx_hash(), 0);
-        states.push(initial);
-
         // The arena doubles as the BFS queue: ids are assigned in
         // discovery order, so visiting them in id order is breadth-first.
-        // Every successor is fired into `next`; only new states clone it.
         let mut enabled = Vec::new();
-        let mut next = Marking::default();
+        let mut next = row.clone();
         let mut current = 0usize;
-        while current < states.len() {
-            self.enabled_into(&states[current], &mut enabled);
+        while current < rows.len() {
+            row.copy_from_slice(rows.row(current));
+            kernel.enabled_into(&row, &mut enabled);
             for &t in &enabled {
-                self.try_fire_into(t, &states[current], &mut next)
-                    .map_err(|e| ExploreError::TokenOverflow {
-                        place: self.place(e.place).name.clone(),
-                        transition: self.transition(e.transition).name.clone(),
-                    })?;
-                let hash = next.fx_hash();
-                let next_id = match table.get(hash, |id| states[id as usize] == next) {
-                    Some(id) => StateId(id),
-                    None => {
-                        if states.len() >= max_states {
-                            return Err(ExploreError::StateLimit { limit: max_states });
-                        }
-                        let id = StateId(states.len() as u32);
-                        table.insert(hash, id.0);
-                        states.push(next.clone());
-                        id
-                    }
-                };
-                edges.push((t, next_id));
+                kernel
+                    .fire_into(t, &row, &mut next)
+                    .map_err(|h| h.map(|e| ExploreError::token_overflow(self, e)))?;
+                let (id, _) = rows
+                    .intern(&next, max_states)
+                    .ok_or(Halt::Error(ExploreError::StateLimit { limit: max_states }))?;
+                edges.push((t, StateId(id)));
             }
             offsets.push(edges.len());
             current += 1;
         }
         Ok(ReachabilityGraph {
-            states,
+            rows: rows.into_words(),
+            layout,
             edges,
             offsets,
         })
@@ -361,6 +385,7 @@ mod tests {
         let g = net.explore(100).unwrap();
         assert_eq!(g.bound(), 6, "two firings of weight-3 production");
         assert!(!g.is_safe());
+        assert_eq!(g.engine(), Engine::Reference, "weighted arcs");
     }
 
     #[test]
@@ -397,6 +422,7 @@ mod tests {
         let g2 = net.explore(100).unwrap();
         for s in g1.state_ids() {
             assert_eq!(g1.marking(s), g2.marking(s));
+            assert_eq!(g1.engine(), Engine::Kernel);
             assert_eq!(g1.successors(s), g2.successors(s));
         }
     }

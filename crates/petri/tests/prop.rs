@@ -131,63 +131,74 @@ fn independent_components_multiply() {
     });
 }
 
-/// Packed and dense representations of the same random safe marking
-/// agree on every hash-lookup observable: equality, `fx_hash`, the
-/// `std::hash::Hash` stream (via a hashed-set round trip), and the
-/// per-place accessors.
+/// A random safe marking survives a round trip through the kernel's bit
+/// rows: the kernel graph of a net started there decodes it back, equal
+/// to (and hashing like) the reference graph's counter-row decoding,
+/// with every per-place accessor agreeing.
 #[test]
 fn packed_and_dense_markings_agree() {
-    use a4a_petri::Marking;
+    use a4a_petri::{Engine, Marking};
     prop::check("packed_and_dense_markings_agree", |g: &mut Gen| -> PropResult {
         let places = g.usize(0..200);
         let tokens: Vec<u32> = (0..places).map(|_| g.u64(0..2) as u32).collect();
-        let dense = Marking::new(tokens.clone());
-        let packed = dense.clone().pack_if_safe();
-        prop_assert!(packed.is_packed() || places == 0 || !dense.is_safe());
-        prop_assert_eq!(&dense, &packed);
-        prop_assert_eq!(dense.fx_hash(), packed.fx_hash());
-        prop_assert_eq!(dense.len(), packed.len());
-        prop_assert_eq!(dense.total_tokens(), packed.total_tokens());
-        prop_assert_eq!(
-            dense.iter().collect::<Vec<_>>(),
-            packed.iter().collect::<Vec<_>>()
+        let mut b = NetBuilder::new();
+        for (i, &t) in tokens.iter().enumerate() {
+            b.place_with_tokens(format!("p{i}"), t);
+        }
+        let net = b.build();
+        let kernel = net.explore(1).expect("no transitions: one state");
+        let reference = net.explore_from(net.initial_marking(), 1).expect("one state");
+        prop_assert_eq!(kernel.engine(), Engine::Kernel);
+        prop_assert_eq!(reference.engine(), Engine::Reference);
+        let (k, r) = (
+            kernel.marking(a4a_petri::StateId::INITIAL),
+            reference.marking(a4a_petri::StateId::INITIAL),
         );
-        // A set keyed on the std Hash stream must treat them as one key.
+        prop_assert_eq!(&k, &r);
+        prop_assert_eq!(k.fx_hash(), r.fx_hash());
+        prop_assert_eq!(k.total_tokens(), r.total_tokens());
+        prop_assert_eq!(k.iter().collect::<Vec<_>>(), tokens.clone());
+        prop_assert_eq!(kernel.bound(), r.iter().max().unwrap_or(0));
+        // A set keyed on the std Hash stream treats them as one key.
         let mut set: a4a_rt::FxHashSet<Marking> = a4a_rt::FxHashSet::default();
-        set.insert(dense.clone());
-        prop_assert!(set.contains(&packed));
-        set.insert(packed.clone());
-        prop_assert_eq!(set.len(), 1);
-        // Round-tripping back to dense is lossless.
-        prop_assert_eq!(packed.to_dense().iter().collect::<Vec<_>>(), tokens);
+        set.insert(k);
+        prop_assert!(set.contains(&r));
+        prop_assert_eq!(Marking::new(tokens), r);
         Ok(())
     });
 }
 
-/// Distinct markings (safe or not) keep distinct interner semantics: an
-/// unsafe marking never equals or fx-collides with its safe truncation.
+/// A net whose initial marking is not safe runs on the reference engine,
+/// and its unsafe markings never equal or fx-collide with their safe
+/// truncation.
 #[test]
 fn unsafe_and_safe_markings_stay_distinct() {
-    use a4a_petri::Marking;
+    use a4a_petri::{Engine, Marking};
     prop::check("unsafe_and_safe_stay_distinct", |g: &mut Gen| -> PropResult {
         let places = g.usize(1..64);
         let hot = g.usize(0..places);
         let mut tokens: Vec<u32> = (0..places).map(|_| g.u64(0..2) as u32).collect();
-        let safe = Marking::new(tokens.clone()).pack_if_safe();
+        let safe = Marking::new(tokens.clone());
         tokens[hot] += 2; // now unsafe at `hot`
-        let unsafe_m = Marking::new(tokens).pack_if_safe();
-        prop_assert!(!unsafe_m.is_packed());
+        let unsafe_m = Marking::new(tokens);
         prop_assert!(safe != unsafe_m);
         prop_assert!(safe.fx_hash() != unsafe_m.fx_hash());
+        let mut b = NetBuilder::new();
+        for (i, t) in unsafe_m.iter().enumerate() {
+            b.place_with_tokens(format!("p{i}"), t);
+        }
+        let g = b.build().explore(1).expect("one state");
+        prop_assert_eq!(g.engine(), Engine::Reference);
+        prop_assert_eq!(g.marking(a4a_petri::StateId::INITIAL), unsafe_m);
         Ok(())
     });
 }
 
 /// A random net over `places` places: every transition gets up to two
-/// consumed, two read and two produced places with weights 1–3, so some
-/// transitions have an empty preset and some a place both consumed and
-/// read.
-fn random_net(g: &mut Gen, places: usize) -> PetriNet {
+/// consumed, two read and two produced places with weights 1–3 (or only
+/// weight 1, so the net has kernel masks), so some transitions have an
+/// empty preset and some a place both consumed and read.
+fn random_net(g: &mut Gen, places: usize, unit: bool) -> PetriNet {
     let mut b = NetBuilder::new();
     let ps: Vec<_> = (0..places).map(|i| b.place(format!("p{i}"))).collect();
     for i in 0..g.usize(1..24) {
@@ -196,7 +207,7 @@ fn random_net(g: &mut Gen, places: usize) -> PetriNet {
             let mut picks: Vec<usize> = (0..places).collect();
             g.shuffle(&mut picks);
             for &p in picks.iter().take(g.usize(0..3)) {
-                let w = g.u64(1..4) as u32;
+                let w = if unit { 1 } else { g.u64(1..4) as u32 };
                 match kind {
                     0 => b.arc_pt_weighted(ps[p], t, w),
                     1 => b.arc_read_weighted(ps[p], t, w),
@@ -208,53 +219,61 @@ fn random_net(g: &mut Gen, places: usize) -> PetriNet {
     b.build()
 }
 
-/// A random marking over `places` places: packed (tokens 0–1) or dense
-/// (tokens 0–3, usually unsafe).
-fn random_marking(g: &mut Gen, places: usize) -> a4a_petri::Marking {
-    let packed = g.bool();
-    let max = if packed { 2 } else { 4 };
-    let tokens = (0..places).map(|_| g.u64(0..max) as u32).collect();
-    let m = a4a_petri::Marking::new(tokens);
-    if packed {
-        m.pack_if_safe()
-    } else {
-        m
-    }
-}
-
-/// `enabled_into` (candidates from the preset index of the marked
-/// places) lists exactly the transitions a brute-force scan finds
-/// enabled, in id order, for packed markings over more than one word
-/// and for unsafe dense ones; `try_fire_into` into a dirty scratch of
-/// any representation and length equals `try_fire`.
+/// `Kernel::enabled_into` (candidates from the preset index of the
+/// marked places) lists exactly the transitions a brute-force scan with
+/// `is_enabled` finds, in id order, and `Kernel::fire_into` into a dirty
+/// scratch row gives `try_fire`'s successor: on the kernel for safe
+/// markings of unit-weight nets over more than one word, on the
+/// reference engine for weighted nets and unsafe markings, and on the
+/// restarted reference engine when a kernel firing would put a second
+/// token on a place.
 #[test]
 fn enabled_into_and_try_fire_into_match_brute_force() {
+    use a4a_petri::{Engine, Halt, Marking};
     prop::check("enabled_into_matches_brute_force", |g: &mut Gen| -> PropResult {
         let places = g.usize(1..140);
-        let net = random_net(g, places);
-        let m = random_marking(g, places);
-        let mut marked = Vec::new();
-        m.for_each_marked_place(|p| marked.push(p));
-        let want_marked: Vec<_> = net.place_ids().filter(|&p| m.tokens(p) > 0).collect();
-        prop_assert_eq!(marked, want_marked);
+        let unit = g.bool();
+        let net = random_net(g, places, unit);
+        let max = if unit { 2 } else { 4 };
+        let m = Marking::new((0..places).map(|_| g.u64(0..max) as u32).collect());
 
         let want: Vec<_> = net.transition_ids().filter(|&t| net.is_enabled(t, &m)).collect();
-        // A dirty buffer: enabled_into must replace, not append.
-        let mut got: Vec<_> = net.transition_ids().collect();
-        got.reverse();
-        net.enabled_into(&m, &mut got);
-        prop_assert_eq!(&got, &want);
         prop_assert_eq!(net.enabled(&m), want.clone());
+        let fired: Vec<Marking> = want
+            .iter()
+            .map(|&t| net.try_fire(t, &m).expect("weights stay far from u32::MAX"))
+            .collect();
+        let want_engine = if !(unit && m.is_safe()) {
+            Engine::Reference
+        } else if fired.iter().all(Marking::is_safe) {
+            Engine::Kernel
+        } else {
+            Engine::Restarted
+        };
 
-        for &t in &want {
-            let fired = net.try_fire(t, &m).expect("weights stay far from u32::MAX");
-            let scratch_places = g.usize(0..140);
-            let mut scratch = random_marking(g, scratch_places);
-            net.try_fire_into(t, &m, &mut scratch).expect("no overflow");
-            prop_assert_eq!(&scratch, &fired);
-            prop_assert_eq!(scratch.is_packed(), fired.is_packed());
-            prop_assert_eq!(scratch.fx_hash(), fired.fx_hash());
-        }
+        let (engine, enabled, successors) = net
+            .explore_with(&m, |kernel| {
+                let layout = kernel.layout();
+                let mut row = Vec::new();
+                layout.encode(&m, &mut row);
+                // Dirty buffers: both calls must overwrite, not append.
+                let mut enabled: Vec<_> = net.transition_ids().collect();
+                enabled.reverse();
+                kernel.enabled_into(&row, &mut enabled);
+                let mut successors = Vec::new();
+                for &t in &enabled {
+                    let mut next = vec![u64::MAX; row.len()];
+                    kernel
+                        .fire_into(t, &row, &mut next)
+                        .map_err(|h| h.map(|e| e.to_string()))?;
+                    successors.push(layout.decode(&next));
+                }
+                Ok::<_, Halt<String>>((layout.engine(), enabled, successors))
+            })
+            .map_err(prop::PropError::Fail)?;
+        prop_assert_eq!(engine, want_engine);
+        prop_assert_eq!(enabled, want);
+        prop_assert_eq!(successors, fired);
         Ok(())
     });
 }

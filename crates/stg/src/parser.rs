@@ -9,9 +9,8 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use a4a_petri::{Marking, NetBuilder, PlaceId, TransitionId};
+use a4a_petri::{Halt, Kernel, Marking, NetBuilder, PetriNet, PlaceId, RowSet, TransitionId};
 
-use crate::stategraph::state_hash;
 use crate::{Label, Polarity, Signal, SignalId, SignalKind, Stg, StgError};
 
 impl Stg {
@@ -393,7 +392,13 @@ impl<'a> Parser<'a> {
                                 message: format!("duplicate arc {a} -> {b}"),
                             });
                         }
-                        let p = net.place(format!("<{a},{b}>"));
+                        let name = format!("<{a},{b}>");
+                        let Some(p) = net.try_place(name.as_str()) else {
+                            return Err(StgError::Parse {
+                                line: *lineno,
+                                message: format!("implicit place {name} collides with a place"),
+                            });
+                        };
                         net.arc_tp(ta, p);
                         net.arc_pt(p, tb);
                         implicit.insert(key, p);
@@ -574,39 +579,59 @@ fn parse_edge_name(
 /// Infers the initial value of each signal from the first reachable edge:
 /// a first-seen rising edge means the signal started low, and vice versa.
 /// Signals with no reachable edge default to low.
-///
-/// The search is breadth-first over (marking, toggle parity) pairs and
-/// stops as soon as every signal's first edge has been seen: a value is
-/// fixed at first sight, so nothing later can change it. Only a spec
-/// with a signal that never fires needs the whole space, and only then
-/// can the budget trip.
 fn infer_initial_values(
-    net: &a4a_petri::PetriNet,
+    net: &PetriNet,
     labels: &[Label],
     signals: &mut [Signal],
 ) -> Result<(), StgError> {
+    let initial = net.initial_marking();
+    let inferred = net.explore_with(&initial, |kernel| {
+        first_edges(kernel, net, &initial, labels, signals.len())
+    })?;
+    for (s, value) in signals.iter_mut().zip(inferred) {
+        s.initial = value.unwrap_or(false);
+    }
+    Ok(())
+}
+
+/// The value each of `count` signals holds before its first reachable
+/// edge, `None` for signals that never fire.
+///
+/// The search is breadth-first over `[marking words…, toggle parity]`
+/// rows and stops as soon as every signal's first edge has been seen: a
+/// value is fixed at first sight, so nothing later can change it. Only a
+/// spec with a signal that never fires needs the whole space, and only
+/// then can the budget trip.
+fn first_edges(
+    kernel: Kernel<'_>,
+    net: &PetriNet,
+    initial: &Marking,
+    labels: &[Label],
+    count: usize,
+) -> Result<Vec<Option<bool>>, Halt<StgError>> {
     const BUDGET: usize = 200_000;
-    let mut inferred: Vec<Option<bool>> = vec![None; signals.len()];
-    let mut unseen = signals.len();
+    let mut inferred: Vec<Option<bool>> = vec![None; count];
+    let mut unseen = count;
     // Interner and BFS queue in one, as in the state-graph engine: the
     // parity word tracks which signals flipped an odd number of times
     // relative to the initial state.
-    let mut table = a4a_rt::IdTable::new();
-    let mut markings: Vec<Marking> = Vec::new();
-    let mut parities: Vec<u64> = Vec::new();
-    let initial = net.initial_marking().pack_if_safe();
-    table.insert(state_hash(&initial, 0), 0);
-    markings.push(initial);
-    parities.push(0);
+    let layout = kernel.layout();
+    let width = layout.words() + 1;
+    let mut rows = RowSet::new(width);
+    let mut row = Vec::with_capacity(width);
+    layout.encode(initial, &mut row);
+    row.push(0);
+    rows.intern(&row, usize::MAX);
     let mut enabled = Vec::new();
-    let mut next = Marking::default();
+    let mut next = row.clone();
     let mut current = 0usize;
-    while unseen > 0 && current < markings.len() {
-        if markings.len() > BUDGET {
-            return Err(StgError::StateLimit { limit: BUDGET });
+    while unseen > 0 && current < rows.len() {
+        if rows.len() > BUDGET {
+            return Err(Halt::Error(StgError::StateLimit { limit: BUDGET }));
         }
-        let parity = parities[current];
-        net.enabled_into(&markings[current], &mut enabled);
+        row.copy_from_slice(rows.row(current));
+        let parity = row[width - 1];
+        kernel.enabled_into(&row, &mut enabled);
         for &t in &enabled {
             let mut next_parity = parity;
             if let Label::Edge(e) = labels[t.index()] {
@@ -623,24 +648,15 @@ fn infer_initial_values(
                 }
                 next_parity ^= 1u64 << idx;
             }
-            net.try_fire_into(t, &markings[current], &mut next)
-                .map_err(|e| StgError::token_overflow(net, e))?;
-            let hash = state_hash(&next, next_parity);
-            let known = table.get(hash, |id| {
-                parities[id as usize] == next_parity && markings[id as usize] == next
-            });
-            if known.is_none() {
-                table.insert(hash, markings.len() as u32);
-                markings.push(next.clone());
-                parities.push(next_parity);
-            }
+            kernel
+                .fire_into(t, &row, &mut next)
+                .map_err(|h| h.map(|e| StgError::token_overflow(net, e)))?;
+            next[width - 1] = next_parity;
+            rows.intern(&next, usize::MAX);
         }
         current += 1;
     }
-    for (i, s) in signals.iter_mut().enumerate() {
-        s.initial = inferred[i].unwrap_or(false);
-    }
-    Ok(())
+    Ok(inferred)
 }
 
 #[cfg(test)]
@@ -766,6 +782,31 @@ a-/2 a+
         )
         .unwrap_err();
         assert!(matches!(err, StgError::Parse { .. }));
+    }
+
+    #[test]
+    fn implicit_place_colliding_with_explicit_place_is_a_parse_error() {
+        // `marking` without its dot is read as a graph line, so
+        // `<b-,a+>` becomes an explicit place before the arc `b- a+`
+        // asks for the implicit place of the same name.
+        let text = "\
+.outputs a b
+.graph
+a+ b+
+b+ a-
+a- b-
+b- a+
+marking { <b-,a+> }
+.end
+";
+        let err = Stg::parse_g(text).unwrap_err();
+        match &err {
+            StgError::Parse { line, message } => {
+                assert_eq!(*line, 6, "{err}");
+                assert!(message.contains("<b-,a+>"), "{err}");
+            }
+            other => panic!("unexpected error {other:?}"),
+        }
     }
 
     #[test]

@@ -1,8 +1,7 @@
 use std::fmt;
-use std::hash::{Hash, Hasher};
 
-use a4a_petri::{Marking, TransitionId};
-use a4a_rt::{FxHashMap, FxHasher, IdTable};
+use a4a_petri::{Engine, Halt, Kernel, Layout, Marking, RowSet, TransitionId};
+use a4a_rt::FxHashMap;
 
 use crate::{Edge, Label, SignalId, Stg, StgError};
 
@@ -52,8 +51,11 @@ impl fmt::Display for SgStateId {
 /// ```
 #[derive(Debug, Clone)]
 pub struct StateGraph {
-    markings: Vec<Marking>,
-    codes: Vec<u64>,
+    /// State `s` is the row `rows[s * width..][..width]`: its marking in
+    /// `layout`, then its signal code.
+    rows: Vec<u64>,
+    width: usize,
+    layout: Layout,
     /// Every edge (fired transition, successor), grouped by source state
     /// in id order.
     edges: Vec<(TransitionId, SgStateId)>,
@@ -67,7 +69,7 @@ pub struct StateGraph {
 impl StateGraph {
     /// Number of states.
     pub fn state_count(&self) -> usize {
-        self.markings.len()
+        self.parents.len()
     }
 
     /// Number of edges.
@@ -80,8 +82,16 @@ impl StateGraph {
     /// # Panics
     ///
     /// Panics if `state` does not belong to this graph.
-    pub fn marking(&self, state: SgStateId) -> &Marking {
-        &self.markings[state.index()]
+    pub fn marking(&self, state: SgStateId) -> Marking {
+        self.layout
+            .decode(&self.rows[state.index() * self.width..][..self.width - 1])
+    }
+
+    /// The engine that built this graph: [`Engine::Kernel`] unless the
+    /// net has a weighted arc or turned out not to be safe, or the
+    /// reference engine was asked for ([`Stg::state_graph_ref`]).
+    pub fn engine(&self) -> Engine {
+        self.layout.engine()
     }
 
     /// The binary signal code of `state`.
@@ -90,7 +100,7 @@ impl StateGraph {
     ///
     /// Panics if `state` does not belong to this graph.
     pub fn code(&self, state: SgStateId) -> u64 {
-        self.codes[state.index()]
+        self.rows[state.index() * self.width + self.width - 1]
     }
 
     /// The value of `signal` in `state`.
@@ -113,7 +123,7 @@ impl StateGraph {
 
     /// Iterates over all states in discovery order.
     pub fn state_ids(&self) -> impl Iterator<Item = SgStateId> {
-        (0..self.markings.len() as u32).map(SgStateId)
+        (0..self.state_count() as u32).map(SgStateId)
     }
 
     /// A shortest firing trace (transition ids) from the initial state to
@@ -221,20 +231,11 @@ impl StateGraph {
     }
 }
 
-/// The interner hash of a (marking, code) state: the marking's canonical
-/// fx stream extended by the code word.
-pub(crate) fn state_hash(marking: &Marking, code: u64) -> u64 {
-    let mut h = FxHasher::default();
-    marking.hash(&mut h);
-    h.write_u64(code);
-    h.finish()
-}
-
 impl Stg {
     /// Builds the binary-encoded state graph breadth-first from the
-    /// initial marking, packed to the bit-per-place representation when
-    /// safe ([`Marking::pack_if_safe`]), so exploration of safe nets
-    /// interns word-sized keys.
+    /// initial marking, on the safe-net kernel when the net allows it
+    /// (see [`a4a_petri::PetriNet::explore_with`];
+    /// [`StateGraph::engine`] tells which engine ran).
     ///
     /// States are numbered in breadth-first discovery order: parents in
     /// id order, each parent's successors in transition-id order. Errors
@@ -252,58 +253,59 @@ impl Stg {
     /// * [`StgError::TokenOverflow`] if a place's token counter
     ///   overflows.
     pub fn state_graph(&self, max_states: usize) -> Result<StateGraph, StgError> {
-        self.state_graph_from(self.net.initial_marking().pack_if_safe(), max_states)
+        let initial = self.net.initial_marking();
+        self.net.explore_with(&initial, |kernel| {
+            self.state_graph_on(kernel, &initial, max_states)
+        })
     }
 
-    /// [`Stg::state_graph`] on the dense (`Vec<u32>`) marking
-    /// representation — the reference engine the packed-vs-reference
-    /// differential suite compares against. Every observable (state
-    /// numbering, edge order, error trip points) is identical to the
-    /// packed fast path.
+    /// [`Stg::state_graph`] on the reference engine (one token counter
+    /// per place) — the engine the kernel-versus-reference differential
+    /// suite compares against. Every observable (state numbering, edge
+    /// order, error trip points) is identical to the kernel's.
     ///
     /// # Errors
     ///
     /// As for [`Stg::state_graph`].
     pub fn state_graph_ref(&self, max_states: usize) -> Result<StateGraph, StgError> {
-        self.state_graph_from(self.net.initial_marking(), max_states)
+        let initial = self.net.initial_marking();
+        self.net
+            .explore_ref_with(|kernel| self.state_graph_on(kernel, &initial, max_states))
     }
 
-    /// The engine behind both entry points: exploration keeps whatever
-    /// representation `initial` has.
-    fn state_graph_from(
+    /// The breadth-first search behind both entry points. A state is
+    /// the row `[marking words…, code]`.
+    fn state_graph_on(
         &self,
-        initial: Marking,
+        kernel: Kernel<'_>,
+        initial: &Marking,
         max_states: usize,
-    ) -> Result<StateGraph, StgError> {
+    ) -> Result<StateGraph, Halt<StgError>> {
         if max_states > u32::MAX as usize {
-            return Err(StgError::LimitOverflow { limit: max_states });
+            return Err(Halt::Error(StgError::LimitOverflow { limit: max_states }));
         }
-        // Interner: (marking, code) states live once, in the arenas below
-        // (one entry per id); the table maps fx-hash → id and equality
-        // checks go through the arenas.
-        let mut table = IdTable::new();
-        let mut markings: Vec<Marking> = Vec::new();
-        let mut codes: Vec<u64> = Vec::new();
+        let layout = kernel.layout();
+        let width = layout.words() + 1;
+        let mut rows = RowSet::new(width);
+        let mut row = Vec::with_capacity(width);
+        layout.encode(initial, &mut row);
+        row.push(self.initial_code());
+        rows.intern(&row, usize::MAX);
         let mut edges: Vec<(TransitionId, SgStateId)> = Vec::new();
         let mut offsets = vec![0];
-        let mut parents: Vec<Option<(TransitionId, SgStateId)>> = Vec::new();
+        let mut parents: Vec<Option<(TransitionId, SgStateId)>> = vec![None];
 
-        table.insert(state_hash(&initial, self.initial_code()), 0);
-        markings.push(initial);
-        codes.push(self.initial_code());
-        parents.push(None);
-
-        // The arenas double as the BFS queue: ids are assigned in
+        // The arena doubles as the BFS queue: ids are assigned in
         // discovery order, so visiting them in id order is breadth-first.
-        // Every successor is fired into `next`; only new states clone it.
         let mut enabled = Vec::new();
-        let mut next = Marking::default();
+        let mut next = row.clone();
         let mut current = 0usize;
-        while current < markings.len() {
-            let code = codes[current];
-            self.net.enabled_into(&markings[current], &mut enabled);
+        while current < rows.len() {
+            row.copy_from_slice(rows.row(current));
+            let code = row[width - 1];
+            kernel.enabled_into(&row, &mut enabled);
             for &t in &enabled {
-                let next_code = match self.labels[t.index()] {
+                next[width - 1] = match self.labels[t.index()] {
                     Label::Dummy => code,
                     Label::Edge(e) => {
                         if (code & e.signal.mask() != 0) == e.polarity.target_value() {
@@ -311,34 +313,26 @@ impl Stg {
                             let id = SgStateId(current as u32);
                             let mut trace = self.trace_names(&parents, id);
                             trace.push(self.transition_name(t));
-                            return Err(StgError::Inconsistent {
+                            return Err(Halt::Error(StgError::Inconsistent {
                                 signal: self.signal(e.signal).name.clone(),
                                 transition: self.transition_name(t),
                                 trace,
-                            });
+                            }));
                         }
                         code ^ e.signal.mask()
                     }
                 };
-                self.net
-                    .try_fire_into(t, &markings[current], &mut next)
-                    .map_err(|e| StgError::token_overflow(&self.net, e))?;
-                let hash = state_hash(&next, next_code);
-                let next_id = match table.get(hash, |id| {
-                    codes[id as usize] == next_code && markings[id as usize] == next
-                }) {
-                    Some(id) => SgStateId(id),
-                    None => {
-                        if markings.len() >= max_states {
-                            return Err(StgError::StateLimit { limit: max_states });
+                kernel
+                    .fire_into(t, &row, &mut next)
+                    .map_err(|h| h.map(|e| StgError::token_overflow(&self.net, e)))?;
+                let next_id = match rows.intern(&next, max_states) {
+                    Some((id, fresh)) => {
+                        if fresh {
+                            parents.push(Some((t, SgStateId(current as u32))));
                         }
-                        let id = SgStateId(markings.len() as u32);
-                        table.insert(hash, id.0);
-                        markings.push(next.clone());
-                        codes.push(next_code);
-                        parents.push(Some((t, SgStateId(current as u32))));
-                        id
+                        SgStateId(id)
                     }
+                    None => return Err(Halt::Error(StgError::StateLimit { limit: max_states })),
                 };
                 edges.push((t, next_id));
             }
@@ -346,8 +340,9 @@ impl Stg {
             current += 1;
         }
         Ok(StateGraph {
-            markings,
-            codes,
+            rows: rows.into_words(),
+            width,
+            layout,
             edges,
             offsets,
             parents,
@@ -399,6 +394,11 @@ mod tests {
         // Codes cycle 00 -> 01(req) -> 11 -> 10 -> 00.
         let codes: Vec<u64> = sg.state_ids().map(|s| sg.code(s)).collect();
         assert_eq!(codes, vec![0b00, 0b01, 0b11, 0b10]);
+        assert_eq!(sg.engine(), Engine::Kernel);
+        assert_eq!(
+            stg.state_graph_ref(100).unwrap().engine(),
+            Engine::Reference
+        );
     }
 
     #[test]

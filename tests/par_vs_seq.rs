@@ -1,47 +1,51 @@
-//! Differential suite: the packed (bit-per-place) marking
-//! representation must be indistinguishable from the dense `Vec<u32>`
-//! reference engine (`Stg::state_graph_ref` / a dense initial marking
-//! for `PetriNet::explore_from`) — same state counts, same codes, same
+//! Differential suite: the safe-net exploration kernel (one bit per
+//! place, firing by word masks) must be indistinguishable from the
+//! token-counting reference engine (`Stg::state_graph_ref` /
+//! `PetriNet::explore_from`) — same state counts, same codes, same
 //! state numbering, same edge order, same verification verdicts, and
 //! the same typed errors at the same firing.
 //!
 //! The corpus is every STG this repo ships (the controller modules, the
-//! composed token ring, the A2A element zoo) plus randomly generated and
-//! composed handshake pipelines from `a4a_rt::prop`. Test names keep
-//! their historical `par_vs_seq` suffix: read it as packed fast path vs
-//! dense reference.
+//! composed token ring, the A2A element zoo), randomly generated and
+//! composed handshake pipelines from `a4a_rt::prop`, and random safe
+//! nets and STGs of 1 to 129 places, so every word boundary of the
+//! kernel's rows is crossed. Test names keep their historical
+//! `par_vs_seq` suffix: read it as kernel vs reference.
 
-use a4a_petri::{Marking, NetBuilder, PetriNet};
-use a4a_stg::{prop_support, StateGraph, Stg};
+use std::cell::Cell;
+
+use a4a_petri::{Engine, ExploreError, Marking, NetBuilder, PetriNet, ReachabilityGraph};
+use a4a_rt::prop::{Gen, PropError, PropResult};
+use a4a_stg::{prop_support, StateGraph, Stg, StgBuilder, StgError};
 
 /// Asserts two state graphs are identical in every observable: count,
 /// numbering (marking per id), codes, successor lists, and traces.
-fn assert_sg_identical(label: &str, reference: &StateGraph, packed: &StateGraph) {
+fn assert_sg_identical(label: &str, reference: &StateGraph, kernel: &StateGraph) {
     assert_eq!(
         reference.state_count(),
-        packed.state_count(),
+        kernel.state_count(),
         "{label}: state count differs"
     );
     assert_eq!(
         reference.edge_count(),
-        packed.edge_count(),
+        kernel.edge_count(),
         "{label}: edge count"
     );
     for s in reference.state_ids() {
         assert_eq!(
             reference.marking(s),
-            packed.marking(s),
+            kernel.marking(s),
             "{label}: marking of {s}"
         );
-        assert_eq!(reference.code(s), packed.code(s), "{label}: code of {s}");
+        assert_eq!(reference.code(s), kernel.code(s), "{label}: code of {s}");
         assert_eq!(
             reference.successors(s),
-            packed.successors(s),
+            kernel.successors(s),
             "{label}: successors of {s}"
         );
         assert_eq!(
             reference.trace_to(s),
-            packed.trace_to(s),
+            kernel.trace_to(s),
             "{label}: trace to {s}"
         );
     }
@@ -50,65 +54,63 @@ fn assert_sg_identical(label: &str, reference: &StateGraph, packed: &StateGraph)
 /// Builds the state graph on both engines and checks graphs plus
 /// verification verdicts match.
 fn check_stg(label: &str, stg: &Stg, max_states: usize) {
-    let packed = stg
+    let kernel = stg
         .state_graph(max_states)
-        .unwrap_or_else(|e| panic!("{label}: packed build failed: {e}"));
+        .unwrap_or_else(|e| panic!("{label}: kernel build failed: {e}"));
+    assert_eq!(kernel.engine(), Engine::Kernel, "{label}: engine");
     let reference = stg
         .state_graph_ref(max_states)
         .unwrap_or_else(|e| panic!("{label}: reference build failed: {e}"));
-    assert_sg_identical(label, &reference, &packed);
-    let packed_report = stg.verify(&packed);
+    assert_sg_identical(label, &reference, &kernel);
+    let kernel_report = stg.verify(&kernel);
     let reference_report = stg.verify(&reference);
     assert_eq!(
-        reference_report.deadlocks, packed_report.deadlocks,
+        reference_report.deadlocks, kernel_report.deadlocks,
         "{label}: deadlock verdicts"
     );
     assert_eq!(
-        reference_report.persistence, packed_report.persistence,
+        reference_report.persistence, kernel_report.persistence,
         "{label}: persistence verdicts"
     );
     assert_eq!(
-        reference_report.coding, packed_report.coding,
+        reference_report.coding, kernel_report.coding,
         "{label}: coding verdicts"
     );
     assert_eq!(
         reference_report.is_clean(),
-        packed_report.is_clean(),
+        kernel_report.is_clean(),
         "{label}: clean verdict"
     );
 }
 
 /// Asserts two reachability graphs are identical in every observable.
-fn assert_reach_identical(
-    label: &str,
-    reference: &a4a_petri::ReachabilityGraph,
-    packed: &a4a_petri::ReachabilityGraph,
-) {
-    assert_eq!(reference.state_count(), packed.state_count(), "{label}");
-    assert_eq!(reference.edge_count(), packed.edge_count(), "{label}");
+fn assert_reach_identical(label: &str, reference: &ReachabilityGraph, kernel: &ReachabilityGraph) {
+    assert_eq!(reference.state_count(), kernel.state_count(), "{label}");
+    assert_eq!(reference.edge_count(), kernel.edge_count(), "{label}");
     for s in reference.state_ids() {
-        assert_eq!(reference.marking(s), packed.marking(s), "{label}: {s}");
+        assert_eq!(reference.marking(s), kernel.marking(s), "{label}: {s}");
         assert_eq!(
             reference.successors(s),
-            packed.successors(s),
+            kernel.successors(s),
             "{label}: {s}"
         );
     }
-    assert_eq!(reference.deadlocks(), packed.deadlocks(), "{label}");
-    assert_eq!(reference.is_safe(), packed.is_safe(), "{label}");
-    assert_eq!(reference.bound(), packed.bound(), "{label}");
+    assert_eq!(reference.deadlocks(), kernel.deadlocks(), "{label}");
+    assert_eq!(reference.is_safe(), kernel.is_safe(), "{label}");
+    assert_eq!(reference.bound(), kernel.bound(), "{label}");
 }
 
-/// Same comparison for raw Petri-net reachability: the dense initial
-/// marking drives the reference engine, `explore` the packed one.
+/// Same comparison for raw Petri-net reachability: `explore_from` runs
+/// the reference engine, `explore` the kernel.
 fn check_net(label: &str, net: &PetriNet, max_states: usize) {
     let reference = net
         .explore_from(net.initial_marking(), max_states)
         .unwrap_or_else(|e| panic!("{label}: reference explore failed: {e}"));
-    let packed = net
+    let kernel = net
         .explore(max_states)
-        .unwrap_or_else(|e| panic!("{label}: packed explore failed: {e}"));
-    assert_reach_identical(label, &reference, &packed);
+        .unwrap_or_else(|e| panic!("{label}: kernel explore failed: {e}"));
+    assert_eq!(kernel.engine(), Engine::Kernel, "{label}: engine");
+    assert_reach_identical(label, &reference, &kernel);
 }
 
 #[test]
@@ -174,15 +176,15 @@ fn composed_pipelines_par_vs_seq() {
 fn state_limit_trips_identically() {
     // The limit error must fire on both engines.
     let ring = a4a_ctrl::stgs::token_ring_stg();
-    let packed = ring.state_graph(10).unwrap_err();
-    assert_eq!(packed, a4a_stg::StgError::StateLimit { limit: 10 });
-    assert_eq!(ring.state_graph_ref(10).unwrap_err(), packed);
+    let kernel = ring.state_graph(10).unwrap_err();
+    assert_eq!(kernel, a4a_stg::StgError::StateLimit { limit: 10 });
+    assert_eq!(ring.state_graph_ref(10).unwrap_err(), kernel);
 }
 
 #[test]
 fn inconsistency_error_is_identical() {
     // A wide STG with an inconsistent signal buried in it: the reported
-    // transition and trace must not depend on the marking representation.
+    // transition and trace must not depend on the engine.
     let mut b = a4a_stg::StgBuilder::new("bad_wide");
     // Eight independent toggles make the second BFS level 8 states wide.
     for i in 0..8 {
@@ -199,12 +201,12 @@ fn inconsistency_error_is_identical() {
     b.connect_marked(r2, r1);
     b.connect(r1, r2);
     let stg = b.build();
-    let packed = stg.state_graph(100_000).unwrap_err();
+    let kernel = stg.state_graph(100_000).unwrap_err();
     assert!(
-        matches!(packed, a4a_stg::StgError::Inconsistent { .. }),
-        "{packed}"
+        matches!(kernel, a4a_stg::StgError::Inconsistent { .. }),
+        "{kernel}"
     );
-    assert_eq!(stg.state_graph_ref(100_000).unwrap_err(), packed);
+    assert_eq!(stg.state_graph_ref(100_000).unwrap_err(), kernel);
 }
 
 #[test]
@@ -215,11 +217,11 @@ fn unbounded_net_limit_identical() {
     b.arc_read(p, t);
     b.arc_tp(t, p);
     let net = b.build();
-    let packed = net.explore(16).unwrap_err();
-    assert_eq!(packed, a4a_petri::ExploreError::StateLimit { limit: 16 });
+    let kernel = net.explore(16).unwrap_err();
+    assert_eq!(kernel, a4a_petri::ExploreError::StateLimit { limit: 16 });
     assert_eq!(
         net.explore_from(net.initial_marking(), 16).unwrap_err(),
-        packed
+        kernel
     );
 }
 
@@ -228,7 +230,8 @@ fn explore_from_arbitrary_marking_par_vs_seq() {
     let ring = a4a_ctrl::stgs::token_ring_stg();
     let net = ring.net();
     // Walk a few steps from the initial marking, then explore from
-    // there in both representations.
+    // there on both engines: the kernel through a copy of the net with
+    // that initial marking.
     let mut m = net.initial_marking();
     for _ in 0..3 {
         let Some(t) = net.transition_ids().find(|&t| net.is_enabled(t, &m)) else {
@@ -237,15 +240,37 @@ fn explore_from_arbitrary_marking_par_vs_seq() {
         m = net.fire(t, &m);
     }
     let reference = net.explore_from(m.clone(), 500_000).unwrap();
-    let packed = net.explore_from(m.pack_if_safe(), 500_000).unwrap();
-    assert_reach_identical("ring from step 3", &reference, &packed);
+    let kernel = with_initial_marking(net, &m).explore(500_000).unwrap();
+    assert_eq!(kernel.engine(), Engine::Kernel);
+    assert_reach_identical("ring from step 3", &reference, &kernel);
+}
+
+/// A copy of `net` whose initial marking is `marking`.
+fn with_initial_marking(net: &PetriNet, marking: &Marking) -> PetriNet {
+    let mut b = NetBuilder::new();
+    for (place, tokens) in net.places().iter().zip(marking.iter()) {
+        b.place_with_tokens(place.name.clone(), tokens);
+    }
+    for tr in net.transitions() {
+        let t = b.transition(tr.name.clone());
+        tr.consumed()
+            .iter()
+            .for_each(|&(p, w)| b.arc_pt_weighted(p, t, w));
+        tr.read()
+            .iter()
+            .for_each(|&(p, w)| b.arc_read_weighted(p, t, w));
+        tr.produced()
+            .iter()
+            .for_each(|&(p, w)| b.arc_tp_weighted(t, p, w));
+    }
+    b.build()
 }
 
 #[test]
 fn token_overflow_is_typed_and_identical() {
     // A place already at u32::MAX gains one more token on the first
     // firing: a typed TokenOverflow (not a panic), with the same payload
-    // for both marking representations.
+    // from both entry points.
     let mut b = NetBuilder::new();
     let src = b.place_with_tokens("src", 1);
     let sink = b.place_with_tokens("sink", u32::MAX);
@@ -261,8 +286,8 @@ fn token_overflow_is_typed_and_identical() {
             transition: "t".into(),
         }
     );
-    // pack_if_safe leaves the unsafe marking dense, so `explore` also
-    // covers handing a packed-or-not marking in.
+    // The initial marking is not safe, so `explore` picks the reference
+    // engine too.
     assert_eq!(net.explore(100).unwrap_err(), reference);
 }
 
@@ -303,11 +328,285 @@ fn marking_equality_is_structural() {
     assert_eq!(a, b);
 }
 
+/// The markings a kernel graph decodes from its bit rows equal, and hash
+/// like, the ones the reference graph decodes from its counter rows.
 #[test]
 fn marking_equality_and_hash_cross_representation() {
-    let dense = Marking::new(vec![1, 0, 1, 0, 1]);
-    let packed = dense.clone().pack_if_safe();
-    assert!(packed.is_packed());
-    assert_eq!(dense, packed);
-    assert_eq!(dense.fx_hash(), packed.fx_hash());
+    let ring = a4a_ctrl::stgs::token_ring_stg();
+    let kernel = ring.state_graph(500_000).unwrap();
+    let reference = ring.state_graph_ref(500_000).unwrap();
+    assert_eq!(kernel.engine(), Engine::Kernel);
+    assert_eq!(reference.engine(), Engine::Reference);
+    let mut seen = a4a_rt::FxHashSet::default();
+    for s in kernel.state_ids() {
+        let (k, r) = (kernel.marking(s), reference.marking(s));
+        assert_eq!(k, r, "{s}");
+        assert_eq!(k.fx_hash(), r.fx_hash(), "{s}");
+        seen.insert(k);
+        assert!(seen.contains(&r), "{s}");
+    }
+}
+
+/// Place counts that put the last place on, just before and just after
+/// every word boundary of a kernel row.
+const WIDTHS: [usize; 6] = [1, 63, 64, 65, 128, 129];
+
+/// A random net as arc lists over place indices, so one recipe builds
+/// both a plain net and a labelled STG.
+#[derive(Debug, Default)]
+struct Recipe {
+    tokens: Vec<u32>,
+    /// (consume, read, produce) per transition.
+    transitions: Vec<(Vec<usize>, Vec<usize>, Vec<usize>)>,
+    /// Disjoint runs of places holding one circulating token each.
+    components: Vec<Vec<usize>>,
+}
+
+/// A random safe net over exactly `places` places: up to four one-token
+/// state machines on randomly scattered places, with moves inside one
+/// machine and synchronisations of two; read arcs on any place a
+/// transition does not touch otherwise; marked places nobody consumes;
+/// and arc-less transitions (empty preset, enabled everywhere).
+fn random_safe_recipe(g: &mut Gen, places: usize) -> Recipe {
+    let mut order: Vec<usize> = (0..places).collect();
+    g.shuffle(&mut order);
+    let mut r = Recipe {
+        tokens: vec![0; places],
+        ..Recipe::default()
+    };
+    let mut rest = &order[..];
+    for _ in 0..g.usize(1..5) {
+        if rest.is_empty() {
+            break;
+        }
+        let (run, tail) = rest.split_at(g.usize(1..7).min(rest.len()));
+        r.tokens[*g.pick(run)] = 1;
+        r.components.push(run.to_vec());
+        rest = tail;
+    }
+    for &p in rest {
+        r.tokens[p] = u32::from(g.u64(0..4) == 0);
+    }
+    for _ in 0..g.usize(1..12) {
+        let (mut consume, mut produce) = (Vec::new(), Vec::new());
+        match g.usize(0..5) {
+            0 => {}
+            1 if r.components.len() >= 2 => {
+                let a = g.usize(0..r.components.len());
+                let b = (a + 1 + g.usize(0..r.components.len() - 1)) % r.components.len();
+                for c in [a, b] {
+                    consume.push(*g.pick(&r.components[c]));
+                    produce.push(*g.pick(&r.components[c]));
+                }
+            }
+            _ => {
+                let c = &r.components[g.usize(0..r.components.len())];
+                consume.push(*g.pick(c));
+                produce.push(*g.pick(c));
+            }
+        }
+        let read = (0..g.usize(0..3))
+            .map(|_| g.usize(0..places))
+            .filter(|p| !consume.contains(p) && !produce.contains(p))
+            .collect::<std::collections::BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        r.transitions.push((consume, read, produce));
+    }
+    r
+}
+
+impl Recipe {
+    /// The recipe's places and transitions in a builder, with the place
+    /// ids.
+    fn builder(&self) -> (NetBuilder, Vec<a4a_petri::PlaceId>) {
+        let mut b = NetBuilder::new();
+        let ps: Vec<_> = (0..self.tokens.len())
+            .map(|i| b.place_with_tokens(format!("p{i}"), self.tokens[i]))
+            .collect();
+        for (i, (consume, read, produce)) in self.transitions.iter().enumerate() {
+            let t = b.transition(format!("t{i}"));
+            consume.iter().for_each(|&p| b.arc_pt(ps[p], t));
+            read.iter().for_each(|&p| b.arc_read(ps[p], t));
+            produce.iter().for_each(|&p| b.arc_tp(t, ps[p]));
+        }
+        (b, ps)
+    }
+
+    fn net(&self) -> PetriNet {
+        self.builder().0.build()
+    }
+
+    /// The recipe as an STG over three signals: each transition is a
+    /// dummy or an edge of a random signal, so most random STGs are
+    /// inconsistent somewhere and some are not.
+    fn stg(&self, g: &mut Gen) -> Stg {
+        let mut b = StgBuilder::new("random");
+        let signals: Vec<_> = (0..3).map(|i| b.input(format!("x{i}"), g.bool())).collect();
+        let ps: Vec<_> = (0..self.tokens.len())
+            .map(|i| b.place_with_tokens(format!("p{i}"), self.tokens[i]))
+            .collect();
+        for (consume, read, produce) in &self.transitions {
+            let t = match g.usize(0..4) {
+                0 => b.rise(*g.pick(&signals)),
+                1 => b.fall(*g.pick(&signals)),
+                _ => b.dummy(),
+            };
+            consume.iter().for_each(|&p| b.arc_pt(ps[p], t));
+            read.iter().for_each(|&p| b.arc_read(ps[p], t));
+            produce.iter().for_each(|&p| b.arc_tp(t, ps[p]));
+        }
+        b.build()
+    }
+
+    /// Adds a transition that moves the token of one machine onto a
+    /// place that may already hold one: the net turns unsafe after
+    /// however many firings that machine needs to reach the move, and
+    /// stays bounded because the machine's token is gone afterwards.
+    /// `false` if no second token exists to collide with.
+    fn add_collision(&mut self, g: &mut Gen) -> bool {
+        let source = &self.components[g.usize(0..self.components.len())];
+        let targets: Vec<usize> = (0..self.tokens.len())
+            .filter(|p| !source.contains(p))
+            .filter(|&p| self.tokens[p] == 1 || self.components.iter().any(|c| c.contains(&p)))
+            .collect();
+        if targets.is_empty() {
+            return false;
+        }
+        let from = *g.pick(source);
+        let to = *g.pick(&targets);
+        self.transitions.push((vec![from], vec![], vec![to]));
+        true
+    }
+}
+
+/// Compares the two engines on one STG: equal errors, or identical
+/// graphs that also agree at a state limit of exactly their size and
+/// one below it.
+fn check_stg_result(label: &str, stg: &Stg, max_states: usize, want: Engine) -> PropResult {
+    let reference = stg.state_graph_ref(max_states);
+    let kernel = stg.state_graph(max_states);
+    match (&reference, &kernel) {
+        (Ok(r), Ok(k)) => {
+            assert_sg_identical(label, r, k);
+            if k.engine() != want {
+                return Err(PropError::Fail(format!("{label}: engine {:?}", k.engine())));
+            }
+            let n = r.state_count();
+            assert_sg_identical(label, r, &stg.state_graph(n).expect("exact limit"));
+            if n > 1 {
+                let err = stg.state_graph(n - 1).unwrap_err();
+                assert_eq!(err, StgError::StateLimit { limit: n - 1 }, "{label}");
+                assert_eq!(stg.state_graph_ref(n - 1).unwrap_err(), err, "{label}");
+            }
+        }
+        (Err(r), Err(k)) => assert_eq!(r, k, "{label}: errors"),
+        _ => {
+            return Err(PropError::Fail(format!(
+                "{label}: reference {:?} vs kernel {:?}",
+                reference.as_ref().err(),
+                kernel.as_ref().err()
+            )))
+        }
+    }
+    Ok(())
+}
+
+/// The same for raw reachability.
+fn check_net_result(label: &str, net: &PetriNet, max_states: usize, want: Engine) -> PropResult {
+    let reference = net.explore_from(net.initial_marking(), max_states);
+    let kernel = net.explore(max_states);
+    match (&reference, &kernel) {
+        (Ok(r), Ok(k)) => {
+            assert_reach_identical(label, r, k);
+            if k.engine() != want {
+                return Err(PropError::Fail(format!("{label}: engine {:?}", k.engine())));
+            }
+            let n = r.state_count();
+            assert_reach_identical(label, r, &net.explore(n).expect("exact limit"));
+            if n > 1 {
+                let err = net.explore(n - 1).unwrap_err();
+                assert_eq!(err, ExploreError::StateLimit { limit: n - 1 }, "{label}");
+            }
+        }
+        (Err(r), Err(k)) => assert_eq!(r, k, "{label}: errors"),
+        _ => {
+            return Err(PropError::Fail(format!(
+                "{label}: reference {:?} vs kernel {:?}",
+                reference.as_ref().err(),
+                kernel.as_ref().err()
+            )))
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn random_safe_nets_kernel_vs_ref() {
+    a4a_rt::prop::check("random_safe_nets_kernel_vs_ref", |g| {
+        let places = *g.pick(&WIDTHS);
+        let recipe = random_safe_recipe(g, places);
+        check_net_result(
+            &format!("{places} places"),
+            &recipe.net(),
+            10_000,
+            Engine::Kernel,
+        )
+    });
+}
+
+#[test]
+fn random_safe_stgs_kernel_vs_ref() {
+    let (consistent, inconsistent) = (Cell::new(0), Cell::new(0));
+    a4a_rt::prop::check("random_safe_stgs_kernel_vs_ref", |g| {
+        let places = *g.pick(&WIDTHS);
+        let stg = random_safe_recipe(g, places).stg(g);
+        match stg.state_graph(10_000) {
+            Ok(_) => consistent.set(consistent.get() + 1),
+            Err(StgError::Inconsistent { .. }) => inconsistent.set(inconsistent.get() + 1),
+            Err(_) => {}
+        }
+        check_stg_result(&format!("{places} places"), &stg, 10_000, Engine::Kernel)
+    });
+    assert!(consistent.get() > 0, "no consistent random STG");
+    assert!(inconsistent.get() > 0, "no inconsistent random STG");
+}
+
+#[test]
+fn weighted_arc_takes_the_reference_path() {
+    a4a_rt::prop::check("weighted_arc_takes_the_reference_path", |g| {
+        let places = *g.pick(&WIDTHS);
+        // A weight-2 read arc is never enabled in a safe net, but it
+        // takes the kernel's masks away.
+        let (mut b, ps) = random_safe_recipe(g, places).builder();
+        let heavy = b.transition("heavy");
+        b.arc_read_weighted(ps[g.usize(0..places)], heavy, 2);
+        let net = b.build();
+        check_net_result(&format!("{places} places"), &net, 10_000, Engine::Reference)
+    });
+}
+
+#[test]
+fn unsafe_nets_restart_on_the_reference_engine() {
+    let restarted = Cell::new(0);
+    a4a_rt::prop::check("unsafe_nets_restart_on_the_reference_engine", |g| {
+        let places = *g.pick(&WIDTHS[1..]);
+        let mut recipe = random_safe_recipe(g, places);
+        if !recipe.add_collision(g) {
+            return Err(PropError::Discard);
+        }
+        let net = recipe.net();
+        let label = format!("{places} places");
+        // The collision may be unreachable; then the kernel finishes.
+        let want = match net.explore_from(net.initial_marking(), 10_000) {
+            Ok(r) if !r.is_safe() => Engine::Restarted,
+            _ => Engine::Kernel,
+        };
+        if want == Engine::Restarted {
+            restarted.set(restarted.get() + 1);
+        }
+        check_net_result(&label, &net, 10_000, want)?;
+        check_stg_result(&label, &recipe.stg(g), 10_000, want)
+    });
+    assert!(restarted.get() > 0, "no random net turned unsafe");
 }

@@ -239,3 +239,47 @@ coding q5 q14 code 0b11000 [b]
 coding q5 q18 code 0b11000 []
 coding q14 q18 code 0b11000 [b]
 ";
+
+/// Every shipped spec, its `.g` round trip, and wide pipeline
+/// compositions explore on the safe-net kernel. The reference engine is
+/// about twice as slow, so a spec silently falling back to it would show
+/// only as a slowdown; this test makes it a failure instead.
+#[test]
+fn shipped_specs_and_compositions_explore_on_the_kernel() {
+    use a4a_petri::Engine;
+    use a4a_stg::prop_support::pipeline_stg_with_prefix;
+
+    let mut specs: Vec<(String, Stg)> = all_specs()
+        .into_iter()
+        .map(|(name, stg)| (name.to_string(), stg))
+        .collect();
+    for shape in [&[5, 5, 5, 5][..], &[11, 11, 11], &[3, 4, 6, 10]] {
+        let stg = shape
+            .iter()
+            .zip(["a", "b", "c", "d"])
+            .map(|(&n, prefix)| pipeline_stg_with_prefix(n, 0b10, prefix))
+            .reduce(|acc, p| acc.compose(&p).expect("disjoint pipelines compose"))
+            .expect("non-empty shape");
+        specs.push((format!("compose{shape:?}"), stg));
+    }
+    let mut graphs = Vec::new();
+    for (name, stg) in specs {
+        let parsed = Stg::parse_g(&stg.to_g()).unwrap_or_else(|e| panic!("{name}: {e}"));
+        graphs.push((format!("{name} (built)"), stg));
+        graphs.push((format!("{name} (parsed)"), parsed));
+    }
+    // The ring joins one transition pair by two places, which `.g`
+    // cannot write, so it is checked as built only.
+    graphs.push(("token_ring".into(), a4a_ctrl::stgs::token_ring_stg()));
+    for (name, stg) in &graphs {
+        let sg = stg
+            .state_graph(1_000_000)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(sg.engine(), Engine::Kernel, "{name}: state graph");
+        let reach = stg
+            .net()
+            .explore(1_000_000)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(reach.engine(), Engine::Kernel, "{name}: reachability");
+    }
+}
