@@ -17,11 +17,11 @@
 #   5. fault-injection tier: seeded adversarial scenarios against the
 #      scheduler/analog/testbench layers (deterministic per
 #      A4A_PROP_SEED), asserting typed errors instead of panics
-#   6. bench tier: cosim_bench and synth_bench at a quick sample
-#      count, checking every emitted JSON line parses with finite
-#      positive medians and that the metric names still match the
-#      tracked BENCH_cosim.json / BENCH_synth.json baselines (so the
-#      perf trajectory can't silently rot)
+#   6. perf-counter tier: one short traced perfbench run (the repo's
+#      benchmark, see BENCHMARK.json) that must be correct with zero
+#      failed ops, and whose deterministic `count/*` work counters must
+#      equal perf_counters.txt exactly — a change of work is an
+#      explicit, explained update of that file
 #   7. fail if any Cargo.toml re-introduces a registry (non-path)
 #      dependency
 #   8. fail if a library crate of the simulation stack (sim, analog,
@@ -29,6 +29,7 @@
 #      synth, netlist), of the controllers (ctrl, a2a) or the runtime
 #      (rt) grows a new `unwrap()` outside #[cfg(test)] — failures there
 #      must flow through the crates' typed errors
+#   9. clippy over every target with warnings denied
 #
 # `./ci.sh --quick` runs only the build and the smoke tier (4) — the
 # sub-minute loop for "did I break an experiment binary".
@@ -85,60 +86,38 @@ smoke_tier() {
     echo "OK: smoke tier (headers, row counts, finite cells)"
 }
 
-check_bench() {
-    # $1 = bench binary, $2 = tracked baseline JSON-lines file.
-    local bin="$1" baseline="$2"
-    echo "==> bench tier: $bin smoke (quick sample count)"
+perf_counter_tier() {
+    echo "==> perf-counter tier: traced perfbench flow run vs perf_counters.txt"
     local scratch
     scratch=$(mktemp -d)
     trap 'rm -rf "$scratch"' RETURN
-    A4A_BENCH_SAMPLES="${A4A_BENCH_SAMPLES:-3}" \
-        A4A_BENCH_OUT="$scratch/out.json" \
-        cargo run -q --release --offline -p a4a-bench --bin "$bin" \
-        > /dev/null
-    local ok=1 line median
-    if [ ! -s "$scratch/out.json" ]; then
-        echo "ERROR: $bin emitted no results" >&2
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml \
+        -- --workload flow --seed 1 --seconds 1 --trace 1 > "$scratch/out.jsonl"
+    local summary
+    summary=$(tail -n 1 "$scratch/out.jsonl")
+    case "$summary" in
+        '{"correct":true,'*'"failed":0,'*) ;;
+        *)
+            echo "ERROR: perfbench run not correct or has failed ops:" >&2
+            printf '%s\n' "$summary" | head -c 400 >&2
+            echo >&2
+            exit 1
+            ;;
+    esac
+    # Every `count/*` metric as a sorted `name value` line.
+    printf '%s\n' "$summary" \
+        | grep -o '"[A-Za-z0-9_.]*":{"value":[^,]*,"unit":"count/[^"]*"}' \
+        | sed 's/^"\([^"]*\)":{"value":\([^,]*\),.*/\1 \2/' \
+        | LC_ALL=C sort > "$scratch/counters"
+    if ! diff -u perf_counters.txt "$scratch/counters"; then
+        echo "ERROR: perfbench work counters drifted from perf_counters.txt." >&2
+        echo "    A deliberate change of work updates perf_counters.txt and" >&2
+        echo "    explains the new values in CHANGES.md." >&2
         exit 1
     fi
-    while IFS= read -r line; do
-        # Every line must be a complete result record with integer
-        # timing fields.
-        if ! printf '%s\n' "$line" | grep -qE \
-            '^\{"name":"[^"]+","median_ns":[0-9]+,"min_ns":[0-9]+,"max_ns":[0-9]+,"mean_ns":[0-9]+,"samples":[0-9]+\}$'
-        then
-            echo "ERROR: malformed bench JSON line: $line" >&2
-            ok=0
-            continue
-        fi
-        median=$(printf '%s\n' "$line" | sed -n 's/.*"median_ns":\([0-9]*\).*/\1/p')
-        if [ -z "$median" ] || [ "$median" -le 0 ]; then
-            echo "ERROR: non-positive median in bench line: $line" >&2
-            ok=0
-        fi
-    done < "$scratch/out.json"
-    # The metric *names* are the tracked baseline's schema: a rename or
-    # a dropped metric must be an explicit baseline update.
-    sed -n 's/.*"name":"\([^"]*\)".*/\1/p' "$baseline" | sort \
-        > "$scratch/names_baseline"
-    sed -n 's/.*"name":"\([^"]*\)".*/\1/p' "$scratch/out.json" | sort \
-        > "$scratch/names_now"
-    if ! diff -u "$scratch/names_baseline" "$scratch/names_now"; then
-        echo "ERROR: bench metric names drifted from $baseline" >&2
-        ok=0
-    fi
-    if [ "$ok" -ne 1 ]; then
-        exit 1
-    fi
-    echo "OK: bench tier ($bin: JSON lines well-formed, medians positive, names match $baseline)"
-}
-
-bench_tier() {
-    check_bench cosim_bench BENCH_cosim.json
-    check_bench synth_bench BENCH_synth.json
-    # check_bench's RETURN trap outlives it; drop it before this
-    # function returns with the trap's local out of scope.
     trap - RETURN
+    rm -rf "$scratch"
+    echo "OK: perf-counter tier (correct, 0 failed ops, $(wc -l < perf_counters.txt) counters match)"
 }
 
 if [ "$quick" -eq 1 ]; then
@@ -168,7 +147,7 @@ echo "OK: fault-injection tier (typed errors, zero library panics)"
 
 smoke_tier
 
-bench_tier
+perf_counter_tier
 
 echo "==> checking for registry dependencies"
 # Every [dependencies*] / [dev-dependencies] entry must be either an
@@ -228,3 +207,7 @@ if [ "$bad" -ne 0 ]; then
     exit 1
 fi
 echo "OK: library crates are unwrap-free (typed errors only)"
+
+echo "==> cargo clippy --offline --workspace --all-targets -- -D warnings"
+cargo clippy --offline --workspace --all-targets -- -D warnings
+echo "OK: clippy clean"

@@ -584,8 +584,10 @@ mod tests {
     #[test]
     fn try_new_rejects_non_physical_params() {
         for bad in [f64::NAN, 0.0, -5.0, f64::INFINITY, f64::NEG_INFINITY] {
-            let mut p = BuckParams::default();
-            p.vin = bad;
+            let p = BuckParams {
+                vin: bad,
+                ..BuckParams::default()
+            };
             assert!(
                 matches!(
                     Buck::try_new(p),
@@ -594,8 +596,10 @@ mod tests {
                 "vin = {bad} accepted"
             );
         }
-        let mut p = BuckParams::default();
-        p.rdson_p = f64::NAN;
+        let p = BuckParams {
+            rdson_p: f64::NAN,
+            ..BuckParams::default()
+        };
         assert!(matches!(
             Buck::try_new(p),
             Err(SimError::InvalidParameter {

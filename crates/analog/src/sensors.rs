@@ -244,10 +244,10 @@ impl SensorBank {
         push(SensorKind::Hl, self.hl.update(prev_t, prev_v, t, v));
         push(SensorKind::Uv, self.uv.update(prev_t, prev_v, t, v));
         push(SensorKind::Ov, self.ov.update(prev_t, prev_v, t, v));
-        for k in 0..i.len() {
-            let prev_ik = if self.has_last { self.last_i[k] } else { i[k] };
-            push(SensorKind::Oc(k), self.oc[k].update(prev_t, prev_ik, t, i[k]));
-            push(SensorKind::Zc(k), self.zc[k].update(prev_t, prev_ik, t, i[k]));
+        for (k, &ik) in i.iter().enumerate() {
+            let prev_ik = if self.has_last { self.last_i[k] } else { ik };
+            push(SensorKind::Oc(k), self.oc[k].update(prev_t, prev_ik, t, ik));
+            push(SensorKind::Zc(k), self.zc[k].update(prev_t, prev_ik, t, ik));
         }
         self.has_last = true;
         self.last_t = t;

@@ -12,7 +12,7 @@ fn main() {
         .map(ControllerKind::label)
         .collect();
     let threads = Pool::global().threads();
-    let (points, _) = a4a_rt::bench::time_once(&format!("fig7a/sweep/t{threads}"), fig7a);
+    let points = a4a_rt::bench::time_once(&format!("fig7a/sweep/t{threads}"), fig7a);
     println!("Figure 7a: inductor peak current (mA) for 1-10uH coils at 6 Ohm load\n");
     println!("{}", report::sweep_table("L (uH)", &labels, &points));
 

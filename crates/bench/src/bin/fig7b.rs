@@ -12,7 +12,7 @@ fn main() {
         .map(ControllerKind::label)
         .collect();
     let threads = Pool::global().threads();
-    let (points, _) = a4a_rt::bench::time_once(&format!("fig7b/sweep/t{threads}"), fig7b);
+    let points = a4a_rt::bench::time_once(&format!("fig7b/sweep/t{threads}"), fig7b);
     println!("Figure 7b: inductor peak current (mA) for 3-15 Ohm loads at 4.7uH\n");
     println!("{}", report::sweep_table("R (Ohm)", &labels, &points));
     println!(

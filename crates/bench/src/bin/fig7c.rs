@@ -13,7 +13,7 @@ fn main() {
         .map(ControllerKind::label)
         .collect();
     let threads = Pool::global().threads();
-    let (points, _) = a4a_rt::bench::time_once(&format!("fig7c/sweep/t{threads}"), fig7c);
+    let points = a4a_rt::bench::time_once(&format!("fig7c/sweep/t{threads}"), fig7c);
     println!("Figure 7c: inductor ripple losses (uW) for 1-10uH coils at 6 Ohm load\n");
     println!("{}", report::sweep_table("L (uH)", &labels, &points));
     println!(

@@ -14,10 +14,11 @@
 //! `A4A_THREADS` to control parallelism (`1` = the plain sequential
 //! loops). Results are bit-identical for every thread count.
 //!
-//! Each `cargo run -p a4a-bench --bin <name>` regenerates one artefact;
-//! `cargo bench` runs the engine performance benchmarks (state-graph
-//! construction, minimisation, synthesis, SI verification, co-simulation
-//! throughput).
+//! Each `cargo run -p a4a-bench --bin <name>` regenerates one artefact.
+//! Engine performance (co-simulation, state graphs, minimisation,
+//! synthesis, SI verification) is measured by the standalone
+//! `perfbench/` package, whose work counters `ci.sh` pins in
+//! `perf_counters.txt`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -742,8 +742,10 @@ mod tests {
         ));
 
         let ctrl = AsyncController::new(4, AsyncTiming::default());
-        let mut params = BuckParams::default();
-        params.cap = f64::NAN;
+        let params = BuckParams {
+            cap: f64::NAN,
+            ..BuckParams::default()
+        };
         assert!(matches!(
             TestbenchBuilder::new().params(params).try_build(ctrl),
             Err(SimError::InvalidParameter { what: "cap (F)", .. })

@@ -14,8 +14,9 @@
 //! - [`prop`]: a seeded property-testing harness with failure-case
 //!   shrinking, an env-overridable case count (`A4A_PROP_CASES`), and a
 //!   reproducing seed printed on every failure (`A4A_PROP_SEED`).
-//! - [`bench`]: a warmup + median-of-N wall-clock timer emitting JSON
-//!   lines, replacing `criterion` for the kernel benchmarks.
+//! - [`bench`]: a one-shot wall-clock timer emitting a JSON line for
+//!   the sweep binaries; the tracked performance numbers and work
+//!   counters come from the standalone `perfbench/` package.
 //! - [`pool`]: an `A4A_THREADS`-sized thread count whose
 //!   order-preserving [`pool::Pool::par_map`] keeps parallel results
 //!   bit-identical to the sequential loop — used by the Figure 6/7
@@ -38,7 +39,6 @@ pub mod pool;
 pub mod prop;
 pub mod rng;
 
-pub use bench::{BenchResult, Bencher};
 pub use hash::{fx_hash_one, FxBuildHasher, FxHashMap, FxHashSet, FxHasher, IdTable};
 pub use pool::Pool;
 pub use prop::{Config, Gen, PropError, TestCaseError};

@@ -121,7 +121,7 @@ fn scheduler_model_interleaved_churn() {
                         .min_by_key(|&(t, s)| (t, s));
                     prop_assert_eq!(sched.peek_time(), expect.map(|(t, _)| t));
                     let got = sched.pop();
-                    prop_assert_eq!(got, expect.map(|(t, s)| (t, s)));
+                    prop_assert_eq!(got, expect);
                     if let Some((t, s)) = expect {
                         prop_assert!(t >= last_popped, "time went backwards");
                         last_popped = t;

@@ -220,8 +220,9 @@ impl StateGraph {
         Ok(state)
     }
 
-    /// Groups states by binary code; used by the USC/CSC checks and the
-    /// synthesiser. Per-code state lists are in discovery order.
+    /// Groups states by binary code. Per-code state lists are in
+    /// discovery order. The USC/CSC checks and the synthesiser group
+    /// states themselves; only tests call this today.
     pub fn states_by_code(&self) -> FxHashMap<u64, Vec<SgStateId>> {
         let mut map: FxHashMap<u64, Vec<SgStateId>> = FxHashMap::default();
         for s in self.state_ids() {

@@ -1,6 +1,7 @@
 //! Fault-injection tier: seeded adversarial scenarios against the
 //! discrete-event scheduler, the analog buck, and the mixed-signal
-//! testbench.
+//! testbench, plus a mutation fuzz of the shipped `.g` specs through
+//! the formal flow.
 //!
 //! Every scenario comes from `a4a_rt::fault::plans` — a SplitMix64-split
 //! batch of [`FaultPlan`]s, deterministic per master seed. The contract
@@ -15,16 +16,21 @@
 //! A4A_PROP_SEED=0xDEAD_BEEF cargo test --test fault_injection
 //! ```
 
-use a4a::TestbenchBuilder;
+use a4a::{A4aFlow, TestbenchBuilder};
 use a4a_analog::{Buck, BuckParams};
 use a4a_ctrl::{AsyncController, AsyncTiming};
 use a4a_rt::fault::{self, FaultKind, FaultPlan};
 use a4a_rt::Rng;
 use a4a_sim::{EventKey, Scheduler, SimError, Time};
+use a4a_stg::Stg;
+use a4a_synth::SynthStyle;
 
 /// Scenario count — at least 50 per the fault-tier acceptance bar, and a
 /// multiple of `FaultKind::ALL.len()` so every family runs equally often.
 const SCENARIOS: usize = 60;
+
+/// Mutated `.g` specs per run of the spec fuzz.
+const G_FUZZ_CASES: usize = 300;
 
 /// Master seed: `A4A_PROP_SEED` (hex, optional `0x` prefix) or a fixed
 /// default. Same convention as the `a4a_rt::prop` harness, so one env
@@ -436,6 +442,105 @@ fn adversarial_testbench(rng: &mut Rng) {
                 Err(SimError::NonFinite { .. }) => {} // typed divergence: fine
                 Err(other) => panic!("wrong run error class: {other:?}"),
             }
+        }
+    }
+}
+
+/// Seeded `.g` mutation fuzz: 1–4 line- and token-level mutations of a
+/// shipped module or A2A spec, run through parse → state graph →
+/// verify → both synthesis styles of the flow. Every stage returns a
+/// `Result` with a typed error, so the contract is: no panic, for any
+/// text.
+#[test]
+fn mutated_g_specs_never_panic() {
+    let mut specs = a4a_ctrl::stgs::all_module_stgs();
+    specs.extend(a4a_a2a::spec::all_specs());
+    let texts: Vec<(&str, String)> = specs.iter().map(|(name, stg)| (*name, stg.to_g())).collect();
+    assert_eq!(texts.len(), 18, "the shipped spec set changed");
+    let seed = master_seed();
+    let mut rng = Rng::from_seed(seed);
+    // Cases that stopped at parse, at the state graph, and that ran the
+    // flow: each stage must be reached, or the fuzz has gone blind.
+    let mut reached = [0usize; 3];
+    for case in 0..G_FUZZ_CASES {
+        let (name, text) = &texts[rng.usize_below(texts.len())];
+        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+        for _ in 0..1 + rng.usize_below(4) {
+            mutate_g(&mut rng, &mut lines);
+        }
+        let mutated = lines.join("\n");
+        let stage = std::panic::catch_unwind(|| run_g(&mutated)).unwrap_or_else(|_| {
+            panic!("A4A_PROP_SEED={seed:#x} case {case}: mutated {name}.g panicked:\n{mutated}")
+        });
+        reached[stage] += 1;
+    }
+    assert!(reached.iter().all(|&n| n > 0), "stage never reached: {reached:?}");
+}
+
+/// The `a4a verify` + `a4a synth [--gc]` path on one spec text; returns
+/// the stage reached (0 parse error, 1 state-graph error, 2 flow run).
+fn run_g(text: &str) -> usize {
+    let Ok(stg) = Stg::parse_g(text) else { return 0 };
+    let Ok(sg) = stg.state_graph(100_000) else { return 1 };
+    let _ = stg.verify(&sg);
+    for style in [SynthStyle::ComplexGate, SynthStyle::GeneralizedC] {
+        let _ = A4aFlow::new(stg.clone()).with_style(style).run();
+    }
+    2
+}
+
+fn mutate_g(rng: &mut Rng, lines: &mut Vec<String>) {
+    if lines.is_empty() {
+        lines.push(String::new());
+    }
+    let at = rng.usize_below(lines.len());
+    match rng.usize_below(8) {
+        0 => {
+            lines.remove(at);
+        }
+        1 => lines.insert(at, lines[at].clone()),
+        2 => {
+            let other = rng.usize_below(lines.len());
+            lines.swap(at, other);
+        }
+        3 => {
+            let mut chars: Vec<char> = lines[at].chars().collect();
+            if !chars.is_empty() {
+                chars.remove(rng.usize_below(chars.len()));
+            }
+            lines[at] = chars.into_iter().collect();
+        }
+        4 => {
+            const INSERT: [char; 14] =
+                ['+', '-', '/', '{', '}', '<', '>', ',', '.', '=', '#', ' ', '0', 'x'];
+            let mut chars: Vec<char> = lines[at].chars().collect();
+            let pos = rng.usize_below(chars.len() + 1);
+            chars.insert(pos, INSERT[rng.usize_below(INSERT.len())]);
+            lines[at] = chars.into_iter().collect();
+        }
+        5 => {
+            const TOKENS: [&str; 5] = ["+", "-", "/2", "{", "<a,b>"];
+            let mut tokens: Vec<&str> = lines[at].split_whitespace().collect();
+            if !tokens.is_empty() {
+                let pick = rng.usize_below(tokens.len());
+                tokens[pick] = TOKENS[rng.usize_below(TOKENS.len())];
+            }
+            lines[at] = tokens.join(" ");
+        }
+        6 => {
+            const DIRECTIVES: [&str; 6] =
+                [".dummy t0", ".capacity p0=2", ".end", ".graph", ".marking { }", ".inputs"];
+            lines[at] = DIRECTIVES[rng.usize_below(DIRECTIVES.len())].to_string();
+        }
+        _ => {
+            lines[at] = lines[at]
+                .chars()
+                .map(|c| match c {
+                    '+' => '-',
+                    '-' => '+',
+                    c => c,
+                })
+                .collect();
         }
     }
 }

@@ -1,9 +1,10 @@
 //! Golden tests for the exploration interner: state-id assignment on
 //! the composed token-ring STG is pinned exactly, so any change to the
-//! interner, the packed marking representation, or the BFS order
-//! shows up as a diff here — not as a silently renumbered state space.
+//! interner, the safe-net exploration kernel's row layout, or the BFS
+//! order shows up as a diff here — not as a silently renumbered state
+//! space.
 //!
-//! The companion coverage lives in `tests/par_vs_seq.rs` (packed vs
+//! The companion coverage lives in `tests/par_vs_seq.rs` (kernel vs
 //! reference differential) and `crates/rt/src/hash.rs` (unit tests of
 //! `IdTable` itself).
 
@@ -12,14 +13,14 @@ use a4a_stg::SgStateId;
 
 /// Discovery-order signal codes of the token-ring state graph. Breadth-
 /// first numbering is part of the engine's contract, so this sequence is
-/// a golden: it must never change, with either marking representation.
+/// a golden: it must never change, in the kernel or the reference engine.
 const RING_CODES: [u64; 14] = [16, 24, 26, 10, 58, 42, 34, 32, 33, 37, 53, 5, 21, 20];
 
 #[test]
 fn token_ring_ids_are_pinned() {
     let ring = a4a_ctrl::stgs::token_ring_stg();
     for (label, sg) in [
-        ("packed", ring.state_graph(500_000).unwrap()),
+        ("kernel", ring.state_graph(500_000).unwrap()),
         ("ref", ring.state_graph_ref(500_000).unwrap()),
     ] {
         assert_eq!(sg.state_count(), RING_CODES.len(), "{label}");
