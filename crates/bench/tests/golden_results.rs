@@ -59,15 +59,15 @@ const EXPECTED_7B: &[(f64, [f64; 5])] = &[
 /// Figure 7c, `results/fig7c.csv`: inductor ripple losses (µW) over the
 /// 1–10 µH coil grid at a 6 Ω load.
 const EXPECTED_7C: &[(f64, [f64; 5])] = &[
-    (1.0000, [5810.9784, 2637.9108, 2341.8124, 2784.0296, 3181.1913]),
-    (1.8000, [4859.7172, 4352.7426, 4483.1511, 5023.1072, 5616.1674]),
-    (2.2500, [6431.1606, 5920.4072, 5827.5095, 5668.0288, 7113.7520]),
-    (3.1000, [6928.9109, 7215.6552, 6322.9622, 7146.6774, 7599.7846]),
-    (4.7000, [12708.2406, 7928.0375, 8692.7252, 6768.6400, 7786.4713]),
-    (5.7000, [13541.1941, 9366.4187, 9506.0227, 10540.4216, 9601.9406]),
-    (6.8000, [18256.2868, 13551.4669, 10100.4665, 9580.4302, 8992.9293]),
-    (8.2000, [14947.4316, 12410.1220, 10422.5213, 10628.7177, 10384.2020]),
-    (10.0000, [19100.1000, 13858.7136, 9796.5870, 11121.3410, 9441.2204]),
+    (1.0000, [5810.9784, 2637.9108, 2341.8124, 2787.9188, 3179.2623]),
+    (1.8000, [4859.7171, 4352.7426, 4483.1511, 4857.6634, 5673.6950]),
+    (2.2500, [6431.1606, 5920.4072, 5827.5095, 5743.6558, 6451.5827]),
+    (3.1000, [6928.9109, 7215.6552, 6322.9622, 6474.5355, 7699.4965]),
+    (4.7000, [12708.2406, 7928.0375, 8692.7252, 6768.6400, 8048.7941]),
+    (5.7000, [13541.1941, 9366.4187, 9506.0227, 10540.4216, 10069.2352]),
+    (6.8000, [18256.2868, 13551.4669, 10100.4665, 9580.4302, 8992.9298]),
+    (8.2000, [14947.4316, 12410.1220, 10422.5213, 10628.7177, 10381.7690]),
+    (10.0000, [19100.1000, 13858.7136, 9796.5870, 11121.3410, 9441.3778]),
 ];
 
 const SERIES: [&str; 5] = ["100MHz", "333MHz", "666MHz", "1GHz", "ASYNC"];

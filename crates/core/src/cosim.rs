@@ -26,6 +26,9 @@ enum PendKind {
     OvMode(bool),
     /// Scheduled load step.
     LoadStep(f64),
+    /// Comparator output change, held until its time (crossing plus
+    /// comparator delay).
+    Sensor { kind: SensorKind, value: bool },
 }
 
 /// Interned track names for everything the testbench records,
@@ -393,7 +396,9 @@ impl<C: BuckController> Testbench<C> {
 
             // 2. Comparator events from the window, into the reused
             //    buffer (the buck hands out its current slice directly —
-            //    no per-window collect).
+            //    no per-window collect). Each is held in `pending` until
+            //    its own time: a crossing plus the comparator delay can
+            //    lie after this window's end.
             self.events_buf.clear();
             self.sensors.update_into(
                 t,
@@ -402,9 +407,13 @@ impl<C: BuckController> Testbench<C> {
                 self.buck.currents(),
                 &mut self.events_buf,
             );
+            for idx in 0..self.events_buf.len() {
+                let ev = self.events_buf[idx];
+                self.push_sensor(ev);
+            }
 
-            // 3. Deliver sensor events, controller wakeups, and pending
-            //    side effects in time order.
+            // 3. Deliver controller wakeups and due pending items in
+            //    time order.
             self.deliver(tn)?;
 
             // 4. Record controller debug tracks (e.g. `act`,
@@ -452,60 +461,45 @@ impl<C: BuckController> Testbench<C> {
         Ok(())
     }
 
-    /// Delivers this window's comparator events (in `events_buf`, read
-    /// through an index cursor — no `Vec::remove(0)` shifting),
-    /// controller wakeups, and pending side effects in time order.
+    /// Delivers controller wakeups and the pending items due by `tn`
+    /// (gate applies and acks, load steps, held comparator events) in
+    /// time order; at equal times a pending item goes first.
     fn deliver(&mut self, tn: f64) -> Result<(), SimError> {
-        let mut cursor = 0;
         loop {
-            // Earliest actionable item ≤ tn.
-            let t_sensor = self.events_buf.get(cursor).map(|e| e.time);
             let t_pend = self.pending.front().map(|p| p.0).filter(|&x| x <= tn);
             let t_wake = self
                 .ctrl
                 .next_wakeup()
                 .map(|w| w.as_secs())
                 .filter(|&w| w <= tn);
-
-            let next = [t_sensor, t_pend, t_wake]
-                .into_iter()
-                .flatten()
-                .fold(f64::INFINITY, f64::min);
-            if !next.is_finite() {
-                break;
-            }
-
-            if Some(next) == t_wake && t_sensor.map(|x| next < x).unwrap_or(true)
-                && t_pend.map(|x| next < x).unwrap_or(true)
-            {
-                let tw = self.clamp_time(next)?;
-                self.ctrl.on_wakeup(tw);
-                self.drain_commands();
-                continue;
-            }
-            if Some(next) == t_pend && t_sensor.map(|x| next <= x).unwrap_or(true) {
-                if let Some((at, kind)) = self.pending.pop_front() {
-                    self.apply_pending(at, kind)?;
+            match (t_pend, t_wake) {
+                (Some(tp), Some(tw)) if tw < tp => self.wake(tw)?,
+                (None, Some(tw)) => self.wake(tw)?,
+                (Some(_), _) => {
+                    if let Some((at, kind)) = self.pending.pop_front() {
+                        self.apply_pending(at, kind)?;
+                    }
                 }
-                continue;
+                (None, None) => return Ok(()),
             }
-            // Sensor event.
-            let ev = self.events_buf[cursor];
-            cursor += 1;
-            // Let the controller's internal clock catch up first.
-            let te = self.clamp_time(ev.time)?;
-            if let Some(w) = self.ctrl.next_wakeup() {
-                if w <= te {
-                    self.ctrl.on_wakeup(te);
-                    self.drain_commands();
-                }
-            }
-            self.record
-                .event(ev.time, self.tracks.sensor(ev.kind), ev.value);
-            self.ctrl.on_sensor(te, ev.kind, ev.value);
-            self.drain_commands();
         }
+    }
+
+    fn wake(&mut self, at: f64) -> Result<(), SimError> {
+        let tw = self.clamp_time(at)?;
+        self.ctrl.on_wakeup(tw);
+        self.drain_commands();
         Ok(())
+    }
+
+    fn push_sensor(&mut self, ev: SensorEvent) {
+        self.push_pending(
+            ev.time,
+            PendKind::Sensor {
+                kind: ev.kind,
+                value: ev.value,
+            },
+        );
     }
 
     /// Monotonic clamp: the controller must never see time move
@@ -551,20 +545,29 @@ impl<C: BuckController> Testbench<C> {
             }
             PendKind::OvMode(on) => {
                 // Cold path (mode switches are rare events): the Vec
-                // returned by set_ov_mode is fine here.
+                // returned by set_ov_mode is fine here. Its events are
+                // stamped with the comparator delay and held like any
+                // other comparator event.
                 let evs = self.sensors.set_ov_mode(on, at);
                 self.record.event(at, self.tracks.ov_mode, on);
                 for ev in evs {
-                    let te = self.clamp_time(ev.time)?;
-                    self.record
-                        .event(ev.time, self.tracks.sensor(ev.kind), ev.value);
-                    self.ctrl.on_sensor(te, ev.kind, ev.value);
+                    self.push_sensor(ev);
                 }
-                self.drain_commands();
             }
             PendKind::LoadStep(r) => {
                 self.buck.try_set_load(r)?;
                 self.record.event(at, self.tracks.load_step, true);
+            }
+            PendKind::Sensor { kind, value } => {
+                // Let the controller's internal clock catch up first.
+                let te = self.clamp_time(at)?;
+                if self.ctrl.next_wakeup().is_some_and(|w| w <= te) {
+                    self.ctrl.on_wakeup(te);
+                    self.drain_commands();
+                }
+                self.record.event(at, self.tracks.sensor(kind), value);
+                self.ctrl.on_sensor(te, kind, value);
+                self.drain_commands();
             }
         }
         Ok(())
