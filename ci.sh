@@ -12,8 +12,9 @@
 #      threads, so every thread count the determinism contract promises
 #      is exercised
 #   4. smoke tier: every bench binary end-to-end into a scratch results
-#      dir, checking CSV headers/row counts against results/ and
-#      rejecting NaN/inf cells
+#      dir, checking CSV headers/row counts against results/, requiring
+#      every regenerated CSV to equal the committed one byte for byte,
+#      and rejecting NaN/inf cells
 #   5. fault-injection tier: seeded adversarial scenarios against the
 #      scheduler/analog/testbench layers (deterministic per
 #      A4A_PROP_SEED), asserting typed errors instead of panics
@@ -75,6 +76,12 @@ smoke_tier() {
                  "($(wc -l < "$csv") -> $(wc -l < "$scratch/$name"))" >&2
             ok=0
         fi
+        # The experiments are deterministic: a committed result that the
+        # code no longer reproduces byte for byte is stale.
+        if ! cmp -s "$csv" "$scratch/$name"; then
+            echo "ERROR: $name differs from its regeneration (stale result?)" >&2
+            ok=0
+        fi
     done
     if grep -ilnE '(nan|inf)' "$scratch"/*.csv; then
         echo "ERROR: NaN/inf cell in regenerated CSVs above" >&2
@@ -83,7 +90,7 @@ smoke_tier() {
     if [ "$ok" -ne 1 ]; then
         exit 1
     fi
-    echo "OK: smoke tier (headers, row counts, finite cells)"
+    echo "OK: smoke tier (headers, row counts, byte-identical CSVs, finite cells)"
 }
 
 perf_counter_tier() {

@@ -1,9 +1,11 @@
 /// An analog comparator with hysteresis and propagation delay.
 ///
-/// The comparator watches a continuous quantity sampled at simulation
-/// steps; crossings inside a step are located by linear interpolation, so
-/// event times have sub-step resolution — the analog equivalent of the
-/// testbench's `cross()` in Verilog-A.
+/// The comparator watches a continuous quantity. [`Comparator::edge`]
+/// names the level whose crossing flips the output, so a simulator that
+/// knows the quantity's trajectory locates the crossing itself and
+/// [`Comparator::toggle`]s the output there; the output change reaches
+/// its listener [`Comparator::delay`] later. This is the analog
+/// equivalent of the testbench's `cross()` in Verilog-A.
 ///
 /// # Examples
 ///
@@ -12,9 +14,9 @@
 ///
 /// // Over-current: asserts above 0.2 A with 4 mA hysteresis, 1 ns delay.
 /// let mut oc = Comparator::above(0.2, 0.004, 1e-9);
-/// let (t, asserted) = oc.update(0.0, 0.0, 1e-6, 0.3).expect("crossed");
-/// assert!(asserted);
-/// assert!((t - (0.202 / 0.3 * 1e-6 + 1e-9)).abs() < 1e-15);
+/// assert_eq!(oc.edge(), (0.2 + 0.002, true), "asserts rising past 0.202 A");
+/// assert!(oc.toggle());
+/// assert_eq!(oc.edge(), (0.2 - 0.002, false), "releases falling past 0.198 A");
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Comparator {
@@ -61,8 +63,8 @@ impl Comparator {
     }
 
     /// Changes the reference threshold (the paper's OV-mode switch of
-    /// `I_max`→`I_0` and `I_0`→`I_neg`). The next update evaluates
-    /// against the new value.
+    /// `I_max`→`I_0` and `I_0`→`I_neg`). [`Comparator::edge`] reflects
+    /// it at once.
     pub fn set_threshold(&mut self, threshold: f64) {
         self.threshold = threshold;
     }
@@ -70,6 +72,11 @@ impl Comparator {
     /// The active threshold.
     pub fn threshold(&self) -> f64 {
         self.threshold
+    }
+
+    /// The propagation delay (s).
+    pub fn delay(&self) -> f64 {
+        self.delay
     }
 
     /// The threshold the input must cross for the output to *assert*.
@@ -90,33 +97,21 @@ impl Comparator {
         }
     }
 
-    /// Processes one linear segment of the input, from `(t0, x0)` to
-    /// `(t1, x1)`. Returns the output change — `(event_time, new_state)`
-    /// including propagation delay — or `None`.
-    pub fn update(&mut self, t0: f64, x0: f64, t1: f64, x1: f64) -> Option<(f64, bool)> {
-        let (level, target_state) = if self.state {
-            (self.deassert_level(), false)
+    /// The level whose crossing flips the output, and whether the input
+    /// must reach it from below (`true`) or from above.
+    pub fn edge(&self) -> (f64, bool) {
+        if self.state {
+            (self.deassert_level(), !self.rise_above)
         } else {
-            (self.assert_level(), true)
-        };
-        let beyond = |x: f64| {
-            if self.rise_above == target_state {
-                x >= level
-            } else {
-                x <= level
-            }
-        };
-        if !beyond(x1) {
-            return None;
+            (self.assert_level(), self.rise_above)
         }
-        // Locate the crossing within the segment.
-        let t_cross = if beyond(x0) || (x1 - x0).abs() < f64::EPSILON {
-            t0
-        } else {
-            t0 + (level - x0) / (x1 - x0) * (t1 - t0)
-        };
-        self.state = target_state;
-        Some((t_cross + self.delay, target_state))
+    }
+
+    /// Flips the output (the input crossed the [`Comparator::edge`]
+    /// level) and returns the new output.
+    pub fn toggle(&mut self) -> bool {
+        self.state = !self.state;
+        self.state
     }
 }
 
@@ -125,54 +120,39 @@ mod tests {
     use super::*;
 
     #[test]
-    fn above_asserts_on_rise() {
+    fn above_asserts_rising_and_releases_falling() {
         let mut c = Comparator::above(1.0, 0.0, 0.0);
-        assert_eq!(c.update(0.0, 0.0, 1.0, 0.5), None);
-        let (t, s) = c.update(1.0, 0.5, 2.0, 1.5).unwrap();
-        assert!(s);
-        assert!((t - 1.5).abs() < 1e-12, "crossing at midpoint, got {t}");
+        assert_eq!(c.edge(), (1.0, true));
+        assert!(c.toggle());
+        assert_eq!(c.edge(), (1.0, false));
+        assert!(!c.toggle());
+        assert!(!c.output());
+    }
+
+    #[test]
+    fn below_asserts_falling() {
+        let mut c = Comparator::below(3.3, 0.0, 0.0);
+        assert_eq!(c.edge(), (3.3, false));
+        assert!(c.toggle());
         assert!(c.output());
     }
 
     #[test]
-    fn below_asserts_on_fall() {
-        let mut c = Comparator::below(3.3, 0.0, 0.0);
-        assert_eq!(c.update(0.0, 5.0, 1.0, 4.0), None);
-        let (t, s) = c.update(1.0, 4.0, 2.0, 2.6).unwrap();
-        assert!(s);
-        assert!((t - 1.5).abs() < 1e-12);
+    fn hysteresis_separates_the_two_levels() {
+        let mut c = Comparator::below(1.0, 0.5, 0.0);
+        assert_eq!(c.edge(), (0.75, false), "asserts falling past 0.75");
+        assert!(c.toggle());
+        assert_eq!(c.edge(), (1.25, true), "releases rising past 1.25");
+        assert!(!c.toggle());
     }
 
     #[test]
-    fn hysteresis_prevents_chatter() {
-        let mut c = Comparator::above(1.0, 0.2, 0.0);
-        // Rises just past the nominal threshold but not past +h/2.
-        assert_eq!(c.update(0.0, 0.9, 1.0, 1.05), None);
-        // Past the assert level.
-        assert!(c.update(1.0, 1.05, 2.0, 1.2).is_some());
-        // Dips below nominal but above the deassert level: stays on.
-        assert_eq!(c.update(2.0, 1.2, 3.0, 0.95), None);
-        // Below the deassert level: releases.
-        let (_, s) = c.update(3.0, 0.95, 4.0, 0.8).unwrap();
-        assert!(!s);
-    }
-
-    #[test]
-    fn delay_shifts_event_time() {
-        let mut c = Comparator::above(1.0, 0.0, 0.25);
-        let (t, _) = c.update(0.0, 0.0, 1.0, 2.0).unwrap();
-        assert!((t - 0.75).abs() < 1e-12, "0.5 crossing + 0.25 delay, got {t}");
-    }
-
-    #[test]
-    fn threshold_change_applies_next_update() {
-        let mut c = Comparator::above(0.2, 0.0, 0.0);
-        assert_eq!(c.update(0.0, 0.1, 1.0, 0.15), None);
-        c.set_threshold(0.12);
-        // Input is flat at 0.15, already beyond the new threshold.
-        let (t, s) = c.update(1.0, 0.15, 2.0, 0.15).unwrap();
-        assert!(s);
-        assert!((t - 1.0).abs() < 1e-12, "asserts at segment start");
+    fn threshold_change_moves_the_edge() {
+        let mut c = Comparator::above(0.25, 0.5, 2e-9);
+        c.set_threshold(0.5);
+        assert_eq!(c.threshold(), 0.5);
+        assert_eq!(c.edge(), (0.75, true));
+        assert_eq!(c.delay(), 2e-9);
     }
 
     #[test]
@@ -180,17 +160,7 @@ mod tests {
         let mut c = Comparator::below(3.3, 0.0, 0.0);
         c.set_output(true);
         assert!(c.output());
-        // Already asserted: rising past the deassert level releases.
-        let (_, s) = c.update(0.0, 3.0, 1.0, 3.5).unwrap();
-        assert!(!s);
-    }
-
-    #[test]
-    fn doc_example_numbers() {
-        let mut oc = Comparator::above(0.2, 0.004, 1e-9);
-        let (t, s) = oc.update(0.0, 0.0, 1e-6, 0.3).unwrap();
-        assert!(s);
-        // level = 0.202; crossing at 0.202/0.3 us = 0.6733 us.
-        assert!((t - (0.202 / 0.3 * 1e-6 + 1e-9)).abs() < 1e-15);
+        // Already asserted: the next edge releases, rising.
+        assert_eq!(c.edge(), (3.3, true));
     }
 }

@@ -3,14 +3,14 @@
 //!
 //! * [`Buck`] — a piecewise-linear ODE model of an N-phase synchronous
 //!   buck converter: per-phase PMOS/NMOS switches with on-resistance,
-//!   body diodes, discontinuous-conduction clamping, per-phase coils, a
-//!   shared output capacitor, and a resistive load that experiments can
-//!   step at run time;
+//!   body diodes, discontinuous conduction, per-phase coils, a shared
+//!   output capacitor, and a resistive load that experiments can step
+//!   at run time, propagated exactly between switching events;
 //! * [`Comparator`] and [`SensorBank`] — the five condition detectors of
-//!   the paper (HL, UV, OV, per-phase OC and ZC) with hysteresis,
-//!   propagation delay, and sub-step linear-interpolated crossing times;
-//!   the OV operating mode switches the current thresholds from
-//!   `I_max`/`I_0` to `I_0`/`I_neg` exactly as described in §II;
+//!   the paper (HL, UV, OV, per-phase OC and ZC) with hysteresis and
+//!   propagation delay, their crossings located on the buck's exact
+//!   trajectory; the OV operating mode switches the current thresholds
+//!   from `I_max`/`I_0` to `I_0`/`I_neg` exactly as described in §II;
 //! * [`CoilModel`] — a Coilcraft-style RF inductor family with
 //!   inductance-dependent DCR and high-frequency ESR, covering the 1–10
 //!   µH sweep of Figure 7;

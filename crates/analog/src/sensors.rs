@@ -1,6 +1,6 @@
 use std::fmt;
 
-use crate::Comparator;
+use crate::{Buck, Comparator};
 
 /// Identity of a sensor condition (Figure 2a of the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -85,54 +85,66 @@ impl Default for SensorThresholds {
 /// per-phase OC and ZC comparators, with the OV-mode threshold switch of
 /// §II.
 ///
+/// The bank does not sample its inputs: [`SensorBank::first_crossing`]
+/// finds the next comparator crossing on the buck's planned trajectory,
+/// and [`SensorBank::fire`] flips the comparators there.
+///
 /// # Examples
 ///
 /// ```
-/// use a4a_analog::{SensorBank, SensorKind};
+/// use a4a_analog::{Buck, BuckParams, SensorBank, SensorKind};
 ///
+/// let mut buck = Buck::new(BuckParams::default().with_phases(2));
 /// let mut bank = SensorBank::new(2, Default::default());
-/// // Voltage collapses: HL and UV assert (ordering by threshold).
-/// let events = bank.update(0.0, 1e-9, 0.0, &[0.0, 0.0]);
-/// assert!(events.iter().any(|e| e.kind == SensorKind::Uv && e.value));
+/// buck.try_plan(1e-9, 1e-9).expect("valid window");
+/// // At rest the output sits below V_min and V_ref: HL and UV assert at
+/// // once.
+/// let mut fired = Vec::new();
+/// let at = bank.first_crossing(&buck, &mut fired);
+/// assert_eq!((at, fired.as_slice()), (0.0, [SensorKind::Hl, SensorKind::Uv].as_slice()));
+/// let ev = bank.fire(SensorKind::Uv, at);
+/// assert!(ev.value && bank.output(SensorKind::Uv));
+/// assert_eq!(ev.time, 1e-9, "crossing plus comparator delay");
 /// ```
 #[derive(Debug, Clone)]
 pub struct SensorBank {
     thresholds: SensorThresholds,
-    hl: Comparator,
-    uv: Comparator,
-    ov: Comparator,
-    oc: Vec<Comparator>,
-    zc: Vec<Comparator>,
+    /// The comparators in watch order: HL, UV, OV, then OC and ZC by
+    /// phase.
+    comparators: Vec<(SensorKind, Comparator)>,
     ov_mode: bool,
-    /// Last sampled time/voltage/currents, valid when `has_last`. Kept
-    /// as flat fields (currents in a reused buffer) so the per-window
-    /// [`SensorBank::update_into`] path never clones or allocates.
-    has_last: bool,
-    last_t: f64,
-    last_v: f64,
-    last_i: Vec<f64>,
+    /// Each comparator's next crossing on the buck's planned trajectory
+    /// (`INFINITY`: none before the plan ends; NaN: not looked for yet),
+    /// and the plan they were found on.
+    next: Vec<f64>,
+    plan: u64,
+    /// The earliest of `next` and the comparators crossing then; NaN
+    /// while `next` has entries not looked for.
+    first: f64,
+    first_kinds: Vec<SensorKind>,
 }
 
 impl SensorBank {
     /// Creates the bank for `phases` phases.
     pub fn new(phases: usize, thresholds: SensorThresholds) -> SensorBank {
         let t = &thresholds;
+        let mut comparators = vec![
+            (SensorKind::Hl, Comparator::below(t.vmin, t.v_hyst, t.delay)),
+            (SensorKind::Uv, Comparator::below(t.vref, t.v_hyst, t.delay)),
+            (SensorKind::Ov, Comparator::above(t.vmax, t.v_hyst, t.delay)),
+        ];
+        for k in 0..phases {
+            comparators.push((SensorKind::Oc(k), Comparator::above(t.imax, t.i_hyst, t.delay)));
+            comparators.push((SensorKind::Zc(k), Comparator::below(t.i0, t.i_hyst, t.delay)));
+        }
         SensorBank {
-            hl: Comparator::below(t.vmin, t.v_hyst, t.delay),
-            uv: Comparator::below(t.vref, t.v_hyst, t.delay),
-            ov: Comparator::above(t.vmax, t.v_hyst, t.delay),
-            oc: (0..phases)
-                .map(|_| Comparator::above(t.imax, t.i_hyst, t.delay))
-                .collect(),
-            zc: (0..phases)
-                .map(|_| Comparator::below(t.i0, t.i_hyst, t.delay))
-                .collect(),
+            next: vec![f64::NAN; comparators.len()],
+            comparators,
             ov_mode: false,
             thresholds,
-            has_last: false,
-            last_t: 0.0,
-            last_v: 0.0,
-            last_i: Vec::with_capacity(phases),
+            plan: 0,
+            first: f64::NAN,
+            first_kinds: Vec::new(),
         }
     }
 
@@ -146,115 +158,101 @@ impl SensorBank {
         self.ov_mode
     }
 
-    /// Current output of a sensor.
-    pub fn output(&self, kind: SensorKind) -> bool {
+    /// Position of `kind` in watch order.
+    fn slot(kind: SensorKind) -> usize {
         match kind {
-            SensorKind::Hl => self.hl.output(),
-            SensorKind::Uv => self.uv.output(),
-            SensorKind::Ov => self.ov.output(),
-            SensorKind::Oc(k) => self.oc[k].output(),
-            SensorKind::Zc(k) => self.zc[k].output(),
+            SensorKind::Hl => 0,
+            SensorKind::Uv => 1,
+            SensorKind::Ov => 2,
+            SensorKind::Oc(k) => 3 + 2 * k,
+            SensorKind::Zc(k) => 4 + 2 * k,
         }
+    }
+
+    /// Current output of a sensor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a per-phase kind names a phase out of range.
+    pub fn output(&self, kind: SensorKind) -> bool {
+        self.comparators[Self::slot(kind)].1.output()
     }
 
     /// Switches the current references between normal mode
-    /// (`I_max`/`I_0`) and OV mode (`I_0`/`I_neg`). Returns the sensor
-    /// events caused by re-evaluating the last sample against the new
-    /// references.
-    pub fn set_ov_mode(&mut self, on: bool, now: f64) -> Vec<SensorEvent> {
-        if self.ov_mode == on {
-            return Vec::new();
-        }
+    /// (`I_max`/`I_0`) and OV mode (`I_0`/`I_neg`). A current already
+    /// beyond a new reference crosses it at once (see
+    /// [`SensorBank::first_crossing`]).
+    pub fn set_ov_mode(&mut self, on: bool) {
         self.ov_mode = on;
         let t = &self.thresholds;
         let (oc_ref, zc_ref) = if on { (t.i0, t.ineg) } else { (t.imax, t.i0) };
-        for c in &mut self.oc {
-            c.set_threshold(oc_ref);
+        for ((kind, c), next) in self.comparators.iter_mut().zip(&mut self.next) {
+            match kind {
+                SensorKind::Oc(_) => c.set_threshold(oc_ref),
+                SensorKind::Zc(_) => c.set_threshold(zc_ref),
+                _ => continue,
+            }
+            *next = f64::NAN;
         }
-        for c in &mut self.zc {
-            c.set_threshold(zc_ref);
+        self.first = f64::NAN;
+    }
+
+    /// The first comparator crossing on `buck`'s planned trajectory (see
+    /// [`Buck::try_plan`]): returns its time, and puts every comparator
+    /// that crosses then into `fired` (in watch order). `INFINITY`, with
+    /// `fired` empty, when none crosses before the plan ends.
+    ///
+    /// Crossings are looked for once per plan and comparator, and again
+    /// only after the comparator fires or its reference switches.
+    pub fn first_crossing(&mut self, buck: &Buck, fired: &mut Vec<SensorKind>) -> f64 {
+        if buck.plan_id() != self.plan {
+            self.plan = buck.plan_id();
+            self.next.fill(f64::NAN);
+            self.first = f64::NAN;
         }
-        // Re-evaluate against the stored sample so mode changes take
-        // effect without waiting for the next analog step. Cold path
-        // (mode switches are rare), so returning a Vec is fine.
-        let mut events = Vec::new();
-        if self.has_last {
-            for k in 0..self.last_i.len() {
-                let i = self.last_i[k];
-                if let Some((_, v)) = self.oc[k].update(now, i, now, i) {
-                    events.push(SensorEvent {
-                        time: now + t.delay,
-                        kind: SensorKind::Oc(k),
-                        value: v,
-                    });
+        if self.first.is_nan() {
+            let voltage = buck.currents().len();
+            self.first = f64::INFINITY;
+            self.first_kinds.clear();
+            for (&(kind, ref c), next) in self.comparators.iter().zip(&mut self.next) {
+                if next.is_nan() {
+                    let index = match kind {
+                        SensorKind::Hl | SensorKind::Uv | SensorKind::Ov => voltage,
+                        SensorKind::Oc(k) | SensorKind::Zc(k) => k,
+                    };
+                    let (level, rising) = c.edge();
+                    *next = buck.crossing(index, level, rising).unwrap_or(f64::INFINITY);
                 }
-                if let Some((_, v)) = self.zc[k].update(now, i, now, i) {
-                    events.push(SensorEvent {
-                        time: now + t.delay,
-                        kind: SensorKind::Zc(k),
-                        value: v,
-                    });
+                if *next < self.first {
+                    self.first = *next;
+                    self.first_kinds.clear();
+                }
+                if *next == self.first && next.is_finite() {
+                    self.first_kinds.push(kind);
                 }
             }
         }
-        events
+        fired.clone_from(&self.first_kinds);
+        self.first
     }
 
-    /// Feeds one analog step (from the last sample to `(t, v, i)`),
-    /// returning sensor events sorted by time. Convenience wrapper
-    /// around [`SensorBank::update_into`].
+    /// Flips the comparator of `kind`, whose input crossed its watched
+    /// level at `at` seconds, and returns the output change, stamped with
+    /// the comparator delay.
     ///
     /// # Panics
     ///
-    /// Panics if the current slice length changes between calls.
-    pub fn update(&mut self, t0: f64, t: f64, v: f64, i: &[f64]) -> Vec<SensorEvent> {
-        let mut events = Vec::new();
-        self.update_into(t0, t, v, i, &mut events);
-        events
-    }
-
-    /// Allocation-free [`SensorBank::update`]: appends the step's
-    /// events to `events` (that appended range sorted by time) instead
-    /// of returning a fresh Vec, so the co-simulation loop can reuse
-    /// one buffer across windows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the current slice length changes between calls.
-    pub fn update_into(
-        &mut self,
-        t0: f64,
-        t: f64,
-        v: f64,
-        i: &[f64],
-        events: &mut Vec<SensorEvent>,
-    ) {
-        let (prev_t, prev_v) = if self.has_last {
-            assert_eq!(self.last_i.len(), i.len(), "phase count changed");
-            (self.last_t, self.last_v)
-        } else {
-            (t0, v)
-        };
-        let start = events.len();
-        let mut push = |kind: SensorKind, ev: Option<(f64, bool)>| {
-            if let Some((time, value)) = ev {
-                events.push(SensorEvent { time, kind, value });
-            }
-        };
-        push(SensorKind::Hl, self.hl.update(prev_t, prev_v, t, v));
-        push(SensorKind::Uv, self.uv.update(prev_t, prev_v, t, v));
-        push(SensorKind::Ov, self.ov.update(prev_t, prev_v, t, v));
-        for (k, &ik) in i.iter().enumerate() {
-            let prev_ik = if self.has_last { self.last_i[k] } else { ik };
-            push(SensorKind::Oc(k), self.oc[k].update(prev_t, prev_ik, t, ik));
-            push(SensorKind::Zc(k), self.zc[k].update(prev_t, prev_ik, t, ik));
+    /// Panics if a per-phase kind names a phase out of range.
+    pub fn fire(&mut self, kind: SensorKind, at: f64) -> SensorEvent {
+        let slot = Self::slot(kind);
+        self.next[slot] = f64::NAN;
+        self.first = f64::NAN;
+        let c = &mut self.comparators[slot].1;
+        SensorEvent {
+            time: at + c.delay(),
+            kind,
+            value: c.toggle(),
         }
-        self.has_last = true;
-        self.last_t = t;
-        self.last_v = v;
-        self.last_i.clear();
-        self.last_i.extend_from_slice(i);
-        events[start..].sort_by(|a, b| a.time.total_cmp(&b.time));
     }
 }
 
@@ -266,52 +264,71 @@ mod tests {
         SensorBank::new(2, SensorThresholds::default())
     }
 
+    /// Fires every comparator whose quantity is at or beyond its level
+    /// (repeating, as a crossing can arm the next level), like a
+    /// simulator holding the voltage at `v` and the currents at `i`.
+    fn settle(b: &mut SensorBank, at: f64, v: f64, i: &[f64]) -> Vec<SensorEvent> {
+        let mut events = Vec::new();
+        loop {
+            let beyond: Vec<SensorKind> = b
+                .comparators
+                .iter()
+                .map(|&(kind, ref c)| (kind, c.edge()))
+                .filter(|&(kind, (level, rising))| {
+                    let x = match kind {
+                        SensorKind::Hl | SensorKind::Uv | SensorKind::Ov => v,
+                        SensorKind::Oc(k) | SensorKind::Zc(k) => i[k],
+                    };
+                    if rising {
+                        x >= level
+                    } else {
+                        x <= level
+                    }
+                })
+                .map(|w| w.0)
+                .collect();
+            if beyond.is_empty() {
+                return events;
+            }
+            events.extend(beyond.into_iter().map(|kind| b.fire(kind, at)));
+        }
+    }
+
     #[test]
     fn startup_asserts_hl_uv_immediately() {
         let mut b = bank();
-        let evs = b.update(0.0, 1e-9, 0.0, &[0.0, 0.0]);
+        let evs = settle(&mut b, 0.0, 0.0, &[0.0, 0.0]);
         let kinds: Vec<SensorKind> = evs.iter().filter(|e| e.value).map(|e| e.kind).collect();
         assert!(kinds.contains(&SensorKind::Hl));
         assert!(kinds.contains(&SensorKind::Uv));
         assert!(!kinds.contains(&SensorKind::Ov));
         assert!(b.output(SensorKind::Uv));
+        assert!(evs.iter().all(|e| e.time == 1e-9), "stamped with the delay");
     }
 
     #[test]
-    fn voltage_recovery_clears_in_threshold_order() {
+    fn voltage_watches_move_with_hysteresis() {
         let mut b = bank();
-        b.update(0.0, 1e-9, 0.0, &[0.0, 0.0]);
-        let evs = b.update(1e-9, 1e-6, 3.4, &[0.0, 0.0]);
-        let clears: Vec<(f64, SensorKind)> = evs
-            .iter()
-            .filter(|e| !e.value)
-            .map(|e| (e.time, e.kind))
-            .collect();
-        assert_eq!(clears.len(), 2, "HL then UV release");
-        assert!(clears[0].1 == SensorKind::Hl && clears[1].1 == SensorKind::Uv);
-        assert!(clears[0].0 < clears[1].0, "HL releases first (lower threshold)");
-    }
-
-    #[test]
-    fn over_voltage_asserts() {
-        let mut b = bank();
-        b.update(0.0, 1e-9, 3.3, &[0.0, 0.0]);
-        let evs = b.update(1e-9, 1e-6, 3.6, &[0.0, 0.0]);
-        assert!(evs
-            .iter()
-            .any(|e| e.kind == SensorKind::Ov && e.value));
+        settle(&mut b, 0.0, 0.0, &[0.0, 0.0]);
+        // Asserted HL and UV now wait for the voltage to rise past
+        // their release levels, HL's (the lower threshold) first.
+        let w: Vec<_> = b.comparators[..3].iter().map(|(_, c)| c.edge()).collect();
+        assert_eq!(w, [(3.05 + 0.005, true), (3.3 + 0.005, true), (3.42 + 0.005, true)]);
+        let evs = settle(&mut b, 1e-6, 3.4, &[0.0, 0.0]);
+        assert_eq!(evs.len(), 2, "HL and UV release");
+        assert!(evs.iter().all(|e| !e.value));
     }
 
     #[test]
     fn per_phase_oc_and_zc() {
         let mut b = bank();
-        b.update(0.0, 1e-9, 3.3, &[0.1, 0.0]);
+        settle(&mut b, 0.0, 3.3, &[0.1, 0.0]);
         // Phase 0 exceeds I_max; phase 1 stays put.
-        let evs = b.update(1e-9, 1e-6, 3.3, &[0.25, 0.0]);
+        let evs = settle(&mut b, 1e-6, 3.3, &[0.25, 0.0]);
         assert!(evs.iter().any(|e| e.kind == SensorKind::Oc(0) && e.value));
         assert!(!evs.iter().any(|e| e.kind == SensorKind::Oc(1)));
         // Phase 0 current decays to zero: ZC fires.
-        let evs = b.update(1e-6, 2e-6, 3.3, &[-0.01, 0.0]);
+        let evs = settle(&mut b, 2e-6, 3.3, &[-0.01, 0.0]);
         assert!(evs.iter().any(|e| e.kind == SensorKind::Zc(0) && e.value));
     }
 
@@ -319,44 +336,24 @@ mod tests {
     fn ov_mode_switches_current_references() {
         let mut b = bank();
         // Current sits at 0.05 A: below I_max, above I_0.
-        b.update(0.0, 1e-9, 3.3, &[0.05, 0.05]);
+        settle(&mut b, 0.0, 3.3, &[0.05, 0.05]);
         assert!(!b.output(SensorKind::Oc(0)));
         // Enter OV mode: OC reference becomes I_0 = 0, so 0.05 A is now
         // over-current.
-        let evs = b.set_ov_mode(true, 2e-9);
+        b.set_ov_mode(true);
         assert!(b.ov_mode());
+        let evs = settle(&mut b, 2e-9, 3.3, &[0.05, 0.05]);
         assert!(evs.iter().any(|e| e.kind == SensorKind::Oc(0) && e.value));
         assert!(evs.iter().any(|e| e.kind == SensorKind::Oc(1) && e.value));
         // ZC reference is now I_neg: current must go below -0.1 A.
-        let evs = b.update(2e-9, 1e-6, 3.3, &[-0.05, 0.05]);
+        let evs = settle(&mut b, 1e-6, 3.3, &[-0.05, 0.05]);
         assert!(!evs.iter().any(|e| e.kind == SensorKind::Zc(0) && e.value));
-        let evs = b.update(1e-6, 2e-6, 3.3, &[-0.15, 0.05]);
+        let evs = settle(&mut b, 2e-6, 3.3, &[-0.15, 0.05]);
         assert!(evs.iter().any(|e| e.kind == SensorKind::Zc(0) && e.value));
         // Leaving OV mode restores the references.
-        b.set_ov_mode(false, 3e-6);
+        b.set_ov_mode(false);
         assert!(!b.ov_mode());
-    }
-
-    #[test]
-    fn repeated_mode_switch_is_idempotent() {
-        let mut b = bank();
-        b.update(0.0, 1e-9, 3.3, &[0.05, 0.0]);
-        let first = b.set_ov_mode(true, 2e-9);
-        assert!(!first.is_empty());
-        let second = b.set_ov_mode(true, 3e-9);
-        assert!(second.is_empty(), "no-op repeat produces no events");
-        // Leaving restores the normal references and re-evaluates.
-        let leave = b.set_ov_mode(false, 4e-9);
-        assert!(leave.iter().any(|e| e.kind == SensorKind::Oc(0) && !e.value));
-    }
-
-    #[test]
-    fn events_sorted_by_time() {
-        let mut b = bank();
-        let evs = b.update(0.0, 1e-6, 0.0, &[0.3, -0.3]);
-        for w in evs.windows(2) {
-            assert!(w[0].time <= w[1].time);
-        }
+        assert_eq!(b.thresholds().imax, 0.20);
     }
 
     #[test]

@@ -275,7 +275,14 @@ pub struct SweepPoint {
     pub y: Vec<f64>,
 }
 
-fn run_sweep_point(builder: TestbenchBuilder, kind: ControllerKind) -> Waveform {
+/// Runs one Figure 7 cell, the testbench of `builder` under a `kind`
+/// controller, over the sweeps' 8 µs and returns its waveform.
+///
+/// # Panics
+///
+/// Panics if the configuration is invalid, the co-simulation fails, or
+/// the controller shorts a phase.
+pub fn sweep_cell(builder: TestbenchBuilder, kind: ControllerKind) -> Waveform {
     let ctrl = scenario::controller(kind, 4);
     let mut tb = builder
         .try_build(ctrl)
@@ -319,7 +326,7 @@ pub fn fig7a() -> Vec<SweepPoint> {
 /// differential/golden tests and the `--quick` CI tier.
 pub fn fig7a_on(pool: &Pool, grid: &[f64]) -> Vec<SweepPoint> {
     sweep_on(pool, grid, |l, kind| {
-        let w = run_sweep_point(scenario::sweep_coil(l, 6.0), kind);
+        let w = sweep_cell(scenario::sweep_coil(l, 6.0), kind);
         metrics::peak_current(&w) * 1e3
     })
 }
@@ -332,7 +339,7 @@ pub fn fig7b() -> Vec<SweepPoint> {
 /// [`fig7b`] on an explicit pool and load grid (Ω).
 pub fn fig7b_on(pool: &Pool, grid: &[f64]) -> Vec<SweepPoint> {
     sweep_on(pool, grid, |r, kind| {
-        let w = run_sweep_point(scenario::sweep_load(r), kind);
+        let w = sweep_cell(scenario::sweep_load(r), kind);
         metrics::peak_current(&w) * 1e3
     })
 }
@@ -346,17 +353,23 @@ pub fn fig7c() -> Vec<SweepPoint> {
 /// [`fig7c`] on an explicit pool and coil grid (µH).
 pub fn fig7c_on(pool: &Pool, grid: &[f64]) -> Vec<SweepPoint> {
     sweep_on(pool, grid, |l, kind| {
-        let coil = CoilModel::coilcraft(l);
-        let w = run_sweep_point(scenario::sweep_coil(l, 6.0), kind);
-        let steady = w.window(3e-6, 8e-6);
-        let ac: f64 = (0..4)
-            .map(|k| {
-                let a = metrics::ac_rms_current(&steady, k);
-                a * a * coil.esr_hf
-            })
-            .sum();
-        ac * 1e6
+        ripple_loss_uw(&sweep_cell(scenario::sweep_coil(l, 6.0), kind), l)
     })
+}
+
+/// The Figure 7c metric of one cell's waveform: the coil ripple (AC)
+/// losses of its four phases with `l_uh` µH coils, in µW, over the
+/// steady window from 3 µs on.
+pub fn ripple_loss_uw(w: &Waveform, l_uh: f64) -> f64 {
+    let coil = CoilModel::coilcraft(l_uh);
+    let steady = w.window(3e-6, 8e-6);
+    let ac: f64 = (0..4)
+        .map(|k| {
+            let a = metrics::ac_rms_current(&steady, k);
+            a * a * coil.esr_hf
+        })
+        .sum();
+    ac * 1e6
 }
 
 #[cfg(test)]

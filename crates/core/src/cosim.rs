@@ -1,11 +1,13 @@
 //! Mixed-signal co-simulation: the Cadence-AMS testbench stand-in.
 //!
-//! The analog buck integrates with a fixed maximum step, subdivided at
-//! every digital event boundary (gate-driver application, controller
-//! wakeup, scheduled load step), so switch toggles land at their exact
-//! times. Comparator crossings inside a step are located by linear
-//! interpolation and delivered to the controller in time order,
-//! interleaved with the controller's own timer/clock wakeups.
+//! The analog buck is propagated exactly over windows in which nothing
+//! digital happens. A window ends only at the next sampling-grid point,
+//! the next pending item (gate apply or ack, load step, held comparator
+//! event), a controller wakeup, a body-diode current reaching zero, or
+//! a comparator level crossing located on the exact trajectory. So
+//! switch toggles land at their exact times, and every comparator event
+//! reaches the controller at its own time (crossing plus comparator
+//! delay), in time order with the controller's own timer/clock wakeups.
 
 use std::collections::VecDeque;
 
@@ -96,8 +98,7 @@ pub struct TestbenchBuilder {
     params: BuckParams,
     thresholds: SensorThresholds,
     gate_timing: GateTiming,
-    dt: f64,
-    record_every: usize,
+    sample_period: f64,
     load_steps: Vec<(f64, f64)>,
 }
 
@@ -108,8 +109,7 @@ impl TestbenchBuilder {
             params: BuckParams::default(),
             thresholds: SensorThresholds::default(),
             gate_timing: GateTiming::default(),
-            dt: 0.5e-9,
-            record_every: 4,
+            sample_period: 2e-9,
             load_steps: Vec::new(),
         }
     }
@@ -132,21 +132,14 @@ impl TestbenchBuilder {
         self
     }
 
-    /// Sets the maximum analog step (default 0.5 ns). The value is
-    /// validated at [`TestbenchBuilder::build`] time, so adversarial
-    /// configurations surface as a typed error rather than a panic.
-    pub fn dt(mut self, dt: f64) -> Self {
-        self.dt = dt;
-        self
-    }
-
-    /// Records an analog sample every `n`·dt of simulated time (default
-    /// 4). Sampling on a fixed time grid keeps the recorded waveform
-    /// uniform even though the integration windows shrink at digital
-    /// event boundaries — RMS-based metrics depend on this. Validated at
-    /// [`TestbenchBuilder::build`] time.
-    pub fn record_every(mut self, n: usize) -> Self {
-        self.record_every = n;
+    /// Records an analog sample every `period` seconds of simulated time
+    /// (default 2 ns). The samples lie on a uniform grid whatever the
+    /// window lengths, which RMS-based metrics depend on, and are exact:
+    /// the propagation has no step to choose. Validated at
+    /// [`TestbenchBuilder::build`] time, so adversarial configurations
+    /// surface as a typed error rather than a panic.
+    pub fn sample_period(mut self, period: f64) -> Self {
+        self.sample_period = period;
         self
     }
 
@@ -172,9 +165,9 @@ impl TestbenchBuilder {
 
     /// Fallible [`TestbenchBuilder::build`]: validates the whole
     /// configuration — power-stage parameters (via [`Buck::try_new`]),
-    /// controller/power-stage phase agreement, the analog step, the
-    /// record decimation, and every scheduled load step — reporting the
-    /// first violation as a [`SimError`].
+    /// controller/power-stage phase agreement, the sample period, the
+    /// comparator hysteresis and delay, and every scheduled load step —
+    /// reporting the first violation as a [`SimError`].
     pub fn try_build<C: BuckController>(self, ctrl: C) -> Result<Testbench<C>, SimError> {
         let phases = ctrl.phases();
         if phases != self.params.phases {
@@ -183,16 +176,24 @@ impl TestbenchBuilder {
                 power_stage: self.params.phases,
             });
         }
-        if !(self.dt.is_finite() && self.dt > 0.0) {
+        if !(self.sample_period.is_finite() && self.sample_period > 0.0) {
             return Err(SimError::InvalidParameter {
-                what: "analog step dt (s)",
-                value: self.dt,
+                what: "sample period (s)",
+                value: self.sample_period,
             });
         }
-        if self.record_every == 0 {
+        // A comparator without hysteresis could flip back and forth at
+        // one instant for ever.
+        let t = &self.thresholds;
+        for (what, value) in [("v_hyst (V)", t.v_hyst), ("i_hyst (A)", t.i_hyst)] {
+            if !(value.is_finite() && value > 0.0) {
+                return Err(SimError::InvalidParameter { what, value });
+            }
+        }
+        if !(t.delay.is_finite() && t.delay >= 0.0) {
             return Err(SimError::InvalidParameter {
-                what: "record decimation",
-                value: 0.0,
+                what: "comparator delay (s)",
+                value: t.delay,
             });
         }
         for &(at, rload) in &self.load_steps {
@@ -226,10 +227,10 @@ impl TestbenchBuilder {
             sensors: SensorBank::new(phases, self.thresholds),
             ctrl,
             gate_timing: self.gate_timing,
-            dt: self.dt,
-            record_every: self.record_every,
-            next_sample_at: self.dt * self.record_every as f64,
+            sample_period: self.sample_period,
+            next_sample_at: self.sample_period,
             sample_idx: 1,
+            windows: 0,
             pending: pending.into(),
             record,
             gp: vec![false; phases],
@@ -238,7 +239,7 @@ impl TestbenchBuilder {
             last_delivered: Time::ZERO,
             debug_tracks: Vec::new(),
             tracks_buf: Vec::new(),
-            events_buf: Vec::new(),
+            fired: Vec::new(),
             cmds_buf: Vec::new(),
             tracks: TrackTable::new(phases),
         })
@@ -271,14 +272,15 @@ pub struct Testbench<C: BuckController> {
     sensors: SensorBank,
     ctrl: C,
     gate_timing: GateTiming,
-    dt: f64,
-    record_every: usize,
+    sample_period: f64,
     /// Next point of the uniform sampling grid (`sample_idx` grid
     /// periods; kept as an index so the grid never drifts from
     /// accumulated floating-point error).
     next_sample_at: f64,
     /// Index of the next sampling-grid point.
     sample_idx: u64,
+    /// Windows taken so far.
+    windows: u64,
     /// Pending side effects sorted by time (kept sorted on insert;
     /// drained from the front in O(1)).
     pending: VecDeque<(f64, PendKind)>,
@@ -297,8 +299,8 @@ pub struct Testbench<C: BuckController> {
     debug_tracks: Vec<(TrackId, bool)>,
     /// Reused scratch for the per-window debug-track query.
     tracks_buf: Vec<(TrackId, bool)>,
-    /// Reused buffer for the per-window comparator events.
-    events_buf: Vec<SensorEvent>,
+    /// Reused buffer for the comparators that fire at a window's end.
+    fired: Vec<SensorKind>,
     /// Reused buffer for drained controller commands.
     cmds_buf: Vec<TimedCommand>,
     /// Interned track names, registered once at build time.
@@ -337,6 +339,21 @@ impl<C: BuckController> Testbench<C> {
         self.short_circuits
     }
 
+    /// Number of analog windows taken so far: the co-simulation's unit
+    /// of work.
+    pub fn windows(&self) -> u64 {
+        self.windows
+    }
+
+    /// When the next pending item changes the power stage (a gate
+    /// apply or a load step); infinity when none is pending.
+    fn next_stage_change(&self) -> f64 {
+        self.pending
+            .iter()
+            .find(|(_, kind)| matches!(kind, PendKind::Apply { .. } | PendKind::LoadStep(_)))
+            .map_or(f64::INFINITY, |&(at, _)| at)
+    }
+
     fn push_pending(&mut self, at: f64, kind: PendKind) {
         let idx = self.pending.partition_point(|&(t, _)| t <= at);
         self.pending.insert(idx, (at, kind));
@@ -366,50 +383,41 @@ impl<C: BuckController> Testbench<C> {
                 value: t_end,
             });
         }
+        // Every window ends with a delivery, so after this first one no
+        // pending item or wakeup is due at a window start.
+        self.deliver(self.buck.time())?;
         while self.buck.time() < t_end {
-            let t = self.buck.time();
-            // Window end: the earliest of max-step, the next sampling
-            // grid point (so samples land *on* the uniform grid, not at
-            // the first window end after it), pending side effects, and
-            // controller wakeups.
-            let mut tn = (t + self.dt).min(t_end);
-            if self.next_sample_at > t {
-                tn = tn.min(self.next_sample_at);
-            }
+            // Window end: the earliest of the next sampling-grid point
+            // (so samples land *on* the uniform grid), the next pending
+            // item, and the next controller wakeup; all lie ahead.
+            let mut tn = t_end.min(self.next_sample_at);
             if let Some(&(tp, _)) = self.pending.front() {
-                if tp > t {
-                    tn = tn.min(tp);
-                }
+                tn = tn.min(tp);
             }
             if let Some(w) = self.ctrl.next_wakeup() {
-                let w = w.as_secs();
-                if w > t {
-                    tn = tn.min(w);
+                tn = tn.min(w.as_secs());
+            }
+            self.windows += 1;
+
+            // 1. Plan the exact trajectory. The power stage changes only
+            //    at gate applies and load steps, so one plan can serve
+            //    every window up to the next of those; a body-diode
+            //    current reaching zero ends it early.
+            let horizon = self.next_stage_change().min(t_end);
+            let reach = self.buck.try_plan(tn, horizon)?;
+
+            // 2. The first comparator crossing on it ends the window too
+            //    (all comparators crossing at that instant fire).
+            let crossing = self.sensors.first_crossing(&self.buck, &mut self.fired);
+            let tn = tn.min(reach).min(crossing);
+            self.buck.try_advance_to(tn)?;
+            // Each comparator event is held in `pending` until its own
+            // time: crossing plus the comparator delay.
+            if crossing == tn {
+                for idx in 0..self.fired.len() {
+                    let ev = self.sensors.fire(self.fired[idx], tn);
+                    self.push_sensor(ev);
                 }
-            }
-            if tn <= t {
-                tn = t + self.dt.min(t_end - t).max(1e-12);
-            }
-
-            // 1. Integrate the analog stage over the window.
-            self.buck.try_step(tn - t)?;
-
-            // 2. Comparator events from the window, into the reused
-            //    buffer (the buck hands out its current slice directly —
-            //    no per-window collect). Each is held in `pending` until
-            //    its own time: a crossing plus the comparator delay can
-            //    lie after this window's end.
-            self.events_buf.clear();
-            self.sensors.update_into(
-                t,
-                tn,
-                self.buck.output_voltage(),
-                self.buck.currents(),
-                &mut self.events_buf,
-            );
-            for idx in 0..self.events_buf.len() {
-                let ev = self.events_buf[idx];
-                self.push_sensor(ev);
             }
 
             // 3. Deliver controller wakeups and due pending items in
@@ -442,16 +450,13 @@ impl<C: BuckController> Testbench<C> {
                 std::mem::swap(&mut self.debug_tracks, &mut self.tracks_buf);
             }
 
-            // 5. Record on a uniform time grid (windows vary in length,
-            //    so per-window decimation would bias RMS metrics toward
-            //    event-dense regions).
+            // 5. Record on the uniform time grid.
             if tn >= self.next_sample_at {
                 self.record
                     .sample(tn, self.buck.output_voltage(), self.buck.currents());
-                let period = self.dt * self.record_every as f64;
                 loop {
                     self.sample_idx += 1;
-                    self.next_sample_at = self.sample_idx as f64 * period;
+                    self.next_sample_at = self.sample_idx as f64 * self.sample_period;
                     if self.next_sample_at > tn {
                         break;
                     }
@@ -544,15 +549,10 @@ impl<C: BuckController> Testbench<C> {
                 self.drain_commands();
             }
             PendKind::OvMode(on) => {
-                // Cold path (mode switches are rare events): the Vec
-                // returned by set_ov_mode is fine here. Its events are
-                // stamped with the comparator delay and held like any
-                // other comparator event.
-                let evs = self.sensors.set_ov_mode(on, at);
+                // A current already beyond a new reference fires at the
+                // next window's start.
+                self.sensors.set_ov_mode(on);
                 self.record.event(at, self.tracks.ov_mode, on);
-                for ev in evs {
-                    self.push_sensor(ev);
-                }
             }
             PendKind::LoadStep(r) => {
                 self.buck.try_set_load(r)?;
@@ -704,20 +704,26 @@ mod tests {
             })
         ));
 
-        let ctrl = AsyncController::new(4, AsyncTiming::default());
-        assert!(matches!(
-            TestbenchBuilder::new().dt(f64::NAN).try_build(ctrl),
-            Err(SimError::InvalidParameter {
-                what: "analog step dt (s)",
-                ..
-            })
-        ));
+        for bad in [f64::NAN, 0.0, -2e-9, f64::INFINITY] {
+            let ctrl = AsyncController::new(4, AsyncTiming::default());
+            assert!(matches!(
+                TestbenchBuilder::new().sample_period(bad).try_build(ctrl),
+                Err(SimError::InvalidParameter {
+                    what: "sample period (s)",
+                    ..
+                })
+            ));
+        }
 
         let ctrl = AsyncController::new(4, AsyncTiming::default());
+        let thresholds = SensorThresholds {
+            v_hyst: 0.0,
+            ..SensorThresholds::default()
+        };
         assert!(matches!(
-            TestbenchBuilder::new().record_every(0).try_build(ctrl),
+            TestbenchBuilder::new().thresholds(thresholds).try_build(ctrl),
             Err(SimError::InvalidParameter {
-                what: "record decimation",
+                what: "v_hyst (V)",
                 ..
             })
         ));
@@ -833,36 +839,25 @@ mod tests {
 }
 
 #[cfg(test)]
-mod accuracy_tests {
-    use super::*;
-    use a4a_analog::metrics;
-    use a4a_ctrl::{AsyncController, AsyncTiming};
+mod window_tests {
+    use crate::scenario::{self, ControllerKind};
 
-    /// The co-simulation's headline metrics are robust to the analog
-    /// step size (the windowing at digital event boundaries does the
-    /// heavy lifting; dt only bounds the integration error).
+    fn windows(kind: ControllerKind) -> u64 {
+        let mut tb = scenario::sweep_coil(4.7, 6.0).build(scenario::controller(kind, 4));
+        tb.run_until(8e-6);
+        tb.windows()
+    }
+
+    /// Windows end only at sample points and events, so an 8 µs cell
+    /// takes about one window per 2 ns sample plus one per event; a
+    /// 1 GHz controller still takes one per clock edge.
     #[test]
-    fn metrics_robust_to_dt() {
-        let run = |dt: f64| -> (f64, f64) {
-            let ctrl = AsyncController::new(4, AsyncTiming::default());
-            let mut tb = TestbenchBuilder::new().dt(dt).build(ctrl);
-            tb.run_until(4e-6);
-            let w = tb.into_waveform();
-            let steady = w.window(2e-6, 4e-6);
-            (
-                metrics::mean_voltage(&steady),
-                metrics::peak_current(&w),
-            )
-        };
-        let (v_coarse, i_coarse) = run(1e-9);
-        let (v_fine, i_fine) = run(0.25e-9);
-        assert!(
-            (v_coarse - v_fine).abs() < 0.05,
-            "mean voltage: {v_coarse} vs {v_fine}"
-        );
-        assert!(
-            (i_coarse - i_fine).abs() < 0.02,
-            "peak current: {i_coarse} vs {i_fine}"
-        );
+    fn windows_end_only_at_samples_and_events() {
+        for kind in [ControllerKind::Sync(100.0), ControllerKind::Async] {
+            let n = windows(kind);
+            assert!((4_000..8_000).contains(&n), "{}: {n} windows", kind.label());
+        }
+        let n = windows(ControllerKind::Sync(1000.0));
+        assert!(n >= 8_000, "1GHz: {n} windows");
     }
 }

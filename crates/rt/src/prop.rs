@@ -430,6 +430,8 @@ fn shrink(
         // Pass 1: drop trailing halves / quarters of the sequence.
         let mut cut = choices.len() / 2;
         while cut > 0 && replays < config.shrink_budget {
+            // An accepted candidate shortens `choices` under `cut`.
+            cut = cut.min(choices.len());
             let cand: Vec<u64> = choices[..choices.len() - cut].to_vec();
             if let Some((c, m)) = try_candidate(cand, &mut replays) {
                 choices = c;

@@ -412,10 +412,10 @@ fn adversarial_testbench(rng: &mut Rng) {
     // error or a clean, finite, short-circuit-free run.
     let ctrl_phases = 1 + rng.usize_below(6);
     let stage_phases = if rng.bool() { ctrl_phases } else { 1 + rng.usize_below(6) };
-    let dt = fault::adversarial_f64(rng).abs();
+    let period = fault::adversarial_f64(rng).abs();
     let mut builder = TestbenchBuilder::new()
         .params(BuckParams::default().with_phases(stage_phases))
-        .dt(dt);
+        .sample_period(period);
     if rng.bool() {
         builder = builder.load_step(fault::adversarial_f64(rng), fault::adversarial_f64(rng));
     }
@@ -428,11 +428,11 @@ fn adversarial_testbench(rng: &mut Rng) {
         Err(SimError::InvalidParameter { .. }) => {}
         Err(other) => panic!("wrong build error class: {other:?}"),
         Ok(mut tb) => {
-            // A denormal-but-positive dt is legal (validation only
-            // demands positive and finite) — bound the horizon to a few
-            // hundred analog steps so a pathological-but-valid dt can't
-            // stall the suite.
-            let t_end = (dt * 500.0).min(1e-6);
+            // A denormal-but-positive sample period is legal
+            // (validation only demands positive and finite) — bound the
+            // horizon to a few hundred samples so a pathological-but-valid
+            // period can't stall the suite.
+            let t_end = (period * 500.0).min(1e-6);
             match tb.try_run_until(t_end) {
                 Ok(()) => {
                     assert_eq!(tb.short_circuits(), 0);
