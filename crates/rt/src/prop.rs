@@ -532,6 +532,24 @@ mod tests {
     }
 
     #[test]
+    fn shrinking_a_property_that_always_fails_reports_it() {
+        // Every candidate fails, so pass 1 accepts the first half, then
+        // the empty sequence, with `cut` still at a quarter of the
+        // original length: the next cut must not reach below zero.
+        let err = std::panic::catch_unwind(|| {
+            check("always_fails", |g| {
+                let xs = g.vec(8..16, |g| g.u64(0..10));
+                crate::prop_assert!(xs.len() > 100);
+                Ok(())
+            });
+        })
+        .expect_err("property must fail");
+        let msg = err.downcast_ref::<String>().expect("string panic");
+        assert!(msg.contains("always_fails"), "{msg}");
+        assert!(msg.contains("shrunk to 0 choices"), "{msg}");
+    }
+
+    #[test]
     fn discard_retries_without_counting() {
         let hits = std::cell::Cell::new(0u32);
         check_with(&Config::with_cases(16), "assume_filters", |g| {
