@@ -90,6 +90,9 @@ const REUSE_Z: f64 = 0.25;
 const MAX_ORDER: usize = 20;
 /// Iteration cap of the root finder that locates in-window events.
 const ROOT_ITERS: usize = 100;
+/// Pieces of `THETA/‖A‖` that a crossing search on a scaled-and-squared
+/// plan takes before its pieces start to double (see [`Plan::crossing`]).
+const FINE_PIECES: usize = 256;
 
 /// `1/k` for the series recursion and the polynomial integrals.
 const INV: [f64; MAX_ORDER + 2] = {
@@ -211,8 +214,6 @@ struct Plan {
     /// supply current and of `v²`, over the span (series plans only).
     supply_int: Vec<f64>,
     v2_int: Vec<f64>,
-    /// Those integrals up to the last settlement (see `Buck::settle`).
-    done: (f64, f64),
     /// The state and its slope at `reach`.
     end: Vec<f64>,
     end_slope: Vec<f64>,
@@ -440,32 +441,67 @@ impl Plan {
         [x, d * self.inv_span, 2.0 * dd * self.inv_span * self.inv_span]
     }
 
-    /// First `τ` in `[lo, hi]` (after the origin) at which component `j`
-    /// is at or beyond `level` (above it when `rising`, else below),
-    /// given its value and slope at `lo` and at `hi`.
+    /// First `τ` from `from` to the plan's end (after the origin) at
+    /// which component `j` is at or beyond `level` (above it when
+    /// `rising`, else below), given the state `(currents, v)` at `from`.
     ///
-    /// Over `‖A‖·(hi − lo) ≤ THETA` a component turns by at most about a
-    /// radian, so it has at most one extremum there; longer spans of a
-    /// scaled-and-squared plan are searched piece by piece, the first
-    /// piece that long and each next one twice as long, which takes at
-    /// most `log2(‖A‖·span)` pieces.
+    /// Over `‖A‖·h ≤ THETA` a component turns by at most about a radian,
+    /// so it has at most one extremum there, and [`Plan::crossing_in`]
+    /// searches such a piece whole. A series plan is one piece. A
+    /// scaled-and-squared plan is searched in pieces of that length,
+    /// each on its own series from the state at its start. After
+    /// [`FINE_PIECES`] of them the pieces double in length, evaluated by
+    /// scaling and squaring, so a search takes at most `FINE_PIECES +
+    /// log2(‖A‖·span)` pieces. Only there, more than `FINE_PIECES`
+    /// radians into a plan, can a crossing that goes out and comes back
+    /// within one piece be missed: at the default parameters the output
+    /// filter rings with a period of about ten radians and a quality
+    /// factor of about three, so its ringing has died out long before.
     fn crossing(
         &self,
         j: usize,
         level: f64,
         rising: bool,
-        lo: (f64, f64, f64),
-        hi: (f64, f64, f64),
+        from: f64,
+        (currents, v): (&[f64], f64),
     ) -> Option<f64> {
+        let span = self.reach - self.origin;
+        let x = currents.get(j).copied().unwrap_or(v);
+        let mut a = (from, x, self.slope(j, currents, v));
         if self.series {
-            return self.crossing_in(j, level, rising, lo, hi);
+            let hi = (span, self.end[j], self.end_slope[j]);
+            return self.crossing_in(j, level, rising, a, hi);
         }
-        let mut a = lo;
-        let mut len = THETA / self.norm;
+        let len = THETA / self.norm;
+        let n = self.phases() + 1;
+        let mut piece = self.clone();
+        piece.series = true;
+        piece.terms[..n - 1].copy_from_slice(currents);
+        piece.terms[n - 1] = v;
+        for _ in 0..FINE_PIECES {
+            let last = len >= span - a.0;
+            let h = if last { span - a.0 } else { len };
+            let mut terms = std::mem::take(&mut piece.terms);
+            piece.order = piece.taylor(&mut terms, 1.0, h);
+            piece.terms = terms;
+            piece.inv_span = 1.0 / h;
+            piece.end_at(1.0);
+            let b = (h, piece.end[j], piece.end_slope[j]);
+            if let Some(tau) = piece.crossing_in(j, level, rising, (0.0, a.1, a.2), b) {
+                return Some(a.0 + tau);
+            }
+            if last {
+                return None;
+            }
+            a = (a.0 + h, b.1, b.2);
+            let (start, end) = (&mut piece.terms[..n], &piece.end);
+            start.copy_from_slice(end);
+        }
+        let mut len = 2.0 * len;
         loop {
             let end = a.0 + len;
-            let b = if end >= hi.0 {
-                hi
+            let b = if end >= span {
+                (span, self.end[j], self.end_slope[j])
             } else {
                 let [x, d, _] = self.eval(j, end);
                 (end, x, d)
@@ -473,7 +509,7 @@ impl Plan {
             if let Some(tau) = self.crossing_in(j, level, rising, a, b) {
                 return Some(tau);
             }
-            if b.0 >= hi.0 {
+            if b.0 >= span {
                 return None;
             }
             a = b;
@@ -794,7 +830,7 @@ impl Buck {
     }
 
     /// The integrals of the supply current and of `v²` along the present
-    /// plan from its last settlement to now.
+    /// plan from its origin to now.
     fn unsettled(&self) -> (f64, f64) {
         let plan = &self.plan;
         if !(self.time > plan.origin && self.time <= plan.reach) {
@@ -809,17 +845,16 @@ impl Buck {
             let (_, supply, v2) = plan.dense(tau);
             (supply, v2)
         };
-        (supply - plan.done.0, v2 - plan.done.1)
+        (supply, v2)
     }
 
-    /// Books the energy moved along the present plan so far, before the
-    /// plan is dropped.
+    /// Books the energy moved along the present plan so far and drops
+    /// the plan.
     fn settle(&mut self) {
         let (supply, v2) = self.unsettled();
         self.energy_in += self.params.vin * supply;
         self.energy_out += v2 / self.params.rload;
-        self.plan.done.0 += supply;
-        self.plan.done.1 += v2;
+        self.plan.reach = f64::NEG_INFINITY;
     }
 
     /// The switch state of `phase`.
@@ -873,7 +908,6 @@ impl Buck {
             }
         };
         self.settle();
-        self.plan.reach = f64::NEG_INFINITY;
         Ok(())
     }
 
@@ -901,7 +935,6 @@ impl Buck {
         self.settle();
         self.params.rload = rload;
         self.plan.inv_rc = self.plan.inv_c / rload;
-        self.plan.reach = f64::NEG_INFINITY;
         Ok(())
     }
 
@@ -972,7 +1005,6 @@ impl Buck {
         plan.load(&self.switches, &self.current, self.voltage);
         plan.id += 1;
         plan.origin = self.time;
-        plan.done = (0.0, 0.0);
         plan.reach = window_end.max((self.time + REUSE_Z / plan.norm).min(horizon));
         plan.span = plan.reach - plan.origin;
         plan.inv_span = 1.0 / plan.span;
@@ -1004,9 +1036,8 @@ impl Buck {
             if switch != SwitchState::Off || i == 0.0 {
                 continue;
             }
-            let lo = (0.0, i, plan.slope(k, &self.current, self.voltage));
-            let hi = (plan.reach - plan.origin, plan.end[k], plan.end_slope[k]);
-            if let Some(at) = plan.crossing(k, 0.0, i < 0.0, lo, hi) {
+            let state = (self.current.as_slice(), self.voltage);
+            if let Some(at) = plan.crossing(k, 0.0, i < 0.0, 0.0, state) {
                 let at = plan.origin + at;
                 if at < plan.reach {
                     plan.reach = at;
@@ -1049,10 +1080,8 @@ impl Buck {
             let beyond = if rising { x >= level } else { x <= level };
             return beyond.then_some(self.time);
         }
-        let slope = plan.slope(index, &self.current, self.voltage);
-        let lo = (self.time - plan.origin, x, slope);
-        let hi = (plan.reach - plan.origin, plan.end[index], plan.end_slope[index]);
-        plan.crossing(index, level, rising, lo, hi)
+        let state = (self.current.as_slice(), self.voltage);
+        plan.crossing(index, level, rising, self.time - plan.origin, state)
             .map(|tau| (plan.origin + tau).max(self.time))
     }
 
@@ -1096,7 +1125,6 @@ impl Buck {
             for &k in &self.plan.zeros {
                 self.current[k] = 0.0;
             }
-            self.plan.reach = f64::NEG_INFINITY;
         }
         if !self.voltage.is_finite() || self.current.iter().any(|i| !i.is_finite()) {
             return Err(SimError::NonFinite {
@@ -1117,6 +1145,17 @@ impl fmt::Display for Buck {
             self.voltage,
             self.current
         )
+    }
+}
+
+#[cfg(test)]
+impl Buck {
+    /// Moves the buck to `voltage` and `currents` at the present time, as
+    /// a test fixture.
+    pub(crate) fn set_state(&mut self, voltage: f64, currents: &[f64]) {
+        self.settle();
+        self.voltage = voltage;
+        self.current.copy_from_slice(currents);
     }
 }
 
@@ -1242,6 +1281,65 @@ mod tests {
         let (v2, i2) = run(1e-10);
         assert!((v1 - v2).abs() < 1e-11 * v1.abs(), "v: {v1} vs {v2}");
         assert!((i1 - i2).abs() < 1e-11 * i1.abs(), "i: {i1} vs {i2}");
+    }
+
+    #[test]
+    fn long_plans_find_the_crossings_short_windows_find() {
+        // The output filter rings with a period of about ten `1/‖A‖`. One
+        // plan over 40/‖A‖ (scaled and squared, searched piece by piece)
+        // must find the first crossing that a walk through windows of
+        // 0.05/‖A‖ (one series each) finds, for levels across the
+        // ringing's range: some are crossed only near a peak or trough,
+        // out and back within a few `1/‖A‖`.
+        for (v0, i0, pmos) in [(0.0, 0.0, true), (5.5, 0.0, false), (3.3, -0.5, true)] {
+            let mut b = Buck::new(BuckParams::default().with_phases(1));
+            b.set_state(v0, &[i0]);
+            b.set_switch(0, pmos, !pmos);
+            b.try_plan(1e-12, 1e-12).unwrap();
+            let unit = 1.0 / b.plan.norm;
+            let span = 40.0 * unit;
+            let first = |index: usize, level: f64, rising: bool| -> (Option<f64>, Option<f64>) {
+                let mut long = b.clone();
+                long.try_plan(span, span).unwrap();
+                assert!(!long.plan.series);
+                let found = long.crossing(index, level, rising);
+                let mut walk = b.clone();
+                while walk.time() < span {
+                    let end = (walk.time() + 0.05 * unit).min(span);
+                    walk.try_plan(end, end).unwrap();
+                    if let Some(at) = walk.crossing(index, level, rising) {
+                        return (found, Some(at));
+                    }
+                    walk.try_advance_to(end).unwrap();
+                }
+                (found, None)
+            };
+            for index in 0..2 {
+                let mut probe = b.clone();
+                let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+                for _ in 0..400 {
+                    probe.step(span / 400.0);
+                    let x = [probe.coil_current(0), probe.output_voltage()][index];
+                    (lo, hi) = (lo.min(x), hi.max(x));
+                }
+                for k in 0..=60 {
+                    let level = lo + (hi - lo) * k as f64 / 60.0;
+                    for rising in [false, true] {
+                        let (found, want) = first(index, level, rising);
+                        let agree = match (found, want) {
+                            (Some(a), Some(b)) => (a - b).abs() <= 1e-9 * span,
+                            (None, None) => true,
+                            _ => false,
+                        };
+                        assert!(
+                            agree,
+                            "start ({v0}, {i0}), x{index} {} {level}: {found:?} vs {want:?}",
+                            if rising { "up to" } else { "down to" }
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -259,101 +259,157 @@ impl SensorBank {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BuckParams;
 
     fn bank() -> SensorBank {
         SensorBank::new(2, SensorThresholds::default())
     }
 
-    /// Fires every comparator whose quantity is at or beyond its level
-    /// (repeating, as a crossing can arm the next level), like a
-    /// simulator holding the voltage at `v` and the currents at `i`.
-    fn settle(b: &mut SensorBank, at: f64, v: f64, i: &[f64]) -> Vec<SensorEvent> {
-        let mut events = Vec::new();
-        loop {
-            let beyond: Vec<SensorKind> = b
-                .comparators
-                .iter()
-                .map(|&(kind, ref c)| (kind, c.edge()))
-                .filter(|&(kind, (level, rising))| {
-                    let x = match kind {
-                        SensorKind::Hl | SensorKind::Uv | SensorKind::Ov => v,
-                        SensorKind::Oc(k) | SensorKind::Zc(k) => i[k],
-                    };
-                    if rising {
-                        x >= level
-                    } else {
-                        x <= level
-                    }
-                })
-                .map(|w| w.0)
-                .collect();
-            if beyond.is_empty() {
-                return events;
+    /// A two-phase buck with its switches off, at `v` and `i`.
+    fn buck(v: f64, i: &[f64]) -> Buck {
+        let mut b = Buck::new(BuckParams::default().with_phases(2));
+        b.set_state(v, i);
+        b
+    }
+
+    /// Runs the bank along the buck's trajectory for `dt` seconds the way
+    /// the testbench does: plan (a plan outlives the run, so the next run
+    /// reuses it), find the first crossing, advance to it and fire every
+    /// comparator crossing then. Returns the events and, per crossing,
+    /// the comparators that fired together.
+    fn run(b: &mut SensorBank, buck: &mut Buck, dt: f64) -> (Vec<SensorEvent>, Vec<Vec<SensorKind>>) {
+        let until = buck.time() + dt;
+        let (mut events, mut groups, mut fired) = (Vec::new(), Vec::new(), Vec::new());
+        while buck.time() < until {
+            let reach = buck.try_plan(until, f64::INFINITY).expect("valid window");
+            let at = b.first_crossing(buck, &mut fired);
+            let tn = reach.min(until).min(at);
+            buck.try_advance_to(tn).expect("on the plan");
+            if at == tn {
+                events.extend(fired.iter().map(|&kind| b.fire(kind, tn)));
+                groups.push(fired.clone());
+                assert!(groups.len() < 100, "comparators flip without end");
             }
-            events.extend(beyond.into_iter().map(|kind| b.fire(kind, at)));
         }
+        (events, groups)
+    }
+
+    /// Fires whatever is beyond its level now (a 1 fs window).
+    fn settle(b: &mut SensorBank, buck: &mut Buck) -> Vec<SensorEvent> {
+        run(b, buck, 1e-15).0
+    }
+
+    fn has(evs: &[SensorEvent], kind: SensorKind, value: bool) -> bool {
+        evs.iter().any(|e| e.kind == kind && e.value == value)
     }
 
     #[test]
     fn startup_asserts_hl_uv_immediately() {
         let mut b = bank();
-        let evs = settle(&mut b, 0.0, 0.0, &[0.0, 0.0]);
-        let kinds: Vec<SensorKind> = evs.iter().filter(|e| e.value).map(|e| e.kind).collect();
-        assert!(kinds.contains(&SensorKind::Hl));
-        assert!(kinds.contains(&SensorKind::Uv));
-        assert!(!kinds.contains(&SensorKind::Ov));
+        let (evs, groups) = run(&mut b, &mut buck(0.0, &[0.0, 0.0]), 1e-15);
+        assert_eq!(groups, [[SensorKind::Hl, SensorKind::Uv]], "both at one instant");
+        assert!(has(&evs, SensorKind::Hl, true) && has(&evs, SensorKind::Uv, true));
+        assert!(!evs.iter().any(|e| e.kind == SensorKind::Ov));
         assert!(b.output(SensorKind::Uv));
         assert!(evs.iter().all(|e| e.time == 1e-9), "stamped with the delay");
     }
 
     #[test]
-    fn voltage_watches_move_with_hysteresis() {
+    fn voltage_recovery_clears_in_threshold_order() {
+        // 1 A per phase charges the output from 3.0 V past V_min and
+        // V_ref. At the start HL, UV and both OC comparators fire
+        // together; then HL releases, and UV after it.
         let mut b = bank();
-        settle(&mut b, 0.0, 0.0, &[0.0, 0.0]);
-        // Asserted HL and UV now wait for the voltage to rise past
-        // their release levels, HL's (the lower threshold) first.
-        let w: Vec<_> = b.comparators[..3].iter().map(|(_, c)| c.edge()).collect();
-        assert_eq!(w, [(3.05 + 0.005, true), (3.3 + 0.005, true), (3.42 + 0.005, true)]);
-        let evs = settle(&mut b, 1e-6, 3.4, &[0.0, 0.0]);
-        assert_eq!(evs.len(), 2, "HL and UV release");
-        assert!(evs.iter().all(|e| !e.value));
+        let mut bk = buck(3.0, &[1.0, 1.0]);
+        let (evs, groups) = run(&mut b, &mut bk, 100e-9);
+        let all = [SensorKind::Hl, SensorKind::Uv, SensorKind::Oc(0), SensorKind::Oc(1)];
+        assert_eq!(groups[0], all);
+        assert!(evs[..4].iter().all(|e| e.value && e.time == 1e-9));
+        let clears: Vec<(f64, SensorKind)> =
+            evs[4..].iter().filter(|e| !e.value).map(|e| (e.time, e.kind)).collect();
+        assert_eq!(clears.len(), 2, "HL then UV release: {evs:?}");
+        assert!(clears[0].1 == SensorKind::Hl && clears[1].1 == SensorKind::Uv);
+        assert!(1e-9 < clears[0].0 && clears[0].0 < clears[1].0, "{clears:?}");
+        for w in evs.windows(2) {
+            assert!(w[0].time <= w[1].time, "events in time order");
+        }
+    }
+
+    #[test]
+    fn over_voltage_asserts() {
+        // The output rises from 3.4 V through V_max plus half the
+        // hysteresis; OV asserts a comparator delay after the crossing.
+        let mut b = bank();
+        let mut bk = buck(3.4, &[0.5, 0.5]);
+        settle(&mut b, &mut bk);
+        let t0 = bk.time();
+        let (evs, _) = run(&mut b, &mut bk, 100e-9);
+        let ov: Vec<_> = evs.iter().filter(|e| e.kind == SensorKind::Ov).collect();
+        assert_eq!(ov.len(), 1, "{evs:?}");
+        assert!(ov[0].value && ov[0].time > t0 + 1e-9);
+        let mut at = buck(3.4, &[0.5, 0.5]);
+        at.step(ov[0].time - 1e-9);
+        assert!((at.output_voltage() - 3.425).abs() < 1e-9, "{at}");
     }
 
     #[test]
     fn per_phase_oc_and_zc() {
         let mut b = bank();
-        settle(&mut b, 0.0, 3.3, &[0.1, 0.0]);
+        let mut bk = buck(3.3, &[0.1, 0.0]);
+        settle(&mut b, &mut bk);
         // Phase 0 exceeds I_max; phase 1 stays put.
-        let evs = settle(&mut b, 1e-6, 3.3, &[0.25, 0.0]);
-        assert!(evs.iter().any(|e| e.kind == SensorKind::Oc(0) && e.value));
+        bk.set_state(3.3, &[0.25, 0.0]);
+        let evs = settle(&mut b, &mut bk);
+        assert!(has(&evs, SensorKind::Oc(0), true));
         assert!(!evs.iter().any(|e| e.kind == SensorKind::Oc(1)));
-        // Phase 0 current decays to zero: ZC fires.
-        let evs = settle(&mut b, 2e-6, 3.3, &[-0.01, 0.0]);
-        assert!(evs.iter().any(|e| e.kind == SensorKind::Zc(0) && e.value));
+        // With the NMOS on, phase 0's current ramps down through zero:
+        // ZC fires once it is below I_0 by half the hysteresis.
+        bk.set_state(3.3, &[0.1, 0.0]);
+        bk.set_switch(0, false, true);
+        let (evs, _) = run(&mut b, &mut bk, 300e-9);
+        let zc: Vec<_> = evs.iter().filter(|e| e.kind == SensorKind::Zc(0)).collect();
+        assert_eq!(zc.len(), 1, "{evs:?}");
+        assert!(zc[0].value && zc[0].time > 100e-9);
     }
 
     #[test]
     fn ov_mode_switches_current_references() {
         let mut b = bank();
         // Current sits at 0.05 A: below I_max, above I_0.
-        settle(&mut b, 0.0, 3.3, &[0.05, 0.05]);
+        let mut bk = buck(3.3, &[0.05, 0.05]);
+        settle(&mut b, &mut bk);
         assert!(!b.output(SensorKind::Oc(0)));
         // Enter OV mode: OC reference becomes I_0 = 0, so 0.05 A is now
-        // over-current.
+        // over-current, on both phases at once.
         b.set_ov_mode(true);
         assert!(b.ov_mode());
-        let evs = settle(&mut b, 2e-9, 3.3, &[0.05, 0.05]);
-        assert!(evs.iter().any(|e| e.kind == SensorKind::Oc(0) && e.value));
-        assert!(evs.iter().any(|e| e.kind == SensorKind::Oc(1) && e.value));
+        let (evs, groups) = run(&mut b, &mut bk, 1e-15);
+        assert_eq!(groups, [[SensorKind::Oc(0), SensorKind::Oc(1)]]);
+        assert!(has(&evs, SensorKind::Oc(0), true) && has(&evs, SensorKind::Oc(1), true));
         // ZC reference is now I_neg: current must go below -0.1 A.
-        let evs = settle(&mut b, 1e-6, 3.3, &[-0.05, 0.05]);
-        assert!(!evs.iter().any(|e| e.kind == SensorKind::Zc(0) && e.value));
-        let evs = settle(&mut b, 2e-6, 3.3, &[-0.15, 0.05]);
-        assert!(evs.iter().any(|e| e.kind == SensorKind::Zc(0) && e.value));
+        bk.set_state(3.3, &[-0.05, 0.05]);
+        assert!(!has(&settle(&mut b, &mut bk), SensorKind::Zc(0), true));
+        bk.set_state(3.3, &[-0.15, 0.05]);
+        assert!(has(&settle(&mut b, &mut bk), SensorKind::Zc(0), true));
         // Leaving OV mode restores the references.
         b.set_ov_mode(false);
         assert!(!b.ov_mode());
         assert_eq!(b.thresholds().imax, 0.20);
+    }
+
+    #[test]
+    fn repeated_mode_switch_is_idempotent() {
+        let mut b = bank();
+        let mut bk = buck(3.3, &[0.05, 0.0]);
+        settle(&mut b, &mut bk);
+        b.set_ov_mode(true);
+        assert!(has(&settle(&mut b, &mut bk), SensorKind::Oc(0), true));
+        b.set_ov_mode(true);
+        assert!(settle(&mut b, &mut bk).is_empty(), "no-op repeat fires nothing");
+        // Leaving restores I_max, which 0.05 A is below: OC releases.
+        b.set_ov_mode(false);
+        let evs = settle(&mut b, &mut bk);
+        assert!(has(&evs, SensorKind::Oc(0), false), "{evs:?}");
     }
 
     #[test]

@@ -860,4 +860,31 @@ mod window_tests {
         let n = windows(ControllerKind::Sync(1000.0));
         assert!(n >= 8_000, "1GHz: {n} windows");
     }
+    /// The sample period only sets where samples land. With one sample
+    /// every 5 µs, windows and plans grow long (a plan longer than about
+    /// 0.5 µs is scaled and squared and searched piece by piece), and
+    /// every track records the events of the 2 ns default. (Comparators
+    /// of phases with equal currents cross within rounding of each
+    /// other, so the order across tracks may differ.)
+    #[test]
+    fn sparse_sampling_records_the_same_events() {
+        for kind in [ControllerKind::Async, ControllerKind::Sync(100.0)] {
+            let run = |period: f64| {
+                let mut tb = scenario::sweep_coil(4.7, 6.0)
+                    .sample_period(period)
+                    .build(scenario::controller(kind, 4));
+                tb.run_until(20e-6);
+                let mut events = tb.waveform().events.clone();
+                events.sort_by_key(|e| e.1);
+                (tb.windows(), events)
+            };
+            let ((dense_windows, dense), (sparse_windows, sparse)) = (run(2e-9), run(5e-6));
+            assert!(2 * sparse_windows < dense_windows, "{sparse_windows} vs {dense_windows}");
+            assert_eq!(dense.len(), sparse.len(), "{}", kind.label());
+            for (a, b) in dense.iter().zip(&sparse) {
+                assert_eq!((a.1, a.2), (b.1, b.2), "{}: {a:?} vs {b:?}", kind.label());
+                assert!((a.0 - b.0).abs() < 1e-12, "{}: {a:?} vs {b:?}", kind.label());
+            }
+        }
+    }
 }
