@@ -452,11 +452,11 @@ impl Plan {
     /// each on its own series from the state at its start. After
     /// [`FINE_PIECES`] of them the pieces double in length, evaluated by
     /// scaling and squaring, so a search takes at most `FINE_PIECES +
-    /// log2(‖A‖·span)` pieces. Only there, more than `FINE_PIECES`
-    /// radians into a plan, can a crossing that goes out and comes back
-    /// within one piece be missed: at the default parameters the output
-    /// filter rings with a period of about ten radians and a quality
-    /// factor of about three, so its ringing has died out long before.
+    /// log2(‖A‖·span)` pieces. Only there, more than `FINE_PIECES/‖A‖`
+    /// into a plan, can a crossing that goes out and comes back within
+    /// one piece be missed. At the default parameters the output filter
+    /// rings with a period of 8–10 `/‖A‖` and a quality factor of about
+    /// 3, so by then its ringing has decayed by about `e^-30`.
     fn crossing(
         &self,
         j: usize,
