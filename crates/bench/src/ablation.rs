@@ -56,17 +56,12 @@ pub fn sync_uv_latency(mhz: f64, p: f64, tau: Time, seed: u64) -> f64 {
     };
     let params = SyncParams::at_mhz(mhz).with_meta(meta);
     let mut ctrl = SyncController::new(1, params);
-    // Arm phase 0 and raise UV just after an edge.
-    while ctrl
-        .next_wakeup()
-        .map(|w| w < Time::from_ns(30.0))
-        .unwrap_or(false)
-    {
-        let w = ctrl.next_wakeup().expect("clocked");
-        ctrl.on_wakeup(w);
-        let _ = ctrl.take_commands();
-    }
+    // Phase 0 starts armed. Raise UV just after an edge, once every edge
+    // up to then has been delivered, so the first edge to sample it
+    // comes after it.
     let t0 = Time::from_ns(30.2);
+    ctrl.on_wakeup(t0);
+    let _ = ctrl.take_commands();
     ctrl.on_sensor(t0, SensorKind::Uv, true);
     for _ in 0..60 {
         let w = ctrl.next_wakeup().expect("clocked");
@@ -157,6 +152,18 @@ mod tests {
         let pool = Pool::new(1);
         let lat = sync_metastability_batch(&pool, 0.0, 42, 8);
         assert!(lat.iter().all(|&l| (l - lat[0]).abs() < 1e-9), "{lat:?}");
+    }
+
+    #[test]
+    fn clean_uv_latency_is_sampled_and_synchronised() {
+        // UV rises just after an edge: the next edge captures it, the
+        // second makes it visible to the FSM, and the command registers
+        // half a period later, so the latency lies in (2, 2.5] periods.
+        for mhz in [100.0, 333.0, 1000.0] {
+            let period = 1e3 / mhz;
+            let periods = sync_uv_latency(mhz, 0.0, Time::from_ns(1.0), 0) / period;
+            assert!(periods > 2.0 && periods <= 2.5, "{mhz} MHz: {periods} periods");
+        }
     }
 
     #[test]
