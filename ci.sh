@@ -31,6 +31,8 @@
 #      (rt) grows a new `unwrap()` outside #[cfg(test)] — failures there
 #      must flow through the crates' typed errors
 #   9. clippy over every target with warnings denied
+#  10. rustdoc over the workspace with warnings denied (broken or
+#      ambiguous intra-doc links fail)
 #
 # `./ci.sh --quick` runs only the build and the smoke tier (4) — the
 # sub-minute loop for "did I break an experiment binary".
@@ -218,3 +220,7 @@ echo "OK: library crates are unwrap-free (typed errors only)"
 echo "==> cargo clippy --offline --workspace --all-targets -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "OK: clippy clean"
+
+echo "==> cargo doc --offline --workspace --no-deps (RUSTDOCFLAGS=-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+echo "OK: rustdoc clean"

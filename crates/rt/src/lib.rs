@@ -14,9 +14,9 @@
 //! - [`prop`]: a seeded property-testing harness with failure-case
 //!   shrinking, an env-overridable case count (`A4A_PROP_CASES`), and a
 //!   reproducing seed printed on every failure (`A4A_PROP_SEED`).
-//! - [`bench`]: a one-shot wall-clock timer emitting a JSON line for
-//!   the sweep binaries; the tracked performance numbers and work
-//!   counters come from the standalone `perfbench/` package.
+//! - [`bench`](mod@bench): a one-shot wall-clock timer emitting a JSON
+//!   line for the sweep binaries; the tracked performance numbers and
+//!   work counters come from the standalone `perfbench/` package.
 //! - [`pool`]: an `A4A_THREADS`-sized thread count whose
 //!   order-preserving [`pool::Pool::par_map`] keeps parallel results
 //!   bit-identical to the sequential loop — used by the Figure 6/7

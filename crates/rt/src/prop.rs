@@ -2,7 +2,7 @@
 //! `proptest` for this workspace.
 //!
 //! Design: a property is a closure over a [`Gen`], which hands out
-//! values drawn from a seeded [`Rng`](crate::Rng). Every primitive draw
+//! values drawn from a seeded [`Rng`]. Every primitive draw
 //! is recorded as a *choice* (one `u64` per draw); a failing case is
 //! shrunk by mutating the recorded choice sequence (zeroing, halving,
 //! decrementing, truncating) and replaying the property — the
