@@ -2,7 +2,7 @@ use std::fmt;
 
 use a4a_sim::SimError;
 
-use crate::CoilModel;
+use crate::{CoilModel, Waveform};
 
 /// Conduction state of one phase's power stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -1085,6 +1085,52 @@ impl Buck {
             .map(|tau| (plan.origin + tau).max(self.time))
     }
 
+    /// Appends to `record` the planned state at the points `idx·period`
+    /// of a uniform grid, from `*idx` on, that lie before `before` and
+    /// before the plan's end, and moves `*idx` past them. The points must
+    /// lie after the present time. Each value is bit-identical to the
+    /// state [`Buck::try_advance_to`] reaches at that point: a series
+    /// plan is evaluated by the same Horner loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `record` has a different phase count.
+    pub fn sample_plan(&self, idx: &mut u64, period: f64, before: f64, record: &mut Waveform) {
+        assert_eq!(record.phases(), self.current.len(), "phase count mismatch");
+        let plan = &self.plan;
+        let end = before.min(plan.reach);
+        let first = *idx;
+        while (*idx as f64 * period) < end {
+            record.t.push(*idx as f64 * period);
+            *idx += 1;
+        }
+        let times = first..*idx;
+        if !plan.series {
+            for t in times.map(|k| k as f64 * period) {
+                let state = plan.dense(t - plan.origin).0;
+                let (v, currents) = state.split_last().expect("the voltage");
+                record.v.push(*v);
+                for (column, &i) in record.i.iter_mut().zip(currents) {
+                    column.push(i);
+                }
+            }
+            return;
+        }
+        let n = self.current.len() + 1;
+        let m = plan.order;
+        let columns = record.i.iter_mut().chain([&mut record.v]);
+        for (j, column) in columns.enumerate() {
+            for t in times.clone().map(|k| k as f64 * period) {
+                let s = (t - plan.origin) * plan.inv_span;
+                let mut x = plan.terms[m * n + j];
+                for k in (0..m).rev() {
+                    x = x * s + plan.terms[k * n + j];
+                }
+                column.push(x);
+            }
+        }
+    }
+
     /// Moves the state along the plan to time `t`. At the plan's end, a
     /// diode current that reaches zero there is set to exactly zero.
     ///
@@ -1281,6 +1327,34 @@ mod tests {
         let (v2, i2) = run(1e-10);
         assert!((v1 - v2).abs() < 1e-11 * v1.abs(), "v: {v1} vs {v2}");
         assert!((i1 - i2).abs() < 1e-11 * i1.abs(), "i: {i1} vs {i2}");
+    }
+
+    #[test]
+    fn plan_samples_are_the_states_advanced_to() {
+        // Grid samples read off a plan are bit for bit the states an
+        // advance to each grid point reaches, on a series plan and on a
+        // scaled-and-squared one.
+        for (period, span) in [(2e-9, 100e-9), (1e-6, 5e-6)] {
+            let mut b = buck();
+            b.set_switch(0, true, false);
+            b.set_switch(1, false, true);
+            b.try_plan(span, span).expect("valid window");
+            let mut w = Waveform::new(4);
+            let mut idx = 1;
+            b.sample_plan(&mut idx, period, span, &mut w);
+            assert!(w.len() >= 4, "{} samples", w.len());
+            assert!(w.t.iter().all(|&t| t < span));
+            assert_eq!(idx, w.len() as u64 + 1);
+            for (k, &t) in w.t.iter().enumerate() {
+                assert_eq!(t, (k + 1) as f64 * period);
+                b.try_advance_to(t).expect("on the plan");
+                assert_eq!(b.output_voltage().to_bits(), w.v[k].to_bits(), "v at {t:e}");
+                for (phase, column) in w.i.iter().enumerate() {
+                    let i = b.coil_current(phase);
+                    assert_eq!(i.to_bits(), column[k].to_bits(), "i{phase} at {t:e}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -50,11 +50,16 @@ pub trait BuckController {
     fn on_gate_ack(&mut self, t: Time, phase: usize, pmos: bool, value: bool);
 
     /// The controller's next internal deadline (clock edge or timer),
-    /// if any.
+    /// if any. A controller may sleep through instants that change
+    /// nothing, such as a synchronous controller's idle clock edges, and
+    /// report only the first one that can change it.
     fn next_wakeup(&self) -> Option<Time>;
 
     /// Advances internal time to `t`, processing due clock edges and
-    /// timers.
+    /// timers, including any it slept through. The testbench calls it
+    /// before each sensor event (up to the event's time) and each gate
+    /// acknowledgement (up to just before it), so a sleeping controller
+    /// is caught up before every input.
     fn on_wakeup(&mut self, t: Time);
 
     /// Drains the commands produced since the last call, in time order.

@@ -79,6 +79,13 @@ impl Synchroniser {
     fn out(&self) -> bool {
         *self.stages.last().unwrap_or(&self.raw)
     }
+
+    /// Whether a clock edge leaves the pipeline as it is: every stage
+    /// holds the raw value. (The last edge saw that raw value too: any
+    /// input makes the next edge due.)
+    fn settled(&self) -> bool {
+        self.stages.iter().all(|&s| s == self.raw)
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -98,6 +105,10 @@ struct Phase {
 }
 
 impl Phase {
+    fn settled(&self) -> bool {
+        self.gp_ack.settled() && self.gn_ack.settled() && self.oc.settled() && self.zc.settled()
+    }
+
     fn new(depth: u32) -> Phase {
         Phase {
             state: PState::Idle,
@@ -141,7 +152,12 @@ pub struct SyncController {
     /// Rising edge of the synchronised HL (to draft all phases once).
     hl_prev: bool,
     uv_prev: bool,
+    /// The next clock edge.
     next_edge: Time,
+    /// The first edge that can change the controller (see
+    /// [`SyncController::first_live_edge`]); the edges before it are
+    /// idle and only count down `act_divider`.
+    due: Time,
     /// Clock edges until the next phase-activator pulse.
     act_divider: u64,
     act_reload: u64,
@@ -176,6 +192,7 @@ impl SyncController {
             hl_prev: false,
             uv_prev: false,
             next_edge: period,
+            due: period,
             act_divider: reload.max(1),
             act_reload: reload.max(1),
             act_pointer: 0,
@@ -207,6 +224,61 @@ impl SyncController {
             time: edge + self.params.period() / 2,
             command,
         });
+    }
+
+    /// The first edge at or after `at`.
+    fn edge_from(&self, at: Time) -> Time {
+        if at <= self.next_edge {
+            return self.next_edge;
+        }
+        let period = self.params.period().as_fs();
+        let edges = (at - self.next_edge).as_fs().div_ceil(period);
+        self.next_edge + Time::from_fs(edges * period)
+    }
+
+    /// The first clock edge that can change the controller's state. It
+    /// is the next edge while a synchroniser is unsettled or an FSM guard
+    /// holds. Otherwise it is the first edge at or after a minimum
+    /// on-time that is all a guard waits for, or the next activator
+    /// pulse, whichever comes first. (The HL/UV edge detectors and the OV
+    /// mode register take their synchronised inputs at every edge, so
+    /// with the synchronisers settled they have nothing left to take.)
+    /// The guards mirror [`SyncController::step_phase`].
+    fn first_live_edge(&self) -> Time {
+        let next = self.next_edge;
+        if !(self.hl.settled() && self.uv.settled() && self.ov.settled()) {
+            return next;
+        }
+        let (uv, ov) = (self.uv.out(), self.ov.out());
+        let mut due = next + self.params.period() * (self.act_divider - 1);
+        for p in &self.phases {
+            if !p.settled() {
+                return next;
+            }
+            let holds = match p.state {
+                PState::Idle => p.armed && (ov || uv),
+                PState::TurnPmosOn => p.gp_ack.out(),
+                PState::TurnPmosOff => !p.gp_ack.out(),
+                PState::TurnNmosOn => p.gn_ack.out(),
+                PState::TurnNmosOff { .. } => !p.gn_ack.out(),
+                PState::PmosOn => {
+                    if p.oc.out() {
+                        due = due.min(self.edge_from(p.pmos_min_until));
+                    }
+                    false
+                }
+                PState::NmosOn => {
+                    if (uv && !p.oc.out()) || p.zc.out() {
+                        due = due.min(self.edge_from(p.nmos_min_until));
+                    }
+                    false
+                }
+            };
+            if holds {
+                return next;
+            }
+        }
+        due
     }
 
     fn clock_edge(&mut self, t: Time) {
@@ -398,6 +470,7 @@ impl BuckController for SyncController {
     }
 
     fn on_sensor(&mut self, _t: Time, kind: SensorKind, value: bool) {
+        self.due = self.next_edge;
         match kind {
             SensorKind::Hl => self.hl.raw = value,
             SensorKind::Uv => self.uv.raw = value,
@@ -416,6 +489,7 @@ impl BuckController for SyncController {
     }
 
     fn on_gate_ack(&mut self, _t: Time, phase: usize, pmos: bool, value: bool) {
+        self.due = self.next_edge;
         if pmos {
             self.phases[phase].gp_ack.raw = value;
         } else {
@@ -423,15 +497,31 @@ impl BuckController for SyncController {
         }
     }
 
+    /// The first clock edge that can change the controller, not simply
+    /// the next edge: while the inputs are settled and no FSM guard
+    /// holds, the controller sleeps until a minimum on-time ends or the
+    /// activator pulses. Any input makes the next edge due again.
     fn next_wakeup(&self) -> Option<Time> {
-        Some(self.next_edge)
+        Some(self.due)
     }
 
+    /// Clocks every edge up to `t`. The edges before the first one that
+    /// can change the controller are stepped over arithmetically,
+    /// counted off the activator's divider.
     fn on_wakeup(&mut self, t: Time) {
-        while self.next_edge <= t {
-            let edge = self.next_edge;
-            self.next_edge += self.params.period();
+        let period = self.params.period();
+        let idle = |from: Time, to: Time| (to - from).as_fs() / period.as_fs();
+        while self.due <= t {
+            let edge = self.due;
+            self.act_divider -= idle(self.next_edge, edge);
+            self.next_edge = edge + period;
             self.clock_edge(edge);
+            self.due = self.first_live_edge();
+        }
+        if self.next_edge <= t {
+            let skipped = idle(self.next_edge, t) + 1;
+            self.act_divider -= skipped;
+            self.next_edge += period * skipped;
         }
     }
 
@@ -485,6 +575,8 @@ mod tests {
                 match (next_ack, next_edge) {
                     (Some(ta), _) if ta <= now && next_edge.map(|te| ta <= te).unwrap_or(true) => {
                         let (t, phase, pmos, value) = self.acks.remove(0);
+                        // Clock the idle edges before the ack first.
+                        self.ctrl.on_wakeup(t - Time::from_fs(1));
                         self.ctrl.on_gate_ack(t, phase, pmos, value);
                     }
                     (_, Some(te)) if te <= now => {
@@ -503,6 +595,7 @@ mod tests {
 
         fn sensor(&mut self, t: Time, kind: SensorKind, v: bool) {
             self.drain(t);
+            self.ctrl.on_wakeup(t);
             self.ctrl.on_sensor(t, kind, v);
         }
 
@@ -682,6 +775,144 @@ mod tests {
         assert!(
             meta >= clean + 9.0,
             "metastable capture must cost at least a period: {clean} vs {meta}"
+        );
+    }
+
+    /// Clocks every edge up to `t` through `clock_edge`, as a controller
+    /// that never sleeps would.
+    fn clock_every_edge(c: &mut SyncController, t: Time) {
+        while c.next_edge <= t {
+            let edge = c.next_edge;
+            c.next_edge += c.params.period();
+            c.clock_edge(edge);
+        }
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Input {
+        Sensor(SensorKind, bool),
+        Ack { phase: usize, pmos: bool, value: bool },
+    }
+
+    /// A controller woken only at its `next_wakeup()` matches one clocked
+    /// at every edge: the same commands, debug tracks and active phase
+    /// after every call. The inputs are random sensor changes and acks,
+    /// plus an ack for every gate command; half of them land exactly on
+    /// an edge or a femtosecond either side. As in the testbench, a sensor
+    /// change follows the edges up to its time and an ack only those
+    /// before it.
+    #[test]
+    fn sleeping_through_idle_edges_changes_nothing() {
+        use a4a_rt::prop::{self, Config, Gen, PropResult};
+        use a4a_rt::prop_assert_eq;
+
+        prop::check_with(
+            &Config::with_cases(64),
+            "sleeping_through_idle_edges_changes_nothing",
+            |g: &mut Gen| -> PropResult {
+                let phases = g.usize(1..4);
+                let mut params = SyncParams::at_mhz(*g.pick(&[100.0, 333.0, 666.0, 1000.0]));
+                if g.bool() {
+                    let meta = a4a_a2a::MetaParams::with_seed(
+                        g.f64(0.1..1.0),
+                        Time::from_ns(1.0),
+                        g.any_u64(),
+                    );
+                    params = params.with_meta(meta);
+                }
+                let period = params.period().as_fs();
+                let at = |g: &mut Gen, t: u64| -> u64 {
+                    let edge = t / period * period;
+                    match g.choice(6) {
+                        0 => edge,
+                        1 => edge + 1,
+                        2 => edge.saturating_sub(1),
+                        _ => t,
+                    }
+                };
+                let mut inputs: Vec<(u64, Input)> = Vec::new();
+                let mut t = 0;
+                for _ in 0..g.usize(10..80) {
+                    let dt = g.u64(1_000_000..80_000_000);
+                    t = at(g, t + dt).max(t);
+                    let input = match g.choice(7) {
+                        0 => Input::Ack {
+                            phase: g.usize(0..phases),
+                            pmos: g.bool(),
+                            value: g.bool(),
+                        },
+                        1 | 2 => Input::Sensor(SensorKind::Uv, g.bool()),
+                        3 => Input::Sensor(*g.pick(&[SensorKind::Hl, SensorKind::Ov]), g.bool()),
+                        4 => Input::Sensor(SensorKind::Oc(g.usize(0..phases)), g.bool()),
+                        _ => Input::Sensor(SensorKind::Zc(g.usize(0..phases)), g.bool()),
+                    };
+                    inputs.push((t, input));
+                }
+                let end = t + 2_000_000_000;
+                let mut every = SyncController::new(phases, params.clone());
+                let mut sleeper = SyncController::new(phases, params);
+
+                // Compares the two and queues an ack for each gate command.
+                let check = |g: &mut Gen,
+                                 every: &mut SyncController,
+                                 sleeper: &mut SyncController,
+                                 inputs: &mut Vec<(u64, Input)>|
+                 -> PropResult {
+                    let cmds = sleeper.take_commands();
+                    prop_assert_eq!(&every.take_commands(), &cmds);
+                    let (mut a, mut b) = (Vec::new(), Vec::new());
+                    every.debug_tracks_into(&mut a);
+                    sleeper.debug_tracks_into(&mut b);
+                    prop_assert_eq!(a, b);
+                    prop_assert_eq!(every.active_phase(), sleeper.active_phase());
+                    for cmd in cmds {
+                        if let Command::Gate { phase, pmos, value } = cmd.command {
+                            let delay = g.u64(500_000..5_000_000);
+                            let t = at(g, cmd.time.as_fs() + delay);
+                            let idx = inputs.partition_point(|&(x, _)| x <= t);
+                            inputs.insert(idx, (t, Input::Ack { phase, pmos, value }));
+                        }
+                    }
+                    Ok(())
+                };
+                // Wakes the sleeper at each of its wakeups up to `t`, then
+                // catches it up to `t`.
+                let run_to = |g: &mut Gen,
+                                  every: &mut SyncController,
+                                  sleeper: &mut SyncController,
+                                  inputs: &mut Vec<(u64, Input)>,
+                                  t: Time|
+                 -> PropResult {
+                    while let Some(w) = sleeper.next_wakeup().filter(|&w| w <= t) {
+                        clock_every_edge(every, w);
+                        sleeper.on_wakeup(w);
+                        check(g, every, sleeper, inputs)?;
+                    }
+                    clock_every_edge(every, t);
+                    sleeper.on_wakeup(t);
+                    check(g, every, sleeper, inputs)
+                };
+                while !inputs.is_empty() {
+                    let (t, input) = inputs.remove(0);
+                    match input {
+                        Input::Sensor(kind, value) => {
+                            let t = Time::from_fs(t);
+                            run_to(g, &mut every, &mut sleeper, &mut inputs, t)?;
+                            every.on_sensor(t, kind, value);
+                            sleeper.on_sensor(t, kind, value);
+                        }
+                        Input::Ack { phase, pmos, value } => {
+                            let before = Time::from_fs(t.saturating_sub(1));
+                            run_to(g, &mut every, &mut sleeper, &mut inputs, before)?;
+                            let t = Time::from_fs(t);
+                            every.on_gate_ack(t, phase, pmos, value);
+                            sleeper.on_gate_ack(t, phase, pmos, value);
+                        }
+                    }
+                    check(g, &mut every, &mut sleeper, &mut inputs)?;
+                }
+                run_to(g, &mut every, &mut sleeper, &mut inputs, Time::from_fs(end))
+            },
         );
     }
 

@@ -68,7 +68,9 @@ fn drive(ctrl: &mut dyn BuckController, events: &[(u64, Fuzz)], phases: usize) -
                 match (next_ack, next_wake) {
                     (Some(ta), w) if w.map(|tw| ta <= tw).unwrap_or(true) => {
                         let (t, phase, pmos, value) = acks.remove(0);
-                        let _ = ta;
+                        // A controller may sleep through idle instants:
+                        // catch it up to just before the ack.
+                        ctrl.on_wakeup(Time::from_fs(ta.as_fs() - 1));
                         ctrl.on_gate_ack(t, phase, pmos, value);
                     }
                     (_, Some(tw)) => {
@@ -114,6 +116,7 @@ fn drive(ctrl: &mut dyn BuckController, events: &[(u64, Fuzz)], phases: usize) -
         let slot = levels.entry(format!("{kind}")).or_insert(false);
         if *slot != value {
             *slot = value;
+            ctrl.on_wakeup(t);
             ctrl.on_sensor(t, kind, value);
             // Collect immediately-emitted commands too.
             for cmd in ctrl.take_commands() {
