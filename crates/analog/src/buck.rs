@@ -1099,14 +1099,14 @@ impl Buck {
         assert_eq!(record.phases(), self.current.len(), "phase count mismatch");
         let plan = &self.plan;
         let end = before.min(plan.reach);
-        let first = *idx;
+        let start = record.t.len();
         while (*idx as f64 * period) < end {
             record.t.push(*idx as f64 * period);
             *idx += 1;
         }
-        let times = first..*idx;
+        let times = &record.t[start..];
         if !plan.series {
-            for t in times.map(|k| k as f64 * period) {
+            for &t in times {
                 let state = plan.dense(t - plan.origin).0;
                 let (v, currents) = state.split_last().expect("the voltage");
                 record.v.push(*v);
@@ -1120,7 +1120,7 @@ impl Buck {
         let m = plan.order;
         let columns = record.i.iter_mut().chain([&mut record.v]);
         for (j, column) in columns.enumerate() {
-            for t in times.clone().map(|k| k as f64 * period) {
+            for &t in times {
                 let s = (t - plan.origin) * plan.inv_span;
                 let mut x = plan.terms[m * n + j];
                 for k in (0..m).rev() {

@@ -162,7 +162,10 @@ mod tests {
         for mhz in [100.0, 333.0, 1000.0] {
             let period = 1e3 / mhz;
             let periods = sync_uv_latency(mhz, 0.0, Time::from_ns(1.0), 0) / period;
-            assert!(periods > 2.0 && periods <= 2.5, "{mhz} MHz: {periods} periods");
+            assert!(
+                periods > 2.0 && periods <= 2.5,
+                "{mhz} MHz: {periods} periods"
+            );
         }
     }
 

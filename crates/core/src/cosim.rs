@@ -410,7 +410,9 @@ impl<C: BuckController> Testbench<C> {
             //    next of those; a body-diode current reaching zero ends it
             //    early.
             let horizon = self.next_stage_change().min(t_end);
-            let reach = self.buck.try_plan(event.min(self.next_sample_at), horizon)?;
+            let reach = self
+                .buck
+                .try_plan(event.min(self.next_sample_at), horizon)?;
 
             // 2. The first comparator crossing on it is an event too (all
             //    comparators crossing at that instant fire).
@@ -420,8 +422,12 @@ impl<C: BuckController> Testbench<C> {
             // 3. The grid points before the next event come off the plan
             //    in one pass, with no window and no controller call each.
             let first = self.sample_idx;
-            self.buck
-                .sample_plan(&mut self.sample_idx, self.sample_period, stop, &mut self.record);
+            self.buck.sample_plan(
+                &mut self.sample_idx,
+                self.sample_period,
+                stop,
+                &mut self.record,
+            );
             self.next_sample_at = self.sample_idx as f64 * self.sample_period;
             // Where the plan runs out first, the window ends at the last
             // grid point it covers, so the next plan starts there as it
@@ -901,7 +907,11 @@ mod tests {
             assert_eq!(acks.len(), 1);
             let (t, woken) = acks[0];
             assert_eq!(t, edge);
-            assert_eq!(woken >= edge, edge_first, "ack at {at:e} s, woken to {woken:?}");
+            assert_eq!(
+                woken >= edge,
+                edge_first,
+                "ack at {at:e} s, woken to {woken:?}"
+            );
         }
     }
 
@@ -971,7 +981,10 @@ mod window_tests {
             };
             let ((dense_windows, dense), (sparse_windows, sparse)) = (run(2e-9), run(5e-6));
             let more = dense_windows.saturating_sub(sparse_windows);
-            assert!(10 * more <= sparse_windows, "{dense_windows} vs {sparse_windows}");
+            assert!(
+                10 * more <= sparse_windows,
+                "{dense_windows} vs {sparse_windows}"
+            );
             assert_eq!(dense.len(), sparse.len(), "{}", kind.label());
             for (a, b) in dense.iter().zip(&sparse) {
                 assert_eq!((a.1, a.2), (b.1, b.2), "{}: {a:?} vs {b:?}", kind.label());

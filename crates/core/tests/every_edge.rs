@@ -38,7 +38,11 @@ impl<C: BuckController> BuckController for EveryEdge<C> {
     }
 
     fn next_wakeup(&self) -> Option<Time> {
-        Some(self.inner.next_wakeup().map_or(self.next, |w| w.min(self.next)))
+        Some(
+            self.inner
+                .next_wakeup()
+                .map_or(self.next, |w| w.min(self.next)),
+        )
     }
 
     fn on_wakeup(&mut self, t: Time) {
@@ -81,8 +85,11 @@ fn run(builder: TestbenchBuilder, mhz: f64, t_end: f64, every_edge: bool) -> (Wa
 #[test]
 fn skipping_idle_edges_keeps_every_fig6_and_fig7_cell() {
     type Cell = (String, Box<dyn Fn() -> TestbenchBuilder>, f64);
-    let mut cells: Vec<Cell> =
-        vec![("fig6".to_string(), Box::new(scenario::fig6), scenario::FIG6_T_END)];
+    let mut cells: Vec<Cell> = vec![(
+        "fig6".to_string(),
+        Box::new(scenario::fig6),
+        scenario::FIG6_T_END,
+    )];
     for l_uh in scenario::coil_grid() {
         let builder = move || scenario::sweep_coil(l_uh, 6.0);
         cells.push((format!("fig7a/c L={l_uh}"), Box::new(builder), 8e-6));
@@ -97,7 +104,10 @@ fn skipping_idle_edges_keeps_every_fig6_and_fig7_cell() {
             let cell = format!("{name} {mhz} MHz");
             let (every, every_windows) = run(builder(), mhz, t_end, true);
             let (skip, skip_windows) = run(builder(), mhz, t_end, false);
-            assert!(skip_windows < every_windows, "{cell}: {skip_windows} vs {every_windows}");
+            assert!(
+                skip_windows < every_windows,
+                "{cell}: {skip_windows} vs {every_windows}"
+            );
 
             assert_eq!(every.events.len(), skip.events.len(), "{cell}");
             for (a, b) in every.events.iter().zip(&skip.events) {
@@ -106,7 +116,11 @@ fn skipping_idle_edges_keeps_every_fig6_and_fig7_cell() {
             }
             // Relative to the sample, or to 1 mA or 1 mV below that.
             assert_eq!(every.t, skip.t, "{cell}: sample times");
-            let columns = every.i.iter().chain([&every.v]).zip(skip.i.iter().chain([&skip.v]));
+            let columns = every
+                .i
+                .iter()
+                .chain([&every.v])
+                .zip(skip.i.iter().chain([&skip.v]));
             for (a, b) in columns {
                 for (x, y) in a.iter().zip(b) {
                     let rel = (x - y).abs() / x.abs().max(y.abs()).max(1e-3);
@@ -116,5 +130,8 @@ fn skipping_idle_edges_keeps_every_fig6_and_fig7_cell() {
         }
     }
     assert!(max_dt <= 1e-18, "event times moved by up to {max_dt:e} s");
-    assert!(max_rel <= 1e-12, "samples moved by up to {max_rel:e} relative");
+    assert!(
+        max_rel <= 1e-12,
+        "samples moved by up to {max_rel:e} relative"
+    );
 }

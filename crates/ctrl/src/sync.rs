@@ -105,10 +105,6 @@ struct Phase {
 }
 
 impl Phase {
-    fn settled(&self) -> bool {
-        self.gp_ack.settled() && self.gn_ack.settled() && self.oc.settled() && self.zc.settled()
-    }
-
     fn new(depth: u32) -> Phase {
         Phase {
             state: PState::Idle,
@@ -124,6 +120,11 @@ impl Phase {
             oc: Synchroniser::new(depth),
             zc: Synchroniser::new(depth),
         }
+    }
+
+    /// Whether all four of the phase's synchronisers are settled.
+    fn settled(&self) -> bool {
+        self.gp_ack.settled() && self.gn_ack.settled() && self.oc.settled() && self.zc.settled()
     }
 }
 
@@ -252,30 +253,24 @@ impl SyncController {
         let (uv, ov) = (self.uv.out(), self.ov.out());
         let mut due = next + self.params.period() * (self.act_divider - 1);
         for p in &self.phases {
-            if !p.settled() {
-                return next;
-            }
-            let holds = match p.state {
-                PState::Idle => p.armed && (ov || uv),
-                PState::TurnPmosOn => p.gp_ack.out(),
-                PState::TurnPmosOff => !p.gp_ack.out(),
-                PState::TurnNmosOn => p.gn_ack.out(),
-                PState::TurnNmosOff { .. } => !p.gn_ack.out(),
-                PState::PmosOn => {
-                    if p.oc.out() {
-                        due = due.min(self.edge_from(p.pmos_min_until));
-                    }
-                    false
-                }
+            // Whether a guard holds now, and the time a guard waits for.
+            let (holds, waits_for) = match p.state {
+                PState::Idle => (p.armed && (ov || uv), None),
+                PState::TurnPmosOn => (p.gp_ack.out(), None),
+                PState::TurnPmosOff => (!p.gp_ack.out(), None),
+                PState::TurnNmosOn => (p.gn_ack.out(), None),
+                PState::TurnNmosOff { .. } => (!p.gn_ack.out(), None),
+                PState::PmosOn => (false, p.oc.out().then_some(p.pmos_min_until)),
                 PState::NmosOn => {
-                    if (uv && !p.oc.out()) || p.zc.out() {
-                        due = due.min(self.edge_from(p.nmos_min_until));
-                    }
-                    false
+                    let guard = (uv && !p.oc.out()) || p.zc.out();
+                    (false, guard.then_some(p.nmos_min_until))
                 }
             };
-            if holds {
+            if holds || !p.settled() {
                 return next;
+            }
+            if let Some(at) = waits_for {
+                due = due.min(self.edge_from(at));
             }
         }
         due
@@ -791,7 +786,11 @@ mod tests {
     #[derive(Debug, Clone, Copy)]
     enum Input {
         Sensor(SensorKind, bool),
-        Ack { phase: usize, pmos: bool, value: bool },
+        Ack {
+            phase: usize,
+            pmos: bool,
+            value: bool,
+        },
     }
 
     /// A controller woken only at its `next_wakeup()` matches one clocked
@@ -854,9 +853,9 @@ mod tests {
 
                 // Compares the two and queues an ack for each gate command.
                 let check = |g: &mut Gen,
-                                 every: &mut SyncController,
-                                 sleeper: &mut SyncController,
-                                 inputs: &mut Vec<(u64, Input)>|
+                             every: &mut SyncController,
+                             sleeper: &mut SyncController,
+                             inputs: &mut Vec<(u64, Input)>|
                  -> PropResult {
                     let cmds = sleeper.take_commands();
                     prop_assert_eq!(&every.take_commands(), &cmds);
@@ -878,10 +877,10 @@ mod tests {
                 // Wakes the sleeper at each of its wakeups up to `t`, then
                 // catches it up to `t`.
                 let run_to = |g: &mut Gen,
-                                  every: &mut SyncController,
-                                  sleeper: &mut SyncController,
-                                  inputs: &mut Vec<(u64, Input)>,
-                                  t: Time|
+                              every: &mut SyncController,
+                              sleeper: &mut SyncController,
+                              inputs: &mut Vec<(u64, Input)>,
+                              t: Time|
                  -> PropResult {
                     while let Some(w) = sleeper.next_wakeup().filter(|&w| w <= t) {
                         clock_every_edge(every, w);
