@@ -14,7 +14,8 @@
 #   4. smoke tier: every bench binary end-to-end into a scratch results
 #      dir, checking CSV headers/row counts against results/, requiring
 #      every regenerated CSV to equal the committed one byte for byte,
-#      and rejecting NaN/inf cells
+#      the ablation's printed numbers to equal results/ablation.txt, and
+#      rejecting NaN/inf cells
 #   5. fault-injection tier: seeded adversarial scenarios against the
 #      scheduler/analog/testbench layers (deterministic per
 #      A4A_PROP_SEED), asserting typed errors instead of panics
@@ -55,7 +56,9 @@ smoke_tier() {
     local bin
     for bin in table1 fig6 fig7a fig7b fig7c ablation; do
         echo "    running $bin"
-        A4A_RESULTS_DIR="$scratch" \
+        # The ablation batches take their root seed from A4A_PROP_SEED;
+        # results/ablation.txt is the default seed's output.
+        env -u A4A_PROP_SEED A4A_RESULTS_DIR="$scratch" \
             cargo run -q --release --offline -p a4a-bench --bin "$bin" \
             > "$scratch/$bin.out"
     done
@@ -85,6 +88,15 @@ smoke_tier() {
             ok=0
         fi
     done
+    # The ablation prints its numbers rather than writing a CSV; all but
+    # its wall-time line must equal the committed output.
+    if ! grep -v '^{"name":"ablation/all/t' "$scratch/ablation.out" \
+            | cmp -s results/ablation.txt -; then
+        echo "ERROR: ablation output differs from results/ablation.txt:" >&2
+        grep -v '^{"name":"ablation/all/t' "$scratch/ablation.out" \
+            | diff -u results/ablation.txt - >&2 || true
+        ok=0
+    fi
     if grep -ilnE '(nan|inf)' "$scratch"/*.csv; then
         echo "ERROR: NaN/inf cell in regenerated CSVs above" >&2
         ok=0
@@ -92,7 +104,7 @@ smoke_tier() {
     if [ "$ok" -ne 1 ]; then
         exit 1
     fi
-    echo "OK: smoke tier (headers, row counts, byte-identical CSVs, finite cells)"
+    echo "OK: smoke tier (headers, row counts, byte-identical CSVs and ablation, finite cells)"
 }
 
 perf_counter_tier() {
