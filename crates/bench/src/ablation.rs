@@ -11,7 +11,7 @@
 //! and across processes.
 
 use a4a_a2a::{MetaParams, Wait};
-use a4a_ctrl::{BuckController, Command, SyncController, SyncParams};
+use a4a_ctrl::{Loopback, SyncController, SyncParams};
 use a4a_rt::rng::splitmix64;
 use a4a_rt::Pool;
 use a4a_sim::Time;
@@ -55,31 +55,18 @@ pub fn sync_uv_latency(mhz: f64, p: f64, tau: Time, seed: u64) -> f64 {
         MetaParams::with_seed(p, tau, seed)
     };
     let params = SyncParams::at_mhz(mhz).with_meta(meta);
-    let mut ctrl = SyncController::new(1, params);
-    // Phase 0 starts armed. Raise UV just after an edge, once every edge
-    // up to then has been delivered, so the first edge to sample it
+    let horizon = params.period() * 60;
+    let mut lb = Loopback::new(SyncController::new(1, params));
+    // Phase 0 starts armed. Raise UV just after an edge; the loopback
+    // delivers every edge up to it first, so the first edge to sample it
     // comes after it.
     let t0 = Time::from_ns(30.2);
-    ctrl.on_wakeup(t0);
-    let _ = ctrl.take_commands();
-    ctrl.on_sensor(t0, SensorKind::Uv, true);
-    for _ in 0..60 {
-        let w = ctrl.next_wakeup().expect("clocked");
-        ctrl.on_wakeup(w);
-        if let Some(cmd) = ctrl.take_commands().into_iter().find(|c| {
-            matches!(
-                c.command,
-                Command::Gate {
-                    value: true,
-                    pmos: true,
-                    ..
-                }
-            )
-        }) {
-            return cmd.time.as_ns() - t0.as_ns();
-        }
-    }
-    f64::NAN
+    lb.sensor(t0, SensorKind::Uv, true);
+    lb.run_until(t0 + horizon);
+    lb.gates()
+        .into_iter()
+        .find(|&(_, _, pmos, value)| pmos && value)
+        .map_or(f64::NAN, |(t, ..)| t.as_ns() - t0.as_ns())
 }
 
 /// The synchroniser-metastability batch: `n` independent UV-latency

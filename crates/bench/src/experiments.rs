@@ -3,9 +3,7 @@
 use a4a::scenario::{self, ControllerKind};
 use a4a::TestbenchBuilder;
 use a4a_analog::{metrics, CoilModel, SensorKind, Waveform};
-use a4a_ctrl::{
-    AsyncController, AsyncTiming, BuckController, Command, SyncParams, TimedCommand,
-};
+use a4a_ctrl::{AsyncController, AsyncTiming, Command, Loopback, SyncParams};
 use a4a_rt::Pool;
 use a4a_sim::Time;
 
@@ -51,160 +49,80 @@ pub fn table1_improvement(rows: &[Table1Row]) -> [f64; 5] {
     out
 }
 
-/// A tiny digital-only harness: drives the async controller with sensor
-/// events, acknowledges gate commands after a fixed driver+ack delay,
-/// and logs commands.
-struct DigitalHarness {
-    ctrl: AsyncController,
-    acks: Vec<(Time, usize, bool, bool)>,
-    log: Vec<TimedCommand>,
-    ack_delay: Time,
-}
-
-impl DigitalHarness {
-    fn new(phases: usize) -> Self {
-        DigitalHarness {
-            ctrl: AsyncController::new(phases, AsyncTiming::default()),
-            acks: Vec::new(),
-            log: Vec::new(),
-            ack_delay: Time::from_ns(2.5),
-        }
-    }
-
-    fn collect(&mut self) {
-        for cmd in self.ctrl.take_commands() {
-            self.log.push(cmd);
-            if let Command::Gate { phase, pmos, value } = cmd.command {
-                self.acks.push((cmd.time + self.ack_delay, phase, pmos, value));
-            }
-        }
-    }
-
-    fn drain(&mut self, now: Time) {
-        loop {
-            self.acks.sort_by_key(|a| a.0);
-            if let Some(&(t, phase, pmos, value)) = self.acks.first() {
-                if t <= now {
-                    self.acks.remove(0);
-                    self.ctrl.on_gate_ack(t, phase, pmos, value);
-                    self.collect();
-                    continue;
-                }
-            }
-            match self.ctrl.next_wakeup() {
-                Some(w) if w <= now => {
-                    self.ctrl.on_wakeup(w);
-                    self.collect();
-                }
-                _ => break,
-            }
-        }
-    }
-
-    fn sensor(&mut self, t: Time, kind: SensorKind, v: bool) {
-        self.drain(t);
-        self.ctrl.on_sensor(t, kind, v);
-        self.collect();
-    }
-
-    fn first_gate_after(&self, t: Time, want: Option<(bool, bool)>) -> Option<Time> {
-        self.log
-            .iter()
-            .filter(|c| c.time >= t)
-            .find_map(|c| match c.command {
-                Command::Gate { pmos, value, .. } => match want {
-                    Some((wp, wv)) if (pmos, value) != (wp, wv) => None,
-                    _ => Some(c.time),
-                },
-                _ => None,
-            })
-    }
-
-    fn first_ovmode_after(&self, t: Time) -> Option<Time> {
-        self.log.iter().filter(|c| c.time >= t).find_map(|c| match c.command {
-            Command::OvMode(true) => Some(c.time),
-            _ => None,
-        })
-    }
-}
-
 /// Measures the async controller's reaction to each condition (ns):
-/// HL, UV, OV, OC, ZC.
+/// HL, UV, OV, OC, ZC. Each is the time from a sensor event to the first
+/// gate command it causes, with the controller on a [`Loopback`].
 pub fn measure_async_reactions() -> [f64; 5] {
     let ns = Time::from_ns;
+    let ring = |phases| Loopback::new(AsyncController::new(phases, AsyncTiming::default()));
+    // The time from `t` to the first gate command at or after it that
+    // `want(phase, pmos, value)` accepts.
+    let reaction =
+        |lb: &Loopback<AsyncController>, t: Time, want: fn(usize, bool, bool) -> bool| {
+            lb.gates()
+                .into_iter()
+                .find(|&(at, phase, pmos, value)| at >= t && want(phase, pmos, value))
+                .map_or(f64::NAN, |(at, ..)| at.as_ns() - t.as_ns())
+        };
 
     // UV: armed token holder, fresh UV -> gp+.
     let uv = {
-        let mut h = DigitalHarness::new(4);
-        h.drain(ns(1.0));
-        h.sensor(ns(10.0), SensorKind::Uv, true);
-        h.drain(ns(20.0));
-        h.first_gate_after(ns(10.0), Some((true, true)))
-            .map(|t| t.as_ns() - 10.0)
-            .unwrap_or(f64::NAN)
+        let mut lb = ring(4);
+        lb.run_until(ns(1.0));
+        lb.sensor(ns(10.0), SensorKind::Uv, true);
+        lb.run_until(ns(20.0));
+        reaction(&lb, ns(10.0), |_, pmos, value| pmos && value)
     };
     // HL: all stages drafted; measure to the first *other* phase's gp+
     // with UV pre-asserted on a stage that is not the token holder.
     let hl = {
-        let mut h = DigitalHarness::new(4);
-        h.drain(ns(1.0));
+        let mut lb = ring(4);
+        lb.run_until(ns(1.0));
         // Pre-assert UV then immediately HL; the token holder responds
         // via the UV path, the drafted stages via the HL path.
-        h.sensor(ns(10.0), SensorKind::Uv, true);
-        h.sensor(ns(10.0), SensorKind::Hl, true);
-        h.drain(ns(30.0));
-        // First gate command on a non-holder phase.
-        h.log
-            .iter()
-            .find_map(|c| match c.command {
-                Command::Gate {
-                    phase,
-                    pmos: true,
-                    value: true,
-                } if phase != 0 => Some(c.time.as_ns() - 10.0),
-                _ => None,
-            })
-            .unwrap_or(f64::NAN)
+        lb.sensor(ns(10.0), SensorKind::Uv, true);
+        lb.sensor(ns(10.0), SensorKind::Hl, true);
+        lb.run_until(ns(30.0));
+        reaction(&lb, ns(10.0), |phase, pmos, value| {
+            phase != 0 && pmos && value
+        })
     };
     // OV: the sinking action (gn+) on the token holder; the reference
     // switch command is dispatched on the way (also checked).
     let ov = {
-        let mut h = DigitalHarness::new(4);
-        h.drain(ns(1.0));
-        h.sensor(ns(10.0), SensorKind::Ov, true);
-        h.drain(ns(30.0));
-        assert!(h.first_ovmode_after(ns(10.0)).is_some());
-        h.first_gate_after(ns(10.0), Some((false, true)))
-            .map(|t| t.as_ns() - 10.0)
-            .unwrap_or(f64::NAN)
+        let mut lb = ring(4);
+        lb.run_until(ns(1.0));
+        lb.sensor(ns(10.0), SensorKind::Ov, true);
+        lb.run_until(ns(30.0));
+        assert!(lb
+            .log()
+            .iter()
+            .any(|c| c.time >= ns(10.0) && c.command == Command::OvMode(true)));
+        reaction(&lb, ns(10.0), |_, pmos, value| !pmos && value)
     };
     // OC: during a charging cycle (past the PEXT window) -> gp-.
     let oc = {
-        let mut h = DigitalHarness::new(1);
-        h.drain(ns(1.0));
-        h.sensor(ns(10.0), SensorKind::Uv, true);
-        h.sensor(ns(50.0), SensorKind::Uv, false);
-        h.drain(ns(100.0));
-        h.sensor(ns(200.0), SensorKind::Oc(0), true);
-        h.drain(ns(300.0));
-        h.first_gate_after(ns(200.0), Some((true, false)))
-            .map(|t| t.as_ns() - 200.0)
-            .unwrap_or(f64::NAN)
+        let mut lb = ring(1);
+        lb.run_until(ns(1.0));
+        lb.sensor(ns(10.0), SensorKind::Uv, true);
+        lb.sensor(ns(50.0), SensorKind::Uv, false);
+        lb.run_until(ns(100.0));
+        lb.sensor(ns(200.0), SensorKind::Oc(0), true);
+        lb.run_until(ns(300.0));
+        reaction(&lb, ns(200.0), |_, pmos, value| pmos && !value)
     };
     // ZC: during the NMOS phase (past NMIN) -> gn-.
     let zc = {
-        let mut h = DigitalHarness::new(1);
-        h.drain(ns(1.0));
-        h.sensor(ns(10.0), SensorKind::Uv, true);
-        h.sensor(ns(50.0), SensorKind::Uv, false);
-        h.sensor(ns(200.0), SensorKind::Oc(0), true);
-        h.drain(ns(300.0));
-        h.sensor(ns(300.0), SensorKind::Oc(0), false);
-        h.sensor(ns(400.0), SensorKind::Zc(0), true);
-        h.drain(ns(500.0));
-        h.first_gate_after(ns(400.0), Some((false, false)))
-            .map(|t| t.as_ns() - 400.0)
-            .unwrap_or(f64::NAN)
+        let mut lb = ring(1);
+        lb.run_until(ns(1.0));
+        lb.sensor(ns(10.0), SensorKind::Uv, true);
+        lb.sensor(ns(50.0), SensorKind::Uv, false);
+        lb.sensor(ns(200.0), SensorKind::Oc(0), true);
+        lb.run_until(ns(300.0));
+        lb.sensor(ns(300.0), SensorKind::Oc(0), false);
+        lb.sensor(ns(400.0), SensorKind::Zc(0), true);
+        lb.run_until(ns(500.0));
+        reaction(&lb, ns(400.0), |_, pmos, value| !pmos && !value)
     };
     [hl, uv, ov, oc, zc]
 }

@@ -814,9 +814,7 @@ mod tests {
                 None
             }
             fn on_wakeup(&mut self, _: Time) {}
-            fn take_commands(&mut self) -> Vec<TimedCommand> {
-                Vec::new()
-            }
+            fn take_commands_into(&mut self, _: &mut Vec<TimedCommand>) {}
             fn debug_tracks_into(&self, out: &mut Vec<(a4a_analog::TrackId, bool)>) {
                 out.extend(self.tracks.borrow().iter().copied());
             }
@@ -880,9 +878,7 @@ mod tests {
             fn on_wakeup(&mut self, t: Time) {
                 self.woken = self.woken.max(t);
             }
-            fn take_commands(&mut self) -> Vec<TimedCommand> {
-                Vec::new()
-            }
+            fn take_commands_into(&mut self, _: &mut Vec<TimedCommand>) {}
         }
 
         let edge = Time::from_ns(7.0);

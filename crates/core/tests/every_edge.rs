@@ -52,10 +52,6 @@ impl<C: BuckController> BuckController for EveryEdge<C> {
         }
     }
 
-    fn take_commands(&mut self) -> Vec<TimedCommand> {
-        self.inner.take_commands()
-    }
-
     fn take_commands_into(&mut self, out: &mut Vec<TimedCommand>) {
         self.inner.take_commands_into(out);
     }

@@ -77,10 +77,6 @@ impl BuckController for BasicBuckController {
         self.inner.on_wakeup(t);
     }
 
-    fn take_commands(&mut self) -> Vec<TimedCommand> {
-        self.inner.take_commands()
-    }
-
     fn take_commands_into(&mut self, out: &mut Vec<TimedCommand>) {
         self.inner.take_commands_into(out);
     }
@@ -93,58 +89,25 @@ impl BuckController for BasicBuckController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Command;
+    use crate::Loopback;
 
     fn ns(x: f64) -> Time {
         Time::from_ns(x)
     }
 
+    /// The gate commands, as `(ns, pmos, value)`, of a run through
+    /// `events`.
     fn run_scenario(events: &[(f64, SensorKind, bool)]) -> Vec<(f64, bool, bool)> {
-        let mut ctrl = BasicBuckController::new();
-        let mut log: Vec<(f64, bool, bool)> = Vec::new();
-        let mut acks: Vec<(Time, bool, bool)> = Vec::new();
-        let ack_delay = Time::from_ns(2.0);
-        let drive = |ctrl: &mut BasicBuckController,
-                         log: &mut Vec<(f64, bool, bool)>,
-                         acks: &mut Vec<(Time, bool, bool)>,
-                         now: Time| {
-            loop {
-                acks.sort_by_key(|a| a.0);
-                if let Some(&(t, pmos, v)) = acks.first() {
-                    if t <= now {
-                        acks.remove(0);
-                        ctrl.on_gate_ack(t, 0, pmos, v);
-                        continue;
-                    }
-                }
-                match ctrl.next_wakeup() {
-                    Some(w) if w <= now => {
-                        ctrl.on_wakeup(w);
-                        for cmd in ctrl.take_commands() {
-                            if let Command::Gate { pmos, value, .. } = cmd.command {
-                                log.push((cmd.time.as_ns(), pmos, value));
-                                acks.push((cmd.time + ack_delay, pmos, value));
-                            }
-                        }
-                    }
-                    _ => break,
-                }
-            }
-        };
+        let mut lb = Loopback::new(BasicBuckController::new());
         for &(t, kind, v) in events {
-            drive(&mut ctrl, &mut log, &mut acks, ns(t));
-            ctrl.on_sensor(ns(t), kind, v);
-            for cmd in ctrl.take_commands() {
-                if let Command::Gate { pmos, value, .. } = cmd.command {
-                    log.push((cmd.time.as_ns(), pmos, value));
-                    acks.push((cmd.time + ack_delay, pmos, value));
-                }
-            }
+            lb.sensor(ns(t), kind, v);
         }
-        let last = events.last().map(|e| e.0).unwrap_or(0.0) + 500.0;
-        drive(&mut ctrl, &mut log, &mut acks, ns(last));
-        log.sort_by(|a, b| a.0.total_cmp(&b.0));
-        log
+        let last = events.last().map_or(0.0, |e| e.0) + 500.0;
+        lb.run_until(ns(last));
+        lb.gates()
+            .into_iter()
+            .map(|(t, _, pmos, value)| (t.as_ns(), pmos, value))
+            .collect()
     }
 
     #[test]

@@ -32,11 +32,22 @@ pub struct TimedCommand {
 
 /// A digital buck controller as seen by the mixed-signal testbench.
 ///
-/// The testbench delivers sensor events ([`BuckController::on_sensor`])
-/// and gate acknowledgements ([`BuckController::on_gate_ack`]), advances
-/// the controller's internal timers/clock ([`BuckController::on_wakeup`]
-/// at [`BuckController::next_wakeup`] deadlines), and drains the
-/// produced [`TimedCommand`]s after every interaction.
+/// A driver delivers sensor events ([`BuckController::on_sensor`]) and
+/// gate acknowledgements ([`BuckController::on_gate_ack`]), advances the
+/// controller's internal timers/clock ([`BuckController::on_wakeup`] at
+/// [`BuckController::next_wakeup`] deadlines), and drains the produced
+/// [`TimedCommand`]s after every interaction.
+///
+/// Inputs arrive in time order:
+///
+/// * a wakeup strictly before an acknowledgement goes first;
+/// * at equal times the acknowledgement goes first, with the controller
+///   caught up to 1 fs before it (`on_wakeup(t - 1 fs)`);
+/// * a sensor event comes after every wakeup up to its own time
+///   (`on_wakeup(t)` just before `on_sensor(t, ..)`).
+///
+/// The testbench keeps this order, and so does [`crate::Loopback`], the
+/// digital-only driver that acknowledges every gate command itself.
 pub trait BuckController {
     /// Number of buck phases driven.
     fn phases(&self) -> usize;
@@ -56,22 +67,22 @@ pub trait BuckController {
     fn next_wakeup(&self) -> Option<Time>;
 
     /// Advances internal time to `t`, processing due clock edges and
-    /// timers, including any it slept through. The testbench calls it
-    /// before each sensor event (up to the event's time) and each gate
-    /// acknowledgement (up to just before it), so a sleeping controller
-    /// is caught up before every input.
+    /// timers, including any it slept through. A driver calls it before
+    /// each sensor event and each gate acknowledgement as the delivery
+    /// order above says, so a sleeping controller is caught up before
+    /// every input.
     fn on_wakeup(&mut self, t: Time);
 
-    /// Drains the commands produced since the last call, in time order.
-    fn take_commands(&mut self) -> Vec<TimedCommand>;
+    /// Drains the commands produced since the last call, appending them
+    /// to `out` in time order, so the co-simulation loop can reuse one
+    /// buffer across windows.
+    fn take_commands_into(&mut self, out: &mut Vec<TimedCommand>);
 
-    /// Allocation-free [`BuckController::take_commands`]: appends the
-    /// drained commands to `out` (in time order) so the co-simulation
-    /// loop can reuse one buffer across windows. The default forwards
-    /// to `take_commands`; controllers on the hot path should override
-    /// it to drain their internal queue without an intermediate Vec.
-    fn take_commands_into(&mut self, out: &mut Vec<TimedCommand>) {
-        out.extend(self.take_commands());
+    /// [`BuckController::take_commands_into`] into a new Vec.
+    fn take_commands(&mut self) -> Vec<TimedCommand> {
+        let mut out = Vec::new();
+        self.take_commands_into(&mut out);
+        out
     }
 
     /// Appends the controller's internal debug tracks for waveform
@@ -101,10 +112,6 @@ impl<T: BuckController + ?Sized> BuckController for Box<T> {
 
     fn on_wakeup(&mut self, t: Time) {
         (**self).on_wakeup(t);
-    }
-
-    fn take_commands(&mut self) -> Vec<TimedCommand> {
-        (**self).take_commands()
     }
 
     fn take_commands_into(&mut self, out: &mut Vec<TimedCommand>) {

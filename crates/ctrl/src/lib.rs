@@ -23,13 +23,15 @@
 //! are synthesised and verified by the workspace integration tests.
 //!
 //! Controllers implement [`BuckController`], the interface consumed by
-//! the mixed-signal testbench in the `a4a` crate.
+//! the mixed-signal testbench in the `a4a` crate. [`Loopback`] drives one
+//! without a power stage, acknowledging every gate command itself.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod basic;
 mod iface;
+mod loopback;
 mod params;
 mod ring;
 pub mod stgs;
@@ -37,6 +39,7 @@ mod sync;
 
 pub use basic::BasicBuckController;
 pub use iface::{BuckController, Command, TimedCommand};
+pub use loopback::Loopback;
 pub use params::{AsyncTiming, GateTiming, PolicyTiming, SyncParams};
 pub use ring::AsyncController;
 pub use sync::SyncController;

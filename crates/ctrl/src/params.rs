@@ -65,27 +65,34 @@ impl SyncParams {
     ///
     /// # Panics
     ///
-    /// Panics when `mhz` is NaN, infinite, or non-positive; see
+    /// Panics when `mhz` is NaN, infinite, or non-positive, or when its
+    /// period rounds to 0 fs or does not fit in [`Time`]; see
     /// [`SyncParams::try_at_mhz`] for the fallible variant.
     pub fn at_mhz(mhz: f64) -> SyncParams {
         match Self::try_at_mhz(mhz) {
             Ok(p) => p,
-            Err(e) => panic!("{e} (clock frequency must be positive)"),
+            Err(e) => {
+                panic!("{e} (clock frequency must be positive, its period 1 fs to u64::MAX fs)")
+            }
         }
     }
 
     /// Fallible [`SyncParams::at_mhz`]: a NaN, infinite, or non-positive
-    /// frequency is reported as
+    /// frequency, or one whose period rounds to 0 fs (above about
+    /// 2e9 MHz) or does not fit in [`Time`], is reported as
     /// [`SimError::InvalidParameter`](a4a_sim::SimError::InvalidParameter).
     pub fn try_at_mhz(mhz: f64) -> Result<SyncParams, a4a_sim::SimError> {
-        if !(mhz.is_finite() && mhz > 0.0) {
+        let fsm_clk_hz = mhz * 1e6;
+        // A NaN, infinite or non-positive `mhz` gives a NaN, zero,
+        // infinite or negative period, which this check rejects too.
+        if !Time::try_from_secs(1.0 / fsm_clk_hz).is_ok_and(|p| p > Time::ZERO) {
             return Err(a4a_sim::SimError::InvalidParameter {
                 what: "fsm_clk (MHz)",
                 value: mhz,
             });
         }
         Ok(SyncParams {
-            fsm_clk_hz: mhz * 1e6,
+            fsm_clk_hz,
             sync_stages: 2,
             meta: a4a_a2a::MetaParams::disabled(),
             policy: PolicyTiming::default(),
@@ -99,6 +106,11 @@ impl SyncParams {
     }
 
     /// The clock period.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a `fsm_clk_hz` set by hand gives a period that does
+    /// not fit in [`Time`]; [`SyncParams::try_at_mhz`] rejects those.
     pub fn period(&self) -> Time {
         Time::from_secs(1.0 / self.fsm_clk_hz)
     }
@@ -233,7 +245,8 @@ mod tests {
     #[test]
     fn try_at_mhz_rejects_nan_and_non_positive() {
         use a4a_sim::SimError;
-        for bad in [f64::NAN, 0.0, -100.0, f64::INFINITY] {
+        // A period that rounds to 0 fs, and one that overflows `Time`.
+        for bad in [f64::NAN, 0.0, -100.0, f64::INFINITY, 1e10, 1e-300] {
             assert!(
                 matches!(
                     SyncParams::try_at_mhz(bad),

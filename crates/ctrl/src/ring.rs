@@ -242,7 +242,7 @@ impl AsyncController {
         self.phases[phase].start_pending = false;
         match self.phases[phase].state {
             PState::Idle => {
-                self.command_gate(t, phase, true, true);
+                self.apply_gate(t, phase, true, true);
             }
             PState::NmosOn => {
                 // Late/no-ZC scenario: cancel the ZC wait (RWAIT) and
@@ -286,11 +286,8 @@ impl AsyncController {
         }
     }
 
-    /// Emits a gate command now (or schedules the state entry for it).
-    fn command_gate(&mut self, t: Time, phase: usize, pmos: bool, value: bool) {
-        self.apply_gate(t, phase, pmos, value);
-    }
-
+    /// Moves the phase into the state the gate command starts, and
+    /// emits the command at `t`.
     fn apply_gate(&mut self, t: Time, phase: usize, pmos: bool, value: bool) {
         {
             let p = &mut self.phases[phase];
@@ -653,12 +650,6 @@ impl BuckController for AsyncController {
         }
     }
 
-    fn take_commands(&mut self) -> Vec<TimedCommand> {
-        let mut cmds = std::mem::take(&mut self.out);
-        cmds.sort_by_key(|c| c.time);
-        cmds
-    }
-
     fn take_commands_into(&mut self, out: &mut Vec<TimedCommand>) {
         let start = out.len();
         out.append(&mut self.out);
@@ -676,97 +667,27 @@ impl BuckController for AsyncController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Loopback;
 
     fn ns(x: f64) -> Time {
         Time::from_ns(x)
     }
 
-    /// Drives a controller manually, acking gate commands after a fixed
-    /// driver+ack delay, and returns all emitted commands.
-    struct Harness {
-        ctrl: AsyncController,
-        acks: Vec<(Time, usize, bool, bool)>,
-        log: Vec<TimedCommand>,
-        ack_delay: Time,
-    }
-
-    impl Harness {
-        fn new(phases: usize) -> Harness {
-            Harness {
-                ctrl: AsyncController::new(phases, AsyncTiming::default()),
-                acks: Vec::new(),
-                log: Vec::new(),
-                ack_delay: Time::from_ns(2.5),
-            }
-        }
-
-        fn drain(&mut self, now: Time) {
-            loop {
-                // Deliver due acks first.
-                self.acks.sort_by_key(|a| a.0);
-                if let Some(&(t, phase, pmos, value)) = self.acks.first() {
-                    if t <= now {
-                        self.acks.remove(0);
-                        self.ctrl.on_gate_ack(t, phase, pmos, value);
-                        continue;
-                    }
-                }
-                if let Some(w) = self.ctrl.next_wakeup() {
-                    if w <= now {
-                        self.ctrl.on_wakeup(w);
-                        for cmd in self.ctrl.take_commands() {
-                            self.log.push(cmd);
-                            if let Command::Gate { phase, pmos, value } = cmd.command {
-                                self.acks.push((
-                                    cmd.time + self.ack_delay,
-                                    phase,
-                                    pmos,
-                                    value,
-                                ));
-                            }
-                        }
-                        continue;
-                    }
-                }
-                break;
-            }
-        }
-
-        fn sensor(&mut self, t: Time, kind: SensorKind, v: bool) {
-            self.drain(t);
-            self.ctrl.on_sensor(t, kind, v);
-            for cmd in self.ctrl.take_commands() {
-                self.log.push(cmd);
-                if let Command::Gate { phase, pmos, value } = cmd.command {
-                    self.acks.push((cmd.time + self.ack_delay, phase, pmos, value));
-                }
-            }
-        }
-
-        fn gates(&self) -> Vec<(f64, usize, bool, bool)> {
-            self.log
-                .iter()
-                .filter_map(|c| match c.command {
-                    Command::Gate { phase, pmos, value } => {
-                        Some((c.time.as_ns(), phase, pmos, value))
-                    }
-                    _ => None,
-                })
-                .collect()
-        }
+    fn harness(phases: usize) -> Loopback<AsyncController> {
+        Loopback::new(AsyncController::new(phases, AsyncTiming::default()))
     }
 
     #[test]
     fn uv_starts_pmos_within_nanoseconds() {
-        let mut h = Harness::new(4);
-        h.drain(ns(1.0));
+        let mut h = harness(4);
+        h.run_until(ns(1.0));
         h.sensor(ns(10.0), SensorKind::Uv, true);
-        h.drain(ns(20.0));
+        h.run_until(ns(20.0));
         let gates = h.gates();
         assert!(!gates.is_empty(), "no gate commands");
         let (t, phase, pmos, value) = gates[0];
         assert_eq!((phase, pmos, value), (0, true, true), "{gates:?}");
-        let latency = t - 10.0;
+        let latency = (t - ns(10.0)).as_ns();
         assert!(
             (latency - 1.02).abs() < 0.01,
             "UV reaction should be ~1.02ns, got {latency}"
@@ -775,21 +696,21 @@ mod tests {
 
     #[test]
     fn oc_turns_pmos_off_after_pmin() {
-        let mut h = Harness::new(1);
-        h.drain(ns(1.0));
+        let mut h = harness(1);
+        h.run_until(ns(1.0));
         h.sensor(ns(10.0), SensorKind::Uv, true);
-        h.drain(ns(20.0));
+        h.run_until(ns(20.0));
         // PMOS acked at ~13.5ns; min-until = ack + pmin + pext (first
         // cycle) = 13.5 + 20 + 40 = ~73.5ns.
         h.sensor(ns(30.0), SensorKind::Oc(0), true);
-        h.drain(ns(300.0));
+        h.run_until(ns(300.0));
         let gates = h.gates();
         let off = gates
             .iter()
             .find(|(_, _, pmos, value)| *pmos && !*value)
             .expect("gp- emitted");
         assert!(
-            off.0 > 70.0,
+            off.0 > ns(70.0),
             "PEXT+PMIN must hold the PMOS on: {gates:?}"
         );
         // And NMOS follows after break-before-make.
@@ -802,16 +723,16 @@ mod tests {
 
     #[test]
     fn oc_reaction_fast_on_second_cycle() {
-        let mut h = Harness::new(1);
-        h.drain(ns(1.0));
+        let mut h = harness(1);
+        h.run_until(ns(1.0));
         h.sensor(ns(10.0), SensorKind::Uv, true);
-        h.drain(ns(400.0));
+        h.run_until(ns(400.0));
         h.sensor(ns(400.0), SensorKind::Oc(0), true);
-        h.drain(ns(600.0));
+        h.run_until(ns(600.0));
         // Complete the first cycle: ZC ends the NMOS phase.
         h.sensor(ns(600.0), SensorKind::Oc(0), false);
         h.sensor(ns(650.0), SensorKind::Zc(0), true);
-        h.drain(ns(800.0));
+        h.run_until(ns(800.0));
         // Second cycle (uv still high, re-arm via token wrap is complex;
         // just verify ZC produced gn-).
         let gates = h.gates();
@@ -823,26 +744,26 @@ mod tests {
 
     #[test]
     fn zc_reaction_is_031ns() {
-        let mut h = Harness::new(1);
-        h.drain(ns(1.0));
+        let mut h = harness(1);
+        h.run_until(ns(1.0));
         h.sensor(ns(10.0), SensorKind::Uv, true);
-        h.drain(ns(40.0));
+        h.run_until(ns(40.0));
         // UV clears while charging so the NMOS phase is not taken over
         // by a recharge; OC at 200 (past the PEXT window, ~73.5).
         h.sensor(ns(150.0), SensorKind::Uv, false);
         h.sensor(ns(200.0), SensorKind::Oc(0), true);
-        h.drain(ns(300.0));
+        h.run_until(ns(300.0));
         h.sensor(ns(300.0), SensorKind::Oc(0), false);
         // NMOS is on by ~208; nmin until ~228.
         let zc_t = ns(400.0);
         h.sensor(zc_t, SensorKind::Zc(0), true);
-        h.drain(ns(500.0));
+        h.run_until(ns(500.0));
         let gates = h.gates();
         let gn_off = gates
             .iter()
-            .find(|(t, _, pmos, value)| !*pmos && !*value && *t >= 400.0)
+            .find(|(t, _, pmos, value)| !*pmos && !*value && *t >= ns(400.0))
             .expect("gn- after ZC");
-        let latency = gn_off.0 - 400.0;
+        let latency = (gn_off.0 - ns(400.0)).as_ns();
         assert!(
             (latency - 0.31).abs() < 0.01,
             "ZC reaction should be ~0.31ns, got {latency}: {gates:?}"
@@ -851,13 +772,13 @@ mod tests {
 
     #[test]
     fn hl_arms_all_phases() {
-        let mut h = Harness::new(4);
-        h.drain(ns(1.0));
+        let mut h = harness(4);
+        h.run_until(ns(1.0));
         // HL and UV assert together (HL implies UV).
         h.sensor(ns(10.0), SensorKind::Uv, true);
-        h.drain(ns(11.0));
+        h.run_until(ns(11.0));
         h.sensor(ns(10.5), SensorKind::Hl, true);
-        h.drain(ns(40.0));
+        h.run_until(ns(40.0));
         let gates = h.gates();
         let on_phases: std::collections::HashSet<usize> = gates
             .iter()
@@ -869,17 +790,17 @@ mod tests {
 
     #[test]
     fn token_moves_after_dwell() {
-        let mut h = Harness::new(4);
-        h.drain(ns(1.0));
-        assert_eq!(h.ctrl.token_holder(), 0);
+        let mut h = harness(4);
+        h.run_until(ns(1.0));
+        assert_eq!(h.controller().token_holder(), 0);
         h.sensor(ns(10.0), SensorKind::Uv, true);
         // Token must not move before the 250 ns dwell.
-        h.drain(ns(200.0));
-        assert_eq!(h.ctrl.token_holder(), 0);
-        h.drain(ns(300.0));
-        assert_eq!(h.ctrl.token_holder(), 1, "token moved after dwell");
+        h.run_until(ns(200.0));
+        assert_eq!(h.controller().token_holder(), 0);
+        h.run_until(ns(300.0));
+        assert_eq!(h.controller().token_holder(), 1, "token moved after dwell");
         // UV persists: phase 1 charges too.
-        h.drain(ns(320.0));
+        h.run_until(ns(320.0));
         let gates = h.gates();
         assert!(
             gates
@@ -891,12 +812,12 @@ mod tests {
 
     #[test]
     fn ov_switches_references_and_sinks() {
-        let mut h = Harness::new(2);
-        h.drain(ns(1.0));
+        let mut h = harness(2);
+        h.run_until(ns(1.0));
         h.sensor(ns(10.0), SensorKind::Ov, true);
-        h.drain(ns(30.0));
+        h.run_until(ns(30.0));
         let ov_cmd = h
-            .log
+            .log()
             .iter()
             .find(|c| c.command == Command::OvMode(true))
             .expect("OV mode command");
@@ -912,27 +833,24 @@ mod tests {
         );
         // OV clears: references restored.
         h.sensor(ns(100.0), SensorKind::Ov, false);
-        h.drain(ns(120.0));
-        assert!(h
-            .log
-            .iter()
-            .any(|c| c.command == Command::OvMode(false)));
+        h.run_until(ns(120.0));
+        assert!(h.log().iter().any(|c| c.command == Command::OvMode(false)));
     }
 
     #[test]
     fn no_short_circuit_command_sequences() {
         // Sweep a busy scenario and check gp/gn are never both on
         // (after accounting for command ordering per phase).
-        let mut h = Harness::new(2);
-        h.drain(ns(1.0));
+        let mut h = harness(2);
+        h.run_until(ns(1.0));
         h.sensor(ns(10.0), SensorKind::Uv, true);
         h.sensor(ns(10.2), SensorKind::Hl, true);
-        h.drain(ns(200.0));
+        h.run_until(ns(200.0));
         h.sensor(ns(200.0), SensorKind::Oc(0), true);
         h.sensor(ns(210.0), SensorKind::Oc(1), true);
-        h.drain(ns(400.0));
+        h.run_until(ns(400.0));
         h.sensor(ns(400.0), SensorKind::Zc(0), true);
-        h.drain(ns(600.0));
+        h.run_until(ns(600.0));
         let mut gp = [false; 2];
         let mut gn = [false; 2];
         for (t, phase, pmos, value) in h.gates() {
@@ -943,7 +861,7 @@ mod tests {
             }
             assert!(
                 !(gp[phase] && gn[phase]),
-                "short circuit on phase {phase} at {t}ns"
+                "short circuit on phase {phase} at {t}"
             );
         }
     }

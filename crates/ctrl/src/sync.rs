@@ -16,11 +16,6 @@ use a4a_sim::Time;
 
 use crate::{BuckController, Command, SyncParams, TimedCommand};
 
-/// Internal alias module so the synchroniser signature stays short.
-mod a4a_a2a_meta {
-    pub use a4a_a2a::MetaState;
-}
-
 /// Charging state of one phase FSM (mirrors the asynchronous states).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PState {
@@ -56,7 +51,7 @@ impl Synchroniser {
     /// A marginal capture (the raw value changed since the last edge)
     /// may go metastable and resolve to the *old* value, costing one
     /// extra period — the paper's footnote 1.
-    fn clock(&mut self, meta: &mut Option<a4a_a2a_meta::MetaState>) {
+    fn clock(&mut self, meta: &mut Option<a4a_a2a::MetaState>) {
         for i in (1..self.stages.len()).rev() {
             self.stages[i] = self.stages[i - 1];
         }
@@ -164,7 +159,7 @@ pub struct SyncController {
     act_reload: u64,
     act_pointer: usize,
     ov_mode: bool,
-    meta: Option<a4a_a2a_meta::MetaState>,
+    meta: Option<a4a_a2a::MetaState>,
     out: Vec<TimedCommand>,
     /// Interned name of the `act` debug track.
     track_act: TrackId,
@@ -175,12 +170,17 @@ impl SyncController {
     ///
     /// # Panics
     ///
-    /// Panics when `phases` is zero.
+    /// Panics when `phases` is zero, or when the clock period
+    /// ([`SyncParams::period`]) is 0 fs or does not fit in [`Time`].
     pub fn new(phases: usize, params: SyncParams) -> Self {
         assert!(phases > 0, "at least one phase required");
         let period = params.period();
-        let reload = (params.policy.activation_period.as_fs() + period.as_fs() - 1)
-            / period.as_fs().max(1);
+        assert!(period > Time::ZERO, "fsm_clk period rounds to 0 fs");
+        let reload = params
+            .policy
+            .activation_period
+            .as_fs()
+            .div_ceil(period.as_fs());
         let mut phase_vec: Vec<Phase> =
             (0..phases).map(|_| Phase::new(params.sync_stages)).collect();
         // Phase 0 starts active (mirrors the token starting at stage 0).
@@ -520,12 +520,6 @@ impl BuckController for SyncController {
         }
     }
 
-    fn take_commands(&mut self) -> Vec<TimedCommand> {
-        let mut cmds = std::mem::take(&mut self.out);
-        cmds.sort_by_key(|c| c.time);
-        cmds
-    }
-
     fn take_commands_into(&mut self, out: &mut Vec<TimedCommand>) {
         let start = out.len();
         out.append(&mut self.out);
@@ -540,84 +534,27 @@ impl BuckController for SyncController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Loopback;
 
     fn ns(x: f64) -> Time {
         Time::from_ns(x)
     }
 
-    struct Harness {
-        ctrl: SyncController,
-        acks: Vec<(Time, usize, bool, bool)>,
-        log: Vec<TimedCommand>,
-        ack_delay: Time,
-    }
-
-    impl Harness {
-        fn new(phases: usize, mhz: f64) -> Harness {
-            Harness {
-                ctrl: SyncController::new(phases, SyncParams::at_mhz(mhz)),
-                acks: Vec::new(),
-                log: Vec::new(),
-                ack_delay: Time::from_ns(2.5),
-            }
-        }
-
-        fn drain(&mut self, now: Time) {
-            loop {
-                self.acks.sort_by_key(|a| a.0);
-                let next_ack = self.acks.first().map(|a| a.0);
-                let next_edge = self.ctrl.next_wakeup();
-                match (next_ack, next_edge) {
-                    (Some(ta), _) if ta <= now && next_edge.map(|te| ta <= te).unwrap_or(true) => {
-                        let (t, phase, pmos, value) = self.acks.remove(0);
-                        // Clock the idle edges before the ack first.
-                        self.ctrl.on_wakeup(t - Time::from_fs(1));
-                        self.ctrl.on_gate_ack(t, phase, pmos, value);
-                    }
-                    (_, Some(te)) if te <= now => {
-                        self.ctrl.on_wakeup(te);
-                        for cmd in self.ctrl.take_commands() {
-                            self.log.push(cmd);
-                            if let Command::Gate { phase, pmos, value } = cmd.command {
-                                self.acks.push((cmd.time + self.ack_delay, phase, pmos, value));
-                            }
-                        }
-                    }
-                    _ => break,
-                }
-            }
-        }
-
-        fn sensor(&mut self, t: Time, kind: SensorKind, v: bool) {
-            self.drain(t);
-            self.ctrl.on_wakeup(t);
-            self.ctrl.on_sensor(t, kind, v);
-        }
-
-        fn gates(&self) -> Vec<(f64, usize, bool, bool)> {
-            self.log
-                .iter()
-                .filter_map(|c| match c.command {
-                    Command::Gate { phase, pmos, value } => {
-                        Some((c.time.as_ns(), phase, pmos, value))
-                    }
-                    _ => None,
-                })
-                .collect()
-        }
+    fn harness(phases: usize, mhz: f64) -> Loopback<SyncController> {
+        Loopback::new(SyncController::new(phases, SyncParams::at_mhz(mhz)))
     }
 
     #[test]
     fn uv_reaction_is_sampled_and_synchronised() {
         // 100 MHz: period 10 ns. The phase must be armed by the
         // activator first (first pulse after 25 edges = 250 ns).
-        let mut h = Harness::new(2, 100.0);
-        h.drain(ns(260.0));
+        let mut h = harness(2, 100.0);
+        h.run_until(ns(260.0));
         h.sensor(ns(262.0), SensorKind::Uv, true);
-        h.drain(ns(400.0));
+        h.run_until(ns(400.0));
         let gates = h.gates();
         let first = gates.iter().find(|(_, _, pmos, v)| *pmos && *v).unwrap();
-        let latency = first.0 - 262.0;
+        let latency = (first.0 - ns(262.0)).as_ns();
         assert!(
             (23.0..=43.0).contains(&latency),
             "expected ~2.5-3.5 periods + sampling, got {latency}ns ({gates:?})"
@@ -627,15 +564,15 @@ mod tests {
     #[test]
     fn faster_clock_reacts_faster() {
         let measure = |mhz: f64| -> f64 {
-            let mut h = Harness::new(2, mhz);
-            h.drain(ns(260.0));
+            let mut h = harness(2, mhz);
+            h.run_until(ns(260.0));
             h.sensor(ns(262.0), SensorKind::Uv, true);
-            h.drain(ns(500.0));
+            h.run_until(ns(500.0));
             let gates = h.gates();
             gates
                 .iter()
                 .find(|(_, _, pmos, v)| *pmos && *v)
-                .map(|g| g.0 - 262.0)
+                .map(|g| (g.0 - ns(262.0)).as_ns())
                 .unwrap_or(f64::INFINITY)
         };
         let slow = measure(100.0);
@@ -647,24 +584,24 @@ mod tests {
 
     #[test]
     fn activation_pulse_rotates_and_expires() {
-        let mut h = Harness::new(4, 100.0);
-        h.drain(ns(240.0));
-        assert_eq!(h.ctrl.active_phase(), 0);
-        h.drain(ns(260.0));
-        assert_eq!(h.ctrl.active_phase(), 1, "pointer rotates");
-        h.drain(ns(510.0));
-        assert_eq!(h.ctrl.active_phase(), 2);
+        let mut h = harness(4, 100.0);
+        h.run_until(ns(240.0));
+        assert_eq!(h.controller().active_phase(), 0);
+        h.run_until(ns(260.0));
+        assert_eq!(h.controller().active_phase(), 1, "pointer rotates");
+        h.run_until(ns(510.0));
+        assert_eq!(h.controller().active_phase(), 2);
         // No UV happened: no commands.
         assert!(h.gates().is_empty());
     }
 
     #[test]
     fn hl_drafts_all_phases() {
-        let mut h = Harness::new(4, 333.0);
-        h.drain(ns(10.0));
+        let mut h = harness(4, 333.0);
+        h.run_until(ns(10.0));
         h.sensor(ns(20.0), SensorKind::Uv, true);
         h.sensor(ns(20.1), SensorKind::Hl, true);
-        h.drain(ns(100.0));
+        h.run_until(ns(100.0));
         let phases: std::collections::HashSet<usize> = h
             .gates()
             .iter()
@@ -676,16 +613,16 @@ mod tests {
 
     #[test]
     fn full_cycle_with_oc_and_zc() {
-        let mut h = Harness::new(1, 333.0);
-        h.drain(ns(10.0));
+        let mut h = harness(1, 333.0);
+        h.run_until(ns(10.0));
         h.sensor(ns(20.0), SensorKind::Hl, true);
         h.sensor(ns(20.0), SensorKind::Uv, true);
-        h.drain(ns(60.0));
+        h.run_until(ns(60.0));
         // PMOS on; wait past PEXT, then OC. UV clears so the NMOS
         // phase is not taken over by a recharge.
         h.sensor(ns(400.0), SensorKind::Oc(0), true);
         h.sensor(ns(430.0), SensorKind::Uv, false);
-        h.drain(ns(500.0));
+        h.run_until(ns(500.0));
         let gates = h.gates();
         assert!(
             gates.iter().any(|(_, _, pmos, v)| *pmos && !*v),
@@ -697,23 +634,25 @@ mod tests {
         );
         h.sensor(ns(500.0), SensorKind::Oc(0), false);
         h.sensor(ns(600.0), SensorKind::Zc(0), true);
-        h.drain(ns(700.0));
+        h.run_until(ns(700.0));
         let gates = h.gates();
         assert!(
-            gates.iter().any(|(t, _, pmos, v)| !*pmos && !*v && *t > 600.0),
+            gates
+                .iter()
+                .any(|(t, _, pmos, v)| !*pmos && !*v && *t > ns(600.0)),
             "gn- after ZC: {gates:?}"
         );
     }
 
     #[test]
     fn break_before_make_respects_acks() {
-        let mut h = Harness::new(1, 333.0);
-        h.drain(ns(10.0));
+        let mut h = harness(1, 333.0);
+        h.run_until(ns(10.0));
         h.sensor(ns(20.0), SensorKind::Hl, true);
         h.sensor(ns(20.0), SensorKind::Uv, true);
-        h.drain(ns(1000.0));
+        h.run_until(ns(1000.0));
         h.sensor(ns(1000.0), SensorKind::Oc(0), true);
-        h.drain(ns(1200.0));
+        h.run_until(ns(1200.0));
         let gates = h.gates();
         let gp_off = gates
             .iter()
@@ -725,19 +664,19 @@ mod tests {
             .expect("gn+");
         // gn+ must come after gp- plus the ack round trip (2.5 ns) plus
         // synchronisation of the ack.
-        assert!(gn_on.0 > gp_off.0 + 2.5, "{gates:?}");
+        assert!(gn_on.0 > gp_off.0 + ns(2.5), "{gates:?}");
     }
 
     #[test]
     fn ov_mode_commands_emitted() {
-        let mut h = Harness::new(2, 333.0);
-        h.drain(ns(300.0));
+        let mut h = harness(2, 333.0);
+        h.run_until(ns(300.0));
         h.sensor(ns(300.0), SensorKind::Ov, true);
-        h.drain(ns(400.0));
-        assert!(h.log.iter().any(|c| c.command == Command::OvMode(true)));
+        h.run_until(ns(400.0));
+        assert!(h.log().iter().any(|c| c.command == Command::OvMode(true)));
         h.sensor(ns(500.0), SensorKind::Ov, false);
-        h.drain(ns(600.0));
-        assert!(h.log.iter().any(|c| c.command == Command::OvMode(false)));
+        h.run_until(ns(600.0));
+        assert!(h.log().iter().any(|c| c.command == Command::OvMode(false)));
     }
 
     #[test]
@@ -746,19 +685,14 @@ mod tests {
         // costing exactly one extra period per synchroniser stage entry.
         let measure = |meta: a4a_a2a::MetaParams| -> f64 {
             let params = SyncParams::at_mhz(100.0).with_meta(meta);
-            let mut h = Harness {
-                ctrl: SyncController::new(2, params),
-                acks: Vec::new(),
-                log: Vec::new(),
-                ack_delay: Time::from_ns(2.5),
-            };
-            h.drain(ns(260.0));
+            let mut h = Loopback::new(SyncController::new(2, params));
+            h.run_until(ns(260.0));
             h.sensor(ns(262.0), SensorKind::Uv, true);
-            h.drain(ns(500.0));
+            h.run_until(ns(500.0));
             h.gates()
                 .iter()
                 .find(|(_, _, pmos, v)| *pmos && *v)
-                .map(|g| g.0 - 262.0)
+                .map(|g| (g.0 - ns(262.0)).as_ns())
                 .unwrap_or(f64::NAN)
         };
         let clean = measure(a4a_a2a::MetaParams::disabled());
@@ -916,16 +850,24 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "0 fs")]
+    fn zero_period_rejected() {
+        let mut params = SyncParams::at_mhz(333.0);
+        params.fsm_clk_hz = 1e16;
+        let _ = SyncController::new(1, params);
+    }
+
+    #[test]
     fn no_short_circuit_in_sync_commands() {
-        let mut h = Harness::new(2, 666.0);
-        h.drain(ns(1.0));
+        let mut h = harness(2, 666.0);
+        h.run_until(ns(1.0));
         h.sensor(ns(10.0), SensorKind::Uv, true);
         h.sensor(ns(10.2), SensorKind::Hl, true);
-        h.drain(ns(300.0));
+        h.run_until(ns(300.0));
         h.sensor(ns(300.0), SensorKind::Oc(0), true);
-        h.drain(ns(400.0));
+        h.run_until(ns(400.0));
         h.sensor(ns(400.0), SensorKind::Zc(0), true);
-        h.drain(ns(800.0));
+        h.run_until(ns(800.0));
         let mut gp = [false; 2];
         let mut gn = [false; 2];
         for (t, phase, pmos, value) in h.gates() {
@@ -934,7 +876,7 @@ mod tests {
             } else {
                 gn[phase] = value;
             }
-            assert!(!(gp[phase] && gn[phase]), "short at {t}ns phase {phase}");
+            assert!(!(gp[phase] && gn[phase]), "short at {t} phase {phase}");
         }
     }
 }

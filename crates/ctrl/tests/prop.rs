@@ -4,7 +4,7 @@
 
 use a4a_analog::SensorKind;
 use a4a_ctrl::{
-    AsyncController, AsyncTiming, BuckController, Command, SyncController, SyncParams,
+    AsyncController, AsyncTiming, BuckController, Command, Loopback, SyncController, SyncParams,
 };
 use a4a_rt::prop::{self, Config, Gen, PropResult, TestCaseError};
 use a4a_rt::prop_assert;
@@ -41,71 +41,19 @@ fn arb_events(g: &mut Gen, phases: usize, len: usize) -> Vec<(u64, Fuzz)> {
         .collect()
 }
 
-/// Drives a controller with the fuzz stream, acking every gate command,
-/// and asserts the safety properties on the command log.
-fn drive(ctrl: &mut dyn BuckController, events: &[(u64, Fuzz)], phases: usize) -> Result<(), TestCaseError> {
+/// Drives a controller with the fuzz stream through a [`Loopback`], which
+/// acks every gate command, and asserts the safety properties on the
+/// command log.
+fn drive(
+    ctrl: impl BuckController,
+    events: &[(u64, Fuzz)],
+    phases: usize,
+) -> Result<(), TestCaseError> {
+    let mut lb = Loopback::new(ctrl);
     // Track sensor levels so we only deliver actual changes (comparator
     // outputs are level signals).
     let mut levels = std::collections::HashMap::new();
-    let mut acks: Vec<(Time, usize, bool, bool)> = Vec::new();
-    let mut gp = vec![false; phases];
-    let mut gn = vec![false; phases];
-    let mut last_cmd_time = Time::ZERO;
-    let ack_delay = Time::from_ns(2.0);
-
-    let process =
-        |ctrl: &mut dyn BuckController,
-         acks: &mut Vec<(Time, usize, bool, bool)>,
-         gp: &mut Vec<bool>,
-         gn: &mut Vec<bool>,
-         last_cmd_time: &mut Time,
-         now: Time|
-         -> Result<(), TestCaseError> {
-            loop {
-                acks.sort_by_key(|a| a.0);
-                let next_ack = acks.first().map(|a| a.0).filter(|&t| t <= now);
-                let next_wake = ctrl.next_wakeup().filter(|&t| t <= now);
-                match (next_ack, next_wake) {
-                    (Some(ta), w) if w.map(|tw| ta <= tw).unwrap_or(true) => {
-                        let (t, phase, pmos, value) = acks.remove(0);
-                        // A controller may sleep through idle instants:
-                        // catch it up to just before the ack.
-                        ctrl.on_wakeup(Time::from_fs(ta.as_fs() - 1));
-                        ctrl.on_gate_ack(t, phase, pmos, value);
-                    }
-                    (_, Some(tw)) => {
-                        ctrl.on_wakeup(tw);
-                    }
-                    _ => break,
-                }
-                for cmd in ctrl.take_commands() {
-                    prop_assert!(
-                        cmd.time >= *last_cmd_time,
-                        "commands must be time-sorted per drain"
-                    );
-                    *last_cmd_time = cmd.time;
-                    if let Command::Gate { phase, pmos, value } = cmd.command {
-                        if pmos {
-                            gp[phase] = value;
-                        } else {
-                            gn[phase] = value;
-                        }
-                        prop_assert!(
-                            !(gp[phase] && gn[phase]),
-                            "short circuit on phase {} at {}",
-                            phase,
-                            cmd.time
-                        );
-                        acks.push((cmd.time + ack_delay, phase, pmos, value));
-                    }
-                }
-            }
-            Ok(())
-        };
-
     for &(t_ns, fuzz) in events {
-        let t = Time::from_ns(t_ns as f64);
-        process(ctrl, &mut acks, &mut gp, &mut gn, &mut last_cmd_time, t)?;
         let (kind, value) = match fuzz {
             Fuzz::Hl(v) => (SensorKind::Hl, v),
             Fuzz::Uv(v) => (SensorKind::Uv, v),
@@ -116,26 +64,31 @@ fn drive(ctrl: &mut dyn BuckController, events: &[(u64, Fuzz)], phases: usize) -
         let slot = levels.entry(format!("{kind}")).or_insert(false);
         if *slot != value {
             *slot = value;
-            ctrl.on_wakeup(t);
-            ctrl.on_sensor(t, kind, value);
-            // Collect immediately-emitted commands too.
-            for cmd in ctrl.take_commands() {
-                last_cmd_time = last_cmd_time.max(cmd.time);
-                if let Command::Gate { phase, pmos, value } = cmd.command {
-                    if pmos {
-                        gp[phase] = value;
-                    } else {
-                        gn[phase] = value;
-                    }
-                    prop_assert!(!(gp[phase] && gn[phase]), "short circuit");
-                    acks.push((cmd.time + ack_delay, phase, pmos, value));
-                }
-            }
+            lb.sensor(Time::from_ns(t_ns as f64), kind, value);
         }
     }
-    // Drain the tail.
-    let end = Time::from_us(100.0);
-    process(ctrl, &mut acks, &mut gp, &mut gn, &mut last_cmd_time, end)?;
+    lb.run_until(Time::from_us(100.0));
+
+    let mut gp = vec![false; phases];
+    let mut gn = vec![false; phases];
+    let mut last_cmd_time = Time::ZERO;
+    for cmd in lb.log() {
+        prop_assert!(cmd.time >= last_cmd_time, "commands must be time-sorted");
+        last_cmd_time = cmd.time;
+        if let Command::Gate { phase, pmos, value } = cmd.command {
+            if pmos {
+                gp[phase] = value;
+            } else {
+                gn[phase] = value;
+            }
+            prop_assert!(
+                !(gp[phase] && gn[phase]),
+                "short circuit on phase {} at {}",
+                phase,
+                cmd.time
+            );
+        }
+    }
     Ok(())
 }
 
@@ -145,8 +98,7 @@ fn drive(ctrl: &mut dyn BuckController, events: &[(u64, Fuzz)], phases: usize) -
 fn async_never_shorts() {
     prop::check_with(&Config::with_cases(40), "async_never_shorts", |g: &mut Gen| -> PropResult {
         let events = arb_events(g, 3, 60);
-        let mut ctrl = AsyncController::new(3, AsyncTiming::default());
-        drive(&mut ctrl, &events, 3)?;
+        drive(AsyncController::new(3, AsyncTiming::default()), &events, 3)?;
         Ok(())
     });
 }
@@ -157,8 +109,7 @@ fn sync_never_shorts() {
     prop::check_with(&Config::with_cases(40), "sync_never_shorts", |g: &mut Gen| -> PropResult {
         let events = arb_events(g, 3, 60);
         let mhz = g.f64(50.0..1200.0);
-        let mut ctrl = SyncController::new(3, SyncParams::at_mhz(mhz));
-        drive(&mut ctrl, &events, 3)?;
+        drive(SyncController::new(3, SyncParams::at_mhz(mhz)), &events, 3)?;
         Ok(())
     });
 }
@@ -168,8 +119,7 @@ fn sync_never_shorts() {
 fn basic_never_shorts() {
     prop::check_with(&Config::with_cases(40), "basic_never_shorts", |g: &mut Gen| -> PropResult {
         let events = arb_events(g, 1, 40);
-        let mut ctrl = a4a_ctrl::BasicBuckController::new();
-        drive(&mut ctrl, &events, 1)?;
+        drive(a4a_ctrl::BasicBuckController::new(), &events, 1)?;
         Ok(())
     });
 }
