@@ -15,7 +15,8 @@
 #      dir, checking CSV headers/row counts against results/, requiring
 #      every regenerated CSV to equal the committed one byte for byte,
 #      the ablation's printed numbers to equal results/ablation.txt, and
-#      rejecting NaN/inf cells
+#      rejecting NaN/inf cells; then every example under examples/ must
+#      run to a zero exit
 #   5. fault-injection tier: seeded adversarial scenarios against the
 #      scheduler/analog/testbench layers (deterministic per
 #      A4A_PROP_SEED), asserting typed errors instead of panics
@@ -104,7 +105,17 @@ smoke_tier() {
     if [ "$ok" -ne 1 ]; then
         exit 1
     fi
-    echo "OK: smoke tier (headers, row counts, byte-identical CSVs and ablation, finite cells)"
+    local example
+    for example in examples/*.rs; do
+        example=$(basename "$example" .rs)
+        echo "    running example $example"
+        if ! cargo run -q --release --offline --example "$example" \
+                > "$scratch/example-$example.out"; then
+            echo "ERROR: example $example exited non-zero" >&2
+            exit 1
+        fi
+    done
+    echo "OK: smoke tier (headers, row counts, byte-identical CSVs and ablation, finite cells, examples run)"
 }
 
 perf_counter_tier() {

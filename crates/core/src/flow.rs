@@ -79,7 +79,6 @@ pub struct FlowResult {
 pub struct A4aFlow {
     stg: Stg,
     options: SynthOptions,
-    max_states: usize,
 }
 
 impl A4aFlow {
@@ -88,7 +87,6 @@ impl A4aFlow {
         A4aFlow {
             stg,
             options: SynthOptions::new(SynthStyle::ComplexGate),
-            max_states: 1_000_000,
         }
     }
 
@@ -98,7 +96,9 @@ impl A4aFlow {
         self
     }
 
-    /// Replaces the synthesis options wholesale.
+    /// Replaces the synthesis options wholesale. Their `max_states` is
+    /// the state budget of every stage: the sanity check, synthesis and
+    /// SI verification.
     pub fn with_options(mut self, options: SynthOptions) -> Self {
         self.options = options;
         self
@@ -120,7 +120,7 @@ impl A4aFlow {
     pub fn run(&self) -> Result<FlowResult, FlowError> {
         let sg = self
             .stg
-            .state_graph(self.max_states)
+            .state_graph(self.options.max_states)
             .map_err(|e| FlowError::Specification {
                 report: e.to_string(),
             })?;
@@ -131,7 +131,7 @@ impl A4aFlow {
             });
         }
         let synthesis = synthesize(&self.stg, &self.options)?;
-        let si = verify_si(&self.stg, synthesis.netlist(), self.max_states)?;
+        let si = verify_si(&self.stg, synthesis.netlist(), self.options.max_states)?;
         let verilog = verilog::emit(synthesis.netlist());
         let g_format = self.stg.to_g();
         let equations = synthesis.equations(&self.stg);
@@ -193,6 +193,19 @@ b- a+
         )
         .unwrap();
         let err = A4aFlow::new(stg).run().unwrap_err();
+        assert!(matches!(err, FlowError::Specification { .. }), "{err}");
+    }
+
+    /// The state budget of `with_options` bounds the sanity check too,
+    /// so a spec over budget fails there rather than in synthesis.
+    #[test]
+    fn options_state_budget_bounds_every_stage() {
+        let mut options = SynthOptions::new(SynthStyle::ComplexGate);
+        options.max_states = 2;
+        let err = A4aFlow::new(a4a_ctrl::stgs::basic_buck_stg())
+            .with_options(options)
+            .run()
+            .unwrap_err();
         assert!(matches!(err, FlowError::Specification { .. }), "{err}");
     }
 

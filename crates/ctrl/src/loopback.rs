@@ -36,6 +36,8 @@ pub struct Loopback<C> {
     round_trip: Time,
     /// Acknowledgements not yet delivered, in time order.
     acks: VecDeque<(Time, usize, bool, bool)>,
+    /// Every input up to this time has been delivered.
+    now: Time,
     log: Vec<TimedCommand>,
 }
 
@@ -47,6 +49,7 @@ impl<C: BuckController> Loopback<C> {
             ctrl,
             round_trip: gate.driver_delay + gate.ack_delay,
             acks: VecDeque::new(),
+            now: Time::ZERO,
             log: Vec::new(),
         }
     }
@@ -75,6 +78,7 @@ impl<C: BuckController> Loopback<C> {
     /// Delivers every wakeup and acknowledgement due by `t`, in time
     /// order; at equal times the acknowledgement goes first.
     pub fn run_until(&mut self, t: Time) {
+        self.now = self.now.max(t);
         loop {
             let ack = self.acks.front().copied().filter(|a| a.0 <= t);
             let wake = self.ctrl.next_wakeup().filter(|&tw| tw <= t);
@@ -95,7 +99,18 @@ impl<C: BuckController> Loopback<C> {
 
     /// Delivers a sensor change at `t`, after every wakeup and
     /// acknowledgement up to it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `t` is before a time already run to: the inputs up to
+    /// that time have reached the controller, so this one would arrive
+    /// out of order.
     pub fn sensor(&mut self, t: Time, kind: SensorKind, value: bool) {
+        assert!(
+            t >= self.now,
+            "sensor event at {t} after the loopback ran to {}",
+            self.now
+        );
         self.run_until(t);
         self.ctrl.on_wakeup(t);
         self.ctrl.on_sensor(t, kind, value);
@@ -219,5 +234,13 @@ mod tests {
         let ack = gates[0].0 + gate.driver_delay + gate.ack_delay;
         assert_eq!(ack, period * 5, "the ack lands on an edge");
         assert_eq!(gates[1], (ns(66.5), 0, true, false), "{gates:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "after the loopback ran to")]
+    fn a_sensor_event_in_the_past_is_rejected() {
+        let mut lb = Loopback::new(SyncController::new(1, SyncParams::at_mhz(333.0)));
+        lb.run_until(ns(11.0));
+        lb.sensor(ns(10.5), SensorKind::Uv, true);
     }
 }

@@ -66,26 +66,30 @@ impl SyncParams {
     /// # Panics
     ///
     /// Panics when `mhz` is NaN, infinite, or non-positive, or when its
-    /// period rounds to 0 fs or does not fit in [`Time`]; see
+    /// period rounds to 0 fs or exceeds 1 s (below 1e-6 MHz); see
     /// [`SyncParams::try_at_mhz`] for the fallible variant.
     pub fn at_mhz(mhz: f64) -> SyncParams {
         match Self::try_at_mhz(mhz) {
             Ok(p) => p,
             Err(e) => {
-                panic!("{e} (clock frequency must be positive, its period 1 fs to u64::MAX fs)")
+                panic!("{e} (clock frequency must be positive, its period 1 fs to 1 s)")
             }
         }
     }
 
     /// Fallible [`SyncParams::at_mhz`]: a NaN, infinite, or non-positive
     /// frequency, or one whose period rounds to 0 fs (above about
-    /// 2e9 MHz) or does not fit in [`Time`], is reported as
+    /// 2e9 MHz) or exceeds 1 s (below 1e-6 MHz), is reported as
     /// [`SimError::InvalidParameter`](a4a_sim::SimError::InvalidParameter).
+    /// The 1 s bound keeps the multiples of the period the controller
+    /// takes, such as [`SyncParams::nominal_latency`], inside [`Time`].
     pub fn try_at_mhz(mhz: f64) -> Result<SyncParams, a4a_sim::SimError> {
         let fsm_clk_hz = mhz * 1e6;
         // A NaN, infinite or non-positive `mhz` gives a NaN, zero,
         // infinite or negative period, which this check rejects too.
-        if !Time::try_from_secs(1.0 / fsm_clk_hz).is_ok_and(|p| p > Time::ZERO) {
+        let max_period = Time::from_secs(1.0);
+        if !Time::try_from_secs(1.0 / fsm_clk_hz).is_ok_and(|p| p > Time::ZERO && p <= max_period)
+        {
             return Err(a4a_sim::SimError::InvalidParameter {
                 what: "fsm_clk (MHz)",
                 value: mhz,
@@ -245,8 +249,9 @@ mod tests {
     #[test]
     fn try_at_mhz_rejects_nan_and_non_positive() {
         use a4a_sim::SimError;
-        // A period that rounds to 0 fs, and one that overflows `Time`.
-        for bad in [f64::NAN, 0.0, -100.0, f64::INFINITY, 1e10, 1e-300] {
+        // A period that rounds to 0 fs, one of 1e4 s, and one that
+        // overflows `Time`.
+        for bad in [f64::NAN, 0.0, -100.0, f64::INFINITY, 1e10, 1e-10, 1e-300] {
             assert!(
                 matches!(
                     SyncParams::try_at_mhz(bad),

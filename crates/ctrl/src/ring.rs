@@ -14,37 +14,17 @@
 //! The model is event-driven: module decision delays come from
 //! [`AsyncTiming`] (calibrated against the synthesised gate-level
 //! modules) and there is no clock anywhere — reaction latency is purely
-//! the sum of the modules a signal actually traverses.
+//! the sum of the modules a signal actually traverses. Each stage's
+//! CHARGE_CTRL is the charging machine the synchronous controller steps
+//! too (`charge.rs`). A ring of one stage is the basic single-phase
+//! controller of Figure 2b: the token never leaves it, and without the
+//! HL/OV sensors that machinery never triggers.
 
 use a4a_analog::{SensorKind, TrackId};
 use a4a_sim::{Scheduler, Time};
 
+use crate::charge::{Charge, PState};
 use crate::{AsyncTiming, BuckController, Command, TimedCommand};
-
-/// Charging state of one phase (the CHARGE_CTRL + delay-controller
-/// portion of Figure 5c).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PState {
-    /// Both transistors off.
-    Idle,
-    /// `gp` commanded on, waiting for `gp_ack` rise.
-    TurnPmosOn,
-    /// PMOS conducting; waiting for OC (and the minimum on-time).
-    PmosOn,
-    /// `gp` commanded off, waiting for `gp_ack` fall (break before
-    /// make).
-    TurnPmosOff,
-    /// `gn` commanded on, waiting for `gn_ack` rise.
-    TurnNmosOn,
-    /// NMOS conducting; waiting for ZC or for the next charge demand.
-    NmosOn,
-    /// `gn` commanded off, waiting for `gn_ack` fall.
-    TurnNmosOff {
-        /// Start a new PMOS cycle after the ack (late/no-ZC scenario),
-        /// or finish to idle (early-ZC / OV-resolved scenario).
-        recharge: bool,
-    },
-}
 
 /// Internal scheduled actions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,7 +49,7 @@ enum Act {
 
 #[derive(Debug, Clone)]
 struct Phase {
-    state: PState,
+    charge: Charge,
     /// Activation pending (token/HL), not yet consumed by a demand.
     armed: bool,
     /// A StartCycle/StartOv is in flight for this stage.
@@ -77,23 +57,14 @@ struct Phase {
     /// A demand arrived while the stage was mid-cycle; recharge when the
     /// current cycle completes.
     recharge_queued: bool,
-    gp: bool,
-    gn: bool,
     gp_ack: bool,
     gn_ack: bool,
-    /// Earliest time `gp` may be commanded off.
-    pmos_min_until: Time,
-    /// Earliest time `gn` may be commanded off.
-    nmos_min_until: Time,
     /// OC seen while PMOS on (pending if before the minimum on-time).
     oc_pending: bool,
     /// ZC seen while NMOS on.
     zc_pending: bool,
     /// RWAIT cancelled: ZC no longer ends this NMOS phase.
     zc_cancelled: bool,
-    /// Next cycle is the first after a UV detection: extend PMIN by
-    /// PEXT (the WAIT01 + EXT_DELAY_CTRL path).
-    first_cycle: bool,
     /// Sinking energy in OV mode.
     ov_sink: bool,
 }
@@ -101,20 +72,15 @@ struct Phase {
 impl Phase {
     fn new() -> Phase {
         Phase {
-            state: PState::Idle,
+            charge: Charge::new(),
             armed: false,
             start_pending: false,
             recharge_queued: false,
-            gp: false,
-            gn: false,
             gp_ack: false,
             gn_ack: false,
-            pmos_min_until: Time::ZERO,
-            nmos_min_until: Time::ZERO,
             oc_pending: false,
             zc_pending: false,
             zc_cancelled: false,
-            first_cycle: true,
             ov_sink: false,
         }
     }
@@ -240,7 +206,7 @@ impl AsyncController {
     /// before make.
     fn start_cycle(&mut self, t: Time, phase: usize) {
         self.phases[phase].start_pending = false;
-        match self.phases[phase].state {
+        match self.phases[phase].charge.state {
             PState::Idle => {
                 self.apply_gate(t, phase, true, true);
             }
@@ -261,73 +227,48 @@ impl AsyncController {
     /// OV sinking: make sure the NMOS conducts until the negative
     /// current limit.
     fn start_ov(&mut self, t: Time, phase: usize) {
-        self.phases[phase].start_pending = false;
-        self.phases[phase].ov_sink = true;
-        match self.phases[phase].state {
-            PState::Idle => {
-                self.phases[phase].state = PState::TurnNmosOn;
-                self.sched.schedule(
-                    t,
-                    Act::Gate {
-                        phase,
-                        pmos: false,
-                        value: true,
-                    },
-                );
-            }
-            PState::PmosOn => {
-                // The reference switch makes OC fire at I_0; the regular
-                // OC path turns the PMOS off. Nothing extra to do here.
-            }
-            PState::NmosOn => {
-                // Already sinking; the new ZC reference (I_neg) applies.
-            }
-            _ => {}
+        let p = &mut self.phases[phase];
+        p.start_pending = false;
+        p.ov_sink = true;
+        // A conducting PMOS needs nothing extra: the reference switch
+        // makes OC fire at I_0 and the regular OC path turns it off. A
+        // conducting NMOS already sinks, to the new ZC reference (I_neg).
+        if p.charge.state == PState::Idle {
+            p.charge.state = PState::TurnNmosOn;
+            self.sched.schedule(
+                t,
+                Act::Gate {
+                    phase,
+                    pmos: false,
+                    value: true,
+                },
+            );
         }
     }
 
     /// Moves the phase into the state the gate command starts, and
     /// emits the command at `t`.
     fn apply_gate(&mut self, t: Time, phase: usize, pmos: bool, value: bool) {
-        {
-            let p = &mut self.phases[phase];
-            match (pmos, value) {
-                (true, true) => {
-                    debug_assert!(!p.gn && !p.gn_ack, "break-before-make violated");
-                    p.gp = true;
-                    p.state = PState::TurnPmosOn;
-                }
-                (true, false) => {
-                    p.gp = false;
-                    p.state = PState::TurnPmosOff;
-                }
-                (false, true) => {
-                    debug_assert!(!p.gp && !p.gp_ack, "break-before-make violated");
-                    p.gn = true;
-                    p.state = PState::TurnNmosOn;
-                }
-                (false, false) => {
-                    p.gn = false;
-                    if !matches!(p.state, PState::TurnNmosOff { .. }) {
-                        p.state = PState::TurnNmosOff { recharge: false };
-                    }
-                }
-            }
-        }
-        self.emit(t, Command::Gate { phase, pmos, value });
+        let p = &mut self.phases[phase];
+        let other_ack = if pmos { p.gn_ack } else { p.gp_ack };
+        debug_assert!(!(value && other_ack), "break-before-make violated");
+        let command = p.charge.gate(phase, pmos, value);
+        self.emit(t, command);
     }
 
-    /// PMOS conducting phase reached both OC and its minimum on-time:
-    /// turn it off.
+    /// The OC decision of a conducting PMOS reaches CHARGE_CTRL at `t`:
+    /// turn the PMOS off then, or once its minimum on-time has expired.
     fn finish_pmos(&mut self, t: Time, phase: usize) {
-        if self.phases[phase].state != PState::PmosOn {
+        let c = &mut self.phases[phase].charge;
+        if c.state != PState::PmosOn {
             return;
         }
-        let at = t.max(self.phases[phase].pmos_min_until);
-        if at > t {
-            self.sched.schedule(at, Act::PminDone { phase });
+        if t < c.pmos_min_until {
+            self.sched.schedule(c.pmos_min_until, Act::PminDone { phase });
             return;
         }
+        // The state changes now, the command leaves at `t`.
+        c.state = PState::TurnPmosOff;
         self.sched.schedule(
             t,
             Act::Gate {
@@ -336,27 +277,21 @@ impl AsyncController {
                 value: false,
             },
         );
-        // State changes when the command is processed.
-        self.phases[phase].state = PState::TurnPmosOff;
-        self.phases[phase].gp = false;
     }
 
-    /// NMOS conducting phase reached both ZC and its minimum on-time:
-    /// turn it off.
+    /// The ZC decision of a conducting NMOS reaches CHARGE_CTRL at `t`:
+    /// turn the NMOS off then, or once its minimum on-time has expired.
     fn finish_nmos(&mut self, t: Time, phase: usize) {
-        if self.phases[phase].state != PState::NmosOn {
+        let p = &mut self.phases[phase];
+        if p.charge.state != PState::NmosOn || p.zc_cancelled {
             return;
         }
-        if self.phases[phase].zc_cancelled {
+        if t < p.charge.nmos_min_until {
+            self.sched
+                .schedule(p.charge.nmos_min_until, Act::NminDone { phase });
             return;
         }
-        let at = t.max(self.phases[phase].nmos_min_until);
-        if at > t {
-            self.sched.schedule(at, Act::NminDone { phase });
-            return;
-        }
-        self.phases[phase].state = PState::TurnNmosOff { recharge: false };
-        self.phases[phase].gn = false;
+        p.charge.state = PState::TurnNmosOff { recharge: false };
         self.sched.schedule(
             t,
             Act::Gate {
@@ -374,8 +309,8 @@ impl AsyncController {
     /// begins once the over-current has released (current back below
     /// `I_max`), which is what bounds the peak current.
     fn maybe_recharge(&mut self, t: Time, phase: usize) {
-        let p = &self.phases[phase];
-        if p.state != PState::NmosOn
+        let p = &mut self.phases[phase];
+        if p.charge.state != PState::NmosOn
             || !self.uv
             || p.ov_sink
             || p.zc_cancelled
@@ -383,12 +318,10 @@ impl AsyncController {
         {
             return;
         }
-        self.phases[phase].recharge_queued = false;
-        let p = &self.phases[phase];
-        let at = (t + self.timing.uv_path()).max(p.nmos_min_until);
-        self.phases[phase].zc_cancelled = true;
-        self.phases[phase].state = PState::TurnNmosOff { recharge: true };
-        self.phases[phase].gn = false;
+        p.recharge_queued = false;
+        p.zc_cancelled = true;
+        p.charge.state = PState::TurnNmosOff { recharge: true };
+        let at = (t + self.timing.uv_path()).max(p.charge.nmos_min_until);
         self.sched.schedule(
             at,
             Act::Gate {
@@ -414,24 +347,7 @@ impl AsyncController {
             }
             Act::StartCycle { phase } => self.start_cycle(t, phase),
             Act::StartOv { phase } => self.start_ov(t, phase),
-            Act::Gate { phase, pmos, value } => {
-                // Commands scheduled from timer paths: reflect them in
-                // the machine state and emit.
-                let already = if pmos {
-                    self.phases[phase].gp == value
-                        && matches!(
-                            self.phases[phase].state,
-                            PState::TurnPmosOn | PState::TurnPmosOff
-                        )
-                } else {
-                    false
-                };
-                if !already {
-                    self.apply_gate(t, phase, pmos, value);
-                } else {
-                    self.emit(t, Command::Gate { phase, pmos, value });
-                }
-            }
+            Act::Gate { phase, pmos, value } => self.apply_gate(t, phase, pmos, value),
             Act::OvMode(on) => {
                 if self.ov_mode != on {
                     self.ov_mode = on;
@@ -473,7 +389,7 @@ impl BuckController for AsyncController {
                 self.uv = value;
                 if value {
                     for phase in 0..self.phases.len() {
-                        self.phases[phase].first_cycle = true;
+                        self.phases[phase].charge.first_cycle = true;
                     }
                     self.check_demand(t, self.token_holder);
                     for phase in 0..self.phases.len() {
@@ -503,54 +419,20 @@ impl BuckController for AsyncController {
             SensorKind::Oc(phase) => {
                 if phase < self.phases.len() {
                     self.phases[phase].oc_pending = value;
-                    if !value {
+                    if value {
+                        self.finish_pmos(t + self.timing.oc_path(), phase);
+                    } else {
                         // WAIT2 release phase: a deferred recharge may
                         // now proceed.
                         self.maybe_recharge(t, phase);
-                    }
-                    if value && self.phases[phase].state == PState::PmosOn {
-                        let when = t + self.timing.oc_path();
-                        let min = self.phases[phase].pmos_min_until;
-                        if when >= min {
-                            self.phases[phase].state = PState::TurnPmosOff;
-                            self.phases[phase].gp = false;
-                            self.sched.schedule(
-                                when,
-                                Act::Gate {
-                                    phase,
-                                    pmos: true,
-                                    value: false,
-                                },
-                            );
-                        } else {
-                            self.sched.schedule(min, Act::PminDone { phase });
-                        }
                     }
                 }
             }
             SensorKind::Zc(phase) => {
                 if phase < self.phases.len() {
                     self.phases[phase].zc_pending = value;
-                    if value
-                        && self.phases[phase].state == PState::NmosOn
-                        && !self.phases[phase].zc_cancelled
-                    {
-                        let when = t + self.timing.zc_path();
-                        let min = self.phases[phase].nmos_min_until;
-                        if when >= min {
-                            self.phases[phase].state = PState::TurnNmosOff { recharge: false };
-                            self.phases[phase].gn = false;
-                            self.sched.schedule(
-                                when,
-                                Act::Gate {
-                                    phase,
-                                    pmos: false,
-                                    value: false,
-                                },
-                            );
-                        } else {
-                            self.sched.schedule(min, Act::NminDone { phase });
-                        }
+                    if value {
+                        self.finish_nmos(t + self.timing.zc_path(), phase);
                     }
                 }
             }
@@ -558,35 +440,26 @@ impl BuckController for AsyncController {
     }
 
     fn on_gate_ack(&mut self, t: Time, phase: usize, pmos: bool, value: bool) {
+        let policy = &self.timing.policy;
+        let p = &mut self.phases[phase];
         if pmos {
-            self.phases[phase].gp_ack = value;
+            p.gp_ack = value;
         } else {
-            self.phases[phase].gn_ack = value;
+            p.gn_ack = value;
         }
-        let state = self.phases[phase].state;
-        match (state, pmos, value) {
+        match (p.charge.state, pmos, value) {
             (PState::TurnPmosOn, true, true) => {
-                let ext = if self.phases[phase].first_cycle {
-                    self.phases[phase].first_cycle = false;
-                    self.timing.policy.pext
-                } else {
-                    Time::ZERO
-                };
-                self.phases[phase].state = PState::PmosOn;
-                self.phases[phase].pmos_min_until = t + self.timing.policy.pmin + ext;
-                if self.phases[phase].oc_pending {
+                p.charge.pmos_conducts(t, policy);
+                if p.oc_pending {
                     // OC already latched (e.g. OV-mode reference with
                     // positive current): finish after the minimum.
-                    self.sched.schedule(
-                        self.phases[phase].pmos_min_until,
-                        Act::PminDone { phase },
-                    );
+                    self.sched
+                        .schedule(p.charge.pmos_min_until, Act::PminDone { phase });
                 }
             }
             (PState::TurnPmosOff, true, false) => {
                 // Break before make done: NMOS on.
-                self.phases[phase].state = PState::TurnNmosOn;
-                self.phases[phase].gn = true;
+                p.charge.state = PState::TurnNmosOn;
                 self.sched.schedule(
                     t + self.timing.d_charge,
                     Act::Gate {
@@ -597,14 +470,11 @@ impl BuckController for AsyncController {
                 );
             }
             (PState::TurnNmosOn, false, true) => {
-                self.phases[phase].state = PState::NmosOn;
-                self.phases[phase].nmos_min_until = t + self.timing.policy.nmin;
-                self.phases[phase].zc_cancelled = false;
-                if self.phases[phase].zc_pending {
-                    self.sched.schedule(
-                        self.phases[phase].nmos_min_until,
-                        Act::NminDone { phase },
-                    );
+                p.charge.nmos_conducts(t, policy);
+                p.zc_cancelled = false;
+                if p.zc_pending {
+                    self.sched
+                        .schedule(p.charge.nmos_min_until, Act::NminDone { phase });
                 }
                 // The no-ZC scenario of Figure 2b: a still-asserted UV
                 // takes the phase straight back into charging.
@@ -613,11 +483,10 @@ impl BuckController for AsyncController {
             (PState::TurnNmosOff { recharge }, false, false) => {
                 // A queued demand expires if the UV condition has
                 // cleared meanwhile (the WAITX2 grant was released).
-                let recharge = recharge || (self.phases[phase].recharge_queued && self.uv);
-                self.phases[phase].recharge_queued = false;
+                let recharge = recharge || (p.recharge_queued && self.uv);
+                p.recharge_queued = false;
                 if recharge {
-                    self.phases[phase].state = PState::TurnPmosOn;
-                    self.phases[phase].gp = true;
+                    p.charge.state = PState::TurnPmosOn;
                     self.sched.schedule(
                         t + self.timing.d_charge,
                         Act::Gate {
@@ -627,7 +496,7 @@ impl BuckController for AsyncController {
                         },
                     );
                 } else {
-                    self.phases[phase].state = PState::Idle;
+                    p.charge.state = PState::Idle;
                     // A queued activation may start a new cycle now.
                     self.check_demand(t, phase);
                 }
@@ -776,7 +645,6 @@ mod tests {
         h.run_until(ns(1.0));
         // HL and UV assert together (HL implies UV).
         h.sensor(ns(10.0), SensorKind::Uv, true);
-        h.run_until(ns(11.0));
         h.sensor(ns(10.5), SensorKind::Hl, true);
         h.run_until(ns(40.0));
         let gates = h.gates();
@@ -863,6 +731,99 @@ mod tests {
                 !(gp[phase] && gn[phase]),
                 "short circuit on phase {phase} at {t}"
             );
+        }
+    }
+
+    /// The gate commands, as `(ns, pmos, value)`, of a one-stage ring
+    /// (the basic controller of Figure 2b) run through `events`.
+    fn basic_scenario(events: &[(f64, SensorKind, bool)]) -> Vec<(f64, bool, bool)> {
+        let mut h = harness(1);
+        for &(t, kind, v) in events {
+            h.sensor(ns(t), kind, v);
+        }
+        let last = events.last().map_or(0.0, |e| e.0) + 500.0;
+        h.run_until(ns(last));
+        h.gates()
+            .into_iter()
+            .map(|(t, _, pmos, value)| (t.as_ns(), pmos, value))
+            .collect()
+    }
+
+    #[test]
+    fn basic_no_zc_scenario() {
+        // UV → PMOS on; OC → PMOS off, NMOS on; next UV → NMOS off,
+        // PMOS on.
+        let log = basic_scenario(&[
+            (10.0, SensorKind::Uv, true),
+            (200.0, SensorKind::Uv, false),
+            (300.0, SensorKind::Oc(0), true),
+            (400.0, SensorKind::Oc(0), false),
+            (600.0, SensorKind::Uv, true),
+        ]);
+        let gp_on: Vec<f64> = log
+            .iter()
+            .filter(|(_, pmos, v)| *pmos && *v)
+            .map(|(t, _, _)| *t)
+            .collect();
+        assert_eq!(gp_on.len(), 2, "two charging cycles: {log:?}");
+        let gn_on = log.iter().filter(|(_, pmos, v)| !*pmos && *v).count();
+        assert_eq!(gn_on, 1, "NMOS on after the first OC: {log:?}");
+    }
+
+    #[test]
+    fn basic_early_zc_scenario() {
+        // ZC before the next UV: both off until UV.
+        let log = basic_scenario(&[
+            (10.0, SensorKind::Uv, true),
+            (200.0, SensorKind::Uv, false),
+            (300.0, SensorKind::Oc(0), true),
+            (400.0, SensorKind::Oc(0), false),
+            (500.0, SensorKind::Zc(0), true),
+            (520.0, SensorKind::Zc(0), false),
+            (800.0, SensorKind::Uv, true),
+        ]);
+        // gn- (ZC) must precede the second gp+.
+        let gn_off = log
+            .iter()
+            .find(|(_, pmos, v)| !*pmos && !*v)
+            .expect("gn- on ZC");
+        let second_gp_on = log
+            .iter()
+            .filter(|(_, pmos, v)| *pmos && *v)
+            .nth(1)
+            .expect("second cycle");
+        assert!(gn_off.0 < second_gp_on.0, "{log:?}");
+        assert!(second_gp_on.0 >= 800.0, "idle until the UV: {log:?}");
+    }
+
+    #[test]
+    fn basic_late_zc_changes_nothing() {
+        // UV arrives while NMOS still on: recharge via break-before-make
+        // without waiting for ZC.
+        let log = basic_scenario(&[
+            (10.0, SensorKind::Uv, true),
+            (250.0, SensorKind::Uv, false),
+            (300.0, SensorKind::Oc(0), true),
+            (340.0, SensorKind::Oc(0), false),
+            (700.0, SensorKind::Uv, true),
+        ]);
+        let gp_on: Vec<f64> = log
+            .iter()
+            .filter(|(_, pmos, v)| *pmos && *v)
+            .map(|(t, _, _)| *t)
+            .collect();
+        assert_eq!(gp_on.len(), 2, "{log:?}");
+        assert!(gp_on[1] >= 700.0, "{log:?}");
+        // Order per phase is alternating and safe.
+        let mut gp = false;
+        let mut gn = false;
+        for &(t, pmos, v) in &log {
+            if pmos {
+                gp = v;
+            } else {
+                gn = v;
+            }
+            assert!(!(gp && gn), "short at {t}");
         }
     }
 }

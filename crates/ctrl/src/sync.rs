@@ -5,28 +5,17 @@
 //! fast `fsm_clk`; the per-phase FSMs are clocked by the same clock and
 //! register their outputs on the opposite edge (+½ period). A slow
 //! `phase_clk` (one pulse per [`crate::PolicyTiming::activation_period`])
-//! rotates the round-robin phase activator. The control policy is
-//! identical to the asynchronous ring — only the *when* differs: every
-//! decision pays the sample-and-synchronise latency of ~2.5–3.5 clock
-//! periods, and an unserved activation pulse is simply lost when the
-//! activator moves on.
+//! rotates the round-robin phase activator. Each phase FSM steps the
+//! same charging machine as the asynchronous ring (`charge.rs`); only
+//! the *when* differs: every decision pays the sample-and-synchronise
+//! latency of ~2.5–3.5 clock periods, and an unserved activation pulse
+//! is simply lost when the activator moves on.
 
 use a4a_analog::{SensorKind, TrackId};
 use a4a_sim::Time;
 
+use crate::charge::{Charge, PState};
 use crate::{BuckController, Command, SyncParams, TimedCommand};
-
-/// Charging state of one phase FSM (mirrors the asynchronous states).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PState {
-    Idle,
-    TurnPmosOn,
-    PmosOn,
-    TurnPmosOff,
-    TurnNmosOn,
-    NmosOn,
-    TurnNmosOff { recharge: bool },
-}
 
 /// A 2-flop synchroniser pipeline for one asynchronous input bit.
 #[derive(Debug, Clone)]
@@ -85,14 +74,8 @@ impl Synchroniser {
 
 #[derive(Debug, Clone)]
 struct Phase {
-    state: PState,
+    charge: Charge,
     armed: bool,
-    recharge_queued: bool,
-    gp: bool,
-    gn: bool,
-    pmos_min_until: Time,
-    nmos_min_until: Time,
-    first_cycle: bool,
     gp_ack: Synchroniser,
     gn_ack: Synchroniser,
     oc: Synchroniser,
@@ -102,14 +85,8 @@ struct Phase {
 impl Phase {
     fn new(depth: u32) -> Phase {
         Phase {
-            state: PState::Idle,
+            charge: Charge::new(),
             armed: false,
-            recharge_queued: false,
-            gp: false,
-            gn: false,
-            pmos_min_until: Time::ZERO,
-            nmos_min_until: Time::ZERO,
-            first_cycle: true,
             gp_ack: Synchroniser::new(depth),
             gn_ack: Synchroniser::new(depth),
             oc: Synchroniser::new(depth),
@@ -254,16 +231,16 @@ impl SyncController {
         let mut due = next + self.params.period() * (self.act_divider - 1);
         for p in &self.phases {
             // Whether a guard holds now, and the time a guard waits for.
-            let (holds, waits_for) = match p.state {
+            let (holds, waits_for) = match p.charge.state {
                 PState::Idle => (p.armed && (ov || uv), None),
                 PState::TurnPmosOn => (p.gp_ack.out(), None),
                 PState::TurnPmosOff => (!p.gp_ack.out(), None),
                 PState::TurnNmosOn => (p.gn_ack.out(), None),
                 PState::TurnNmosOff { .. } => (!p.gn_ack.out(), None),
-                PState::PmosOn => (false, p.oc.out().then_some(p.pmos_min_until)),
+                PState::PmosOn => (false, p.oc.out().then_some(p.charge.pmos_min_until)),
                 PState::NmosOn => {
                     let guard = (uv && !p.oc.out()) || p.zc.out();
-                    (false, guard.then_some(p.nmos_min_until))
+                    (false, guard.then_some(p.charge.nmos_min_until))
                 }
             };
             if holds || !p.settled() {
@@ -309,7 +286,7 @@ impl SyncController {
         self.hl_prev = hl;
         if uv && !self.uv_prev {
             for p in &mut self.phases {
-                p.first_cycle = true;
+                p.charge.first_cycle = true;
             }
         }
         self.uv_prev = uv;
@@ -330,131 +307,48 @@ impl SyncController {
     }
 
     fn step_phase(&mut self, t: Time, k: usize, uv: bool, ov: bool) {
-        let (state, armed) = (self.phases[k].state, self.phases[k].armed);
-        match state {
-            PState::Idle => {
-                if armed && ov {
-                    // OV sinking: NMOS on until the (re-referenced) ZC.
-                    self.phases[k].armed = false;
-                    self.phases[k].state = PState::TurnNmosOn;
-                    self.phases[k].gn = true;
-                    self.emit(
-                        t,
-                        Command::Gate {
-                            phase: k,
-                            pmos: false,
-                            value: true,
-                        },
-                    );
-                } else if armed && uv {
-                    self.phases[k].armed = false;
-                    self.phases[k].state = PState::TurnPmosOn;
-                    self.phases[k].gp = true;
-                    self.emit(
-                        t,
-                        Command::Gate {
-                            phase: k,
-                            pmos: true,
-                            value: true,
-                        },
-                    );
-                }
+        let policy = &self.params.policy;
+        let p = &mut self.phases[k];
+        let c = &mut p.charge;
+        // The gate command, as `(pmos, value)`, that a guard fires.
+        let gate = match c.state {
+            // OV sinks energy (NMOS on until the re-referenced ZC); UV
+            // charges.
+            PState::Idle if p.armed && (ov || uv) => {
+                p.armed = false;
+                Some((!ov, true))
             }
-            PState::TurnPmosOn => {
-                if self.phases[k].gp_ack.out() {
-                    let ext = if self.phases[k].first_cycle {
-                        self.phases[k].first_cycle = false;
-                        self.params.policy.pext
-                    } else {
-                        Time::ZERO
-                    };
-                    self.phases[k].state = PState::PmosOn;
-                    self.phases[k].pmos_min_until = t + self.params.policy.pmin + ext;
-                }
+            PState::TurnPmosOn if p.gp_ack.out() => {
+                c.pmos_conducts(t, policy);
+                None
             }
-            PState::PmosOn => {
-                if self.phases[k].oc.out() && t >= self.phases[k].pmos_min_until {
-                    self.phases[k].state = PState::TurnPmosOff;
-                    self.phases[k].gp = false;
-                    self.emit(
-                        t,
-                        Command::Gate {
-                            phase: k,
-                            pmos: true,
-                            value: false,
-                        },
-                    );
-                }
+            PState::PmosOn if p.oc.out() && t >= c.pmos_min_until => Some((true, false)),
+            PState::TurnPmosOff if !p.gp_ack.out() => Some((false, true)),
+            PState::TurnNmosOn if p.gn_ack.out() => {
+                c.nmos_conducts(t, policy);
+                None
             }
-            PState::TurnPmosOff => {
-                if !self.phases[k].gp_ack.out() {
-                    self.phases[k].state = PState::TurnNmosOn;
-                    self.phases[k].gn = true;
-                    self.emit(
-                        t,
-                        Command::Gate {
-                            phase: k,
-                            pmos: false,
-                            value: true,
-                        },
-                    );
-                }
+            // Late/no-ZC scenario of Figure 2b: while (synchronised) UV
+            // is asserted, charging chains without a new arming — but
+            // only once the OC condition has released (the WAIT2
+            // discipline), which bounds the peak current. Otherwise ZC
+            // ends the NMOS phase.
+            PState::NmosOn if t >= c.nmos_min_until && ((uv && !p.oc.out()) || p.zc.out()) => {
+                c.state = PState::TurnNmosOff {
+                    recharge: uv && !p.oc.out(),
+                };
+                Some((false, false))
             }
-            PState::TurnNmosOn => {
-                if self.phases[k].gn_ack.out() {
-                    self.phases[k].state = PState::NmosOn;
-                    self.phases[k].nmos_min_until = t + self.params.policy.nmin;
-                }
+            PState::TurnNmosOff { recharge: true } if !p.gn_ack.out() => Some((true, true)),
+            PState::TurnNmosOff { recharge: false } if !p.gn_ack.out() => {
+                c.state = PState::Idle;
+                None
             }
-            PState::NmosOn => {
-                // Late/no-ZC scenario of Figure 2b: while (synchronised)
-                // UV is asserted, charging chains without a new arming —
-                // but only once the OC condition has released (the WAIT2
-                // discipline), which bounds the peak current.
-                if uv && !self.phases[k].oc.out() && t >= self.phases[k].nmos_min_until {
-                    self.phases[k].state = PState::TurnNmosOff { recharge: true };
-                    self.phases[k].gn = false;
-                    self.emit(
-                        t,
-                        Command::Gate {
-                            phase: k,
-                            pmos: false,
-                            value: false,
-                        },
-                    );
-                } else if self.phases[k].zc.out() && t >= self.phases[k].nmos_min_until {
-                    self.phases[k].state = PState::TurnNmosOff { recharge: false };
-                    self.phases[k].gn = false;
-                    self.emit(
-                        t,
-                        Command::Gate {
-                            phase: k,
-                            pmos: false,
-                            value: false,
-                        },
-                    );
-                }
-            }
-            PState::TurnNmosOff { recharge } => {
-                if !self.phases[k].gn_ack.out() {
-                    let recharge = recharge || self.phases[k].recharge_queued;
-                    self.phases[k].recharge_queued = false;
-                    if recharge {
-                        self.phases[k].state = PState::TurnPmosOn;
-                        self.phases[k].gp = true;
-                        self.emit(
-                            t,
-                            Command::Gate {
-                                phase: k,
-                                pmos: true,
-                                value: true,
-                            },
-                        );
-                    } else {
-                        self.phases[k].state = PState::Idle;
-                    }
-                }
-            }
+            _ => None,
+        };
+        if let Some((pmos, value)) = gate {
+            let command = c.gate(k, pmos, value);
+            self.emit(t, command);
         }
     }
 }

@@ -114,12 +114,12 @@ fn sync_never_shorts() {
     });
 }
 
-/// The basic single-phase controller is safe too.
+/// The basic single-phase controller, a one-stage ring, is safe too.
 #[test]
 fn basic_never_shorts() {
     prop::check_with(&Config::with_cases(40), "basic_never_shorts", |g: &mut Gen| -> PropResult {
         let events = arb_events(g, 1, 40);
-        drive(a4a_ctrl::BasicBuckController::new(), &events, 1)?;
+        drive(AsyncController::new(1, AsyncTiming::default()), &events, 1)?;
         Ok(())
     });
 }

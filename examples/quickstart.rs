@@ -11,7 +11,7 @@
 
 use a4a::{A4aFlow, TestbenchBuilder};
 use a4a_analog::BuckParams;
-use a4a_ctrl::{stgs, BasicBuckController};
+use a4a_ctrl::{stgs, AsyncController, AsyncTiming};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1-2. Specification and flow.
@@ -34,8 +34,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("short-circuit states: {} (must be 0)", shorts.len());
 
     // 4. Mixed-signal run: a single-phase buck under the basic
-    //    controller.
-    let ctrl = BasicBuckController::new();
+    //    controller, which is the asynchronous ring with one stage.
+    let ctrl = AsyncController::new(1, AsyncTiming::default());
     let mut tb = TestbenchBuilder::new()
         .params(BuckParams::default().with_phases(1).with_load(24.0))
         .build(ctrl);

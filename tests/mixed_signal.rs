@@ -127,7 +127,8 @@ fn sync_controller_scales_with_clock() {
 
 #[test]
 fn single_phase_testbench_with_basic_controller() {
-    let ctrl = a4a_ctrl::BasicBuckController::new();
+    // The basic controller of Figure 2b is the one-stage ring.
+    let ctrl = AsyncController::new(1, AsyncTiming::default());
     assert_eq!(ctrl.phases(), 1);
     let mut tb = TestbenchBuilder::new()
         .params(BuckParams::default().with_phases(1).with_load(30.0))
