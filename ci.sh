@@ -6,7 +6,8 @@
 # script is the tier-1 verify plus the guards that keep it that way:
 #
 #   1. cold-cache offline release build
-#   2. offline test run (root package tier-1, then the whole workspace)
+#   2. offline test run (root package tier-1, then the whole workspace,
+#      then perfbench's own unit tests, a cargo package of its own)
 #   3. the suites that drive the global pool's par_map (sweep and
 #      batch determinism, the Table I / Fig. 7 goldens) at 1, 2, and 8
 #      threads, so every thread count the determinism contract promises
@@ -163,6 +164,9 @@ cargo test -q --offline
 
 echo "==> cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
+
+echo "==> cargo test -q --offline --manifest-path perfbench/Cargo.toml"
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> determinism + golden results suites at A4A_THREADS=1,2,8"
 for t in 1 2 8; do

@@ -76,6 +76,23 @@ impl BuckParams {
         self.phases = phases;
         self
     }
+
+    /// The largest `‖A‖` over the switch configurations, in 1/s: the
+    /// fastest rate at which the state can move, in the norm the plans
+    /// use (see [`Buck::try_plan`]). It is reached with every phase
+    /// conducting through one kind of transistor. A few 10⁶ s⁻¹ at
+    /// the defaults.
+    pub fn stiffest_rate(&self) -> f64 {
+        let mut plan = Plan::new(self);
+        let currents = vec![0.0; self.phases];
+        [SwitchState::PmosOn, SwitchState::NmosOn]
+            .into_iter()
+            .map(|switch| {
+                plan.load(&vec![switch; self.phases], &currents, 0.0);
+                plan.norm
+            })
+            .fold(0.0, f64::max)
+    }
 }
 
 /// Spans with `‖A‖·h` up to this bound are propagated by one Taylor
@@ -90,6 +107,10 @@ const REUSE_Z: f64 = 0.25;
 const MAX_ORDER: usize = 20;
 /// Iteration cap of the root finder that locates in-window events.
 const ROOT_ITERS: usize = 100;
+/// Grid points [`Buck::sample_plan`] evaluates per Horner pass.
+const LANES: usize = 4;
+/// State components [`Buck::sample_plan`] evaluates side by side.
+const GROUP: usize = 8;
 /// Pieces of `THETA/‖A‖` that a crossing search on a scaled-and-squared
 /// plan takes before its pieces start to double (see [`Plan::crossing`]).
 const FINE_PIECES: usize = 256;
@@ -219,6 +240,42 @@ struct Plan {
     end_slope: Vec<f64>,
     /// Scratch for the state an advance reaches.
     state: Vec<f64>,
+}
+
+/// A crossing search on one piece of a plan, cut off before its root
+/// finding: component `j`, the level and direction, and the piece's
+/// ends as `(τ, x, x')` after the plan's origin.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Bracket {
+    j: usize,
+    level: f64,
+    rising: bool,
+    lo: (f64, f64, f64),
+    hi: (f64, f64, f64),
+}
+
+/// Where a crossing search on one piece stands before root finding.
+enum Piece {
+    /// Settled: the crossing's time after the origin, or none.
+    Done(Option<f64>),
+    /// Only root finding on the bracket is left.
+    Root(Bracket),
+}
+
+/// A comparator's crossing search on the planned trajectory (see
+/// [`Buck::search`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Search {
+    /// The crossing's time; `INFINITY` when there is none on the plan.
+    At(f64),
+    /// The crossing is not before `bound`; [`Buck::resolve`] finds it
+    /// on `bracket`, exactly as an eager search would. `floor` is the
+    /// buck's time at the search: a crossing is never before it.
+    Later {
+        bound: f64,
+        floor: f64,
+        bracket: Bracket,
+    },
 }
 
 impl Plan {
@@ -526,25 +583,54 @@ impl Plan {
         j: usize,
         level: f64,
         rising: bool,
+        lo: (f64, f64, f64),
+        hi: (f64, f64, f64),
+    ) -> Option<f64> {
+        match self.bracket(j, level, rising, lo, hi) {
+            Piece::Done(at) => at,
+            Piece::Root(bracket) => self.root_in(&bracket),
+        }
+    }
+
+    /// The part of [`Plan::crossing_in`] that needs no root finding.
+    fn bracket(
+        &self,
+        j: usize,
+        level: f64,
+        rising: bool,
         (lo, x_lo, d_lo): (f64, f64, f64),
         (hi, x_hi, d_hi): (f64, f64, f64),
-    ) -> Option<f64> {
+    ) -> Piece {
         let s = if rising { 1.0 } else { -1.0 };
-        let g_lo = s * (x_lo - level);
-        if g_lo >= 0.0 {
-            return Some(lo);
+        if s * (x_lo - level) >= 0.0 {
+            return Piece::Done(Some(lo));
         }
         if hi.is_nan() || hi <= lo {
-            return None;
+            return Piece::Done(None);
         }
+        // Short of the level at both ends: only an extremum between can
+        // reach it.
+        if s * (x_hi - level) < 0.0 && !(s * d_hi < 0.0 && s * d_lo > 0.0) {
+            return Piece::Done(None);
+        }
+        Piece::Root(Bracket {
+            j,
+            level,
+            rising,
+            lo: (lo, x_lo, d_lo),
+            hi: (hi, x_hi, d_hi),
+        })
+    }
+
+    /// The rest of [`Plan::crossing_in`]: the root finding on a bracket.
+    fn root_in(&self, b: &Bracket) -> Option<f64> {
+        let s = if b.rising { 1.0 } else { -1.0 };
+        let ((lo, x_lo, d_lo), (hi, x_hi, d_hi)) = (b.lo, b.hi);
+        let (j, level) = (b.j, b.level);
+        let g_lo = s * (x_lo - level);
         let mut g_hi = s * (x_hi - level);
         let mut top = hi;
         if g_hi < 0.0 {
-            // Short of the level at both ends: only an extremum between
-            // can reach it.
-            if !(s * d_hi < 0.0 && s * d_lo > 0.0) {
-                return None;
-            }
             top = root(lo, -s * d_lo, hi, -s * d_hi, |tau| {
                 let [_, d, dd] = self.eval(j, tau);
                 (-s * d, -s * dd)
@@ -558,6 +644,51 @@ impl Plan {
             let [x, d, _] = self.eval(j, tau);
             (s * (x - level), s * d)
         }))
+    }
+
+    /// A time after the origin before which [`Plan::root_in`] cannot
+    /// return on the bracket `b` of a series plan. From the bracket's
+    /// start the component follows its value and slope there plus at
+    /// most `curv·h²/2`, where the series bounds the curvature over the
+    /// whole span by `curv = Σ k·(k−1)·|term_k| / span²`; the bound is
+    /// where that reaches the level. The gap to the level is first cut
+    /// by the rounding of the series and of the root finder's steps, and
+    /// the result by twice the root finder's tolerance.
+    fn earliest(&self, b: &Bracket) -> f64 {
+        let n = self.phases() + 1;
+        let lo = b.lo.0;
+        let s = lo * self.inv_span;
+        let (mut x, mut d, mut size, mut curv) = (0.0, 0.0, b.level.abs(), 0.0);
+        for (k, term) in self.terms[..(self.order + 1) * n]
+            .chunks_exact(n)
+            .enumerate()
+            .rev()
+        {
+            let t = term[b.j];
+            d = d * s + x;
+            x = x * s + t;
+            size += t.abs();
+            curv += (k * k.saturating_sub(1)) as f64 * t.abs();
+        }
+        let sign = if b.rising { 1.0 } else { -1.0 };
+        let slope = sign * d * self.inv_span;
+        let curv = curv * self.inv_span * self.inv_span;
+        let span = b.hi.0;
+        let tol = 4.0 * f64::EPSILON * span.abs();
+        let gap =
+            sign * (b.level - x) - 2048.0 * f64::EPSILON * size - tol * (slope.abs() + curv * span);
+        if gap.is_nan() || gap <= 0.0 {
+            return lo;
+        }
+        let root = (slope * slope + 2.0 * curv * gap).sqrt();
+        let h = if slope > 0.0 {
+            2.0 * gap / (slope + root)
+        } else if curv > 0.0 {
+            (root - slope) / curv
+        } else {
+            f64::INFINITY
+        };
+        (lo + h * (1.0 - 64.0 * f64::EPSILON) - 2.0 * tol).max(lo)
     }
 
     /// Cold path for spans longer than [`THETA`] allows: the state at
@@ -1068,21 +1199,57 @@ impl Buck {
     /// `k`'s current for `k < phases`, the output voltage for
     /// `index == phases` — is at or beyond `level`: at or above it when
     /// `rising`, at or below it otherwise. The present time when it is
-    /// beyond already; `None` when it is not beyond anywhere on the plan.
+    /// beyond already; `INFINITY` when it is not beyond anywhere on the
+    /// plan.
     ///
-    /// # Panics
-    ///
-    /// Panics if `index > phases`.
-    pub(crate) fn crossing(&self, index: usize, level: f64, rising: bool) -> Option<f64> {
+    /// The search stops short of root finding: on a series plan a
+    /// crossing that needs a root comes back as [`Search::Later`], with
+    /// a bound from the series on how early it can be.
+    /// [`Buck::resolve`] finishes it, on the same plan, with the time
+    /// the whole search gives.
+    pub(crate) fn search(&self, index: usize, level: f64, rising: bool) -> Search {
         let plan = &self.plan;
         let x = self.current.get(index).copied().unwrap_or(self.voltage);
         if self.time >= plan.reach {
             let beyond = if rising { x >= level } else { x <= level };
-            return beyond.then_some(self.time);
+            return Search::At(if beyond { self.time } else { f64::INFINITY });
         }
+        let from = self.time - plan.origin;
         let state = (self.current.as_slice(), self.voltage);
-        plan.crossing(index, level, rising, self.time - plan.origin, state)
-            .map(|tau| (plan.origin + tau).max(self.time))
+        let found = if plan.series {
+            let lo = (from, x, plan.slope(index, state.0, state.1));
+            let hi = (
+                plan.reach - plan.origin,
+                plan.end[index],
+                plan.end_slope[index],
+            );
+            match plan.bracket(index, level, rising, lo, hi) {
+                Piece::Done(at) => at,
+                Piece::Root(bracket) => {
+                    return Search::Later {
+                        bound: plan.origin + plan.earliest(&bracket),
+                        floor: self.time,
+                        bracket,
+                    };
+                }
+            }
+        } else {
+            plan.crossing(index, level, rising, from, state)
+        };
+        Search::At(found.map_or(f64::INFINITY, |tau| (plan.origin + tau).max(self.time)))
+    }
+
+    /// The crossing a [`Buck::search`] of the present plan stands for;
+    /// `INFINITY` for none.
+    pub(crate) fn resolve(&self, search: Search) -> f64 {
+        match search {
+            Search::At(at) => at,
+            Search::Later { floor, bracket, .. } => {
+                let plan = &self.plan;
+                plan.root_in(&bracket)
+                    .map_or(f64::INFINITY, |tau| (plan.origin + tau).max(floor))
+            }
+        }
     }
 
     /// Appends to `record` the planned state at the points `idx·period`
@@ -1090,7 +1257,8 @@ impl Buck {
     /// before the plan's end, and moves `*idx` past them. The points must
     /// lie after the present time. Each value is bit-identical to the
     /// state [`Buck::try_advance_to`] reaches at that point: a series
-    /// plan is evaluated by the same Horner loop.
+    /// plan is evaluated by the same Horner loop, on four points per
+    /// pass, with the same multiply and add in every lane.
     ///
     /// # Panics
     ///
@@ -1118,15 +1286,40 @@ impl Buck {
         }
         let n = self.current.len() + 1;
         let m = plan.order;
-        let columns = record.i.iter_mut().chain([&mut record.v]);
-        for (j, column) in columns.enumerate() {
-            for &t in times {
-                let s = (t - plan.origin) * plan.inv_span;
-                let mut x = plan.terms[m * n + j];
-                for k in (0..m).rev() {
-                    x = x * s + plan.terms[k * n + j];
+        let phases = n - 1;
+        for batch in times.chunks(LANES) {
+            // Lanes past a short batch's end evaluate at 0 and are dropped.
+            let mut s = [0.0; LANES];
+            for (s, &t) in s.iter_mut().zip(batch) {
+                *s = (t - plan.origin) * plan.inv_span;
+            }
+            // Up to `GROUP` components at a time, term by term, so their
+            // Horner chains run side by side.
+            for first in (0..n).step_by(GROUP) {
+                let width = GROUP.min(n - first);
+                let mut x = [[0.0; LANES]; GROUP];
+                for (x, &t) in x.iter_mut().zip(&plan.terms[m * n + first..][..width]) {
+                    *x = [t; LANES];
                 }
-                column.push(x);
+                for k in (0..m).rev() {
+                    let term = &plan.terms[k * n + first..][..width];
+                    for (j, x) in x.iter_mut().enumerate() {
+                        if j < width {
+                            let t = term[j];
+                            for (x, s) in x.iter_mut().zip(&s) {
+                                *x = *x * s + t;
+                            }
+                        }
+                    }
+                }
+                for (j, x) in (first..).zip(&x[..width]) {
+                    let column = if j < phases {
+                        &mut record.i[j]
+                    } else {
+                        &mut record.v
+                    };
+                    column.extend_from_slice(&x[..batch.len()]);
+                }
             }
         }
     }
@@ -1202,6 +1395,12 @@ impl Buck {
         self.settle();
         self.voltage = voltage;
         self.current.copy_from_slice(currents);
+    }
+
+    /// [`Buck::search`] finished at once; `None` for no crossing.
+    fn crossing(&self, index: usize, level: f64, rising: bool) -> Option<f64> {
+        let at = self.resolve(self.search(index, level, rising));
+        at.is_finite().then_some(at)
     }
 }
 
@@ -1332,19 +1531,22 @@ mod tests {
     #[test]
     fn plan_samples_are_the_states_advanced_to() {
         // Grid samples read off a plan are bit for bit the states an
-        // advance to each grid point reaches, on a series plan and on a
-        // scaled-and-squared one.
-        for (period, span) in [(2e-9, 100e-9), (1e-6, 5e-6)] {
+        // advance to each grid point reaches: on a series plan for every
+        // batch length from 1 to 9 (full batches of four and every
+        // remainder), and on a scaled-and-squared one.
+        let mut cases: Vec<(f64, f64, usize)> = (1..=9).map(|len| (2e-9, 100e-9, len)).collect();
+        cases.push((1e-6, 5e-6, 4));
+        for (period, span, len) in cases {
             let mut b = buck();
             b.set_switch(0, true, false);
             b.set_switch(1, false, true);
             b.try_plan(span, span).expect("valid window");
             let mut w = Waveform::new(4);
             let mut idx = 1;
-            b.sample_plan(&mut idx, period, span, &mut w);
-            assert!(w.len() >= 4, "{} samples", w.len());
-            assert!(w.t.iter().all(|&t| t < span));
-            assert_eq!(idx, w.len() as u64 + 1);
+            let before = (len as f64 + 0.5) * period;
+            b.sample_plan(&mut idx, period, before, &mut w);
+            assert_eq!(w.len(), len, "samples before {before:e}");
+            assert_eq!(idx, len as u64 + 1);
             for (k, &t) in w.t.iter().enumerate() {
                 assert_eq!(t, (k + 1) as f64 * period);
                 b.try_advance_to(t).expect("on the plan");
@@ -1355,6 +1557,59 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn deferred_crossings_are_not_before_their_bound() {
+        // A search that is down to root finding comes back with a bound
+        // on how early its crossing can be; the crossing it resolves to
+        // is never before it, and equals the whole search's. Levels sweep
+        // each component's range over the plan, from several points on
+        // it.
+        let mut deferred = 0;
+        for (v0, i0, pmos) in [(0.0, 0.0, true), (5.5, 0.3, false), (3.3, -0.5, true)] {
+            let mut b = buck();
+            b.set_state(v0, &[i0, 0.0, 0.1, -0.1]);
+            b.set_switch(0, pmos, !pmos);
+            b.set_switch(1, !pmos, pmos);
+            b.set_switch(2, true, false);
+            b.set_switch(3, false, true);
+            let span = 0.2 / 3e6;
+            b.try_plan(span, span).unwrap();
+            assert!(b.plan.series);
+            for step in 0..8 {
+                let now = span * step as f64 / 8.0;
+                b.try_advance_to(now).unwrap();
+                for index in 0..5 {
+                    let x = |b: &Buck| b.currents().get(index).copied().unwrap_or(b.voltage);
+                    let (mut lo, mut hi) = (x(&b), x(&b));
+                    for k in 1..=32 {
+                        let mut probe = b.clone();
+                        probe
+                            .try_advance_to(now + (span - now) * k as f64 / 32.0)
+                            .unwrap();
+                        (lo, hi) = (lo.min(x(&probe)), hi.max(x(&probe)));
+                    }
+                    for k in 0..=40 {
+                        let level = lo + (hi - lo) * k as f64 / 40.0;
+                        for rising in [false, true] {
+                            let search = b.search(index, level, rising);
+                            let Search::Later { bound, .. } = search else {
+                                continue;
+                            };
+                            deferred += 1;
+                            let at = b.resolve(search);
+                            assert!(at >= bound, "x{index} to {level}: {at:e} < {bound:e}");
+                            assert_eq!(
+                                Some(at).filter(|t| t.is_finite()),
+                                b.crossing(index, level, rising)
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(deferred > 100, "{deferred} deferred searches");
     }
 
     #[test]

@@ -99,7 +99,7 @@ impl PartialEq<&str> for TrackId {
 /// assert_eq!(w.len(), 2);
 /// assert!(w.csv().starts_with("t,v"));
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Waveform {
     phases: usize,
     /// Sample times (s).

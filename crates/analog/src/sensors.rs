@@ -1,5 +1,6 @@
 use std::fmt;
 
+use crate::buck::Search;
 use crate::{Buck, Comparator};
 
 /// Identity of a sensor condition (Figure 2a of the paper).
@@ -100,7 +101,7 @@ impl Default for SensorThresholds {
 /// // At rest the output sits below V_min and V_ref: HL and UV assert at
 /// // once.
 /// let mut fired = Vec::new();
-/// let at = bank.first_crossing(&buck, &mut fired);
+/// let at = bank.first_crossing(&buck, &mut fired, 1e-9);
 /// assert_eq!((at, fired.as_slice()), (0.0, [SensorKind::Hl, SensorKind::Uv].as_slice()));
 /// let ev = bank.fire(SensorKind::Uv, at);
 /// assert!(ev.value && bank.output(SensorKind::Uv));
@@ -114,14 +115,17 @@ pub struct SensorBank {
     comparators: Vec<(SensorKind, Comparator)>,
     ov_mode: bool,
     /// Each comparator's next crossing on the buck's planned trajectory
-    /// (`INFINITY`: none before the plan ends; NaN: not looked for yet),
-    /// and the plan they were found on.
-    next: Vec<f64>,
+    /// (`At(INFINITY)`: none before the plan ends; `None`: not looked
+    /// for yet), and the plan they were found on.
+    next: Vec<Option<Search>>,
     plan: u64,
-    /// The earliest of `next` and the comparators crossing then; NaN
-    /// while `next` has entries not looked for.
+    /// The earliest crossing in `next` and the comparators crossing
+    /// then; NaN while `next` has entries not looked for.
     first: f64,
     first_kinds: Vec<SensorKind>,
+    /// The earliest bound of the crossings in `next` not yet resolved:
+    /// `first` is the first crossing only if it is before this.
+    unresolved: f64,
 }
 
 impl SensorBank {
@@ -138,13 +142,14 @@ impl SensorBank {
             comparators.push((SensorKind::Zc(k), Comparator::below(t.i0, t.i_hyst, t.delay)));
         }
         SensorBank {
-            next: vec![f64::NAN; comparators.len()],
+            next: vec![None; comparators.len()],
             comparators,
             ov_mode: false,
             thresholds,
             plan: 0,
             first: f64::NAN,
             first_kinds: Vec::new(),
+            unresolved: f64::INFINITY,
         }
     }
 
@@ -192,42 +197,61 @@ impl SensorBank {
                 SensorKind::Zc(_) => c.set_threshold(zc_ref),
                 _ => continue,
             }
-            *next = f64::NAN;
+            *next = None;
         }
         self.first = f64::NAN;
     }
 
     /// The first comparator crossing on `buck`'s planned trajectory (see
-    /// [`Buck::try_plan`]): returns its time, and puts every comparator
-    /// that crosses then into `fired` (in watch order). `INFINITY`, with
-    /// `fired` empty, when none crosses before the plan ends.
+    /// [`Buck::try_plan`]) if it is at or before `before`: returns its
+    /// time, and puts every comparator that crosses then into `fired`
+    /// (in watch order). A time after `before` (`INFINITY`, with `fired`
+    /// empty, when none crosses before the plan ends) otherwise.
     ///
     /// Crossings are looked for once per plan and comparator, and again
-    /// only after the comparator fires or its reference switches.
-    pub fn first_crossing(&mut self, buck: &Buck, fired: &mut Vec<SensorKind>) -> f64 {
+    /// only after the comparator fires or its reference switches. A
+    /// search that is down to root finding is kept with a bound from
+    /// the plan's series on how early its crossing can be, and finished
+    /// only once a call's `before` reaches that bound; it then gives the
+    /// time a search finished at once would.
+    pub fn first_crossing(
+        &mut self,
+        buck: &Buck,
+        fired: &mut Vec<SensorKind>,
+        before: f64,
+    ) -> f64 {
         if buck.plan_id() != self.plan {
             self.plan = buck.plan_id();
-            self.next.fill(f64::NAN);
+            self.next.fill(None);
             self.first = f64::NAN;
         }
-        if self.first.is_nan() {
+        if self.first.is_nan() || before >= self.unresolved {
             let voltage = buck.currents().len();
             self.first = f64::INFINITY;
             self.first_kinds.clear();
+            self.unresolved = f64::INFINITY;
             for (&(kind, ref c), next) in self.comparators.iter().zip(&mut self.next) {
-                if next.is_nan() {
+                let search = next.get_or_insert_with(|| {
                     let index = match kind {
                         SensorKind::Hl | SensorKind::Uv | SensorKind::Ov => voltage,
                         SensorKind::Oc(k) | SensorKind::Zc(k) => k,
                     };
                     let (level, rising) = c.edge();
-                    *next = buck.crossing(index, level, rising).unwrap_or(f64::INFINITY);
+                    buck.search(index, level, rising)
+                });
+                if let Search::Later { bound, .. } = *search {
+                    if bound > before {
+                        self.unresolved = self.unresolved.min(bound);
+                        continue;
+                    }
                 }
-                if *next < self.first {
-                    self.first = *next;
+                let at = buck.resolve(*search);
+                *search = Search::At(at);
+                if at < self.first {
+                    self.first = at;
                     self.first_kinds.clear();
                 }
-                if *next == self.first && next.is_finite() {
+                if at == self.first && at.is_finite() {
                     self.first_kinds.push(kind);
                 }
             }
@@ -245,7 +269,7 @@ impl SensorBank {
     /// Panics if a per-phase kind names a phase out of range.
     pub fn fire(&mut self, kind: SensorKind, at: f64) -> SensorEvent {
         let slot = Self::slot(kind);
-        self.next[slot] = f64::NAN;
+        self.next[slot] = None;
         self.first = f64::NAN;
         let c = &mut self.comparators[slot].1;
         SensorEvent {
@@ -282,7 +306,7 @@ mod tests {
         let (mut events, mut groups, mut fired) = (Vec::new(), Vec::new(), Vec::new());
         while buck.time() < until {
             let reach = buck.try_plan(until, f64::INFINITY).expect("valid window");
-            let at = b.first_crossing(buck, &mut fired);
+            let at = b.first_crossing(buck, &mut fired, reach.min(until));
             let tn = reach.min(until).min(at);
             buck.try_advance_to(tn).expect("on the plan");
             if at == tn {

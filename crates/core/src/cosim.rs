@@ -1,18 +1,20 @@
 //! Mixed-signal co-simulation: the Cadence-AMS testbench stand-in.
 //!
-//! The analog buck is propagated exactly over windows in which nothing
-//! digital happens. A window ends only at an event: the next pending
-//! item (gate apply or ack, load step, held comparator event), a
-//! controller wakeup, a body-diode current reaching zero, or a
-//! comparator level crossing located on the exact trajectory; or, where
-//! a plan runs out first, at the last sampling-grid point it covers.
-//! The grid samples before the next event are read off the planned
-//! trajectory in one pass. So switch toggles land at their exact times,
-//! and every comparator event reaches the controller at its own time
-//! (crossing plus comparator delay), in time order with the
-//! controller's own timer/clock wakeups. A controller may sleep through
-//! instants that change nothing (a synchronous controller's idle clock
-//! edges); it is caught up before each ack or comparator event.
+//! The analog buck is propagated exactly over windows, and a window ends
+//! only where the analog stage must stop: a gate apply, a load step or a
+//! sensor reference switch, a comparator level crossing located on the
+//! exact trajectory, a body-diode current reaching zero, `t_end`, or,
+//! where a plan runs out first, the last sampling-grid point it covers.
+//! Controller wakeups, gate acks and held comparator events before that
+//! stop change nothing analog: they are delivered where they fall, in
+//! time order, while the buck waits at the window's start. The grid
+//! samples before the stop are read off the planned trajectory in one
+//! pass. So switch toggles land at their exact times, and every
+//! comparator event reaches the controller at its own time (crossing
+//! plus comparator delay), in time order with the controller's own
+//! timer/clock wakeups. A controller may sleep through instants that
+//! change nothing (a synchronous controller's idle clock edges); it is
+//! caught up before each ack or comparator event.
 
 use std::collections::VecDeque;
 
@@ -36,6 +38,17 @@ enum PendKind {
     /// Comparator output change, held until its time (crossing plus
     /// comparator delay).
     Sensor { kind: SensorKind, value: bool },
+}
+
+impl PendKind {
+    /// Whether the item acts on the analog side (the power stage or the
+    /// comparators' references), so the buck must be at its time.
+    fn is_analog(&self) -> bool {
+        matches!(
+            self,
+            PendKind::Apply { .. } | PendKind::LoadStep(_) | PendKind::OvMode(_)
+        )
+    }
 }
 
 /// Interned track names for everything the testbench records,
@@ -172,7 +185,10 @@ impl TestbenchBuilder {
     /// configuration — power-stage parameters (via [`Buck::try_new`]),
     /// controller/power-stage phase agreement, the sample period, the
     /// comparator hysteresis and delay, and every scheduled load step —
-    /// reporting the first violation as a [`SimError`].
+    /// reporting the first violation as a [`SimError`]. A power stage
+    /// whose largest `‖A‖` ([`BuckParams::stiffest_rate`], at the lowest
+    /// scheduled load) exceeds `1/(1 fs)`, the resolution of [`Time`],
+    /// is [`SimError::InvalidParameter`].
     pub fn try_build<C: BuckController>(self, ctrl: C) -> Result<Testbench<C>, SimError> {
         let phases = ctrl.phases();
         if phases != self.params.phases {
@@ -216,6 +232,20 @@ impl TestbenchBuilder {
             }
         }
         let buck = Buck::try_new(self.params)?;
+        // The state must not move faster than the femtosecond clock the
+        // controller runs on resolves: a stiffer stage would take
+        // unbounded work per window. The load steps count too.
+        let rload = self
+            .load_steps
+            .iter()
+            .fold(buck.params().rload, |r, s| r.min(s.1));
+        let rate = buck.params().clone().with_load(rload).stiffest_rate();
+        if rate.is_nan() || rate > 1.0 / Time::from_fs(1).as_secs() {
+            return Err(SimError::InvalidParameter {
+                what: "power-stage rate |A| (1/s)",
+                value: rate,
+            });
+        }
         let mut pending: Vec<(f64, PendKind)> = self
             .load_steps
             .iter()
@@ -345,8 +375,10 @@ impl<C: BuckController> Testbench<C> {
     }
 
     /// Number of analog windows taken so far: the co-simulation's unit
-    /// of work. Grid samples read off a plan between events are not
-    /// windows.
+    /// of work. A window ends only where the analog stage must stop (see
+    /// the module docs); controller wakeups, gate acks and comparator
+    /// events delivered within it, and the grid samples read off its
+    /// plan, are not windows.
     pub fn windows(&self) -> u64 {
         self.windows
     }
@@ -354,10 +386,51 @@ impl<C: BuckController> Testbench<C> {
     /// When the next pending item changes the power stage (a gate
     /// apply or a load step); infinity when none is pending.
     fn next_stage_change(&self) -> f64 {
+        self.next_pending(|kind| matches!(kind, PendKind::Apply { .. } | PendKind::LoadStep(_)))
+    }
+
+    /// When the analog side must next stop for a pending item: a stage
+    /// change, or a sensor reference switch; infinity when none is
+    /// pending.
+    fn next_analog(&self) -> f64 {
+        self.next_pending(PendKind::is_analog)
+    }
+
+    fn next_pending(&self, which: impl Fn(&PendKind) -> bool) -> f64 {
         self.pending
             .iter()
-            .find(|(_, kind)| matches!(kind, PendKind::Apply { .. } | PendKind::LoadStep(_)))
+            .find(|(_, kind)| which(kind))
             .map_or(f64::INFINITY, |&(at, _)| at)
+    }
+
+    /// The next pending item or controller wakeup; infinity when there
+    /// is none.
+    fn next_event(&self) -> f64 {
+        let pending = self.pending.front().map_or(f64::INFINITY, |p| p.0);
+        self.ctrl
+            .next_wakeup()
+            .map_or(pending, |w| pending.min(w.as_secs()))
+    }
+
+    /// Where a plan reaching `reach` runs out: the last sampling-grid
+    /// point it covers, so the next plan starts there whatever the
+    /// digital side does meanwhile; `reach` where it covers none.
+    fn last_grid_point(&self, reach: f64) -> f64 {
+        let period = self.sample_period;
+        let mut idx = self.sample_idx;
+        if (idx as f64 * period) > reach {
+            return reach;
+        }
+        // Start near the end and step to the exact last point, as the
+        // grid's rounding lands it.
+        idx = idx.max((reach / period) as u64);
+        while (idx as f64 * period) > reach {
+            idx -= 1;
+        }
+        while ((idx + 1) as f64 * period) <= reach {
+            idx += 1;
+        }
+        idx as f64 * period
     }
 
     fn push_pending(&mut self, at: f64, kind: PendKind) {
@@ -391,54 +464,63 @@ impl<C: BuckController> Testbench<C> {
         }
         // Every window ends with a delivery, so after this first one no
         // pending item or wakeup is due at a window start.
-        self.deliver(self.buck.time())?;
+        self.deliver(self.buck.time(), false)?;
         while self.buck.time() < t_end {
-            // The next event: the next pending item or controller wakeup,
-            // or `t_end`; all lie ahead.
-            let mut event = t_end;
-            if let Some(&(tp, _)) = self.pending.front() {
-                event = event.min(tp);
-            }
-            if let Some(w) = self.ctrl.next_wakeup() {
-                event = event.min(w.as_secs());
-            }
             self.windows += 1;
 
-            // 1. Plan the exact trajectory, at least to the next grid
-            //    point. The power stage changes only at gate applies and
-            //    load steps, so one plan can serve every window up to the
-            //    next of those; a body-diode current reaching zero ends it
-            //    early.
+            // 1. Plan the exact trajectory, at least to the next analog
+            //    stop or grid point. The power stage changes only at gate
+            //    applies and load steps, so one plan can serve every
+            //    window up to the next of those; a body-diode current
+            //    reaching zero ends it early.
             let horizon = self.next_stage_change().min(t_end);
+            let analog = self.next_analog().min(t_end);
             let reach = self
                 .buck
-                .try_plan(event.min(self.next_sample_at), horizon)?;
+                .try_plan(analog.min(self.next_sample_at), horizon)?;
+            let run_out = self.last_grid_point(reach);
 
-            // 2. The first comparator crossing on it is an event too (all
-            //    comparators crossing at that instant fire).
-            let crossing = self.sensors.first_crossing(&self.buck, &mut self.fired);
-            let stop = event.min(crossing);
+            // 2. The window ends at the first analog stop: the next
+            //    pending stage change or reference switch, `t_end`, the
+            //    first comparator crossing on the plan (all comparators
+            //    crossing then fire), or where the plan runs out. Wakeups,
+            //    acks and held comparator events before it change nothing
+            //    analog, so they are delivered where they fall, with the
+            //    buck left behind. They can only bring the stop forward.
+            //    A comparator's crossing is resolved only once it could
+            //    decide that: when it could come before the next digital
+            //    event, or, with that event past where the plan runs out,
+            //    anywhere on the plan.
+            let (tn, crossing) = loop {
+                let analog = self.next_analog().min(t_end);
+                let at = self.next_event();
+                let before = analog.min(if at < run_out { at } else { reach });
+                let crossing = self
+                    .sensors
+                    .first_crossing(&self.buck, &mut self.fired, before);
+                let stop = analog.min(crossing);
+                let stop = if stop <= reach { stop } else { run_out };
+                if at >= stop {
+                    break (stop, crossing);
+                }
+                if self.deliver(at, true)? {
+                    // A stage change or reference switch came due at
+                    // `at` itself: the window ends there.
+                    break (at, crossing);
+                }
+                self.record_debug_tracks(at);
+            };
 
-            // 3. The grid points before the next event come off the plan
-            //    in one pass, with no window and no controller call each.
-            let first = self.sample_idx;
+            // 3. The grid points before the window's end come off the
+            //    plan in one pass, with no window and no controller call
+            //    each.
             self.buck.sample_plan(
                 &mut self.sample_idx,
                 self.sample_period,
-                stop,
+                tn,
                 &mut self.record,
             );
             self.next_sample_at = self.sample_idx as f64 * self.sample_period;
-            // Where the plan runs out first, the window ends at the last
-            // grid point it covers, so the next plan starts there as it
-            // would with a window per sample; or at its end, a diode zero.
-            let tn = if stop <= reach {
-                stop
-            } else if self.next_sample_at <= reach || self.sample_idx == first {
-                reach
-            } else {
-                (self.sample_idx - 1) as f64 * self.sample_period
-            };
             self.buck.try_advance_to(tn)?;
             // Each comparator event is held in `pending` until its own
             // time: crossing plus the comparator delay.
@@ -450,36 +532,11 @@ impl<C: BuckController> Testbench<C> {
             }
 
             // 4. Deliver controller wakeups and due pending items in
-            //    time order.
-            self.deliver(tn)?;
+            //    time order, and record the debug tracks that changed.
+            self.deliver(tn, false)?;
+            self.record_debug_tracks(tn);
 
-            // 5. Record controller debug tracks (e.g. `act`,
-            //    `get & !pass`) on change, like Figure 6's signal rows.
-            //    Interned ids make the per-window comparison a few word
-            //    compares instead of string compares.
-            self.tracks_buf.clear();
-            self.ctrl.debug_tracks_into(&mut self.tracks_buf);
-            if self.tracks_buf != self.debug_tracks {
-                for idx in 0..self.tracks_buf.len() {
-                    let (id, value) = self.tracks_buf[idx];
-                    let changed = self
-                        .debug_tracks
-                        .iter()
-                        .find(|&&(n, _)| n == id)
-                        .map(|&(_, v)| v != value)
-                        .unwrap_or(true);
-                    if changed {
-                        self.record.event(tn, id, value);
-                    }
-                }
-                // Adopt the new set wholesale: tracks that disappeared
-                // are dropped (not carried forever), so a later
-                // reappearance records again. Swap keeps both buffers'
-                // capacity.
-                std::mem::swap(&mut self.debug_tracks, &mut self.tracks_buf);
-            }
-
-            // 6. A grid point at the window's end takes the state reached.
+            // 5. A grid point at the window's end takes the state reached.
             if tn == self.next_sample_at {
                 self.record
                     .sample(tn, self.buck.output_voltage(), self.buck.currents());
@@ -490,10 +547,42 @@ impl<C: BuckController> Testbench<C> {
         Ok(())
     }
 
+    /// Records controller debug tracks (e.g. `act`, `get & !pass`) that
+    /// changed since the last call, at `at`, like Figure 6's signal rows.
+    /// Interned ids make the comparison a few word compares instead of
+    /// string compares.
+    fn record_debug_tracks(&mut self, at: f64) {
+        self.tracks_buf.clear();
+        self.ctrl.debug_tracks_into(&mut self.tracks_buf);
+        if self.tracks_buf == self.debug_tracks {
+            return;
+        }
+        for idx in 0..self.tracks_buf.len() {
+            let (id, value) = self.tracks_buf[idx];
+            let changed = self
+                .debug_tracks
+                .iter()
+                .find(|&&(n, _)| n == id)
+                .map(|&(_, v)| v != value)
+                .unwrap_or(true);
+            if changed {
+                self.record.event(at, id, value);
+            }
+        }
+        // Adopt the new set wholesale: tracks that disappeared are
+        // dropped (not carried forever), so a later reappearance records
+        // again. Swap keeps both buffers' capacity.
+        std::mem::swap(&mut self.debug_tracks, &mut self.tracks_buf);
+    }
+
     /// Delivers controller wakeups and the pending items due by `tn`
-    /// (gate applies and acks, load steps, held comparator events) in
-    /// time order; at equal times a pending item goes first.
-    fn deliver(&mut self, tn: f64) -> Result<(), SimError> {
+    /// (gate applies and acks, load steps, reference switches, held
+    /// comparator events) in time order; at equal times a pending item
+    /// goes first. With `in_place` (the buck still short of `tn`) it
+    /// stops before a stage change or reference switch and returns
+    /// `true`; the same call without it, once the buck is at `tn`, goes
+    /// on in the same order.
+    fn deliver(&mut self, tn: f64, in_place: bool) -> Result<bool, SimError> {
         loop {
             let t_pend = self.pending.front().map(|p| p.0).filter(|&x| x <= tn);
             let t_wake = self
@@ -505,11 +594,15 @@ impl<C: BuckController> Testbench<C> {
                 (Some(tp), Some(tw)) if tw < tp => self.wake(tw)?,
                 (None, Some(tw)) => self.wake(tw)?,
                 (Some(_), _) => {
-                    if let Some((at, kind)) = self.pending.pop_front() {
+                    if let Some(&(at, kind)) = self.pending.front() {
+                        if in_place && kind.is_analog() {
+                            return Ok(true);
+                        }
+                        self.pending.pop_front();
                         self.apply_pending(at, kind)?;
                     }
                 }
-                (None, None) => return Ok(()),
+                (None, None) => return Ok(false),
             }
         }
     }
@@ -911,6 +1004,79 @@ mod tests {
         }
     }
 
+    /// Adds a wakeup every 0.1 ns to `inner`'s own, and passes
+    /// everything else through.
+    struct Ticking<C> {
+        inner: C,
+        next: Time,
+    }
+
+    impl<C: BuckController> BuckController for Ticking<C> {
+        fn phases(&self) -> usize {
+            self.inner.phases()
+        }
+        fn on_sensor(&mut self, t: Time, kind: SensorKind, value: bool) {
+            self.inner.on_sensor(t, kind, value);
+        }
+        fn on_gate_ack(&mut self, t: Time, phase: usize, pmos: bool, value: bool) {
+            self.inner.on_gate_ack(t, phase, pmos, value);
+        }
+        fn next_wakeup(&self) -> Option<Time> {
+            let own = self.inner.next_wakeup();
+            Some(own.map_or(self.next, |w| w.min(self.next)))
+        }
+        fn on_wakeup(&mut self, t: Time) {
+            self.inner.on_wakeup(t);
+            while self.next <= t {
+                self.next += Time::from_ps(100.0);
+            }
+        }
+        fn take_commands_into(&mut self, out: &mut Vec<TimedCommand>) {
+            self.inner.take_commands_into(out);
+        }
+        fn debug_tracks_into(&self, out: &mut Vec<(TrackId, bool)>) {
+            self.inner.debug_tracks_into(out);
+        }
+    }
+
+    /// Never wakes and issues nothing.
+    struct Inert;
+
+    impl BuckController for Inert {
+        fn phases(&self) -> usize {
+            4
+        }
+        fn on_sensor(&mut self, _: Time, _: SensorKind, _: bool) {}
+        fn on_gate_ack(&mut self, _: Time, _: usize, _: bool, _: bool) {}
+        fn next_wakeup(&self) -> Option<Time> {
+            None
+        }
+        fn on_wakeup(&mut self, _: Time) {}
+        fn take_commands_into(&mut self, _: &mut Vec<TimedCommand>) {}
+    }
+
+    /// A wakeup ends no window and moves nothing analog: a controller
+    /// woken every 0.1 ns runs the same windows and records the same
+    /// waveform, bit for bit, as without the extra wakeups; on its own
+    /// (issuing nothing) and around a regulating controller.
+    #[test]
+    fn wakeups_move_no_window_and_no_sample() {
+        fn run<C: BuckController>(ctrl: C) -> (u64, Waveform) {
+            let mut tb = TestbenchBuilder::new().load_step(1e-6, 4.0).build(ctrl);
+            tb.run_until(2e-6);
+            (tb.windows(), tb.into_waveform())
+        }
+        fn tick<C>(inner: C) -> Ticking<C> {
+            Ticking {
+                inner,
+                next: Time::from_ps(100.0),
+            }
+        }
+        assert_eq!(run(Inert), run(tick(Inert)));
+        let async_ctrl = || AsyncController::new(4, AsyncTiming::default());
+        assert_eq!(run(async_ctrl()), run(tick(async_ctrl())));
+    }
+
     #[test]
     fn try_run_until_rejects_nan_and_keeps_working() {
         use a4a_sim::SimError;
@@ -938,19 +1104,19 @@ mod window_tests {
         tb.windows()
     }
 
-    /// A window ends at an event: a pending item, a controller wakeup, a
-    /// comparator crossing or a diode zero, or else at the grid point
-    /// where a plan runs out. [`Testbench::windows`] does not count the
-    /// other 4 000 grid samples of an 8 µs cell, which come off the plans
-    /// between events. A synchronous controller wakes only at the edges
-    /// that can change it, so at 1 GHz the cell takes far fewer windows
-    /// than its 8 000 clock edges.
+    /// A window ends only where the analog stage must stop: a gate apply,
+    /// a load step or reference switch, a comparator crossing, a diode
+    /// zero, or the grid point where a plan runs out. Wakeups, acks and
+    /// held comparator events are delivered within windows, and
+    /// [`Testbench::windows`] does not count the 4 000 grid samples of an
+    /// 8 µs cell, which come off the plans. So at 1 GHz the cell takes
+    /// far fewer windows than its 8 000 clock edges.
     #[test]
     fn windows_end_only_at_samples_and_events() {
         for (kind, range) in [
-            (ControllerKind::Sync(100.0), 600..900),
-            (ControllerKind::Sync(1000.0), 900..1_350),
-            (ControllerKind::Async, 1_400..2_100),
+            (ControllerKind::Sync(100.0), 180..270),
+            (ControllerKind::Sync(1000.0), 260..390),
+            (ControllerKind::Async, 530..800),
         ] {
             let n = windows(kind);
             assert!(range.contains(&n), "{}: {n} windows", kind.label());
@@ -960,9 +1126,10 @@ mod window_tests {
     /// every 5 µs, plans grow long (a plan longer than about 0.5 µs is
     /// scaled and squared and searched piece by piece), and every track
     /// records the events of the 2 ns default. Samples cost no windows:
-    /// the 2 ns grid takes at most a tenth more. (Comparators of phases
-    /// with equal currents cross within rounding of each other, so the
-    /// order across tracks may differ.)
+    /// the 10 000 points of the 2 ns grid add at most one window per 50,
+    /// where plans run out. (Comparators of phases with equal currents
+    /// cross within rounding of each other, so the order across tracks
+    /// may differ.)
     #[test]
     fn sparse_sampling_records_the_same_events() {
         for kind in [ControllerKind::Async, ControllerKind::Sync(100.0)] {
@@ -973,13 +1140,14 @@ mod window_tests {
                 tb.run_until(20e-6);
                 let mut events = tb.waveform().events.clone();
                 events.sort_by_key(|e| e.1);
-                (tb.windows(), events)
+                (tb.windows(), tb.waveform().len(), events)
             };
-            let ((dense_windows, dense), (sparse_windows, sparse)) = (run(2e-9), run(5e-6));
+            let (dense_windows, samples, dense) = run(2e-9);
+            let (sparse_windows, _, sparse) = run(5e-6);
             let more = dense_windows.saturating_sub(sparse_windows);
             assert!(
-                10 * more <= sparse_windows,
-                "{dense_windows} vs {sparse_windows}"
+                50 * more <= samples as u64,
+                "{dense_windows} vs {sparse_windows} windows, {samples} samples"
             );
             assert_eq!(dense.len(), sparse.len(), "{}", kind.label());
             for (a, b) in dense.iter().zip(&sparse) {

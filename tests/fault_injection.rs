@@ -446,6 +446,39 @@ fn adversarial_testbench(rng: &mut Rng) {
     }
 }
 
+/// A power stage stiffer than the femtosecond clock resolves (a
+/// capacitance or an inductance of 1e-200) is rejected when the
+/// testbench is built, at once; before that check a run with the
+/// capacitance at 1e-200 spent 1–24 s per window scaling and squaring
+/// its plans.
+#[test]
+fn stiff_power_stages_are_rejected_at_build() {
+    // `poison_param` fields 1 and 6: the capacitance and the inductance.
+    for field in [1, 6] {
+        let mut params = BuckParams::default();
+        let name = poison_param(&mut params, field, 1e-200);
+        let started = std::time::Instant::now();
+        let ctrl = AsyncController::new(4, AsyncTiming::default());
+        let built = TestbenchBuilder::new().params(params).try_build(ctrl);
+        assert!(
+            matches!(
+                built,
+                Err(SimError::InvalidParameter {
+                    what: "power-stage rate |A| (1/s)",
+                    ..
+                })
+            ),
+            "{name} = 1e-200: {:?}",
+            built.err()
+        );
+        let took = started.elapsed();
+        assert!(
+            took.as_secs_f64() < 0.5,
+            "{name} = 1e-200: rejected after {took:?}"
+        );
+    }
+}
+
 /// Seeded `.g` mutation fuzz: 1–4 line- and token-level mutations of a
 /// shipped module or A2A spec, run through parse → state graph →
 /// verify → both synthesis styles of the flow. Every stage returns a
