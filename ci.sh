@@ -17,7 +17,11 @@
 #      every regenerated CSV to equal the committed one byte for byte,
 #      the ablation's printed numbers to equal results/ablation.txt, and
 #      rejecting NaN/inf cells; then every example under examples/ must
-#      run to a zero exit
+#      run to a zero exit; then the `a4a` CLI writes its 18 built-in
+#      specs (`a4a modules`) and must exit 0 on every one of them for
+#      `verify`, `synth [--gc]`, `timing [--gc]`, `dot [--sg]`,
+#      `verilog` and `verilog --gc --map`, and for one spec read from
+#      `-` (stdin)
 #   5. fault-injection tier: seeded adversarial scenarios against the
 #      scheduler/analog/testbench layers (deterministic per
 #      A4A_PROP_SEED), asserting typed errors instead of panics
@@ -116,7 +120,44 @@ smoke_tier() {
             exit 1
         fi
     done
-    echo "OK: smoke tier (headers, row counts, byte-identical CSVs and ablation, finite cells, examples run)"
+    cli_smoke "$scratch"
+    echo "OK: smoke tier (headers, row counts, byte-identical CSVs and ablation, finite cells, examples and CLI run)"
+}
+
+# Every `a4a` command and flag set over every built-in spec, into the
+# scratch dir given as $1; each run must exit 0.
+cli_smoke() {
+    local scratch=$1
+    echo "    running the a4a CLI over its built-in specs"
+    cargo build -q --release --offline -p a4a --bin a4a
+    local a4a="${CARGO_TARGET_DIR:-target}/release/a4a"
+    "$a4a" modules "$scratch/specs" > /dev/null
+    local specs=("$scratch"/specs/*.g)
+    if [ "${#specs[@]}" -ne 18 ]; then
+        echo "ERROR: a4a modules wrote ${#specs[@]} specs, expected 18" >&2
+        exit 1
+    fi
+    local runs=0 spec args
+    for spec in "${specs[@]}"; do
+        for args in verify synth "synth --gc" timing "timing --gc" dot "dot --sg" \
+                verilog "verilog --gc --map"; do
+            # Unquoted on purpose: the command and its flags split apart.
+            # shellcheck disable=SC2086
+            if ! "$a4a" $args "$spec" > "$scratch/cli.out" 2>&1; then
+                echo "ERROR: a4a $args $spec exited non-zero:" >&2
+                head -n 5 "$scratch/cli.out" >&2
+                exit 1
+            fi
+            runs=$((runs + 1))
+        done
+    done
+    if ! "$a4a" verify - < "${specs[0]}" > "$scratch/cli.out" 2>&1; then
+        echo "ERROR: a4a verify - (stdin from ${specs[0]}) exited non-zero:" >&2
+        head -n 5 "$scratch/cli.out" >&2
+        exit 1
+    fi
+    runs=$((runs + 1))
+    echo "    $runs a4a runs exited 0"
 }
 
 perf_counter_tier() {

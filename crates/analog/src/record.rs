@@ -154,6 +154,16 @@ impl Waveform {
         }
     }
 
+    /// Reserves room for at least `samples` more analog samples in every
+    /// column.
+    pub fn reserve(&mut self, samples: usize) {
+        self.t.reserve(samples);
+        self.v.reserve(samples);
+        for column in &mut self.i {
+            column.reserve(samples);
+        }
+    }
+
     /// Appends a digital event on an interned track (allocation-free).
     pub fn event(&mut self, t: f64, track: TrackId, value: bool) {
         self.events.push((t, track, value));
@@ -238,6 +248,15 @@ mod tests {
         assert!(!w.is_empty());
         assert_eq!(w.phases(), 2);
         assert_eq!(w.i[0].len(), 10);
+    }
+
+    #[test]
+    fn reserve_covers_every_column() {
+        let mut w = wave();
+        w.reserve(1_000);
+        assert!(w.t.capacity() >= 1_010 && w.v.capacity() >= 1_010);
+        assert!(w.i.iter().all(|column| column.capacity() >= 1_010));
+        assert_eq!(w, wave(), "reserving records nothing");
     }
 
     #[test]

@@ -24,6 +24,12 @@ use a4a_analog::{
 use a4a_ctrl::{BuckController, Command, GateTiming, TimedCommand};
 use a4a_sim::{SimError, Time};
 
+/// The most samples [`Testbench::try_run_until`] reserves room for up
+/// front: an 8 µs Fig. 6/7 cell on the 2 ns grid takes 4 000, and
+/// `t_end` may be any length. A run past the cap grows the columns as
+/// usual.
+const MAX_RESERVED_SAMPLES: u64 = 1 << 16;
+
 /// Pending digital side effects travelling through the gate drivers.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum PendKind {
@@ -462,6 +468,14 @@ impl<C: BuckController> Testbench<C> {
                 value: t_end,
             });
         }
+        // The grid fixes how many samples the run records: room for
+        // them up front spares the columns their regrowth.
+        let last_point = (t_end / self.sample_period) as u64;
+        let samples = last_point
+            .saturating_add(1)
+            .saturating_sub(self.sample_idx)
+            .min(MAX_RESERVED_SAMPLES);
+        self.record.reserve(samples as usize);
         // Every window ends with a delivery, so after this first one no
         // pending item or wakeup is due at a window start.
         self.deliver(self.buck.time(), false)?;

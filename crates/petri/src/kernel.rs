@@ -419,17 +419,16 @@ impl RowSet {
     }
 }
 
-/// The interner hash of a row: [`FxHasher`] over its words, with the
-/// high half folded into the low half, because [`IdTable`] picks slots
-/// by the low bits and Fx leaves them depending on the low bits of the
-/// last word only.
+/// The interner hash of a row: [`FxHasher`] over its words. Fx leaves
+/// the low bits depending on the low bits of the last word only;
+/// [`IdTable`] folds the high half in before it picks a slot
+/// ([`IdTable::tag`]).
 fn row_hash(row: &[u64]) -> u64 {
     let mut h = FxHasher::default();
     for &word in row {
         h.write_u64(word);
     }
-    let h = h.finish();
-    h ^ (h >> 32)
+    h.finish()
 }
 
 #[cfg(test)]
@@ -475,6 +474,22 @@ mod tests {
         assert_eq!(rows.len(), 2);
         assert_eq!(rows.row(1), &[2, 1]);
         assert_eq!(rows.into_words(), vec![1, 2, 2, 1]);
+    }
+
+    #[test]
+    fn rows_with_one_tag_intern_separately() {
+        // Two rows whose hashes fold to the same interner tag, found by
+        // a birthday search: they share a home slot and pass the tag
+        // screen, so only the row compare keeps them apart.
+        let (a, b) = ([101_677, 7], [171_456, 7]);
+        assert_ne!(row_hash(&a), row_hash(&b));
+        assert_eq!(IdTable::tag(row_hash(&a)), IdTable::tag(row_hash(&b)));
+        let mut rows = RowSet::new(2);
+        assert_eq!(rows.intern(&a, 10), Some((0, true)));
+        assert_eq!(rows.intern(&b, 10), Some((1, true)));
+        assert_eq!(rows.intern(&b, 10), Some((1, false)));
+        assert_eq!(rows.intern(&a, 10), Some((0, false)));
+        assert_eq!(rows.into_words(), vec![101_677, 7, 171_456, 7]);
     }
 
     #[test]

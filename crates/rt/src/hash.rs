@@ -12,11 +12,12 @@
 //! * [`FxHashMap`] / [`FxHashSet`]: drop-in aliases for `std`
 //!   collections built on it;
 //! * [`IdTable`]: an id-interner — an open-addressed table storing only
-//!   `(hash, id)` pairs, where `id` indexes the caller's arena. Keys
-//!   live **once** (in the arena), not cloned into the map; lookups
-//!   compare against the arena through a caller-supplied closure. This
-//!   is the raw-table pattern `hashbrown` exposes on nightly, sized down
-//!   to exactly what BFS interning needs.
+//!   8-byte `(tag, id)` slots, where `tag` is the 64-bit hash folded to
+//!   32 bits and `id` indexes the caller's arena. Keys live **once** (in
+//!   the arena), not cloned into the map; lookups compare against the
+//!   arena through a caller-supplied closure. This is the raw-table
+//!   pattern `hashbrown` exposes on nightly, sized down to exactly what
+//!   BFS interning needs.
 //!
 //! None of this is for adversarial input: these are fixed-function
 //! hashes for trusted, in-process state exploration.
@@ -116,6 +117,9 @@ pub fn fx_hash_one<T: Hash + ?Sized>(value: &T) -> u64 {
 /// explorer guarantees by rejecting `max_states > u32::MAX` up front.
 const EMPTY: u32 = u32::MAX;
 
+/// A vacant `(tag, id)` slot.
+const VACANT: (u32, u32) = (0, EMPTY);
+
 /// An id-interner: hash → arena-index table that never stores keys.
 ///
 /// The caller keeps the keys in an arena (`Vec<K>`) and registers each
@@ -124,6 +128,13 @@ const EMPTY: u32 = u32::MAX;
 /// exist exactly once in memory — the pattern that de-duplicates the
 /// `HashMap<Marking, StateId>` + `Vec<Marking>` double storage of the
 /// pre-interner explorers.
+///
+/// Each slot is a `(u32 tag, u32 id)` pair, 8 bytes, with the tag
+/// folded from the caller's 64-bit hash ([`IdTable::tag`]). The table
+/// doubles before it passes half full: linear probing then rejects a
+/// new key after about 2.5 slots on average (½(1 + 1/(1 − load)²)),
+/// where at 7/8 load it takes about 32. Two keys whose hashes fold to
+/// the same tag are told apart by `eq`.
 ///
 /// ```
 /// use a4a_rt::hash::{fx_hash_one, IdTable};
@@ -147,8 +158,8 @@ const EMPTY: u32 = u32::MAX;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct IdTable {
-    /// Power-of-two slot array of `(hash, id)`; `id == EMPTY` is vacant.
-    entries: Vec<(u64, u32)>,
+    /// Power-of-two array of `(tag, id)` slots; `id == EMPTY` is vacant.
+    slots: Vec<(u32, u32)>,
     len: usize,
 }
 
@@ -158,7 +169,8 @@ impl IdTable {
         IdTable::default()
     }
 
-    /// An empty table pre-sized for about `capacity` ids.
+    /// An empty table pre-sized so that `capacity` ids fit without
+    /// growing it.
     pub fn with_capacity(capacity: usize) -> IdTable {
         let mut t = IdTable::default();
         if capacity > 0 {
@@ -177,21 +189,32 @@ impl IdTable {
         self.len == 0
     }
 
+    /// The 32-bit tag `hash` is stored under: its high half folded into
+    /// its low half. The tag both picks the slot (by its low bits) and
+    /// screens candidates before `eq`, so both halves of the hash count.
+    /// The fold matters for [`FxHasher`], whose low bits depend on the
+    /// low bits of the last word hashed only.
+    #[inline]
+    pub fn tag(hash: u64) -> u32 {
+        (hash ^ (hash >> 32)) as u32
+    }
+
     /// Looks up the id registered under `hash` whose arena entry matches,
-    /// probing with `eq(id)` for each same-hash candidate.
+    /// probing with `eq(id)` for each candidate with the same tag.
     #[inline]
     pub fn get(&self, hash: u64, mut eq: impl FnMut(u32) -> bool) -> Option<u32> {
-        if self.entries.is_empty() {
+        if self.slots.is_empty() {
             return None;
         }
-        let mask = self.entries.len() - 1;
-        let mut idx = hash as usize & mask;
+        let tag = IdTable::tag(hash);
+        let mask = self.slots.len() - 1;
+        let mut idx = tag as usize & mask;
         loop {
-            let (h, id) = self.entries[idx];
+            let (t, id) = self.slots[idx];
             if id == EMPTY {
                 return None;
             }
-            if h == hash && eq(id) {
+            if t == tag && eq(id) {
                 return Some(id);
             }
             idx = (idx + 1) & mask;
@@ -207,50 +230,50 @@ impl IdTable {
     /// Panics if `id` is `u32::MAX` (reserved as the vacant sentinel).
     pub fn insert(&mut self, hash: u64, id: u32) {
         assert!(id != EMPTY, "id u32::MAX is reserved");
-        // Keep load below 7/8.
-        if self.entries.is_empty() || (self.len + 1) * 8 > self.entries.len() * 7 {
-            let want = (self.entries.len() * 2).max(8);
-            self.grow_to(want);
+        // Keep the load at or below 1/2.
+        if (self.len + 1) * 2 > self.slots.len() {
+            self.grow_to((self.slots.len() * 2).max(MIN_SLOTS));
         }
-        let mask = self.entries.len() - 1;
-        let mut idx = hash as usize & mask;
-        while self.entries[idx].1 != EMPTY {
-            idx = (idx + 1) & mask;
-        }
-        self.entries[idx] = (hash, id);
+        self.place(IdTable::tag(hash), id);
         self.len += 1;
     }
 
     /// Drops every id but keeps the allocation — the per-call reuse hook
     /// for benchmark loops and repeated explorations.
     pub fn clear(&mut self) {
-        for e in &mut self.entries {
-            *e = (0, EMPTY);
-        }
+        self.slots.fill(VACANT);
         self.len = 0;
     }
 
+    /// Puts `(tag, id)` in the first vacant slot from the tag's own.
+    #[inline]
+    fn place(&mut self, tag: u32, id: u32) {
+        let mask = self.slots.len() - 1;
+        let mut idx = tag as usize & mask;
+        while self.slots[idx].1 != EMPTY {
+            idx = (idx + 1) & mask;
+        }
+        self.slots[idx] = (tag, id);
+    }
+
+    /// Re-places every id in `slots` slots, by the tags already stored.
     fn grow_to(&mut self, slots: usize) {
         debug_assert!(slots.is_power_of_two());
-        let old = std::mem::replace(&mut self.entries, vec![(0, EMPTY); slots]);
-        let mask = slots - 1;
-        for (h, id) in old {
-            if id == EMPTY {
-                continue;
+        let old = std::mem::replace(&mut self.slots, vec![VACANT; slots]);
+        for (tag, id) in old {
+            if id != EMPTY {
+                self.place(tag, id);
             }
-            let mut idx = h as usize & mask;
-            while self.entries[idx].1 != EMPTY {
-                idx = (idx + 1) & mask;
-            }
-            self.entries[idx] = (h, id);
         }
     }
 }
 
-/// Smallest power-of-two slot count keeping `ids` below 7/8 load.
+/// The fewest slots a table allocates.
+const MIN_SLOTS: usize = 8;
+
+/// Smallest power-of-two slot count holding `ids` at or below 1/2 load.
 fn slots_for(ids: usize) -> usize {
-    let min = ids * 8 / 7 + 1;
-    min.next_power_of_two().max(8)
+    (ids * 2).next_power_of_two().max(MIN_SLOTS)
 }
 
 #[cfg(test)]
@@ -342,6 +365,91 @@ mod tests {
         assert_eq!(table.get(fx_hash_one(&1u8), |_| true), None);
         table.insert(fx_hash_one(&2u8), 0);
         assert_eq!(table.len(), 1);
+    }
+
+    /// Interns `hash` for arena key `key` unless an equal key is present;
+    /// returns its id.
+    fn intern(table: &mut IdTable, arena: &mut Vec<u64>, hash: u64, key: u64) -> u32 {
+        if let Some(id) = table.get(hash, |id| arena[id as usize] == key) {
+            return id;
+        }
+        arena.push(key);
+        let id = (arena.len() - 1) as u32;
+        table.insert(hash, id);
+        id
+    }
+
+    #[test]
+    fn hashes_folding_to_one_tag_get_distinct_ids() {
+        // Different 64-bit hashes, one 32-bit tag: the slot and the tag
+        // screen agree on all three, so only `eq` tells them apart.
+        let hashes = [1u64 << 32, 1, (3 << 32) | 2, (0xdead << 32) | 0xdeac];
+        for &h in &hashes {
+            assert_eq!(IdTable::tag(h), 1, "{h:#x}");
+        }
+        let mut arena = Vec::new();
+        let mut table = IdTable::new();
+        let ids: Vec<u32> = (0..hashes.len() as u64)
+            .map(|k| intern(&mut table, &mut arena, hashes[k as usize], k))
+            .collect();
+        assert_eq!(ids, vec![0, 1, 2, 3]);
+        for (k, &h) in hashes.iter().enumerate() {
+            assert_eq!(intern(&mut table, &mut arena, h, k as u64), k as u32);
+        }
+        assert_eq!(table.len(), hashes.len());
+    }
+
+    /// The slot count of the previous layout, 16-byte `(u64, u32)` slots
+    /// kept below 7/8 load, after `len` inserts.
+    fn seven_eighths_slots(len: usize) -> usize {
+        let mut slots = 8;
+        while len * 8 > slots * 7 {
+            slots *= 2;
+        }
+        slots
+    }
+
+    #[test]
+    fn load_stays_at_or_below_half() {
+        for capacity in 0..300 {
+            let table = IdTable::with_capacity(capacity);
+            assert!(capacity * 2 <= table.slots.len(), "with_capacity({capacity})");
+            assert!(table.slots.len() * 8 <= seven_eighths_slots(capacity) * 16);
+        }
+        // Filling a pre-sized table to its capacity never regrows it.
+        let mut table = IdTable::with_capacity(56);
+        let slots = table.slots.len();
+        for k in 0..56u32 {
+            table.insert(fx_hash_one(&k), k);
+        }
+        assert_eq!(table.slots.len(), slots);
+        let mut table = IdTable::new();
+        for k in 0..20_000u32 {
+            table.insert(fx_hash_one(&k), k);
+            let len = table.len();
+            assert!(len * 2 <= table.slots.len(), "{len} ids in {}", table.slots.len());
+            // Never more bytes than the previous layout.
+            assert!(table.slots.len() * 8 <= seven_eighths_slots(len) * 16);
+        }
+    }
+
+    #[test]
+    fn ids_survive_every_growth() {
+        let mut arena = Vec::new();
+        let mut table = IdTable::new();
+        let mut growths = 0;
+        for k in 0..5_000u64 {
+            let slots = table.slots.len();
+            assert_eq!(intern(&mut table, &mut arena, fx_hash_one(&k), k), k as u32);
+            if table.slots.len() != slots {
+                growths += 1;
+                for old in 0..=k {
+                    let id = table.get(fx_hash_one(&old), |id| arena[id as usize] == old);
+                    assert_eq!(id, Some(old as u32), "lost {old} growing to {}", table.slots.len());
+                }
+            }
+        }
+        assert_eq!(growths, 12, "0, 8, 16, … 16 384 slots");
     }
 
     #[test]

@@ -62,6 +62,6 @@ pub use error::StgError;
 pub use signal::{Edge, Polarity, Signal, SignalId, SignalKind};
 pub use stategraph::{SgStateId, StateGraph};
 pub use stg::{Label, Stg, StgBuilder};
-pub use verify::{CscConflict, PersistenceViolation, VerifyReport};
+pub use verify::{CscConflict, PersistenceViolation, VerifyReport, MAX_CODING_CONFLICTS};
 
 pub use a4a_petri::{Marking, PetriNet, PlaceId, TransitionId};

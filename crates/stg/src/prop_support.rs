@@ -46,6 +46,22 @@ pub fn pipeline_stg_with_prefix(n: usize, output_mask: u64, prefix: &str) -> Stg
     b.build()
 }
 
+/// Builds `rings` independent rings of `len` dummy transitions (len ≥ 1),
+/// one token each, and no signals: `len^rings` states that all share one
+/// code, the worst case for a check that pairs the states of a code.
+pub fn dummy_rings_stg(rings: usize, len: usize) -> Stg {
+    assert!(len >= 1, "a ring needs a transition");
+    let mut b = StgBuilder::new(format!("dummy_rings{rings}x{len}"));
+    for _ in 0..rings {
+        let ring: Vec<_> = (0..len).map(|_| b.dummy()).collect();
+        for w in ring.windows(2) {
+            b.connect(w[0], w[1]);
+        }
+        b.connect_marked(ring[len - 1], ring[0]);
+    }
+    b.build()
+}
+
 /// The number of non-input signals in a pipeline built with
 /// [`pipeline_stg`] (handy for test assertions).
 pub fn pipeline_output_count(stg: &Stg) -> usize {
@@ -76,6 +92,14 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn dummy_rings_multiply_states_under_one_code() {
+        let stg = dummy_rings_stg(2, 5);
+        let sg = stg.state_graph(100).expect("dummy rings explore");
+        assert_eq!(sg.state_count(), 25);
+        assert!(sg.state_ids().all(|s| sg.code(s) == 0));
     }
 
     #[test]

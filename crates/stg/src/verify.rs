@@ -45,6 +45,12 @@ impl CscConflict {
     }
 }
 
+/// How many state-coding conflicts of each kind (pure USC, CSC) a
+/// [`VerifyReport`] lists. A state graph whose `k` states share one code
+/// has `k·(k − 1)/2` conflicting pairs, so a report that listed them all
+/// could outgrow memory on a small spec; the counts stay exact.
+pub const MAX_CODING_CONFLICTS: usize = 16;
+
 /// Result of running the standard checks over a state graph.
 #[derive(Debug, Clone, Default)]
 pub struct VerifyReport {
@@ -52,8 +58,16 @@ pub struct VerifyReport {
     pub deadlocks: Vec<SgStateId>,
     /// Output-persistence violations.
     pub persistence: Vec<PersistenceViolation>,
-    /// State-coding conflicts (USC and CSC).
+    /// State-coding conflicts (USC and CSC): the first
+    /// [`MAX_CODING_CONFLICTS`] of each kind, by code, then first state,
+    /// then second state. `usc_count` and `csc_count` count them all.
     pub coding: Vec<CscConflict>,
+    /// Number of pure USC conflicts: pairs of states with one code and
+    /// the same excitation of every non-input signal.
+    pub usc_count: usize,
+    /// Number of CSC conflicts: pairs of states with one code and a
+    /// different excitation of some non-input signal.
+    pub csc_count: usize,
 }
 
 impl VerifyReport {
@@ -64,12 +78,11 @@ impl VerifyReport {
     /// Pure USC conflicts (same code, same behaviour) are benign for
     /// synthesis and do not fail this predicate.
     pub fn is_clean(&self) -> bool {
-        self.deadlocks.is_empty()
-            && self.persistence.is_empty()
-            && !self.coding.iter().any(CscConflict::is_csc)
+        self.deadlocks.is_empty() && self.persistence.is_empty() && self.csc_count == 0
     }
 
-    /// Only the CSC conflicts (the ones that block synthesis).
+    /// Only the listed CSC conflicts (the ones that block synthesis): the
+    /// first [`MAX_CODING_CONFLICTS`], of `csc_count`.
     pub fn csc_conflicts(&self) -> Vec<&CscConflict> {
         self.coding.iter().filter(|c| c.is_csc()).collect()
     }
@@ -81,8 +94,8 @@ impl VerifyReport {
             "deadlocks: {}\npersistence violations: {}\nUSC conflicts: {}\nCSC conflicts: {}\n",
             self.deadlocks.len(),
             self.persistence.len(),
-            self.coding.iter().filter(|c| !c.is_csc()).count(),
-            self.csc_conflicts().len(),
+            self.usc_count,
+            self.csc_count,
         ));
         out.push_str(if self.is_clean() {
             "verdict: clean\n"
@@ -98,10 +111,13 @@ impl Stg {
     /// graph.
     pub fn verify(&self, sg: &StateGraph) -> VerifyReport {
         let masks = edge_masks(self, sg);
+        let (coding, usc_count, csc_count) = coding_conflicts(self, sg, &masks);
         VerifyReport {
             deadlocks: deadlocks(sg),
             persistence: output_persistence(self, sg, &masks),
-            coding: coding_conflicts(self, sg, &masks),
+            coding,
+            usc_count,
+            csc_count,
         }
     }
 
@@ -226,36 +242,97 @@ fn state_persistence(
     }
 }
 
-fn coding_conflicts(stg: &Stg, sg: &StateGraph, masks: &[u128]) -> Vec<CscConflict> {
+/// The first [`MAX_CODING_CONFLICTS`] USC and CSC conflicts, in report
+/// order, and the exact USC and CSC counts.
+///
+/// Two states of one code are in CSC conflict exactly when their
+/// non-input excitation masks differ. So a code group of `k` states,
+/// split into classes of equal mask of sizes `k_m`, has Σ C(k_m, 2) USC
+/// and C(k, 2) − Σ C(k_m, 2) CSC conflicts: a sort per group, not a visit
+/// per pair. The pairs are listed by scanning each state's later
+/// partners only while that state still has a partner of a kind not yet
+/// listed in full, so the scan costs O(k) per listed pair at most.
+fn coding_conflicts(
+    stg: &Stg,
+    sg: &StateGraph,
+    masks: &[u128],
+) -> (Vec<CscConflict>, usize, usize) {
     let non_inputs: Vec<SignalId> = stg
         .signal_ids()
         .filter(|&s| stg.signal(s).kind != SignalKind::Input)
         .collect();
-    let excited = |s: SgStateId, sig: SignalId| masks[s.index()] & signal_bits(sig) != 0;
+    let non_input_bits = non_inputs.iter().fold(0, |m, &s| m | signal_bits(s));
+    // Bit `2·signal` set when the non-input signal is excited at all.
+    let excitation = |s: SgStateId| {
+        let m = masks[s.index()] & non_input_bits;
+        (m | m >> 1) & FALLING_BITS
+    };
     // States grouped by code: codes ascending, each group in discovery
     // order.
     let mut by_code: Vec<(u64, SgStateId)> = sg.state_ids().map(|s| (sg.code(s), s)).collect();
     by_code.sort_unstable();
-    let mut conflicts = Vec::new();
+    let (mut conflicts, mut usc, mut csc) = (Vec::new(), 0, 0);
+    // Pairs listed so far, by kind: [USC, CSC].
+    let mut listed = [0; 2];
+    let mut classes: Vec<(u128, usize)> = Vec::new();
+    let mut same_after: Vec<usize> = Vec::new();
     for group in by_code.chunk_by(|a, b| a.0 == b.0) {
+        let k = group.len();
+        if k < 2 {
+            continue;
+        }
+        // Equal-excitation classes, each in discovery order, and for
+        // every state the number of later states in its class.
+        classes.clear();
+        classes.extend(group.iter().enumerate().map(|(i, &(_, s))| (excitation(s), i)));
+        classes.sort_unstable();
+        same_after.clear();
+        same_after.resize(k, 0);
+        let mut group_usc = 0;
+        for class in classes.chunk_by(|a, b| a.0 == b.0) {
+            let m = class.len();
+            group_usc += m * (m - 1) / 2;
+            for (rank, &(_, i)) in class.iter().enumerate() {
+                same_after[i] = m - 1 - rank;
+            }
+        }
+        usc += group_usc;
+        csc += k * (k - 1) / 2 - group_usc;
+
         for (i, &(code, x)) in group.iter().enumerate() {
+            // Later partners of `x` not yet scanned, by kind.
+            let mut left = [same_after[i], k - 1 - i - same_after[i]];
             for &(_, y) in &group[i + 1..] {
-                let signals: Vec<SignalId> = non_inputs
-                    .iter()
-                    .copied()
-                    .filter(|&sig| excited(x, sig) != excited(y, sig))
-                    .collect();
+                let wanted = |kind: usize| left[kind] > 0 && listed[kind] < MAX_CODING_CONFLICTS;
+                if !wanted(0) && !wanted(1) {
+                    break;
+                }
+                let differ = excitation(x) ^ excitation(y);
+                let kind = usize::from(differ != 0);
+                let want = wanted(kind);
+                left[kind] -= 1;
+                if !want {
+                    continue;
+                }
+                listed[kind] += 1;
                 conflicts.push(CscConflict {
                     first: x,
                     second: y,
                     code,
-                    signals,
+                    signals: non_inputs
+                        .iter()
+                        .copied()
+                        .filter(|&sig| differ & signal_bits(sig) != 0)
+                        .collect(),
                 });
             }
         }
     }
-    conflicts
+    (conflicts, usc, csc)
 }
+
+/// The falling-edge bit of every signal, bit `2·signal`.
+const FALLING_BITS: u128 = u128::MAX / 3;
 
 #[cfg(test)]
 mod tests {

@@ -3,7 +3,7 @@ use std::fmt;
 
 use a4a_boolmin::MinimizeError;
 use a4a_netlist::NetlistError;
-use a4a_stg::{CscConflict, PersistenceViolation, StgError};
+use a4a_stg::{CscConflict, PersistenceViolation, StgError, MAX_CODING_CONFLICTS};
 
 /// Errors raised by the synthesiser and the SI verifier.
 #[derive(Debug, Clone)]
@@ -16,7 +16,8 @@ pub enum SynthError {
     NotPersistent(Vec<PersistenceViolation>),
     /// Complete state coding is violated: states with equal binary codes
     /// require different output behaviour. Resolve by adding internal
-    /// signals.
+    /// signals. Holds the conflicts the sanity report lists: the first
+    /// [`MAX_CODING_CONFLICTS`].
     Csc(Vec<CscConflict>),
     /// Two-level minimisation failed.
     Minimize(MinimizeError),
@@ -53,7 +54,8 @@ impl fmt::Display for SynthError {
             }
             SynthError::Csc(c) => write!(
                 f,
-                "complete state coding violated ({} conflicts); add internal signals",
+                "complete state coding violated ({}{} conflicts); add internal signals",
+                if c.len() >= MAX_CODING_CONFLICTS { "at least " } else { "" },
                 c.len()
             ),
             SynthError::Minimize(e) => write!(f, "minimisation failed: {e}"),

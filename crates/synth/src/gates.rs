@@ -158,8 +158,8 @@ pub fn synthesize(stg: &Stg, opts: &SynthOptions) -> Result<Synthesis, SynthErro
     if !report.persistence.is_empty() && !opts.allow_non_persistent {
         return Err(SynthError::NotPersistent(report.persistence.clone()));
     }
-    let csc: Vec<_> = report.csc_conflicts().into_iter().cloned().collect();
-    if !csc.is_empty() {
+    if report.csc_count > 0 {
+        let csc = report.csc_conflicts().into_iter().cloned().collect();
         return Err(SynthError::Csc(csc));
     }
 

@@ -164,7 +164,8 @@ pub fn verify_si(stg: &Stg, netlist: &Netlist, max_states: usize) -> Result<SiRe
     };
 
     // Joint BFS. Keys live once, in the `keys` arena; the interner maps
-    // fx-hash → index with equality resolved against the arena.
+    // fx-hash → index with equality resolved against the arena (it folds
+    // the hash's high half into the slot tag, so the whole code counts).
     type Key = (u64, BTreeSet<SgStateId>);
     let key_hash = |key: &Key| -> u64 {
         let mut h = FxHasher::default();

@@ -22,7 +22,7 @@ use a4a_ctrl::{AsyncController, AsyncTiming};
 use a4a_rt::fault::{self, FaultKind, FaultPlan};
 use a4a_rt::Rng;
 use a4a_sim::{EventKey, Scheduler, SimError, Time};
-use a4a_stg::Stg;
+use a4a_stg::{Stg, MAX_CODING_CONFLICTS};
 use a4a_synth::SynthStyle;
 
 /// Scenario count — at least 50 per the fault-tier acceptance bar, and a
@@ -477,6 +477,34 @@ fn stiff_power_stages_are_rejected_at_build() {
             "{name} = 1e-200: rejected after {took:?}"
         );
     }
+}
+
+/// Three rings of 40 dummies: 64 000 states under one code, so
+/// C(64 000, 2) ≈ 2.0e9 USC pairs. The report counts them all but lists
+/// only the first [`MAX_CODING_CONFLICTS`]; listing every pair, as the
+/// check once did, would take over 100 GB.
+#[test]
+fn one_code_state_spaces_keep_the_coding_report_bounded() {
+    let stg = a4a_stg::prop_support::dummy_rings_stg(3, 40);
+    let text = stg.to_g();
+    let stg = Stg::parse_g(&text).expect("the rings round-trip through .g");
+    let sg = stg.state_graph(100_000).expect("64 000 states fit");
+    assert_eq!(sg.state_count(), 64_000);
+    let started = std::time::Instant::now();
+    let report = stg.verify(&sg);
+    let took = started.elapsed();
+    assert_eq!(report.usc_count, 64_000 * 63_999 / 2);
+    assert_eq!(report.csc_count, 0);
+    assert!(report.is_clean(), "{}", report.summary());
+    assert!(report.summary().contains("USC conflicts: 2047968000\n"));
+    // The first pairs in report order: the initial state with each of
+    // the next states.
+    assert_eq!(report.coding.len(), MAX_CODING_CONFLICTS);
+    for (k, c) in report.coding.iter().enumerate() {
+        assert!(!c.is_csc(), "no signals, no CSC");
+        assert_eq!((c.first.index(), c.second.index()), (0, k + 1));
+    }
+    assert!(took.as_secs_f64() < 5.0, "verify took {took:?}");
 }
 
 /// Seeded `.g` mutation fuzz: 1–4 line- and token-level mutations of a

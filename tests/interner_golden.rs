@@ -1,12 +1,15 @@
 //! Golden tests for the exploration interner: state-id assignment on
 //! the composed token-ring STG is pinned exactly, so any change to the
-//! interner, the safe-net exploration kernel's row layout, or the BFS
-//! order shows up as a diff here — not as a silently renumbered state
-//! space.
+//! interner (its 8-byte `(tag, id)` slots, the half-full bound it
+//! doubles at, the hash fold), the safe-net exploration kernel's row
+//! layout, or the BFS order shows up as a diff here — not as a silently
+//! renumbered state space. Ids follow insertion order alone, so none of
+//! the slot layout may move them.
 //!
 //! The companion coverage lives in `tests/par_vs_seq.rs` (kernel vs
-//! reference differential) and `crates/rt/src/hash.rs` (unit tests of
-//! `IdTable` itself).
+//! reference differential), `crates/rt/src/hash.rs` (unit tests of
+//! `IdTable` itself: tag collisions, load, growth) and
+//! `crates/petri/src/kernel.rs` (`RowSet`, rows with colliding tags).
 
 use a4a_rt::IdTable;
 use a4a_stg::SgStateId;

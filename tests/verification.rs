@@ -8,7 +8,9 @@
 //! STG specifications."
 
 use a4a::A4aFlow;
-use a4a_stg::{Stg, VerifyReport};
+use a4a_stg::{
+    CscConflict, SgStateId, SignalId, SignalKind, StateGraph, Stg, VerifyReport, MAX_CODING_CONFLICTS,
+};
 use a4a_synth::{synthesize, verify_si, SynthOptions, SynthStyle};
 
 fn all_specs() -> Vec<(&'static str, Stg)> {
@@ -199,6 +201,73 @@ fn violating_reports_are_pinned() {
         })
         .collect();
     assert_eq!(got, VIOLATING_REPORTS_GOLDEN);
+}
+
+/// The state-coding part of a report rebuilt by visiting every pair of
+/// states with one code: the first [`MAX_CODING_CONFLICTS`] pairs of
+/// each kind in report order, then the USC and CSC counts.
+fn coding_by_pairs(stg: &Stg, sg: &StateGraph) -> (Vec<CscConflict>, usize, usize) {
+    let non_inputs: Vec<SignalId> = stg
+        .signal_ids()
+        .filter(|&s| stg.signal(s).kind != SignalKind::Input)
+        .collect();
+    let excited = |s: SgStateId, sig: SignalId| {
+        sg.enabled_edges(stg, s).iter().any(|e| e.signal == sig)
+    };
+    let mut states: Vec<SgStateId> = sg.state_ids().collect();
+    states.sort_by_key(|&s| (sg.code(s), s));
+    let (mut listed, mut usc, mut csc) = (Vec::new(), 0, 0);
+    for (i, &x) in states.iter().enumerate() {
+        for &y in states[i + 1..].iter().take_while(|&&y| sg.code(y) == sg.code(x)) {
+            let signals: Vec<SignalId> = non_inputs
+                .iter()
+                .copied()
+                .filter(|&sig| excited(x, sig) != excited(y, sig))
+                .collect();
+            let kind_count = if signals.is_empty() { &mut usc } else { &mut csc };
+            *kind_count += 1;
+            if *kind_count <= MAX_CODING_CONFLICTS {
+                listed.push(CscConflict {
+                    first: x,
+                    second: y,
+                    code: sg.code(x),
+                    signals,
+                });
+            }
+        }
+    }
+    (listed, usc, csc)
+}
+
+/// The counted coding check lists and counts the same conflicts as a
+/// visit of every pair: on the violating specs, on every shipped spec,
+/// and on the dummy/CSC spec run beside a ring of seven dummies, whose
+/// code groups of 21 states hold more pairs of each kind than a report
+/// lists.
+#[test]
+fn coding_counts_match_every_pair() {
+    let mut specs = violating_specs();
+    specs.extend(all_specs().into_iter().map(|(_, stg)| stg));
+    let dummy_csc = Stg::parse_g(DUMMY_CSC_G).expect("dummy_csc parses");
+    let ringed = dummy_csc
+        .compose(&a4a_stg::prop_support::dummy_rings_stg(1, 7))
+        .expect("a signal-free ring composes");
+    specs.push(ringed);
+    for stg in &specs {
+        let sg = stg.state_graph(10_000).expect("consistent");
+        let report = stg.verify(&sg);
+        let (listed, usc, csc) = coding_by_pairs(stg, &sg);
+        assert_eq!((report.usc_count, report.csc_count), (usc, csc), "{}", stg.name());
+        assert_eq!(report.coding, listed, "{}", stg.name());
+    }
+    let last = specs.last().expect("the ringed spec");
+    let report = last.verify(&last.state_graph(10_000).expect("consistent"));
+    assert!(
+        report.usc_count > MAX_CODING_CONFLICTS && report.csc_count > MAX_CODING_CONFLICTS,
+        "{}",
+        report.summary()
+    );
+    assert_eq!(report.coding.len(), 2 * MAX_CODING_CONFLICTS);
 }
 
 /// The pinned reports, captured from the per-edge reference checks: any
