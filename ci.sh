@@ -43,6 +43,10 @@
 #
 # `./ci.sh --quick` runs only the build and the smoke tier (4) — the
 # sub-minute loop for "did I break an experiment binary".
+#
+# Each tier prints its wall time (whole seconds, bash `SECONDS`) as it
+# ends, and the script ends with every tier's time and the total, so a
+# run of `ci.sh` is itself an end-to-end number.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -51,8 +55,28 @@ if [ "${1:-}" = "--quick" ]; then
     quick=1
 fi
 
+# Wall time per tier: `tier_done <name>` closes the running tier, and
+# `report_times` lists them all with the total.
+tier_start=$SECONDS
+tier_times=()
+tier_done() {
+    local took=$((SECONDS - tier_start))
+    tier_times+=("$(printf '%-22s %4ds' "$1" "$took")")
+    echo "    ($1: ${took}s)"
+    tier_start=$SECONDS
+}
+report_times() {
+    echo "==> wall time per tier"
+    local line
+    for line in "${tier_times[@]}"; do
+        echo "    $line"
+    done
+    echo "    $(printf '%-22s %4ds' total "$SECONDS")"
+}
+
 echo "==> cargo build --release --offline"
 cargo build --release --offline
+tier_done "1 build"
 
 smoke_tier() {
     echo "==> smoke tier: all bench binaries into a scratch results dir"
@@ -196,7 +220,9 @@ perf_counter_tier() {
 
 if [ "$quick" -eq 1 ]; then
     smoke_tier
+    tier_done "4 smoke"
     echo "OK: quick tier"
+    report_times
     exit 0
 fi
 
@@ -208,6 +234,7 @@ cargo test -q --offline --workspace
 
 echo "==> cargo test -q --offline --manifest-path perfbench/Cargo.toml"
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
+tier_done "2 tests"
 
 echo "==> determinism + golden results suites at A4A_THREADS=1,2,8"
 for t in 1 2 8; do
@@ -217,14 +244,18 @@ for t in 1 2 8; do
         --test golden_results > /dev/null
 done
 echo "OK: determinism + golden results suites at every thread count"
+tier_done "3 determinism"
 
 echo "==> fault-injection tier (seeded adversarial scenarios)"
 cargo test -q --offline --test fault_injection > /dev/null
 echo "OK: fault-injection tier (typed errors, zero library panics)"
+tier_done "5 fault injection"
 
 smoke_tier
+tier_done "4 smoke"
 
 perf_counter_tier
+tier_done "6 perf counters"
 
 echo "==> checking for registry dependencies"
 # Every [dependencies*] / [dev-dependencies] entry must be either an
@@ -258,6 +289,7 @@ if [ "$bad" -ne 0 ]; then
     exit 1
 fi
 echo "OK: hermetic (no registry dependencies)"
+tier_done "7 hermetic"
 
 echo "==> checking library crates for unwrap()"
 # The sim/analog/core libraries route every failure through the typed
@@ -284,11 +316,15 @@ if [ "$bad" -ne 0 ]; then
     exit 1
 fi
 echo "OK: library crates are unwrap-free (typed errors only)"
+tier_done "8 unwrap scan"
 
 echo "==> cargo clippy --offline --workspace --all-targets -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "OK: clippy clean"
+tier_done "9 clippy"
 
 echo "==> cargo doc --offline --workspace --no-deps (RUSTDOCFLAGS=-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 echo "OK: rustdoc clean"
+tier_done "10 rustdoc"
+report_times

@@ -26,6 +26,7 @@
 //! ([`Engine::Restarted`]).
 
 use std::hash::Hasher;
+use std::ops::Deref;
 
 use a4a_rt::{FxHasher, IdTable};
 
@@ -133,9 +134,13 @@ impl<E> Halt<E> {
 /// counter word per place for the reference engine. A transition is
 /// enabled under the masks iff `row & need == need` on every word
 /// (`need = consume | read`) and fires to `(row & !consume) | produce`.
-/// Engines are written once, generic over the `Kernel` that
-/// [`PetriNet::explore_with`] or [`PetriNet::explore_ref_with`] hands
-/// them, so both rules run the same search.
+/// Both rules list a row's enabled transitions the same way: they mark
+/// the transitions of its marked places in a reused bitmask
+/// ([`Enabled`]) and read it back in id order, so memory stays linear in
+/// the arcs and no list is sorted. Engines are written once, generic
+/// over the `Kernel` that [`PetriNet::explore_with`] or
+/// [`PetriNet::explore_ref_with`] hands them, so both rules run the same
+/// search.
 #[derive(Debug, Clone, Copy)]
 pub struct Kernel<'n> {
     net: &'n PetriNet,
@@ -154,19 +159,34 @@ impl<'n> Kernel<'n> {
     /// Replaces the contents of `out` with the transitions enabled in
     /// the marking of `row`, in id order. Candidates are the transitions
     /// of the marked places (through the net's preset index) plus those
-    /// with an empty preset.
-    pub fn enabled_into(&self, row: &[u64], out: &mut Vec<TransitionId>) {
+    /// with an empty preset; each is marked once in `out`'s transition
+    /// bitmask, which is then read back word by word, so the list comes
+    /// out in id order without a sort.
+    pub fn enabled_into(&self, row: &[u64], out: &mut Enabled) {
         let preset = self.net.preset();
-        out.clear();
-        out.extend_from_slice(preset.unguarded());
+        let Enabled { list, marks } = out;
+        list.clear();
+        marks.resize(self.net.transition_count().div_ceil(64), 0);
+        // The mask words holding a candidate lie in `lo..=hi`; every
+        // preset list is in id order, so its ends bound its words.
+        let (mut lo, mut hi) = (usize::MAX, 0);
+        let mut mark = |ts: &[TransitionId]| {
+            if let (Some(first), Some(last)) = (ts.first(), ts.last()) {
+                lo = lo.min(first.index() / 64);
+                hi = hi.max(last.index() / 64);
+                for t in ts {
+                    marks[t.index() / 64] |= 1 << (t.index() % 64);
+                }
+            }
+        };
+        mark(preset.unguarded());
         let words = &row[..self.layout.words()];
         match self.layout.engine {
             Engine::Kernel => {
                 for (w, &word) in words.iter().enumerate() {
                     let mut bits = word;
                     while bits != 0 {
-                        let p = w * 64 + bits.trailing_zeros() as usize;
-                        out.extend_from_slice(preset.users_of(p));
+                        mark(preset.users_of(w * 64 + bits.trailing_zeros() as usize));
                         bits &= bits - 1;
                     }
                 }
@@ -174,14 +194,22 @@ impl<'n> Kernel<'n> {
             Engine::Reference | Engine::Restarted => {
                 for (p, &count) in words.iter().enumerate() {
                     if count > 0 {
-                        out.extend_from_slice(preset.users_of(p));
+                        mark(preset.users_of(p));
                     }
                 }
             }
         }
-        out.sort_unstable();
-        out.dedup();
-        out.retain(|&t| self.is_enabled(t, row));
+        for (w, word) in marks.iter_mut().enumerate().take(hi + 1).skip(lo) {
+            // Taking the word clears it for the next call.
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let t = TransitionId((w * 64) as u32 + bits.trailing_zeros());
+                bits &= bits - 1;
+                if self.is_enabled(t, row) {
+                    list.push(t);
+                }
+            }
+        }
     }
 
     fn is_enabled(&self, t: TransitionId, row: &[u64]) -> bool {
@@ -250,6 +278,24 @@ impl<'n> Kernel<'n> {
             }
         }
         Ok(())
+    }
+}
+
+/// The transitions [`Kernel::enabled_into`] found enabled in a row, in
+/// id order (an `Enabled` derefs to that list), and the one bit per
+/// transition in which it marks candidates. Keep one per search: the
+/// bitmask is sized on the first call and left all zero by every call.
+#[derive(Debug, Clone, Default)]
+pub struct Enabled {
+    list: Vec<TransitionId>,
+    marks: Vec<u64>,
+}
+
+impl Deref for Enabled {
+    type Target = [TransitionId];
+
+    fn deref(&self) -> &[TransitionId] {
+        &self.list
     }
 }
 

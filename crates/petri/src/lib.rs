@@ -49,9 +49,9 @@ mod net;
 mod reach;
 
 pub use invariant::PlaceInvariant;
-pub use kernel::{Engine, Halt, Kernel, Layout, RowSet};
+pub use kernel::{Enabled, Engine, Halt, Kernel, Layout, RowSet};
 pub use marking::Marking;
 pub use net::{
     ArcKind, NetBuilder, PetriNet, Place, PlaceId, TokenOverflow, Transition, TransitionId,
 };
-pub use reach::{ExploreError, ReachabilityGraph, StateId};
+pub use reach::{BfsTree, ExploreError, ReachabilityGraph, StateId};

@@ -1,7 +1,9 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::{Engine, Halt, Kernel, Layout, Marking, PetriNet, RowSet, TokenOverflow, TransitionId};
+use crate::{
+    Enabled, Engine, Halt, Kernel, Layout, Marking, PetriNet, RowSet, TokenOverflow, TransitionId,
+};
 
 /// Index of a state (marking) within a [`ReachabilityGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -185,37 +187,88 @@ impl ReachabilityGraph {
     /// Finds a shortest firing sequence from the initial state to `target`.
     ///
     /// Returns the transitions fired along the way; empty for the initial
-    /// state itself. Useful for producing violation traces.
+    /// state itself. Useful for producing violation traces. Each call
+    /// derives the breadth-first tree from all edges; for many traces,
+    /// take [`ReachabilityGraph::bfs_tree`] once.
     ///
     /// # Panics
     ///
     /// Panics if `target` does not belong to this graph.
     pub fn trace_to(&self, target: StateId) -> Vec<TransitionId> {
-        let n = self.state_count();
-        assert!(target.index() < n, "unknown state {target}");
-        // BFS from the initial state recording parents.
-        let mut parent: Vec<Option<(StateId, TransitionId)>> = vec![None; n];
-        let mut visited = vec![false; n];
-        let mut queue = std::collections::VecDeque::new();
-        visited[StateId::INITIAL.index()] = true;
-        queue.push_back(StateId::INITIAL);
-        while let Some(s) = queue.pop_front() {
-            if s == target {
-                break;
-            }
-            for &(t, succ) in self.successors(s) {
-                if !visited[succ.index()] {
-                    visited[succ.index()] = true;
-                    parent[succ.index()] = Some((s, t));
-                    queue.push_back(succ);
+        self.bfs_tree().trace_to(target.index())
+    }
+
+    /// The breadth-first tree of the search that built this graph, in
+    /// one pass over its edges (see [`BfsTree`]).
+    pub fn bfs_tree(&self) -> BfsTree {
+        BfsTree::from_edges(&self.offsets, &self.edges, StateId::index)
+    }
+}
+
+/// The breadth-first tree of a graph whose states are numbered in
+/// discovery order — a [`ReachabilityGraph`] or an STG state graph —
+/// derived from its edges, so no graph keeps a parent per state.
+///
+/// Every engine of this crate numbers a fresh state with the next unused
+/// id while it fires a state's edges in order. So the first edge, in
+/// edge order, that enters a state is the one that discovered it, and
+/// its target is the next number not yet reached: one pass over the
+/// edges finds every parent. Following parents back from a state gives a
+/// shortest firing trace to it, the one the search itself took.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BfsTree {
+    /// The parent of state `s ≥ 1` and the transition it fires into
+    /// `s`: `parents[s - 1]`.
+    parents: Vec<(u32, TransitionId)>,
+}
+
+impl BfsTree {
+    /// Derives the tree from a graph's edges, grouped by source state:
+    /// the edges of state `s` are `edges[offsets[s]..offsets[s + 1]]`,
+    /// and `index` numbers a successor. `offsets` may stop short of the
+    /// last states, as in a search that stopped midway; the tree then
+    /// covers the states that the given edges discovered.
+    pub fn from_edges<S: Copy>(
+        offsets: &[usize],
+        edges: &[(TransitionId, S)],
+        index: impl Fn(S) -> usize,
+    ) -> BfsTree {
+        let mut parents = Vec::new();
+        for (s, range) in offsets.windows(2).enumerate() {
+            for &(t, succ) in &edges[range[0]..range[1]] {
+                let succ = index(succ);
+                debug_assert!(succ <= parents.len() + 1, "not numbered in BFS order");
+                if succ == parents.len() + 1 {
+                    parents.push((s as u32, t));
                 }
             }
         }
+        BfsTree { parents }
+    }
+
+    /// Number of states in the tree, the initial one included.
+    pub fn state_count(&self) -> usize {
+        self.parents.len() + 1
+    }
+
+    /// The transitions on the tree path from the initial state (state 0)
+    /// to `state`: a shortest firing trace to it, empty for the initial
+    /// state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` is not in the tree.
+    pub fn trace_to(&self, state: usize) -> Vec<TransitionId> {
+        assert!(
+            state < self.state_count(),
+            "state {state} not in the BFS tree"
+        );
         let mut trace = Vec::new();
-        let mut cur = target;
-        while let Some((prev, t)) = parent[cur.index()] {
+        let mut cur = state;
+        while cur > 0 {
+            let (prev, t) = self.parents[cur - 1];
             trace.push(t);
-            cur = prev;
+            cur = prev as usize;
         }
         trace.reverse();
         trace
@@ -285,13 +338,13 @@ impl PetriNet {
 
         // The arena doubles as the BFS queue: ids are assigned in
         // discovery order, so visiting them in id order is breadth-first.
-        let mut enabled = Vec::new();
+        let mut enabled = Enabled::default();
         let mut next = row.clone();
         let mut current = 0usize;
         while current < rows.len() {
             row.copy_from_slice(rows.row(current));
             kernel.enabled_into(&row, &mut enabled);
-            for &t in &enabled {
+            for &t in enabled.iter() {
                 kernel
                     .fire_into(t, &row, &mut next)
                     .map_err(|h| h.map(|e| ExploreError::token_overflow(self, e)))?;

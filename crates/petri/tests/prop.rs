@@ -229,7 +229,7 @@ fn random_net(g: &mut Gen, places: usize, unit: bool) -> PetriNet {
 /// token on a place.
 #[test]
 fn enabled_into_and_try_fire_into_match_brute_force() {
-    use a4a_petri::{Engine, Halt, Marking};
+    use a4a_petri::{Enabled, Engine, Halt, Marking};
     prop::check("enabled_into_matches_brute_force", |g: &mut Gen| -> PropResult {
         let places = g.usize(1..140);
         let unit = g.bool();
@@ -257,9 +257,14 @@ fn enabled_into_and_try_fire_into_match_brute_force() {
                 let mut row = Vec::new();
                 layout.encode(&m, &mut row);
                 // Dirty buffers: both calls must overwrite, not append.
-                let mut enabled: Vec<_> = net.transition_ids().collect();
-                enabled.reverse();
+                // A first call with every place marked lists and clears
+                // every guarded candidate.
+                let mut full = Vec::new();
+                layout.encode(&Marking::new(vec![1; places]), &mut full);
+                let mut enabled = Enabled::default();
+                kernel.enabled_into(&full, &mut enabled);
                 kernel.enabled_into(&row, &mut enabled);
+                let enabled = enabled.to_vec();
                 let mut successors = Vec::new();
                 for &t in &enabled {
                     let mut next = vec![u64::MAX; row.len()];

@@ -9,7 +9,9 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use a4a_petri::{Halt, Kernel, Marking, NetBuilder, PetriNet, PlaceId, RowSet, TransitionId};
+use a4a_petri::{
+    Enabled, Halt, Kernel, Marking, NetBuilder, PetriNet, PlaceId, RowSet, TransitionId,
+};
 
 use crate::{Label, Polarity, Signal, SignalId, SignalKind, Stg, StgError};
 
@@ -622,7 +624,7 @@ fn first_edges(
     layout.encode(initial, &mut row);
     row.push(0);
     rows.intern(&row, usize::MAX);
-    let mut enabled = Vec::new();
+    let mut enabled = Enabled::default();
     let mut next = row.clone();
     let mut current = 0usize;
     while unseen > 0 && current < rows.len() {
@@ -632,7 +634,7 @@ fn first_edges(
         row.copy_from_slice(rows.row(current));
         let parity = row[width - 1];
         kernel.enabled_into(&row, &mut enabled);
-        for &t in &enabled {
+        for &t in enabled.iter() {
             let mut next_parity = parity;
             if let Label::Edge(e) = labels[t.index()] {
                 let idx = e.signal.index();

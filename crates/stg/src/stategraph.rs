@@ -1,6 +1,6 @@
 use std::fmt;
 
-use a4a_petri::{Engine, Halt, Kernel, Layout, Marking, RowSet, TransitionId};
+use a4a_petri::{BfsTree, Enabled, Engine, Halt, Kernel, Layout, Marking, RowSet, TransitionId};
 use a4a_rt::FxHashMap;
 
 use crate::{Edge, Label, SignalId, Stg, StgError};
@@ -60,16 +60,15 @@ pub struct StateGraph {
     /// in id order.
     edges: Vec<(TransitionId, SgStateId)>,
     /// The edges of state `s` are `edges[offsets[s]..offsets[s + 1]]`.
+    /// Breadth-first parents are derived from them on demand
+    /// ([`StateGraph::bfs_tree`]), not kept per state.
     offsets: Vec<usize>,
-    /// For each state, a (transition, predecessor) pair on a shortest path
-    /// from the initial state; `None` for the initial state.
-    parents: Vec<Option<(TransitionId, SgStateId)>>,
 }
 
 impl StateGraph {
     /// Number of states.
     pub fn state_count(&self) -> usize {
-        self.parents.len()
+        self.offsets.len() - 1
     }
 
     /// Number of edges.
@@ -127,20 +126,22 @@ impl StateGraph {
     }
 
     /// A shortest firing trace (transition ids) from the initial state to
-    /// `state`.
+    /// `state`: the path the breadth-first search took to discover it.
+    /// Each call derives the parents from all edges in one pass; for many
+    /// traces, take [`StateGraph::bfs_tree`] once.
     ///
     /// # Panics
     ///
     /// Panics if `state` does not belong to this graph.
     pub fn trace_to(&self, state: SgStateId) -> Vec<TransitionId> {
-        let mut trace = Vec::new();
-        let mut cur = state;
-        while let Some((t, prev)) = self.parents[cur.index()] {
-            trace.push(t);
-            cur = prev;
-        }
-        trace.reverse();
-        trace
+        self.bfs_tree().trace_to(state.index())
+    }
+
+    /// The breadth-first tree of the search that built this graph, derived
+    /// from its edges (see [`BfsTree`]): `tree.trace_to(s.index())` is
+    /// [`StateGraph::trace_to`] of `s`.
+    pub fn bfs_tree(&self) -> BfsTree {
+        BfsTree::from_edges(&self.offsets, &self.edges, SgStateId::index)
     }
 
     /// Signal edges enabled in `state` (via any enabled transition), with
@@ -294,25 +295,30 @@ impl Stg {
         rows.intern(&row, usize::MAX);
         let mut edges: Vec<(TransitionId, SgStateId)> = Vec::new();
         let mut offsets = vec![0];
-        let mut parents: Vec<Option<(TransitionId, SgStateId)>> = vec![None];
 
         // The arena doubles as the BFS queue: ids are assigned in
         // discovery order, so visiting them in id order is breadth-first.
-        let mut enabled = Vec::new();
+        let mut enabled = Enabled::default();
         let mut next = row.clone();
         let mut current = 0usize;
         while current < rows.len() {
             row.copy_from_slice(rows.row(current));
             let code = row[width - 1];
             kernel.enabled_into(&row, &mut enabled);
-            for &t in &enabled {
+            for &t in enabled.iter() {
                 next[width - 1] = match self.labels[t.index()] {
                     Label::Dummy => code,
                     Label::Edge(e) => {
                         if (code & e.signal.mask() != 0) == e.polarity.target_value() {
                             // Fires against the signal's current value.
-                            let id = SgStateId(current as u32);
-                            let mut trace = self.trace_names(&parents, id);
+                            // The finished states' edges discovered
+                            // `current`, so they hold its trace.
+                            let tree = BfsTree::from_edges(&offsets, &edges, SgStateId::index);
+                            let mut trace: Vec<String> = tree
+                                .trace_to(current)
+                                .into_iter()
+                                .map(|t| self.transition_name(t))
+                                .collect();
                             trace.push(self.transition_name(t));
                             return Err(Halt::Error(StgError::Inconsistent {
                                 signal: self.signal(e.signal).name.clone(),
@@ -326,16 +332,10 @@ impl Stg {
                 kernel
                     .fire_into(t, &row, &mut next)
                     .map_err(|h| h.map(|e| StgError::token_overflow(&self.net, e)))?;
-                let next_id = match rows.intern(&next, max_states) {
-                    Some((id, fresh)) => {
-                        if fresh {
-                            parents.push(Some((t, SgStateId(current as u32))));
-                        }
-                        SgStateId(id)
-                    }
-                    None => return Err(Halt::Error(StgError::StateLimit { limit: max_states })),
+                let Some((id, _)) = rows.intern(&next, max_states) else {
+                    return Err(Halt::Error(StgError::StateLimit { limit: max_states }));
                 };
-                edges.push((t, next_id));
+                edges.push((t, SgStateId(id)));
             }
             offsets.push(edges.len());
             current += 1;
@@ -346,23 +346,7 @@ impl Stg {
             layout,
             edges,
             offsets,
-            parents,
         })
-    }
-
-    fn trace_names(
-        &self,
-        parents: &[Option<(TransitionId, SgStateId)>],
-        state: SgStateId,
-    ) -> Vec<String> {
-        let mut trace = Vec::new();
-        let mut cur = state;
-        while let Some((t, prev)) = parents[cur.index()] {
-            trace.push(self.transition_name(t));
-            cur = prev;
-        }
-        trace.reverse();
-        trace
     }
 }
 

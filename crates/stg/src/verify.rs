@@ -4,6 +4,8 @@
 //! Consistency is checked implicitly by [`Stg::state_graph`] — a
 //! [`StateGraph`] can only exist for a consistent STG.
 
+use a4a_petri::BfsTree;
+use a4a_rt::{fx_hash_one, IdTable};
 
 use crate::{Edge, Polarity, SgStateId, SignalId, SignalKind, StateGraph, Stg};
 
@@ -110,11 +112,12 @@ impl Stg {
     /// Runs the standard A4A sanity checks over a previously built state
     /// graph.
     pub fn verify(&self, sg: &StateGraph) -> VerifyReport {
-        let masks = edge_masks(self, sg);
+        let bits = edge_bits(self);
+        let masks = edge_masks(sg, &bits);
         let (coding, usc_count, csc_count) = coding_conflicts(self, sg, &masks);
         VerifyReport {
             deadlocks: deadlocks(sg),
-            persistence: output_persistence(self, sg, &masks),
+            persistence: output_persistence(self, sg, &bits, &masks),
             coding,
             usc_count,
             csc_count,
@@ -168,36 +171,58 @@ fn signal_bits(signal: SignalId) -> u128 {
     0b11 << (2 * signal.index())
 }
 
+/// The edge bit of every transition, in id order; 0 for a dummy.
+fn edge_bits(stg: &Stg) -> Vec<u128> {
+    stg.net()
+        .transition_ids()
+        .map(|t| stg.label(t).edge().map_or(0, edge_bit))
+        .collect()
+}
+
+/// Both edge bits of every signal with an edge bit in `mask`.
+fn both_edges(mask: u128) -> u128 {
+    let falling = (mask | mask >> 1) & FALLING_BITS;
+    falling | falling << 1
+}
+
 /// The enabled-edge mask of every state: the bits of the signal edges its
-/// successors fire ([`StateGraph::enabled_edges`] as a set).
-fn edge_masks(stg: &Stg, sg: &StateGraph) -> Vec<u128> {
+/// successors fire ([`StateGraph::enabled_edges`] as a set), from the
+/// per-transition edge bits `bits`.
+fn edge_masks(sg: &StateGraph, bits: &[u128]) -> Vec<u128> {
     sg.state_ids()
         .map(|s| {
             sg.successors(s)
                 .iter()
-                .filter_map(|&(t, _)| stg.label(t).edge())
-                .fold(0, |mask, e| mask | edge_bit(e))
+                .fold(0, |mask, &(t, _)| mask | bits[t.index()])
         })
         .collect()
 }
 
-fn output_persistence(stg: &Stg, sg: &StateGraph, masks: &[u128]) -> Vec<PersistenceViolation> {
+fn output_persistence(
+    stg: &Stg,
+    sg: &StateGraph,
+    bits: &[u128],
+    masks: &[u128],
+) -> Vec<PersistenceViolation> {
     let implemented = stg
         .signal_ids()
         .filter(|&s| stg.signal(s).kind.is_implemented())
         .fold(0, |mask, s| mask | signal_bits(s));
     let mut violations = Vec::new();
+    // Derived once, for the first violating state; clean specs skip it.
+    let mut tree = None;
     for s in sg.state_ids() {
         // A state can violate only if some successor disables an enabled
         // output edge of another signal than the one that fired.
         let outputs = masks[s.index()] & implemented;
         let may_violate = outputs != 0
             && sg.successors(s).iter().any(|&(t, succ)| {
-                let progressed = stg.label(t).edge().map_or(0, |f| signal_bits(f.signal));
+                let progressed = both_edges(bits[t.index()]);
                 outputs & !progressed & !masks[succ.index()] != 0
             });
         if may_violate {
-            state_persistence(stg, sg, s, &mut violations);
+            let tree = tree.get_or_insert_with(|| sg.bfs_tree());
+            state_persistence(stg, sg, tree, s, &mut violations);
         }
     }
     violations
@@ -208,6 +233,7 @@ fn output_persistence(stg: &Stg, sg: &StateGraph, masks: &[u128]) -> Vec<Persist
 fn state_persistence(
     stg: &Stg,
     sg: &StateGraph,
+    tree: &BfsTree,
     s: SgStateId,
     violations: &mut Vec<PersistenceViolation>,
 ) {
@@ -231,8 +257,8 @@ fn state_persistence(
                     state: s,
                     disabled: out,
                     by: stg.transition_name(t),
-                    trace: sg
-                        .trace_to(s)
+                    trace: tree
+                        .trace_to(s.index())
                         .into_iter()
                         .map(|t| stg.transition_name(t))
                         .collect(),
@@ -249,9 +275,12 @@ fn state_persistence(
 /// non-input excitation masks differ. So a code group of `k` states,
 /// split into classes of equal mask of sizes `k_m`, has Σ C(k_m, 2) USC
 /// and C(k, 2) − Σ C(k_m, 2) CSC conflicts: a sort per group, not a visit
-/// per pair. The pairs are listed by scanning each state's later
-/// partners only while that state still has a partner of a kind not yet
-/// listed in full, so the scan costs O(k) per listed pair at most.
+/// per pair. Only codes held by two or more states have pairs, so one
+/// hash pass over the states picks those out and only their states are
+/// sorted; a clean spec usually has none. The pairs are listed by
+/// scanning each state's later partners only while that state still has
+/// a partner of a kind not yet listed in full, so the scan costs O(k) per
+/// listed pair at most.
 fn coding_conflicts(
     stg: &Stg,
     sg: &StateGraph,
@@ -267,10 +296,22 @@ fn coding_conflicts(
         let m = masks[s.index()] & non_input_bits;
         (m | m >> 1) & FALLING_BITS
     };
-    // States grouped by code: codes ascending, each group in discovery
-    // order.
-    let mut by_code: Vec<(u64, SgStateId)> = sg.state_ids().map(|s| (sg.code(s), s)).collect();
+    // The states of every shared code, grouped by code: codes ascending,
+    // each group in discovery order. `first` holds the first state of
+    // each code; every later state of that code brings in itself and the
+    // first, whose repeats the dedup drops.
+    let mut first = IdTable::with_capacity(sg.state_count());
+    let mut by_code: Vec<(u64, SgStateId)> = Vec::new();
+    for s in sg.state_ids() {
+        let code = sg.code(s);
+        let hash = fx_hash_one(&code);
+        match first.get(hash, |f| sg.code(SgStateId(f)) == code) {
+            Some(f) => by_code.extend([(code, SgStateId(f)), (code, s)]),
+            None => first.insert(hash, s.0),
+        }
+    }
     by_code.sort_unstable();
+    by_code.dedup();
     let (mut conflicts, mut usc, mut csc) = (Vec::new(), 0, 0);
     // Pairs listed so far, by kind: [USC, CSC].
     let mut listed = [0; 2];
@@ -278,9 +319,6 @@ fn coding_conflicts(
     let mut same_after: Vec<usize> = Vec::new();
     for group in by_code.chunk_by(|a, b| a.0 == b.0) {
         let k = group.len();
-        if k < 2 {
-            continue;
-        }
         // Equal-excitation classes, each in discovery order, and for
         // every state the number of later states in its class.
         classes.clear();

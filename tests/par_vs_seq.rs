@@ -8,18 +8,23 @@
 //! The corpus is every STG this repo ships (the controller modules, the
 //! composed token ring, the A2A element zoo), randomly generated and
 //! composed handshake pipelines from `a4a_rt::prop`, and random safe
-//! nets and STGs of 1 to 129 places, so every word boundary of the
-//! kernel's rows is crossed. Test names keep their historical
-//! `par_vs_seq` suffix: read it as kernel vs reference.
+//! nets and STGs of 1 to 129 places and 1 to 129 transitions, so every
+//! word boundary of the kernel's rows and of its transition bitmask is
+//! crossed. Test names keep their historical `par_vs_seq` suffix: read
+//! it as kernel vs reference.
 
 use std::cell::Cell;
 
-use a4a_petri::{Engine, ExploreError, Marking, NetBuilder, PetriNet, ReachabilityGraph};
+use a4a_petri::{
+    Engine, ExploreError, Marking, NetBuilder, PetriNet, ReachabilityGraph, TransitionId,
+};
 use a4a_rt::prop::{Gen, PropError, PropResult};
 use a4a_stg::{prop_support, StateGraph, Stg, StgBuilder, StgError};
 
 /// Asserts two state graphs are identical in every observable: count,
-/// numbering (marking per id), codes, successor lists, and traces.
+/// numbering (marking per id), codes, successor lists, and traces (one
+/// breadth-first tree per graph, so the check stays linear in the
+/// edges).
 fn assert_sg_identical(label: &str, reference: &StateGraph, kernel: &StateGraph) {
     assert_eq!(
         reference.state_count(),
@@ -31,6 +36,7 @@ fn assert_sg_identical(label: &str, reference: &StateGraph, kernel: &StateGraph)
         kernel.edge_count(),
         "{label}: edge count"
     );
+    let (reference_tree, kernel_tree) = (reference.bfs_tree(), kernel.bfs_tree());
     for s in reference.state_ids() {
         assert_eq!(
             reference.marking(s),
@@ -44,8 +50,8 @@ fn assert_sg_identical(label: &str, reference: &StateGraph, kernel: &StateGraph)
             "{label}: successors of {s}"
         );
         assert_eq!(
-            reference.trace_to(s),
-            kernel.trace_to(s),
+            reference_tree.trace_to(s.index()),
+            kernel_tree.trace_to(s.index()),
             "{label}: trace to {s}"
         );
     }
@@ -351,6 +357,39 @@ fn marking_equality_and_hash_cross_representation() {
 /// every word boundary of a kernel row.
 const WIDTHS: [usize; 6] = [1, 63, 64, 65, 128, 129];
 
+/// Transition counts that put the last transition on, just before and
+/// just after every word boundary of the kernel's transition bitmask.
+const TRANSITION_COUNTS: [usize; 5] = [63, 64, 65, 128, 129];
+
+/// A random place count and transition count: half the cases take a
+/// transition count at a bitmask word boundary, the rest 1 to 11.
+fn random_size(g: &mut Gen, widths: &[usize]) -> (usize, usize) {
+    let places = *g.pick(widths);
+    let transitions = if g.bool() {
+        *g.pick(&TRANSITION_COUNTS)
+    } else {
+        g.usize(1..12)
+    };
+    (places, transitions)
+}
+
+/// The transitions a graph fires from each state, `(marking, fired)`
+/// per state, are the ones a brute-force `is_enabled` scan finds
+/// enabled in the marking, in id order.
+fn assert_enabled_brute_force(
+    label: &str,
+    net: &PetriNet,
+    states: impl Iterator<Item = (Marking, Vec<TransitionId>)>,
+) {
+    for (s, (m, fired)) in states.enumerate() {
+        let want: Vec<TransitionId> = net
+            .transition_ids()
+            .filter(|&t| net.is_enabled(t, &m))
+            .collect();
+        assert_eq!(fired, want, "{label}: enabled in state {s}");
+    }
+}
+
 /// A random net as arc lists over place indices, so one recipe builds
 /// both a plain net and a labelled STG.
 #[derive(Debug, Default)]
@@ -362,12 +401,13 @@ struct Recipe {
     components: Vec<Vec<usize>>,
 }
 
-/// A random safe net over exactly `places` places: up to four one-token
-/// state machines on randomly scattered places, with moves inside one
-/// machine and synchronisations of two; read arcs on any place a
-/// transition does not touch otherwise; marked places nobody consumes;
-/// and arc-less transitions (empty preset, enabled everywhere).
-fn random_safe_recipe(g: &mut Gen, places: usize) -> Recipe {
+/// A random safe net over exactly `places` places and `transitions`
+/// transitions: up to four one-token state machines on randomly
+/// scattered places, with moves inside one machine and synchronisations
+/// of two; read arcs on any place a transition does not touch otherwise;
+/// marked places nobody consumes; and arc-less transitions (empty
+/// preset, enabled everywhere).
+fn random_safe_recipe(g: &mut Gen, places: usize, transitions: usize) -> Recipe {
     let mut order: Vec<usize> = (0..places).collect();
     g.shuffle(&mut order);
     let mut r = Recipe {
@@ -387,7 +427,7 @@ fn random_safe_recipe(g: &mut Gen, places: usize) -> Recipe {
     for &p in rest {
         r.tokens[p] = u32::from(g.u64(0..4) == 0);
     }
-    for _ in 0..g.usize(1..12) {
+    for _ in 0..transitions {
         let (mut consume, mut produce) = (Vec::new(), Vec::new());
         match g.usize(0..5) {
             0 => {}
@@ -439,7 +479,9 @@ impl Recipe {
 
     /// The recipe as an STG over three signals: each transition is a
     /// dummy or an edge of a random signal, so most random STGs are
-    /// inconsistent somewhere and some are not.
+    /// inconsistent somewhere and some are not. Up to six transitions,
+    /// half are edges; a larger net gets about three edges, since a
+    /// wide net with dozens of them is inconsistent almost surely.
     fn stg(&self, g: &mut Gen) -> Stg {
         let mut b = StgBuilder::new("random");
         let signals: Vec<_> = (0..3).map(|i| b.input(format!("x{i}"), g.bool())).collect();
@@ -447,9 +489,9 @@ impl Recipe {
             .map(|i| b.place_with_tokens(format!("p{i}"), self.tokens[i]))
             .collect();
         for (consume, read, produce) in &self.transitions {
-            let t = match g.usize(0..4) {
-                0 => b.rise(*g.pick(&signals)),
-                1 => b.fall(*g.pick(&signals)),
+            let t = match g.usize(0..2 * self.transitions.len().max(6)) {
+                0..=2 => b.rise(*g.pick(&signals)),
+                3..=5 => b.fall(*g.pick(&signals)),
                 _ => b.dummy(),
             };
             consume.iter().for_each(|&p| b.arc_pt(ps[p], t));
@@ -489,6 +531,13 @@ fn check_stg_result(label: &str, stg: &Stg, max_states: usize, want: Engine) -> 
     match (&reference, &kernel) {
         (Ok(r), Ok(k)) => {
             assert_sg_identical(label, r, k);
+            let fired = k.state_ids().map(|s| {
+                (
+                    k.marking(s),
+                    k.successors(s).iter().map(|&(t, _)| t).collect(),
+                )
+            });
+            assert_enabled_brute_force(label, stg.net(), fired);
             if k.engine() != want {
                 return Err(PropError::Fail(format!("{label}: engine {:?}", k.engine())));
             }
@@ -519,6 +568,13 @@ fn check_net_result(label: &str, net: &PetriNet, max_states: usize, want: Engine
     match (&reference, &kernel) {
         (Ok(r), Ok(k)) => {
             assert_reach_identical(label, r, k);
+            let fired = k.state_ids().map(|s| {
+                (
+                    k.marking(s),
+                    k.successors(s).iter().map(|&(t, _)| t).collect(),
+                )
+            });
+            assert_enabled_brute_force(label, net, fired);
             if k.engine() != want {
                 return Err(PropError::Fail(format!("{label}: engine {:?}", k.engine())));
             }
@@ -544,10 +600,10 @@ fn check_net_result(label: &str, net: &PetriNet, max_states: usize, want: Engine
 #[test]
 fn random_safe_nets_kernel_vs_ref() {
     a4a_rt::prop::check("random_safe_nets_kernel_vs_ref", |g| {
-        let places = *g.pick(&WIDTHS);
-        let recipe = random_safe_recipe(g, places);
+        let (places, transitions) = random_size(g, &WIDTHS);
+        let recipe = random_safe_recipe(g, places, transitions);
         check_net_result(
-            &format!("{places} places"),
+            &format!("{places} places, {transitions} transitions"),
             &recipe.net(),
             10_000,
             Engine::Kernel,
@@ -558,31 +614,42 @@ fn random_safe_nets_kernel_vs_ref() {
 #[test]
 fn random_safe_stgs_kernel_vs_ref() {
     let (consistent, inconsistent) = (Cell::new(0), Cell::new(0));
+    let wide_consistent = Cell::new(0);
     a4a_rt::prop::check("random_safe_stgs_kernel_vs_ref", |g| {
-        let places = *g.pick(&WIDTHS);
-        let stg = random_safe_recipe(g, places).stg(g);
+        let (places, transitions) = random_size(g, &WIDTHS);
+        let stg = random_safe_recipe(g, places, transitions).stg(g);
         match stg.state_graph(10_000) {
+            Ok(_) if transitions > 64 => {
+                consistent.set(consistent.get() + 1);
+                wide_consistent.set(wide_consistent.get() + 1);
+            }
             Ok(_) => consistent.set(consistent.get() + 1),
             Err(StgError::Inconsistent { .. }) => inconsistent.set(inconsistent.get() + 1),
             Err(_) => {}
         }
-        check_stg_result(&format!("{places} places"), &stg, 10_000, Engine::Kernel)
+        let label = format!("{places} places, {transitions} transitions");
+        check_stg_result(&label, &stg, 10_000, Engine::Kernel)
     });
     assert!(consistent.get() > 0, "no consistent random STG");
     assert!(inconsistent.get() > 0, "no inconsistent random STG");
+    assert!(
+        wide_consistent.get() > 0,
+        "no consistent STG over more than one transition word"
+    );
 }
 
 #[test]
 fn weighted_arc_takes_the_reference_path() {
     a4a_rt::prop::check("weighted_arc_takes_the_reference_path", |g| {
-        let places = *g.pick(&WIDTHS);
+        let (places, transitions) = random_size(g, &WIDTHS);
         // A weight-2 read arc is never enabled in a safe net, but it
         // takes the kernel's masks away.
-        let (mut b, ps) = random_safe_recipe(g, places).builder();
+        let (mut b, ps) = random_safe_recipe(g, places, transitions).builder();
         let heavy = b.transition("heavy");
         b.arc_read_weighted(ps[g.usize(0..places)], heavy, 2);
         let net = b.build();
-        check_net_result(&format!("{places} places"), &net, 10_000, Engine::Reference)
+        let label = format!("{places} places, {transitions} transitions");
+        check_net_result(&label, &net, 10_000, Engine::Reference)
     });
 }
 
@@ -590,13 +657,13 @@ fn weighted_arc_takes_the_reference_path() {
 fn unsafe_nets_restart_on_the_reference_engine() {
     let restarted = Cell::new(0);
     a4a_rt::prop::check("unsafe_nets_restart_on_the_reference_engine", |g| {
-        let places = *g.pick(&WIDTHS[1..]);
-        let mut recipe = random_safe_recipe(g, places);
+        let (places, transitions) = random_size(g, &WIDTHS[1..]);
+        let mut recipe = random_safe_recipe(g, places, transitions);
         if !recipe.add_collision(g) {
             return Err(PropError::Discard);
         }
         let net = recipe.net();
-        let label = format!("{places} places");
+        let label = format!("{places} places, {transitions} transitions");
         // The collision may be unreachable; then the kernel finishes.
         let want = match net.explore_from(net.initial_marking(), 10_000) {
             Ok(r) if !r.is_safe() => Engine::Restarted,

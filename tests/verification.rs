@@ -7,9 +7,12 @@
 //! verified to be deadlock-free, hazard-free and conformant to their
 //! STG specifications."
 
+use std::collections::VecDeque;
+
 use a4a::A4aFlow;
 use a4a_stg::{
-    CscConflict, SgStateId, SignalId, SignalKind, StateGraph, Stg, VerifyReport, MAX_CODING_CONFLICTS,
+    CscConflict, SgStateId, SignalId, SignalKind, StateGraph, Stg, StgBuilder, TransitionId,
+    VerifyReport, MAX_CODING_CONFLICTS,
 };
 use a4a_synth::{synthesize, verify_si, SynthOptions, SynthStyle};
 
@@ -239,15 +242,53 @@ fn coding_by_pairs(stg: &Stg, sg: &StateGraph) -> (Vec<CscConflict>, usize, usiz
     (listed, usc, csc)
 }
 
+/// One cycle of edges whose codes are all distinct but for one pair and
+/// one triple: `a+ a- b+ c+ c- d+ d- b-` visits code 0 twice and code
+/// `b` three times. The signals whose bit is set in `outputs` are
+/// outputs, so the sixteen variants split the four conflicting pairs
+/// into USC and CSC in every way the cycle allows.
+fn pair_and_triple_stg(outputs: u32) -> Stg {
+    let mut b = StgBuilder::new(format!("pair_and_triple{outputs:04b}"));
+    let signals: Vec<SignalId> = ["a", "b", "c", "d"]
+        .iter()
+        .enumerate()
+        .map(|(i, name)| {
+            if outputs & (1 << i) != 0 {
+                b.output(*name, false)
+            } else {
+                b.input(*name, false)
+            }
+        })
+        .collect();
+    let [sa, sb, sc, sd] = [0, 1, 2, 3].map(|i| signals[i]);
+    let cycle = [
+        b.rise(sa),
+        b.fall(sa),
+        b.rise(sb),
+        b.rise(sc),
+        b.fall(sc),
+        b.rise(sd),
+        b.fall(sd),
+        b.fall(sb),
+    ];
+    for w in cycle.windows(2) {
+        b.connect(w[0], w[1]);
+    }
+    b.connect_marked(cycle[7], cycle[0]);
+    b.build()
+}
+
 /// The counted coding check lists and counts the same conflicts as a
 /// visit of every pair: on the violating specs, on every shipped spec,
-/// and on the dummy/CSC spec run beside a ring of seven dummies, whose
-/// code groups of 21 states hold more pairs of each kind than a report
-/// lists.
+/// on the sixteen pair-and-triple cycles, where every other code is held
+/// by one state only, and on the dummy/CSC spec run beside a ring of
+/// seven dummies, whose code groups of 21 states hold more pairs of each
+/// kind than a report lists.
 #[test]
 fn coding_counts_match_every_pair() {
     let mut specs = violating_specs();
     specs.extend(all_specs().into_iter().map(|(_, stg)| stg));
+    specs.extend((0..16).map(pair_and_triple_stg));
     let dummy_csc = Stg::parse_g(DUMMY_CSC_G).expect("dummy_csc parses");
     let ringed = dummy_csc
         .compose(&a4a_stg::prop_support::dummy_rings_stg(1, 7))
@@ -259,6 +300,13 @@ fn coding_counts_match_every_pair() {
         let (listed, usc, csc) = coding_by_pairs(stg, &sg);
         assert_eq!((report.usc_count, report.csc_count), (usc, csc), "{}", stg.name());
         assert_eq!(report.coding, listed, "{}", stg.name());
+        if stg.name().starts_with("pair_and_triple") {
+            let mut codes: Vec<u64> = sg.state_ids().map(|s| sg.code(s)).collect();
+            codes.sort_unstable();
+            codes.dedup();
+            assert_eq!((sg.state_count(), codes.len()), (8, 5), "{}", stg.name());
+            assert_eq!(usc + csc, 1 + 3, "{}: one pair, one triple", stg.name());
+        }
     }
     let last = specs.last().expect("the ringed spec");
     let report = last.verify(&last.state_graph(10_000).expect("consistent"));
@@ -268,6 +316,100 @@ fn coding_counts_match_every_pair() {
         report.summary()
     );
     assert_eq!(report.coding.len(), 2 * MAX_CODING_CONFLICTS);
+}
+
+/// Every state's breadth-first depth, from a search of its own over the
+/// successor lists.
+fn bfs_depths(sg: &StateGraph) -> Vec<usize> {
+    let mut depth = vec![usize::MAX; sg.state_count()];
+    depth[SgStateId::INITIAL.index()] = 0;
+    let mut queue = VecDeque::from([SgStateId::INITIAL]);
+    while let Some(s) = queue.pop_front() {
+        for &(_, succ) in sg.successors(s) {
+            if depth[succ.index()] == usize::MAX {
+                depth[succ.index()] = depth[s.index()] + 1;
+                queue.push_back(succ);
+            }
+        }
+    }
+    depth
+}
+
+/// The state [`StateGraph::replay`] reaches along `trace`.
+fn replay_names(stg: &Stg, sg: &StateGraph, trace: &[String]) -> SgStateId {
+    let names: Vec<&str> = trace.iter().map(String::as_str).collect();
+    sg.replay(stg, &names)
+        .unwrap_or_else(|(i, e)| panic!("{}: step {i}: {e}", stg.name()))
+}
+
+/// The names of the transitions of `trace`.
+fn names(stg: &Stg, trace: &[TransitionId]) -> Vec<String> {
+    trace.iter().map(|&t| stg.transition_name(t)).collect()
+}
+
+/// Traces derived from the edges lead where they claim, by a shortest
+/// path: on every state of the 18 shipped specs, the token ring and a
+/// three-pipeline composition, `trace_to(s)` replays to `s` and is as
+/// long as `s`'s breadth-first depth, and the breadth-first tree gives
+/// the same trace. The net's own reachability graph passes the same
+/// check by firing its traces.
+#[test]
+fn traces_replay_to_their_state_at_bfs_depth() {
+    use a4a_stg::prop_support::pipeline_stg_with_prefix;
+
+    let mut specs = all_specs();
+    specs.push(("token_ring", a4a_ctrl::stgs::token_ring_stg()));
+    let composed = [3, 4, 5]
+        .iter()
+        .zip(["a", "b", "c"])
+        .map(|(&n, prefix)| pipeline_stg_with_prefix(n, 0b10, prefix))
+        .reduce(|acc, p| acc.compose(&p).expect("disjoint pipelines compose"))
+        .expect("three pipelines");
+    specs.push(("compose[3, 4, 5]", composed));
+    for (name, stg) in &specs {
+        let sg = stg
+            .state_graph(1_000_000)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let tree = sg.bfs_tree();
+        assert_eq!(tree.state_count(), sg.state_count(), "{name}");
+        let depths = bfs_depths(&sg);
+        for s in sg.state_ids() {
+            let trace = sg.trace_to(s);
+            assert_eq!(tree.trace_to(s.index()), trace, "{name}: {s}");
+            assert_eq!(trace.len(), depths[s.index()], "{name}: depth of {s}");
+            assert_eq!(replay_names(stg, &sg, &names(stg, &trace)), s, "{name}");
+        }
+
+        let net = stg.net();
+        let reach = net.explore(1_000_000).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let tree = reach.bfs_tree();
+        for s in reach.state_ids() {
+            let trace = reach.trace_to(s);
+            assert_eq!(tree.trace_to(s.index()), trace, "{name}: {s}");
+            let end = trace
+                .iter()
+                .fold(net.initial_marking(), |m, &t| net.fire(t, &m));
+            assert_eq!(end, reach.marking(s), "{name}: trace to {s}");
+        }
+    }
+}
+
+/// A report with thousands of persistence violations derives its traces
+/// from one breadth-first tree, and every trace replays to its state:
+/// `fan` beside three rings of ten dummies repeats fan's eight
+/// violations in each of the rings' 1 000 states.
+#[test]
+fn thousands_of_persistence_traces_replay() {
+    let fan = Stg::parse_g(FAN_G).expect("fan parses");
+    let stg = fan
+        .compose(&a4a_stg::prop_support::dummy_rings_stg(3, 10))
+        .expect("signal-free rings compose");
+    let sg = stg.state_graph(100_000).expect("consistent");
+    let report = stg.verify(&sg);
+    assert_eq!(report.persistence.len(), 8 * 1_000, "{}", report.summary());
+    for v in &report.persistence {
+        assert_eq!(replay_names(&stg, &sg, &v.trace), v.state, "{}", stg.name());
+    }
 }
 
 /// The pinned reports, captured from the per-edge reference checks: any
