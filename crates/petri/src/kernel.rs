@@ -1,29 +1,13 @@
-//! The exploration kernel shared by every explicit state-space engine:
-//! [`PetriNet::explore`], the STG state graph and the `.g` parser's
-//! initial-value inference.
-//!
-//! An engine keeps each state as one fixed-width row of `u64` words in a
-//! single arena ([`RowSet`]): first the marking, in the words a
-//! [`Layout`] describes, then whatever words the engine adds (a signal
-//! code, a parity word). An interner equality probe is one compare
-//! against a contiguous row. Two firing rules read and write the marking
-//! words ([`Kernel`]):
-//!
-//! * the **kernel** ([`Engine::Kernel`]), for nets whose arcs all have
-//!   weight 1: one bit per place, and per-transition word masks
-//!   `need = consume | read`, `consume` and `produce`. A transition is
-//!   enabled iff `row & need == need` on every word, and fires to
-//!   `(row & !consume) | produce`;
-//! * the **reference** engine ([`Engine::Reference`]): one token counter
-//!   per place, with arc weights and the `u32` overflow check.
-//!
-//! An engine is written once, generic over the [`Kernel`] it is handed,
-//! so both rules run the same breadth-first search: state numbering,
-//! edge order and error trip points agree. A kernel firing that would
-//! put a second token on a place stops the search with [`Halt::Unsafe`];
-//! [`PetriNet::explore_with`] then drops the partial result and reruns
-//! the search on the reference engine from the start
-//! ([`Engine::Restarted`]).
+//! The exploration kernel under the crate's one breadth-first search,
+//! [`PetriNet::search`]. The search keeps each state as a row of `u64`
+//! words in one arena ([`RowSet`]): the marking in the words a
+//! [`Layout`] describes, then the caller's tag word. Two firing rules
+//! read and write the marking words ([`Kernel`]): the safe-net kernel
+//! ([`Engine::Kernel`]) with one bit per place and per-transition word
+//! masks, and the token-counting reference engine. A kernel firing that
+//! would put a second token on a place halts the search
+//! ([`Halt::Unsafe`]), and [`PetriNet::explore_with`] reruns it on the
+//! reference engine ([`Engine::Restarted`]). None of this is public.
 
 use std::hash::Hasher;
 use std::ops::Deref;
@@ -49,20 +33,20 @@ pub enum Engine {
 
 /// How the leading words of a state row encode a marking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Layout {
+pub(crate) struct Layout {
     engine: Engine,
     places: usize,
 }
 
 impl Layout {
     /// The engine whose rows these are.
-    pub fn engine(self) -> Engine {
+    pub(crate) fn engine(self) -> Engine {
         self.engine
     }
 
     /// Number of marking words at the start of every row: one bit per
     /// place for the kernel, one counter word per place otherwise.
-    pub fn words(self) -> usize {
+    pub(crate) fn words(self) -> usize {
         match self.engine {
             Engine::Kernel => self.places.div_ceil(64),
             Engine::Reference | Engine::Restarted => self.places,
@@ -71,7 +55,7 @@ impl Layout {
 
     /// Appends the marking words of `marking` to `row`. For the kernel
     /// layout `marking` must be safe.
-    pub fn encode(self, marking: &Marking, row: &mut Vec<u64>) {
+    pub(crate) fn encode(self, marking: &Marking, row: &mut Vec<u64>) {
         match self.engine {
             Engine::Kernel => {
                 debug_assert!(marking.is_safe());
@@ -86,7 +70,7 @@ impl Layout {
     }
 
     /// The marking held by the leading words of `row`.
-    pub fn decode(self, row: &[u64]) -> Marking {
+    pub(crate) fn decode(self, row: &[u64]) -> Marking {
         Marking::new((0..self.places).map(|p| self.tokens(row, p)).collect())
     }
 
@@ -101,7 +85,7 @@ impl Layout {
     }
 
     /// The largest token count on any place of `row`.
-    pub fn max_tokens(self, row: &[u64]) -> u32 {
+    pub(crate) fn max_tokens(self, row: &[u64]) -> u32 {
         (0..self.places)
             .map(|p| self.tokens(row, p))
             .max()
@@ -111,7 +95,7 @@ impl Layout {
 
 /// Why a kernel-generic search stopped early.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Halt<E> {
+pub(crate) enum Halt<E> {
     /// A kernel firing would put a second token on a place: the
     /// marking leaves the kernel's one-bit-per-place layout.
     Unsafe,
@@ -121,7 +105,7 @@ pub enum Halt<E> {
 
 impl<E> Halt<E> {
     /// Maps the error of a [`Halt::Error`].
-    pub fn map<F>(self, f: impl FnOnce(E) -> F) -> Halt<F> {
+    pub(crate) fn map<F>(self, f: impl FnOnce(E) -> F) -> Halt<F> {
         match self {
             Halt::Unsafe => Halt::Unsafe,
             Halt::Error(e) => Halt::Error(f(e)),
@@ -134,15 +118,11 @@ impl<E> Halt<E> {
 /// counter word per place for the reference engine. A transition is
 /// enabled under the masks iff `row & need == need` on every word
 /// (`need = consume | read`) and fires to `(row & !consume) | produce`.
-/// Both rules list a row's enabled transitions the same way: they mark
-/// the transitions of its marked places in a reused bitmask
-/// ([`Enabled`]) and read it back in id order, so memory stays linear in
-/// the arcs and no list is sorted. Engines are written once, generic
-/// over the `Kernel` that [`PetriNet::explore_with`] or
-/// [`PetriNet::explore_ref_with`] hands them, so both rules run the same
-/// search.
+/// Both rules list a row's enabled transitions the same way, through a
+/// reused bitmask ([`Enabled`]), and both run the same search loop, so
+/// state numbering, edge order and error trip points agree.
 #[derive(Debug, Clone, Copy)]
-pub struct Kernel<'n> {
+pub(crate) struct Kernel<'n> {
     net: &'n PetriNet,
     layout: Layout,
     /// `need`, `consume`, `produce` of transition `t`, `words` each,
@@ -152,7 +132,7 @@ pub struct Kernel<'n> {
 
 impl<'n> Kernel<'n> {
     /// The row layout of this engine's markings.
-    pub fn layout(&self) -> Layout {
+    pub(crate) fn layout(&self) -> Layout {
         self.layout
     }
 
@@ -162,7 +142,7 @@ impl<'n> Kernel<'n> {
     /// with an empty preset; each is marked once in `out`'s transition
     /// bitmask, which is then read back word by word, so the list comes
     /// out in id order without a sort.
-    pub fn enabled_into(&self, row: &[u64], out: &mut Enabled) {
+    pub(crate) fn enabled_into(&self, row: &[u64], out: &mut Enabled) {
         let preset = self.net.preset();
         let Enabled { list, marks } = out;
         list.clear();
@@ -238,7 +218,7 @@ impl<'n> Kernel<'n> {
     /// a place; [`Halt::Error`] with [`TokenOverflow`] when a reference
     /// firing would push a counter past `u32::MAX`. `next` is then left
     /// partly written.
-    pub fn fire_into(
+    pub(crate) fn fire_into(
         &self,
         t: TransitionId,
         row: &[u64],
@@ -286,7 +266,7 @@ impl<'n> Kernel<'n> {
 /// transition in which it marks candidates. Keep one per search: the
 /// bitmask is sized on the first call and left all zero by every call.
 #[derive(Debug, Clone, Default)]
-pub struct Enabled {
+pub(crate) struct Enabled {
     list: Vec<TransitionId>,
     marks: Vec<u64>,
 }
@@ -329,20 +309,12 @@ pub(crate) fn word_masks(places: usize, transitions: &[Transition]) -> Option<Ve
 }
 
 impl PetriNet {
-    /// Runs the breadth-first search `explore` from `initial` on the
-    /// kernel when the net has no weighted arc and `initial` is safe,
-    /// else on the reference engine. If the kernel run stops with
-    /// [`Halt::Unsafe`], its partial result is dropped and `explore` runs
-    /// again on the reference engine ([`Engine::Restarted`]).
-    ///
-    /// `explore` must encode `initial` itself (with
-    /// [`Layout::encode`]); `initial` is passed here only to choose the
-    /// engine.
-    ///
-    /// # Errors
-    ///
-    /// Whatever error `explore` stops with.
-    pub fn explore_with<T, E>(
+    /// Runs `explore` on the kernel when the net has no weighted arc and
+    /// `initial` is safe, else on the reference engine. If the kernel run
+    /// stops with [`Halt::Unsafe`], its partial result is dropped and
+    /// `explore` runs again on the reference engine
+    /// ([`Engine::Restarted`]). `initial` only chooses the engine.
+    pub(crate) fn explore_with<T, E>(
         &self,
         initial: &Marking,
         mut explore: impl FnMut(Kernel<'_>) -> Result<T, Halt<E>>,
@@ -356,13 +328,8 @@ impl PetriNet {
         }
     }
 
-    /// Runs `explore` on the reference engine only — the engine the
-    /// kernel-versus-reference differential suites compare against.
-    ///
-    /// # Errors
-    ///
-    /// Whatever error `explore` stops with.
-    pub fn explore_ref_with<T, E>(
+    /// Runs `explore` on the reference engine only.
+    pub(crate) fn explore_ref_with<T, E>(
         &self,
         explore: impl FnOnce(Kernel<'_>) -> Result<T, Halt<E>>,
     ) -> Result<T, E> {
@@ -394,7 +361,7 @@ fn finish<T, E>(result: Result<T, Halt<E>>) -> Result<T, E> {
 /// insertion order: one flat arena plus an [`IdTable`] of row hashes, so
 /// an equality probe is one compare against a contiguous row.
 #[derive(Debug, Clone)]
-pub struct RowSet {
+pub(crate) struct RowSet {
     width: usize,
     len: usize,
     words: Vec<u64>,
@@ -403,7 +370,7 @@ pub struct RowSet {
 
 impl RowSet {
     /// An empty set of rows of `width` words.
-    pub fn new(width: usize) -> RowSet {
+    pub(crate) fn new(width: usize) -> RowSet {
         RowSet {
             width,
             len: 0,
@@ -413,13 +380,8 @@ impl RowSet {
     }
 
     /// Number of interned rows.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// Returns `true` when nothing has been interned yet.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// The row with id `id`.
@@ -427,7 +389,7 @@ impl RowSet {
     /// # Panics
     ///
     /// Panics if `id` has not been interned.
-    pub fn row(&self, id: usize) -> &[u64] {
+    pub(crate) fn row(&self, id: usize) -> &[u64] {
         assert!(id < self.len, "row {id} not interned");
         &self.words[id * self.width..][..self.width]
     }
@@ -439,7 +401,7 @@ impl RowSet {
     /// # Panics
     ///
     /// Panics if `row` is not `width` words long.
-    pub fn intern(&mut self, row: &[u64], limit: usize) -> Option<(u32, bool)> {
+    pub(crate) fn intern(&mut self, row: &[u64], limit: usize) -> Option<(u32, bool)> {
         assert_eq!(row.len(), self.width, "row width");
         let hash = row_hash(row);
         let (words, width) = (&self.words, self.width);
@@ -460,7 +422,7 @@ impl RowSet {
     }
 
     /// The rows back to back, in id order, without the hash table.
-    pub fn into_words(self) -> Vec<u64> {
+    pub(crate) fn into_words(self) -> Vec<u64> {
         self.words
     }
 }
@@ -481,6 +443,103 @@ fn row_hash(row: &[u64]) -> u64 {
 mod tests {
     use super::*;
     use crate::NetBuilder;
+    use a4a_rt::prop::{self, Gen, PropResult};
+    use a4a_rt::prop_assert_eq;
+
+    /// A random net over `places` places: every transition gets up to
+    /// two consumed, two read and two produced places with weights 1–3
+    /// (or only weight 1, so the net has kernel masks), so some
+    /// transitions have an empty preset and some a place both consumed
+    /// and read.
+    fn random_net(g: &mut Gen, places: usize, unit: bool) -> PetriNet {
+        let mut b = NetBuilder::new();
+        let ps: Vec<_> = (0..places).map(|i| b.place(format!("p{i}"))).collect();
+        for i in 0..g.usize(1..24) {
+            let t = b.transition(format!("t{i}"));
+            for kind in 0..3 {
+                let mut picks: Vec<usize> = (0..places).collect();
+                g.shuffle(&mut picks);
+                for &p in picks.iter().take(g.usize(0..3)) {
+                    let w = if unit { 1 } else { g.u64(1..4) as u32 };
+                    match kind {
+                        0 => b.arc_pt_weighted(ps[p], t, w),
+                        1 => b.arc_read_weighted(ps[p], t, w),
+                        _ => b.arc_tp_weighted(t, ps[p], w),
+                    }
+                }
+            }
+        }
+        b.build()
+    }
+
+    /// `Kernel::enabled_into` (candidates from the preset index of the
+    /// marked places) lists exactly the transitions a brute-force scan
+    /// with `is_enabled` finds, in id order, and `Kernel::fire_into` into
+    /// a dirty scratch row gives `try_fire`'s successor: on the kernel
+    /// for safe markings of unit-weight nets over more than one word, on
+    /// the reference engine for weighted nets and unsafe markings, and on
+    /// the restarted reference engine when a kernel firing would put a
+    /// second token on a place.
+    #[test]
+    fn enabled_into_and_try_fire_into_match_brute_force() {
+        prop::check(
+            "enabled_into_matches_brute_force",
+            |g: &mut Gen| -> PropResult {
+                let places = g.usize(1..140);
+                let unit = g.bool();
+                let net = random_net(g, places, unit);
+                let max = if unit { 2 } else { 4 };
+                let m = Marking::new((0..places).map(|_| g.u64(0..max) as u32).collect());
+
+                let want: Vec<_> = net
+                    .transition_ids()
+                    .filter(|&t| net.is_enabled(t, &m))
+                    .collect();
+                prop_assert_eq!(net.enabled(&m), want.clone());
+                let fired: Vec<Marking> = want
+                    .iter()
+                    .map(|&t| net.try_fire(t, &m).expect("weights stay far from u32::MAX"))
+                    .collect();
+                let want_engine = if !(unit && m.is_safe()) {
+                    Engine::Reference
+                } else if fired.iter().all(Marking::is_safe) {
+                    Engine::Kernel
+                } else {
+                    Engine::Restarted
+                };
+
+                let (engine, enabled, successors) = net
+                    .explore_with(&m, |kernel| {
+                        let layout = kernel.layout();
+                        let mut row = Vec::new();
+                        layout.encode(&m, &mut row);
+                        // Dirty buffers: both calls must overwrite, not
+                        // append. A first call with every place marked lists
+                        // and clears every guarded candidate.
+                        let mut full = Vec::new();
+                        layout.encode(&Marking::new(vec![1; places]), &mut full);
+                        let mut enabled = Enabled::default();
+                        kernel.enabled_into(&full, &mut enabled);
+                        kernel.enabled_into(&row, &mut enabled);
+                        let enabled = enabled.to_vec();
+                        let mut successors = Vec::new();
+                        for &t in &enabled {
+                            let mut next = vec![u64::MAX; row.len()];
+                            kernel
+                                .fire_into(t, &row, &mut next)
+                                .map_err(|h| h.map(|e| e.to_string()))?;
+                            successors.push(layout.decode(&next));
+                        }
+                        Ok::<_, Halt<String>>((layout.engine(), enabled, successors))
+                    })
+                    .map_err(prop::PropError::Fail)?;
+                prop_assert_eq!(engine, want_engine);
+                prop_assert_eq!(enabled, want);
+                prop_assert_eq!(successors, fired);
+                Ok(())
+            },
+        );
+    }
 
     #[test]
     fn layouts_round_trip() {

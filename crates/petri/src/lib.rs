@@ -8,12 +8,16 @@
 //!   consuming/producing arcs and non-consuming *read arcs*;
 //! * [`Marking`] — token vectors with the standard enabledness and firing
 //!   rule;
-//! * [`Kernel`] and [`RowSet`] — the exploration kernel every explicit
-//!   state-space engine runs on: states as flat word rows, safe nets
-//!   fired by per-transition bit masks, a token-counting reference
-//!   engine for the rest;
-//! * [`ReachabilityGraph`] — explicit (bounded) state-space exploration,
-//!   deadlock detection and boundedness checks.
+//! * [`PetriNet::search`] — the one breadth-first search every explicit
+//!   state space runs: states as rows `[marking words…, tag]` in one
+//!   arena, safe nets fired by per-transition bit masks, a
+//!   token-counting reference engine for the rest, and a caller
+//!   [`Hook`] that gives each successor's tag, stops the search or
+//!   fails it;
+//! * [`StateSpace`] — the one graph store it fills: states, edges, BFS
+//!   traces, deadlocks and bounds, numbered by a [`StateIndex`];
+//! * [`ReachabilityGraph`] — the state space of a plain net (every tag
+//!   0), from [`PetriNet::explore`].
 //!
 //! # Examples
 //!
@@ -47,11 +51,13 @@ mod kernel;
 mod marking;
 mod net;
 mod reach;
+mod space;
 
 pub use invariant::PlaceInvariant;
-pub use kernel::{Enabled, Engine, Halt, Kernel, Layout, RowSet};
+pub use kernel::Engine;
 pub use marking::Marking;
 pub use net::{
     ArcKind, NetBuilder, PetriNet, Place, PlaceId, TokenOverflow, Transition, TransitionId,
 };
-pub use reach::{BfsTree, ExploreError, ReachabilityGraph, StateId};
+pub use reach::{ExploreError, ReachabilityGraph, StateId};
+pub use space::{BfsTree, Hook, Limit, SearchError, StateIndex, StateSpace, Step};

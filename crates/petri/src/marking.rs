@@ -6,9 +6,9 @@ use crate::net::PlaceId;
 /// `u32` counter per place.
 ///
 /// Markings are value types: firing a transition produces a fresh marking,
-/// leaving the original untouched. The state-space engines do not store
-/// markings; they keep every state as a row of words
-/// ([`crate::Layout`]) and hand a `Marking` back on request.
+/// leaving the original untouched. A [`crate::StateSpace`] does not
+/// store markings; it keeps every state as a row of words and hands a
+/// `Marking` back on request.
 ///
 /// # Examples
 ///

@@ -242,7 +242,7 @@ impl PetriNet {
     }
 
     /// The exploration kernel's word masks; `None` when some arc is
-    /// weighted (see [`crate::Kernel`]).
+    /// weighted (see `Kernel`).
     pub(crate) fn masks(&self) -> Option<&[u64]> {
         self.masks
             .get_or_init(|| word_masks(self.places.len(), &self.transitions))

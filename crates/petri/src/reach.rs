@@ -1,9 +1,8 @@
+use std::convert::Infallible;
 use std::error::Error;
 use std::fmt;
 
-use crate::{
-    Enabled, Engine, Halt, Kernel, Layout, Marking, PetriNet, RowSet, TokenOverflow, TransitionId,
-};
+use crate::{Limit, Marking, PetriNet, StateIndex, StateSpace, Step, TokenOverflow, TransitionId};
 
 /// Index of a state (marking) within a [`ReachabilityGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -17,6 +16,16 @@ impl StateId {
 
     /// The initial state of every reachability graph.
     pub const INITIAL: StateId = StateId(0);
+}
+
+impl StateIndex for StateId {
+    fn from_index(index: u32) -> StateId {
+        StateId(index)
+    }
+
+    fn index(self) -> usize {
+        self.0 as usize
+    }
 }
 
 impl fmt::Display for StateId {
@@ -72,7 +81,7 @@ impl fmt::Display for ExploreError {
 impl Error for ExploreError {}
 
 impl ExploreError {
-    fn token_overflow(net: &PetriNet, e: TokenOverflow) -> ExploreError {
+    pub(crate) fn token_overflow(net: &PetriNet, e: TokenOverflow) -> ExploreError {
         ExploreError::TokenOverflow {
             place: net.place(e.place).name.clone(),
             transition: net.transition(e.transition).name.clone(),
@@ -80,206 +89,22 @@ impl ExploreError {
     }
 }
 
-/// The explicit reachability graph of a [`PetriNet`].
-///
-/// States are markings, numbered in breadth-first discovery order starting
-/// from the initial marking ([`StateId::INITIAL`]). Edges are transition
-/// firings.
-///
-/// # Examples
-///
-/// ```
-/// use a4a_petri::NetBuilder;
-///
-/// let mut b = NetBuilder::new();
-/// let p = b.place_with_tokens("p", 1);
-/// let q = b.place("q");
-/// let t = b.transition("t");
-/// b.arc_pt(p, t);
-/// b.arc_tp(t, q);
-/// let net = b.build();
-/// let reach = net.explore(100)?;
-/// assert_eq!(reach.state_count(), 2);
-/// assert_eq!(reach.deadlocks().len(), 1);
-/// # Ok::<(), a4a_petri::ExploreError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct ReachabilityGraph {
-    /// The marking of state `s` is the row `rows[s * width..][..width]`
-    /// in `layout`, with `width = layout.words()`.
-    rows: Vec<u64>,
-    layout: Layout,
-    /// Every edge (fired transition, successor), grouped by source state
-    /// in id order.
-    edges: Vec<(TransitionId, StateId)>,
-    /// The edges of state `s` are `edges[offsets[s]..offsets[s + 1]]`.
-    offsets: Vec<usize>,
-}
+/// The explicit reachability graph of a [`PetriNet`]: its
+/// [`StateSpace`], with every tag 0. States are markings, numbered in
+/// breadth-first discovery order from the initial marking
+/// ([`StateId::INITIAL`]); edges are transition firings.
+pub type ReachabilityGraph = StateSpace<StateId>;
 
-impl ReachabilityGraph {
-    /// Number of distinct reachable markings.
-    pub fn state_count(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Number of edges (firings) in the graph.
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// The marking of `state`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` does not belong to this graph.
-    pub fn marking(&self, state: StateId) -> Marking {
-        self.layout.decode(self.row(state.index()))
-    }
-
-    fn row(&self, s: usize) -> &[u64] {
-        assert!(s < self.state_count(), "unknown state s{s}");
-        let width = self.layout.words();
-        &self.rows[s * width..][..width]
-    }
-
-    /// The engine that built this graph: [`Engine::Kernel`] unless the
-    /// net has a weighted arc or turned out not to be safe, or the
-    /// reference engine was asked for.
-    pub fn engine(&self) -> Engine {
-        self.layout.engine()
-    }
-
-    /// Outgoing edges of `state` as (transition, successor) pairs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` does not belong to this graph.
-    pub fn successors(&self, state: StateId) -> &[(TransitionId, StateId)] {
-        &self.edges[self.offsets[state.index()]..self.offsets[state.index() + 1]]
-    }
-
-    /// Iterates over all state ids in discovery order.
-    pub fn state_ids(&self) -> impl Iterator<Item = StateId> {
-        (0..self.state_count() as u32).map(StateId)
-    }
-
-    /// States with no enabled transitions.
-    pub fn deadlocks(&self) -> Vec<StateId> {
-        self.state_ids()
-            .filter(|&s| self.successors(s).is_empty())
-            .collect()
-    }
-
-    /// Returns `true` when every reachable marking is 1-bounded.
-    pub fn is_safe(&self) -> bool {
-        self.bound() <= 1
-    }
-
-    /// The maximum token count observed in any place over all reachable
-    /// markings (the net's bound).
-    pub fn bound(&self) -> u32 {
-        (0..self.state_count())
-            .map(|s| self.layout.max_tokens(self.row(s)))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Finds a shortest firing sequence from the initial state to `target`.
-    ///
-    /// Returns the transitions fired along the way; empty for the initial
-    /// state itself. Useful for producing violation traces. Each call
-    /// derives the breadth-first tree from all edges; for many traces,
-    /// take [`ReachabilityGraph::bfs_tree`] once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target` does not belong to this graph.
-    pub fn trace_to(&self, target: StateId) -> Vec<TransitionId> {
-        self.bfs_tree().trace_to(target.index())
-    }
-
-    /// The breadth-first tree of the search that built this graph, in
-    /// one pass over its edges (see [`BfsTree`]).
-    pub fn bfs_tree(&self) -> BfsTree {
-        BfsTree::from_edges(&self.offsets, &self.edges, StateId::index)
-    }
-}
-
-/// The breadth-first tree of a graph whose states are numbered in
-/// discovery order — a [`ReachabilityGraph`] or an STG state graph —
-/// derived from its edges, so no graph keeps a parent per state.
-///
-/// Every engine of this crate numbers a fresh state with the next unused
-/// id while it fires a state's edges in order. So the first edge, in
-/// edge order, that enters a state is the one that discovered it, and
-/// its target is the next number not yet reached: one pass over the
-/// edges finds every parent. Following parents back from a state gives a
-/// shortest firing trace to it, the one the search itself took.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BfsTree {
-    /// The parent of state `s ≥ 1` and the transition it fires into
-    /// `s`: `parents[s - 1]`.
-    parents: Vec<(u32, TransitionId)>,
-}
-
-impl BfsTree {
-    /// Derives the tree from a graph's edges, grouped by source state:
-    /// the edges of state `s` are `edges[offsets[s]..offsets[s + 1]]`,
-    /// and `index` numbers a successor. `offsets` may stop short of the
-    /// last states, as in a search that stopped midway; the tree then
-    /// covers the states that the given edges discovered.
-    pub fn from_edges<S: Copy>(
-        offsets: &[usize],
-        edges: &[(TransitionId, S)],
-        index: impl Fn(S) -> usize,
-    ) -> BfsTree {
-        let mut parents = Vec::new();
-        for (s, range) in offsets.windows(2).enumerate() {
-            for &(t, succ) in &edges[range[0]..range[1]] {
-                let succ = index(succ);
-                debug_assert!(succ <= parents.len() + 1, "not numbered in BFS order");
-                if succ == parents.len() + 1 {
-                    parents.push((s as u32, t));
-                }
-            }
-        }
-        BfsTree { parents }
-    }
-
-    /// Number of states in the tree, the initial one included.
-    pub fn state_count(&self) -> usize {
-        self.parents.len() + 1
-    }
-
-    /// The transitions on the tree path from the initial state (state 0)
-    /// to `state`: a shortest firing trace to it, empty for the initial
-    /// state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` is not in the tree.
-    pub fn trace_to(&self, state: usize) -> Vec<TransitionId> {
-        assert!(
-            state < self.state_count(),
-            "state {state} not in the BFS tree"
-        );
-        let mut trace = Vec::new();
-        let mut cur = state;
-        while cur > 0 {
-            let (prev, t) = self.parents[cur - 1];
-            trace.push(t);
-            cur = prev as usize;
-        }
-        trace.reverse();
-        trace
-    }
+/// The hook of a plain reachability search: every state tagged 0.
+fn untagged(_: u64, _: TransitionId) -> Step<Infallible> {
+    Step::Next(0)
 }
 
 impl PetriNet {
     /// Explores the state space breadth-first from the initial marking,
     /// on the safe-net kernel when the net allows it (see
-    /// [`PetriNet::explore_with`]; [`ReachabilityGraph::engine`] tells
-    /// which engine ran).
+    /// [`PetriNet::search`]; [`StateSpace::engine`] tells which engine
+    /// ran).
     ///
     /// States are numbered in breadth-first discovery order: parents in
     /// id order, each parent's successors in transition-id order.
@@ -294,9 +119,7 @@ impl PetriNet {
     /// token counter overflows.
     pub fn explore(&self, max_states: usize) -> Result<ReachabilityGraph, ExploreError> {
         let initial = self.initial_marking();
-        self.explore_with(&initial, |kernel| {
-            self.explore_on(kernel, &initial, max_states)
-        })
+        Ok(self.search(&initial, 0, Limit::Firing(max_states), &mut untagged)?)
     }
 
     /// Explores the state space breadth-first from an arbitrary marking
@@ -313,62 +136,14 @@ impl PetriNet {
         initial: Marking,
         max_states: usize,
     ) -> Result<ReachabilityGraph, ExploreError> {
-        self.explore_ref_with(|kernel| self.explore_on(kernel, &initial, max_states))
-    }
-
-    /// The breadth-first search behind both entry points.
-    fn explore_on(
-        &self,
-        kernel: Kernel<'_>,
-        initial: &Marking,
-        max_states: usize,
-    ) -> Result<ReachabilityGraph, Halt<ExploreError>> {
-        if max_states > u32::MAX as usize {
-            return Err(Halt::Error(ExploreError::LimitOverflow {
-                limit: max_states,
-            }));
-        }
-        let layout = kernel.layout();
-        let mut rows = RowSet::new(layout.words());
-        let mut row = Vec::new();
-        layout.encode(initial, &mut row);
-        rows.intern(&row, usize::MAX);
-        let mut edges: Vec<(TransitionId, StateId)> = Vec::new();
-        let mut offsets = vec![0];
-
-        // The arena doubles as the BFS queue: ids are assigned in
-        // discovery order, so visiting them in id order is breadth-first.
-        let mut enabled = Enabled::default();
-        let mut next = row.clone();
-        let mut current = 0usize;
-        while current < rows.len() {
-            row.copy_from_slice(rows.row(current));
-            kernel.enabled_into(&row, &mut enabled);
-            for &t in enabled.iter() {
-                kernel
-                    .fire_into(t, &row, &mut next)
-                    .map_err(|h| h.map(|e| ExploreError::token_overflow(self, e)))?;
-                let (id, _) = rows
-                    .intern(&next, max_states)
-                    .ok_or(Halt::Error(ExploreError::StateLimit { limit: max_states }))?;
-                edges.push((t, StateId(id)));
-            }
-            offsets.push(edges.len());
-            current += 1;
-        }
-        Ok(ReachabilityGraph {
-            rows: rows.into_words(),
-            layout,
-            edges,
-            offsets,
-        })
+        Ok(self.search_ref(&initial, 0, Limit::Firing(max_states), &mut untagged)?)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::NetBuilder;
+    use crate::{Engine, NetBuilder};
 
     /// Two independent loops: state space is the product (4 states).
     fn two_loops() -> PetriNet {

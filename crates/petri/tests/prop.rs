@@ -193,92 +193,3 @@ fn unsafe_and_safe_markings_stay_distinct() {
         Ok(())
     });
 }
-
-/// A random net over `places` places: every transition gets up to two
-/// consumed, two read and two produced places with weights 1–3 (or only
-/// weight 1, so the net has kernel masks), so some transitions have an
-/// empty preset and some a place both consumed and read.
-fn random_net(g: &mut Gen, places: usize, unit: bool) -> PetriNet {
-    let mut b = NetBuilder::new();
-    let ps: Vec<_> = (0..places).map(|i| b.place(format!("p{i}"))).collect();
-    for i in 0..g.usize(1..24) {
-        let t = b.transition(format!("t{i}"));
-        for kind in 0..3 {
-            let mut picks: Vec<usize> = (0..places).collect();
-            g.shuffle(&mut picks);
-            for &p in picks.iter().take(g.usize(0..3)) {
-                let w = if unit { 1 } else { g.u64(1..4) as u32 };
-                match kind {
-                    0 => b.arc_pt_weighted(ps[p], t, w),
-                    1 => b.arc_read_weighted(ps[p], t, w),
-                    _ => b.arc_tp_weighted(t, ps[p], w),
-                }
-            }
-        }
-    }
-    b.build()
-}
-
-/// `Kernel::enabled_into` (candidates from the preset index of the
-/// marked places) lists exactly the transitions a brute-force scan with
-/// `is_enabled` finds, in id order, and `Kernel::fire_into` into a dirty
-/// scratch row gives `try_fire`'s successor: on the kernel for safe
-/// markings of unit-weight nets over more than one word, on the
-/// reference engine for weighted nets and unsafe markings, and on the
-/// restarted reference engine when a kernel firing would put a second
-/// token on a place.
-#[test]
-fn enabled_into_and_try_fire_into_match_brute_force() {
-    use a4a_petri::{Enabled, Engine, Halt, Marking};
-    prop::check("enabled_into_matches_brute_force", |g: &mut Gen| -> PropResult {
-        let places = g.usize(1..140);
-        let unit = g.bool();
-        let net = random_net(g, places, unit);
-        let max = if unit { 2 } else { 4 };
-        let m = Marking::new((0..places).map(|_| g.u64(0..max) as u32).collect());
-
-        let want: Vec<_> = net.transition_ids().filter(|&t| net.is_enabled(t, &m)).collect();
-        prop_assert_eq!(net.enabled(&m), want.clone());
-        let fired: Vec<Marking> = want
-            .iter()
-            .map(|&t| net.try_fire(t, &m).expect("weights stay far from u32::MAX"))
-            .collect();
-        let want_engine = if !(unit && m.is_safe()) {
-            Engine::Reference
-        } else if fired.iter().all(Marking::is_safe) {
-            Engine::Kernel
-        } else {
-            Engine::Restarted
-        };
-
-        let (engine, enabled, successors) = net
-            .explore_with(&m, |kernel| {
-                let layout = kernel.layout();
-                let mut row = Vec::new();
-                layout.encode(&m, &mut row);
-                // Dirty buffers: both calls must overwrite, not append.
-                // A first call with every place marked lists and clears
-                // every guarded candidate.
-                let mut full = Vec::new();
-                layout.encode(&Marking::new(vec![1; places]), &mut full);
-                let mut enabled = Enabled::default();
-                kernel.enabled_into(&full, &mut enabled);
-                kernel.enabled_into(&row, &mut enabled);
-                let enabled = enabled.to_vec();
-                let mut successors = Vec::new();
-                for &t in &enabled {
-                    let mut next = vec![u64::MAX; row.len()];
-                    kernel
-                        .fire_into(t, &row, &mut next)
-                        .map_err(|h| h.map(|e| e.to_string()))?;
-                    successors.push(layout.decode(&next));
-                }
-                Ok::<_, Halt<String>>((layout.engine(), enabled, successors))
-            })
-            .map_err(prop::PropError::Fail)?;
-        prop_assert_eq!(engine, want_engine);
-        prop_assert_eq!(enabled, want);
-        prop_assert_eq!(successors, fired);
-        Ok(())
-    });
-}

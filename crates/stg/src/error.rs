@@ -1,7 +1,7 @@
 use std::error::Error;
 use std::fmt;
 
-use a4a_petri::{PetriNet, TokenOverflow};
+use a4a_petri::ExploreError;
 
 /// Errors raised while building, parsing, or exploring an STG.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,13 +79,14 @@ impl fmt::Display for StgError {
 
 impl Error for StgError {}
 
-impl StgError {
-    /// The typed, name-carrying form of a firing's token-counter
-    /// overflow in `net`.
-    pub(crate) fn token_overflow(net: &PetriNet, e: TokenOverflow) -> StgError {
-        StgError::TokenOverflow {
-            place: net.place(e.place).name.clone(),
-            transition: net.transition(e.transition).name.clone(),
+impl From<ExploreError> for StgError {
+    fn from(e: ExploreError) -> StgError {
+        match e {
+            ExploreError::StateLimit { limit } => StgError::StateLimit { limit },
+            ExploreError::LimitOverflow { limit } => StgError::LimitOverflow { limit },
+            ExploreError::TokenOverflow { place, transition } => {
+                StgError::TokenOverflow { place, transition }
+            }
         }
     }
 }

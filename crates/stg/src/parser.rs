@@ -7,10 +7,11 @@
 //! the first edge reachable for each signal), and `.end`.
 
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::fmt::Write as _;
 
 use a4a_petri::{
-    Enabled, Halt, Kernel, Marking, NetBuilder, PetriNet, PlaceId, RowSet, TransitionId,
+    ExploreError, Hook, Limit, NetBuilder, PetriNet, PlaceId, StateId, Step, TransitionId,
 };
 
 use crate::{Label, Polarity, Signal, SignalId, SignalKind, Stg, StgError};
@@ -19,17 +20,20 @@ impl Stg {
     /// Parses an STG from `.g` text.
     ///
     /// Without an `.initial_state` directive, each signal's initial value
-    /// is inferred from its first reachable edge. The inference searches
-    /// the (marking, signal parity) space breadth-first and stops as soon
-    /// as every signal's first edge has been seen: for a spec whose
-    /// signals all fire, usually a small part of its state graph.
+    /// is inferred from its first reachable edge. The inference runs the
+    /// net's breadth-first search ([`a4a_petri::PetriNet::search`], the
+    /// one the state graph runs) with each state tagged by its signal
+    /// parity, and stops it as soon as every signal's first edge has
+    /// been seen: for a spec whose signals all fire, usually a small
+    /// part of its state graph.
     ///
     /// # Errors
     ///
     /// Returns [`StgError::Parse`] on malformed input;
     /// [`StgError::StateLimit`] if some signal never fires and the
-    /// inference runs through more than an internal budget of 200 000
-    /// (marking, parity) pairs looking for it; and
+    /// inference knows more than an internal budget of 200 000
+    /// (marking, parity) pairs, with one left to expand, looking for it;
+    /// and
     /// [`StgError::TokenOverflow`] if a firing on the way overflows a
     /// place's token counter.
     ///
@@ -581,84 +585,67 @@ fn parse_edge_name(
 /// Infers the initial value of each signal from the first reachable edge:
 /// a first-seen rising edge means the signal started low, and vice versa.
 /// Signals with no reachable edge default to low.
+///
+/// The search's tag is the toggle parity (bit `i` set when signal `i`
+/// has flipped an odd number of times since the initial state), and it
+/// stops as soon as every signal's first edge has been seen: a value is
+/// fixed at first sight, so nothing later can change it. Only a spec
+/// with a signal that never fires needs the whole space, and only then
+/// can the budget trip.
 fn infer_initial_values(
     net: &PetriNet,
     labels: &[Label],
     signals: &mut [Signal],
 ) -> Result<(), StgError> {
+    const BUDGET: usize = 200_000;
+    if signals.is_empty() {
+        // Nothing to infer: a search could never stop early, only trip
+        // the budget.
+        return Ok(());
+    }
+    let mut first = FirstEdges {
+        labels,
+        inferred: vec![None; signals.len()],
+        unseen: signals.len(),
+    };
     let initial = net.initial_marking();
-    let inferred = net.explore_with(&initial, |kernel| {
-        first_edges(kernel, net, &initial, labels, signals.len())
-    })?;
-    for (s, value) in signals.iter_mut().zip(inferred) {
+    net.search::<StateId, _>(&initial, 0, Limit::Expansion(BUDGET), &mut first)
+        .map_err(ExploreError::from)?;
+    for (s, value) in signals.iter_mut().zip(first.inferred) {
         s.initial = value.unwrap_or(false);
     }
     Ok(())
 }
 
-/// The value each of `count` signals holds before its first reachable
-/// edge, `None` for signals that never fire.
-///
-/// The search is breadth-first over `[marking words…, toggle parity]`
-/// rows and stops as soon as every signal's first edge has been seen: a
-/// value is fixed at first sight, so nothing later can change it. Only a
-/// spec with a signal that never fires needs the whole space, and only
-/// then can the budget trip.
-fn first_edges(
-    kernel: Kernel<'_>,
-    net: &PetriNet,
-    initial: &Marking,
-    labels: &[Label],
-    count: usize,
-) -> Result<Vec<Option<bool>>, Halt<StgError>> {
-    const BUDGET: usize = 200_000;
-    let mut inferred: Vec<Option<bool>> = vec![None; count];
-    let mut unseen = count;
-    // Interner and BFS queue in one, as in the state-graph engine: the
-    // parity word tracks which signals flipped an odd number of times
-    // relative to the initial state.
-    let layout = kernel.layout();
-    let width = layout.words() + 1;
-    let mut rows = RowSet::new(width);
-    let mut row = Vec::with_capacity(width);
-    layout.encode(initial, &mut row);
-    row.push(0);
-    rows.intern(&row, usize::MAX);
-    let mut enabled = Enabled::default();
-    let mut next = row.clone();
-    let mut current = 0usize;
-    while unseen > 0 && current < rows.len() {
-        if rows.len() > BUDGET {
-            return Err(Halt::Error(StgError::StateLimit { limit: BUDGET }));
-        }
-        row.copy_from_slice(rows.row(current));
-        let parity = row[width - 1];
-        kernel.enabled_into(&row, &mut enabled);
-        for &t in enabled.iter() {
-            let mut next_parity = parity;
-            if let Label::Edge(e) = labels[t.index()] {
-                let idx = e.signal.index();
-                let flipped = (parity >> idx) & 1 == 1;
-                if inferred[idx].is_none() {
-                    // value before firing = initial ^ flipped; must be
-                    // !target.
-                    inferred[idx] = Some(!e.polarity.target_value() ^ flipped);
-                    unseen -= 1;
-                    if unseen == 0 {
-                        break;
-                    }
-                }
-                next_parity ^= 1u64 << idx;
+/// The inference's hook: the value each signal holds before its first
+/// reachable edge, `None` while it has not fired.
+#[derive(Clone)]
+struct FirstEdges<'a> {
+    labels: &'a [Label],
+    inferred: Vec<Option<bool>>,
+    /// Signals whose first edge is still to be seen.
+    unseen: usize,
+}
+
+impl Hook for FirstEdges<'_> {
+    type Error = Infallible;
+
+    fn step(&mut self, parity: u64, t: TransitionId) -> Step<Infallible> {
+        let Label::Edge(e) = self.labels[t.index()] else {
+            return Step::Next(parity);
+        };
+        let idx = e.signal.index();
+        if self.inferred[idx].is_none() {
+            // value before firing = initial ^ flipped; must be !target.
+            let flipped = (parity >> idx) & 1 == 1;
+            self.inferred[idx] = Some(!e.polarity.target_value() ^ flipped);
+            self.unseen -= 1;
+            if self.unseen == 0 {
+                return Step::Stop;
             }
-            kernel
-                .fire_into(t, &row, &mut next)
-                .map_err(|h| h.map(|e| StgError::token_overflow(net, e)))?;
-            next[width - 1] = next_parity;
-            rows.intern(&next, usize::MAX);
         }
-        current += 1;
+        Step::Next(parity ^ (1 << idx))
     }
-    Ok(inferred)
 }
 
 #[cfg(test)]

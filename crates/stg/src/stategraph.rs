@@ -1,7 +1,7 @@
 use std::fmt;
+use std::ops::Deref;
 
-use a4a_petri::{BfsTree, Enabled, Engine, Halt, Kernel, Layout, Marking, RowSet, TransitionId};
-use a4a_rt::FxHashMap;
+use a4a_petri::{Limit, SearchError, StateIndex, StateSpace, Step, TransitionId};
 
 use crate::{Edge, Label, SignalId, Stg, StgError};
 
@@ -19,18 +19,29 @@ impl SgStateId {
     pub const INITIAL: SgStateId = SgStateId(0);
 }
 
+impl StateIndex for SgStateId {
+    fn from_index(index: u32) -> SgStateId {
+        SgStateId(index)
+    }
+
+    fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
 impl fmt::Display for SgStateId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "q{}", self.0)
     }
 }
 
-/// The binary-encoded state graph of an STG.
-///
-/// Each state couples a Petri-net marking with the binary code of all
-/// signals (bit `i` = value of signal `i`). Construction fails on the
-/// first consistency violation, so holding a `StateGraph` is proof that
-/// the STG is *consistent*.
+/// The binary-encoded state graph of an STG: the [`StateSpace`] of its
+/// net, each state tagged with the binary code of all signals (bit `i`
+/// = value of signal `i`). It derefs to that state space, which serves
+/// `state_count`, `successors`, `marking`, `trace_to` and the other
+/// graph accessors. Construction fails on the first consistency
+/// violation, so holding a `StateGraph` is proof that the STG is
+/// *consistent*.
 ///
 /// # Examples
 ///
@@ -50,56 +61,24 @@ impl fmt::Display for SgStateId {
 /// # Ok::<(), a4a_stg::StgError>(())
 /// ```
 #[derive(Debug, Clone)]
-pub struct StateGraph {
-    /// State `s` is the row `rows[s * width..][..width]`: its marking in
-    /// `layout`, then its signal code.
-    rows: Vec<u64>,
-    width: usize,
-    layout: Layout,
-    /// Every edge (fired transition, successor), grouped by source state
-    /// in id order.
-    edges: Vec<(TransitionId, SgStateId)>,
-    /// The edges of state `s` are `edges[offsets[s]..offsets[s + 1]]`.
-    /// Breadth-first parents are derived from them on demand
-    /// ([`StateGraph::bfs_tree`]), not kept per state.
-    offsets: Vec<usize>,
+pub struct StateGraph(StateSpace<SgStateId>);
+
+impl Deref for StateGraph {
+    type Target = StateSpace<SgStateId>;
+
+    fn deref(&self) -> &StateSpace<SgStateId> {
+        &self.0
+    }
 }
 
 impl StateGraph {
-    /// Number of states.
-    pub fn state_count(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Number of edges.
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// The marking of `state`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` does not belong to this graph.
-    pub fn marking(&self, state: SgStateId) -> Marking {
-        self.layout
-            .decode(&self.rows[state.index() * self.width..][..self.width - 1])
-    }
-
-    /// The engine that built this graph: [`Engine::Kernel`] unless the
-    /// net has a weighted arc or turned out not to be safe, or the
-    /// reference engine was asked for ([`Stg::state_graph_ref`]).
-    pub fn engine(&self) -> Engine {
-        self.layout.engine()
-    }
-
     /// The binary signal code of `state`.
     ///
     /// # Panics
     ///
     /// Panics if `state` does not belong to this graph.
     pub fn code(&self, state: SgStateId) -> u64 {
-        self.rows[state.index() * self.width + self.width - 1]
+        self.tag(state)
     }
 
     /// The value of `signal` in `state`.
@@ -109,39 +88,6 @@ impl StateGraph {
     /// Panics if `state` does not belong to this graph.
     pub fn value(&self, state: SgStateId, signal: SignalId) -> bool {
         self.code(state) & signal.mask() != 0
-    }
-
-    /// Outgoing edges of `state`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` does not belong to this graph.
-    pub fn successors(&self, state: SgStateId) -> &[(TransitionId, SgStateId)] {
-        &self.edges[self.offsets[state.index()]..self.offsets[state.index() + 1]]
-    }
-
-    /// Iterates over all states in discovery order.
-    pub fn state_ids(&self) -> impl Iterator<Item = SgStateId> {
-        (0..self.state_count() as u32).map(SgStateId)
-    }
-
-    /// A shortest firing trace (transition ids) from the initial state to
-    /// `state`: the path the breadth-first search took to discover it.
-    /// Each call derives the parents from all edges in one pass; for many
-    /// traces, take [`StateGraph::bfs_tree`] once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` does not belong to this graph.
-    pub fn trace_to(&self, state: SgStateId) -> Vec<TransitionId> {
-        self.bfs_tree().trace_to(state.index())
-    }
-
-    /// The breadth-first tree of the search that built this graph, derived
-    /// from its edges (see [`BfsTree`]): `tree.trace_to(s.index())` is
-    /// [`StateGraph::trace_to`] of `s`.
-    pub fn bfs_tree(&self) -> BfsTree {
-        BfsTree::from_edges(&self.offsets, &self.edges, SgStateId::index)
     }
 
     /// Signal edges enabled in `state` (via any enabled transition), with
@@ -220,24 +166,13 @@ impl StateGraph {
         }
         Ok(state)
     }
-
-    /// Groups states by binary code. Per-code state lists are in
-    /// discovery order. The USC/CSC checks and the synthesiser group
-    /// states themselves; only tests call this today.
-    pub fn states_by_code(&self) -> FxHashMap<u64, Vec<SgStateId>> {
-        let mut map: FxHashMap<u64, Vec<SgStateId>> = FxHashMap::default();
-        for s in self.state_ids() {
-            map.entry(self.code(s)).or_default().push(s);
-        }
-        map
-    }
 }
 
 impl Stg {
     /// Builds the binary-encoded state graph breadth-first from the
-    /// initial marking, on the safe-net kernel when the net allows it
-    /// (see [`a4a_petri::PetriNet::explore_with`];
-    /// [`StateGraph::engine`] tells which engine ran).
+    /// initial marking, through [`a4a_petri::PetriNet::search`]: on the
+    /// safe-net kernel when the net allows it ([`StateSpace::engine`]
+    /// tells which engine ran), each state's tag word its signal code.
     ///
     /// States are numbered in breadth-first discovery order: parents in
     /// id order, each parent's successors in transition-id order. Errors
@@ -255,10 +190,7 @@ impl Stg {
     /// * [`StgError::TokenOverflow`] if a place's token counter
     ///   overflows.
     pub fn state_graph(&self, max_states: usize) -> Result<StateGraph, StgError> {
-        let initial = self.net.initial_marking();
-        self.net.explore_with(&initial, |kernel| {
-            self.state_graph_on(kernel, &initial, max_states)
-        })
+        self.state_graph_on(max_states, false)
     }
 
     /// [`Stg::state_graph`] on the reference engine (one token counter
@@ -270,82 +202,36 @@ impl Stg {
     ///
     /// As for [`Stg::state_graph`].
     pub fn state_graph_ref(&self, max_states: usize) -> Result<StateGraph, StgError> {
-        let initial = self.net.initial_marking();
-        self.net
-            .explore_ref_with(|kernel| self.state_graph_on(kernel, &initial, max_states))
+        self.state_graph_on(max_states, true)
     }
 
-    /// The breadth-first search behind both entry points. A state is
-    /// the row `[marking words…, code]`.
-    fn state_graph_on(
-        &self,
-        kernel: Kernel<'_>,
-        initial: &Marking,
-        max_states: usize,
-    ) -> Result<StateGraph, Halt<StgError>> {
-        if max_states > u32::MAX as usize {
-            return Err(Halt::Error(StgError::LimitOverflow { limit: max_states }));
-        }
-        let layout = kernel.layout();
-        let width = layout.words() + 1;
-        let mut rows = RowSet::new(width);
-        let mut row = Vec::with_capacity(width);
-        layout.encode(initial, &mut row);
-        row.push(self.initial_code());
-        rows.intern(&row, usize::MAX);
-        let mut edges: Vec<(TransitionId, SgStateId)> = Vec::new();
-        let mut offsets = vec![0];
-
-        // The arena doubles as the BFS queue: ids are assigned in
-        // discovery order, so visiting them in id order is breadth-first.
-        let mut enabled = Enabled::default();
-        let mut next = row.clone();
-        let mut current = 0usize;
-        while current < rows.len() {
-            row.copy_from_slice(rows.row(current));
-            let code = row[width - 1];
-            kernel.enabled_into(&row, &mut enabled);
-            for &t in enabled.iter() {
-                next[width - 1] = match self.labels[t.index()] {
-                    Label::Dummy => code,
-                    Label::Edge(e) => {
-                        if (code & e.signal.mask() != 0) == e.polarity.target_value() {
-                            // Fires against the signal's current value.
-                            // The finished states' edges discovered
-                            // `current`, so they hold its trace.
-                            let tree = BfsTree::from_edges(&offsets, &edges, SgStateId::index);
-                            let mut trace: Vec<String> = tree
-                                .trace_to(current)
-                                .into_iter()
-                                .map(|t| self.transition_name(t))
-                                .collect();
-                            trace.push(self.transition_name(t));
-                            return Err(Halt::Error(StgError::Inconsistent {
-                                signal: self.signal(e.signal).name.clone(),
-                                transition: self.transition_name(t),
-                                trace,
-                            }));
-                        }
-                        code ^ e.signal.mask()
-                    }
-                };
-                kernel
-                    .fire_into(t, &row, &mut next)
-                    .map_err(|h| h.map(|e| StgError::token_overflow(&self.net, e)))?;
-                let Some((id, _)) = rows.intern(&next, max_states) else {
-                    return Err(Halt::Error(StgError::StateLimit { limit: max_states }));
-                };
-                edges.push((t, SgStateId(id)));
+    /// The search behind both entry points: a firing passes the code on
+    /// (dummies) or flips its signal's bit, and fails when the signal
+    /// already holds the edge's target value.
+    fn state_graph_on(&self, max_states: usize, reference: bool) -> Result<StateGraph, StgError> {
+        let labels = &self.labels;
+        let mut hook = |code: u64, t: TransitionId| match labels[t.index()] {
+            Label::Dummy => Step::Next(code),
+            Label::Edge(e) if (code & e.signal.mask() != 0) == e.polarity.target_value() => {
+                Step::Fail(e.signal)
             }
-            offsets.push(edges.len());
-            current += 1;
-        }
-        Ok(StateGraph {
-            rows: rows.into_words(),
-            width,
-            layout,
-            edges,
-            offsets,
+            Label::Edge(e) => Step::Next(code ^ e.signal.mask()),
+        };
+        let (initial, limit) = (self.net.initial_marking(), Limit::Firing(max_states));
+        let space = if reference {
+            self.net
+                .search_ref(&initial, self.initial_code(), limit, &mut hook)
+        } else {
+            self.net
+                .search(&initial, self.initial_code(), limit, &mut hook)
+        };
+        space.map(StateGraph).map_err(|e| match e {
+            SearchError::Explore(e) => e.into(),
+            SearchError::Hook { error, trace } => StgError::Inconsistent {
+                signal: self.signal(error).name.clone(),
+                transition: self.transition_name(*trace.last().expect("the failed firing")),
+                trace: trace.iter().map(|&t| self.transition_name(t)).collect(),
+            },
         })
     }
 }
@@ -354,6 +240,7 @@ impl Stg {
 mod tests {
     use super::*;
     use crate::StgBuilder;
+    use a4a_petri::Engine;
 
     fn handshake() -> Stg {
         let mut b = StgBuilder::new("hs");
@@ -472,10 +359,17 @@ mod tests {
         b.connect(d, down);
         let stg = b.build();
         let sg = stg.state_graph(100).unwrap();
-        assert_eq!(sg.state_count(), 3);
-        // State after a+ and state after dummy share the code 1.
-        let by_code = sg.states_by_code();
-        assert_eq!(by_code[&1].len(), 2);
+        // State after a+ and state after dummy share the code 1; only
+        // the second excites a-, so they are one CSC pair.
+        let codes: Vec<u64> = sg.state_ids().map(|s| sg.code(s)).collect();
+        assert_eq!(codes, vec![0, 1, 1]);
+        let report = stg.verify(&sg);
+        assert_eq!((report.usc_count, report.csc_count), (0, 1));
+        let pair = &report.coding[0];
+        assert_eq!(
+            (pair.first, pair.second, pair.code),
+            (SgStateId(1), SgStateId(2), 1)
+        );
     }
 
     #[test]
@@ -502,10 +396,13 @@ mod tests {
     }
 
     #[test]
-    fn states_by_code_groups() {
+    fn handshake_codes_are_unique() {
         let stg = handshake();
         let sg = stg.state_graph(100).unwrap();
-        let by_code = sg.states_by_code();
-        assert_eq!(by_code.len(), 4, "all codes distinct in a handshake");
+        let mut codes: Vec<u64> = sg.state_ids().map(|s| sg.code(s)).collect();
+        codes.sort_unstable();
+        codes.dedup();
+        assert_eq!(codes.len(), 4, "all codes distinct in a handshake");
+        assert_eq!(stg.verify(&sg).usc_count, 0);
     }
 }

@@ -116,7 +116,7 @@ impl Stg {
         let masks = edge_masks(sg, &bits);
         let (coding, usc_count, csc_count) = coding_conflicts(self, sg, &masks);
         VerifyReport {
-            deadlocks: deadlocks(sg),
+            deadlocks: sg.deadlocks(),
             persistence: output_persistence(self, sg, &bits, &masks),
             coding,
             usc_count,
@@ -152,12 +152,6 @@ impl Stg {
             !(code & a.mask() != 0 && code & b.mask() != 0)
         })
     }
-}
-
-fn deadlocks(sg: &StateGraph) -> Vec<SgStateId> {
-    sg.state_ids()
-        .filter(|&s| sg.successors(s).is_empty())
-        .collect()
 }
 
 /// Bit `2·signal + rising` of an enabled-edge mask: one bit per signal

@@ -32,6 +32,10 @@ const SCENARIOS: usize = 60;
 /// Mutated `.g` specs per run of the spec fuzz.
 const G_FUZZ_CASES: usize = 300;
 
+/// Wall budget of one `.g` fuzz case. The cases take milliseconds, so
+/// only a hang trips it.
+const G_CASE_BUDGET: std::time::Duration = std::time::Duration::from_secs(10);
+
 /// Master seed: `A4A_PROP_SEED` (hex, optional `0x` prefix) or a fixed
 /// default. Same convention as the `a4a_rt::prop` harness, so one env
 /// var replays both tiers.
@@ -511,7 +515,8 @@ fn one_code_state_spaces_keep_the_coding_report_bounded() {
 /// shipped module or A2A spec, run through parse → state graph →
 /// verify → both synthesis styles of the flow. Every stage returns a
 /// `Result` with a typed error, so the contract is: no panic, for any
-/// text.
+/// text. A case that runs past [`G_CASE_BUDGET`] fails with its case
+/// number and seed.
 #[test]
 fn mutated_g_specs_never_panic() {
     let mut specs = a4a_ctrl::stgs::all_module_stgs();
@@ -530,9 +535,23 @@ fn mutated_g_specs_never_panic() {
             mutate_g(&mut rng, &mut lines);
         }
         let mutated = lines.join("\n");
-        let stage = std::panic::catch_unwind(|| run_g(&mutated)).unwrap_or_else(|_| {
-            panic!("A4A_PROP_SEED={seed:#x} case {case}: mutated {name}.g panicked:\n{mutated}")
+        // Each case runs on a thread of its own, so a hang fails here by
+        // case number instead of stalling the suite.
+        let (done, result) = std::sync::mpsc::channel();
+        let text = mutated.clone();
+        std::thread::spawn(move || {
+            let _ = done.send(std::panic::catch_unwind(|| run_g(&text)));
         });
+        let stage = match result.recv_timeout(G_CASE_BUDGET) {
+            Ok(Ok(stage)) => stage,
+            Ok(Err(_)) => {
+                panic!("A4A_PROP_SEED={seed:#x} case {case}: mutated {name}.g panicked:\n{mutated}")
+            }
+            Err(_) => panic!(
+                "A4A_PROP_SEED={seed:#x} case {case}: mutated {name}.g ran past \
+                 {G_CASE_BUDGET:?}:\n{mutated}"
+            ),
+        };
         reached[stage] += 1;
     }
     assert!(reached.iter().all(|&n| n > 0), "stage never reached: {reached:?}");

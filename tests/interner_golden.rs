@@ -58,22 +58,19 @@ fn interner_assigns_discovery_order_ids() {
     }
 }
 
+/// The ring has unique state encoding: its 14 codes, read through
+/// `state_ids()`/`code()`, are all distinct, and `Stg::verify` finds no
+/// USC pair.
 #[test]
-fn states_by_code_covers_every_state_exactly_once() {
+fn ring_codes_are_distinct_and_usc_free() {
     let ring = a4a_ctrl::stgs::token_ring_stg();
     let sg = ring.state_graph(500_000).unwrap();
-    let by_code = sg.states_by_code();
-    // The ring has unique state encoding: 14 codes, one state each.
-    assert_eq!(by_code.len(), 14);
-    let mut seen = vec![false; sg.state_count()];
-    for (code, states) in &by_code {
-        for &s in states {
-            assert_eq!(sg.code(s), *code, "{s} grouped under wrong code");
-            assert!(!seen[s.index()], "{s} grouped twice");
-            seen[s.index()] = true;
-        }
-    }
-    assert!(seen.iter().all(|&b| b), "every state grouped");
-    // Group membership agrees with the golden numbering.
-    assert_eq!(by_code[&RING_CODES[0]], vec![SgStateId::INITIAL]);
+    assert_eq!(ring.verify(&sg).usc_count, 0);
+    let mut codes: Vec<u64> = sg.state_ids().map(|s| sg.code(s)).collect();
+    assert_eq!(codes.len(), 14);
+    codes.sort_unstable();
+    codes.dedup();
+    assert_eq!(codes.len(), 14, "two states share a code");
+    // The initial state holds the first golden code.
+    assert_eq!(sg.code(SgStateId::INITIAL), RING_CODES[0]);
 }

@@ -406,7 +406,9 @@ struct Recipe {
 /// scattered places, with moves inside one machine and synchronisations
 /// of two; read arcs on any place a transition does not touch otherwise;
 /// marked places nobody consumes; and arc-less transitions (empty
-/// preset, enabled everywhere).
+/// preset, enabled everywhere). A move takes its machine's token from a
+/// place that the earlier moves can bring it to, so even a net of a few
+/// transitions fires some of them.
 fn random_safe_recipe(g: &mut Gen, places: usize, transitions: usize) -> Recipe {
     let mut order: Vec<usize> = (0..places).collect();
     g.shuffle(&mut order);
@@ -414,14 +416,18 @@ fn random_safe_recipe(g: &mut Gen, places: usize, transitions: usize) -> Recipe 
         tokens: vec![0; places],
         ..Recipe::default()
     };
+    // Per machine, the places its token can reach by the moves so far.
+    let mut reached: Vec<Vec<usize>> = Vec::new();
     let mut rest = &order[..];
     for _ in 0..g.usize(1..5) {
         if rest.is_empty() {
             break;
         }
         let (run, tail) = rest.split_at(g.usize(1..7).min(rest.len()));
-        r.tokens[*g.pick(run)] = 1;
+        let marked = *g.pick(run);
+        r.tokens[marked] = 1;
         r.components.push(run.to_vec());
+        reached.push(vec![marked]);
         rest = tail;
     }
     for &p in rest {
@@ -429,24 +435,34 @@ fn random_safe_recipe(g: &mut Gen, places: usize, transitions: usize) -> Recipe 
     }
     for _ in 0..transitions {
         let (mut consume, mut produce) = (Vec::new(), Vec::new());
+        let mut take_move = |g: &mut Gen, c: usize| {
+            consume.push(*g.pick(&reached[c]));
+            let to = *g.pick(&r.components[c]);
+            if !reached[c].contains(&to) {
+                reached[c].push(to);
+            }
+            produce.push(to);
+        };
         match g.usize(0..5) {
             0 => {}
             1 if r.components.len() >= 2 => {
                 let a = g.usize(0..r.components.len());
                 let b = (a + 1 + g.usize(0..r.components.len() - 1)) % r.components.len();
-                for c in [a, b] {
-                    consume.push(*g.pick(&r.components[c]));
-                    produce.push(*g.pick(&r.components[c]));
-                }
+                take_move(g, a);
+                take_move(g, b);
             }
             _ => {
-                let c = &r.components[g.usize(0..r.components.len())];
-                consume.push(*g.pick(c));
-                produce.push(*g.pick(c));
+                let c = g.usize(0..r.components.len());
+                take_move(g, c);
             }
         }
+        // Read arcs on places that can hold a token: marked ones nobody
+        // consumes and places a machine's token can reach.
+        let holders: Vec<usize> = (0..places)
+            .filter(|&p| r.tokens[p] == 1 || reached.iter().any(|c| c.contains(&p)))
+            .collect();
         let read = (0..g.usize(0..3))
-            .map(|_| g.usize(0..places))
+            .map(|_| *g.pick(&holders))
             .filter(|p| !consume.contains(p) && !produce.contains(p))
             .collect::<std::collections::BTreeSet<_>>()
             .into_iter()
@@ -599,16 +615,27 @@ fn check_net_result(label: &str, net: &PetriNet, max_states: usize, want: Engine
 
 #[test]
 fn random_safe_nets_kernel_vs_ref() {
+    // States of the nets of 1–11 transitions, and how many there were.
+    let (small_states, small_nets) = (Cell::new(0), Cell::new(0));
     a4a_rt::prop::check("random_safe_nets_kernel_vs_ref", |g| {
         let (places, transitions) = random_size(g, &WIDTHS);
-        let recipe = random_safe_recipe(g, places, transitions);
-        check_net_result(
-            &format!("{places} places, {transitions} transitions"),
-            &recipe.net(),
-            10_000,
-            Engine::Kernel,
-        )
+        let net = random_safe_recipe(g, places, transitions).net();
+        let label = format!("{places} places, {transitions} transitions");
+        check_net_result(&label, &net, 10_000, Engine::Kernel)?;
+        if transitions < 12 {
+            let states = net.explore(10_000).map_or(0, |r| r.state_count());
+            small_states.set(small_states.get() + states);
+            small_nets.set(small_nets.get() + 1);
+        }
+        Ok(())
     });
+    // Half the cases are small nets: they must fire, or half the
+    // differential compares one-state graphs. (A one-seed replay with
+    // `A4A_PROP_SEED` has too few for a mean.)
+    if small_nets.get() >= 32 {
+        let mean = small_states.get() as f64 / small_nets.get() as f64;
+        assert!(mean >= 3.0, "small nets average {mean:.2} states");
+    }
 }
 
 #[test]
@@ -676,4 +703,53 @@ fn unsafe_nets_restart_on_the_reference_engine() {
         check_stg_result(&label, &recipe.stg(g), 10_000, want)
     });
     assert!(restarted.get() > 0, "no random net turned unsafe");
+}
+
+/// An STG without `.initial_state` whose net turns unsafe at its second
+/// firing, `a-` putting a second token on `q`, before `c-`, the first
+/// edge of `c`, can fire. So the parser's initial-value search halts on
+/// the kernel and reruns on the reference engine, and so does the state
+/// graph.
+const LATE_UNSAFE: &str = "\
+.model late_unsafe
+.inputs a
+.outputs c
+.graph
+p0 a+
+a+ p1
+p1 a-
+a- q p2
+q c-
+p2 c-
+c- p3
+p3 c+
+c+ p0
+.marking { p0 q }
+.end
+";
+
+#[test]
+fn unsafe_stg_infers_and_explores_like_the_reference() {
+    let stg = Stg::parse_g(LATE_UNSAFE).expect("parses");
+    let net = stg.net();
+    assert_eq!(net.explore(100).unwrap().engine(), Engine::Restarted);
+    let inferred: Vec<bool> = stg.signal_ids().map(|s| stg.signal(s).initial).collect();
+    assert_eq!(inferred, [false, true], "a+ fires first, then c-");
+    // The reference inference: each signal's value before its first
+    // edge in the breadth-first order of the reference engine's state
+    // graph, built from the values stated outright.
+    let stated = Stg::parse_g(&LATE_UNSAFE.replace(".end", ".initial_state c\n.end")).unwrap();
+    let sg = stated.state_graph_ref(100).expect("consistent");
+    let mut first: Vec<Option<bool>> = vec![None; stg.signal_count()];
+    for s in sg.state_ids() {
+        for &(t, _) in sg.successors(s) {
+            if let Some(e) = stated.label(t).edge() {
+                first[e.signal.index()].get_or_insert(sg.value(s, e.signal));
+            }
+        }
+    }
+    let reference: Vec<bool> = first.into_iter().map(|v| v.unwrap_or(false)).collect();
+    assert_eq!(inferred, reference);
+    check_stg_result("late_unsafe", &stg, 100, Engine::Restarted).unwrap();
+    check_stg_result("late_unsafe stated", &stated, 100, Engine::Restarted).unwrap();
 }
