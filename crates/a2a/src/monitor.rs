@@ -14,7 +14,11 @@ pub struct ProtocolError {
 
 impl fmt::Display for ProtocolError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "handshake protocol violated at {}: {}", self.time, self.message)
+        write!(
+            f,
+            "handshake protocol violated at {}: {}",
+            self.time, self.message
+        )
     }
 }
 
@@ -157,7 +161,6 @@ impl HandshakeMonitor {
         }
         Ok(())
     }
-
 }
 
 #[cfg(test)]

@@ -52,7 +52,11 @@ impl WaitCore {
     }
 
     fn advance_clock(&mut self, t: Time) -> Option<AckEvent> {
-        assert!(t >= self.last_t, "time went backwards: {t} < {}", self.last_t);
+        assert!(
+            t >= self.last_t,
+            "time went backwards: {t} < {}",
+            self.last_t
+        );
         self.last_t = t;
         self.flush(t)
     }
@@ -485,7 +489,13 @@ mod tests {
         w.set_sig(ns(2.0), true);
         assert_eq!(w.next_deadline(), Some(ns(2.1)));
         let ev = w.poll(ns(2.1)).unwrap();
-        assert_eq!(ev, AckEvent { time: ns(2.1), value: true });
+        assert_eq!(
+            ev,
+            AckEvent {
+                time: ns(2.1),
+                value: true
+            }
+        );
         assert!(w.ack());
         // Input retracts after latching: contained, ack stays.
         w.set_sig(ns(3.0), false);

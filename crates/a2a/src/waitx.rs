@@ -50,7 +50,11 @@ impl XCore {
     }
 
     fn flush(&mut self, t: Time) -> Option<GrantEvent> {
-        assert!(t >= self.last_t, "time went backwards: {t} < {}", self.last_t);
+        assert!(
+            t >= self.last_t,
+            "time went backwards: {t} < {}",
+            self.last_t
+        );
         self.last_t = t;
         if let Some((at, channel, value)) = self.pending {
             if at <= t {
@@ -272,10 +276,7 @@ mod tests {
         assert_eq!(x.contentions(), 1);
         let ev = x.poll(ns(5.0)).unwrap();
         assert!(ev.value);
-        assert_eq!(
-            [x.grant(0), x.grant(1)].iter().filter(|g| **g).count(),
-            1
-        );
+        assert_eq!([x.grant(0), x.grant(1)].iter().filter(|g| **g).count(), 1);
     }
 
     #[test]

@@ -144,10 +144,7 @@ fn waitx_mutual_exclusion() {
                     x.poll(t);
                 }
             }
-            prop_assert!(
-                !(x.grant(0) && x.grant(1)),
-                "both grants high"
-            );
+            prop_assert!(!(x.grant(0) && x.grant(1)), "both grants high");
             if !req && x.winner().is_none() {
                 // Fully released: eventually both grants drop.
                 if let Some(d) = x.next_deadline() {

@@ -495,7 +495,11 @@ impl Plan {
             d = d * s + x;
             x = x * s + t;
         }
-        [x, d * self.inv_span, 2.0 * dd * self.inv_span * self.inv_span]
+        [
+            x,
+            d * self.inv_span,
+            2.0 * dd * self.inv_span * self.inv_span,
+        ]
     }
 
     /// First `τ` from `from` to the plan's end (after the origin) at
@@ -728,7 +732,11 @@ impl Plan {
                 psi[r * na + col] = p.clone().sum();
                 k[r * na + col] = integral(p, 1.0) * h;
             }
-            let v: Vec<f64> = terms[n - 1..=n - 1 + m * n].iter().step_by(n).copied().collect();
+            let v: Vec<f64> = terms[n - 1..=n - 1 + m * n]
+                .iter()
+                .step_by(n)
+                .copied()
+                .collect();
             v_polys.push(v);
         }
         psi[n * na + n] = 1.0;
@@ -760,9 +768,8 @@ impl Plan {
             psi = matmul(&psi, &psi, na);
         }
         let y0: Vec<f64> = self.terms[..n].iter().copied().chain([1.0]).collect();
-        let row_dot = |m: &[f64], row: usize| -> f64 {
-            (0..na).map(|col| m[row * na + col] * y0[col]).sum()
-        };
+        let row_dot =
+            |m: &[f64], row: usize| -> f64 { (0..na).map(|col| m[row * na + col] * y0[col]).sum() };
         let end = (0..n).map(|row| row_dot(&psi, row)).collect();
         let supply = (0..n - 1)
             .filter(|&j| self.supply[j])
@@ -805,13 +812,7 @@ fn matmul(a: &[f64], b: &[f64], n: usize) -> Vec<f64> {
 /// secant point, while its steps stay inside the bracket and at least
 /// halve; bisection otherwise. It stops once a step or the bracket is
 /// within rounding of the root's time.
-fn root(
-    mut lo: f64,
-    flo: f64,
-    mut hi: f64,
-    fhi: f64,
-    f: impl Fn(f64) -> (f64, f64),
-) -> f64 {
+fn root(mut lo: f64, flo: f64, mut hi: f64, fhi: f64, f: impl Fn(f64) -> (f64, f64)) -> f64 {
     let tol = 4.0 * f64::EPSILON * hi.abs().max(lo.abs());
     let mut x = lo - flo * (hi - lo) / (fhi - flo);
     if !(x > lo && x < hi) {
@@ -1700,7 +1701,10 @@ mod tests {
             assert!(
                 matches!(
                     Buck::try_new(p),
-                    Err(SimError::InvalidParameter { what: "vin (V)", .. })
+                    Err(SimError::InvalidParameter {
+                        what: "vin (V)",
+                        ..
+                    })
                 ),
                 "vin = {bad} accepted"
             );
@@ -1732,7 +1736,10 @@ mod tests {
         for bad in [f64::NAN, 0.0, -1e-9, f64::INFINITY] {
             assert!(matches!(
                 b.try_step(bad),
-                Err(SimError::InvalidParameter { what: "step dt (s)", .. })
+                Err(SimError::InvalidParameter {
+                    what: "step dt (s)",
+                    ..
+                })
             ));
         }
         assert_eq!(b.output_voltage(), v, "failed step must not mutate");
@@ -1776,7 +1783,10 @@ mod tests {
         assert_eq!(b.switch(0), SwitchState::Off, "state unchanged on error");
         assert!(matches!(
             b.try_set_switch(99, true, false),
-            Err(SimError::PhaseOutOfRange { phase: 99, phases: 4 })
+            Err(SimError::PhaseOutOfRange {
+                phase: 99,
+                phases: 4
+            })
         ));
         assert!(b.try_set_switch(1, false, true).is_ok());
         assert_eq!(b.switch(1), SwitchState::NmosOn);

@@ -174,7 +174,10 @@ mod tests {
         // current instead of flagging the record.
         let mut w = triangle_wave();
         w.v[500] = f64::NAN;
-        assert!(voltage_ripple(&w).is_nan(), "NaN voltage must poison ripple");
+        assert!(
+            voltage_ripple(&w).is_nan(),
+            "NaN voltage must poison ripple"
+        );
         assert!(mean_voltage(&w).is_nan());
         let mut w = triangle_wave();
         w.i[1][3] = f64::NAN;

@@ -57,7 +57,9 @@ impl TrackId {
     /// Resolves the id back to the name it was interned from.
     pub fn name(self) -> &'static str {
         let reg = registry().lock().unwrap_or_else(|e| e.into_inner());
-        reg.get(self.0 as usize).copied().unwrap_or("<unregistered>")
+        reg.get(self.0 as usize)
+            .copied()
+            .unwrap_or("<unregistered>")
     }
 
     /// Raw table index (diagnostics only — ids are process-local).

@@ -138,8 +138,14 @@ impl SensorBank {
             (SensorKind::Ov, Comparator::above(t.vmax, t.v_hyst, t.delay)),
         ];
         for k in 0..phases {
-            comparators.push((SensorKind::Oc(k), Comparator::above(t.imax, t.i_hyst, t.delay)));
-            comparators.push((SensorKind::Zc(k), Comparator::below(t.i0, t.i_hyst, t.delay)));
+            comparators.push((
+                SensorKind::Oc(k),
+                Comparator::above(t.imax, t.i_hyst, t.delay),
+            ));
+            comparators.push((
+                SensorKind::Zc(k),
+                Comparator::below(t.i0, t.i_hyst, t.delay),
+            ));
         }
         SensorBank {
             next: vec![None; comparators.len()],
@@ -214,12 +220,7 @@ impl SensorBank {
     /// the plan's series on how early its crossing can be, and finished
     /// only once a call's `before` reaches that bound; it then gives the
     /// time a search finished at once would.
-    pub fn first_crossing(
-        &mut self,
-        buck: &Buck,
-        fired: &mut Vec<SensorKind>,
-        before: f64,
-    ) -> f64 {
+    pub fn first_crossing(&mut self, buck: &Buck, fired: &mut Vec<SensorKind>, before: f64) -> f64 {
         if buck.plan_id() != self.plan {
             self.plan = buck.plan_id();
             self.next.fill(None);
@@ -301,7 +302,11 @@ mod tests {
     /// reuses it), find the first crossing, advance to it and fire every
     /// comparator crossing then. Returns the events and, per crossing,
     /// the comparators that fired together.
-    fn run(b: &mut SensorBank, buck: &mut Buck, dt: f64) -> (Vec<SensorEvent>, Vec<Vec<SensorKind>>) {
+    fn run(
+        b: &mut SensorBank,
+        buck: &mut Buck,
+        dt: f64,
+    ) -> (Vec<SensorEvent>, Vec<Vec<SensorKind>>) {
         let until = buck.time() + dt;
         let (mut events, mut groups, mut fired) = (Vec::new(), Vec::new(), Vec::new());
         while buck.time() < until {
@@ -331,7 +336,11 @@ mod tests {
     fn startup_asserts_hl_uv_immediately() {
         let mut b = bank();
         let (evs, groups) = run(&mut b, &mut buck(0.0, &[0.0, 0.0]), 1e-15);
-        assert_eq!(groups, [[SensorKind::Hl, SensorKind::Uv]], "both at one instant");
+        assert_eq!(
+            groups,
+            [[SensorKind::Hl, SensorKind::Uv]],
+            "both at one instant"
+        );
         assert!(has(&evs, SensorKind::Hl, true) && has(&evs, SensorKind::Uv, true));
         assert!(!evs.iter().any(|e| e.kind == SensorKind::Ov));
         assert!(b.output(SensorKind::Uv));
@@ -346,14 +355,25 @@ mod tests {
         let mut b = bank();
         let mut bk = buck(3.0, &[1.0, 1.0]);
         let (evs, groups) = run(&mut b, &mut bk, 100e-9);
-        let all = [SensorKind::Hl, SensorKind::Uv, SensorKind::Oc(0), SensorKind::Oc(1)];
+        let all = [
+            SensorKind::Hl,
+            SensorKind::Uv,
+            SensorKind::Oc(0),
+            SensorKind::Oc(1),
+        ];
         assert_eq!(groups[0], all);
         assert!(evs[..4].iter().all(|e| e.value && e.time == 1e-9));
-        let clears: Vec<(f64, SensorKind)> =
-            evs[4..].iter().filter(|e| !e.value).map(|e| (e.time, e.kind)).collect();
+        let clears: Vec<(f64, SensorKind)> = evs[4..]
+            .iter()
+            .filter(|e| !e.value)
+            .map(|e| (e.time, e.kind))
+            .collect();
         assert_eq!(clears.len(), 2, "HL then UV release: {evs:?}");
         assert!(clears[0].1 == SensorKind::Hl && clears[1].1 == SensorKind::Uv);
-        assert!(1e-9 < clears[0].0 && clears[0].0 < clears[1].0, "{clears:?}");
+        assert!(
+            1e-9 < clears[0].0 && clears[0].0 < clears[1].0,
+            "{clears:?}"
+        );
         for w in evs.windows(2) {
             assert!(w[0].time <= w[1].time, "events in time order");
         }
@@ -429,7 +449,10 @@ mod tests {
         b.set_ov_mode(true);
         assert!(has(&settle(&mut b, &mut bk), SensorKind::Oc(0), true));
         b.set_ov_mode(true);
-        assert!(settle(&mut b, &mut bk).is_empty(), "no-op repeat fires nothing");
+        assert!(
+            settle(&mut b, &mut bk).is_empty(),
+            "no-op repeat fires nothing"
+        );
         // Leaving restores I_max, which 0.05 A is below: OC releases.
         b.set_ov_mode(false);
         let evs = settle(&mut b, &mut bk);

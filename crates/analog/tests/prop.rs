@@ -21,59 +21,67 @@ fn arb_schedule(g: &mut Gen, phases: usize, len: usize) -> Vec<(usize, usize, Sw
 /// rails, and no NaNs.
 #[test]
 fn buck_stays_physical() {
-    prop::check_with(&Config::with_cases(48), "buck_stays_physical", |g: &mut Gen| -> PropResult {
-        let schedule = arb_schedule(g, 2, 40);
-        let params = BuckParams::default().with_phases(2);
-        let vin = params.vin;
-        let mut buck = Buck::new(params);
-        let mut schedule = schedule;
-        schedule.sort_by_key(|s| s.0);
-        let mut next = 0usize;
-        for step in 0..2000usize {
-            while next < schedule.len() && schedule[next].0 <= step {
-                let (_, phase, state) = schedule[next];
-                let (gp, gn) = match state {
-                    SwitchState::PmosOn => (true, false),
-                    SwitchState::NmosOn => (false, true),
-                    SwitchState::Off => (false, false),
-                };
-                buck.set_switch(phase, gp, gn);
-                next += 1;
+    prop::check_with(
+        &Config::with_cases(48),
+        "buck_stays_physical",
+        |g: &mut Gen| -> PropResult {
+            let schedule = arb_schedule(g, 2, 40);
+            let params = BuckParams::default().with_phases(2);
+            let vin = params.vin;
+            let mut buck = Buck::new(params);
+            let mut schedule = schedule;
+            schedule.sort_by_key(|s| s.0);
+            let mut next = 0usize;
+            for step in 0..2000usize {
+                while next < schedule.len() && schedule[next].0 <= step {
+                    let (_, phase, state) = schedule[next];
+                    let (gp, gn) = match state {
+                        SwitchState::PmosOn => (true, false),
+                        SwitchState::NmosOn => (false, true),
+                        SwitchState::Off => (false, false),
+                    };
+                    buck.set_switch(phase, gp, gn);
+                    next += 1;
+                }
+                buck.step(1e-9);
+                for k in 0..2 {
+                    let i = buck.coil_current(k);
+                    prop_assert!(i.is_finite());
+                    prop_assert!(i.abs() < 20.0, "runaway current {i}");
+                }
+                let v = buck.output_voltage();
+                prop_assert!(v.is_finite());
+                prop_assert!(v > -2.0 && v < vin + 2.0, "rail escape {v}");
             }
-            buck.step(1e-9);
-            for k in 0..2 {
-                let i = buck.coil_current(k);
-                prop_assert!(i.is_finite());
-                prop_assert!(i.abs() < 20.0, "runaway current {i}");
-            }
-            let v = buck.output_voltage();
-            prop_assert!(v.is_finite());
-            prop_assert!(v > -2.0 && v < vin + 2.0, "rail escape {v}");
-        }
-        Ok(())
-    });
+            Ok(())
+        },
+    );
 }
 
 /// With both switches off the coil current never crosses zero
 /// (discontinuous conduction clamp), from any pre-charge.
 #[test]
 fn dcm_never_reverses() {
-    prop::check_with(&Config::with_cases(48), "dcm_never_reverses", |g: &mut Gen| -> PropResult {
-        let precharge_steps = g.usize(10..2000);
-        let mut buck = Buck::new(BuckParams::default().with_phases(1));
-        buck.set_switch(0, true, false);
-        for _ in 0..precharge_steps {
-            buck.step(1e-9);
-        }
-        buck.set_switch(0, false, false);
-        let sign = buck.coil_current(0).signum();
-        for _ in 0..30_000 {
-            buck.step(1e-9);
-            let i = buck.coil_current(0);
-            prop_assert!(i == 0.0 || i.signum() == sign, "current reversed in DCM");
-        }
-        Ok(())
-    });
+    prop::check_with(
+        &Config::with_cases(48),
+        "dcm_never_reverses",
+        |g: &mut Gen| -> PropResult {
+            let precharge_steps = g.usize(10..2000);
+            let mut buck = Buck::new(BuckParams::default().with_phases(1));
+            buck.set_switch(0, true, false);
+            for _ in 0..precharge_steps {
+                buck.step(1e-9);
+            }
+            buck.set_switch(0, false, false);
+            let sign = buck.coil_current(0).signum();
+            for _ in 0..30_000 {
+                buck.step(1e-9);
+                let i = buck.coil_current(0);
+                prop_assert!(i == 0.0 || i.signum() == sign, "current reversed in DCM");
+            }
+            Ok(())
+        },
+    );
 }
 
 /// `exp(A·t)·x` for a 2×2 matrix `a` (row-major), in closed form.
@@ -131,7 +139,11 @@ fn rc_discharge_with_both_switches_off() {
     for h in [0.3e-9, 7e-9, 120e-9, 2.5e-6] {
         b.step(h);
         let want = v1 * (-(b.time() - t1) / rc).exp();
-        assert!(close(b.output_voltage(), want, 1e-12), "v {} vs {want}", b.output_voltage());
+        assert!(
+            close(b.output_voltage(), want, 1e-12),
+            "v {} vs {want}",
+            b.output_voltage()
+        );
         assert_eq!(b.coil_current(0), 0.0);
     }
 }
@@ -147,8 +159,18 @@ fn rlc_step_response_under_pmos() {
     for h in [0.5e-9, 2e-9, 40e-9, 300e-9, 1.5e-6] {
         b.step(h);
         let want = single_phase(&p, r, p.vin, [0.0, 0.0], b.time());
-        assert!(close(b.coil_current(0), want[0], 1e-9), "i {} vs {}", b.coil_current(0), want[0]);
-        assert!(close(b.output_voltage(), want[1], 1e-9), "v {} vs {}", b.output_voltage(), want[1]);
+        assert!(
+            close(b.coil_current(0), want[0], 1e-9),
+            "i {} vs {}",
+            b.coil_current(0),
+            want[0]
+        );
+        assert!(
+            close(b.output_voltage(), want[1], 1e-9),
+            "v {} vs {}",
+            b.output_voltage(),
+            want[1]
+        );
     }
 }
 
@@ -156,67 +178,107 @@ fn rlc_step_response_under_pmos() {
 /// current reaches zero, and the current then stays at zero.
 #[test]
 fn diode_conduction_ends_at_the_analytic_current_zero() {
-    prop::check_with(&Config::with_cases(16), "diode_conduction_ends_at_the_analytic_current_zero", |g: &mut Gen| -> PropResult {
-        let l_uh = g.f64(1.0..10.0);
-        let charge = g.f64(50e-9..400e-9);
-        let mut b = Buck::new(BuckParams::default().with_phases(1).with_coil(CoilModel::coilcraft(l_uh)));
-        let p = b.params().clone();
-        b.set_switch(0, true, false);
-        b.step(charge);
-        b.set_switch(0, false, false);
-        let (t0, x0) = (b.time(), [b.coil_current(0), b.output_voltage()]);
-        prop_assert!(x0[0] > 0.0);
-        // The NMOS body diode conducts: node at −V_diode, series r = DCR.
-        let i_at = |t: f64| single_phase(&p, p.coil.dcr, -p.vdiode, x0, t)[0];
-        let (mut lo, mut hi) = (0.0, 1e-9);
-        while i_at(hi) > 0.0 {
-            hi *= 2.0;
-        }
-        for _ in 0..200 {
-            let mid = 0.5 * (lo + hi);
-            if i_at(mid) > 0.0 { lo = mid } else { hi = mid }
-        }
-        let reach = b.try_plan(t0 + 1e-3, t0 + 1e-3).expect("valid plan");
-        prop_assert!(close(reach - t0, hi, 1e-9), "zero at {} vs analytic {hi}", reach - t0);
-        b.try_advance_to(reach).expect("advance to the zero");
-        prop_assert_eq!(b.coil_current(0), 0.0);
-        b.step(1e-6);
-        prop_assert_eq!(b.coil_current(0), 0.0);
-        Ok(())
-    });
+    prop::check_with(
+        &Config::with_cases(16),
+        "diode_conduction_ends_at_the_analytic_current_zero",
+        |g: &mut Gen| -> PropResult {
+            let l_uh = g.f64(1.0..10.0);
+            let charge = g.f64(50e-9..400e-9);
+            let mut b = Buck::new(
+                BuckParams::default()
+                    .with_phases(1)
+                    .with_coil(CoilModel::coilcraft(l_uh)),
+            );
+            let p = b.params().clone();
+            b.set_switch(0, true, false);
+            b.step(charge);
+            b.set_switch(0, false, false);
+            let (t0, x0) = (b.time(), [b.coil_current(0), b.output_voltage()]);
+            prop_assert!(x0[0] > 0.0);
+            // The NMOS body diode conducts: node at −V_diode, series r = DCR.
+            let i_at = |t: f64| single_phase(&p, p.coil.dcr, -p.vdiode, x0, t)[0];
+            let (mut lo, mut hi) = (0.0, 1e-9);
+            while i_at(hi) > 0.0 {
+                hi *= 2.0;
+            }
+            for _ in 0..200 {
+                let mid = 0.5 * (lo + hi);
+                if i_at(mid) > 0.0 {
+                    lo = mid
+                } else {
+                    hi = mid
+                }
+            }
+            let reach = b.try_plan(t0 + 1e-3, t0 + 1e-3).expect("valid plan");
+            prop_assert!(
+                close(reach - t0, hi, 1e-9),
+                "zero at {} vs analytic {hi}",
+                reach - t0
+            );
+            b.try_advance_to(reach).expect("advance to the zero");
+            prop_assert_eq!(b.coil_current(0), 0.0);
+            b.step(1e-6);
+            prop_assert_eq!(b.coil_current(0), 0.0);
+            Ok(())
+        },
+    );
 }
 
 /// Propagation is exact, so two steps of `h` land where one step of
 /// `2h` does, whatever the switch states, coil and `h`.
 #[test]
 fn two_half_steps_equal_one_step() {
-    prop::check_with(&Config::with_cases(48), "two_half_steps_equal_one_step", |g: &mut Gen| -> PropResult {
-        let params = BuckParams::default()
-            .with_phases(3)
-            .with_coil(CoilModel::coilcraft(g.f64(1.0..10.0)));
-        let mut a = Buck::new(params);
-        // A random history, so the state is not at rest.
-        for _ in 0..4 {
-            for k in 0..3 {
-                let (gp, gn) = *g.pick(&[(true, false), (false, true), (false, false)]);
-                a.set_switch(k, gp, gn);
+    prop::check_with(
+        &Config::with_cases(48),
+        "two_half_steps_equal_one_step",
+        |g: &mut Gen| -> PropResult {
+            let params = BuckParams::default()
+                .with_phases(3)
+                .with_coil(CoilModel::coilcraft(g.f64(1.0..10.0)));
+            let mut a = Buck::new(params);
+            // A random history, so the state is not at rest.
+            for _ in 0..4 {
+                for k in 0..3 {
+                    let (gp, gn) = *g.pick(&[(true, false), (false, true), (false, false)]);
+                    a.set_switch(k, gp, gn);
+                }
+                a.step(g.f64(10e-9..300e-9));
             }
-            a.step(g.f64(10e-9..300e-9));
-        }
-        let mut b = a.clone();
-        let h = g.f64(0.1e-9..100e-9);
-        a.step(h);
-        a.step(h);
-        b.step(2.0 * h);
-        let rel = |x: f64, y: f64| (x - y).abs() <= 1e-12 * x.abs().max(y.abs()).max(1e-3);
-        prop_assert!(rel(a.output_voltage(), b.output_voltage()), "v {} vs {}", a.output_voltage(), b.output_voltage());
-        for k in 0..3 {
-            prop_assert!(rel(a.coil_current(k), b.coil_current(k)), "i{k} {} vs {}", a.coil_current(k), b.coil_current(k));
-        }
-        prop_assert!(rel(a.energy_in(), b.energy_in()), "E_in {} vs {}", a.energy_in(), b.energy_in());
-        prop_assert!(rel(a.energy_out(), b.energy_out()), "E_out {} vs {}", a.energy_out(), b.energy_out());
-        Ok(())
-    });
+            let mut b = a.clone();
+            let h = g.f64(0.1e-9..100e-9);
+            a.step(h);
+            a.step(h);
+            b.step(2.0 * h);
+            let rel = |x: f64, y: f64| (x - y).abs() <= 1e-12 * x.abs().max(y.abs()).max(1e-3);
+            prop_assert!(
+                rel(a.output_voltage(), b.output_voltage()),
+                "v {} vs {}",
+                a.output_voltage(),
+                b.output_voltage()
+            );
+            for k in 0..3 {
+                prop_assert!(
+                    rel(a.coil_current(k), b.coil_current(k)),
+                    "i{k} {} vs {}",
+                    a.coil_current(k),
+                    b.coil_current(k)
+                );
+            }
+            prop_assert!(
+                rel(a.energy_in(), b.energy_in()),
+                "E_in {} vs {}",
+                a.energy_in(),
+                b.energy_in()
+            );
+            prop_assert!(
+                rel(a.energy_out(), b.energy_out()),
+                "E_out {} vs {}",
+                a.energy_out(),
+                b.energy_out()
+            );
+            Ok(())
+        },
+    );
 }
 
 /// Toggling a comparator alternates its output and its edge direction,
@@ -224,42 +286,56 @@ fn two_half_steps_equal_one_step() {
 /// hysteresis.
 #[test]
 fn comparator_edges_alternate() {
-    prop::check_with(&Config::with_cases(48), "comparator_edges_alternate", |g: &mut Gen| -> PropResult {
-        let threshold = g.f64(-1.0..1.0);
-        let hysteresis = g.f64(0.001..0.5);
-        let above = g.bool();
-        let mut c = if above {
-            Comparator::above(threshold, hysteresis, 1e-9)
-        } else {
-            Comparator::below(threshold, hysteresis, 1e-9)
-        };
-        let (assert_level, rising) = c.edge();
-        prop_assert_eq!(rising, above, "asserts in its own direction");
-        for k in 0..g.usize(1..20) {
-            let (level, rising) = c.edge();
-            let out = c.toggle();
-            prop_assert_eq!(out, k % 2 == 0, "outputs alternate");
-            prop_assert_ne!(c.edge().1, rising, "edges alternate");
-            let spread = (c.edge().0 - level).abs();
-            prop_assert!((spread - hysteresis).abs() <= 1e-12, "levels {hysteresis} apart");
-            prop_assert!((assert_level - threshold).abs() <= hysteresis, "levels straddle the threshold");
-        }
-        Ok(())
-    });
+    prop::check_with(
+        &Config::with_cases(48),
+        "comparator_edges_alternate",
+        |g: &mut Gen| -> PropResult {
+            let threshold = g.f64(-1.0..1.0);
+            let hysteresis = g.f64(0.001..0.5);
+            let above = g.bool();
+            let mut c = if above {
+                Comparator::above(threshold, hysteresis, 1e-9)
+            } else {
+                Comparator::below(threshold, hysteresis, 1e-9)
+            };
+            let (assert_level, rising) = c.edge();
+            prop_assert_eq!(rising, above, "asserts in its own direction");
+            for k in 0..g.usize(1..20) {
+                let (level, rising) = c.edge();
+                let out = c.toggle();
+                prop_assert_eq!(out, k % 2 == 0, "outputs alternate");
+                prop_assert_ne!(c.edge().1, rising, "edges alternate");
+                let spread = (c.edge().0 - level).abs();
+                prop_assert!(
+                    (spread - hysteresis).abs() <= 1e-12,
+                    "levels {hysteresis} apart"
+                );
+                prop_assert!(
+                    (assert_level - threshold).abs() <= hysteresis,
+                    "levels straddle the threshold"
+                );
+            }
+            Ok(())
+        },
+    );
 }
 
 /// Coil family interpolation is monotone in inductance.
 #[test]
 fn coil_family_monotone() {
-    prop::check_with(&Config::with_cases(48), "coil_family_monotone", |g: &mut Gen| -> PropResult {
-        let a = g.f64(1.0..10.0);
-        let b = g.f64(1.0..10.0);
-        prop_assume!(a < b);
-        let ca = CoilModel::coilcraft(a);
-        let cb = CoilModel::coilcraft(b);
-        prop_assert!(ca.inductance < cb.inductance);
-        prop_assert!(ca.dcr <= cb.dcr);
-        prop_assert!(ca.esr_hf <= cb.esr_hf);
-        Ok(())
-    });
+    prop::check_with(
+        &Config::with_cases(48),
+        "coil_family_monotone",
+        |g: &mut Gen| -> PropResult {
+            let a = g.f64(1.0..10.0);
+            let b = g.f64(1.0..10.0);
+            prop_assume!(a < b);
+            let ca = CoilModel::coilcraft(a);
+            let cb = CoilModel::coilcraft(b);
+            prop_assert!(ca.inductance < cb.inductance);
+            prop_assert!(ca.dcr <= cb.dcr);
+            prop_assert!(ca.esr_hf <= cb.esr_hf);
+            Ok(())
+        },
+    );
 }

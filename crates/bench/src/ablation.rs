@@ -99,13 +99,7 @@ pub fn wait_latch_latency(p: f64, tau: Time, seed: u64) -> f64 {
 /// The metastability-tail batch: `n` independent WAIT latch scenarios
 /// with seeds split from `root`, run on `pool`. Returns per-scenario
 /// latch latencies in scenario order.
-pub fn wait_metastability_batch(
-    pool: &Pool,
-    p: f64,
-    tau: Time,
-    root: u64,
-    n: usize,
-) -> Vec<f64> {
+pub fn wait_metastability_batch(pool: &Pool, p: f64, tau: Time, root: u64, n: usize) -> Vec<f64> {
     pool.par_map(scenario_seeds(root, n), move |seed| {
         wait_latch_latency(p, tau, seed)
     })

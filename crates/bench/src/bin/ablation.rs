@@ -48,9 +48,7 @@ fn ablate_token_decoupling() {
         let mut timing = AsyncTiming::default();
         timing.policy.activation_period = Time::from_ns(activation_ns);
         let ctrl = AsyncController::new(4, timing);
-        let mut tb = scenario::sweep_load(9.0)
-            .load_step(5e-6, 4.4)
-            .build(ctrl);
+        let mut tb = scenario::sweep_load(9.0).load_step(5e-6, 4.4).build(ctrl);
         tb.run_until(8e-6);
         let w = tb.into_waveform().window(5e-6, 7e-6);
         w.v.iter().fold(f64::INFINITY, |a, &b| a.min(b))
@@ -77,13 +75,12 @@ fn ablate_pext() {
         tb.run_until(4e-6);
         let w = tb.into_waveform();
         // Time for the output to first reach the regulation target.
-        let t_reg = w
-            .t
-            .iter()
-            .zip(&w.v)
-            .find(|(_, &v)| v >= 3.29)
-            .map(|(&t, _)| t * 1e6)
-            .unwrap_or(f64::NAN);
+        let t_reg =
+            w.t.iter()
+                .zip(&w.v)
+                .find(|(_, &v)| v >= 3.29)
+                .map(|(&t, _)| t * 1e6)
+                .unwrap_or(f64::NAN);
         (metrics::peak_current(&w) * 1e3, t_reg)
     };
     for pext in [0.0, 40.0, 150.0] {
@@ -96,10 +93,16 @@ fn ablate_pext() {
 /// 3. Complex-gate vs gC synthesis over every controller module.
 fn ablate_synth_style() {
     println!("== Ablation 3: complex-gate vs generalized-C synthesis ==");
-    let header: Vec<String> = ["module", "cg literals", "gC literals", "cg gates", "gC gates"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+    let header: Vec<String> = [
+        "module",
+        "cg literals",
+        "gC literals",
+        "cg gates",
+        "gC gates",
+    ]
+    .iter()
+    .map(|s| s.to_string())
+    .collect();
     let mut rows = Vec::new();
     let mut specs = a4a_ctrl::stgs::all_module_stgs();
     specs.extend(a4a_a2a::spec::all_specs());

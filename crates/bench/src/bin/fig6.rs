@@ -42,9 +42,7 @@ fn main() {
         )
     );
     println!("{}", report::table(&header, &body));
-    println!(
-        "paper reference (333MHz vs ASYNC): ripple 0.43 V vs 0.36 V, peak 0.24 A vs 0.21 A"
-    );
+    println!("paper reference (333MHz vs ASYNC): ripple 0.43 V vs 0.36 V, peak 0.24 A vs 0.21 A");
 
     // Waveform CSVs for the two series the paper plots.
     for r in &runs {
@@ -52,11 +50,9 @@ fn main() {
             let tag = r.label.to_lowercase();
             let p1 = report::write_artifact(&format!("fig6_{tag}_analog.csv"), &r.waveform.csv())
                 .expect("write");
-            let p2 = report::write_artifact(
-                &format!("fig6_{tag}_events.csv"),
-                &r.waveform.events_csv(),
-            )
-            .expect("write");
+            let p2 =
+                report::write_artifact(&format!("fig6_{tag}_events.csv"), &r.waveform.events_csv())
+                    .expect("write");
             println!("wrote {} and {}", p1.display(), p2.display());
         }
     }

@@ -14,10 +14,17 @@ use a4a_synth::{synthesize, SynthOptions, SynthStyle};
 
 fn main() {
     let rows = table1();
-    let header: Vec<String> = ["Controller", "HL (ns)", "UV (ns)", "OV (ns)", "OC (ns)", "ZC (ns)"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+    let header: Vec<String> = [
+        "Controller",
+        "HL (ns)",
+        "UV (ns)",
+        "OV (ns)",
+        "OC (ns)",
+        "ZC (ns)",
+    ]
+    .iter()
+    .map(|s| s.to_string())
+    .collect();
     let mut body: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -38,8 +45,7 @@ fn main() {
     // Gate-level cross-check on the synthesised basic buck controller.
     println!("Gate-level cross-check (synthesised basic_buck, 90nm-class library):");
     let stg = a4a_ctrl::stgs::basic_buck_stg();
-    let synth =
-        synthesize(&stg, &SynthOptions::new(SynthStyle::GeneralizedC)).expect("synthesis");
+    let synth = synthesize(&stg, &SynthOptions::new(SynthStyle::GeneralizedC)).expect("synthesis");
     let netlist = synth.netlist();
     let mut sim = GateSim::new(netlist);
     // Drive the initial state: uv=1, everything else 0; outputs settle.

@@ -317,7 +317,12 @@ mod tests {
     fn fig6_async_beats_sync_333() {
         let sync = fig6_run(ControllerKind::Sync(333.0));
         let asy = fig6_run(ControllerKind::Async);
-        assert!(asy.ripple < sync.ripple, "{} vs {}", asy.ripple, sync.ripple);
+        assert!(
+            asy.ripple < sync.ripple,
+            "{} vs {}",
+            asy.ripple,
+            sync.ripple
+        );
         assert!(asy.peak < sync.peak, "{} vs {}", asy.peak, sync.peak);
         assert_eq!(asy.short_circuits, 0);
         assert_eq!(sync.short_circuits, 0);

@@ -10,9 +10,7 @@
 
 use a4a::scenario::{self, ControllerKind};
 use a4a_analog::metrics;
-use a4a_bench::experiments::{
-    fig7a, fig7b, fig7c, ripple_loss_uw, sweep_cell, table1, SweepPoint,
-};
+use a4a_bench::experiments::{fig7a, fig7b, fig7c, ripple_loss_uw, sweep_cell, table1, SweepPoint};
 use a4a_rt::Pool;
 
 /// Per-column absolute tolerances for Table I reaction times (ns),
@@ -64,15 +62,42 @@ const EXPECTED_7B: &[(f64, [f64; 5])] = &[
 /// Figure 7c, `results/fig7c.csv`: inductor ripple losses (µW) over the
 /// 1–10 µH coil grid at a 6 Ω load.
 const EXPECTED_7C: &[(f64, [f64; 5])] = &[
-    (1.0000, [5810.9631, 2637.9082, 2341.8101, 2787.9151, 3179.2942]),
-    (1.8000, [4859.7153, 4352.7393, 4483.1489, 4857.6605, 5673.6938]),
-    (2.2500, [6431.1556, 5920.4046, 5827.5068, 5743.6533, 6451.6292]),
-    (3.1000, [6928.9085, 7215.6527, 6322.9600, 6474.5336, 7699.4127]),
-    (4.7000, [12708.2347, 7928.0357, 8692.7234, 6768.6384, 8048.8010]),
-    (5.7000, [13541.1912, 9366.4170, 9506.0213, 10540.4197, 10069.2387]),
-    (6.8000, [18256.2831, 13551.4650, 10100.4652, 9580.4287, 8992.9263]),
-    (8.2000, [14947.4287, 12410.1204, 10422.5199, 10628.7161, 10381.7674]),
-    (10.0000, [19100.0970, 13858.7115, 9796.5859, 11121.3396, 9441.3798]),
+    (
+        1.0000,
+        [5810.9631, 2637.9082, 2341.8101, 2787.9151, 3179.2942],
+    ),
+    (
+        1.8000,
+        [4859.7153, 4352.7393, 4483.1489, 4857.6605, 5673.6938],
+    ),
+    (
+        2.2500,
+        [6431.1556, 5920.4046, 5827.5068, 5743.6533, 6451.6292],
+    ),
+    (
+        3.1000,
+        [6928.9085, 7215.6527, 6322.9600, 6474.5336, 7699.4127],
+    ),
+    (
+        4.7000,
+        [12708.2347, 7928.0357, 8692.7234, 6768.6384, 8048.8010],
+    ),
+    (
+        5.7000,
+        [13541.1912, 9366.4170, 9506.0213, 10540.4197, 10069.2387],
+    ),
+    (
+        6.8000,
+        [18256.2831, 13551.4650, 10100.4652, 9580.4287, 8992.9263],
+    ),
+    (
+        8.2000,
+        [14947.4287, 12410.1204, 10422.5199, 10628.7161, 10381.7674],
+    ),
+    (
+        10.0000,
+        [19100.0970, 13858.7115, 9796.5859, 11121.3396, 9441.3798],
+    ),
 ];
 
 const SERIES: [&str; 5] = ["100MHz", "333MHz", "666MHz", "1GHz", "ASYNC"];
@@ -131,7 +156,9 @@ fn check_sweep(
             "\nIf this change is intentional, replace the expected block with:\n\n{}\n\n\
              ...and regenerate results/ with `cargo run --release --bin {}`.",
             paste_block(name, points),
-            name.trim_start_matches("EXPECTED_").to_lowercase().replace("7", "fig7")
+            name.trim_start_matches("EXPECTED_")
+                .to_lowercase()
+                .replace("7", "fig7")
         );
         panic!("{name}: {} golden cell(s) out of tolerance", errors.len());
     }
@@ -217,15 +244,21 @@ const NO_OP_STEP_PERIOD: f64 = 0.37e-9;
 fn window_splits_do_not_move_fig7_cells() {
     // (coil µH, load Ω): the 7a/7c coil grid at 6 Ω, and the 7b load
     // grid at 4.7 µH.
-    let mut cells: Vec<(f64, f64)> = scenario::coil_grid().into_iter().map(|l| (l, 6.0)).collect();
+    let mut cells: Vec<(f64, f64)> = scenario::coil_grid()
+        .into_iter()
+        .map(|l| (l, 6.0))
+        .collect();
     cells.extend(scenario::load_grid().into_iter().map(|r| (4.7, r)));
     let tasks: Vec<(f64, f64, ControllerKind)> = cells
         .iter()
-        .flat_map(|&(l, r)| ControllerKind::paper_series().into_iter().map(move |k| (l, r, k)))
+        .flat_map(|&(l, r)| {
+            ControllerKind::paper_series()
+                .into_iter()
+                .map(move |k| (l, r, k))
+        })
         .collect();
-    let metrics_of = |w: &a4a_analog::Waveform, l: f64| {
-        (metrics::peak_current(w) * 1e3, ripple_loss_uw(w, l))
-    };
+    let metrics_of =
+        |w: &a4a_analog::Waveform, l: f64| (metrics::peak_current(w) * 1e3, ripple_loss_uw(w, l));
     let split = Pool::global().par_map(tasks.clone(), |(l, r, kind)| {
         let plain = metrics_of(&sweep_cell(scenario::sweep_coil(l, r), kind), l);
         let mut builder = scenario::sweep_coil(l, r);
@@ -239,11 +272,19 @@ fn window_splits_do_not_move_fig7_cells() {
     for ((l, r, kind), ((peak, loss), (split_peak, split_loss))) in tasks.iter().zip(split) {
         let label = kind.label();
         if (peak - split_peak).abs() > TOL_PEAK_MA[0] {
-            errors.push(format!("{l} uH {r} Ohm {label}: peak {peak:.4} vs split {split_peak:.4} mA"));
+            errors.push(format!(
+                "{l} uH {r} Ohm {label}: peak {peak:.4} vs split {split_peak:.4} mA"
+            ));
         }
         if *r == 6.0 && (loss - split_loss).abs() > TOL_LOSS_UW[0] {
-            errors.push(format!("{l} uH {label}: loss {loss:.4} vs split {split_loss:.4} uW"));
+            errors.push(format!(
+                "{l} uH {label}: loss {loss:.4} vs split {split_loss:.4} uW"
+            ));
         }
     }
-    assert!(errors.is_empty(), "window splits moved cells:\n{}", errors.join("\n"));
+    assert!(
+        errors.is_empty(),
+        "window splits moved cells:\n{}",
+        errors.join("\n")
+    );
 }

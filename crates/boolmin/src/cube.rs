@@ -288,7 +288,10 @@ mod tests {
         assert_eq!(c.literal(0), Some(true));
         assert_eq!(c.literal(1), None);
         assert_eq!(c.literal(2), Some(false));
-        assert_eq!(c.literals().collect::<Vec<_>>(), vec![(0, true), (2, false)]);
+        assert_eq!(
+            c.literals().collect::<Vec<_>>(),
+            vec![(0, true), (2, false)]
+        );
         assert_eq!(c.to_string(), "0-1");
     }
 

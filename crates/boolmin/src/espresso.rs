@@ -93,7 +93,13 @@ fn irredundant(mut cubes: Vec<Cube>, on: &[u64], _nvars: usize) -> Cover {
                     uncovered.iter().filter(|&&m| c.covers_minterm(m)).count(),
                 )
             })
-            .max_by_key(|&(i, n)| (n, std::cmp::Reverse(cubes[i].literal_count()), usize::MAX - i))
+            .max_by_key(|&(i, n)| {
+                (
+                    n,
+                    std::cmp::Reverse(cubes[i].literal_count()),
+                    usize::MAX - i,
+                )
+            })
             .expect("cubes cover the ON set by construction");
         let best = cubes[best_idx];
         uncovered.retain(|&m| !best.covers_minterm(m));
@@ -157,9 +163,7 @@ mod tests {
         // 30 variables: f = 1 when the low 4 bits equal 0b1010,
         // 0 on a scattered OFF sample. QM cannot enumerate this space.
         let nvars = 30;
-        let on: Vec<u64> = (0..20)
-            .map(|k| 0b1010 | (k << 7) | (1 << 25))
-            .collect();
+        let on: Vec<u64> = (0..20).map(|k| 0b1010 | (k << 7) | (1 << 25)).collect();
         let off: Vec<u64> = (0..20).map(|k| 0b0110 | (k << 9)).collect();
         let cover = espresso(nvars, &on, &off).unwrap();
         exhaustive_check(nvars, &on, &off, &cover);

@@ -166,10 +166,7 @@ impl Expr {
         // precedence: Or=1, And=2, Not/leaf=3
         match self {
             Expr::Const(v) => if *v { "1" } else { "0" }.to_string(),
-            Expr::Var(i) => names
-                .get(*i)
-                .cloned()
-                .unwrap_or_else(|| format!("v{i}")),
+            Expr::Var(i) => names.get(*i).cloned().unwrap_or_else(|| format!("v{i}")),
             Expr::Not(e) => format!("!{}", e.render(names, 3)),
             Expr::And(es) => {
                 let body = es

@@ -39,7 +39,7 @@ mod expr;
 mod qm;
 
 pub use cover::Cover;
-pub use espresso::espresso;
 pub use cube::Cube;
+pub use espresso::espresso;
 pub use expr::Expr;
 pub use qm::{minimize, Minimize, MinimizeError};

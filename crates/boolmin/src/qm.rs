@@ -73,7 +73,10 @@ impl fmt::Display for MinimizeError {
                 write!(f, "minterm {minterm:#b} is both ON and OFF")
             }
             MinimizeError::TooManyVariables { nvars } => {
-                write!(f, "{nvars} variables exceed the 18-variable enumeration bound")
+                write!(
+                    f,
+                    "{nvars} variables exceed the 18-variable enumeration bound"
+                )
             }
         }
     }
@@ -267,8 +270,7 @@ fn petrick(candidates: &[Cube], minterms: &[u64]) -> Vec<Cube> {
             }
         }
         for &m in minterms {
-            let covered = (0..n)
-                .any(|i| mask & (1 << i) != 0 && candidates[i].covers_minterm(m));
+            let covered = (0..n).any(|i| mask & (1 << i) != 0 && candidates[i].covers_minterm(m));
             if !covered {
                 continue 'outer;
             }

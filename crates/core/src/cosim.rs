@@ -34,9 +34,17 @@ const MAX_RESERVED_SAMPLES: u64 = 1 << 16;
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum PendKind {
     /// Driver output reaches the power transistor: the switch toggles.
-    Apply { phase: usize, pmos: bool, value: bool },
+    Apply {
+        phase: usize,
+        pmos: bool,
+        value: bool,
+    },
     /// Threshold-crossing acknowledge back to the controller.
-    Ack { phase: usize, pmos: bool, value: bool },
+    Ack {
+        phase: usize,
+        pmos: bool,
+        value: bool,
+    },
     /// Sensor reference switch takes effect.
     OvMode(bool),
     /// Scheduled load step.
@@ -775,13 +783,14 @@ mod tests {
         let v = tb.buck().output_voltage();
         assert!(v > 3.0 && v < 3.6, "v = {v} after load excursion");
         // The waveform saw the load steps.
-        assert!(tb
-            .waveform()
-            .events
-            .iter()
-            .filter(|(_, n, _)| n == "load_step")
-            .count()
-            == 2);
+        assert!(
+            tb.waveform()
+                .events
+                .iter()
+                .filter(|(_, n, _)| n == "load_step")
+                .count()
+                == 2
+        );
     }
 
     #[test]
@@ -790,13 +799,11 @@ mod tests {
         let run = |sync: bool| -> f64 {
             let builder = TestbenchBuilder::new();
             let w = if sync {
-                let mut tb =
-                    builder.build(SyncController::new(4, SyncParams::at_mhz(100.0)));
+                let mut tb = builder.build(SyncController::new(4, SyncParams::at_mhz(100.0)));
                 tb.run_until(8e-6);
                 tb.into_waveform()
             } else {
-                let mut tb =
-                    builder.build(AsyncController::new(4, AsyncTiming::default()));
+                let mut tb = builder.build(AsyncController::new(4, AsyncTiming::default()));
                 tb.run_until(8e-6);
                 tb.into_waveform()
             };
@@ -860,7 +867,9 @@ mod tests {
             ..SensorThresholds::default()
         };
         assert!(matches!(
-            TestbenchBuilder::new().thresholds(thresholds).try_build(ctrl),
+            TestbenchBuilder::new()
+                .thresholds(thresholds)
+                .try_build(ctrl),
             Err(SimError::InvalidParameter {
                 what: "v_hyst (V)",
                 ..
@@ -896,7 +905,10 @@ mod tests {
         };
         assert!(matches!(
             TestbenchBuilder::new().params(params).try_build(ctrl),
-            Err(SimError::InvalidParameter { what: "cap (F)", .. })
+            Err(SimError::InvalidParameter {
+                what: "cap (F)",
+                ..
+            })
         ));
     }
 
@@ -1101,7 +1113,10 @@ mod tests {
             .expect("default configuration is valid");
         assert!(matches!(
             tb.try_run_until(f64::NAN),
-            Err(SimError::InvalidParameter { what: "t_end (s)", .. })
+            Err(SimError::InvalidParameter {
+                what: "t_end (s)",
+                ..
+            })
         ));
         tb.try_run_until(2e-6).expect("normal run succeeds");
         assert!(tb.buck().output_voltage() > 0.0);
@@ -1166,7 +1181,11 @@ mod window_tests {
             assert_eq!(dense.len(), sparse.len(), "{}", kind.label());
             for (a, b) in dense.iter().zip(&sparse) {
                 assert_eq!((a.1, a.2), (b.1, b.2), "{}: {a:?} vs {b:?}", kind.label());
-                assert!((a.0 - b.0).abs() < 1e-12, "{}: {a:?} vs {b:?}", kind.label());
+                assert!(
+                    (a.0 - b.0).abs() < 1e-12,
+                    "{}: {a:?} vs {b:?}",
+                    kind.label()
+                );
             }
         }
     }

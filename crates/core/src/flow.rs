@@ -118,12 +118,11 @@ impl A4aFlow {
     /// * [`FlowError::Synthesis`] when minimisation, netlist assembly,
     ///   or the joint verification fail.
     pub fn run(&self) -> Result<FlowResult, FlowError> {
-        let sg = self
-            .stg
-            .state_graph(self.options.max_states)
-            .map_err(|e| FlowError::Specification {
+        let sg = self.stg.state_graph(self.options.max_states).map_err(|e| {
+            FlowError::Specification {
                 report: e.to_string(),
-            })?;
+            }
+        })?;
         let sanity = self.stg.verify(&sg);
         if !sanity.is_clean() {
             return Err(FlowError::Specification {

@@ -22,7 +22,8 @@ const T_END: f64 = 1.5e-6;
 fn short_fig6_events_csv() -> String {
     let ctrl = scenario::controller(ControllerKind::Async, 4);
     let mut tb = scenario::fig6().try_build(ctrl).expect("fig6 config valid");
-    tb.try_run_until(T_END).expect("short fig6 run must not diverge");
+    tb.try_run_until(T_END)
+        .expect("short fig6 run must not diverge");
     tb.waveform().events_csv()
 }
 

@@ -88,8 +88,7 @@ impl SyncParams {
         // A NaN, infinite or non-positive `mhz` gives a NaN, zero,
         // infinite or negative period, which this check rejects too.
         let max_period = Time::from_secs(1.0);
-        if !Time::try_from_secs(1.0 / fsm_clk_hz).is_ok_and(|p| p > Time::ZERO && p <= max_period)
-        {
+        if !Time::try_from_secs(1.0 / fsm_clk_hz).is_ok_and(|p| p > Time::ZERO && p <= max_period) {
             return Err(a4a_sim::SimError::InvalidParameter {
                 what: "fsm_clk (MHz)",
                 value: mhz,

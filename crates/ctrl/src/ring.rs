@@ -38,7 +38,11 @@ enum Act {
     /// CHARGE_CTRL begins OV sinking.
     StartOv { phase: usize },
     /// A gate command leaves the controller.
-    Gate { phase: usize, pmos: bool, value: bool },
+    Gate {
+        phase: usize,
+        pmos: bool,
+        value: bool,
+    },
     /// The sensor references switch between normal and OV mode.
     OvMode(bool),
     /// PMOS minimum on-time expired: act on a pending OC.
@@ -264,7 +268,8 @@ impl AsyncController {
             return;
         }
         if t < c.pmos_min_until {
-            self.sched.schedule(c.pmos_min_until, Act::PminDone { phase });
+            self.sched
+                .schedule(c.pmos_min_until, Act::PminDone { phase });
             return;
         }
         // The state changes now, the command leaves at `t`.

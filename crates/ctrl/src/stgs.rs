@@ -99,13 +99,7 @@ pub fn decoupler_stg() -> Stg {
 /// rings by parallel composition. When `holding` the stage starts *with*
 /// the token (its internal latch set, about to issue `pass`); otherwise
 /// it starts waiting for `get`.
-pub fn decoupler_named(
-    get: &str,
-    get_ack: &str,
-    pass: &str,
-    pass_ack: &str,
-    holding: bool,
-) -> Stg {
+pub fn decoupler_named(get: &str, get_ack: &str, pass: &str, pass_ack: &str, holding: bool) -> Stg {
     let mut b = StgBuilder::new(format!("decoupler_{get}_{pass}"));
     let g = b.input(get, false);
     let pa = b.input(pass_ack, false);
@@ -586,7 +580,11 @@ mod tests {
     fn decoupler_pipelines_the_token() {
         let stg = decoupler_stg();
         let sg = stg.state_graph(10_000).unwrap();
-        assert!(sg.state_count() >= 8, "pipelined handshakes: {}", sg.state_count());
+        assert!(
+            sg.state_count() >= 8,
+            "pipelined handshakes: {}",
+            sg.state_count()
+        );
     }
 
     #[test]
@@ -650,7 +648,11 @@ mod tests {
         let lost = ring.check_invariant(&sg, |code| {
             code & (t0.mask() | t1.mask() | c01.mask() | c10.mask()) != 0
         });
-        assert!(lost.is_empty(), "the token vanished in {} states", lost.len());
+        assert!(
+            lost.is_empty(),
+            "the token vanished in {} states",
+            lost.len()
+        );
         // And the token visits both stages.
         let mut saw0 = false;
         let mut saw1 = false;

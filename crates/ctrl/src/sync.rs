@@ -158,8 +158,9 @@ impl SyncController {
             .activation_period
             .as_fs()
             .div_ceil(period.as_fs());
-        let mut phase_vec: Vec<Phase> =
-            (0..phases).map(|_| Phase::new(params.sync_stages)).collect();
+        let mut phase_vec: Vec<Phase> = (0..phases)
+            .map(|_| Phase::new(params.sync_stages))
+            .collect();
         // Phase 0 starts active (mirrors the token starting at stage 0).
         phase_vec[0].armed = true;
         SyncController {
@@ -590,11 +591,7 @@ mod tests {
                 .unwrap_or(f64::NAN)
         };
         let clean = measure(a4a_a2a::MetaParams::disabled());
-        let meta = measure(a4a_a2a::MetaParams::with_seed(
-            1.0,
-            Time::from_ns(1.0),
-            3,
-        ));
+        let meta = measure(a4a_a2a::MetaParams::with_seed(1.0, Time::from_ns(1.0), 3));
         assert!(
             meta >= clean + 9.0,
             "metastable capture must cost at least a period: {clean} vs {meta}"

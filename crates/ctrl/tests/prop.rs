@@ -96,30 +96,42 @@ fn drive(
 /// sensor fuzz.
 #[test]
 fn async_never_shorts() {
-    prop::check_with(&Config::with_cases(40), "async_never_shorts", |g: &mut Gen| -> PropResult {
-        let events = arb_events(g, 3, 60);
-        drive(AsyncController::new(3, AsyncTiming::default()), &events, 3)?;
-        Ok(())
-    });
+    prop::check_with(
+        &Config::with_cases(40),
+        "async_never_shorts",
+        |g: &mut Gen| -> PropResult {
+            let events = arb_events(g, 3, 60);
+            drive(AsyncController::new(3, AsyncTiming::default()), &events, 3)?;
+            Ok(())
+        },
+    );
 }
 
 /// Neither does the synchronous controller, at any clock rate.
 #[test]
 fn sync_never_shorts() {
-    prop::check_with(&Config::with_cases(40), "sync_never_shorts", |g: &mut Gen| -> PropResult {
-        let events = arb_events(g, 3, 60);
-        let mhz = g.f64(50.0..1200.0);
-        drive(SyncController::new(3, SyncParams::at_mhz(mhz)), &events, 3)?;
-        Ok(())
-    });
+    prop::check_with(
+        &Config::with_cases(40),
+        "sync_never_shorts",
+        |g: &mut Gen| -> PropResult {
+            let events = arb_events(g, 3, 60);
+            let mhz = g.f64(50.0..1200.0);
+            drive(SyncController::new(3, SyncParams::at_mhz(mhz)), &events, 3)?;
+            Ok(())
+        },
+    );
 }
 
 /// The basic single-phase controller, a one-stage ring, is safe too.
 #[test]
 fn basic_never_shorts() {
-    prop::check_with(&Config::with_cases(40), "basic_never_shorts", |g: &mut Gen| -> PropResult {
-        let events = arb_events(g, 1, 40);
-        drive(AsyncController::new(1, AsyncTiming::default()), &events, 1)?;
-        Ok(())
-    });
+    prop::check_with(
+        &Config::with_cases(40),
+        "basic_never_shorts",
+        |g: &mut Gen| -> PropResult {
+            let events = arb_events(g, 1, 40);
+            drive(AsyncController::new(1, AsyncTiming::default()), &events, 1)?;
+            Ok(())
+        },
+    );
 }

@@ -53,13 +53,7 @@ pub fn decompose(netlist: &Netlist, lib: &GateLib) -> Result<Netlist, NetlistErr
             GateKind::GeneralizedC { set, reset } => {
                 let set_net = emit_tree(&mut b, lib, set, &pins, None, &mut fresh);
                 let reset_net = emit_tree(&mut b, lib, reset, &pins, None, &mut fresh);
-                b.generalized_c(
-                    out,
-                    &[set_net, reset_net],
-                    Expr::var(0),
-                    Expr::var(1),
-                    lib,
-                );
+                b.generalized_c(out, &[set_net, reset_net], Expr::var(0), Expr::var(1), lib);
             }
             GateKind::MutexHalf => {
                 b.gate(out, &pins, GateKind::MutexHalf, lib);
@@ -164,11 +158,8 @@ pub fn combinational_expr(netlist: &Netlist, net: NetId) -> Expr {
                 match &gate.kind {
                     GateKind::Complex(e) => {
                         path.push(net);
-                        let subs: Vec<Expr> = gate
-                            .pins
-                            .iter()
-                            .map(|&p| walk(netlist, p, path))
-                            .collect();
+                        let subs: Vec<Expr> =
+                            gate.pins.iter().map(|&p| walk(netlist, p, path)).collect();
                         path.pop();
                         substitute(e, &subs)
                     }
@@ -196,7 +187,10 @@ mod tests {
     use super::*;
 
     fn max_fanin(n: &Netlist) -> usize {
-        n.gate_ids().map(|g| n.gate(g).pins.len()).max().unwrap_or(0)
+        n.gate_ids()
+            .map(|g| n.gate(g).pins.len())
+            .max()
+            .unwrap_or(0)
     }
 
     #[test]
@@ -302,5 +296,4 @@ mod tests {
         let yv = combinational_expr(&mapped, mapped.net_by_name("y").unwrap());
         assert_eq!(yv, Expr::constant(true));
     }
-
 }

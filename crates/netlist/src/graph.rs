@@ -186,7 +186,9 @@ impl Netlist {
 
     /// Primary input nets.
     pub fn inputs(&self) -> Vec<NetId> {
-        self.net_ids().filter(|&n| self.nets[n.index()].is_input).collect()
+        self.net_ids()
+            .filter(|&n| self.nets[n.index()].is_input)
+            .collect()
     }
 
     /// The gate driving `net`, if any (primary inputs have none).
@@ -370,11 +372,9 @@ impl NetlistBuilder {
             }
             let max_var = match &g.kind {
                 GateKind::Complex(e) => e.support().into_iter().max(),
-                GateKind::GeneralizedC { set, reset } => set
-                    .support()
-                    .into_iter()
-                    .chain(reset.support())
-                    .max(),
+                GateKind::GeneralizedC { set, reset } => {
+                    set.support().into_iter().chain(reset.support()).max()
+                }
                 GateKind::MutexHalf => Some(1),
             };
             if let Some(v) = max_var {

@@ -149,19 +149,14 @@ mod tests {
         let a = b.input("a");
         let y = b.net("y");
         // y = a | y : state-holding complex gate with feedback.
-        b.complex(
-            y,
-            &[a, y],
-            Expr::or(vec![Expr::var(0), Expr::var(1)]),
-            &lib,
-        );
+        b.complex(y, &[a, y], Expr::or(vec![Expr::var(0), Expr::var(1)]), &lib);
         let n = b.build().unwrap();
         let p = worst_path_to(&n, y).expect("terminates");
         assert!(p.delay > Time::ZERO);
     }
 
     #[test]
-    fn critical_path_is_global_max(){
+    fn critical_path_is_global_max() {
         let lib = GateLib::tsmc90();
         let mut b = NetlistBuilder::new("crit");
         let a = b.input("a");

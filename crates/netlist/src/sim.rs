@@ -228,11 +228,7 @@ impl<'a> GateSim<'a> {
     /// completions of the unknown inputs agree.
     fn eval_gate(&self, gate_id: GateId, current: Logic) -> Logic {
         let gate = self.netlist.gate(gate_id);
-        let pins: Vec<Logic> = gate
-            .pins
-            .iter()
-            .map(|&p| self.values[p.index()])
-            .collect();
+        let pins: Vec<Logic> = gate.pins.iter().map(|&p| self.values[p.index()]).collect();
         let any_x = pins.iter().any(|l| l.is_x()) || current.is_x();
         if !any_x {
             let bits: Vec<bool> = pins.iter().map(|l| l.is_one()).collect();
@@ -309,7 +305,12 @@ mod tests {
         let a = b.input("a");
         let c = b.input("c");
         let y = b.net("y");
-        b.complex(y, &[a, c], Expr::and(vec![Expr::var(0), Expr::var(1)]), &lib);
+        b.complex(
+            y,
+            &[a, c],
+            Expr::and(vec![Expr::var(0), Expr::var(1)]),
+            &lib,
+        );
         let n = b.build().unwrap();
         let mut sim = GateSim::new(&n);
         assert_eq!(sim.value(y), Logic::X);
@@ -435,7 +436,10 @@ mod tests {
         sim.set_tracing(true);
         sim.set_input(a, true);
         sim.settle(Time::from_ns(10.0));
-        assert!(sim.trace().iter().any(|t| t.net == y && t.value == Logic::One));
+        assert!(sim
+            .trace()
+            .iter()
+            .any(|t| t.net == y && t.value == Logic::One));
     }
 
     #[test]
@@ -456,7 +460,10 @@ mod tests {
             .expect("output toggles");
         assert_eq!(net, y);
         // Two inverter delays: rise then fall (or vice versa).
-        assert!(dt > Time::from_ps(50.0) && dt < Time::from_ps(200.0), "{dt}");
+        assert!(
+            dt > Time::from_ps(50.0) && dt < Time::from_ps(200.0),
+            "{dt}"
+        );
     }
 
     #[test]

@@ -67,7 +67,11 @@ pub fn emit(netlist: &Netlist) -> String {
         let out_name = ident(gate.output);
         match &gate.kind {
             GateKind::Complex(expr) => {
-                let _ = writeln!(out, "  assign {out_name} = {};", verilog_expr(expr, &pin_names));
+                let _ = writeln!(
+                    out,
+                    "  assign {out_name} = {};",
+                    verilog_expr(expr, &pin_names)
+                );
             }
             GateKind::GeneralizedC { set, reset } => {
                 instance += 1;
@@ -147,7 +151,13 @@ fn render(expr: &Expr, pins: &[String], prec: u8) -> String {
 fn sanitise(name: &str) -> String {
     let mut s: String = name
         .chars()
-        .map(|c| if c.is_alphanumeric() || c == '_' { c } else { '_' })
+        .map(|c| {
+            if c.is_alphanumeric() || c == '_' {
+                c
+            } else {
+                '_'
+            }
+        })
         .collect();
     if s.is_empty() || s.chars().next().is_some_and(|c| c.is_ascii_digit()) {
         s.insert(0, 'n');

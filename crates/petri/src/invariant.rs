@@ -97,10 +97,7 @@ impl PetriNet {
             .map(|t| {
                 (0..np)
                     .map(|p| {
-                        i128::from(self.incidence(
-                            PlaceId(p as u32),
-                            crate::TransitionId(t as u32),
-                        ))
+                        i128::from(self.incidence(PlaceId(p as u32), crate::TransitionId(t as u32)))
                     })
                     .collect()
             })
@@ -163,9 +160,7 @@ impl PetriNet {
                 .map(|i| (numer[i] * (lcm_all / denom[i])) as i64)
                 .collect();
             // Normalise sign and gcd.
-            let g = weights
-                .iter()
-                .fold(0i64, |acc, &x| gcd64(acc, x.abs()));
+            let g = weights.iter().fold(0i64, |acc, &x| gcd64(acc, x.abs()));
             if g > 1 {
                 for w in &mut weights {
                     *w /= g;
@@ -323,10 +318,7 @@ mod tests {
             weights: vec![1, 0, 2, 0],
         };
         assert!(inv.is_semi_positive());
-        assert_eq!(
-            inv.support(),
-            vec![crate::PlaceId(0), crate::PlaceId(2)]
-        );
+        assert_eq!(inv.support(), vec![crate::PlaceId(0), crate::PlaceId(2)]);
         let neg = PlaceInvariant {
             weights: vec![1, -1],
         };

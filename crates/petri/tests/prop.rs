@@ -60,26 +60,29 @@ fn exploration_deterministic() {
 /// Firing any enabled transition preserves every computed invariant.
 #[test]
 fn invariants_survive_any_firing() {
-    prop::check("invariants_survive_any_firing", |g: &mut Gen| -> PropResult {
-        let n = g.usize(2..6);
-        let steps = g.vec(0..30, |g| g.usize(0..8));
-        let net = ring(n, 2);
-        let invariants = net.place_invariants();
-        let mut marking = net.initial_marking();
-        let sums: Vec<i64> = invariants.iter().map(|inv| inv.sum(&marking)).collect();
-        for pick in steps {
-            let enabled = net.enabled(&marking);
-            if enabled.is_empty() {
-                break;
+    prop::check(
+        "invariants_survive_any_firing",
+        |g: &mut Gen| -> PropResult {
+            let n = g.usize(2..6);
+            let steps = g.vec(0..30, |g| g.usize(0..8));
+            let net = ring(n, 2);
+            let invariants = net.place_invariants();
+            let mut marking = net.initial_marking();
+            let sums: Vec<i64> = invariants.iter().map(|inv| inv.sum(&marking)).collect();
+            for pick in steps {
+                let enabled = net.enabled(&marking);
+                if enabled.is_empty() {
+                    break;
+                }
+                let t = enabled[pick % enabled.len()];
+                marking = net.fire(t, &marking);
+                for (inv, &s0) in invariants.iter().zip(&sums) {
+                    prop_assert_eq!(inv.sum(&marking), s0);
+                }
             }
-            let t = enabled[pick % enabled.len()];
-            marking = net.fire(t, &marking);
-            for (inv, &s0) in invariants.iter().zip(&sums) {
-                prop_assert_eq!(inv.sum(&marking), s0);
-            }
-        }
-        Ok(())
-    });
+            Ok(())
+        },
+    );
 }
 
 /// A linear pipeline of length n has exactly n+1 reachable markings
@@ -111,24 +114,27 @@ fn pipeline_state_count() {
 /// Product of k independent toggles has 2^k states.
 #[test]
 fn independent_components_multiply() {
-    prop::check("independent_components_multiply", |g: &mut Gen| -> PropResult {
-        let k = g.usize(1..5);
-        let mut b = NetBuilder::new();
-        for i in 0..k {
-            let p0 = b.place_with_tokens(format!("a{i}"), 1);
-            let p1 = b.place(format!("b{i}"));
-            let t0 = b.transition(format!("t{i}_0"));
-            let t1 = b.transition(format!("t{i}_1"));
-            b.arc_pt(p0, t0);
-            b.arc_tp(t0, p1);
-            b.arc_pt(p1, t1);
-            b.arc_tp(t1, p0);
-        }
-        let net = b.build();
-        let gr = net.explore(100_000).unwrap();
-        prop_assert_eq!(gr.state_count(), 1 << k);
-        Ok(())
-    });
+    prop::check(
+        "independent_components_multiply",
+        |g: &mut Gen| -> PropResult {
+            let k = g.usize(1..5);
+            let mut b = NetBuilder::new();
+            for i in 0..k {
+                let p0 = b.place_with_tokens(format!("a{i}"), 1);
+                let p1 = b.place(format!("b{i}"));
+                let t0 = b.transition(format!("t{i}_0"));
+                let t1 = b.transition(format!("t{i}_1"));
+                b.arc_pt(p0, t0);
+                b.arc_tp(t0, p1);
+                b.arc_pt(p1, t1);
+                b.arc_tp(t1, p0);
+            }
+            let net = b.build();
+            let gr = net.explore(100_000).unwrap();
+            prop_assert_eq!(gr.state_count(), 1 << k);
+            Ok(())
+        },
+    );
 }
 
 /// A random safe marking survives a round trip through the kernel's bit
@@ -138,34 +144,39 @@ fn independent_components_multiply() {
 #[test]
 fn packed_and_dense_markings_agree() {
     use a4a_petri::{Engine, Marking};
-    prop::check("packed_and_dense_markings_agree", |g: &mut Gen| -> PropResult {
-        let places = g.usize(0..200);
-        let tokens: Vec<u32> = (0..places).map(|_| g.u64(0..2) as u32).collect();
-        let mut b = NetBuilder::new();
-        for (i, &t) in tokens.iter().enumerate() {
-            b.place_with_tokens(format!("p{i}"), t);
-        }
-        let net = b.build();
-        let kernel = net.explore(1).expect("no transitions: one state");
-        let reference = net.explore_from(net.initial_marking(), 1).expect("one state");
-        prop_assert_eq!(kernel.engine(), Engine::Kernel);
-        prop_assert_eq!(reference.engine(), Engine::Reference);
-        let (k, r) = (
-            kernel.marking(a4a_petri::StateId::INITIAL),
-            reference.marking(a4a_petri::StateId::INITIAL),
-        );
-        prop_assert_eq!(&k, &r);
-        prop_assert_eq!(k.fx_hash(), r.fx_hash());
-        prop_assert_eq!(k.total_tokens(), r.total_tokens());
-        prop_assert_eq!(k.iter().collect::<Vec<_>>(), tokens.clone());
-        prop_assert_eq!(kernel.bound(), r.iter().max().unwrap_or(0));
-        // A set keyed on the std Hash stream treats them as one key.
-        let mut set: a4a_rt::FxHashSet<Marking> = a4a_rt::FxHashSet::default();
-        set.insert(k);
-        prop_assert!(set.contains(&r));
-        prop_assert_eq!(Marking::new(tokens), r);
-        Ok(())
-    });
+    prop::check(
+        "packed_and_dense_markings_agree",
+        |g: &mut Gen| -> PropResult {
+            let places = g.usize(0..200);
+            let tokens: Vec<u32> = (0..places).map(|_| g.u64(0..2) as u32).collect();
+            let mut b = NetBuilder::new();
+            for (i, &t) in tokens.iter().enumerate() {
+                b.place_with_tokens(format!("p{i}"), t);
+            }
+            let net = b.build();
+            let kernel = net.explore(1).expect("no transitions: one state");
+            let reference = net
+                .explore_from(net.initial_marking(), 1)
+                .expect("one state");
+            prop_assert_eq!(kernel.engine(), Engine::Kernel);
+            prop_assert_eq!(reference.engine(), Engine::Reference);
+            let (k, r) = (
+                kernel.marking(a4a_petri::StateId::INITIAL),
+                reference.marking(a4a_petri::StateId::INITIAL),
+            );
+            prop_assert_eq!(&k, &r);
+            prop_assert_eq!(k.fx_hash(), r.fx_hash());
+            prop_assert_eq!(k.total_tokens(), r.total_tokens());
+            prop_assert_eq!(k.iter().collect::<Vec<_>>(), tokens.clone());
+            prop_assert_eq!(kernel.bound(), r.iter().max().unwrap_or(0));
+            // A set keyed on the std Hash stream treats them as one key.
+            let mut set: a4a_rt::FxHashSet<Marking> = a4a_rt::FxHashSet::default();
+            set.insert(k);
+            prop_assert!(set.contains(&r));
+            prop_assert_eq!(Marking::new(tokens), r);
+            Ok(())
+        },
+    );
 }
 
 /// A net whose initial marking is not safe runs on the reference engine,
@@ -174,22 +185,25 @@ fn packed_and_dense_markings_agree() {
 #[test]
 fn unsafe_and_safe_markings_stay_distinct() {
     use a4a_petri::{Engine, Marking};
-    prop::check("unsafe_and_safe_stay_distinct", |g: &mut Gen| -> PropResult {
-        let places = g.usize(1..64);
-        let hot = g.usize(0..places);
-        let mut tokens: Vec<u32> = (0..places).map(|_| g.u64(0..2) as u32).collect();
-        let safe = Marking::new(tokens.clone());
-        tokens[hot] += 2; // now unsafe at `hot`
-        let unsafe_m = Marking::new(tokens);
-        prop_assert!(safe != unsafe_m);
-        prop_assert!(safe.fx_hash() != unsafe_m.fx_hash());
-        let mut b = NetBuilder::new();
-        for (i, t) in unsafe_m.iter().enumerate() {
-            b.place_with_tokens(format!("p{i}"), t);
-        }
-        let g = b.build().explore(1).expect("one state");
-        prop_assert_eq!(g.engine(), Engine::Reference);
-        prop_assert_eq!(g.marking(a4a_petri::StateId::INITIAL), unsafe_m);
-        Ok(())
-    });
+    prop::check(
+        "unsafe_and_safe_stay_distinct",
+        |g: &mut Gen| -> PropResult {
+            let places = g.usize(1..64);
+            let hot = g.usize(0..places);
+            let mut tokens: Vec<u32> = (0..places).map(|_| g.u64(0..2) as u32).collect();
+            let safe = Marking::new(tokens.clone());
+            tokens[hot] += 2; // now unsafe at `hot`
+            let unsafe_m = Marking::new(tokens);
+            prop_assert!(safe != unsafe_m);
+            prop_assert!(safe.fx_hash() != unsafe_m.fx_hash());
+            let mut b = NetBuilder::new();
+            for (i, t) in unsafe_m.iter().enumerate() {
+                b.place_with_tokens(format!("p{i}"), t);
+            }
+            let g = b.build().explore(1).expect("one state");
+            prop_assert_eq!(g.engine(), Engine::Reference);
+            prop_assert_eq!(g.marking(a4a_petri::StateId::INITIAL), unsafe_m);
+            Ok(())
+        },
+    );
 }

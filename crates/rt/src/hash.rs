@@ -413,7 +413,10 @@ mod tests {
     fn load_stays_at_or_below_half() {
         for capacity in 0..300 {
             let table = IdTable::with_capacity(capacity);
-            assert!(capacity * 2 <= table.slots.len(), "with_capacity({capacity})");
+            assert!(
+                capacity * 2 <= table.slots.len(),
+                "with_capacity({capacity})"
+            );
             assert!(table.slots.len() * 8 <= seven_eighths_slots(capacity) * 16);
         }
         // Filling a pre-sized table to its capacity never regrows it.
@@ -427,7 +430,11 @@ mod tests {
         for k in 0..20_000u32 {
             table.insert(fx_hash_one(&k), k);
             let len = table.len();
-            assert!(len * 2 <= table.slots.len(), "{len} ids in {}", table.slots.len());
+            assert!(
+                len * 2 <= table.slots.len(),
+                "{len} ids in {}",
+                table.slots.len()
+            );
             // Never more bytes than the previous layout.
             assert!(table.slots.len() * 8 <= seven_eighths_slots(len) * 16);
         }
@@ -445,7 +452,12 @@ mod tests {
                 growths += 1;
                 for old in 0..=k {
                     let id = table.get(fx_hash_one(&old), |id| arena[id as usize] == old);
-                    assert_eq!(id, Some(old as u32), "lost {old} growing to {}", table.slots.len());
+                    assert_eq!(
+                        id,
+                        Some(old as u32),
+                        "lost {old} growing to {}",
+                        table.slots.len()
+                    );
                 }
             }
         }

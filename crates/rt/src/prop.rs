@@ -385,7 +385,13 @@ fn run_case(seed: u64, prop: &impl Fn(&mut Gen) -> PropResult) -> PropResult {
 }
 
 /// Reruns one seed; on failure, shrinks and panics with the report.
-fn run_one(config: &Config, name: &str, seed: u64, case_index: u32, prop: &impl Fn(&mut Gen) -> PropResult) {
+fn run_one(
+    config: &Config,
+    name: &str,
+    seed: u64,
+    case_index: u32,
+    prop: &impl Fn(&mut Gen) -> PropResult,
+) {
     let mut g = Gen::random(seed);
     match prop(&mut g) {
         Ok(()) | Err(PropError::Discard) => (),

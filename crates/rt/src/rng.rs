@@ -46,10 +46,7 @@ impl Rng {
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let [s0, s1, s2, s3] = self.s;
-        let result = s0
-            .wrapping_add(s3)
-            .rotate_left(23)
-            .wrapping_add(s0);
+        let result = s0.wrapping_add(s3).rotate_left(23).wrapping_add(s0);
         let t = s1 << 17;
         let mut s2 = s2 ^ s0;
         let mut s3 = s3 ^ s1;

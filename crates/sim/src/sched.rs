@@ -134,12 +134,9 @@ impl<E> Scheduler<E> {
     /// [`SimError::TimeOverflow`] when `now + delay` leaves the
     /// representable range instead of saturating.
     pub fn try_schedule_after(&mut self, delay: Time, event: E) -> Result<EventKey, SimError> {
-        let time = self
-            .now
-            .checked_add(delay)
-            .ok_or(SimError::TimeOverflow {
-                op: "schedule_after",
-            })?;
+        let time = self.now.checked_add(delay).ok_or(SimError::TimeOverflow {
+            op: "schedule_after",
+        })?;
         self.try_schedule(time, event)
     }
 
@@ -356,7 +353,12 @@ mod tests {
         s.schedule(Time::MAX - Time::from_fs(1), ());
         s.pop();
         let err = s.try_schedule_after(Time::from_ns(1.0), ()).unwrap_err();
-        assert_eq!(err, SimError::TimeOverflow { op: "schedule_after" });
+        assert_eq!(
+            err,
+            SimError::TimeOverflow {
+                op: "schedule_after"
+            }
+        );
         // The saturating wrapper still lands on the MAX sentinel.
         let k = s.schedule_after(Time::from_ns(1.0), ());
         assert_eq!(s.next_time(), Some(Time::MAX));

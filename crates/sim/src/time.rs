@@ -264,7 +264,10 @@ mod tests {
 
     #[test]
     fn saturating_sub_clamps_at_zero() {
-        assert_eq!(Time::from_ns(1.0).saturating_sub(Time::from_ns(2.0)), Time::ZERO);
+        assert_eq!(
+            Time::from_ns(1.0).saturating_sub(Time::from_ns(2.0)),
+            Time::ZERO
+        );
     }
 
     #[test]

@@ -8,33 +8,36 @@ use a4a_sim::{EventKey, Logic, Scheduler, SimError, Time};
 /// order, with FIFO tie-breaking.
 #[test]
 fn scheduler_orders_any_sequence() {
-    prop::check("scheduler_orders_any_sequence", |g: &mut Gen| -> PropResult {
-        let times = g.vec(1..200, |g| g.u64(0..1_000_000));
-        let mut sched = Scheduler::new();
-        for (i, &t) in times.iter().enumerate() {
-            sched.schedule(Time::from_fs(t), i);
-        }
-        let mut last_time = Time::ZERO;
-        let mut seen_at_time: Vec<usize> = Vec::new();
-        let mut count = 0;
-        while let Some((t, idx)) = sched.pop() {
-            prop_assert!(t >= last_time, "time went backwards");
-            if t != last_time {
-                seen_at_time.clear();
+    prop::check(
+        "scheduler_orders_any_sequence",
+        |g: &mut Gen| -> PropResult {
+            let times = g.vec(1..200, |g| g.u64(0..1_000_000));
+            let mut sched = Scheduler::new();
+            for (i, &t) in times.iter().enumerate() {
+                sched.schedule(Time::from_fs(t), i);
             }
-            // FIFO among equal times: indices increase.
-            if let Some(&prev) = seen_at_time.last() {
-                if times[prev] == times[idx] {
-                    prop_assert!(idx > prev, "FIFO violated");
+            let mut last_time = Time::ZERO;
+            let mut seen_at_time: Vec<usize> = Vec::new();
+            let mut count = 0;
+            while let Some((t, idx)) = sched.pop() {
+                prop_assert!(t >= last_time, "time went backwards");
+                if t != last_time {
+                    seen_at_time.clear();
                 }
+                // FIFO among equal times: indices increase.
+                if let Some(&prev) = seen_at_time.last() {
+                    if times[prev] == times[idx] {
+                        prop_assert!(idx > prev, "FIFO violated");
+                    }
+                }
+                seen_at_time.push(idx);
+                last_time = t;
+                count += 1;
             }
-            seen_at_time.push(idx);
-            last_time = t;
-            count += 1;
-        }
-        prop_assert_eq!(count, times.len());
-        Ok(())
-    });
+            prop_assert_eq!(count, times.len());
+            Ok(())
+        },
+    );
 }
 
 /// Cancelling an arbitrary subset removes exactly those events.
@@ -77,63 +80,63 @@ fn scheduler_cancellation() {
 /// cancelled.
 #[test]
 fn scheduler_model_interleaved_churn() {
-    prop::check("scheduler_model_interleaved_churn", |g: &mut Gen| -> PropResult {
-        let ops = g.usize(1..120);
-        let mut sched: Scheduler<u64> = Scheduler::new();
-        // Reference model: (time, seq) of still-pending events, plus the
-        // full key history with each key's reference state.
-        let mut pending: Vec<(Time, u64)> = Vec::new();
-        let mut keys: Vec<(EventKey, u64, bool)> = Vec::new(); // (key, seq, alive)
-        let mut next_seq = 0u64;
-        let mut last_popped = Time::ZERO;
-        for _ in 0..ops {
-            match g.choice(4) {
-                0 | 1 => {
-                    // Schedule at or after `now` (past events are a
-                    // separate property below).
-                    let t = sched.now().saturating_add(Time::from_fs(g.u64(0..10_000)));
-                    let key = sched.schedule(t, next_seq);
-                    pending.push((t, next_seq));
-                    keys.push((key, next_seq, true));
-                    next_seq += 1;
-                }
-                2 => {
-                    if keys.is_empty() {
-                        continue;
+    prop::check(
+        "scheduler_model_interleaved_churn",
+        |g: &mut Gen| -> PropResult {
+            let ops = g.usize(1..120);
+            let mut sched: Scheduler<u64> = Scheduler::new();
+            // Reference model: (time, seq) of still-pending events, plus the
+            // full key history with each key's reference state.
+            let mut pending: Vec<(Time, u64)> = Vec::new();
+            let mut keys: Vec<(EventKey, u64, bool)> = Vec::new(); // (key, seq, alive)
+            let mut next_seq = 0u64;
+            let mut last_popped = Time::ZERO;
+            for _ in 0..ops {
+                match g.choice(4) {
+                    0 | 1 => {
+                        // Schedule at or after `now` (past events are a
+                        // separate property below).
+                        let t = sched.now().saturating_add(Time::from_fs(g.u64(0..10_000)));
+                        let key = sched.schedule(t, next_seq);
+                        pending.push((t, next_seq));
+                        keys.push((key, next_seq, true));
+                        next_seq += 1;
                     }
-                    let pick = g.usize(0..keys.len());
-                    let (key, seq, _) = keys[pick];
-                    let alive = pending.iter().any(|&(_, s)| s == seq);
-                    prop_assert_eq!(
-                        sched.cancel(key),
-                        alive,
-                        "cancel must mirror the reference model"
-                    );
-                    pending.retain(|&(_, s)| s != seq);
-                    keys[pick].2 = false;
-                }
-                _ => {
-                    // The reference's earliest event: min time, then
-                    // min seq (insertion order).
-                    let expect = pending
-                        .iter()
-                        .copied()
-                        .min_by_key(|&(t, s)| (t, s));
-                    prop_assert_eq!(sched.peek_time(), expect.map(|(t, _)| t));
-                    let got = sched.pop();
-                    prop_assert_eq!(got, expect);
-                    if let Some((t, s)) = expect {
-                        prop_assert!(t >= last_popped, "time went backwards");
-                        last_popped = t;
-                        pending.retain(|&(_, q)| q != s);
+                    2 => {
+                        if keys.is_empty() {
+                            continue;
+                        }
+                        let pick = g.usize(0..keys.len());
+                        let (key, seq, _) = keys[pick];
+                        let alive = pending.iter().any(|&(_, s)| s == seq);
+                        prop_assert_eq!(
+                            sched.cancel(key),
+                            alive,
+                            "cancel must mirror the reference model"
+                        );
+                        pending.retain(|&(_, s)| s != seq);
+                        keys[pick].2 = false;
+                    }
+                    _ => {
+                        // The reference's earliest event: min time, then
+                        // min seq (insertion order).
+                        let expect = pending.iter().copied().min_by_key(|&(t, s)| (t, s));
+                        prop_assert_eq!(sched.peek_time(), expect.map(|(t, _)| t));
+                        let got = sched.pop();
+                        prop_assert_eq!(got, expect);
+                        if let Some((t, s)) = expect {
+                            prop_assert!(t >= last_popped, "time went backwards");
+                            last_popped = t;
+                            pending.retain(|&(_, q)| q != s);
+                        }
                     }
                 }
+                prop_assert_eq!(sched.len(), pending.len(), "len out of sync");
+                prop_assert_eq!(sched.is_empty(), pending.is_empty());
             }
-            prop_assert_eq!(sched.len(), pending.len(), "len out of sync");
-            prop_assert_eq!(sched.is_empty(), pending.is_empty());
-        }
-        Ok(())
-    });
+            Ok(())
+        },
+    );
 }
 
 /// `peek_time` (mutating, lazy-pruning) and `next_time` (immutable,
@@ -141,35 +144,38 @@ fn scheduler_model_interleaved_churn() {
 /// what `pop` then delivers.
 #[test]
 fn scheduler_peek_next_pop_agree() {
-    prop::check("scheduler_peek_next_pop_agree", |g: &mut Gen| -> PropResult {
-        let times = g.vec(1..60, |g| g.u64(0..500));
-        let cancel_mask = g.vec(1..60, |g| g.bool());
-        let mut sched = Scheduler::new();
-        let keys: Vec<_> = times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| sched.schedule(Time::from_fs(t), i))
-            .collect();
-        for (i, key) in keys.iter().enumerate() {
-            if cancel_mask.get(i).copied().unwrap_or(false) {
-                sched.cancel(*key);
-            }
-        }
-        loop {
-            let next = sched.next_time();
-            let peek = sched.peek_time();
-            prop_assert_eq!(next, peek, "next_time and peek_time disagree");
-            match sched.pop() {
-                Some((t, _)) => prop_assert_eq!(Some(t), next),
-                None => {
-                    prop_assert_eq!(next, None);
-                    break;
+    prop::check(
+        "scheduler_peek_next_pop_agree",
+        |g: &mut Gen| -> PropResult {
+            let times = g.vec(1..60, |g| g.u64(0..500));
+            let cancel_mask = g.vec(1..60, |g| g.bool());
+            let mut sched = Scheduler::new();
+            let keys: Vec<_> = times
+                .iter()
+                .enumerate()
+                .map(|(i, &t)| sched.schedule(Time::from_fs(t), i))
+                .collect();
+            for (i, key) in keys.iter().enumerate() {
+                if cancel_mask.get(i).copied().unwrap_or(false) {
+                    sched.cancel(*key);
                 }
             }
-        }
-        prop_assert_eq!(sched.len(), 0);
-        Ok(())
-    });
+            loop {
+                let next = sched.next_time();
+                let peek = sched.peek_time();
+                prop_assert_eq!(next, peek, "next_time and peek_time disagree");
+                match sched.pop() {
+                    Some((t, _)) => prop_assert_eq!(Some(t), next),
+                    None => {
+                        prop_assert_eq!(next, None);
+                        break;
+                    }
+                }
+            }
+            prop_assert_eq!(sched.len(), 0);
+            Ok(())
+        },
+    );
 }
 
 /// Once a key's event has been delivered, every cancellation attempt —

@@ -98,7 +98,10 @@ impl Stg {
         }
         if signals.len() > 64 {
             return Err(StgError::Compose {
-                message: format!("composition has {} signals; at most 64 supported", signals.len()),
+                message: format!(
+                    "composition has {} signals; at most 64 supported",
+                    signals.len()
+                ),
             });
         }
         let shared: Vec<String> = self
@@ -143,10 +146,10 @@ impl Stg {
         };
 
         let add_arcs = |net: &mut NetBuilder,
-                            nt: TransitionId,
-                            src: &Stg,
-                            t: TransitionId,
-                            place_map: &[PlaceId]| {
+                        nt: TransitionId,
+                        src: &Stg,
+                        t: TransitionId,
+                        place_map: &[PlaceId]| {
             let tr = src.net.transition(t);
             for &(p, w) in tr.consumed() {
                 net.arc_pt_weighted(place_map[p.index()], nt, w);
@@ -286,7 +289,11 @@ mod tests {
         assert_eq!(closed.signal_count(), 2);
         let req = closed.signal_by_name("req").unwrap();
         let ack = closed.signal_by_name("ack").unwrap();
-        assert_eq!(closed.signal(req).kind, SignalKind::Output, "env drives req");
+        assert_eq!(
+            closed.signal(req).kind,
+            SignalKind::Output,
+            "env drives req"
+        );
         assert_eq!(closed.signal(ack).kind, SignalKind::Output);
         let sg = closed.state_graph(1000).unwrap();
         assert_eq!(sg.state_count(), 4);

@@ -48,12 +48,24 @@ impl Stg {
             let producers: Vec<_> = self
                 .net
                 .transition_ids()
-                .filter(|&t| self.net.transition(t).produced().iter().any(|&(q, _)| q == p))
+                .filter(|&t| {
+                    self.net
+                        .transition(t)
+                        .produced()
+                        .iter()
+                        .any(|&(q, _)| q == p)
+                })
                 .collect();
             let consumers: Vec<_> = self
                 .net
                 .transition_ids()
-                .filter(|&t| self.net.transition(t).consumed().iter().any(|&(q, _)| q == p))
+                .filter(|&t| {
+                    self.net
+                        .transition(t)
+                        .consumed()
+                        .iter()
+                        .any(|&(q, _)| q == p)
+                })
                 .collect();
             let readers: Vec<_> = self
                 .net
@@ -64,11 +76,7 @@ impl Stg {
             let implicit =
                 producers.len() == 1 && consumers.len() == 1 && readers.is_empty() && tokens <= 1;
             if implicit {
-                let style = if tokens == 1 {
-                    " [label=\"●\"]"
-                } else {
-                    ""
-                };
+                let style = if tokens == 1 { " [label=\"●\"]" } else { "" };
                 let _ = writeln!(
                     out,
                     "  t{} -> t{}{};",
@@ -82,11 +90,7 @@ impl Stg {
                 } else {
                     String::new()
                 };
-                let _ = writeln!(
-                    out,
-                    "  p{} [shape=circle, label=\"{label}\"];",
-                    p.index()
-                );
+                let _ = writeln!(out, "  p{} [shape=circle, label=\"{label}\"];", p.index());
                 for t in &producers {
                     let _ = writeln!(out, "  t{} -> p{};", t.index(), p.index());
                 }

@@ -215,7 +215,13 @@ fn place_alias(p: PlaceId) -> String {
 fn sanitise(name: &str) -> String {
     let cleaned: String = name
         .chars()
-        .map(|c| if c.is_alphanumeric() || c == '_' { c } else { '_' })
+        .map(|c| {
+            if c.is_alphanumeric() || c == '_' {
+                c
+            } else {
+                '_'
+            }
+        })
         .collect();
     if cleaned.is_empty() {
         "model".to_string()
@@ -330,30 +336,29 @@ impl<'a> Parser<'a> {
         let mut labels: Vec<Label> = Vec::new();
         let mut transitions: HashMap<String, TransitionId> = HashMap::new();
         let mut places: HashMap<String, PlaceId> = HashMap::new();
-        let ensure_transition =
-            |name: &str,
-             net: &mut NetBuilder,
-             labels: &mut Vec<Label>,
-             transitions: &mut HashMap<String, TransitionId>|
-             -> TransitionId {
-                if let Some(&t) = transitions.get(name) {
-                    return t;
-                }
-                let label = if dummy_names.iter().any(|d| d == name) {
-                    Label::Dummy
-                } else {
-                    let (sig, pol) = parse_edge_name(name, &signal_names)
-                        .expect("classified as transition");
-                    Label::Edge(crate::Edge {
-                        signal: sig,
-                        polarity: pol,
-                    })
-                };
-                let t = net.transition(name.to_string());
-                labels.push(label);
-                transitions.insert(name.to_string(), t);
-                t
+        let ensure_transition = |name: &str,
+                                 net: &mut NetBuilder,
+                                 labels: &mut Vec<Label>,
+                                 transitions: &mut HashMap<String, TransitionId>|
+         -> TransitionId {
+            if let Some(&t) = transitions.get(name) {
+                return t;
+            }
+            let label = if dummy_names.iter().any(|d| d == name) {
+                Label::Dummy
+            } else {
+                let (sig, pol) =
+                    parse_edge_name(name, &signal_names).expect("classified as transition");
+                Label::Edge(crate::Edge {
+                    signal: sig,
+                    polarity: pol,
+                })
             };
+            let t = net.transition(name.to_string());
+            labels.push(label);
+            transitions.insert(name.to_string(), t);
+            t
+        };
 
         for (lineno, tokens) in &graph_lines {
             if tokens.len() < 2 {
@@ -450,24 +455,24 @@ impl<'a> Parser<'a> {
                 ),
                 None => (token.as_str(), 1),
             };
-            let place = if let Some(inner) = name.strip_prefix('<').and_then(|s| s.strip_suffix('>'))
-            {
-                let (a, b) = inner.split_once(',').ok_or_else(|| StgError::Parse {
-                    line: *lineno,
-                    message: format!("malformed implicit place {name:?}"),
-                })?;
-                *implicit
-                    .get(&(a.to_string(), b.to_string()))
-                    .ok_or_else(|| StgError::Parse {
+            let place =
+                if let Some(inner) = name.strip_prefix('<').and_then(|s| s.strip_suffix('>')) {
+                    let (a, b) = inner.split_once(',').ok_or_else(|| StgError::Parse {
                         line: *lineno,
-                        message: format!("implicit place {name:?} does not exist"),
+                        message: format!("malformed implicit place {name:?}"),
+                    })?;
+                    *implicit
+                        .get(&(a.to_string(), b.to_string()))
+                        .ok_or_else(|| StgError::Parse {
+                            line: *lineno,
+                            message: format!("implicit place {name:?} does not exist"),
+                        })?
+                } else {
+                    *places.get(name).ok_or_else(|| StgError::Parse {
+                        line: *lineno,
+                        message: format!("marked place {name:?} does not exist"),
                     })?
-            } else {
-                *places.get(name).ok_or_else(|| StgError::Parse {
-                    line: *lineno,
-                    message: format!("marked place {name:?} does not exist"),
-                })?
-            };
+                };
             *initial_tokens.entry(place).or_insert(0) += count;
         }
 
@@ -567,10 +572,7 @@ fn add_signals(
 }
 
 /// Parses `name+`, `name-`, `name+/2` against declared signals.
-fn parse_edge_name(
-    token: &str,
-    signals: &HashMap<&str, SignalId>,
-) -> Option<(SignalId, Polarity)> {
+fn parse_edge_name(token: &str, signals: &HashMap<&str, SignalId>) -> Option<(SignalId, Polarity)> {
     let base = token.split('/').next().unwrap_or(token);
     let (name, pol) = if let Some(n) = base.strip_suffix('+') {
         (n, Polarity::Rising)
@@ -766,10 +768,9 @@ a-/2 a+
         let err = Stg::parse_g(".model x\nstray line\n").unwrap_err();
         assert!(matches!(err, StgError::Parse { line: 2, .. }));
 
-        let err = Stg::parse_g(
-            ".model x\n.inputs a\n.graph\na+ a-\na- a+\n.marking { <a+,zz> }\n.end\n",
-        )
-        .unwrap_err();
+        let err =
+            Stg::parse_g(".model x\n.inputs a\n.graph\na+ a-\na- a+\n.marking { <a+,zz> }\n.end\n")
+                .unwrap_err();
         assert!(matches!(err, StgError::Parse { .. }));
     }
 

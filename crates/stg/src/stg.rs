@@ -324,9 +324,19 @@ impl StgBuilder {
         self.connect_with_tokens(from, to, 1)
     }
 
-    fn connect_with_tokens(&mut self, from: TransitionId, to: TransitionId, tokens: u32) -> PlaceId {
+    fn connect_with_tokens(
+        &mut self,
+        from: TransitionId,
+        to: TransitionId,
+        tokens: u32,
+    ) -> PlaceId {
         self.implicit_place_count += 1;
-        let name = format!("<{},{}>#{}", from.index(), to.index(), self.implicit_place_count);
+        let name = format!(
+            "<{},{}>#{}",
+            from.index(),
+            to.index(),
+            self.implicit_place_count
+        );
         let p = self.net.place_with_tokens(name, tokens);
         self.net.arc_tp(from, p);
         self.net.arc_pt(p, to);
@@ -435,6 +445,10 @@ mod tests {
         let stg = b.build();
         let exposed = stg.with_signal_kind(i, SignalKind::Output);
         assert_eq!(exposed.signal(i).kind, SignalKind::Output);
-        assert_eq!(stg.signal(i).kind, SignalKind::Internal, "original untouched");
+        assert_eq!(
+            stg.signal(i).kind,
+            SignalKind::Internal,
+            "original untouched"
+        );
     }
 }

@@ -148,9 +148,7 @@ impl Stg {
         a: SignalId,
         b: SignalId,
     ) -> Vec<SgStateId> {
-        self.check_invariant(sg, |code| {
-            !(code & a.mask() != 0 && code & b.mask() != 0)
-        })
+        self.check_invariant(sg, |code| !(code & a.mask() != 0 && code & b.mask() != 0))
     }
 }
 
@@ -316,7 +314,12 @@ fn coding_conflicts(
         // Equal-excitation classes, each in discovery order, and for
         // every state the number of later states in its class.
         classes.clear();
-        classes.extend(group.iter().enumerate().map(|(i, &(_, s))| (excitation(s), i)));
+        classes.extend(
+            group
+                .iter()
+                .enumerate()
+                .map(|(i, &(_, s))| (excitation(s), i)),
+        );
         classes.sort_unstable();
         same_after.clear();
         same_after.resize(k, 0);

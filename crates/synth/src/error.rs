@@ -50,12 +50,20 @@ impl fmt::Display for SynthError {
         match self {
             SynthError::Stg(e) => write!(f, "specification error: {e}"),
             SynthError::NotPersistent(v) => {
-                write!(f, "specification is not output-persistent ({} violations)", v.len())
+                write!(
+                    f,
+                    "specification is not output-persistent ({} violations)",
+                    v.len()
+                )
             }
             SynthError::Csc(c) => write!(
                 f,
                 "complete state coding violated ({}{} conflicts); add internal signals",
-                if c.len() >= MAX_CODING_CONFLICTS { "at least " } else { "" },
+                if c.len() >= MAX_CODING_CONFLICTS {
+                    "at least "
+                } else {
+                    ""
+                },
                 c.len()
             ),
             SynthError::Minimize(e) => write!(f, "minimisation failed: {e}"),
@@ -65,7 +73,10 @@ impl fmt::Display for SynthError {
                 "internal error: cover for {signal} disagrees with next-state at code {code:#b}"
             ),
             SynthError::SignalMapping { net } => {
-                write!(f, "net {net:?} has no counterpart signal in the specification")
+                write!(
+                    f,
+                    "net {net:?} has no counterpart signal in the specification"
+                )
             }
             SynthError::StateLimit { limit } => {
                 write!(f, "joint state space exceeds limit of {limit} states")

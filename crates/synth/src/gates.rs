@@ -191,12 +191,10 @@ pub fn synthesize(stg: &Stg, opts: &SynthOptions) -> Result<Synthesis, SynthErro
                 let stable0 = ns.region_codes(Region::Stable0);
                 let stable1 = ns.region_codes(Region::Stable1);
                 // Set: 1 on ER(s+), 0 wherever the output must be/stay 0.
-                let set_off: Vec<u64> =
-                    stable0.iter().chain(er_fall.iter()).copied().collect();
+                let set_off: Vec<u64> = stable0.iter().chain(er_fall.iter()).copied().collect();
                 let set = minimize_sets(nvars, &er_rise, &set_off)?;
                 // Reset: 1 on ER(s-), 0 wherever the output must be/stay 1.
-                let reset_off: Vec<u64> =
-                    stable1.iter().chain(er_rise.iter()).copied().collect();
+                let reset_off: Vec<u64> = stable1.iter().chain(er_rise.iter()).copied().collect();
                 let reset = minimize_sets(nvars, &er_fall, &reset_off)?;
                 SignalFunction::Gc { set, reset }
             }
@@ -212,11 +210,7 @@ pub fn synthesize(stg: &Stg, opts: &SynthOptions) -> Result<Synthesis, SynthErro
     Ok(Synthesis { netlist, impls })
 }
 
-fn assemble(
-    stg: &Stg,
-    impls: &[SignalImpl],
-    opts: &SynthOptions,
-) -> Result<Netlist, SynthError> {
+fn assemble(stg: &Stg, impls: &[SignalImpl], opts: &SynthOptions) -> Result<Netlist, SynthError> {
     let mut b = NetlistBuilder::new(stg.name());
     let mut nets: Vec<NetId> = Vec::with_capacity(stg.signal_count());
     for s in stg.signal_ids() {

@@ -55,5 +55,5 @@ mod si;
 
 pub use error::SynthError;
 pub use extract::{extract_next_state, NextState, Region};
-pub use gates::{synthesize, SignalImpl, SignalFunction, SynthOptions, SynthStyle, Synthesis};
+pub use gates::{synthesize, SignalFunction, SignalImpl, SynthOptions, SynthStyle, Synthesis};
 pub use si::{verify_si, SiReport, SiViolation};

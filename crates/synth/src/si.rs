@@ -159,9 +159,8 @@ pub fn verify_si(stg: &Stg, netlist: &Netlist, max_states: usize) -> Result<SiRe
         })
     };
 
-    let edge_name = |e: Edge| -> String {
-        format!("{}{}", stg.signal(e.signal).name, e.polarity.suffix())
-    };
+    let edge_name =
+        |e: Edge| -> String { format!("{}{}", stg.signal(e.signal).name, e.polarity.suffix()) };
 
     // Joint BFS. Keys live once, in the `keys` arena; the interner maps
     // fx-hash → index with equality resolved against the arena (it folds
@@ -176,7 +175,10 @@ pub fn verify_si(stg: &Stg, netlist: &Netlist, max_states: usize) -> Result<SiRe
         }
         h.finish()
     };
-    let initial: Key = (stg.initial_code(), closure(BTreeSet::from([SgStateId::INITIAL])));
+    let initial: Key = (
+        stg.initial_code(),
+        closure(BTreeSet::from([SgStateId::INITIAL])),
+    );
     let mut table = IdTable::new();
     let mut keys: Vec<Key> = Vec::new();
     let mut parents: Vec<Option<(usize, Edge)>> = Vec::new();
@@ -211,7 +213,11 @@ pub fn verify_si(stg: &Stg, netlist: &Netlist, max_states: usize) -> Result<SiRe
             let cur = code & s.mask() != 0;
             let edge = Edge {
                 signal: s,
-                polarity: if cur { Polarity::Falling } else { Polarity::Rising },
+                polarity: if cur {
+                    Polarity::Falling
+                } else {
+                    Polarity::Rising
+                },
             };
             if spec_enables(&spec, edge) {
                 moves.push(edge);
@@ -227,7 +233,11 @@ pub fn verify_si(stg: &Stg, netlist: &Netlist, max_states: usize) -> Result<SiRe
             let cur = code & s.mask() != 0;
             let edge = Edge {
                 signal: s,
-                polarity: if cur { Polarity::Falling } else { Polarity::Rising },
+                polarity: if cur {
+                    Polarity::Falling
+                } else {
+                    Polarity::Rising
+                },
             };
             if !spec_enables(&spec, edge) {
                 if report.violations.len() < MAX_VIOLATIONS {
@@ -402,10 +412,14 @@ c- a+ b+
         );
         let netlist = nb.build().unwrap();
         let report = verify_si(&stg, &netlist, 100_000).unwrap();
-        assert!(report.violations.iter().any(|v| matches!(
-            v,
-            SiViolation::Disabled { signal, .. } if signal == "o"
-        )), "{:?}", report.violations);
+        assert!(
+            report.violations.iter().any(|v| matches!(
+                v,
+                SiViolation::Disabled { signal, .. } if signal == "o"
+            )),
+            "{:?}",
+            report.violations
+        );
     }
 
     #[test]

@@ -23,7 +23,10 @@ fn main() {
     w.set_sig(ns(5.0), true); // solid assertion
     let ev = w.poll(ns(6.0)).expect("latched");
     println!("  runt pulses filtered: {}", w.filtered_pulses());
-    println!("  ack at {} (input retractions after this are contained)", ev.time);
+    println!(
+        "  ack at {} (input retractions after this are contained)",
+        ev.time
+    );
     w.set_sig(ns(7.0), false);
     println!("  ack still high after sig dropped: {}", w.ack());
 
@@ -33,7 +36,10 @@ fn main() {
     w2.set_sig(ns(1.0), true);
     println!("  ack+ at {}", w2.poll(ns(2.0)).expect("high seen").time);
     w2.set_req(ns(3.0), false);
-    println!("  req released, ack holds until the input falls: {}", w2.ack());
+    println!(
+        "  req released, ack holds until the input falls: {}",
+        w2.ack()
+    );
     w2.set_sig(ns(4.0), false);
     println!("  ack- at {}", w2.poll(ns(5.0)).expect("low seen").time);
 
@@ -54,7 +60,10 @@ fn main() {
     println!("  armed while input high; no ack yet: {}", !w01.ack());
     w01.set_sig(ns(2.0), false);
     w01.set_sig(ns(3.0), true); // a genuine edge
-    println!("  ack after the real edge at {}", w01.poll(ns(4.0)).expect("edge").time);
+    println!(
+        "  ack after the real edge at {}",
+        w01.poll(ns(4.0)).expect("edge").time
+    );
 
     println!("\n== WAITX: arbitrate two non-persistent inputs ==");
     let mut wx = WaitX::new(ns(0.36));

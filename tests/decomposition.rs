@@ -24,8 +24,7 @@ fn every_module_maps_to_two_input_cells() {
         for style in [SynthStyle::ComplexGate, SynthStyle::GeneralizedC] {
             let synth = synthesize(&stg, &SynthOptions::new(style))
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
-            let mapped = decompose(synth.netlist(), &lib)
-                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            let mapped = decompose(synth.netlist(), &lib).unwrap_or_else(|e| panic!("{name}: {e}"));
             for g in mapped.gate_ids() {
                 let gate = mapped.gate(g);
                 assert!(
@@ -111,9 +110,7 @@ fn mapping_exposes_hazards_the_atomic_netlist_does_not_have() {
             for b in names.iter().skip(i + 1) {
                 let na = netlist.net_by_name(a).unwrap();
                 let nb = netlist.net_by_name(b).unwrap();
-                for &(va, vb) in
-                    &[(true, false), (true, true), (false, true), (false, false)]
-                {
+                for &(va, vb) in &[(true, false), (true, true), (false, true), (false, false)] {
                     sim.set_input(na, va);
                     sim.set_input(nb, vb);
                     sim.settle(Time::from_us(1.0));

@@ -75,9 +75,7 @@ fn ablation_digest(pool: &Pool, root: u64) -> String {
         }
     }
     for (p, tau_ns) in [(0.0, 1.0), (0.3, 2.0), (0.9, 5.0)] {
-        for ns in
-            ablation::wait_metastability_batch(pool, p, Time::from_ns(tau_ns), root, 200)
-        {
+        for ns in ablation::wait_metastability_batch(pool, p, Time::from_ns(tau_ns), root, 200) {
             out.push_str(&format!("{:016x} ", ns.to_bits()));
         }
     }

@@ -54,7 +54,10 @@ fn master_seed() -> u64 {
 fn fault_injection_suite() {
     let seed = master_seed();
     let batch = fault::plans(seed, SCENARIOS);
-    assert!(batch.len() >= 50, "fault tier must run at least 50 scenarios");
+    assert!(
+        batch.len() >= 50,
+        "fault tier must run at least 50 scenarios"
+    );
     for plan in &batch {
         run_scenario(plan);
     }
@@ -93,7 +96,9 @@ fn run_scenario(plan: &FaultPlan) {
 }
 
 fn random_times(rng: &mut Rng, n: usize) -> Vec<Time> {
-    (0..n).map(|_| Time::from_fs(rng.u64_below(100_000))).collect()
+    (0..n)
+        .map(|_| Time::from_fs(rng.u64_below(100_000)))
+        .collect()
 }
 
 /// Regression for the pre-PR3 `len()` underflow: keys whose events were
@@ -169,7 +174,10 @@ fn foreign_key(rng: &mut Rng) {
         .collect();
     let mut victim: Scheduler<u32> = Scheduler::new();
     for &key in &foreign {
-        assert!(!victim.cancel(key), "empty scheduler accepted a foreign key");
+        assert!(
+            !victim.cancel(key),
+            "empty scheduler accepted a foreign key"
+        );
         assert!(matches!(victim.try_cancel(key), Err(SimError::StaleKey)));
     }
     assert_eq!(victim.len(), 0);
@@ -209,8 +217,14 @@ fn near_max_arithmetic(rng: &mut Rng) {
     // operator form) or report (the checked form), never wrap.
     let a = Time::from_fs(fault::near_max_u64(rng, 1 << 20));
     let b = Time::from_fs(1 + rng.u64_below(1 << 21));
-    assert_eq!(a.saturating_add(b).as_fs(), a.as_fs().saturating_add(b.as_fs()));
-    assert_eq!(a.checked_add(b), a.as_fs().checked_add(b.as_fs()).map(Time::from_fs));
+    assert_eq!(
+        a.saturating_add(b).as_fs(),
+        a.as_fs().saturating_add(b.as_fs())
+    );
+    assert_eq!(
+        a.checked_add(b),
+        a.as_fs().checked_add(b.as_fs()).map(Time::from_fs)
+    );
 
     // Scheduler-level: advance `now` to within a hair of Time::MAX,
     // then demand an overflowing relative schedule.
@@ -243,7 +257,10 @@ fn past_event(rng: &mut Rng) {
     for _ in 0..8 {
         let stale = Time::from_fs(rng.u64_below(now.as_fs()));
         match sched.try_schedule(stale, 1) {
-            Err(SimError::PastEvent { time, now: reported }) => {
+            Err(SimError::PastEvent {
+                time,
+                now: reported,
+            }) => {
                 assert_eq!(time, stale);
                 assert_eq!(reported, now);
             }
@@ -385,14 +402,22 @@ fn bad_step(rng: &mut Rng) {
     let mut buck = Buck::try_new(BuckParams::default()).unwrap();
     buck.set_switch(rng.usize_below(4), true, false);
     buck.step(5e-9);
-    let (v0, i0, t0) = (buck.output_voltage(), buck.total_coil_current(), buck.time());
+    let (v0, i0, t0) = (
+        buck.output_voltage(),
+        buck.total_coil_current(),
+        buck.time(),
+    );
     for dt in [f64::NAN, 0.0, -1e-9, f64::INFINITY, -f64::INFINITY] {
         match buck.try_step(dt) {
             Err(SimError::InvalidParameter { .. }) => {}
             other => panic!("dt={dt} accepted: {other:?}"),
         }
         assert_eq!(
-            (buck.output_voltage(), buck.total_coil_current(), buck.time()),
+            (
+                buck.output_voltage(),
+                buck.total_coil_current(),
+                buck.time()
+            ),
             (v0, i0, t0),
             "rejected step mutated the state"
         );
@@ -415,7 +440,11 @@ fn adversarial_testbench(rng: &mut Rng) {
     // Random adversarial builder configuration: either a typed build
     // error or a clean, finite, short-circuit-free run.
     let ctrl_phases = 1 + rng.usize_below(6);
-    let stage_phases = if rng.bool() { ctrl_phases } else { 1 + rng.usize_below(6) };
+    let stage_phases = if rng.bool() {
+        ctrl_phases
+    } else {
+        1 + rng.usize_below(6)
+    };
     let period = fault::adversarial_f64(rng).abs();
     let mut builder = TestbenchBuilder::new()
         .params(BuckParams::default().with_phases(stage_phases))
@@ -425,7 +454,10 @@ fn adversarial_testbench(rng: &mut Rng) {
     }
     let ctrl = AsyncController::new(ctrl_phases, AsyncTiming::default());
     match builder.try_build(ctrl) {
-        Err(SimError::PhaseMismatch { controller, power_stage }) => {
+        Err(SimError::PhaseMismatch {
+            controller,
+            power_stage,
+        }) => {
             assert_eq!(controller, ctrl_phases);
             assert_eq!(power_stage, stage_phases);
         }
@@ -521,7 +553,10 @@ fn one_code_state_spaces_keep_the_coding_report_bounded() {
 fn mutated_g_specs_never_panic() {
     let mut specs = a4a_ctrl::stgs::all_module_stgs();
     specs.extend(a4a_a2a::spec::all_specs());
-    let texts: Vec<(&str, String)> = specs.iter().map(|(name, stg)| (*name, stg.to_g())).collect();
+    let texts: Vec<(&str, String)> = specs
+        .iter()
+        .map(|(name, stg)| (*name, stg.to_g()))
+        .collect();
     assert_eq!(texts.len(), 18, "the shipped spec set changed");
     let seed = master_seed();
     let mut rng = Rng::from_seed(seed);
@@ -554,14 +589,21 @@ fn mutated_g_specs_never_panic() {
         };
         reached[stage] += 1;
     }
-    assert!(reached.iter().all(|&n| n > 0), "stage never reached: {reached:?}");
+    assert!(
+        reached.iter().all(|&n| n > 0),
+        "stage never reached: {reached:?}"
+    );
 }
 
 /// The `a4a verify` + `a4a synth [--gc]` path on one spec text; returns
 /// the stage reached (0 parse error, 1 state-graph error, 2 flow run).
 fn run_g(text: &str) -> usize {
-    let Ok(stg) = Stg::parse_g(text) else { return 0 };
-    let Ok(sg) = stg.state_graph(100_000) else { return 1 };
+    let Ok(stg) = Stg::parse_g(text) else {
+        return 0;
+    };
+    let Ok(sg) = stg.state_graph(100_000) else {
+        return 1;
+    };
     let _ = stg.verify(&sg);
     for style in [SynthStyle::ComplexGate, SynthStyle::GeneralizedC] {
         let _ = A4aFlow::new(stg.clone()).with_style(style).run();
@@ -591,8 +633,9 @@ fn mutate_g(rng: &mut Rng, lines: &mut Vec<String>) {
             lines[at] = chars.into_iter().collect();
         }
         4 => {
-            const INSERT: [char; 14] =
-                ['+', '-', '/', '{', '}', '<', '>', ',', '.', '=', '#', ' ', '0', 'x'];
+            const INSERT: [char; 14] = [
+                '+', '-', '/', '{', '}', '<', '>', ',', '.', '=', '#', ' ', '0', 'x',
+            ];
             let mut chars: Vec<char> = lines[at].chars().collect();
             let pos = rng.usize_below(chars.len() + 1);
             chars.insert(pos, INSERT[rng.usize_below(INSERT.len())]);
@@ -608,8 +651,14 @@ fn mutate_g(rng: &mut Rng, lines: &mut Vec<String>) {
             lines[at] = tokens.join(" ");
         }
         6 => {
-            const DIRECTIVES: [&str; 6] =
-                [".dummy t0", ".capacity p0=2", ".end", ".graph", ".marking { }", ".inputs"];
+            const DIRECTIVES: [&str; 6] = [
+                ".dummy t0",
+                ".capacity p0=2",
+                ".end",
+                ".graph",
+                ".marking { }",
+                ".inputs",
+            ];
             lines[at] = DIRECTIVES[rng.usize_below(DIRECTIVES.len())].to_string();
         }
         _ => {

@@ -83,8 +83,7 @@ fn flow_produces_verilog_and_g_for_every_module() {
         assert!(result.verilog.contains("module"), "{name} verilog");
         assert!(result.g_format.contains(".marking"), "{name} .g");
         // Round trip the emitted .g and re-run the flow on it.
-        let back = Stg::parse_g(&result.g_format)
-            .unwrap_or_else(|e| panic!("{name} reparse: {e}"));
+        let back = Stg::parse_g(&result.g_format).unwrap_or_else(|e| panic!("{name} reparse: {e}"));
         let again = A4aFlow::new(back)
             .run()
             .unwrap_or_else(|e| panic!("{name} reflow: {e}"));
@@ -214,20 +213,26 @@ fn coding_by_pairs(stg: &Stg, sg: &StateGraph) -> (Vec<CscConflict>, usize, usiz
         .signal_ids()
         .filter(|&s| stg.signal(s).kind != SignalKind::Input)
         .collect();
-    let excited = |s: SgStateId, sig: SignalId| {
-        sg.enabled_edges(stg, s).iter().any(|e| e.signal == sig)
-    };
+    let excited =
+        |s: SgStateId, sig: SignalId| sg.enabled_edges(stg, s).iter().any(|e| e.signal == sig);
     let mut states: Vec<SgStateId> = sg.state_ids().collect();
     states.sort_by_key(|&s| (sg.code(s), s));
     let (mut listed, mut usc, mut csc) = (Vec::new(), 0, 0);
     for (i, &x) in states.iter().enumerate() {
-        for &y in states[i + 1..].iter().take_while(|&&y| sg.code(y) == sg.code(x)) {
+        for &y in states[i + 1..]
+            .iter()
+            .take_while(|&&y| sg.code(y) == sg.code(x))
+        {
             let signals: Vec<SignalId> = non_inputs
                 .iter()
                 .copied()
                 .filter(|&sig| excited(x, sig) != excited(y, sig))
                 .collect();
-            let kind_count = if signals.is_empty() { &mut usc } else { &mut csc };
+            let kind_count = if signals.is_empty() {
+                &mut usc
+            } else {
+                &mut csc
+            };
             *kind_count += 1;
             if *kind_count <= MAX_CODING_CONFLICTS {
                 listed.push(CscConflict {
@@ -298,7 +303,12 @@ fn coding_counts_match_every_pair() {
         let sg = stg.state_graph(10_000).expect("consistent");
         let report = stg.verify(&sg);
         let (listed, usc, csc) = coding_by_pairs(stg, &sg);
-        assert_eq!((report.usc_count, report.csc_count), (usc, csc), "{}", stg.name());
+        assert_eq!(
+            (report.usc_count, report.csc_count),
+            (usc, csc),
+            "{}",
+            stg.name()
+        );
         assert_eq!(report.coding, listed, "{}", stg.name());
         if stg.name().starts_with("pair_and_triple") {
             let mut codes: Vec<u64> = sg.state_ids().map(|s| sg.code(s)).collect();
@@ -381,7 +391,9 @@ fn traces_replay_to_their_state_at_bfs_depth() {
         }
 
         let net = stg.net();
-        let reach = net.explore(1_000_000).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let reach = net
+            .explore(1_000_000)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
         let tree = reach.bfs_tree();
         for s in reach.state_ids() {
             let trace = reach.trace_to(s);
