@@ -8,10 +8,9 @@
 #   1. cold-cache offline release build
 #   2. offline test run (root package tier-1, then the whole workspace,
 #      then perfbench's own unit tests, a cargo package of its own)
-#   3. the suites that drive the global pool's par_map (sweep and
-#      batch determinism, the Table I / Fig. 7 goldens) at 1, 2, and 8
-#      threads, so every thread count the determinism contract promises
-#      is exercised
+#   3. fault-injection tier: seeded adversarial scenarios against the
+#      scheduler/analog/testbench layers (deterministic per
+#      A4A_PROP_SEED), asserting typed errors instead of panics
 #   4. smoke tier: every bench binary end-to-end into a scratch results
 #      dir, checking CSV headers/row counts against results/, requiring
 #      every regenerated CSV to equal the committed one byte for byte,
@@ -22,21 +21,19 @@
 #      `verify`, `synth [--gc]`, `timing [--gc]`, `dot [--sg]`,
 #      `verilog` and `verilog --gc --map`, and for one spec read from
 #      `-` (stdin)
-#   5. fault-injection tier: seeded adversarial scenarios against the
-#      scheduler/analog/testbench layers (deterministic per
-#      A4A_PROP_SEED), asserting typed errors instead of panics
-#   6. perf-counter tier: one short traced perfbench run (the repo's
+#   5. perf-counter tier: one short traced perfbench run (the repo's
 #      benchmark, see BENCHMARK.json) that must be correct with zero
 #      failed ops, and whose deterministic `count/*` work counters must
 #      equal perf_counters.txt exactly — a change of work is an
 #      explicit, explained update of that file
-#   7. fail if any Cargo.toml re-introduces a registry (non-path)
+#   6. fail if any Cargo.toml re-introduces a registry (non-path)
 #      dependency
-#   8. fail if a library crate of the simulation stack (sim, analog,
+#   7. fail if a library crate of the simulation stack (sim, analog,
 #      core), of the formal engines (petri, stg), of synthesis (boolmin,
 #      synth, netlist), of the controllers (ctrl, a2a) or the runtime
 #      (rt) grows a new `unwrap()` outside #[cfg(test)] — failures there
 #      must flow through the crates' typed errors
+#   8. `cargo fmt --all -- --check`: the workspace is rustfmt-clean
 #   9. clippy over every target with warnings denied
 #  10. rustdoc over the workspace with warnings denied (broken or
 #      ambiguous intra-doc links fail)
@@ -120,10 +117,10 @@ smoke_tier() {
     done
     # The ablation prints its numbers rather than writing a CSV; all but
     # its wall-time line must equal the committed output.
-    if ! grep -v '^{"name":"ablation/all/t' "$scratch/ablation.out" \
+    if ! grep -v '^{"name":"ablation/all",' "$scratch/ablation.out" \
             | cmp -s results/ablation.txt -; then
         echo "ERROR: ablation output differs from results/ablation.txt:" >&2
-        grep -v '^{"name":"ablation/all/t' "$scratch/ablation.out" \
+        grep -v '^{"name":"ablation/all",' "$scratch/ablation.out" \
             | diff -u results/ablation.txt - >&2 || true
         ok=0
     fi
@@ -236,26 +233,16 @@ echo "==> cargo test -q --offline --manifest-path perfbench/Cargo.toml"
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
 tier_done "2 tests"
 
-echo "==> determinism + golden results suites at A4A_THREADS=1,2,8"
-for t in 1 2 8; do
-    echo "    A4A_THREADS=$t"
-    A4A_THREADS=$t cargo test -q --offline --test determinism > /dev/null
-    A4A_THREADS=$t cargo test -q --offline -p a4a-bench \
-        --test golden_results > /dev/null
-done
-echo "OK: determinism + golden results suites at every thread count"
-tier_done "3 determinism"
-
 echo "==> fault-injection tier (seeded adversarial scenarios)"
 cargo test -q --offline --test fault_injection > /dev/null
 echo "OK: fault-injection tier (typed errors, zero library panics)"
-tier_done "5 fault injection"
+tier_done "3 fault injection"
 
 smoke_tier
 tier_done "4 smoke"
 
 perf_counter_tier
-tier_done "6 perf counters"
+tier_done "5 perf counters"
 
 echo "==> checking for registry dependencies"
 # Every [dependencies*] / [dev-dependencies] entry must be either an
@@ -289,7 +276,7 @@ if [ "$bad" -ne 0 ]; then
     exit 1
 fi
 echo "OK: hermetic (no registry dependencies)"
-tier_done "7 hermetic"
+tier_done "6 hermetic"
 
 echo "==> checking library crates for unwrap()"
 # The sim/analog/core libraries route every failure through the typed
@@ -316,7 +303,12 @@ if [ "$bad" -ne 0 ]; then
     exit 1
 fi
 echo "OK: library crates are unwrap-free (typed errors only)"
-tier_done "8 unwrap scan"
+tier_done "7 unwrap scan"
+
+echo "==> cargo fmt --all -- --check"
+cargo fmt --all -- --check
+echo "OK: rustfmt clean"
+tier_done "8 fmt"
 
 echo "==> cargo clippy --offline --workspace --all-targets -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings

@@ -1,19 +1,15 @@
-//! Seeded scenario batches for the ablation studies, parallel-safe by
-//! construction.
+//! Seeded scenario batches for the ablation studies.
 //!
 //! Every batch derives one independent RNG seed per scenario from a
 //! single *root seed* via a SplitMix64 split ([`scenario_seeds`]), so a
-//! scenario's result is a pure function of (root seed, scenario index) —
-//! never of which worker ran it or in what order. Batches run through
-//! [`Pool::par_map`], which preserves input order, so the returned
-//! vectors are bit-identical for every thread count. The
-//! `tests/determinism.rs` suite locks this down across pools of 1/2/8
-//! and across processes.
+//! scenario's result is a pure function of (root seed, scenario index).
+//! The `tests/determinism.rs` suite checks that a batch depends on its
+//! root seed and on nothing else.
 
 use a4a_a2a::{MetaParams, Wait};
 use a4a_ctrl::{Loopback, SyncController, SyncParams};
+use a4a_rt::prop::parse_seed;
 use a4a_rt::rng::splitmix64;
-use a4a_rt::Pool;
 use a4a_sim::Time;
 
 /// The default root seed of the ablation batches.
@@ -22,14 +18,14 @@ pub const DEFAULT_ROOT_SEED: u64 = 0xA4A_5EED;
 /// The root seed for this process: `A4A_PROP_SEED` (hex, `0x` prefix
 /// optional — the same variable the property harness prints on
 /// failure) when set, otherwise [`DEFAULT_ROOT_SEED`].
-pub fn root_seed() -> u64 {
+///
+/// # Errors
+///
+/// Names the value when `A4A_PROP_SEED` is set but not a hex `u64`.
+pub fn root_seed() -> Result<u64, String> {
     match std::env::var("A4A_PROP_SEED") {
-        Ok(v) => {
-            let v = v.trim().trim_start_matches("0x");
-            u64::from_str_radix(v, 16)
-                .unwrap_or_else(|_| panic!("A4A_PROP_SEED={v:?} is not a hex u64"))
-        }
-        Err(_) => DEFAULT_ROOT_SEED,
+        Ok(v) => parse_seed(&v),
+        Err(_) => Ok(DEFAULT_ROOT_SEED),
     }
 }
 
@@ -70,13 +66,14 @@ pub fn sync_uv_latency(mhz: f64, p: f64, tau: Time, seed: u64) -> f64 {
 }
 
 /// The synchroniser-metastability batch: `n` independent UV-latency
-/// scenarios at 333 MHz, seeds split from `root`, run on `pool`.
+/// scenarios at 333 MHz, seeds split from `root`.
 /// Returns the per-scenario latencies in scenario order.
-pub fn sync_metastability_batch(pool: &Pool, p: f64, root: u64, n: usize) -> Vec<f64> {
+pub fn sync_metastability_batch(p: f64, root: u64, n: usize) -> Vec<f64> {
     let tau = Time::from_ns(1.0);
-    pool.par_map(scenario_seeds(root, n), move |seed| {
-        sync_uv_latency(333.0, p, tau, seed)
-    })
+    scenario_seeds(root, n)
+        .into_iter()
+        .map(|seed| sync_uv_latency(333.0, p, tau, seed))
+        .collect()
 }
 
 /// One WAIT-element latch scenario: a fresh element with resolution
@@ -97,12 +94,13 @@ pub fn wait_latch_latency(p: f64, tau: Time, seed: u64) -> f64 {
 }
 
 /// The metastability-tail batch: `n` independent WAIT latch scenarios
-/// with seeds split from `root`, run on `pool`. Returns per-scenario
-/// latch latencies in scenario order.
-pub fn wait_metastability_batch(pool: &Pool, p: f64, tau: Time, root: u64, n: usize) -> Vec<f64> {
-    pool.par_map(scenario_seeds(root, n), move |seed| {
-        wait_latch_latency(p, tau, seed)
-    })
+/// with seeds split from `root`. Returns per-scenario latch latencies
+/// in scenario order.
+pub fn wait_metastability_batch(p: f64, tau: Time, root: u64, n: usize) -> Vec<f64> {
+    scenario_seeds(root, n)
+        .into_iter()
+        .map(|seed| wait_latch_latency(p, tau, seed))
+        .collect()
 }
 
 /// Mean and worst of a latency batch (NaN-free inputs assumed).
@@ -130,8 +128,7 @@ mod tests {
     fn disabled_metastability_is_deterministic_nominal() {
         // p=0 scenarios ignore the seed entirely: every latency equals
         // the nominal 2.5-period reaction.
-        let pool = Pool::new(1);
-        let lat = sync_metastability_batch(&pool, 0.0, 42, 8);
+        let lat = sync_metastability_batch(0.0, 42, 8);
         assert!(lat.iter().all(|&l| (l - lat[0]).abs() < 1e-9), "{lat:?}");
     }
 
@@ -148,18 +145,5 @@ mod tests {
                 "{mhz} MHz: {periods} periods"
             );
         }
-    }
-
-    #[test]
-    fn batch_is_identical_across_pools() {
-        let p1 = Pool::new(1);
-        let p4 = Pool::new(4);
-        let a = sync_metastability_batch(&p1, 0.8, 7, 12);
-        let b = sync_metastability_batch(&p4, 0.8, 7, 12);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&a), bits(&b));
-        let a = wait_metastability_batch(&p1, 0.9, Time::from_ns(5.0), 7, 12);
-        let b = wait_metastability_batch(&p4, 0.9, Time::from_ns(5.0), 7, 12);
-        assert_eq!(bits(&a), bits(&b));
     }
 }

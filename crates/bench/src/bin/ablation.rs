@@ -17,22 +17,22 @@ use a4a_bench::ablation::{
 };
 use a4a_bench::report;
 use a4a_ctrl::{AsyncController, AsyncTiming};
-use a4a_rt::Pool;
 use a4a_sim::Time;
 use a4a_synth::{synthesize, SynthOptions, SynthStyle};
 
 fn main() {
-    a4a_rt::bench::time_once(
-        &format!("ablation/all/t{}", Pool::global().threads()),
-        || {
-            ablate_token_decoupling();
-            ablate_pext();
-            ablate_synth_style();
-            ablate_a2a_filtering();
-            ablate_metastability();
-            ablate_sync_metastability();
-        },
-    );
+    let root = root_seed().unwrap_or_else(|e| {
+        eprintln!("ablation: {e}");
+        std::process::exit(1);
+    });
+    a4a_rt::bench::time_once("ablation/all", || {
+        ablate_token_decoupling();
+        ablate_pext();
+        ablate_synth_style();
+        ablate_a2a_filtering();
+        ablate_metastability(root);
+        ablate_sync_metastability(root);
+    });
 }
 
 /// 1. Token decoupling: the early acknowledge lets the token move after
@@ -166,14 +166,13 @@ fn ablate_a2a_filtering() {
 /// 6. Synchroniser metastability: the synchronous controller's UV
 ///    reaction with marginal captures resolving the wrong way (footnote 1
 ///    of the paper: "the latency may increase by another clock period").
-///    Each scenario's RNG seed is a SplitMix64 split of the root seed
-///    (`A4A_PROP_SEED` overrides), so the batch parallelises on the
-///    global pool without changing a single bit of the output.
-fn ablate_sync_metastability() {
+///    Each scenario's RNG seed is a SplitMix64 split of the `root` seed
+///    (`A4A_PROP_SEED` overrides it), so the output is a function of
+///    that seed alone.
+fn ablate_sync_metastability(root: u64) {
     println!("== Ablation 6: synchroniser metastability (333 MHz) ==");
-    let root = root_seed();
     for (p, label) in [(0.0, "disabled"), (0.2, "p=0.2"), (0.8, "p=0.8")] {
-        let latencies = sync_metastability_batch(Pool::global(), p, root, 40);
+        let latencies = sync_metastability_batch(p, root, 40);
         let (mean, worst) = batch_stats(&latencies);
         println!("  {label:>9}: mean UV latency {mean:.2}ns, worst {worst:.2}ns");
     }
@@ -185,12 +184,11 @@ fn ablate_sync_metastability() {
 ///    input produces (fully contained in the element). One fresh,
 ///    seed-split element per scenario — see ablation 6 for the batch
 ///    determinism contract.
-fn ablate_metastability() {
+fn ablate_metastability(root: u64) {
     println!("== Ablation 5: metastability resolution tail ==");
-    let root = root_seed();
     for (p, tau_ns) in [(0.0, 0.0), (0.3, 2.0), (0.9, 5.0)] {
         let tau = Time::from_ns(if tau_ns == 0.0 { 1.0 } else { tau_ns });
-        let latencies = wait_metastability_batch(Pool::global(), p, tau, root, 200);
+        let latencies = wait_metastability_batch(p, tau, root, 200);
         let (mean, worst) = batch_stats(&latencies);
         println!(
             "  p={p:.1} tau={tau_ns:.0}ns: mean latch latency {mean:.3}ns, worst {worst:.3}ns"

@@ -4,15 +4,13 @@
 use a4a::scenario::ControllerKind;
 use a4a_bench::experiments::fig7a;
 use a4a_bench::report;
-use a4a_rt::Pool;
 
 fn main() {
     let labels: Vec<String> = ControllerKind::paper_series()
         .iter()
         .map(ControllerKind::label)
         .collect();
-    let threads = Pool::global().threads();
-    let points = a4a_rt::bench::time_once(&format!("fig7a/sweep/t{threads}"), fig7a);
+    let points = a4a_rt::bench::time_once("fig7a/sweep", fig7a);
     println!("Figure 7a: inductor peak current (mA) for 1-10uH coils at 6 Ohm load\n");
     println!("{}", report::sweep_table("L (uH)", &labels, &points));
 

@@ -4,15 +4,13 @@
 use a4a::scenario::ControllerKind;
 use a4a_bench::experiments::fig7b;
 use a4a_bench::report;
-use a4a_rt::Pool;
 
 fn main() {
     let labels: Vec<String> = ControllerKind::paper_series()
         .iter()
         .map(ControllerKind::label)
         .collect();
-    let threads = Pool::global().threads();
-    let points = a4a_rt::bench::time_once(&format!("fig7b/sweep/t{threads}"), fig7b);
+    let points = a4a_rt::bench::time_once("fig7b/sweep", fig7b);
     println!("Figure 7b: inductor peak current (mA) for 3-15 Ohm loads at 4.7uH\n");
     println!("{}", report::sweep_table("R (Ohm)", &labels, &points));
     println!(

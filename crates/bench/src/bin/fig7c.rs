@@ -5,15 +5,13 @@
 use a4a::scenario::{self, ControllerKind};
 use a4a_bench::experiments::fig7c;
 use a4a_bench::report;
-use a4a_rt::Pool;
 
 fn main() {
     let labels: Vec<String> = ControllerKind::paper_series()
         .iter()
         .map(ControllerKind::label)
         .collect();
-    let threads = Pool::global().threads();
-    let points = a4a_rt::bench::time_once(&format!("fig7c/sweep/t{threads}"), fig7c);
+    let points = a4a_rt::bench::time_once("fig7c/sweep", fig7c);
     println!("Figure 7c: inductor ripple losses (uW) for 1-10uH coils at 6 Ohm load\n");
     println!("{}", report::sweep_table("L (uH)", &labels, &points));
     println!(

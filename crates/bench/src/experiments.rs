@@ -4,7 +4,6 @@ use a4a::scenario::{self, ControllerKind};
 use a4a::TestbenchBuilder;
 use a4a_analog::{metrics, CoilModel, SensorKind, Waveform};
 use a4a_ctrl::{AsyncController, AsyncTiming, Command, Loopback, SyncParams};
-use a4a_rt::Pool;
 use a4a_sim::Time;
 
 /// One row of Table I: reaction time per condition, in nanoseconds.
@@ -176,11 +175,12 @@ pub fn fig6_run(kind: ControllerKind) -> Fig6Run {
 }
 
 /// Figure 6: both paper series (333 MHz synchronous and asynchronous)
-/// plus the other clock rates for context. Runs are independent, so
-/// they execute on the global pool; [`Pool::par_map`] preserves series
-/// order, keeping the output identical for every thread count.
+/// plus the other clock rates for context, in series order.
 pub fn fig6_all() -> Vec<Fig6Run> {
-    Pool::global().par_map(ControllerKind::paper_series(), fig6_run)
+    ControllerKind::paper_series()
+        .into_iter()
+        .map(fig6_run)
+        .collect()
 }
 
 /// One grid point of a Figure 7 sweep.
@@ -211,68 +211,66 @@ pub fn sweep_cell(builder: TestbenchBuilder, kind: ControllerKind) -> Waveform {
     tb.into_waveform()
 }
 
-/// Runs one independent simulation per (grid point, series) pair on
-/// `pool` and regroups the results into x-ordered [`SweepPoint`]s.
-///
-/// Every grid cell is a fresh testbench with no shared state, and
-/// [`Pool::par_map`] preserves input order, so the sweep result is
-/// bit-identical for every thread count (`A4A_THREADS=1` runs the plain
-/// sequential loop).
-fn sweep_on(
-    pool: &Pool,
-    grid: &[f64],
-    cell: impl Fn(f64, ControllerKind) -> f64 + Sync,
-) -> Vec<SweepPoint> {
+/// Runs one fresh testbench per (grid point, series) pair, in grid
+/// order, and groups the results into x-ordered [`SweepPoint`]s.
+fn sweep(grid: &[f64], cell: fn(f64, ControllerKind) -> f64) -> Vec<SweepPoint> {
     let series = ControllerKind::paper_series();
-    let tasks: Vec<(f64, ControllerKind)> = grid
-        .iter()
-        .flat_map(|&x| series.iter().map(move |&kind| (x, kind)))
-        .collect();
-    let ys = pool.par_map(tasks, |(x, kind)| cell(x, kind));
     grid.iter()
-        .zip(ys.chunks(series.len()))
-        .map(|(&x, y)| SweepPoint { x, y: y.to_vec() })
+        .map(|&x| SweepPoint {
+            x,
+            y: series.iter().map(|&kind| cell(x, kind)).collect(),
+        })
         .collect()
+}
+
+/// A Figure 7a cell: peak inductor current (mA) with `l` µH coils at
+/// 6 Ω.
+fn coil_peak_ma(l: f64, kind: ControllerKind) -> f64 {
+    metrics::peak_current(&sweep_cell(scenario::sweep_coil(l, 6.0), kind)) * 1e3
+}
+
+/// A Figure 7b cell: peak inductor current (mA) at an `r` Ω load.
+fn load_peak_ma(r: f64, kind: ControllerKind) -> f64 {
+    metrics::peak_current(&sweep_cell(scenario::sweep_load(r), kind)) * 1e3
+}
+
+/// A Figure 7c cell: ripple losses (µW) with `l` µH coils at 6 Ω.
+fn coil_loss_uw(l: f64, kind: ControllerKind) -> f64 {
+    ripple_loss_uw(&sweep_cell(scenario::sweep_coil(l, 6.0), kind), l)
 }
 
 /// Figure 7a: peak inductor current (mA) for 1–10 µH coils at 6 Ω.
 pub fn fig7a() -> Vec<SweepPoint> {
-    fig7a_on(Pool::global(), &scenario::coil_grid())
+    sweep(&scenario::coil_grid(), coil_peak_ma)
 }
 
-/// [`fig7a`] on an explicit pool and coil grid (µH) — used by the
-/// differential/golden tests and the `--quick` CI tier.
-pub fn fig7a_on(pool: &Pool, grid: &[f64]) -> Vec<SweepPoint> {
-    sweep_on(pool, grid, |l, kind| {
-        let w = sweep_cell(scenario::sweep_coil(l, 6.0), kind);
-        metrics::peak_current(&w) * 1e3
-    })
+/// [`fig7a`] on an explicit coil grid (µH). The pool is unused; it
+/// stays until `perfbench/`, the only caller, stops passing one.
+pub fn fig7a_on(_: &a4a_rt::Pool, grid: &[f64]) -> Vec<SweepPoint> {
+    sweep(grid, coil_peak_ma)
 }
 
 /// Figure 7b: peak inductor current (mA) for 3–15 Ω loads at 4.7 µH.
 pub fn fig7b() -> Vec<SweepPoint> {
-    fig7b_on(Pool::global(), &scenario::load_grid())
+    sweep(&scenario::load_grid(), load_peak_ma)
 }
 
-/// [`fig7b`] on an explicit pool and load grid (Ω).
-pub fn fig7b_on(pool: &Pool, grid: &[f64]) -> Vec<SweepPoint> {
-    sweep_on(pool, grid, |r, kind| {
-        let w = sweep_cell(scenario::sweep_load(r), kind);
-        metrics::peak_current(&w) * 1e3
-    })
+/// [`fig7b`] on an explicit load grid (Ω); the pool is unused, as in
+/// [`fig7a_on`].
+pub fn fig7b_on(_: &a4a_rt::Pool, grid: &[f64]) -> Vec<SweepPoint> {
+    sweep(grid, load_peak_ma)
 }
 
 /// Figure 7c: inductor ripple (AC) losses (µW) for 1–10 µH coils at
 /// 6 Ω, measured over the steady window.
 pub fn fig7c() -> Vec<SweepPoint> {
-    fig7c_on(Pool::global(), &scenario::coil_grid())
+    sweep(&scenario::coil_grid(), coil_loss_uw)
 }
 
-/// [`fig7c`] on an explicit pool and coil grid (µH).
-pub fn fig7c_on(pool: &Pool, grid: &[f64]) -> Vec<SweepPoint> {
-    sweep_on(pool, grid, |l, kind| {
-        ripple_loss_uw(&sweep_cell(scenario::sweep_coil(l, 6.0), kind), l)
-    })
+/// [`fig7c`] on an explicit coil grid (µH); the pool is unused, as in
+/// [`fig7a_on`].
+pub fn fig7c_on(_: &a4a_rt::Pool, grid: &[f64]) -> Vec<SweepPoint> {
+    sweep(grid, coil_loss_uw)
 }
 
 /// The Figure 7c metric of one cell's waveform: the coil ripple (AC)

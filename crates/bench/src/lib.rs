@@ -5,14 +5,12 @@
 //!   Figure 6 waveforms/metrics, the Figure 7a/7b/7c sweeps, and the
 //!   ablation studies listed in DESIGN.md;
 //! * [`ablation`] — the seeded scenario batches behind the `ablation`
-//!   bin, each scenario's RNG split deterministically from a root seed
-//!   so batches parallelise without changing results;
+//!   bin, each scenario's RNG split deterministically from a root seed;
 //! * [`report`] — plain-text table rendering and CSV emission into
 //!   `results/`.
 //!
-//! The sweeps and batches run on [`a4a_rt::Pool::global`]: set
-//! `A4A_THREADS` to control parallelism (`1` = the plain sequential
-//! loops). Results are bit-identical for every thread count.
+//! Every sweep and batch is a plain loop on the caller's thread: the
+//! whole evaluation regenerates in about a second on one core.
 //!
 //! Each `cargo run -p a4a-bench --bin <name>` regenerates one artefact.
 //! Engine performance (co-simulation, state graphs, minimisation,

@@ -11,7 +11,6 @@
 use a4a::scenario::{self, ControllerKind};
 use a4a_analog::metrics;
 use a4a_bench::experiments::{fig7a, fig7b, fig7c, ripple_loss_uw, sweep_cell, table1, SweepPoint};
-use a4a_rt::Pool;
 
 /// Per-column absolute tolerances for Table I reaction times (ns),
 /// columns HL/UV/OV/OC/ZC. The sync rows are closed-form; ASYNC is a
@@ -249,37 +248,29 @@ fn window_splits_do_not_move_fig7_cells() {
         .map(|l| (l, 6.0))
         .collect();
     cells.extend(scenario::load_grid().into_iter().map(|r| (4.7, r)));
-    let tasks: Vec<(f64, f64, ControllerKind)> = cells
-        .iter()
-        .flat_map(|&(l, r)| {
-            ControllerKind::paper_series()
-                .into_iter()
-                .map(move |k| (l, r, k))
-        })
-        .collect();
     let metrics_of =
         |w: &a4a_analog::Waveform, l: f64| (metrics::peak_current(w) * 1e3, ripple_loss_uw(w, l));
-    let split = Pool::global().par_map(tasks.clone(), |(l, r, kind)| {
-        let plain = metrics_of(&sweep_cell(scenario::sweep_coil(l, r), kind), l);
-        let mut builder = scenario::sweep_coil(l, r);
-        let steps = (8e-6 / NO_OP_STEP_PERIOD) as usize;
-        for k in 1..=steps {
-            builder = builder.load_step(k as f64 * NO_OP_STEP_PERIOD, r);
-        }
-        (plain, metrics_of(&sweep_cell(builder, kind), l))
-    });
     let mut errors = Vec::new();
-    for ((l, r, kind), ((peak, loss), (split_peak, split_loss))) in tasks.iter().zip(split) {
-        let label = kind.label();
-        if (peak - split_peak).abs() > TOL_PEAK_MA[0] {
-            errors.push(format!(
-                "{l} uH {r} Ohm {label}: peak {peak:.4} vs split {split_peak:.4} mA"
-            ));
-        }
-        if *r == 6.0 && (loss - split_loss).abs() > TOL_LOSS_UW[0] {
-            errors.push(format!(
-                "{l} uH {label}: loss {loss:.4} vs split {split_loss:.4} uW"
-            ));
+    for (l, r) in cells {
+        for kind in ControllerKind::paper_series() {
+            let (peak, loss) = metrics_of(&sweep_cell(scenario::sweep_coil(l, r), kind), l);
+            let mut builder = scenario::sweep_coil(l, r);
+            let steps = (8e-6 / NO_OP_STEP_PERIOD) as usize;
+            for k in 1..=steps {
+                builder = builder.load_step(k as f64 * NO_OP_STEP_PERIOD, r);
+            }
+            let (split_peak, split_loss) = metrics_of(&sweep_cell(builder, kind), l);
+            let label = kind.label();
+            if (peak - split_peak).abs() > TOL_PEAK_MA[0] {
+                errors.push(format!(
+                    "{l} uH {r} Ohm {label}: peak {peak:.4} vs split {split_peak:.4} mA"
+                ));
+            }
+            if r == 6.0 && (loss - split_loss).abs() > TOL_LOSS_UW[0] {
+                errors.push(format!(
+                    "{l} uH {label}: loss {loss:.4} vs split {split_loss:.4} uW"
+                ));
+            }
         }
     }
     assert!(

@@ -393,6 +393,19 @@ impl NetBuilder {
         self.add_place(name.into(), 0).ok()
     }
 
+    /// Adds `tokens` to the initial marking of place `p` and returns its
+    /// new count, or returns `None` (and changes nothing) if the count
+    /// would exceed `u32::MAX`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is not a place of this builder.
+    pub fn add_tokens(&mut self, p: PlaceId, tokens: u32) -> Option<u32> {
+        let place = &mut self.places[p.index()];
+        place.initial_tokens = place.initial_tokens.checked_add(tokens)?;
+        Some(place.initial_tokens)
+    }
+
     /// Adds a place, or hands back its name if the name is taken.
     fn add_place(&mut self, name: String, tokens: u32) -> Result<PlaceId, String> {
         let hash = fx_hash_one(name.as_str());
@@ -534,6 +547,15 @@ mod tests {
         b.arc_pt(p1, t1);
         b.arc_tp(t1, p0);
         (b.build(), t0, t1)
+    }
+
+    #[test]
+    fn add_tokens_is_checked() {
+        let mut b = NetBuilder::new();
+        let p = b.place_with_tokens("p", 2);
+        assert_eq!(b.add_tokens(p, 3), Some(5));
+        assert_eq!(b.add_tokens(p, u32::MAX), None);
+        assert_eq!(b.build().place(p).initial_tokens, 5);
     }
 
     #[test]

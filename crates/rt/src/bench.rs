@@ -4,7 +4,7 @@
 //! line on stdout:
 //!
 //! ```text
-//! {"name":"fig7a/sweep/t2","median_ns":412337,"min_ns":412337,"max_ns":412337,"mean_ns":412337,"samples":1}
+//! {"name":"fig7a/sweep","median_ns":412337,"min_ns":412337,"max_ns":412337,"mean_ns":412337,"samples":1}
 //! ```
 //!
 //! All four statistics equal the one sample; they stay in the line so
@@ -15,8 +15,7 @@ use std::time::Instant;
 
 /// Times one call of `f`, prints the JSON line, and returns the result
 /// of `f` — the per-task wall-time hook the sweep binaries use (no
-/// warmup: the task *is* the workload, e.g. a full Figure 7 sweep at
-/// the configured thread count).
+/// warmup: the task *is* the workload, e.g. a full Figure 7 sweep).
 pub fn time_once<R>(name: &str, f: impl FnOnce() -> R) -> R {
     let t0 = Instant::now();
     let out = f();

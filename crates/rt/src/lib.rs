@@ -17,10 +17,9 @@
 //! - [`bench`](mod@bench): a one-shot wall-clock timer emitting a JSON
 //!   line for the sweep binaries; the tracked performance numbers and
 //!   work counters come from the standalone `perfbench/` package.
-//! - [`pool`]: an `A4A_THREADS`-sized thread count whose
-//!   order-preserving [`pool::Pool::par_map`] keeps parallel results
-//!   bit-identical to the sequential loop — used by the Figure 6/7
-//!   sweeps and the ablation batches.
+//! - [`pool`]: a zero-sized [`Pool`] with no threads behind it, kept
+//!   only for the callers in `perfbench/`. Every sweep and batch runs
+//!   on the caller's thread.
 //! - [`fault`]: seeded adversarial fault plans (SplitMix64 child seeds)
 //!   and hostile-value samplers for the fault-injection tier
 //!   (`tests/fault_injection.rs`), which drives them against the

@@ -330,6 +330,17 @@ impl Gen {
     }
 }
 
+/// Parses an `A4A_PROP_SEED` value: a hex `u64`, `0x` prefix optional,
+/// surrounding whitespace allowed. The error names the bad value.
+///
+/// Every reader of the variable goes through this one parser: the
+/// harness here, the ablation batches' root seed and the fault tier.
+pub fn parse_seed(value: &str) -> Result<u64, String> {
+    let hex = value.trim();
+    let hex = hex.strip_prefix("0x").unwrap_or(hex);
+    u64::from_str_radix(hex, 16).map_err(|_| format!("A4A_PROP_SEED={value:?} is not a hex u64"))
+}
+
 /// Runs `prop` under the default [`Config`]. Panics (with a reproducing
 /// seed) if any case fails after shrinking.
 pub fn check(name: &str, prop: impl Fn(&mut Gen) -> PropResult) {
@@ -347,9 +358,7 @@ pub fn check_with(config: &Config, name: &str, prop: impl Fn(&mut Gen) -> PropRe
     let base = h;
 
     if let Ok(v) = std::env::var("A4A_PROP_SEED") {
-        let v = v.trim().trim_start_matches("0x");
-        let seed = u64::from_str_radix(v, 16)
-            .unwrap_or_else(|_| panic!("A4A_PROP_SEED={v:?} is not a hex u64"));
+        let seed = parse_seed(&v).unwrap_or_else(|e| panic!("{e}"));
         run_one(config, name, seed, 0, &prop);
         return;
     }
@@ -486,6 +495,17 @@ fn shrink(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn parse_seed_reads_hex_and_rejects_the_rest() {
+        assert_eq!(parse_seed("0xc0ffee"), Ok(0xc0ffee));
+        assert_eq!(parse_seed(" c0ffee "), Ok(0xc0ffee));
+        assert_eq!(
+            parse_seed("zz"),
+            Err("A4A_PROP_SEED=\"zz\" is not a hex u64".to_string())
+        );
+        assert!(parse_seed("").is_err());
+    }
 
     #[test]
     fn passing_property_passes() {

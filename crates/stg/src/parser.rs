@@ -443,7 +443,6 @@ impl<'a> Parser<'a> {
         }
 
         // Marking.
-        let mut initial_tokens: HashMap<PlaceId, u32> = HashMap::new();
         for (lineno, token) in &marking_tokens {
             let (name, count) = match token.split_once('=') {
                 Some((n, c)) => (
@@ -473,33 +472,13 @@ impl<'a> Parser<'a> {
                         message: format!("marked place {name:?} does not exist"),
                     })?
                 };
-            *initial_tokens.entry(place).or_insert(0) += count;
+            net.add_tokens(place, count)
+                .ok_or_else(|| StgError::Parse {
+                    line: *lineno,
+                    message: format!("token count of place {name:?} overflows u32"),
+                })?;
         }
-
-        // Rebuild net with initial tokens (NetBuilder fixes tokens at place
-        // creation, so rebuild through a fresh builder preserving ids).
-        let proto = net.build();
-        let mut net2 = NetBuilder::new();
-        for p in proto.place_ids() {
-            let tokens = initial_tokens.get(&p).copied().unwrap_or(0);
-            net2.place_with_tokens(proto.place(p).name.clone(), tokens);
-        }
-        for t in proto.transition_ids() {
-            let id = net2.transition(proto.transition(t).name.clone());
-            debug_assert_eq!(id, t);
-        }
-        for t in proto.transition_ids() {
-            for &(p, w) in proto.transition(t).consumed() {
-                net2.arc_pt_weighted(p, t, w);
-            }
-            for &(p, w) in proto.transition(t).produced() {
-                net2.arc_tp_weighted(t, p, w);
-            }
-            for &(p, w) in proto.transition(t).read() {
-                net2.arc_read_weighted(p, t, w);
-            }
-        }
-        let net = net2.build();
+        let net = net.build();
 
         // Initial signal values: explicit directive or inference.
         match initial_high {
@@ -794,6 +773,29 @@ marking { <b-,a+> }
             StgError::Parse { line, message } => {
                 assert_eq!(*line, 6, "{err}");
                 assert!(message.contains("<b-,a+>"), "{err}");
+            }
+            other => panic!("unexpected error {other:?}"),
+        }
+    }
+
+    #[test]
+    fn overflowing_token_count_is_a_parse_error() {
+        // Two entries for one place whose counts sum past u32::MAX.
+        let text = "\
+.model x
+.inputs a
+.graph
+a+ a-
+a- a+
+.marking { <a-,a+>=4294967295 <a-,a+>=1 }
+.end
+";
+        let err = Stg::parse_g(text).unwrap_err();
+        match &err {
+            StgError::Parse { line, message } => {
+                assert_eq!(*line, 6, "{err}");
+                assert!(message.contains("<a-,a+>"), "{err}");
+                assert!(message.contains("overflows"), "{err}");
             }
             other => panic!("unexpected error {other:?}"),
         }

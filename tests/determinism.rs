@@ -4,8 +4,7 @@
 
 use a4a::scenario::{self, ControllerKind};
 use a4a::A4aFlow;
-use a4a_bench::{ablation, experiments};
-use a4a_rt::Pool;
+use a4a_bench::ablation;
 use a4a_sim::Time;
 use a4a_synth::{synthesize, SynthOptions, SynthStyle};
 
@@ -64,111 +63,33 @@ fn flow_artifacts_are_deterministic() {
     assert_eq!(a.equations, b.equations);
 }
 
-/// Renders the seeded ablation batches on a given pool as an exact
-/// digest: every latency as raw `f64` bits, so the comparison is
-/// bit-identity, not approximate equality.
-fn ablation_digest(pool: &Pool, root: u64) -> String {
+/// Renders the seeded ablation batches as an exact digest: every
+/// latency as raw `f64` bits, so the comparison is bit-identity, not
+/// approximate equality.
+fn ablation_digest(root: u64) -> String {
     let mut out = String::new();
     for p in [0.0, 0.2, 0.8] {
-        for ns in ablation::sync_metastability_batch(pool, p, root, 40) {
+        for ns in ablation::sync_metastability_batch(p, root, 40) {
             out.push_str(&format!("{:016x} ", ns.to_bits()));
         }
     }
     for (p, tau_ns) in [(0.0, 1.0), (0.3, 2.0), (0.9, 5.0)] {
-        for ns in ablation::wait_metastability_batch(pool, p, Time::from_ns(tau_ns), root, 200) {
+        for ns in ablation::wait_metastability_batch(p, Time::from_ns(tau_ns), root, 200) {
             out.push_str(&format!("{:016x} ", ns.to_bits()));
         }
     }
     out
 }
 
-/// Renders short Figure 7a/7b sweeps on a given pool as an exact digest
-/// (raw `f64` bits), the sweep counterpart of [`ablation_digest`].
-fn sweep_digest(pool: &Pool) -> String {
-    let coils = &scenario::coil_grid()[..2];
-    let loads = &scenario::load_grid()[..2];
-    let mut out = String::new();
-    for point in experiments::fig7a_on(pool, coils)
-        .into_iter()
-        .chain(experiments::fig7b_on(pool, loads))
-    {
-        for y in std::iter::once(point.x).chain(point.y) {
-            out.push_str(&format!("{:016x} ", y.to_bits()));
-        }
-    }
-    out
-}
-
 #[test]
-fn ablation_batches_identical_across_pool_sizes() {
-    // The seeded scenario batches split one root seed with SplitMix64,
-    // so the result is a function of the seed alone — never of which
-    // thread ran which scenario. The Figure 7 sweep cells are fresh
-    // testbenches with no shared state. Pools of 1, 2, and 8 threads
-    // must produce the same bits for both.
+fn ablation_batches_are_a_function_of_the_seed() {
+    // The seeded scenario batches split one root seed with SplitMix64:
+    // the same seed twice gives the same bits, and a different seed
+    // changes them (the seed is live).
     let root = ablation::DEFAULT_ROOT_SEED;
-    let baseline = ablation_digest(&Pool::new(1), root);
-    let sweep_baseline = sweep_digest(&Pool::new(1));
-    for threads in [2, 8] {
-        let pool = Pool::new(threads);
-        assert_eq!(
-            ablation_digest(&pool, root),
-            baseline,
-            "ablation batch differs on a {threads}-thread pool"
-        );
-        assert_eq!(
-            sweep_digest(&pool),
-            sweep_baseline,
-            "fig7a/7b sweep differs on a {threads}-thread pool"
-        );
-    }
-    // A different root seed must change the digest (the seed is live).
-    assert_ne!(ablation_digest(&Pool::new(1), root ^ 1), baseline);
-}
-
-/// Child-process hook for `ablation_identical_across_processes`: when
-/// re-exec'd with `A4A_EMIT_DIGEST=1` this prints the digest of the
-/// global pool's ablation batches and nothing else is asserted. In a
-/// normal test run the env var is unset and this is a no-op.
-#[test]
-fn emit_ablation_digest_when_asked() {
-    if std::env::var("A4A_EMIT_DIGEST").is_err() {
-        return;
-    }
-    let digest = ablation_digest(Pool::global(), ablation::root_seed());
-    println!("A4A_DIGEST {digest}");
-}
-
-#[test]
-fn ablation_identical_across_processes_with_same_seed() {
-    // Two *separate processes* with the same A4A_PROP_SEED but different
-    // thread counts must agree bit-for-bit. This closes the gap the
-    // in-process test can't cover: the global pool, env parsing, and
-    // process-level state.
-    let exe = std::env::current_exe().expect("test binary path");
-    let run = |threads: &str| -> String {
-        let out = std::process::Command::new(&exe)
-            .args(["--exact", "emit_ablation_digest_when_asked", "--nocapture"])
-            .env("A4A_EMIT_DIGEST", "1")
-            .env("A4A_PROP_SEED", "c0ffee")
-            .env("A4A_THREADS", threads)
-            .output()
-            .expect("re-exec test binary");
-        assert!(out.status.success(), "child (A4A_THREADS={threads}) failed");
-        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
-        // The digest can share a line with libtest's `test name ...`
-        // prefix under --nocapture, so match anywhere in the line.
-        stdout
-            .lines()
-            .find_map(|l| l.find("A4A_DIGEST ").map(|i| &l[i + "A4A_DIGEST ".len()..]))
-            .unwrap_or_else(|| panic!("no digest line in child output:\n{stdout}"))
-            .to_string()
-    };
-    let d1 = run("1");
-    let d2 = run("2");
-    let d8 = run("8");
-    assert_eq!(d1, d2, "process digests differ between 1 and 2 threads");
-    assert_eq!(d1, d8, "process digests differ between 1 and 8 threads");
+    let baseline = ablation_digest(root);
+    assert_eq!(ablation_digest(root), baseline);
+    assert_ne!(ablation_digest(root ^ 1), baseline);
 }
 
 #[test]

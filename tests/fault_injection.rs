@@ -20,7 +20,7 @@ use a4a::{A4aFlow, TestbenchBuilder};
 use a4a_analog::{Buck, BuckParams};
 use a4a_ctrl::{AsyncController, AsyncTiming};
 use a4a_rt::fault::{self, FaultKind, FaultPlan};
-use a4a_rt::Rng;
+use a4a_rt::{prop, Rng};
 use a4a_sim::{EventKey, Scheduler, SimError, Time};
 use a4a_stg::{Stg, MAX_CODING_CONFLICTS};
 use a4a_synth::SynthStyle;
@@ -41,11 +41,7 @@ const G_CASE_BUDGET: std::time::Duration = std::time::Duration::from_secs(10);
 /// var replays both tiers.
 fn master_seed() -> u64 {
     match std::env::var("A4A_PROP_SEED") {
-        Ok(v) => {
-            let v = v.trim().trim_start_matches("0x");
-            u64::from_str_radix(v, 16)
-                .unwrap_or_else(|_| panic!("A4A_PROP_SEED={v:?} is not a hex u64"))
-        }
+        Ok(v) => prop::parse_seed(&v).unwrap_or_else(|e| panic!("{e}")),
         Err(_) => 0xA4A_FA17_5EED,
     }
 }
