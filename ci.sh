@@ -6,12 +6,14 @@
 # script is the tier-1 verify plus the guards that keep it that way:
 #
 #   1. cold-cache offline release build
-#   2. offline test run (root package tier-1, then the whole workspace,
-#      then perfbench's own unit tests, a cargo package of its own)
-#   3. fault-injection tier: seeded adversarial scenarios against the
-#      scheduler/analog/testbench layers (deterministic per
-#      A4A_PROP_SEED), asserting typed errors instead of panics
-#   4. smoke tier: every bench binary end-to-end into a scratch results
+#   2. offline test run, each suite once: the root package (tier-1; its
+#      tests/fault_injection.rs drives seeded adversarial scenarios
+#      against the scheduler/analog/testbench layers and a `.g` mutation
+#      fuzz through the flow and the CLI's output paths, deterministic
+#      per A4A_PROP_SEED, asserting typed errors instead of panics), then
+#      every other workspace package, then perfbench's own unit tests, a
+#      cargo package of its own
+#   3. smoke tier: every bench binary end-to-end into a scratch results
 #      dir, checking CSV headers/row counts against results/, requiring
 #      every regenerated CSV to equal the committed one byte for byte,
 #      the ablation's printed numbers to equal results/ablation.txt, and
@@ -21,24 +23,24 @@
 #      `verify`, `synth [--gc]`, `timing [--gc]`, `dot [--sg]`,
 #      `verilog` and `verilog --gc --map`, and for one spec read from
 #      `-` (stdin)
-#   5. perf-counter tier: one short traced perfbench run (the repo's
+#   4. perf-counter tier: one short traced perfbench run (the repo's
 #      benchmark, see BENCHMARK.json) that must be correct with zero
 #      failed ops, and whose deterministic `count/*` work counters must
 #      equal perf_counters.txt exactly — a change of work is an
 #      explicit, explained update of that file
-#   6. fail if any Cargo.toml re-introduces a registry (non-path)
+#   5. fail if any Cargo.toml re-introduces a registry (non-path)
 #      dependency
-#   7. fail if a library crate of the simulation stack (sim, analog,
+#   6. fail if a library crate of the simulation stack (sim, analog,
 #      core), of the formal engines (petri, stg), of synthesis (boolmin,
 #      synth, netlist), of the controllers (ctrl, a2a) or the runtime
 #      (rt) grows a new `unwrap()` outside #[cfg(test)] — failures there
 #      must flow through the crates' typed errors
-#   8. `cargo fmt --all -- --check`: the workspace is rustfmt-clean
-#   9. clippy over every target with warnings denied
-#  10. rustdoc over the workspace with warnings denied (broken or
+#   7. `cargo fmt --all -- --check`: the workspace is rustfmt-clean
+#   8. clippy over every target with warnings denied
+#   9. rustdoc over the workspace with warnings denied (broken or
 #      ambiguous intra-doc links fail)
 #
-# `./ci.sh --quick` runs only the build and the smoke tier (4) — the
+# `./ci.sh --quick` runs only the build and the smoke tier (3) — the
 # sub-minute loop for "did I break an experiment binary".
 #
 # Each tier prints its wall time (whole seconds, bash `SECONDS`) as it
@@ -217,7 +219,7 @@ perf_counter_tier() {
 
 if [ "$quick" -eq 1 ]; then
     smoke_tier
-    tier_done "4 smoke"
+    tier_done "3 smoke"
     echo "OK: quick tier"
     report_times
     exit 0
@@ -226,23 +228,19 @@ fi
 echo "==> cargo test -q --offline (tier-1: root package)"
 cargo test -q --offline
 
-echo "==> cargo test -q --offline --workspace"
-cargo test -q --offline --workspace
+# The root package is a workspace member: exclude it, or it runs twice.
+echo "==> cargo test -q --offline --workspace --exclude buck-a4a"
+cargo test -q --offline --workspace --exclude buck-a4a
 
 echo "==> cargo test -q --offline --manifest-path perfbench/Cargo.toml"
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
 tier_done "2 tests"
 
-echo "==> fault-injection tier (seeded adversarial scenarios)"
-cargo test -q --offline --test fault_injection > /dev/null
-echo "OK: fault-injection tier (typed errors, zero library panics)"
-tier_done "3 fault injection"
-
 smoke_tier
-tier_done "4 smoke"
+tier_done "3 smoke"
 
 perf_counter_tier
-tier_done "5 perf counters"
+tier_done "4 perf counters"
 
 echo "==> checking for registry dependencies"
 # Every [dependencies*] / [dev-dependencies] entry must be either an
@@ -276,7 +274,7 @@ if [ "$bad" -ne 0 ]; then
     exit 1
 fi
 echo "OK: hermetic (no registry dependencies)"
-tier_done "6 hermetic"
+tier_done "5 hermetic"
 
 echo "==> checking library crates for unwrap()"
 # The sim/analog/core libraries route every failure through the typed
@@ -303,20 +301,20 @@ if [ "$bad" -ne 0 ]; then
     exit 1
 fi
 echo "OK: library crates are unwrap-free (typed errors only)"
-tier_done "7 unwrap scan"
+tier_done "6 unwrap scan"
 
 echo "==> cargo fmt --all -- --check"
 cargo fmt --all -- --check
 echo "OK: rustfmt clean"
-tier_done "8 fmt"
+tier_done "7 fmt"
 
 echo "==> cargo clippy --offline --workspace --all-targets -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "OK: clippy clean"
-tier_done "9 clippy"
+tier_done "8 clippy"
 
 echo "==> cargo doc --offline --workspace --no-deps (RUSTDOCFLAGS=-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 echo "OK: rustdoc clean"
-tier_done "10 rustdoc"
+tier_done "9 rustdoc"
 report_times

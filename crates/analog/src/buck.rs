@@ -93,15 +93,35 @@ impl BuckParams {
             })
             .fold(0.0, f64::max)
     }
+
+    /// Rejects a power stage whose [`BuckParams::stiffest_rate`] is NaN
+    /// or above 10¹² s⁻¹ as [`SimError::InvalidParameter`]. A plan costs
+    /// one series per `1/‖A‖`, so this bound keeps every plan at least
+    /// 1 ps long and a 2 ns window within 2 000 plans; the paper's cells
+    /// stay below 5·10⁶ s⁻¹. [`Buck::try_new`] and [`Buck::try_set_load`]
+    /// apply it.
+    pub fn check_rate(&self) -> Result<(), SimError> {
+        let rate = self.stiffest_rate();
+        if rate.is_nan() || rate > MAX_RATE {
+            return Err(SimError::InvalidParameter {
+                what: "power-stage rate |A| (1/s)",
+                value: rate,
+            });
+        }
+        Ok(())
+    }
 }
 
-/// Spans with `‖A‖·h` up to this bound are propagated by one Taylor
-/// series; longer ones scale the series down and square it back up.
+/// A plan spans at most `THETA/‖A‖`, where one Taylor series still
+/// reaches: a window that needs more takes more plans.
 const THETA: f64 = 1.0;
 /// A plan reaches past the window it was asked for, toward the caller's
 /// horizon, as far as `‖A‖·span` stays within this bound: the next
 /// windows then reuse its series.
 const REUSE_Z: f64 = 0.25;
+/// The largest `‖A‖` (1/s) a power stage may have (see
+/// [`BuckParams::check_rate`]).
+const MAX_RATE: f64 = 1e12;
 /// Highest series order. `1/19! < 2^-53`, so a span within [`THETA`]
 /// needs at most 18 terms.
 const MAX_ORDER: usize = 20;
@@ -111,9 +131,6 @@ const ROOT_ITERS: usize = 100;
 const LANES: usize = 4;
 /// State components [`Buck::sample_plan`] evaluates side by side.
 const GROUP: usize = 8;
-/// Pieces of `THETA/‖A‖` that a crossing search on a scaled-and-squared
-/// plan takes before its pieces start to double (see [`Plan::crossing`]).
-const FINE_PIECES: usize = 256;
 
 /// `1/k` for the series recursion and the polynomial integrals.
 const INV: [f64; MAX_ORDER + 2] = {
@@ -148,16 +165,22 @@ fn order(z: f64, ratio: f64) -> usize {
 /// phase, then the output capacitor voltage. While the switch states and
 /// diode modes stay fixed the buck is linear, `x' = A·x + b`, and its
 /// trajectory is a Taylor series in `A·h` whose order is set by a bound
-/// on `‖A‖·h`, so every state on it is exact to f64 rounding. A body
-/// diode that stops conducting ends the trajectory at the exact current
-/// zero (discontinuous conduction).
+/// on `‖A‖·h`, so every state on it is exact to f64 rounding. One series
+/// spans at most `1/‖A‖`; a longer stretch takes one plan after another.
+/// A body diode that stops conducting ends the trajectory at the exact
+/// current zero (discontinuous conduction).
 ///
 /// [`Buck::step`] advances by a fixed time. The mixed-signal testbench
 /// instead plans the trajectory ([`Buck::try_plan`]), looks for
 /// comparator crossings on it
 /// ([`SensorBank::first_crossing`](crate::SensorBank::first_crossing)),
 /// and advances to the next event ([`Buck::try_advance_to`]); one plan
-/// serves every window until the switches or the load change.
+/// serves every window until the switches or the load change, or it
+/// runs out.
+///
+/// A stage with `‖A‖` above 10¹² s⁻¹ is rejected
+/// ([`BuckParams::check_rate`]): the work per simulated second grows
+/// with `‖A‖`.
 #[derive(Debug, Clone)]
 pub struct Buck {
     params: BuckParams,
@@ -204,6 +227,10 @@ struct Plan {
     reach: f64,
     /// Phases whose diode current reaches zero at `reach`.
     zeros: Vec<usize>,
+    /// Whether the plan ends short of the window it was built for, at
+    /// one series' reach or at a diode zero: it is then reused to its
+    /// end.
+    short: bool,
     /// The rows of a phase whose PMOS, NMOS, NMOS body diode or PMOS
     /// body diode conducts; fixed by the parameters.
     modes: [Row; 4],
@@ -222,9 +249,6 @@ struct Plan {
     weight: f64,
     /// `‖A‖` of this plan in that norm.
     norm: f64,
-    /// Whether the span is within [`THETA`], so `terms` holds the
-    /// series; otherwise states come from scaling and squaring.
-    series: bool,
     /// Series order of `terms`.
     order: usize,
     /// Taylor terms scaled to the span, term-major: term `k` of component
@@ -232,7 +256,7 @@ struct Plan {
     /// term_k·s^k`. Term 0 is the state at the origin.
     terms: Vec<f64>,
     /// Coefficients in `s` of the integrals from the origin of the
-    /// supply current and of `v²`, over the span (series plans only).
+    /// supply current and of `v²`, over the span.
     supply_int: Vec<f64>,
     v2_int: Vec<f64>,
     /// The state and its slope at `reach`.
@@ -242,9 +266,9 @@ struct Plan {
     state: Vec<f64>,
 }
 
-/// A crossing search on one piece of a plan, cut off before its root
-/// finding: component `j`, the level and direction, and the piece's
-/// ends as `(τ, x, x')` after the plan's origin.
+/// A crossing search on a plan, cut off before its root finding:
+/// component `j`, the level and direction, and the bracket's ends as
+/// `(τ, x, x')` after the plan's origin.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Bracket {
     j: usize,
@@ -254,7 +278,7 @@ pub(crate) struct Bracket {
     hi: (f64, f64, f64),
 }
 
-/// Where a crossing search on one piece stands before root finding.
+/// Where a crossing search stands before root finding.
 enum Piece {
     /// Settled: the crossing's time after the origin, or none.
     Done(Option<f64>),
@@ -378,22 +402,25 @@ impl Plan {
         (self.weight * i).max(y[phases].abs())
     }
 
-    /// Taylor terms of the trajectory from term 0 of `terms` under
-    /// `x' = A·x + c·b` over a span of `h`, laid out as [`Plan::terms`];
-    /// returns the order. Term `k` is `h/k` times `A` applied to term
-    /// `k - 1`, plus `h·c·b` for `k = 1`.
-    fn taylor(&self, terms: &mut Vec<f64>, c: f64, h: f64) -> usize {
+    /// Builds the series over the span from term 0 of [`Plan::terms`]:
+    /// term `k` is `span/k` times `A` applied to term `k - 1`, plus
+    /// `span·b` for `k = 1`. Then the integral polynomials, and `end` and
+    /// `end_slope` at the span's end.
+    fn build(&mut self) {
         let n = self.phases() + 1;
-        terms.resize(n * (MAX_ORDER + 1), 0.0);
-        self.term(terms, 1, h, c);
-        let m = order(
+        let h = self.span;
+        let mut terms = std::mem::take(&mut self.terms);
+        self.term(&mut terms, 1, h, 1.0);
+        self.order = order(
             self.norm * h,
             self.size(&terms[..n]) / self.size(&terms[n..2 * n]),
         );
-        for (k, inv) in INV.iter().enumerate().take(m + 1).skip(2) {
-            self.term(terms, k, h * inv, 0.0);
+        for (k, inv) in INV.iter().enumerate().take(self.order + 1).skip(2) {
+            self.term(&mut terms, k, h * inv, 0.0);
         }
-        m
+        self.terms = terms;
+        self.integrals();
+        self.end_at(1.0);
     }
 
     /// Term `k` from term `k - 1`: `f·(A·term + c·b)`.
@@ -407,9 +434,9 @@ impl Plan {
         }
     }
 
-    /// Sets up a series plan: the integral polynomials, and `end` and
-    /// `end_slope` at the span's end.
-    fn series_setup(&mut self) {
+    /// The polynomials in `s` of the integrals from the origin of the
+    /// supply current and of `v²`.
+    fn integrals(&mut self) {
         let n = self.phases() + 1;
         let w = self.order + 1;
         let mut supply = std::mem::take(&mut self.supply_int);
@@ -437,7 +464,6 @@ impl Plan {
         }
         self.supply_int = supply;
         self.v2_int = v2;
-        self.end_at(1.0);
     }
 
     /// The state at `s` spans into `out`: Horner's rule over the terms,
@@ -478,14 +504,6 @@ impl Plan {
 
     /// Component `j` of `x`, `x'` and `x''` at `τ` after the origin.
     fn eval(&self, j: usize, tau: f64) -> [f64; 3] {
-        if !self.series {
-            let x = self.dense(tau).0;
-            let mut f = vec![0.0; x.len()];
-            self.apply(&x, 1.0, &mut f);
-            let mut f2 = vec![0.0; x.len()];
-            self.apply(&f, 0.0, &mut f2);
-            return [x[j], f[j], f2[j]];
-        }
         let s = tau * self.inv_span;
         let n = self.phases() + 1;
         let (mut x, mut d, mut dd) = (0.0, 0.0, 0.0);
@@ -502,109 +520,35 @@ impl Plan {
         ]
     }
 
-    /// First `τ` from `from` to the plan's end (after the origin) at
-    /// which component `j` is at or beyond `level` (above it when
-    /// `rising`, else below), given the state `(currents, v)` at `from`.
+    /// First `τ` from the origin to the plan's end at which component
+    /// `j` is at or beyond `level` (above it when `rising`, else below),
+    /// given the state `(currents, v)` at the origin.
     ///
-    /// Over `‖A‖·h ≤ THETA` a component turns by at most about a radian,
-    /// so it has at most one extremum there, and [`Plan::crossing_in`]
-    /// searches such a piece whole. A series plan is one piece. A
-    /// scaled-and-squared plan is searched in pieces of that length,
-    /// each on its own series from the state at its start. After
-    /// [`FINE_PIECES`] of them the pieces double in length, evaluated by
-    /// scaling and squaring, so a search takes at most `FINE_PIECES +
-    /// log2(‖A‖·span)` pieces. Only there, more than `FINE_PIECES/‖A‖`
-    /// into a plan, can a crossing that goes out and comes back within
-    /// one piece be missed. At the default parameters the output filter
-    /// rings with a period of 8–10 `/‖A‖` and a quality factor of about
-    /// 3, so by then its ringing has decayed by about `e^-30`.
-    fn crossing(
-        &self,
-        j: usize,
-        level: f64,
-        rising: bool,
-        from: f64,
-        (currents, v): (&[f64], f64),
-    ) -> Option<f64> {
-        let span = self.reach - self.origin;
-        let x = currents.get(j).copied().unwrap_or(v);
-        let mut a = (from, x, self.slope(j, currents, v));
-        if self.series {
-            let hi = (span, self.end[j], self.end_slope[j]);
-            return self.crossing_in(j, level, rising, a, hi);
-        }
-        let len = THETA / self.norm;
-        let n = self.phases() + 1;
-        let mut piece = self.clone();
-        piece.series = true;
-        piece.terms[..n - 1].copy_from_slice(currents);
-        piece.terms[n - 1] = v;
-        for _ in 0..FINE_PIECES {
-            let last = len >= span - a.0;
-            let h = if last { span - a.0 } else { len };
-            let mut terms = std::mem::take(&mut piece.terms);
-            piece.order = piece.taylor(&mut terms, 1.0, h);
-            piece.terms = terms;
-            piece.inv_span = 1.0 / h;
-            piece.end_at(1.0);
-            let b = (h, piece.end[j], piece.end_slope[j]);
-            if let Some(tau) = piece.crossing_in(j, level, rising, (0.0, a.1, a.2), b) {
-                return Some(a.0 + tau);
-            }
-            if last {
-                return None;
-            }
-            a = (a.0 + h, b.1, b.2);
-            let (start, end) = (&mut piece.terms[..n], &piece.end);
-            start.copy_from_slice(end);
-        }
-        let mut len = 2.0 * len;
-        loop {
-            let end = a.0 + len;
-            let b = if end >= span {
-                (span, self.end[j], self.end_slope[j])
-            } else {
-                let [x, d, _] = self.eval(j, end);
-                (end, x, d)
-            };
-            if let Some(tau) = self.crossing_in(j, level, rising, a, b) {
-                return Some(tau);
-            }
-            if b.0 >= span {
-                return None;
-            }
-            a = b;
-            len *= 2.0;
-        }
-    }
-
-    /// [`Plan::crossing`] within one piece. A crossing that returns
-    /// before `hi` is caught too: the component's slope is itself affine
-    /// in the state, so a slope that changes sign marks an extremum,
-    /// which is checked against the level.
-    fn crossing_in(
-        &self,
-        j: usize,
-        level: f64,
-        rising: bool,
-        lo: (f64, f64, f64),
-        hi: (f64, f64, f64),
-    ) -> Option<f64> {
-        match self.bracket(j, level, rising, lo, hi) {
+    /// A plan spans `‖A‖·h ≤ THETA`, over which a component turns by at
+    /// most about a radian, so it has at most one extremum. A crossing
+    /// that returns before the plan's end is caught too: the component's
+    /// slope is itself affine in the state, so a slope that changes sign
+    /// marks an extremum, which is checked against the level.
+    fn crossing(&self, j: usize, level: f64, rising: bool, state: (&[f64], f64)) -> Option<f64> {
+        match self.bracket(j, level, rising, 0.0, state) {
             Piece::Done(at) => at,
             Piece::Root(bracket) => self.root_in(&bracket),
         }
     }
 
-    /// The part of [`Plan::crossing_in`] that needs no root finding.
+    /// The part of [`Plan::crossing`] that needs no root finding, from
+    /// `lo` after the origin, given the state there.
     fn bracket(
         &self,
         j: usize,
         level: f64,
         rising: bool,
-        (lo, x_lo, d_lo): (f64, f64, f64),
-        (hi, x_hi, d_hi): (f64, f64, f64),
+        lo: f64,
+        (currents, v): (&[f64], f64),
     ) -> Piece {
+        let x_lo = currents.get(j).copied().unwrap_or(v);
+        let d_lo = self.slope(j, currents, v);
+        let (hi, x_hi, d_hi) = (self.reach - self.origin, self.end[j], self.end_slope[j]);
         let s = if rising { 1.0 } else { -1.0 };
         if s * (x_lo - level) >= 0.0 {
             return Piece::Done(Some(lo));
@@ -626,7 +570,7 @@ impl Plan {
         })
     }
 
-    /// The rest of [`Plan::crossing_in`]: the root finding on a bracket.
+    /// The rest of [`Plan::crossing`]: the root finding on a bracket.
     fn root_in(&self, b: &Bracket) -> Option<f64> {
         let s = if b.rising { 1.0 } else { -1.0 };
         let ((lo, x_lo, d_lo), (hi, x_hi, d_hi)) = (b.lo, b.hi);
@@ -651,11 +595,11 @@ impl Plan {
     }
 
     /// A time after the origin before which [`Plan::root_in`] cannot
-    /// return on the bracket `b` of a series plan. From the bracket's
-    /// start the component follows its value and slope there plus at
-    /// most `curv·h²/2`, where the series bounds the curvature over the
-    /// whole span by `curv = Σ k·(k−1)·|term_k| / span²`; the bound is
-    /// where that reaches the level. The gap to the level is first cut
+    /// return on the bracket `b`. From the bracket's start the component
+    /// follows its value and slope there plus at most `curv·h²/2`, where
+    /// the series bounds the curvature over the whole span by
+    /// `curv = Σ k·(k−1)·|term_k| / span²`; the bound is where that
+    /// reaches the level. The gap to the level is first cut
     /// by the rounding of the series and of the root finder's steps, and
     /// the result by twice the root finder's tolerance.
     fn earliest(&self, b: &Bracket) -> f64 {
@@ -694,117 +638,11 @@ impl Plan {
         };
         (lo + h * (1.0 - 64.0 * f64::EPSILON) - 2.0 * tol).max(lo)
     }
-
-    /// Cold path for spans longer than [`THETA`] allows: the state at
-    /// `τ` after the origin and the integrals from the origin of the
-    /// supply current and of `v²`, by scaling and squaring. Over the
-    /// affine state `y = (x, 1)`, the series gives the propagator `Ψ`,
-    /// its integral `K` and the Gram matrix `G` of `v` over `τ/2^d`;
-    /// each doubling then takes `K ← K + K·Ψ`, `G ← G + Ψᵀ·G·Ψ`,
-    /// `Ψ ← Ψ·Ψ`. The number of doublings `d` is `log2(‖A‖τ)`, at most
-    /// about a thousand for any finite `‖A‖τ`.
-    fn dense(&self, tau: f64) -> (Vec<f64>, f64, f64) {
-        let n = self.phases() + 1;
-        let na = n + 1;
-        let z = self.norm * tau;
-        let doublings = if z > THETA {
-            (z / THETA).log2().ceil() as i32
-        } else {
-            0
-        };
-        let h = tau * 0.5f64.powi(doublings);
-        let mut psi = vec![0.0; na * na];
-        let mut k = vec![0.0; na * na];
-        let mut v_polys = Vec::with_capacity(na);
-        let mut terms = Vec::new();
-        for col in 0..na {
-            terms.clear();
-            terms.resize(n, 0.0);
-            let c = if col < n {
-                terms[col] = 1.0;
-                0.0
-            } else {
-                1.0
-            };
-            let m = self.taylor(&mut terms, c, h);
-            for r in 0..n {
-                let p = terms[r..=r + m * n].iter().step_by(n).copied();
-                psi[r * na + col] = p.clone().sum();
-                k[r * na + col] = integral(p, 1.0) * h;
-            }
-            let v: Vec<f64> = terms[n - 1..=n - 1 + m * n]
-                .iter()
-                .step_by(n)
-                .copied()
-                .collect();
-            v_polys.push(v);
-        }
-        psi[n * na + n] = 1.0;
-        k[n * na + n] = h;
-        let mut gram = vec![0.0; na * na];
-        for a in 0..na {
-            for b in 0..na {
-                let (p, q) = (&v_polys[a], &v_polys[b]);
-                let integral: f64 = (0..p.len().min(q.len()))
-                    .map(|d| (0..=d).map(|i| p[i] * q[d - i]).sum::<f64>() * INV[d + 1])
-                    .sum();
-                gram[a * na + b] = integral * h;
-            }
-        }
-        for _ in 0..doublings {
-            let kp = matmul(&k, &psi, na);
-            let gp = matmul(&gram, &psi, na);
-            let mut psi_t = vec![0.0; na * na];
-            for a in 0..na {
-                for b in 0..na {
-                    psi_t[a * na + b] = psi[b * na + a];
-                }
-            }
-            let pgp = matmul(&psi_t, &gp, na);
-            for idx in 0..na * na {
-                k[idx] += kp[idx];
-                gram[idx] += pgp[idx];
-            }
-            psi = matmul(&psi, &psi, na);
-        }
-        let y0: Vec<f64> = self.terms[..n].iter().copied().chain([1.0]).collect();
-        let row_dot =
-            |m: &[f64], row: usize| -> f64 { (0..na).map(|col| m[row * na + col] * y0[col]).sum() };
-        let end = (0..n).map(|row| row_dot(&psi, row)).collect();
-        let supply = (0..n - 1)
-            .filter(|&j| self.supply[j])
-            .map(|j| row_dot(&k, j))
-            .sum();
-        let v2 = (0..na).map(|row| y0[row] * row_dot(&gram, row)).sum();
-        (end, supply, v2)
-    }
 }
 
 /// `p(s)`, for polynomial coefficients `p` (lowest power first).
-fn horner(p: impl DoubleEndedIterator<Item = f64>, s: f64) -> f64 {
-    p.rev().fold(0.0, |acc, c| acc * s + c)
-}
-
-/// `∫₀^s p`, for polynomial coefficients `p` (lowest power first).
-fn integral(p: impl DoubleEndedIterator<Item = f64> + ExactSizeIterator, s: f64) -> f64 {
-    p.enumerate()
-        .rev()
-        .fold(0.0, |acc, (k, c)| acc * s + c * INV[k + 1])
-        * s
-}
-
-/// `a·b` for row-major `n×n` matrices.
-fn matmul(a: &[f64], b: &[f64], n: usize) -> Vec<f64> {
-    let mut out = vec![0.0; n * n];
-    for i in 0..n {
-        for k in 0..n {
-            let aik = a[i * n + k];
-            for j in 0..n {
-                out[i * n + j] += aik * b[k * n + j];
-            }
-        }
-    }
-    out
+fn horner(p: &[f64], s: f64) -> f64 {
+    p.iter().rev().fold(0.0, |acc, &c| acc * s + c)
 }
 
 /// The root of `f` in `[lo, hi]`, given `f(lo) = flo < 0 ≤ f(hi) = fhi`;
@@ -867,6 +705,8 @@ impl Buck {
     /// 0.0)`-style check catches it too; the explicit finiteness checks
     /// here additionally reject infinities and cover the fields
     /// (on-resistances, diode drop, coil resistances) that may be zero.
+    /// A stage too stiff to propagate ([`BuckParams::check_rate`]) is
+    /// [`SimError::InvalidParameter`] too.
     pub fn try_new(params: BuckParams) -> Result<Self, SimError> {
         if params.phases == 0 {
             return Err(SimError::InvalidParameter {
@@ -897,6 +737,7 @@ impl Buck {
                 return Err(SimError::InvalidParameter { what, value });
             }
         }
+        params.check_rate()?;
         Ok(Buck {
             switches: vec![SwitchState::Off; params.phases],
             current: vec![0.0; params.phases],
@@ -968,16 +809,9 @@ impl Buck {
         if !(self.time > plan.origin && self.time <= plan.reach) {
             return (0.0, 0.0);
         }
-        let tau = self.time - plan.origin;
-        let (supply, v2) = if plan.series {
-            let s = tau * plan.inv_span;
-            let int = |c: &[f64]| horner(c.iter().copied(), s) * plan.span;
-            (int(&plan.supply_int), int(&plan.v2_int))
-        } else {
-            let (_, supply, v2) = plan.dense(tau);
-            (supply, v2)
-        };
-        (supply, v2)
+        let s = (self.time - plan.origin) * plan.inv_span;
+        let int = |c: &[f64]| horner(c, s) * plan.span;
+        (int(&plan.supply_int), int(&plan.v2_int))
     }
 
     /// Books the energy moved along the present plan so far and drops
@@ -1056,13 +890,19 @@ impl Buck {
     }
 
     /// Fallible [`Buck::set_load`]: NaN, infinite, and non-positive
-    /// resistances are reported as [`SimError::InvalidParameter`].
+    /// resistances, and a load that makes the stage too stiff
+    /// ([`BuckParams::check_rate`]), are reported as
+    /// [`SimError::InvalidParameter`]; the load is unchanged on error.
     pub fn try_set_load(&mut self, rload: f64) -> Result<(), SimError> {
         if !(rload.is_finite() && rload > 0.0) {
             return Err(SimError::InvalidParameter {
                 what: "rload (Ohm)",
                 value: rload,
             });
+        }
+        // `‖A‖` grows only as the load falls.
+        if rload < self.params.rload {
+            self.params.clone().with_load(rload).check_rate()?;
         }
         self.settle();
         self.params.rload = rload;
@@ -1085,9 +925,9 @@ impl Buck {
 
     /// Fallible [`Buck::step`]: a NaN, infinite, or non-positive `dt` is
     /// reported as [`SimError::InvalidParameter`] without touching the
-    /// state; a parameter set whose propagator or state is not finite
-    /// in f64 is reported as [`SimError::NonFinite`], after which the
-    /// model must be discarded.
+    /// state; a state that is not finite in f64 is reported as
+    /// [`SimError::NonFinite`], after which the model must be discarded.
+    /// The work grows with `‖A‖·dt`: one plan per `1/‖A‖` at most.
     pub fn try_step(&mut self, dt: f64) -> Result<(), SimError> {
         if !(dt.is_finite() && dt > 0.0) {
             return Err(SimError::InvalidParameter {
@@ -1095,9 +935,10 @@ impl Buck {
                 value: dt,
             });
         }
-        // A plan ends early only where a diode current reaches zero, and
-        // that phase then stays at zero for the rest of the step: at most
-        // `phases + 2` plans (the first may be left over).
+        // A plan ends after `THETA/‖A‖`, or where a diode current reaches
+        // zero, and that phase then stays at zero for the rest of the
+        // step: at most `‖A‖·dt/THETA + phases + 2` plans (the first may
+        // be left over).
         let end = self.time + dt;
         while self.time < end {
             let reach = self.try_plan(end, end)?;
@@ -1107,17 +948,19 @@ impl Buck {
     }
 
     /// Makes sure the trajectory is planned from the present time on,
-    /// and returns the time up to which the plan holds: `window_end` or
-    /// later, or earlier where a body-diode current reaches zero. A plan
-    /// holds until the switches or the load change, a diode current
-    /// reaches zero, or its span ends. A new plan spans to `window_end`
-    /// at least, and on toward `horizon` as far as one series reaches
-    /// cheaply.
+    /// and returns the time up to which the plan holds. A plan holds
+    /// until the switches or the load change, a diode current reaches
+    /// zero, or its span ends. A new plan spans to `window_end` and on
+    /// toward `horizon` as far as one series reaches cheaply, but never
+    /// past `THETA/‖A‖` after the present time, where one series still
+    /// reaches: a window that needs more takes more plans. A plan that
+    /// ends short of its window, there or at a diode zero, serves every
+    /// later window up to its end.
     ///
     /// A `window_end` that is not after the present time (or NaN) is
-    /// [`SimError::InvalidParameter`]; a propagator that is not finite
-    /// in f64 (say, a capacitance so small that `1/C` overflows) is
-    /// [`SimError::NonFinite`].
+    /// [`SimError::InvalidParameter`]; a present time so large that
+    /// `THETA/‖A‖` added to it rounds back to it is
+    /// [`SimError::InvalidTime`].
     pub fn try_plan(&mut self, window_end: f64, horizon: f64) -> Result<f64, SimError> {
         if window_end.is_nan() || window_end <= self.time {
             return Err(SimError::InvalidParameter {
@@ -1125,43 +968,39 @@ impl Buck {
                 value: window_end,
             });
         }
-        // Reuse the plan for a window it covers, or up to its diode zero;
-        // otherwise replan from here, so a window never ends at a mere
-        // plan boundary.
+        // Reuse the plan for a window it covers, or up to its end when it
+        // ended short; otherwise replan from here, so a window never ends
+        // at a mere plan boundary.
         let plan = &self.plan;
-        if self.time < plan.reach && (window_end <= plan.reach || !plan.zeros.is_empty()) {
+        if self.time < plan.reach && (window_end <= plan.reach || plan.short) {
             return Ok(plan.reach);
         }
         self.settle();
         let plan = &mut self.plan;
         plan.load(&self.switches, &self.current, self.voltage);
-        plan.id += 1;
-        plan.origin = self.time;
-        plan.reach = window_end.max((self.time + REUSE_Z / plan.norm).min(horizon));
-        plan.span = plan.reach - plan.origin;
-        plan.inv_span = 1.0 / plan.span;
-        let z = plan.norm * plan.span;
-        if !z.is_finite() {
-            plan.reach = f64::NEG_INFINITY;
-            return Err(SimError::NonFinite {
-                what: "buck propagator",
-                at_secs: self.time,
+        let reach = window_end.max((self.time + REUSE_Z / plan.norm).min(horizon));
+        // One series reaches `THETA/‖A‖`. `‖A‖` is 0 only where nothing
+        // conducts and `1/(R·C)` underflows; the floor keeps that plan
+        // finite too.
+        let z = plan.norm * (reach - self.time);
+        let capped = z.is_nan() || z > THETA;
+        let reach = if capped {
+            self.time + THETA / plan.norm.max(f64::MIN_POSITIVE)
+        } else {
+            reach
+        };
+        if !(reach > self.time && reach.is_finite()) {
+            return Err(SimError::InvalidTime {
+                value: self.time,
+                unit: "s",
             });
         }
-        plan.series = z <= THETA;
-        if plan.series {
-            let mut terms = std::mem::take(&mut plan.terms);
-            plan.order = plan.taylor(&mut terms, 1.0, plan.span);
-            plan.terms = terms;
-            plan.series_setup();
-        } else {
-            let (end, _, _) = plan.dense(plan.span);
-            plan.end.clone_from(&end);
-            plan.end_slope.resize(end.len(), 0.0);
-            let mut slope = std::mem::take(&mut plan.end_slope);
-            plan.apply(&end, 1.0, &mut slope);
-            plan.end_slope = slope;
-        }
+        plan.id += 1;
+        plan.origin = self.time;
+        plan.reach = reach;
+        plan.span = reach - plan.origin;
+        plan.inv_span = 1.0 / plan.span;
+        plan.build();
         // Diode currents reaching zero end the plan.
         plan.zeros.clear();
         for (k, (&switch, &i)) in self.switches.iter().zip(&self.current).enumerate() {
@@ -1169,24 +1008,17 @@ impl Buck {
                 continue;
             }
             let state = (self.current.as_slice(), self.voltage);
-            if let Some(at) = plan.crossing(k, 0.0, i < 0.0, 0.0, state) {
+            if let Some(at) = plan.crossing(k, 0.0, i < 0.0, state) {
                 let at = plan.origin + at;
                 if at < plan.reach {
                     plan.reach = at;
                     plan.zeros.clear();
-                    let tau = at - plan.origin;
-                    if plan.series {
-                        plan.end_at(tau * plan.inv_span);
-                    } else {
-                        let mut slope = std::mem::take(&mut plan.end_slope);
-                        plan.end = plan.dense(tau).0;
-                        plan.apply(&plan.end, 1.0, &mut slope);
-                        plan.end_slope = slope;
-                    }
+                    plan.end_at((at - plan.origin) * plan.inv_span);
                 }
                 plan.zeros.push(k);
             }
         }
+        plan.short = capped || !plan.zeros.is_empty();
         Ok(plan.reach)
     }
 
@@ -1203,8 +1035,8 @@ impl Buck {
     /// beyond already; `INFINITY` when it is not beyond anywhere on the
     /// plan.
     ///
-    /// The search stops short of root finding: on a series plan a
-    /// crossing that needs a root comes back as [`Search::Later`], with
+    /// The search stops short of root finding: a crossing that needs a
+    /// root comes back as [`Search::Later`], with
     /// a bound from the series on how early it can be.
     /// [`Buck::resolve`] finishes it, on the same plan, with the time
     /// the whole search gives.
@@ -1217,27 +1049,16 @@ impl Buck {
         }
         let from = self.time - plan.origin;
         let state = (self.current.as_slice(), self.voltage);
-        let found = if plan.series {
-            let lo = (from, x, plan.slope(index, state.0, state.1));
-            let hi = (
-                plan.reach - plan.origin,
-                plan.end[index],
-                plan.end_slope[index],
-            );
-            match plan.bracket(index, level, rising, lo, hi) {
-                Piece::Done(at) => at,
-                Piece::Root(bracket) => {
-                    return Search::Later {
-                        bound: plan.origin + plan.earliest(&bracket),
-                        floor: self.time,
-                        bracket,
-                    };
-                }
+        match plan.bracket(index, level, rising, from, state) {
+            Piece::Done(at) => {
+                Search::At(at.map_or(f64::INFINITY, |tau| (plan.origin + tau).max(self.time)))
             }
-        } else {
-            plan.crossing(index, level, rising, from, state)
-        };
-        Search::At(found.map_or(f64::INFINITY, |tau| (plan.origin + tau).max(self.time)))
+            Piece::Root(bracket) => Search::Later {
+                bound: plan.origin + plan.earliest(&bracket),
+                floor: self.time,
+                bracket,
+            },
+        }
     }
 
     /// The crossing a [`Buck::search`] of the present plan stands for;
@@ -1257,9 +1078,9 @@ impl Buck {
     /// of a uniform grid, from `*idx` on, that lie before `before` and
     /// before the plan's end, and moves `*idx` past them. The points must
     /// lie after the present time. Each value is bit-identical to the
-    /// state [`Buck::try_advance_to`] reaches at that point: a series
-    /// plan is evaluated by the same Horner loop, on four points per
-    /// pass, with the same multiply and add in every lane.
+    /// state [`Buck::try_advance_to`] reaches at that point: the series
+    /// is evaluated by the same Horner loop, on four points per pass,
+    /// with the same multiply and add in every lane.
     ///
     /// # Panics
     ///
@@ -1274,17 +1095,6 @@ impl Buck {
             *idx += 1;
         }
         let times = &record.t[start..];
-        if !plan.series {
-            for &t in times {
-                let state = plan.dense(t - plan.origin).0;
-                let (v, currents) = state.split_last().expect("the voltage");
-                record.v.push(*v);
-                for (column, &i) in record.i.iter_mut().zip(currents) {
-                    column.push(i);
-                }
-            }
-            return;
-        }
         let n = self.current.len() + 1;
         let m = plan.order;
         let phases = n - 1;
@@ -1350,10 +1160,8 @@ impl Buck {
             let mut state = std::mem::take(&mut plan.state);
             if t == plan.reach {
                 state.clone_from(&plan.end);
-            } else if plan.series {
-                plan.state_at((t - plan.origin) * plan.inv_span, &mut state);
             } else {
-                state = plan.dense(t - plan.origin).0;
+                plan.state_at((t - plan.origin) * plan.inv_span, &mut state);
             }
             self.current.copy_from_slice(&state[..phases]);
             self.voltage = state[phases];
@@ -1532,30 +1340,42 @@ mod tests {
     #[test]
     fn plan_samples_are_the_states_advanced_to() {
         // Grid samples read off a plan are bit for bit the states an
-        // advance to each grid point reaches: on a series plan for every
-        // batch length from 1 to 9 (full batches of four and every
-        // remainder), and on a scaled-and-squared one.
+        // advance to each grid point reaches: for every batch length from
+        // 1 to 9 (full batches of four and every remainder) on one plan,
+        // and on a 5 µs window that takes one plan after another.
         let mut cases: Vec<(f64, f64, usize)> = (1..=9).map(|len| (2e-9, 100e-9, len)).collect();
         cases.push((1e-6, 5e-6, 4));
         for (period, span, len) in cases {
             let mut b = buck();
             b.set_switch(0, true, false);
             b.set_switch(1, false, true);
-            b.try_plan(span, span).expect("valid window");
             let mut w = Waveform::new(4);
             let mut idx = 1;
             let before = (len as f64 + 0.5) * period;
-            b.sample_plan(&mut idx, period, before, &mut w);
+            let mut plans = 0;
+            while b.time() < before {
+                let reach = b.try_plan(span, span).expect("valid window");
+                plans += 1;
+                let checked = w.len();
+                b.sample_plan(&mut idx, period, before, &mut w);
+                let mut probe = b.clone();
+                for k in checked..w.len() {
+                    let t = w.t[k];
+                    probe.try_advance_to(t).expect("on the plan");
+                    let v = probe.output_voltage();
+                    assert_eq!(v.to_bits(), w.v[k].to_bits(), "v at {t:e}");
+                    for (phase, column) in w.i.iter().enumerate() {
+                        let i = probe.coil_current(phase);
+                        assert_eq!(i.to_bits(), column[k].to_bits(), "i{phase} at {t:e}");
+                    }
+                }
+                b.try_advance_to(reach.min(before)).expect("on the plan");
+            }
+            assert_eq!(plans > 1, period > 2e-9, "{plans} plans");
             assert_eq!(w.len(), len, "samples before {before:e}");
             assert_eq!(idx, len as u64 + 1);
             for (k, &t) in w.t.iter().enumerate() {
                 assert_eq!(t, (k + 1) as f64 * period);
-                b.try_advance_to(t).expect("on the plan");
-                assert_eq!(b.output_voltage().to_bits(), w.v[k].to_bits(), "v at {t:e}");
-                for (phase, column) in w.i.iter().enumerate() {
-                    let i = b.coil_current(phase);
-                    assert_eq!(i.to_bits(), column[k].to_bits(), "i{phase} at {t:e}");
-                }
             }
         }
     }
@@ -1577,7 +1397,6 @@ mod tests {
             b.set_switch(3, false, true);
             let span = 0.2 / 3e6;
             b.try_plan(span, span).unwrap();
-            assert!(b.plan.series);
             for step in 0..8 {
                 let now = span * step as f64 / 8.0;
                 b.try_advance_to(now).unwrap();
@@ -1615,10 +1434,10 @@ mod tests {
 
     #[test]
     fn long_plans_find_the_crossings_short_windows_find() {
-        // The output filter rings with a period of about ten `1/‖A‖`. One
-        // plan over 40/‖A‖ (scaled and squared, searched piece by piece)
-        // must find the first crossing that a walk through windows of
-        // 0.05/‖A‖ (one series each) finds, for levels across the
+        // The output filter rings with a period of about ten `1/‖A‖`. A
+        // walk over 40/‖A‖ through the longest plans `try_plan` allows
+        // (`THETA/‖A‖` each) must find the first crossing that a walk
+        // through windows of 0.05/‖A‖ finds, for levels across the
         // ringing's range: some are crossed only near a peak or trough,
         // out and back within a few `1/‖A‖`.
         for (v0, i0, pmos) in [(0.0, 0.0, true), (5.5, 0.0, false), (3.3, -0.5, true)] {
@@ -1628,21 +1447,19 @@ mod tests {
             b.try_plan(1e-12, 1e-12).unwrap();
             let unit = 1.0 / b.plan.norm;
             let span = 40.0 * unit;
-            let first = |index: usize, level: f64, rising: bool| -> (Option<f64>, Option<f64>) {
-                let mut long = b.clone();
-                long.try_plan(span, span).unwrap();
-                assert!(!long.plan.series);
-                let found = long.crossing(index, level, rising);
+            // The first crossing on a walk through windows of `window`.
+            let first = |index: usize, level: f64, rising: bool, window: f64| -> Option<f64> {
                 let mut walk = b.clone();
                 while walk.time() < span {
-                    let end = (walk.time() + 0.05 * unit).min(span);
-                    walk.try_plan(end, end).unwrap();
+                    let end = (walk.time() + window).min(span);
+                    let reach = walk.try_plan(end, end).unwrap();
+                    assert!(reach - walk.time() <= THETA * unit * (1.0 + 1e-9));
                     if let Some(at) = walk.crossing(index, level, rising) {
-                        return (found, Some(at));
+                        return Some(at);
                     }
-                    walk.try_advance_to(end).unwrap();
+                    walk.try_advance_to(reach).unwrap();
                 }
-                (found, None)
+                None
             };
             for index in 0..2 {
                 let mut probe = b.clone();
@@ -1655,7 +1472,8 @@ mod tests {
                 for k in 0..=60 {
                     let level = lo + (hi - lo) * k as f64 / 60.0;
                     for rising in [false, true] {
-                        let (found, want) = first(index, level, rising);
+                        let found = first(index, level, rising, span);
+                        let want = first(index, level, rising, 0.05 * unit);
                         let agree = match (found, want) {
                             (Some(a), Some(b)) => (a - b).abs() <= 1e-9 * span,
                             (None, None) => true,
@@ -1747,13 +1565,13 @@ mod tests {
     }
 
     #[test]
-    fn one_second_step_settles_at_the_dc_operating_point() {
-        // 1 s is ~10^7 time constants: the long window scales and
-        // squares its series, in bounded work, and lands on the DC point
-        // v = Vin·R/(R + r), i = v/R.
+    fn long_step_settles_at_the_dc_operating_point() {
+        // 80 µs is ~20 decay times of the output filter's ringing, and
+        // ~100 plans of `THETA/‖A‖`: one step of it lands on the DC point
+        // v = Vin·R/(R + r), i = v/R. (70 µs is still 2·10⁻⁹ away.)
         let mut b = Buck::new(BuckParams::default().with_phases(1));
         b.set_switch(0, true, false);
-        b.step(1.0);
+        b.step(80e-6);
         let p = b.params().clone();
         let v = p.vin * p.rload / (p.rload + p.rdson_p + p.coil.dcr);
         assert!((b.output_voltage() - v).abs() < 1e-9, "{b}");
@@ -1761,16 +1579,59 @@ mod tests {
     }
 
     #[test]
-    fn try_step_reports_an_unrepresentable_propagator_as_non_finite() {
-        // 1/C overflows f64: the typed path reports it instead of
-        // carrying inf/NaN, and leaves the state as it was.
-        let mut b = Buck::new(BuckParams {
+    fn try_new_rejects_an_unrepresentable_propagator() {
+        // 1/C overflows f64, so the stage's rate is infinite: it is
+        // rejected before any step could carry inf/NaN.
+        let built = Buck::try_new(BuckParams {
             cap: 1e-320,
             ..BuckParams::default()
         });
-        b.set_switch(0, true, false);
-        assert!(matches!(b.try_step(1e-9), Err(SimError::NonFinite { .. })));
-        assert_eq!(b.coil_current(0), 0.0);
+        assert!(matches!(
+            built,
+            Err(SimError::InvalidParameter {
+                what: "power-stage rate |A| (1/s)",
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn plans_span_at_most_one_series() {
+        // A plan asked for 8 µs stops where one series still reaches.
+        let mut b = buck();
+        let reach = b.try_plan(8e-6, 8e-6).unwrap();
+        assert!(reach <= THETA / b.plan.norm, "{reach:e}");
+        // Just under the rate bound (`L` and `C` scaled alike scale `‖A‖`
+        // inversely), a 1 ns step builds about `‖A‖·1 ns` = 1 000 plans,
+        // one per `THETA/‖A‖`.
+        let mut p = BuckParams::default();
+        let scale = p.stiffest_rate() / (0.999 * MAX_RATE);
+        p.cap *= scale;
+        p.coil.inductance *= scale;
+        assert!(p.check_rate().is_ok() && p.stiffest_rate() > 0.99 * MAX_RATE);
+        let mut b = Buck::new(p);
+        for k in 0..4 {
+            b.set_switch(k, true, false);
+        }
+        let first = b.plan_id();
+        b.try_step(1e-9).unwrap();
+        let plans = b.plan_id() - first;
+        assert!((900..=1_010).contains(&plans), "{plans} plans");
+    }
+
+    #[test]
+    fn try_plan_reports_a_time_too_coarse_for_one_series() {
+        // At 1e20 s, f64 time moves in steps of 16 384 s: a plan of
+        // `THETA/‖A‖` cannot advance it, and a step reports that instead
+        // of looping for ever.
+        let mut b = buck();
+        b.time = 1e20;
+        assert!(matches!(
+            b.try_plan(2e20, 2e20),
+            Err(SimError::InvalidTime { value, .. }) if value == 1e20
+        ));
+        assert!(matches!(b.try_step(1e5), Err(SimError::InvalidTime { .. })));
+        assert_eq!(b.time(), 1e20);
     }
 
     #[test]

@@ -200,9 +200,8 @@ impl TestbenchBuilder {
     /// controller/power-stage phase agreement, the sample period, the
     /// comparator hysteresis and delay, and every scheduled load step —
     /// reporting the first violation as a [`SimError`]. A power stage
-    /// whose largest `‖A‖` ([`BuckParams::stiffest_rate`], at the lowest
-    /// scheduled load) exceeds `1/(1 fs)`, the resolution of [`Time`],
-    /// is [`SimError::InvalidParameter`].
+    /// too stiff to propagate ([`BuckParams::check_rate`]), at its own
+    /// load or at a scheduled one, is [`SimError::InvalidParameter`].
     pub fn try_build<C: BuckController>(self, ctrl: C) -> Result<Testbench<C>, SimError> {
         let phases = ctrl.phases();
         if phases != self.params.phases {
@@ -246,20 +245,13 @@ impl TestbenchBuilder {
             }
         }
         let buck = Buck::try_new(self.params)?;
-        // The state must not move faster than the femtosecond clock the
-        // controller runs on resolves: a stiffer stage would take
-        // unbounded work per window. The load steps count too.
+        // `‖A‖` grows as the load falls: the lowest scheduled load is the
+        // stiffest.
         let rload = self
             .load_steps
             .iter()
             .fold(buck.params().rload, |r, s| r.min(s.1));
-        let rate = buck.params().clone().with_load(rload).stiffest_rate();
-        if rate.is_nan() || rate > 1.0 / Time::from_fs(1).as_secs() {
-            return Err(SimError::InvalidParameter {
-                what: "power-stage rate |A| (1/s)",
-                value: rate,
-            });
-        }
+        buck.params().clone().with_load(rload).check_rate()?;
         let mut pending: Vec<(f64, PendKind)> = self
             .load_steps
             .iter()
@@ -490,11 +482,11 @@ impl<C: BuckController> Testbench<C> {
         while self.buck.time() < t_end {
             self.windows += 1;
 
-            // 1. Plan the exact trajectory, at least to the next analog
-            //    stop or grid point. The power stage changes only at gate
-            //    applies and load steps, so one plan can serve every
-            //    window up to the next of those; a body-diode current
-            //    reaching zero ends it early.
+            // 1. Plan the exact trajectory to the next analog stop or
+            //    grid point. The power stage changes only at gate applies
+            //    and load steps, so one plan can serve every window up to
+            //    the next of those; a body-diode current reaching zero,
+            //    or the end of one series' reach, ends it early.
             let horizon = self.next_stage_change().min(t_end);
             let analog = self.next_analog().min(t_end);
             let reach = self
@@ -1152,13 +1144,12 @@ mod window_tests {
         }
     }
     /// The sample period only sets where samples land. With one sample
-    /// every 5 µs, plans grow long (a plan longer than about 0.5 µs is
-    /// scaled and squared and searched piece by piece), and every track
-    /// records the events of the 2 ns default. Samples cost no windows:
-    /// the 10 000 points of the 2 ns grid add at most one window per 50,
-    /// where plans run out. (Comparators of phases with equal currents
-    /// cross within rounding of each other, so the order across tracks
-    /// may differ.)
+    /// every 5 µs or 8 µs, windows grow long (a plan still spans at most
+    /// one series, about 0.5 µs), and every track records the events of
+    /// the 2 ns default. Samples cost no windows: the 10 000 points of
+    /// the 2 ns grid add at most one window per 50, where plans run out.
+    /// (Comparators of phases with equal currents cross within rounding
+    /// of each other, so the order across tracks may differ.)
     #[test]
     fn sparse_sampling_records_the_same_events() {
         for kind in [ControllerKind::Async, ControllerKind::Sync(100.0)] {
@@ -1172,20 +1163,22 @@ mod window_tests {
                 (tb.windows(), tb.waveform().len(), events)
             };
             let (dense_windows, samples, dense) = run(2e-9);
-            let (sparse_windows, _, sparse) = run(5e-6);
-            let more = dense_windows.saturating_sub(sparse_windows);
-            assert!(
-                50 * more <= samples as u64,
-                "{dense_windows} vs {sparse_windows} windows, {samples} samples"
-            );
-            assert_eq!(dense.len(), sparse.len(), "{}", kind.label());
-            for (a, b) in dense.iter().zip(&sparse) {
-                assert_eq!((a.1, a.2), (b.1, b.2), "{}: {a:?} vs {b:?}", kind.label());
+            for period in [5e-6, 8e-6] {
+                let (sparse_windows, _, sparse) = run(period);
+                let more = dense_windows.saturating_sub(sparse_windows);
                 assert!(
-                    (a.0 - b.0).abs() < 1e-12,
-                    "{}: {a:?} vs {b:?}",
-                    kind.label()
+                    50 * more <= samples as u64,
+                    "{dense_windows} vs {sparse_windows} windows, {samples} samples"
                 );
+                assert_eq!(dense.len(), sparse.len(), "{}", kind.label());
+                for (a, b) in dense.iter().zip(&sparse) {
+                    assert_eq!((a.1, a.2), (b.1, b.2), "{}: {a:?} vs {b:?}", kind.label());
+                    assert!(
+                        (a.0 - b.0).abs() < 1e-12,
+                        "{}: {a:?} vs {b:?}",
+                        kind.label()
+                    );
+                }
             }
         }
     }

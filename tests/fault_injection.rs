@@ -19,6 +19,7 @@
 use a4a::{A4aFlow, TestbenchBuilder};
 use a4a_analog::{Buck, BuckParams};
 use a4a_ctrl::{AsyncController, AsyncTiming};
+use a4a_netlist::{decompose, path, verilog, GateLib};
 use a4a_rt::fault::{self, FaultKind, FaultPlan};
 use a4a_rt::{prop, Rng};
 use a4a_sim::{EventKey, Scheduler, SimError, Time};
@@ -478,37 +479,53 @@ fn adversarial_testbench(rng: &mut Rng) {
     }
 }
 
-/// A power stage stiffer than the femtosecond clock resolves (a
-/// capacitance or an inductance of 1e-200) is rejected when the
-/// testbench is built, at once; before that check a run with the
-/// capacitance at 1e-200 spent 1–24 s per window scaling and squaring
-/// its plans.
+/// A power stage stiffer than 10¹² s⁻¹ (a capacitance, an inductance or
+/// a load of 1e-200) is rejected at once, with one label, by the
+/// testbench builder, by `Buck::try_new` and by `Buck::try_set_load`. A
+/// plan spans at most one series of `1/‖A‖`, so such a stage would take
+/// some 10¹⁰⁰ plans per nanosecond; before the check a run with the
+/// capacitance at 1e-200 spent 1–24 s per window.
 #[test]
 fn stiff_power_stages_are_rejected_at_build() {
-    // `poison_param` fields 1 and 6: the capacitance and the inductance.
-    for field in [1, 6] {
-        let mut params = BuckParams::default();
-        let name = poison_param(&mut params, field, 1e-200);
-        let started = std::time::Instant::now();
-        let ctrl = AsyncController::new(4, AsyncTiming::default());
-        let built = TestbenchBuilder::new().params(params).try_build(ctrl);
+    let stiff = |what: &str, result: Result<(), SimError>| {
         assert!(
             matches!(
-                built,
+                result,
                 Err(SimError::InvalidParameter {
                     what: "power-stage rate |A| (1/s)",
                     ..
                 })
             ),
-            "{name} = 1e-200: {:?}",
-            built.err()
+            "{what}: {result:?}"
         );
+    };
+    // `poison_param` fields 1, 2 and 6: the capacitance, the load and
+    // the inductance.
+    for field in [1, 2, 6] {
+        let mut params = BuckParams::default();
+        let name = poison_param(&mut params, field, 1e-200);
+        let started = std::time::Instant::now();
+        let ctrl = AsyncController::new(4, AsyncTiming::default());
+        let built = TestbenchBuilder::new()
+            .params(params.clone())
+            .try_build(ctrl);
+        stiff(name, built.map(drop));
+        stiff(name, Buck::try_new(params).map(drop));
         let took = started.elapsed();
         assert!(
             took.as_secs_f64() < 0.5,
             "{name} = 1e-200: rejected after {took:?}"
         );
     }
+    // The same load, stepped to at run time.
+    let mut buck = Buck::try_new(BuckParams::default()).unwrap();
+    stiff("load step", buck.try_set_load(1e-200));
+    assert_eq!(buck.params().rload, BuckParams::default().rload);
+    let ctrl = AsyncController::new(4, AsyncTiming::default());
+    let built = TestbenchBuilder::new()
+        .load_step(1e-6, 1e-200)
+        .try_build(ctrl);
+    stiff("scheduled load step", built.map(drop));
 }
 
 /// Three rings of 40 dummies: 64 000 states under one code, so
@@ -591,18 +608,30 @@ fn mutated_g_specs_never_panic() {
     );
 }
 
-/// The `a4a verify` + `a4a synth [--gc]` path on one spec text; returns
-/// the stage reached (0 parse error, 1 state-graph error, 2 flow run).
+/// The paths of `a4a verify`, `synth [--gc]`, `timing [--gc]`, `dot
+/// [--sg]` and `verilog [--gc] --map` on one spec text; returns the
+/// stage reached (0 parse error, 1 state-graph error, 2 flow run).
 fn run_g(text: &str) -> usize {
     let Ok(stg) = Stg::parse_g(text) else {
         return 0;
     };
+    let _ = stg.to_dot();
     let Ok(sg) = stg.state_graph(100_000) else {
         return 1;
     };
     let _ = stg.verify(&sg);
+    let _ = sg.to_dot(&stg);
     for style in [SynthStyle::ComplexGate, SynthStyle::GeneralizedC] {
-        let _ = A4aFlow::new(stg.clone()).with_style(style).run();
+        let Ok(result) = A4aFlow::new(stg.clone()).with_style(style).run() else {
+            continue;
+        };
+        let netlist = result.synthesis.netlist();
+        for p in path::report(netlist) {
+            let _ = p.render(netlist);
+        }
+        if let Ok(mapped) = decompose(netlist, &GateLib::tsmc90()) {
+            let _ = verilog::emit(&mapped);
+        }
     }
     2
 }
