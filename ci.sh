@@ -33,7 +33,8 @@
 #   6. fail if a library crate of the simulation stack (sim, analog,
 #      core), of the formal engines (petri, stg), of synthesis (boolmin,
 #      synth, netlist), of the controllers (ctrl, a2a) or the runtime
-#      (rt) grows a new `unwrap()` outside #[cfg(test)] — failures there
+#      (rt) grows a new `unwrap()` outside #[cfg(test)], or if the
+#      analog or core library grows a `panic!(` there — failures there
 #      must flow through the crates' typed errors
 #   7. `cargo fmt --all -- --check`: the workspace is rustfmt-clean
 #   8. clippy over every target with warnings denied
@@ -276,7 +277,7 @@ fi
 echo "OK: hermetic (no registry dependencies)"
 tier_done "5 hermetic"
 
-echo "==> checking library crates for unwrap()"
+echo "==> checking library crates for unwrap() and panic!("
 # The sim/analog/core libraries route every failure through the typed
 # SimError model, the petri/stg engines through ExploreError and
 # StgError, and synthesis through SynthError; elsewhere a broken
@@ -297,10 +298,24 @@ for src in crates/{sim,analog,core,petri,stg,boolmin,synth,netlist,ctrl,a2a,rt}/
         bad=1
     fi
 done
+# The analog and core libraries have one public form per fallible
+# operation, the one returning SimError: a `panic!(` above the first
+# #[cfg(test)] would be a panicking twin coming back.
+for src in crates/{analog,core}/src/*.rs; do
+    offenders=$(awk -v f="$src" '
+        /#\[cfg\(test\)\]/ { exit }
+        /panic!\(/ { print f ":" FNR ": " $0 }
+    ' "$src")
+    if [ -n "$offenders" ]; then
+        echo "ERROR: panic!( outside #[cfg(test)] — return a SimError:" >&2
+        echo "$offenders" | sed 's/^/    /' >&2
+        bad=1
+    fi
+done
 if [ "$bad" -ne 0 ]; then
     exit 1
 fi
-echo "OK: library crates are unwrap-free (typed errors only)"
+echo "OK: library crates are unwrap-free, analog and core panic-free (typed errors only)"
 tier_done "6 unwrap scan"
 
 echo "==> cargo fmt --all -- --check"

@@ -33,7 +33,7 @@ pub struct BuckParams {
     /// Output capacitance (F).
     pub cap: f64,
     /// Load resistance (Ω); can be stepped at run time with
-    /// [`Buck::set_load`].
+    /// [`Buck::try_set_load`].
     pub rload: f64,
     /// PMOS on-resistance (Ω).
     pub rdson_p: f64,
@@ -170,7 +170,7 @@ fn order(z: f64, ratio: f64) -> usize {
 /// A body diode that stops conducting ends the trajectory at the exact
 /// current zero (discontinuous conduction).
 ///
-/// [`Buck::step`] advances by a fixed time. The mixed-signal testbench
+/// [`Buck::try_step`] advances by a fixed time. The mixed-signal testbench
 /// instead plans the trajectory ([`Buck::try_plan`]), looks for
 /// comparator crossings on it
 /// ([`SensorBank::first_crossing`](crate::SensorBank::first_crossing)),
@@ -687,23 +687,14 @@ impl Buck {
     /// Creates a buck at rest: zero coil currents, zero output voltage,
     /// all switches off.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the parameter set is non-physical (no phases,
-    /// non-positive or non-finite component values); see
-    /// [`Buck::try_new`] for the fallible variant.
-    pub fn new(params: BuckParams) -> Self {
-        match Self::try_new(params) {
-            Ok(buck) => buck,
-            Err(e) => panic!("{e}"),
-        }
-    }
-    /// Fallible [`Buck::new`]: a non-physical parameter set — zero
-    /// phases, or any NaN, infinite, or wrong-sign component value — is
-    /// reported as [`SimError::InvalidParameter`] naming the offending
-    /// field. Note that NaN fails every comparison, so an `assert!(x >
-    /// 0.0)`-style check catches it too; the explicit finiteness checks
-    /// here additionally reject infinities and cover the fields
+    /// A non-physical parameter set — zero phases, or any NaN,
+    /// infinite, or wrong-sign component value — is reported as
+    /// [`SimError::InvalidParameter`] naming the offending field. Note
+    /// that NaN fails every comparison, so an `assert!(x > 0.0)`-style
+    /// check catches it too; the explicit finiteness checks here
+    /// additionally reject infinities and cover the fields
     /// (on-resistances, diode drop, coil resistances) that may be zero.
     /// A stage too stiff to propagate ([`BuckParams::check_rate`]) is
     /// [`SimError::InvalidParameter`] too.
@@ -834,22 +825,13 @@ impl Buck {
 
     /// Drives the power transistors of `phase`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if both transistors are commanded on — the short-circuit
-    /// condition the controllers are formally verified to exclude — or if
-    /// `phase` is out of range. See [`Buck::try_set_switch`] for the
-    /// fallible variant.
-    pub fn set_switch(&mut self, phase: usize, pmos_on: bool, nmos_on: bool) {
-        if let Err(e) = self.try_set_switch(phase, pmos_on, nmos_on) {
-            panic!("{e}");
-        }
-    }
-
-    /// Fallible [`Buck::set_switch`]: a simultaneous-on command is
-    /// reported as [`SimError::ShortCircuit`] and an out-of-range phase
-    /// as [`SimError::PhaseOutOfRange`]; the switch state is unchanged
-    /// on error.
+    /// A simultaneous-on command — the short-circuit condition the
+    /// controllers are formally verified to exclude — is reported as
+    /// [`SimError::ShortCircuit`] and an out-of-range phase as
+    /// [`SimError::PhaseOutOfRange`]; the switch state is unchanged on
+    /// error.
     pub fn try_set_switch(
         &mut self,
         phase: usize,
@@ -879,20 +861,12 @@ impl Buck {
 
     /// Steps the load resistance (the high-load events of Figure 6).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on a non-positive or non-finite resistance; see
-    /// [`Buck::try_set_load`] for the fallible variant.
-    pub fn set_load(&mut self, rload: f64) {
-        if let Err(e) = self.try_set_load(rload) {
-            panic!("{e}");
-        }
-    }
-
-    /// Fallible [`Buck::set_load`]: NaN, infinite, and non-positive
-    /// resistances, and a load that makes the stage too stiff
-    /// ([`BuckParams::check_rate`]), are reported as
-    /// [`SimError::InvalidParameter`]; the load is unchanged on error.
+    /// NaN, infinite, and non-positive resistances, and a load that
+    /// makes the stage too stiff ([`BuckParams::check_rate`]), are
+    /// reported as [`SimError::InvalidParameter`]; the load is unchanged
+    /// on error.
     pub fn try_set_load(&mut self, rload: f64) -> Result<(), SimError> {
         if !(rload.is_finite() && rload > 0.0) {
             return Err(SimError::InvalidParameter {
@@ -912,20 +886,11 @@ impl Buck {
 
     /// Advances the model by `dt` seconds.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on a non-positive or non-finite step, or when the state
-    /// becomes non-finite; see [`Buck::try_step`] for the fallible
-    /// variant.
-    pub fn step(&mut self, dt: f64) {
-        if let Err(e) = self.try_step(dt) {
-            panic!("{e}");
-        }
-    }
-
-    /// Fallible [`Buck::step`]: a NaN, infinite, or non-positive `dt` is
-    /// reported as [`SimError::InvalidParameter`] without touching the
-    /// state; a state that is not finite in f64 is reported as
+    /// A NaN, infinite, or non-positive `dt` is reported as
+    /// [`SimError::InvalidParameter`] without touching the state; a
+    /// state that is not finite in f64 is reported as
     /// [`SimError::NonFinite`], after which the model must be discarded.
     /// The work grows with `‖A‖·dt`: one plan per `1/‖A‖` at most.
     pub fn try_step(&mut self, dt: f64) -> Result<(), SimError> {
@@ -1218,14 +1183,14 @@ mod tests {
     use super::*;
 
     fn buck() -> Buck {
-        Buck::new(BuckParams::default())
+        Buck::try_new(BuckParams::default()).unwrap()
     }
 
     #[test]
     fn rest_state_is_quiescent() {
         let mut b = buck();
         for _ in 0..100 {
-            b.step(1e-9);
+            b.try_step(1e-9).unwrap();
         }
         assert_eq!(b.output_voltage(), 0.0);
         assert_eq!(b.total_coil_current(), 0.0);
@@ -1234,9 +1199,9 @@ mod tests {
     #[test]
     fn pmos_charges_coil_and_cap() {
         let mut b = buck();
-        b.set_switch(0, true, false);
+        b.try_set_switch(0, true, false).unwrap();
         for _ in 0..2000 {
-            b.step(1e-9);
+            b.try_step(1e-9).unwrap();
         }
         assert!(b.coil_current(0) > 0.05, "i={}", b.coil_current(0));
         assert!(b.output_voltage() > 0.1);
@@ -1246,14 +1211,14 @@ mod tests {
     #[test]
     fn nmos_discharges_coil() {
         let mut b = buck();
-        b.set_switch(0, true, false);
+        b.try_set_switch(0, true, false).unwrap();
         for _ in 0..2000 {
-            b.step(1e-9);
+            b.try_step(1e-9).unwrap();
         }
         let peak = b.coil_current(0);
-        b.set_switch(0, false, true);
+        b.try_set_switch(0, false, true).unwrap();
         for _ in 0..2000 {
-            b.step(1e-9);
+            b.try_step(1e-9).unwrap();
         }
         assert!(b.coil_current(0) < peak);
     }
@@ -1261,15 +1226,15 @@ mod tests {
     #[test]
     fn dcm_clamps_current_at_zero() {
         let mut b = buck();
-        b.set_switch(0, true, false);
+        b.try_set_switch(0, true, false).unwrap();
         for _ in 0..1000 {
-            b.step(1e-9);
+            b.try_step(1e-9).unwrap();
         }
-        b.set_switch(0, false, false);
+        b.try_set_switch(0, false, false).unwrap();
         // Body diode free-wheels the current down; it must stop at zero,
         // not ring negative.
         for _ in 0..20000 {
-            b.step(1e-9);
+            b.try_step(1e-9).unwrap();
             assert!(b.coil_current(0) >= 0.0, "current reversed in DCM");
         }
         assert_eq!(b.coil_current(0), 0.0);
@@ -1280,40 +1245,33 @@ mod tests {
         let mut b = buck();
         // Pre-charge the cap, then hold NMOS on: current goes negative
         // (the OV-mode energy sink of the paper).
-        b.set_switch(0, true, false);
+        b.try_set_switch(0, true, false).unwrap();
         for _ in 0..5000 {
-            b.step(1e-9);
+            b.try_step(1e-9).unwrap();
         }
-        b.set_switch(0, false, true);
+        b.try_set_switch(0, false, true).unwrap();
         let mut min_i = f64::INFINITY;
         for _ in 0..5000 {
-            b.step(1e-9);
+            b.try_step(1e-9).unwrap();
             min_i = min_i.min(b.coil_current(0));
         }
         assert!(min_i < 0.0, "current never reversed: min {min_i}");
     }
 
     #[test]
-    #[should_panic(expected = "short circuit")]
-    fn short_circuit_panics() {
-        let mut b = buck();
-        b.set_switch(0, true, true);
-    }
-
-    #[test]
     fn load_step_changes_discharge_rate() {
         let mut b = buck();
-        b.set_switch(0, true, false);
+        b.try_set_switch(0, true, false).unwrap();
         for _ in 0..5000 {
-            b.step(1e-9);
+            b.try_step(1e-9).unwrap();
         }
-        b.set_switch(0, false, false);
+        b.try_set_switch(0, false, false).unwrap();
         let v0 = b.output_voltage();
         let mut b_heavy = b.clone();
-        b_heavy.set_load(2.0);
+        b_heavy.try_set_load(2.0).unwrap();
         for _ in 0..1000 {
-            b.step(1e-9);
-            b_heavy.step(1e-9);
+            b.try_step(1e-9).unwrap();
+            b_heavy.try_step(1e-9).unwrap();
         }
         assert!(v0 - b_heavy.output_voltage() > v0 - b.output_voltage());
     }
@@ -1324,10 +1282,10 @@ mod tests {
         // at the same state up to rounding.
         let run = |dt: f64| -> (f64, f64) {
             let mut b = buck();
-            b.set_switch(0, true, false);
+            b.try_set_switch(0, true, false).unwrap();
             let steps = (2e-6 / dt).round() as usize;
             for _ in 0..steps {
-                b.step(dt);
+                b.try_step(dt).unwrap();
             }
             (b.output_voltage(), b.coil_current(0))
         };
@@ -1347,8 +1305,8 @@ mod tests {
         cases.push((1e-6, 5e-6, 4));
         for (period, span, len) in cases {
             let mut b = buck();
-            b.set_switch(0, true, false);
-            b.set_switch(1, false, true);
+            b.try_set_switch(0, true, false).unwrap();
+            b.try_set_switch(1, false, true).unwrap();
             let mut w = Waveform::new(4);
             let mut idx = 1;
             let before = (len as f64 + 0.5) * period;
@@ -1391,10 +1349,10 @@ mod tests {
         for (v0, i0, pmos) in [(0.0, 0.0, true), (5.5, 0.3, false), (3.3, -0.5, true)] {
             let mut b = buck();
             b.set_state(v0, &[i0, 0.0, 0.1, -0.1]);
-            b.set_switch(0, pmos, !pmos);
-            b.set_switch(1, !pmos, pmos);
-            b.set_switch(2, true, false);
-            b.set_switch(3, false, true);
+            b.try_set_switch(0, pmos, !pmos).unwrap();
+            b.try_set_switch(1, !pmos, pmos).unwrap();
+            b.try_set_switch(2, true, false).unwrap();
+            b.try_set_switch(3, false, true).unwrap();
             let span = 0.2 / 3e6;
             b.try_plan(span, span).unwrap();
             for step in 0..8 {
@@ -1441,9 +1399,9 @@ mod tests {
         // ringing's range: some are crossed only near a peak or trough,
         // out and back within a few `1/‖A‖`.
         for (v0, i0, pmos) in [(0.0, 0.0, true), (5.5, 0.0, false), (3.3, -0.5, true)] {
-            let mut b = Buck::new(BuckParams::default().with_phases(1));
+            let mut b = Buck::try_new(BuckParams::default().with_phases(1)).unwrap();
             b.set_state(v0, &[i0]);
-            b.set_switch(0, pmos, !pmos);
+            b.try_set_switch(0, pmos, !pmos).unwrap();
             b.try_plan(1e-12, 1e-12).unwrap();
             let unit = 1.0 / b.plan.norm;
             let span = 40.0 * unit;
@@ -1465,7 +1423,7 @@ mod tests {
                 let mut probe = b.clone();
                 let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
                 for _ in 0..400 {
-                    probe.step(span / 400.0);
+                    probe.try_step(span / 400.0).unwrap();
                     let x = [probe.coil_current(0), probe.output_voltage()][index];
                     (lo, hi) = (lo.min(x), hi.max(x));
                 }
@@ -1494,19 +1452,24 @@ mod tests {
     fn multiphase_currents_superpose() {
         let mut b = buck();
         for k in 0..4 {
-            b.set_switch(k, true, false);
+            b.try_set_switch(k, true, false).unwrap();
         }
         for _ in 0..1000 {
-            b.step(1e-9);
+            b.try_step(1e-9).unwrap();
         }
         let total = b.total_coil_current();
         assert!((total - 4.0 * b.coil_current(0)).abs() < 1e-9);
     }
 
     #[test]
-    #[should_panic(expected = "phase count")]
     fn zero_phases_rejected() {
-        let _ = Buck::new(BuckParams::default().with_phases(0));
+        assert!(matches!(
+            Buck::try_new(BuckParams::default().with_phases(0)),
+            Err(SimError::InvalidParameter {
+                what: "phase count",
+                ..
+            })
+        ));
     }
 
     #[test]
@@ -1547,8 +1510,8 @@ mod tests {
     #[test]
     fn try_step_rejects_bad_dt_without_mutating() {
         let mut b = buck();
-        b.set_switch(0, true, false);
-        b.step(1e-9);
+        b.try_set_switch(0, true, false).unwrap();
+        b.try_step(1e-9).unwrap();
         let v = b.output_voltage();
         let t = b.time();
         for bad in [f64::NAN, 0.0, -1e-9, f64::INFINITY] {
@@ -1569,9 +1532,9 @@ mod tests {
         // 80 µs is ~20 decay times of the output filter's ringing, and
         // ~100 plans of `THETA/‖A‖`: one step of it lands on the DC point
         // v = Vin·R/(R + r), i = v/R. (70 µs is still 2·10⁻⁹ away.)
-        let mut b = Buck::new(BuckParams::default().with_phases(1));
-        b.set_switch(0, true, false);
-        b.step(80e-6);
+        let mut b = Buck::try_new(BuckParams::default().with_phases(1)).unwrap();
+        b.try_set_switch(0, true, false).unwrap();
+        b.try_step(80e-6).unwrap();
         let p = b.params().clone();
         let v = p.vin * p.rload / (p.rload + p.rdson_p + p.coil.dcr);
         assert!((b.output_voltage() - v).abs() < 1e-9, "{b}");
@@ -1609,9 +1572,9 @@ mod tests {
         p.cap *= scale;
         p.coil.inductance *= scale;
         assert!(p.check_rate().is_ok() && p.stiffest_rate() > 0.99 * MAX_RATE);
-        let mut b = Buck::new(p);
+        let mut b = Buck::try_new(p).unwrap();
         for k in 0..4 {
-            b.set_switch(k, true, false);
+            b.try_set_switch(k, true, false).unwrap();
         }
         let first = b.plan_id();
         b.try_step(1e-9).unwrap();
@@ -1671,16 +1634,16 @@ mod energy_tests {
 
     #[test]
     fn energy_flows_and_efficiency_bounded() {
-        let mut b = Buck::new(BuckParams::default().with_phases(1));
+        let mut b = Buck::try_new(BuckParams::default().with_phases(1)).unwrap();
         // A few manual switching cycles.
         for _ in 0..20 {
-            b.set_switch(0, true, false);
+            b.try_set_switch(0, true, false).unwrap();
             for _ in 0..200 {
-                b.step(1e-9);
+                b.try_step(1e-9).unwrap();
             }
-            b.set_switch(0, false, true);
+            b.try_set_switch(0, false, true).unwrap();
             for _ in 0..200 {
-                b.step(1e-9);
+                b.try_step(1e-9).unwrap();
             }
         }
         assert!(b.energy_in() > 0.0);
@@ -1691,9 +1654,9 @@ mod energy_tests {
 
     #[test]
     fn idle_buck_moves_no_energy() {
-        let mut b = Buck::new(BuckParams::default());
+        let mut b = Buck::try_new(BuckParams::default()).unwrap();
         for _ in 0..1000 {
-            b.step(1e-9);
+            b.try_step(1e-9).unwrap();
         }
         assert_eq!(b.energy_in(), 0.0);
         assert_eq!(b.energy_out(), 0.0);
@@ -1705,19 +1668,20 @@ mod energy_tests {
         // stays there: no step may flip to the opposite body diode and
         // kick the current back up.
         for pre in (100..400).step_by(7) {
-            let mut b = Buck::new(
+            let mut b = Buck::try_new(
                 BuckParams::default()
                     .with_phases(1)
                     .with_coil(crate::CoilModel::coilcraft(1.0)),
-            );
-            b.set_switch(0, true, false);
+            )
+            .unwrap();
+            b.try_set_switch(0, true, false).unwrap();
             for _ in 0..pre {
-                b.step(1e-9);
+                b.try_step(1e-9).unwrap();
             }
-            b.set_switch(0, false, false);
+            b.try_set_switch(0, false, false).unwrap();
             let mut prev = b.coil_current(0);
             for _ in 0..20_000 {
-                b.step(1e-9);
+                b.try_step(1e-9).unwrap();
                 let i = b.coil_current(0);
                 assert!(
                     !(i > prev + 1e-12 && prev < 1e-3),
@@ -1734,10 +1698,10 @@ mod energy_tests {
     #[test]
     fn conservation_energy_in_bounds_stored_plus_out() {
         // E_in >= E_out + E_stored (losses are non-negative).
-        let mut b = Buck::new(BuckParams::default().with_phases(1));
-        b.set_switch(0, true, false);
+        let mut b = Buck::try_new(BuckParams::default().with_phases(1)).unwrap();
+        b.try_set_switch(0, true, false).unwrap();
         for _ in 0..5000 {
-            b.step(1e-9);
+            b.try_step(1e-9).unwrap();
         }
         let p = b.params().clone();
         let stored = 0.5 * p.cap * b.output_voltage().powi(2)

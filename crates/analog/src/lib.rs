@@ -25,13 +25,14 @@
 //! ```
 //! use a4a_analog::{Buck, BuckParams};
 //!
-//! let mut buck = Buck::new(BuckParams::default());
-//! buck.set_switch(0, true, false); // PMOS on
+//! let mut buck = Buck::try_new(BuckParams::default())?;
+//! buck.try_set_switch(0, true, false)?; // PMOS on
 //! for _ in 0..1000 {
-//!     buck.step(1e-9);
+//!     buck.try_step(1e-9)?;
 //! }
 //! assert!(buck.coil_current(0) > 0.0);
 //! assert!(buck.output_voltage() > 0.0);
+//! # Ok::<(), a4a_sim::SimError>(())
 //! ```
 
 #![forbid(unsafe_code)]

@@ -95,9 +95,9 @@ impl Default for SensorThresholds {
 /// ```
 /// use a4a_analog::{Buck, BuckParams, SensorBank, SensorKind};
 ///
-/// let mut buck = Buck::new(BuckParams::default().with_phases(2));
+/// let mut buck = Buck::try_new(BuckParams::default().with_phases(2))?;
 /// let mut bank = SensorBank::new(2, Default::default());
-/// buck.try_plan(1e-9, 1e-9).expect("valid window");
+/// buck.try_plan(1e-9, 1e-9)?;
 /// // At rest the output sits below V_min and V_ref: HL and UV assert at
 /// // once.
 /// let mut fired = Vec::new();
@@ -106,6 +106,7 @@ impl Default for SensorThresholds {
 /// let ev = bank.fire(SensorKind::Uv, at);
 /// assert!(ev.value && bank.output(SensorKind::Uv));
 /// assert_eq!(ev.time, 1e-9, "crossing plus comparator delay");
+/// # Ok::<(), a4a_sim::SimError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct SensorBank {
@@ -292,7 +293,7 @@ mod tests {
 
     /// A two-phase buck with its switches off, at `v` and `i`.
     fn buck(v: f64, i: &[f64]) -> Buck {
-        let mut b = Buck::new(BuckParams::default().with_phases(2));
+        let mut b = Buck::try_new(BuckParams::default().with_phases(2)).unwrap();
         b.set_state(v, i);
         b
     }
@@ -392,7 +393,7 @@ mod tests {
         assert_eq!(ov.len(), 1, "{evs:?}");
         assert!(ov[0].value && ov[0].time > t0 + 1e-9);
         let mut at = buck(3.4, &[0.5, 0.5]);
-        at.step(ov[0].time - 1e-9);
+        at.try_step(ov[0].time - 1e-9).unwrap();
         assert!((at.output_voltage() - 3.425).abs() < 1e-9, "{at}");
     }
 
@@ -409,7 +410,7 @@ mod tests {
         // With the NMOS on, phase 0's current ramps down through zero:
         // ZC fires once it is below I_0 by half the hysteresis.
         bk.set_state(3.3, &[0.1, 0.0]);
-        bk.set_switch(0, false, true);
+        bk.try_set_switch(0, false, true).unwrap();
         let (evs, _) = run(&mut b, &mut bk, 300e-9);
         let zc: Vec<_> = evs.iter().filter(|e| e.kind == SensorKind::Zc(0)).collect();
         assert_eq!(zc.len(), 1, "{evs:?}");

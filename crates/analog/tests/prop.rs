@@ -28,7 +28,7 @@ fn buck_stays_physical() {
             let schedule = arb_schedule(g, 2, 40);
             let params = BuckParams::default().with_phases(2);
             let vin = params.vin;
-            let mut buck = Buck::new(params);
+            let mut buck = Buck::try_new(params).unwrap();
             let mut schedule = schedule;
             schedule.sort_by_key(|s| s.0);
             let mut next = 0usize;
@@ -40,10 +40,10 @@ fn buck_stays_physical() {
                         SwitchState::NmosOn => (false, true),
                         SwitchState::Off => (false, false),
                     };
-                    buck.set_switch(phase, gp, gn);
+                    buck.try_set_switch(phase, gp, gn).unwrap();
                     next += 1;
                 }
-                buck.step(1e-9);
+                buck.try_step(1e-9).unwrap();
                 for k in 0..2 {
                     let i = buck.coil_current(k);
                     prop_assert!(i.is_finite());
@@ -67,15 +67,15 @@ fn dcm_never_reverses() {
         "dcm_never_reverses",
         |g: &mut Gen| -> PropResult {
             let precharge_steps = g.usize(10..2000);
-            let mut buck = Buck::new(BuckParams::default().with_phases(1));
-            buck.set_switch(0, true, false);
+            let mut buck = Buck::try_new(BuckParams::default().with_phases(1)).unwrap();
+            buck.try_set_switch(0, true, false).unwrap();
             for _ in 0..precharge_steps {
-                buck.step(1e-9);
+                buck.try_step(1e-9).unwrap();
             }
-            buck.set_switch(0, false, false);
+            buck.try_set_switch(0, false, false).unwrap();
             let sign = buck.coil_current(0).signum();
             for _ in 0..30_000 {
-                buck.step(1e-9);
+                buck.try_step(1e-9).unwrap();
                 let i = buck.coil_current(0);
                 prop_assert!(i == 0.0 || i.signum() == sign, "current reversed in DCM");
             }
@@ -127,17 +127,17 @@ fn close(got: f64, want: f64, rel: f64) -> bool {
 /// capacitor discharges into the load: `v(t) = v1·exp(−t/RC)`.
 #[test]
 fn rc_discharge_with_both_switches_off() {
-    let mut b = Buck::new(BuckParams::default().with_phases(1));
-    b.set_switch(0, true, false);
-    b.step(2e-6);
-    b.set_switch(0, false, false);
+    let mut b = Buck::try_new(BuckParams::default().with_phases(1)).unwrap();
+    b.try_set_switch(0, true, false).unwrap();
+    b.try_step(2e-6).unwrap();
+    b.try_set_switch(0, false, false).unwrap();
     // Let the body diode run the current down to zero.
-    b.step(5e-6);
+    b.try_step(5e-6).unwrap();
     assert_eq!(b.coil_current(0), 0.0, "diode conduction ended");
     let (t1, v1) = (b.time(), b.output_voltage());
     let rc = b.params().rload * b.params().cap;
     for h in [0.3e-9, 7e-9, 120e-9, 2.5e-6] {
-        b.step(h);
+        b.try_step(h).unwrap();
         let want = v1 * (-(b.time() - t1) / rc).exp();
         assert!(
             close(b.output_voltage(), want, 1e-12),
@@ -152,12 +152,12 @@ fn rc_discharge_with_both_switches_off() {
 /// `V_in`; the model follows the closed-form step response.
 #[test]
 fn rlc_step_response_under_pmos() {
-    let mut b = Buck::new(BuckParams::default().with_phases(1));
+    let mut b = Buck::try_new(BuckParams::default().with_phases(1)).unwrap();
     let p = b.params().clone();
     let r = p.rdson_p + p.coil.dcr;
-    b.set_switch(0, true, false);
+    b.try_set_switch(0, true, false).unwrap();
     for h in [0.5e-9, 2e-9, 40e-9, 300e-9, 1.5e-6] {
-        b.step(h);
+        b.try_step(h).unwrap();
         let want = single_phase(&p, r, p.vin, [0.0, 0.0], b.time());
         assert!(
             close(b.coil_current(0), want[0], 1e-9),
@@ -184,15 +184,16 @@ fn diode_conduction_ends_at_the_analytic_current_zero() {
         |g: &mut Gen| -> PropResult {
             let l_uh = g.f64(1.0..10.0);
             let charge = g.f64(50e-9..400e-9);
-            let mut b = Buck::new(
+            let mut b = Buck::try_new(
                 BuckParams::default()
                     .with_phases(1)
                     .with_coil(CoilModel::coilcraft(l_uh)),
-            );
+            )
+            .unwrap();
             let p = b.params().clone();
-            b.set_switch(0, true, false);
-            b.step(charge);
-            b.set_switch(0, false, false);
+            b.try_set_switch(0, true, false).unwrap();
+            b.try_step(charge).unwrap();
+            b.try_set_switch(0, false, false).unwrap();
             let (t0, x0) = (b.time(), [b.coil_current(0), b.output_voltage()]);
             prop_assert!(x0[0] > 0.0);
             // The NMOS body diode conducts: node at −V_diode, series r = DCR.
@@ -220,7 +221,7 @@ fn diode_conduction_ends_at_the_analytic_current_zero() {
                 "zero at {} vs analytic {hi}",
                 b.time() - t0
             );
-            b.step(1e-6);
+            b.try_step(1e-6).unwrap();
             prop_assert_eq!(b.coil_current(0), 0.0);
             Ok(())
         },
@@ -238,20 +239,20 @@ fn two_half_steps_equal_one_step() {
             let params = BuckParams::default()
                 .with_phases(3)
                 .with_coil(CoilModel::coilcraft(g.f64(1.0..10.0)));
-            let mut a = Buck::new(params);
+            let mut a = Buck::try_new(params).unwrap();
             // A random history, so the state is not at rest.
             for _ in 0..4 {
                 for k in 0..3 {
                     let (gp, gn) = *g.pick(&[(true, false), (false, true), (false, false)]);
-                    a.set_switch(k, gp, gn);
+                    a.try_set_switch(k, gp, gn).unwrap();
                 }
-                a.step(g.f64(10e-9..300e-9));
+                a.try_step(g.f64(10e-9..300e-9)).unwrap();
             }
             let mut b = a.clone();
             let h = g.f64(0.1e-9..100e-9);
-            a.step(h);
-            a.step(h);
-            b.step(2.0 * h);
+            a.try_step(h).unwrap();
+            a.try_step(h).unwrap();
+            b.try_step(2.0 * h).unwrap();
             let rel = |x: f64, y: f64| (x - y).abs() <= 1e-12 * x.abs().max(y.abs()).max(1e-3);
             prop_assert!(
                 rel(a.output_voltage(), b.output_voltage()),

@@ -48,8 +48,12 @@ fn ablate_token_decoupling() {
         let mut timing = AsyncTiming::default();
         timing.policy.activation_period = Time::from_ns(activation_ns);
         let ctrl = AsyncController::new(4, timing);
-        let mut tb = scenario::sweep_load(9.0).load_step(5e-6, 4.4).build(ctrl);
-        tb.run_until(8e-6);
+        let mut tb = scenario::sweep_load(9.0)
+            .load_step(5e-6, 4.4)
+            .try_build(ctrl)
+            .expect("load-step scenario must configure a valid testbench");
+        tb.try_run_until(8e-6)
+            .expect("load-step co-simulation must not diverge");
         let w = tb.into_waveform().window(5e-6, 7e-6);
         w.v.iter().fold(f64::INFINITY, |a, &b| a.min(b))
     };
@@ -71,8 +75,11 @@ fn ablate_pext() {
         let mut timing = AsyncTiming::default();
         timing.policy.pext = Time::from_ns(pext_ns);
         let ctrl = AsyncController::new(4, timing);
-        let mut tb = scenario::sweep_coil(1.0, 6.0).build(ctrl);
-        tb.run_until(4e-6);
+        let mut tb = scenario::sweep_coil(1.0, 6.0)
+            .try_build(ctrl)
+            .expect("sweep point must configure a valid testbench");
+        tb.try_run_until(4e-6)
+            .expect("sweep co-simulation must not diverge");
         let w = tb.into_waveform();
         // Time for the output to first reach the regulation target.
         let t_reg =

@@ -29,8 +29,11 @@ fn main() {
         (ControllerKind::Async, 1.0),
     ] {
         let ctrl = scenario::controller(kind, 4);
-        let mut tb = scenario::sweep_coil(l, 6.0).build(ctrl);
-        tb.run_until(8e-6);
+        let mut tb = scenario::sweep_coil(l, 6.0)
+            .try_build(ctrl)
+            .expect("sweep point must configure a valid testbench");
+        tb.try_run_until(8e-6)
+            .expect("sweep co-simulation must not diverge");
         println!(
             "  {:>7} @ {:.1} uH: efficiency {:.2}%",
             kind.label(),

@@ -168,15 +168,15 @@ impl TestbenchBuilder {
     /// (default 2 ns). The samples lie on a uniform grid whatever the
     /// window lengths, which RMS-based metrics depend on, and are exact:
     /// the propagation has no step to choose. Validated at
-    /// [`TestbenchBuilder::build`] time, so adversarial configurations
-    /// surface as a typed error rather than a panic.
+    /// [`TestbenchBuilder::try_build`] time, so adversarial
+    /// configurations surface as a typed error rather than a panic.
     pub fn sample_period(mut self, period: f64) -> Self {
         self.sample_period = period;
         self
     }
 
     /// Schedules a load-resistance step at an absolute time. Validated
-    /// at [`TestbenchBuilder::build`] time.
+    /// at [`TestbenchBuilder::try_build`] time.
     pub fn load_step(mut self, at: f64, rload: f64) -> Self {
         self.load_steps.push((at, rload));
         self
@@ -184,24 +184,16 @@ impl TestbenchBuilder {
 
     /// Finalises with the given controller.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when the configuration is invalid; see
-    /// [`TestbenchBuilder::try_build`] for the fallible variant.
-    pub fn build<C: BuckController>(self, ctrl: C) -> Testbench<C> {
-        match self.try_build(ctrl) {
-            Ok(tb) => tb,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`TestbenchBuilder::build`]: validates the whole
-    /// configuration — power-stage parameters (via [`Buck::try_new`]),
-    /// controller/power-stage phase agreement, the sample period, the
-    /// comparator hysteresis and delay, and every scheduled load step —
-    /// reporting the first violation as a [`SimError`]. A power stage
-    /// too stiff to propagate ([`BuckParams::check_rate`]), at its own
-    /// load or at a scheduled one, is [`SimError::InvalidParameter`].
+    /// Validates the whole configuration — power-stage parameters (via
+    /// [`Buck::try_new`]), controller/power-stage phase agreement, the
+    /// sample period (finite and at least the 1 fs resolution of
+    /// [`Time`]), the comparator hysteresis and delay, and every
+    /// scheduled load step — reporting the first violation as a
+    /// [`SimError`]. A power stage too stiff to propagate
+    /// ([`BuckParams::check_rate`]), at its own load or at a scheduled
+    /// one, is [`SimError::InvalidParameter`].
     pub fn try_build<C: BuckController>(self, ctrl: C) -> Result<Testbench<C>, SimError> {
         let phases = ctrl.phases();
         if phases != self.params.phases {
@@ -210,7 +202,9 @@ impl TestbenchBuilder {
                 power_stage: self.params.phases,
             });
         }
-        if !(self.sample_period.is_finite() && self.sample_period > 0.0) {
+        // A grid finer than the femtosecond clock would take more points
+        // than any run can record.
+        if !(self.sample_period.is_finite() && self.sample_period >= Time::from_fs(1).as_secs()) {
             return Err(SimError::InvalidParameter {
                 what: "sample period (s)",
                 value: self.sample_period,
@@ -303,9 +297,10 @@ impl Default for TestbenchBuilder {
 /// use a4a_ctrl::{AsyncController, AsyncTiming};
 ///
 /// let ctrl = AsyncController::new(4, AsyncTiming::default());
-/// let mut tb = TestbenchBuilder::new().build(ctrl);
-/// tb.run_until(5e-6);
+/// let mut tb = TestbenchBuilder::new().try_build(ctrl)?;
+/// tb.try_run_until(5e-6)?;
 /// assert!(tb.buck().output_voltage() > 3.0, "regulated near 3.3 V");
+/// # Ok::<(), a4a_sim::SimError>(())
 /// ```
 #[derive(Debug)]
 pub struct Testbench<C: BuckController> {
@@ -446,23 +441,14 @@ impl<C: BuckController> Testbench<C> {
 
     /// Runs the co-simulation until `t_end` seconds.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on an invalid `t_end` or when the analog integration
-    /// diverges; see [`Testbench::try_run_until`] for the fallible
-    /// variant.
-    pub fn run_until(&mut self, t_end: f64) {
-        if let Err(e) = self.try_run_until(t_end) {
-            panic!("{e}");
-        }
-    }
-
-    /// Fallible [`Testbench::run_until`]: rejects a NaN `t_end` as
-    /// [`SimError::InvalidParameter`] and propagates any integration
-    /// failure ([`SimError::NonFinite`]) from the analog stage instead
-    /// of panicking mid-run.
+    /// A `t_end` that is not a [`Time`] (NaN, negative, infinite, or
+    /// past `u64::MAX` femtoseconds) is [`SimError::InvalidParameter`];
+    /// an integration failure of the analog stage
+    /// ([`SimError::NonFinite`]) is passed on.
     pub fn try_run_until(&mut self, t_end: f64) -> Result<(), SimError> {
-        if t_end.is_nan() {
+        if Time::try_from_secs(t_end).is_err() {
             return Err(SimError::InvalidParameter {
                 what: "t_end (s)",
                 value: t_end,
@@ -746,8 +732,8 @@ mod tests {
     #[test]
     fn async_bench_regulates_startup() {
         let ctrl = AsyncController::new(4, AsyncTiming::default());
-        let mut tb = TestbenchBuilder::new().build(ctrl);
-        tb.run_until(5e-6);
+        let mut tb = TestbenchBuilder::new().try_build(ctrl).unwrap();
+        tb.try_run_until(5e-6).unwrap();
         let v = tb.buck().output_voltage();
         assert!(v > 3.0 && v < 3.6, "v = {v}");
         assert_eq!(tb.short_circuits(), 0);
@@ -757,8 +743,8 @@ mod tests {
     #[test]
     fn sync_bench_regulates_startup() {
         let ctrl = SyncController::new(4, SyncParams::at_mhz(333.0));
-        let mut tb = TestbenchBuilder::new().build(ctrl);
-        tb.run_until(5e-6);
+        let mut tb = TestbenchBuilder::new().try_build(ctrl).unwrap();
+        tb.try_run_until(5e-6).unwrap();
         let v = tb.buck().output_voltage();
         assert!(v > 3.0 && v < 3.6, "v = {v}");
         assert_eq!(tb.short_circuits(), 0);
@@ -770,8 +756,9 @@ mod tests {
         let mut tb = TestbenchBuilder::new()
             .load_step(5e-6, 4.0)
             .load_step(7e-6, 6.0)
-            .build(ctrl);
-        tb.run_until(10e-6);
+            .try_build(ctrl)
+            .unwrap();
+        tb.try_run_until(10e-6).unwrap();
         let v = tb.buck().output_voltage();
         assert!(v > 3.0 && v < 3.6, "v = {v} after load excursion");
         // The waveform saw the load steps.
@@ -791,12 +778,16 @@ mod tests {
         let run = |sync: bool| -> f64 {
             let builder = TestbenchBuilder::new();
             let w = if sync {
-                let mut tb = builder.build(SyncController::new(4, SyncParams::at_mhz(100.0)));
-                tb.run_until(8e-6);
+                let mut tb = builder
+                    .try_build(SyncController::new(4, SyncParams::at_mhz(100.0)))
+                    .unwrap();
+                tb.try_run_until(8e-6).unwrap();
                 tb.into_waveform()
             } else {
-                let mut tb = builder.build(AsyncController::new(4, AsyncTiming::default()));
-                tb.run_until(8e-6);
+                let mut tb = builder
+                    .try_build(AsyncController::new(4, AsyncTiming::default()))
+                    .unwrap();
+                tb.try_run_until(8e-6).unwrap();
                 tb.into_waveform()
             };
             // Skip the startup transient.
@@ -815,18 +806,12 @@ mod tests {
         let ctrl = AsyncController::new(2, AsyncTiming::default());
         let mut tb = TestbenchBuilder::new()
             .params(BuckParams::default().with_phases(2))
-            .build(ctrl);
-        tb.run_until(3e-6);
+            .try_build(ctrl)
+            .unwrap();
+        tb.try_run_until(3e-6).unwrap();
         let w = tb.waveform();
         assert!(w.events.iter().any(|(_, n, v)| n == "uv" && *v));
         assert!(w.events.iter().any(|(_, n, _)| n == "gp0"));
-    }
-
-    #[test]
-    #[should_panic(expected = "disagree on phase count")]
-    fn phase_mismatch_rejected() {
-        let ctrl = AsyncController::new(2, AsyncTiming::default());
-        let _ = TestbenchBuilder::new().build(ctrl);
     }
 
     #[test]
@@ -842,7 +827,7 @@ mod tests {
             })
         ));
 
-        for bad in [f64::NAN, 0.0, -2e-9, f64::INFINITY] {
+        for bad in [f64::NAN, 0.0, -2e-9, f64::INFINITY, 1e-30] {
             let ctrl = AsyncController::new(4, AsyncTiming::default());
             assert!(matches!(
                 TestbenchBuilder::new().sample_period(bad).try_build(ctrl),
@@ -936,7 +921,7 @@ mod tests {
         let ctrl = TrackStub {
             tracks: Rc::clone(&tracks),
         };
-        let mut tb = TestbenchBuilder::new().build(ctrl);
+        let mut tb = TestbenchBuilder::new().try_build(ctrl).unwrap();
         let count = |tb: &Testbench<TrackStub>| {
             tb.waveform()
                 .events
@@ -946,19 +931,19 @@ mod tests {
         };
 
         // Window 1: the track appears -> recorded once.
-        tb.run_until(0.5e-9);
+        tb.try_run_until(0.5e-9).unwrap();
         assert_eq!(count(&tb), 1, "new track records an event");
 
         // The track disappears: no event, and it must not linger in
         // the stored set.
         tracks.borrow_mut().clear();
-        tb.run_until(1.0e-9);
+        tb.try_run_until(1.0e-9).unwrap();
         assert_eq!(count(&tb), 1, "disappearing track records nothing");
 
         // It reappears with the *same* value: a stale stored entry
         // would suppress this; the drop semantics record it again.
         tracks.borrow_mut().push((dbg, true));
-        tb.run_until(1.5e-9);
+        tb.try_run_until(1.5e-9).unwrap();
         assert_eq!(count(&tb), 2, "reappearing track records again");
     }
 
@@ -1002,14 +987,14 @@ mod tests {
                 woken: Time::ZERO,
                 acks: Vec::new(),
             };
-            let mut tb = TestbenchBuilder::new().build(sleeper);
+            let mut tb = TestbenchBuilder::new().try_build(sleeper).unwrap();
             let ack = PendKind::Ack {
                 phase: 0,
                 pmos: true,
                 value: true,
             };
             tb.push_pending(at, ack);
-            tb.run_until(10e-9);
+            tb.try_run_until(10e-9).unwrap();
             let acks = &tb.controller().acks;
             assert_eq!(acks.len(), 1);
             let (t, woken) = acks[0];
@@ -1080,8 +1065,11 @@ mod tests {
     #[test]
     fn wakeups_move_no_window_and_no_sample() {
         fn run<C: BuckController>(ctrl: C) -> (u64, Waveform) {
-            let mut tb = TestbenchBuilder::new().load_step(1e-6, 4.0).build(ctrl);
-            tb.run_until(2e-6);
+            let mut tb = TestbenchBuilder::new()
+                .load_step(1e-6, 4.0)
+                .try_build(ctrl)
+                .unwrap();
+            tb.try_run_until(2e-6).unwrap();
             (tb.windows(), tb.into_waveform())
         }
         fn tick<C>(inner: C) -> Ticking<C> {
@@ -1103,13 +1091,15 @@ mod tests {
         let mut tb = TestbenchBuilder::new()
             .try_build(ctrl)
             .expect("default configuration is valid");
-        assert!(matches!(
-            tb.try_run_until(f64::NAN),
-            Err(SimError::InvalidParameter {
-                what: "t_end (s)",
-                ..
-            })
-        ));
+        for bad in [f64::NAN, f64::INFINITY, 1e300] {
+            assert!(matches!(
+                tb.try_run_until(bad),
+                Err(SimError::InvalidParameter {
+                    what: "t_end (s)",
+                    ..
+                })
+            ));
+        }
         tb.try_run_until(2e-6).expect("normal run succeeds");
         assert!(tb.buck().output_voltage() > 0.0);
     }
@@ -1120,8 +1110,10 @@ mod window_tests {
     use crate::scenario::{self, ControllerKind};
 
     fn windows(kind: ControllerKind) -> u64 {
-        let mut tb = scenario::sweep_coil(4.7, 6.0).build(scenario::controller(kind, 4));
-        tb.run_until(8e-6);
+        let mut tb = scenario::sweep_coil(4.7, 6.0)
+            .try_build(scenario::controller(kind, 4))
+            .unwrap();
+        tb.try_run_until(8e-6).unwrap();
         tb.windows()
     }
 
@@ -1156,8 +1148,9 @@ mod window_tests {
             let run = |period: f64| {
                 let mut tb = scenario::sweep_coil(4.7, 6.0)
                     .sample_period(period)
-                    .build(scenario::controller(kind, 4));
-                tb.run_until(20e-6);
+                    .try_build(scenario::controller(kind, 4))
+                    .unwrap();
+                tb.try_run_until(20e-6).unwrap();
                 let mut events = tb.waveform().events.clone();
                 events.sort_by_key(|e| e.1);
                 (tb.windows(), tb.waveform().len(), events)

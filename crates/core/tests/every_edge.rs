@@ -72,8 +72,8 @@ fn run(builder: TestbenchBuilder, mhz: f64, t_end: f64, every_edge: bool) -> (Wa
             next: period,
         });
     }
-    let mut tb = builder.build(ctrl);
-    tb.run_until(t_end);
+    let mut tb = builder.try_build(ctrl).unwrap();
+    tb.try_run_until(t_end).unwrap();
     let windows = tb.windows();
     (tb.into_waveform(), windows)
 }

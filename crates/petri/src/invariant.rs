@@ -216,17 +216,20 @@ fn lcm(a: i128, b: i128) -> i128 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::NetBuilder;
+    use crate::{ArcKind, NetBuilder};
 
     fn ring(n: usize) -> PetriNet {
         let mut b = NetBuilder::new();
         let places: Vec<_> = (0..n)
-            .map(|i| b.place_with_tokens(format!("p{i}"), u32::from(i == 0)))
+            .map(|i| {
+                b.place_with_tokens(format!("p{i}"), u32::from(i == 0))
+                    .unwrap()
+            })
             .collect();
         for i in 0..n {
-            let t = b.transition(format!("t{i}"));
-            b.arc_pt(places[i], t);
-            b.arc_tp(t, places[(i + 1) % n]);
+            let t = b.transition(format!("t{i}")).unwrap();
+            b.arc_pt(places[i], t).unwrap();
+            b.arc_tp(t, places[(i + 1) % n]).unwrap();
         }
         b.build()
     }
@@ -253,11 +256,11 @@ mod tests {
     #[test]
     fn incidence_matrix_entries() {
         let mut b = NetBuilder::new();
-        let p = b.place_with_tokens("p", 1);
-        let q = b.place("q");
-        let t = b.transition("t");
-        b.arc_pt(p, t);
-        b.arc_tp_weighted(t, q, 3);
+        let p = b.place_with_tokens("p", 1).unwrap();
+        let q = b.place("q").unwrap();
+        let t = b.transition("t").unwrap();
+        b.arc_pt(p, t).unwrap();
+        b.arc(ArcKind::Produce, q, t, 3).unwrap();
         let net = b.build();
         let t0 = crate::TransitionId(0);
         assert_eq!(net.incidence(p, t0), -1);
@@ -267,13 +270,13 @@ mod tests {
     #[test]
     fn read_arcs_do_not_affect_invariants() {
         let mut b = NetBuilder::new();
-        let ctx = b.place_with_tokens("ctx", 1);
-        let p = b.place_with_tokens("p", 1);
-        let q = b.place("q");
-        let t = b.transition("t");
-        b.arc_read(ctx, t);
-        b.arc_pt(p, t);
-        b.arc_tp(t, q);
+        let ctx = b.place_with_tokens("ctx", 1).unwrap();
+        let p = b.place_with_tokens("p", 1).unwrap();
+        let q = b.place("q").unwrap();
+        let t = b.transition("t").unwrap();
+        b.arc_read(ctx, t).unwrap();
+        b.arc_pt(p, t).unwrap();
+        b.arc_tp(t, q).unwrap();
         let net = b.build();
         assert_eq!(net.incidence(ctx, crate::TransitionId(0)), 0);
         assert!(net.is_place_invariant(&[1, 0, 0]), "ctx alone is invariant");
@@ -283,11 +286,11 @@ mod tests {
     #[test]
     fn unbounded_net_is_not_covered() {
         let mut b = NetBuilder::new();
-        let p = b.place_with_tokens("p", 1);
-        let q = b.place("q");
-        let t = b.transition("t");
-        b.arc_read(p, t);
-        b.arc_tp(t, q); // q grows without bound
+        let p = b.place_with_tokens("p", 1).unwrap();
+        let q = b.place("q").unwrap();
+        let t = b.transition("t").unwrap();
+        b.arc_read(p, t).unwrap();
+        b.arc_tp(t, q).unwrap(); // q grows without bound
         let net = b.build();
         assert!(!net.covered_by_invariants());
     }
@@ -297,14 +300,14 @@ mod tests {
         // Two disjoint 2-rings: invariant space has dimension >= 2.
         let mut b = NetBuilder::new();
         for side in ["a", "b"] {
-            let p0 = b.place_with_tokens(format!("{side}0"), 1);
-            let p1 = b.place(format!("{side}1"));
-            let t0 = b.transition(format!("{side}_t0"));
-            let t1 = b.transition(format!("{side}_t1"));
-            b.arc_pt(p0, t0);
-            b.arc_tp(t0, p1);
-            b.arc_pt(p1, t1);
-            b.arc_tp(t1, p0);
+            let p0 = b.place_with_tokens(format!("{side}0"), 1).unwrap();
+            let p1 = b.place(format!("{side}1")).unwrap();
+            let t0 = b.transition(format!("{side}_t0")).unwrap();
+            let t1 = b.transition(format!("{side}_t1")).unwrap();
+            b.arc_pt(p0, t0).unwrap();
+            b.arc_tp(t0, p1).unwrap();
+            b.arc_pt(p1, t1).unwrap();
+            b.arc_tp(t1, p0).unwrap();
         }
         let net = b.build();
         let invariants = net.place_invariants();

@@ -442,7 +442,7 @@ fn row_hash(row: &[u64]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::NetBuilder;
+    use crate::{ArcKind, NetBuilder};
     use a4a_rt::prop::{self, Gen, PropResult};
     use a4a_rt::prop_assert_eq;
 
@@ -453,19 +453,17 @@ mod tests {
     /// and read.
     fn random_net(g: &mut Gen, places: usize, unit: bool) -> PetriNet {
         let mut b = NetBuilder::new();
-        let ps: Vec<_> = (0..places).map(|i| b.place(format!("p{i}"))).collect();
+        let ps: Vec<_> = (0..places)
+            .map(|i| b.place(format!("p{i}")).unwrap())
+            .collect();
         for i in 0..g.usize(1..24) {
-            let t = b.transition(format!("t{i}"));
-            for kind in 0..3 {
+            let t = b.transition(format!("t{i}")).unwrap();
+            for kind in [ArcKind::Consume, ArcKind::Read, ArcKind::Produce] {
                 let mut picks: Vec<usize> = (0..places).collect();
                 g.shuffle(&mut picks);
                 for &p in picks.iter().take(g.usize(0..3)) {
                     let w = if unit { 1 } else { g.u64(1..4) as u32 };
-                    match kind {
-                        0 => b.arc_pt_weighted(ps[p], t, w),
-                        1 => b.arc_read_weighted(ps[p], t, w),
-                        _ => b.arc_tp_weighted(t, ps[p], w),
-                    }
+                    b.arc(kind, ps[p], t, w).unwrap();
                 }
             }
         }
@@ -560,11 +558,11 @@ mod tests {
     #[test]
     fn weighted_arcs_have_no_masks() {
         let mut b = NetBuilder::new();
-        let p = b.place_with_tokens("p", 1);
-        let t = b.transition("t");
-        b.arc_pt(p, t);
+        let p = b.place_with_tokens("p", 1).unwrap();
+        let t = b.transition("t").unwrap();
+        b.arc_pt(p, t).unwrap();
         assert!(b.clone().build().masks().is_some());
-        b.arc_tp_weighted(t, p, 2);
+        b.arc(ArcKind::Produce, p, t, 2).unwrap();
         assert!(b.build().masks().is_none());
     }
 

@@ -27,20 +27,20 @@
 //! use a4a_petri::NetBuilder;
 //!
 //! let mut b = NetBuilder::new();
-//! let p0 = b.place_with_tokens("p0", 1);
-//! let p1 = b.place("p1");
-//! let t0 = b.transition("t0");
-//! let t1 = b.transition("t1");
-//! b.arc_pt(p0, t0);
-//! b.arc_tp(t0, p1);
-//! b.arc_pt(p1, t1);
-//! b.arc_tp(t1, p0);
+//! let p0 = b.place_with_tokens("p0", 1)?;
+//! let p1 = b.place("p1")?;
+//! let t0 = b.transition("t0")?;
+//! let t1 = b.transition("t1")?;
+//! b.arc_pt(p0, t0)?;
+//! b.arc_tp(t0, p1)?;
+//! b.arc_pt(p1, t1)?;
+//! b.arc_tp(t1, p0)?;
 //! let net = b.build();
 //!
 //! let reach = net.explore(10_000)?;
 //! assert_eq!(reach.state_count(), 2);
 //! assert!(reach.deadlocks().is_empty());
-//! # Ok::<(), a4a_petri::ExploreError>(())
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -57,7 +57,8 @@ pub use invariant::PlaceInvariant;
 pub use kernel::Engine;
 pub use marking::Marking;
 pub use net::{
-    ArcKind, NetBuilder, PetriNet, Place, PlaceId, TokenOverflow, Transition, TransitionId,
+    ArcKind, NetBuilder, NetError, PetriNet, Place, PlaceId, TokenOverflow, Transition,
+    TransitionId,
 };
 pub use reach::{ExploreError, ReachabilityGraph, StateId};
 pub use space::{BfsTree, Hook, Limit, SearchError, StateIndex, StateSpace, Step};

@@ -266,19 +266,6 @@ impl PetriNet {
             .collect()
     }
 
-    /// Fires `t` in `marking`, returning the successor marking.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is not enabled — callers must check with
-    /// [`PetriNet::is_enabled`] first — or on token overflow (a place
-    /// pushed past `u32::MAX` tokens; use [`PetriNet::try_fire`] to get
-    /// a typed error instead).
-    pub fn fire(&self, t: TransitionId, marking: &Marking) -> Marking {
-        self.try_fire(t, marking)
-            .unwrap_or_else(|e| panic!("token overflow: {e}"))
-    }
-
     /// Fires `t` in `marking`, returning the successor marking, or a
     /// typed [`TokenOverflow`] when a produced place would exceed
     /// `u32::MAX` tokens.
@@ -329,17 +316,53 @@ impl fmt::Display for TokenOverflow {
 
 impl std::error::Error for TokenOverflow {}
 
+/// Why [`NetBuilder`] refused a place, a transition or an arc. A refused
+/// call leaves the builder as it was.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum NetError {
+    /// A place of this name already exists.
+    DuplicatePlace(String),
+    /// A transition of this name already exists.
+    DuplicateTransition(String),
+    /// The transition already has an arc of this kind with the place.
+    DuplicateArc(ArcKind, PlaceId, TransitionId),
+    /// An arc of weight zero.
+    ZeroWeight(ArcKind, PlaceId, TransitionId),
+}
+
+impl fmt::Display for NetError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (what, kind, p, t) = match self {
+            NetError::DuplicatePlace(name) => return write!(f, "duplicate place name {name:?}"),
+            NetError::DuplicateTransition(name) => {
+                return write!(f, "duplicate transition name {name:?}")
+            }
+            NetError::DuplicateArc(kind, p, t) => ("duplicate", kind, p, t),
+            NetError::ZeroWeight(kind, p, t) => ("zero-weight", kind, p, t),
+        };
+        match kind {
+            ArcKind::Consume => write!(f, "{what} consume arc {p}->{t}"),
+            ArcKind::Produce => write!(f, "{what} produce arc {t}->{p}"),
+            ArcKind::Read => write!(f, "{what} read arc {p}->{t}"),
+        }
+    }
+}
+
+impl std::error::Error for NetError {}
+
 /// Incremental builder for [`PetriNet`].
 ///
-/// Names are deduplicated: adding a place or transition with an existing
-/// name panics, because silent merging would corrupt STG semantics.
-/// [`NetBuilder::try_place`] reports a taken name instead.
+/// The builder owns every structural check: a taken place or transition
+/// name, a repeated arc and a zero arc weight are each a [`NetError`],
+/// because silent merging would corrupt STG semantics, and the call that
+/// is refused changes nothing.
 #[derive(Debug, Clone)]
 pub struct NetBuilder {
     places: Vec<Place>,
     transitions: Vec<Transition>,
-    /// Name indexes for the duplicate checks: fx hashes of the names,
-    /// with the names themselves kept once, in `places`/`transitions`.
+    /// Name indexes for the duplicate checks and the name lookups: fx
+    /// hashes of the names, with the names themselves kept once, in
+    /// `places`/`transitions`.
     place_index: IdTable,
     transition_index: IdTable,
 }
@@ -368,29 +391,53 @@ impl NetBuilder {
         Self::default()
     }
 
-    /// Adds a place with zero initial tokens.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a place with the same name already exists.
-    pub fn place(&mut self, name: impl Into<String>) -> PlaceId {
+    /// Number of places added so far.
+    pub fn place_count(&self) -> usize {
+        self.places.len()
+    }
+
+    /// Finds a place by name.
+    pub fn place_by_name(&self, name: &str) -> Option<PlaceId> {
+        let places = &self.places;
+        self.place_index
+            .get(fx_hash_one(name), |id| places[id as usize].name == name)
+            .map(PlaceId)
+    }
+
+    /// Finds a transition by name.
+    pub fn transition_by_name(&self, name: &str) -> Option<TransitionId> {
+        let transitions = &self.transitions;
+        self.transition_index
+            .get(fx_hash_one(name), |id| {
+                transitions[id as usize].name == name
+            })
+            .map(TransitionId)
+    }
+
+    /// Adds a place with zero initial tokens, or reports a taken name
+    /// as [`NetError::DuplicatePlace`].
+    pub fn place(&mut self, name: impl Into<String>) -> Result<PlaceId, NetError> {
         self.place_with_tokens(name, 0)
     }
 
-    /// Adds a place holding `tokens` in the initial marking.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a place with the same name already exists.
-    pub fn place_with_tokens(&mut self, name: impl Into<String>, tokens: u32) -> PlaceId {
-        self.add_place(name.into(), tokens)
-            .unwrap_or_else(|name| panic!("duplicate place name {name:?}"))
-    }
-
-    /// Adds a place with zero initial tokens, or returns `None` (and adds
-    /// nothing) if a place with the same name already exists.
-    pub fn try_place(&mut self, name: impl Into<String>) -> Option<PlaceId> {
-        self.add_place(name.into(), 0).ok()
+    /// Adds a place holding `tokens` in the initial marking, or reports a
+    /// taken name as [`NetError::DuplicatePlace`].
+    pub fn place_with_tokens(
+        &mut self,
+        name: impl Into<String>,
+        tokens: u32,
+    ) -> Result<PlaceId, NetError> {
+        let name = name.into();
+        if self.place_by_name(&name).is_some() {
+            return Err(NetError::DuplicatePlace(name));
+        }
+        let id = PlaceId(self.places.len() as u32);
+        self.place_index.insert(fx_hash_one(name.as_str()), id.0);
+        self.places.push(Place {
+            name,
+            initial_tokens: tokens,
+        });
+        Ok(id)
     }
 
     /// Adds `tokens` to the initial marking of place `p` and returns its
@@ -406,118 +453,72 @@ impl NetBuilder {
         Some(place.initial_tokens)
     }
 
-    /// Adds a place, or hands back its name if the name is taken.
-    fn add_place(&mut self, name: String, tokens: u32) -> Result<PlaceId, String> {
-        let hash = fx_hash_one(name.as_str());
-        let places = &self.places;
-        if self
-            .place_index
-            .get(hash, |id| places[id as usize].name == name)
-            .is_some()
-        {
-            return Err(name);
-        }
-        let id = PlaceId(self.places.len() as u32);
-        self.place_index.insert(hash, id.0);
-        self.places.push(Place {
-            name,
-            initial_tokens: tokens,
-        });
-        Ok(id)
-    }
-
-    /// Adds a transition.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a transition with the same name already exists.
-    pub fn transition(&mut self, name: impl Into<String>) -> TransitionId {
+    /// Adds a transition, or reports a taken name as
+    /// [`NetError::DuplicateTransition`].
+    pub fn transition(&mut self, name: impl Into<String>) -> Result<TransitionId, NetError> {
         let name = name.into();
-        let hash = fx_hash_one(name.as_str());
-        let transitions = &self.transitions;
-        if self
-            .transition_index
-            .get(hash, |id| transitions[id as usize].name == name)
-            .is_some()
-        {
-            panic!("duplicate transition name {name:?}");
+        if self.transition_by_name(&name).is_some() {
+            return Err(NetError::DuplicateTransition(name));
         }
         let id = TransitionId(self.transitions.len() as u32);
-        self.transition_index.insert(hash, id.0);
+        self.transition_index
+            .insert(fx_hash_one(name.as_str()), id.0);
         self.transitions.push(Transition {
             name,
             consume: Vec::new(),
             produce: Vec::new(),
             read: Vec::new(),
         });
-        id
+        Ok(id)
     }
 
-    /// Adds a place→transition (consuming) arc with weight 1.
-    pub fn arc_pt(&mut self, p: PlaceId, t: TransitionId) {
-        self.arc_pt_weighted(p, t, 1);
+    /// Adds a place→transition (consuming) arc with weight 1; see
+    /// [`NetBuilder::arc`].
+    pub fn arc_pt(&mut self, p: PlaceId, t: TransitionId) -> Result<(), NetError> {
+        self.arc(ArcKind::Consume, p, t, 1)
     }
 
-    /// Adds a weighted place→transition (consuming) arc.
-    ///
-    /// # Panics
-    ///
-    /// Panics on zero weight or duplicate arc.
-    pub fn arc_pt_weighted(&mut self, p: PlaceId, t: TransitionId, weight: u32) {
-        assert!(weight > 0, "arc weight must be positive");
-        let tr = &mut self.transitions[t.index()];
-        assert!(
-            !tr.consume.iter().any(|&(q, _)| q == p),
-            "duplicate consume arc {}->{}",
-            p,
-            t
-        );
-        tr.consume.push((p, weight));
-    }
-
-    /// Adds a transition→place (producing) arc with weight 1.
-    pub fn arc_tp(&mut self, t: TransitionId, p: PlaceId) {
-        self.arc_tp_weighted(t, p, 1);
-    }
-
-    /// Adds a weighted transition→place (producing) arc.
-    ///
-    /// # Panics
-    ///
-    /// Panics on zero weight or duplicate arc.
-    pub fn arc_tp_weighted(&mut self, t: TransitionId, p: PlaceId, weight: u32) {
-        assert!(weight > 0, "arc weight must be positive");
-        let tr = &mut self.transitions[t.index()];
-        assert!(
-            !tr.produce.iter().any(|&(q, _)| q == p),
-            "duplicate produce arc {}->{}",
-            t,
-            p
-        );
-        tr.produce.push((p, weight));
+    /// Adds a transition→place (producing) arc with weight 1; see
+    /// [`NetBuilder::arc`].
+    pub fn arc_tp(&mut self, t: TransitionId, p: PlaceId) -> Result<(), NetError> {
+        self.arc(ArcKind::Produce, p, t, 1)
     }
 
     /// Adds a read (test) arc with weight 1: `t` requires a token in `p`
-    /// but does not consume it.
-    pub fn arc_read(&mut self, p: PlaceId, t: TransitionId) {
-        self.arc_read_weighted(p, t, 1);
+    /// but does not consume it. See [`NetBuilder::arc`].
+    pub fn arc_read(&mut self, p: PlaceId, t: TransitionId) -> Result<(), NetError> {
+        self.arc(ArcKind::Read, p, t, 1)
     }
 
-    /// Adds a weighted read arc.
+    /// Adds an arc of `kind` and `weight` between `place` and
+    /// `transition`, or reports a zero weight as [`NetError::ZeroWeight`]
+    /// and a second arc of the same kind between the two as
+    /// [`NetError::DuplicateArc`].
     ///
     /// # Panics
     ///
-    /// Panics on zero weight or duplicate arc.
-    pub fn arc_read_weighted(&mut self, p: PlaceId, t: TransitionId, weight: u32) {
-        assert!(weight > 0, "arc weight must be positive");
-        let tr = &mut self.transitions[t.index()];
-        assert!(
-            !tr.read.iter().any(|&(q, _)| q == p),
-            "duplicate read arc {}->{}",
-            p,
-            t
-        );
-        tr.read.push((p, weight));
+    /// Panics if `transition` is not a transition of this builder.
+    pub fn arc(
+        &mut self,
+        kind: ArcKind,
+        place: PlaceId,
+        transition: TransitionId,
+        weight: u32,
+    ) -> Result<(), NetError> {
+        let tr = &mut self.transitions[transition.index()];
+        let arcs = match kind {
+            ArcKind::Consume => &mut tr.consume,
+            ArcKind::Produce => &mut tr.produce,
+            ArcKind::Read => &mut tr.read,
+        };
+        if weight == 0 {
+            return Err(NetError::ZeroWeight(kind, place, transition));
+        }
+        if arcs.iter().any(|&(q, _)| q == place) {
+            return Err(NetError::DuplicateArc(kind, place, transition));
+        }
+        arcs.push((place, weight));
+        Ok(())
     }
 
     /// Finalises the builder into an immutable net.
@@ -538,21 +539,21 @@ mod tests {
 
     fn cycle() -> (PetriNet, TransitionId, TransitionId) {
         let mut b = NetBuilder::new();
-        let p0 = b.place_with_tokens("p0", 1);
-        let p1 = b.place("p1");
-        let t0 = b.transition("t0");
-        let t1 = b.transition("t1");
-        b.arc_pt(p0, t0);
-        b.arc_tp(t0, p1);
-        b.arc_pt(p1, t1);
-        b.arc_tp(t1, p0);
+        let p0 = b.place_with_tokens("p0", 1).unwrap();
+        let p1 = b.place("p1").unwrap();
+        let t0 = b.transition("t0").unwrap();
+        let t1 = b.transition("t1").unwrap();
+        b.arc_pt(p0, t0).unwrap();
+        b.arc_tp(t0, p1).unwrap();
+        b.arc_pt(p1, t1).unwrap();
+        b.arc_tp(t1, p0).unwrap();
         (b.build(), t0, t1)
     }
 
     #[test]
     fn add_tokens_is_checked() {
         let mut b = NetBuilder::new();
-        let p = b.place_with_tokens("p", 2);
+        let p = b.place_with_tokens("p", 2).unwrap();
         assert_eq!(b.add_tokens(p, 3), Some(5));
         assert_eq!(b.add_tokens(p, u32::MAX), None);
         assert_eq!(b.build().place(p).initial_tokens, 5);
@@ -572,10 +573,10 @@ mod tests {
         let m0 = net.initial_marking();
         assert!(net.is_enabled(t0, &m0));
         assert!(!net.is_enabled(t1, &m0));
-        let m1 = net.fire(t0, &m0);
+        let m1 = net.try_fire(t0, &m0).unwrap();
         assert!(!net.is_enabled(t0, &m1));
         assert!(net.is_enabled(t1, &m1));
-        let m2 = net.fire(t1, &m1);
+        let m2 = net.try_fire(t1, &m1).unwrap();
         assert_eq!(m2, m0);
     }
 
@@ -584,23 +585,23 @@ mod tests {
     fn firing_disabled_transition_panics() {
         let (net, _, t1) = cycle();
         let m0 = net.initial_marking();
-        let _ = net.fire(t1, &m0);
+        let _ = net.try_fire(t1, &m0);
     }
 
     #[test]
     fn read_arc_does_not_consume() {
         let mut b = NetBuilder::new();
-        let ctx = b.place_with_tokens("ctx", 1);
-        let src = b.place_with_tokens("src", 1);
-        let dst = b.place("dst");
-        let t = b.transition("t");
-        b.arc_read(ctx, t);
-        b.arc_pt(src, t);
-        b.arc_tp(t, dst);
+        let ctx = b.place_with_tokens("ctx", 1).unwrap();
+        let src = b.place_with_tokens("src", 1).unwrap();
+        let dst = b.place("dst").unwrap();
+        let t = b.transition("t").unwrap();
+        b.arc_read(ctx, t).unwrap();
+        b.arc_pt(src, t).unwrap();
+        b.arc_tp(t, dst).unwrap();
         let net = b.build();
         let m0 = net.initial_marking();
         assert!(net.is_enabled(TransitionId(0), &m0));
-        let m1 = net.fire(TransitionId(0), &m0);
+        let m1 = net.try_fire(TransitionId(0), &m0).unwrap();
         assert_eq!(m1.tokens(ctx), 1, "read arc preserved the token");
         assert_eq!(m1.tokens(src), 0);
         assert_eq!(m1.tokens(dst), 1);
@@ -609,11 +610,11 @@ mod tests {
     #[test]
     fn read_arc_requires_token() {
         let mut b = NetBuilder::new();
-        let ctx = b.place("ctx");
-        let src = b.place_with_tokens("src", 1);
-        let t = b.transition("t");
-        b.arc_read(ctx, t);
-        b.arc_pt(src, t);
+        let ctx = b.place("ctx").unwrap();
+        let src = b.place_with_tokens("src", 1).unwrap();
+        let t = b.transition("t").unwrap();
+        b.arc_read(ctx, t).unwrap();
+        b.arc_pt(src, t).unwrap();
         let net = b.build();
         assert!(!net.is_enabled(TransitionId(0), &net.initial_marking()));
     }
@@ -621,13 +622,15 @@ mod tests {
     #[test]
     fn weighted_arcs() {
         let mut b = NetBuilder::new();
-        let p = b.place_with_tokens("p", 3);
-        let q = b.place("q");
-        let t = b.transition("t");
-        b.arc_pt_weighted(p, t, 2);
-        b.arc_tp_weighted(t, q, 5);
+        let p = b.place_with_tokens("p", 3).unwrap();
+        let q = b.place("q").unwrap();
+        let t = b.transition("t").unwrap();
+        b.arc(ArcKind::Consume, p, t, 2).unwrap();
+        b.arc(ArcKind::Produce, q, t, 5).unwrap();
         let net = b.build();
-        let m1 = net.fire(TransitionId(0), &net.initial_marking());
+        let m1 = net
+            .try_fire(TransitionId(0), &net.initial_marking())
+            .unwrap();
         assert_eq!(m1.tokens(p), 1);
         assert_eq!(m1.tokens(q), 5);
         assert!(!net.is_enabled(TransitionId(0), &m1), "only 1 token left");
@@ -643,46 +646,102 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "duplicate place name")]
-    fn duplicate_place_panics() {
+    fn refused_calls_are_typed_and_change_nothing() {
+        use ArcKind::{Consume, Produce, Read};
+        use NetError::{DuplicateArc, DuplicatePlace, DuplicateTransition, ZeroWeight};
         let mut b = NetBuilder::new();
-        b.place("p");
-        b.place("p");
-    }
-
-    #[test]
-    fn try_place_reports_taken_names() {
-        let mut b = NetBuilder::new();
-        let p = b.place_with_tokens("p", 1);
-        assert_eq!(b.try_place("p"), None);
-        let q = b.try_place("q").unwrap();
-        let net = b.build();
-        assert_eq!(net.place_count(), 2);
-        assert_eq!(net.place_by_name("p"), Some(p));
+        let p = b.place_with_tokens("p", 1).unwrap();
+        let q = b.place("q").unwrap();
+        let t = b.transition("t").unwrap();
+        b.arc_pt(p, t).unwrap();
+        b.arc_tp(t, q).unwrap();
+        b.arc_read(q, t).unwrap();
+        let (places, transitions) = (b.places.clone(), b.transitions.clone());
+        let cases = [
+            (
+                b.place("p").map(drop),
+                DuplicatePlace("p".into()),
+                "duplicate place name \"p\"",
+            ),
+            (
+                b.place_with_tokens("q", 3).map(drop),
+                DuplicatePlace("q".into()),
+                "duplicate place name \"q\"",
+            ),
+            (
+                b.transition("t").map(drop),
+                DuplicateTransition("t".into()),
+                "duplicate transition name \"t\"",
+            ),
+            (
+                b.arc_pt(p, t),
+                DuplicateArc(Consume, p, t),
+                "duplicate consume arc p0->t0",
+            ),
+            (
+                b.arc(Consume, p, t, 2),
+                DuplicateArc(Consume, p, t),
+                "duplicate consume arc p0->t0",
+            ),
+            (
+                b.arc_tp(t, q),
+                DuplicateArc(Produce, q, t),
+                "duplicate produce arc t0->p1",
+            ),
+            (
+                b.arc(Produce, q, t, 2),
+                DuplicateArc(Produce, q, t),
+                "duplicate produce arc t0->p1",
+            ),
+            (
+                b.arc_read(q, t),
+                DuplicateArc(Read, q, t),
+                "duplicate read arc p1->t0",
+            ),
+            (
+                b.arc(Read, q, t, 2),
+                DuplicateArc(Read, q, t),
+                "duplicate read arc p1->t0",
+            ),
+            (
+                b.arc(Consume, q, t, 0),
+                ZeroWeight(Consume, q, t),
+                "zero-weight consume arc p1->t0",
+            ),
+            (
+                b.arc(Produce, p, t, 0),
+                ZeroWeight(Produce, p, t),
+                "zero-weight produce arc t0->p0",
+            ),
+            (
+                b.arc(Read, p, t, 0),
+                ZeroWeight(Read, p, t),
+                "zero-weight read arc p0->t0",
+            ),
+        ];
+        for (got, want, message) in cases {
+            assert_eq!(got, Err(want.clone()));
+            assert_eq!(want.to_string(), message);
+        }
+        assert_eq!(b.places, places, "refused calls left the places alone");
         assert_eq!(
-            net.place(p).initial_tokens,
-            1,
-            "the first place is untouched"
+            b.transitions, transitions,
+            "refused calls left the transitions and their arcs alone"
         );
-        assert_eq!(net.place_by_name("q"), Some(q));
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate transition name")]
-    fn duplicate_transition_panics() {
-        let mut b = NetBuilder::new();
-        b.transition("t");
-        b.transition("t");
+        assert_eq!(b.place_by_name("q"), Some(q));
+        assert_eq!(b.transition_by_name("t"), Some(t));
+        assert_eq!(b.place_by_name("t"), None);
+        assert_eq!(b.build().place(p).initial_tokens, 1);
     }
 
     #[test]
     fn enabled_lists_in_id_order() {
         let mut b = NetBuilder::new();
-        let p = b.place_with_tokens("p", 1);
-        let t0 = b.transition("a");
-        let t1 = b.transition("b");
-        b.arc_read(p, t0);
-        b.arc_read(p, t1);
+        let p = b.place_with_tokens("p", 1).unwrap();
+        let t0 = b.transition("a").unwrap();
+        let t1 = b.transition("b").unwrap();
+        b.arc_read(p, t0).unwrap();
+        b.arc_read(p, t1).unwrap();
         let net = b.build();
         assert_eq!(net.enabled(&net.initial_marking()), vec![t0, t1]);
     }

@@ -143,24 +143,24 @@ impl PetriNet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Engine, NetBuilder};
+    use crate::{ArcKind, Engine, NetBuilder};
 
     /// Two independent loops: state space is the product (4 states).
     fn two_loops() -> PetriNet {
         let mut b = NetBuilder::new();
-        let a0 = b.place_with_tokens("a0", 1);
-        let a1 = b.place("a1");
-        let b0 = b.place_with_tokens("b0", 1);
-        let b1 = b.place("b1");
+        let a0 = b.place_with_tokens("a0", 1).unwrap();
+        let a1 = b.place("a1").unwrap();
+        let b0 = b.place_with_tokens("b0", 1).unwrap();
+        let b1 = b.place("b1").unwrap();
         for (name, src, dst) in [
             ("ta0", a0, a1),
             ("ta1", a1, a0),
             ("tb0", b0, b1),
             ("tb1", b1, b0),
         ] {
-            let t = b.transition(name);
-            b.arc_pt(src, t);
-            b.arc_tp(t, dst);
+            let t = b.transition(name).unwrap();
+            b.arc_pt(src, t).unwrap();
+            b.arc_tp(t, dst).unwrap();
         }
         b.build()
     }
@@ -179,11 +179,11 @@ mod tests {
     #[test]
     fn deadlock_detected() {
         let mut b = NetBuilder::new();
-        let p = b.place_with_tokens("p", 1);
-        let q = b.place("q");
-        let t = b.transition("t");
-        b.arc_pt(p, t);
-        b.arc_tp(t, q);
+        let p = b.place_with_tokens("p", 1).unwrap();
+        let q = b.place("q").unwrap();
+        let t = b.transition("t").unwrap();
+        b.arc_pt(p, t).unwrap();
+        b.arc_tp(t, q).unwrap();
         let net = b.build();
         let g = net.explore(10).unwrap();
         assert_eq!(g.deadlocks(), vec![StateId(1)]);
@@ -192,10 +192,10 @@ mod tests {
     #[test]
     fn unbounded_net_hits_limit() {
         let mut b = NetBuilder::new();
-        let p = b.place_with_tokens("p", 1);
-        let t = b.transition("t");
-        b.arc_read(p, t);
-        b.arc_tp(t, p); // produces without consuming: unbounded
+        let p = b.place_with_tokens("p", 1).unwrap();
+        let t = b.transition("t").unwrap();
+        b.arc_read(p, t).unwrap();
+        b.arc_tp(t, p).unwrap(); // produces without consuming: unbounded
         let net = b.build();
         let err = net.explore(16).unwrap_err();
         assert_eq!(err, ExploreError::StateLimit { limit: 16 });
@@ -204,11 +204,11 @@ mod tests {
     #[test]
     fn bound_reports_max_tokens() {
         let mut b = NetBuilder::new();
-        let p = b.place_with_tokens("p", 2);
-        let q = b.place("q");
-        let t = b.transition("t");
-        b.arc_pt(p, t);
-        b.arc_tp_weighted(t, q, 3);
+        let p = b.place_with_tokens("p", 2).unwrap();
+        let q = b.place("q").unwrap();
+        let t = b.transition("t").unwrap();
+        b.arc_pt(p, t).unwrap();
+        b.arc(ArcKind::Produce, q, t, 3).unwrap();
         let net = b.build();
         let g = net.explore(100).unwrap();
         assert_eq!(g.bound(), 6, "two firings of weight-3 production");
@@ -219,15 +219,15 @@ mod tests {
     #[test]
     fn trace_to_finds_shortest_path() {
         let mut b = NetBuilder::new();
-        let p0 = b.place_with_tokens("p0", 1);
-        let p1 = b.place("p1");
-        let p2 = b.place("p2");
-        let t0 = b.transition("t0");
-        let t1 = b.transition("t1");
-        b.arc_pt(p0, t0);
-        b.arc_tp(t0, p1);
-        b.arc_pt(p1, t1);
-        b.arc_tp(t1, p2);
+        let p0 = b.place_with_tokens("p0", 1).unwrap();
+        let p1 = b.place("p1").unwrap();
+        let p2 = b.place("p2").unwrap();
+        let t0 = b.transition("t0").unwrap();
+        let t1 = b.transition("t1").unwrap();
+        b.arc_pt(p0, t0).unwrap();
+        b.arc_tp(t0, p1).unwrap();
+        b.arc_pt(p1, t1).unwrap();
+        b.arc_tp(t1, p2).unwrap();
         let net = b.build();
         let g = net.explore(10).unwrap();
         let dead = g.deadlocks()[0];

@@ -391,12 +391,12 @@ mod tests {
     /// alone discovers three more.
     fn fan() -> PetriNet {
         let mut b = NetBuilder::new();
-        let p = b.place_with_tokens("p", 1);
+        let p = b.place_with_tokens("p", 1).unwrap();
         for i in 0..3 {
-            let q = b.place(format!("q{i}"));
-            let t = b.transition(format!("t{i}"));
-            b.arc_pt(p, t);
-            b.arc_tp(t, q);
+            let q = b.place(format!("q{i}")).unwrap();
+            let t = b.transition(format!("t{i}")).unwrap();
+            b.arc_pt(p, t).unwrap();
+            b.arc_tp(t, q).unwrap();
         }
         b.build()
     }
@@ -460,13 +460,13 @@ mod tests {
         // The token of `a` moves onto `b`, which already holds one, at
         // the second firing.
         let mut b = NetBuilder::new();
-        let a0 = b.place_with_tokens("a0", 1);
-        let a1 = b.place("a1");
-        let full = b.place_with_tokens("full", 1);
+        let a0 = b.place_with_tokens("a0", 1).unwrap();
+        let a1 = b.place("a1").unwrap();
+        let full = b.place_with_tokens("full", 1).unwrap();
         for (name, from, to) in [("t0", a0, a1), ("t1", a1, full)] {
-            let t = b.transition(name);
-            b.arc_pt(from, t);
-            b.arc_tp(t, to);
+            let t = b.transition(name).unwrap();
+            b.arc_pt(from, t).unwrap();
+            b.arc_tp(t, to).unwrap();
         }
         let net = b.build();
         let mut calls = 0;

@@ -10,12 +10,15 @@ use a4a_rt::{prop_assert, prop_assert_eq};
 fn ring(n: usize, tokens: u32) -> PetriNet {
     let mut b = NetBuilder::new();
     let places: Vec<_> = (0..n)
-        .map(|i| b.place_with_tokens(format!("p{i}"), if i == 0 { tokens } else { 0 }))
+        .map(|i| {
+            b.place_with_tokens(format!("p{i}"), if i == 0 { tokens } else { 0 })
+                .unwrap()
+        })
         .collect();
     for i in 0..n {
-        let t = b.transition(format!("t{i}"));
-        b.arc_pt(places[i], t);
-        b.arc_tp(t, places[(i + 1) % n]);
+        let t = b.transition(format!("t{i}")).unwrap();
+        b.arc_pt(places[i], t).unwrap();
+        b.arc_tp(t, places[(i + 1) % n]).unwrap();
     }
     b.build()
 }
@@ -75,7 +78,7 @@ fn invariants_survive_any_firing() {
                     break;
                 }
                 let t = enabled[pick % enabled.len()];
-                marking = net.fire(t, &marking);
+                marking = net.try_fire(t, &marking).unwrap();
                 for (inv, &s0) in invariants.iter().zip(&sums) {
                     prop_assert_eq!(inv.sum(&marking), s0);
                 }
@@ -93,12 +96,15 @@ fn pipeline_state_count() {
         let n = g.usize(1..10);
         let mut b = NetBuilder::new();
         let places: Vec<_> = (0..=n)
-            .map(|i| b.place_with_tokens(format!("p{i}"), u32::from(i == 0)))
+            .map(|i| {
+                b.place_with_tokens(format!("p{i}"), u32::from(i == 0))
+                    .unwrap()
+            })
             .collect();
         for i in 0..n {
-            let t = b.transition(format!("t{i}"));
-            b.arc_pt(places[i], t);
-            b.arc_tp(t, places[i + 1]);
+            let t = b.transition(format!("t{i}")).unwrap();
+            b.arc_pt(places[i], t).unwrap();
+            b.arc_tp(t, places[i + 1]).unwrap();
         }
         let net = b.build();
         let gr = net.explore(10_000).unwrap();
@@ -120,14 +126,14 @@ fn independent_components_multiply() {
             let k = g.usize(1..5);
             let mut b = NetBuilder::new();
             for i in 0..k {
-                let p0 = b.place_with_tokens(format!("a{i}"), 1);
-                let p1 = b.place(format!("b{i}"));
-                let t0 = b.transition(format!("t{i}_0"));
-                let t1 = b.transition(format!("t{i}_1"));
-                b.arc_pt(p0, t0);
-                b.arc_tp(t0, p1);
-                b.arc_pt(p1, t1);
-                b.arc_tp(t1, p0);
+                let p0 = b.place_with_tokens(format!("a{i}"), 1).unwrap();
+                let p1 = b.place(format!("b{i}")).unwrap();
+                let t0 = b.transition(format!("t{i}_0")).unwrap();
+                let t1 = b.transition(format!("t{i}_1")).unwrap();
+                b.arc_pt(p0, t0).unwrap();
+                b.arc_tp(t0, p1).unwrap();
+                b.arc_pt(p1, t1).unwrap();
+                b.arc_tp(t1, p0).unwrap();
             }
             let net = b.build();
             let gr = net.explore(100_000).unwrap();
@@ -151,7 +157,7 @@ fn packed_and_dense_markings_agree() {
             let tokens: Vec<u32> = (0..places).map(|_| g.u64(0..2) as u32).collect();
             let mut b = NetBuilder::new();
             for (i, &t) in tokens.iter().enumerate() {
-                b.place_with_tokens(format!("p{i}"), t);
+                b.place_with_tokens(format!("p{i}"), t).unwrap();
             }
             let net = b.build();
             let kernel = net.explore(1).expect("no transitions: one state");
@@ -198,7 +204,7 @@ fn unsafe_and_safe_markings_stay_distinct() {
             prop_assert!(safe.fx_hash() != unsafe_m.fx_hash());
             let mut b = NetBuilder::new();
             for (i, t) in unsafe_m.iter().enumerate() {
-                b.place_with_tokens(format!("p{i}"), t);
+                b.place_with_tokens(format!("p{i}"), t).unwrap();
             }
             let g = b.build().explore(1).expect("one state");
             prop_assert_eq!(g.engine(), Engine::Reference);

@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 
-use a4a_petri::{NetBuilder, PlaceId, TransitionId};
+use a4a_petri::{ArcKind, NetBuilder, NetError, PlaceId, TransitionId};
 
 use crate::{Edge, Label, Polarity, Signal, SignalId, SignalKind, Stg, StgError};
 
@@ -20,7 +20,9 @@ impl Stg {
     /// # Errors
     ///
     /// Returns [`StgError::Compose`] when a shared signal is driven by
-    /// both components or their initial values disagree.
+    /// both components or their initial values disagree, or when the
+    /// net builder refuses a name or an arc of the product (a local
+    /// transition whose `.N` suffix gives it a name already taken).
     ///
     /// # Examples
     ///
@@ -117,11 +119,17 @@ impl Stg {
         let mut places_b: Vec<PlaceId> = Vec::new();
         for p in self.net.place_ids() {
             let pl = self.net.place(p);
-            places_a.push(net.place_with_tokens(format!("A.{}", pl.name), pl.initial_tokens));
+            places_a.push(
+                net.place_with_tokens(format!("A.{}", pl.name), pl.initial_tokens)
+                    .map_err(refused)?,
+            );
         }
         for p in other.net.place_ids() {
             let pl = other.net.place(p);
-            places_b.push(net.place_with_tokens(format!("B.{}", pl.name), pl.initial_tokens));
+            places_b.push(
+                net.place_with_tokens(format!("B.{}", pl.name), pl.initial_tokens)
+                    .map_err(refused)?,
+            );
         }
 
         // 3. Transitions.
@@ -149,17 +157,20 @@ impl Stg {
                         nt: TransitionId,
                         src: &Stg,
                         t: TransitionId,
-                        place_map: &[PlaceId]| {
+                        place_map: &[PlaceId]|
+         -> Result<(), StgError> {
             let tr = src.net.transition(t);
-            for &(p, w) in tr.consumed() {
-                net.arc_pt_weighted(place_map[p.index()], nt, w);
+            for (kind, arcs) in [
+                (ArcKind::Consume, tr.consumed()),
+                (ArcKind::Produce, tr.produced()),
+                (ArcKind::Read, tr.read()),
+            ] {
+                for &(p, w) in arcs {
+                    net.arc(kind, place_map[p.index()], nt, w)
+                        .map_err(refused)?;
+                }
             }
-            for &(p, w) in tr.produced() {
-                net.arc_tp_weighted(nt, place_map[p.index()], w);
-            }
-            for &(p, w) in tr.read() {
-                net.arc_read_weighted(place_map[p.index()], nt, w);
-            }
+            Ok(())
         };
 
         // Local (non-shared) transitions of A.
@@ -175,9 +186,9 @@ impl Stg {
                 }),
             };
             let name = fresh_name(self.transition_name(t), &mut name_counts);
-            let nt = net.transition(name);
+            let nt = net.transition(name).map_err(refused)?;
             labels.push(label);
-            add_arcs(&mut net, nt, self, t, &places_a);
+            add_arcs(&mut net, nt, self, t, &places_a)?;
         }
         // Local transitions of B.
         for t in other.net.transition_ids() {
@@ -194,9 +205,9 @@ impl Stg {
                 }),
             };
             let name = fresh_name(other.transition_name(t), &mut name_counts);
-            let nt = net.transition(name);
+            let nt = net.transition(name).map_err(refused)?;
             labels.push(label);
-            add_arcs(&mut net, nt, other, t, &places_b);
+            add_arcs(&mut net, nt, other, t, &places_b)?;
         }
         // Synchronised products for shared signals.
         for ta in self.net.transition_ids() {
@@ -217,10 +228,10 @@ impl Stg {
                     polarity: pol_a,
                 });
                 let name = fresh_name(self.transition_name(ta), &mut name_counts);
-                let nt = net.transition(name);
+                let nt = net.transition(name).map_err(refused)?;
                 labels.push(label);
-                add_arcs(&mut net, nt, self, ta, &places_a);
-                add_arcs(&mut net, nt, other, tb, &places_b);
+                add_arcs(&mut net, nt, self, ta, &places_a)?;
+                add_arcs(&mut net, nt, other, tb, &places_b)?;
             }
         }
 
@@ -246,6 +257,13 @@ impl Stg {
             self.signal(id).name
         );
         self.with_signal_kind(id, SignalKind::Internal)
+    }
+}
+
+/// The net builder's refusal as a composition error.
+fn refused(e: NetError) -> StgError {
+    StgError::Compose {
+        message: e.to_string(),
     }
 }
 
@@ -362,6 +380,24 @@ mod tests {
         let b = bb.build();
         let err = a.compose(&b).unwrap_err();
         assert!(matches!(err, StgError::Compose { .. }));
+    }
+
+    /// The `.N` suffix that keeps local transition names apart can hit
+    /// a name the other side already took: the builder's refusal comes
+    /// back as a composition error.
+    #[test]
+    fn transition_name_clash_is_a_composition_error() {
+        let a = Stg::parse_g(
+            ".inputs a\n.dummy a+.2\n.graph\na+ a-\na- a+.2\na+.2 a+\n.marking { <a+.2,a+> }\n.end\n",
+        )
+        .unwrap();
+        let b = Stg::parse_g(".dummy a+\n.graph\na+ p\np a+\n.marking { p }\n.end\n").unwrap();
+        assert_eq!(
+            a.compose(&b).unwrap_err(),
+            StgError::Compose {
+                message: "duplicate transition name \"a+.2\"".into()
+            }
+        );
     }
 
     #[test]

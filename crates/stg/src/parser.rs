@@ -11,7 +11,7 @@ use std::convert::Infallible;
 use std::fmt::Write as _;
 
 use a4a_petri::{
-    ExploreError, Hook, Limit, NetBuilder, PetriNet, PlaceId, StateId, Step, TransitionId,
+    ExploreError, Hook, Limit, NetBuilder, NetError, PetriNet, PlaceId, StateId, Step, TransitionId,
 };
 
 use crate::{Label, Polarity, Signal, SignalId, SignalKind, Stg, StgError};
@@ -234,12 +234,21 @@ struct Parser<'a> {
     text: &'a str,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum NodeRef {
+/// A graph-line token as the first pass resolved it.
+#[derive(Debug, Clone, Copy)]
+enum Node {
     /// A labelled transition occurrence, e.g. `a+/2`.
-    Transition(String),
+    Transition(TransitionId),
     /// An explicit place, e.g. `p3`.
-    Place(String),
+    Place(PlaceId),
+}
+
+/// The net builder's refusal as a parse error at `line`.
+fn refused(line: usize) -> impl Fn(NetError) -> StgError {
+    move |e| StgError::Parse {
+        line,
+        message: e.to_string(),
+    }
 }
 
 impl<'a> Parser<'a> {
@@ -314,127 +323,96 @@ impl<'a> Parser<'a> {
             }
         }
 
-        // Classify every token in the graph section.
+        // First pass: resolve every token of the graph section to a
+        // transition (a dummy or an edge of a declared signal) or an
+        // explicit place, adding each at its first occurrence.
         let signal_names: HashMap<&str, SignalId> = signals
             .iter()
             .enumerate()
             .map(|(i, s)| (s.name.as_str(), SignalId(i as u32)))
             .collect();
-        let classify = |token: &str| -> NodeRef {
-            if dummy_names.iter().any(|d| d == token) {
-                return NodeRef::Transition(token.to_string());
-            }
-            if parse_edge_name(token, &signal_names).is_some() {
-                NodeRef::Transition(token.to_string())
-            } else {
-                NodeRef::Place(token.to_string())
-            }
-        };
-
-        // First pass: create transitions and explicit places.
         let mut net = NetBuilder::new();
         let mut labels: Vec<Label> = Vec::new();
-        let mut transitions: HashMap<String, TransitionId> = HashMap::new();
-        let mut places: HashMap<String, PlaceId> = HashMap::new();
-        let ensure_transition = |name: &str,
-                                 net: &mut NetBuilder,
-                                 labels: &mut Vec<Label>,
-                                 transitions: &mut HashMap<String, TransitionId>|
-         -> TransitionId {
-            if let Some(&t) = transitions.get(name) {
-                return t;
-            }
-            let label = if dummy_names.iter().any(|d| d == name) {
-                Label::Dummy
-            } else {
-                let (sig, pol) =
-                    parse_edge_name(name, &signal_names).expect("classified as transition");
-                Label::Edge(crate::Edge {
-                    signal: sig,
-                    polarity: pol,
-                })
-            };
-            let t = net.transition(name.to_string());
-            labels.push(label);
-            transitions.insert(name.to_string(), t);
-            t
-        };
-
-        for (lineno, tokens) in &graph_lines {
+        let mut lines: Vec<(usize, Vec<(&str, Node)>)> = Vec::with_capacity(graph_lines.len());
+        for &(line, ref tokens) in &graph_lines {
             if tokens.len() < 2 {
                 return Err(StgError::Parse {
-                    line: *lineno,
+                    line,
                     message: "graph line needs a source and at least one target".into(),
                 });
             }
+            let mut nodes = Vec::with_capacity(tokens.len());
             for token in tokens {
-                match classify(token) {
-                    NodeRef::Transition(name) => {
-                        ensure_transition(&name, &mut net, &mut labels, &mut transitions);
-                    }
-                    NodeRef::Place(name) => {
-                        places
-                            .entry(name.clone())
-                            .or_insert_with(|| net.place(name.clone()));
-                    }
-                }
+                let label = if dummy_names.contains(token) {
+                    Some(Label::Dummy)
+                } else {
+                    parse_edge_name(token, &signal_names)
+                        .map(|(signal, polarity)| Label::Edge(crate::Edge { signal, polarity }))
+                };
+                let node = match label {
+                    Some(label) => Node::Transition(match net.transition_by_name(token) {
+                        Some(t) => t,
+                        None => {
+                            let t = net.transition(token.as_str()).map_err(refused(line))?;
+                            labels.push(label);
+                            t
+                        }
+                    }),
+                    None => Node::Place(match net.place_by_name(token) {
+                        Some(p) => p,
+                        None => net.place(token.as_str()).map_err(refused(line))?,
+                    }),
+                };
+                nodes.push((token.as_str(), node));
             }
+            lines.push((line, nodes));
         }
 
-        // Second pass: arcs. Transition->transition creates an implicit
-        // place keyed by the pair for later marking lookup. Duplicate
-        // arcs of any kind are reported as parse errors (the net builder
-        // would reject them with a panic otherwise).
-        let mut implicit: HashMap<(String, String), PlaceId> = HashMap::new();
-        let mut explicit_arcs: std::collections::HashSet<(String, String)> =
-            std::collections::HashSet::new();
-        for (lineno, tokens) in &graph_lines {
-            let src = classify(&tokens[0]);
-            for target in &tokens[1..] {
-                let dst = classify(target);
-                match (&src, &dst) {
-                    (NodeRef::Transition(a), NodeRef::Transition(b)) => {
-                        let ta = transitions[a.as_str()];
-                        let tb = transitions[b.as_str()];
-                        let key = (a.clone(), b.clone());
-                        if implicit.contains_key(&key) {
-                            return Err(StgError::Parse {
-                                line: *lineno,
-                                message: format!("duplicate arc {a} -> {b}"),
-                            });
-                        }
-                        let name = format!("<{a},{b}>");
-                        let Some(p) = net.try_place(name.as_str()) else {
-                            return Err(StgError::Parse {
-                                line: *lineno,
-                                message: format!("implicit place {name} collides with a place"),
-                            });
+        // Second pass: arcs. A transition->transition arc gets an
+        // implicit place named `<a,b>`. The first pass made every
+        // explicit place, so a place id from here on is implicit.
+        let explicit = net.place_count();
+        for &(line, ref nodes) in &lines {
+            let (a, src) = nodes[0];
+            for &(b, dst) in &nodes[1..] {
+                let duplicate = || StgError::Parse {
+                    line,
+                    message: format!("duplicate arc {a} -> {b}"),
+                };
+                match (src, dst) {
+                    (Node::Transition(ta), Node::Transition(tb)) => {
+                        let p = match net.place(format!("<{a},{b}>")) {
+                            Ok(p) => p,
+                            Err(NetError::DuplicatePlace(name)) => {
+                                let implicit = net
+                                    .place_by_name(&name)
+                                    .is_some_and(|p| p.index() >= explicit);
+                                return Err(if implicit {
+                                    duplicate()
+                                } else {
+                                    StgError::Parse {
+                                        line,
+                                        message: format!(
+                                            "implicit place {name} collides with a place"
+                                        ),
+                                    }
+                                });
+                            }
+                            Err(e) => return Err(refused(line)(e)),
                         };
-                        net.arc_tp(ta, p);
-                        net.arc_pt(p, tb);
-                        implicit.insert(key, p);
+                        net.arc_tp(ta, p).map_err(refused(line))?;
+                        net.arc_pt(p, tb).map_err(refused(line))?;
                     }
-                    (NodeRef::Transition(a), NodeRef::Place(b)) => {
-                        if !explicit_arcs.insert((a.clone(), b.clone())) {
-                            return Err(StgError::Parse {
-                                line: *lineno,
-                                message: format!("duplicate arc {a} -> {b}"),
-                            });
-                        }
-                        net.arc_tp(transitions[a.as_str()], places[b.as_str()]);
+                    // Weight 1: the builder refuses only a repeated arc.
+                    (Node::Transition(t), Node::Place(p)) => {
+                        net.arc_tp(t, p).map_err(|_| duplicate())?
                     }
-                    (NodeRef::Place(a), NodeRef::Transition(b)) => {
-                        if !explicit_arcs.insert((a.clone(), b.clone())) {
-                            return Err(StgError::Parse {
-                                line: *lineno,
-                                message: format!("duplicate arc {a} -> {b}"),
-                            });
-                        }
-                        net.arc_pt(places[a.as_str()], transitions[b.as_str()]);
+                    (Node::Place(p), Node::Transition(t)) => {
+                        net.arc_pt(p, t).map_err(|_| duplicate())?
                     }
-                    (NodeRef::Place(a), NodeRef::Place(b)) => {
+                    (Node::Place(_), Node::Place(_)) => {
                         return Err(StgError::Parse {
-                            line: *lineno,
+                            line,
                             message: format!("place-to-place arc {a} -> {b} is not allowed"),
                         });
                     }
@@ -442,7 +420,8 @@ impl<'a> Parser<'a> {
             }
         }
 
-        // Marking.
+        // Marking: `<a,b>` names an implicit place, anything else an
+        // explicit one.
         for (lineno, token) in &marking_tokens {
             let (name, count) = match token.split_once('=') {
                 Some((n, c)) => (
@@ -456,18 +435,20 @@ impl<'a> Parser<'a> {
             };
             let place =
                 if let Some(inner) = name.strip_prefix('<').and_then(|s| s.strip_suffix('>')) {
-                    let (a, b) = inner.split_once(',').ok_or_else(|| StgError::Parse {
-                        line: *lineno,
-                        message: format!("malformed implicit place {name:?}"),
-                    })?;
-                    *implicit
-                        .get(&(a.to_string(), b.to_string()))
+                    if !inner.contains(',') {
+                        return Err(StgError::Parse {
+                            line: *lineno,
+                            message: format!("malformed implicit place {name:?}"),
+                        });
+                    }
+                    net.place_by_name(name)
+                        .filter(|p| p.index() >= explicit)
                         .ok_or_else(|| StgError::Parse {
                             line: *lineno,
                             message: format!("implicit place {name:?} does not exist"),
                         })?
                 } else {
-                    *places.get(name).ok_or_else(|| StgError::Parse {
+                    net.place_by_name(name).ok_or_else(|| StgError::Parse {
                         line: *lineno,
                         message: format!("marked place {name:?} does not exist"),
                     })?
@@ -753,12 +734,26 @@ a-/2 a+
         assert!(matches!(err, StgError::Parse { .. }));
     }
 
+    /// The line and message of the parse error `text` must give.
+    fn parse_error(text: &str) -> (usize, String) {
+        match Stg::parse_g(text) {
+            Err(StgError::Parse { line, message }) => (line, message),
+            other => panic!("expected a parse error, got {other:?}\n{text}"),
+        }
+    }
+
+    /// A spec over inputs `a b` with the given graph lines (from line 4)
+    /// and marking (on the line after them).
+    fn spec(graph: &str, marking: &str) -> String {
+        format!(".model m\n.inputs a b\n.graph\n{graph}\n.marking {{ {marking} }}\n.end\n")
+    }
+
     #[test]
     fn implicit_place_colliding_with_explicit_place_is_a_parse_error() {
         // `marking` without its dot is read as a graph line, so
         // `<b-,a+>` becomes an explicit place before the arc `b- a+`
         // asks for the implicit place of the same name.
-        let text = "\
+        let dotless = "\
 .outputs a b
 .graph
 a+ b+
@@ -768,13 +763,32 @@ b- a+
 marking { <b-,a+> }
 .end
 ";
-        let err = Stg::parse_g(text).unwrap_err();
-        match &err {
-            StgError::Parse { line, message } => {
-                assert_eq!(*line, 6, "{err}");
-                assert!(message.contains("<b-,a+>"), "{err}");
-            }
-            other => panic!("unexpected error {other:?}"),
+        let cases = [
+            (
+                dotless.to_string(),
+                6,
+                "implicit place <b-,a+> collides with a place",
+            ),
+            (
+                spec("a+ b+\n<a+,b+> a-\nb+ a-", ""),
+                4,
+                "implicit place <a+,b+> collides with a place",
+            ),
+            // An explicit place that looks implicit is not one: marking
+            // it by the implicit form finds no implicit place.
+            (
+                spec("<a+,b+> a+\na+ <a+,b+>", "<a+,b+>"),
+                6,
+                "implicit place \"<a+,b+>\" does not exist",
+            ),
+            (
+                spec("a+ a-\na- a+", "<x>"),
+                6,
+                "malformed implicit place \"<x>\"",
+            ),
+        ];
+        for (text, line, message) in cases {
+            assert_eq!(parse_error(&text), (line, message.to_string()), "{text}");
         }
     }
 
@@ -803,19 +817,19 @@ a- a+
 
     #[test]
     fn duplicate_explicit_arcs_rejected() {
-        let text = "\
-.model d
-.inputs a
-.graph
-p0 a+
-p0 a+
-a+ p0
-.marking { p0 }
-.end
-";
-        let err = Stg::parse_g(text).unwrap_err();
-        assert!(matches!(err, StgError::Parse { .. }), "{err:?}");
-        assert!(err.to_string().contains("duplicate arc"));
+        let cases = [
+            (
+                spec("p0 a+\np0 a+\na+ p0", "p0"),
+                5,
+                "duplicate arc p0 -> a+",
+            ),
+            (spec("a+ b+ b+\nb+ a+", ""), 4, "duplicate arc a+ -> b+"),
+            (spec("a+ p\np a+\na+ p", "p"), 6, "duplicate arc a+ -> p"),
+            (spec("p b+\nb+ p\np b+", "p"), 6, "duplicate arc p -> b+"),
+        ];
+        for (text, line, message) in cases {
+            assert_eq!(parse_error(&text), (line, message.to_string()), "{text}");
+        }
     }
 
     #[test]

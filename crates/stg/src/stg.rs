@@ -1,7 +1,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use a4a_petri::{NetBuilder, PetriNet, PlaceId, TransitionId};
+use a4a_petri::{NetBuilder, NetError, PetriNet, PlaceId, TransitionId};
 
 use crate::{Edge, Polarity, Signal, SignalId, SignalKind};
 
@@ -174,6 +174,10 @@ impl fmt::Display for Stg {
 /// * [`StgBuilder::connect`] inserts an implicit place between two
 ///   transitions; [`StgBuilder::connect_marked`] additionally puts the
 ///   initial token there.
+///
+/// It is meant for hand-written specifications, so a place name given
+/// twice or a repeated arc — a [`NetError`] of the wrapped builder — is
+/// a bug in the spec and panics with the builder's message.
 #[derive(Debug, Default)]
 pub struct StgBuilder {
     name: String,
@@ -263,7 +267,7 @@ impl StgBuilder {
         } else {
             format!("{base}/{count}")
         };
-        let t = self.net.transition(name);
+        let t = built(self.net.transition(name));
         self.labels.push(Label::Edge(edge));
         t
     }
@@ -281,34 +285,34 @@ impl StgBuilder {
     /// Adds a dummy transition.
     pub fn dummy(&mut self) -> TransitionId {
         self.dummy_count += 1;
-        let t = self.net.transition(format!("dum{}", self.dummy_count));
+        let t = built(self.net.transition(format!("dum{}", self.dummy_count)));
         self.labels.push(Label::Dummy);
         t
     }
 
     /// Adds an explicit place with zero initial tokens.
     pub fn place(&mut self, name: impl Into<String>) -> PlaceId {
-        self.net.place(name)
+        built(self.net.place(name))
     }
 
     /// Adds an explicit place holding `tokens` initially.
     pub fn place_with_tokens(&mut self, name: impl Into<String>, tokens: u32) -> PlaceId {
-        self.net.place_with_tokens(name, tokens)
+        built(self.net.place_with_tokens(name, tokens))
     }
 
     /// Adds a place→transition arc.
     pub fn arc_pt(&mut self, p: PlaceId, t: TransitionId) {
-        self.net.arc_pt(p, t);
+        built(self.net.arc_pt(p, t));
     }
 
     /// Adds a transition→place arc.
     pub fn arc_tp(&mut self, t: TransitionId, p: PlaceId) {
-        self.net.arc_tp(t, p);
+        built(self.net.arc_tp(t, p));
     }
 
     /// Adds a read (test) arc.
     pub fn arc_read(&mut self, p: PlaceId, t: TransitionId) {
-        self.net.arc_read(p, t);
+        built(self.net.arc_read(p, t));
     }
 
     /// Inserts an implicit place between `from` and `to`, so `to` becomes
@@ -337,9 +341,9 @@ impl StgBuilder {
             to.index(),
             self.implicit_place_count
         );
-        let p = self.net.place_with_tokens(name, tokens);
-        self.net.arc_tp(from, p);
-        self.net.arc_pt(p, to);
+        let p = self.place_with_tokens(name, tokens);
+        self.arc_tp(from, p);
+        self.arc_pt(p, to);
         p
     }
 
@@ -352,6 +356,11 @@ impl StgBuilder {
             labels: self.labels,
         }
     }
+}
+
+/// The wrapped builder's result, its refusal turned into a panic.
+fn built<T>(result: Result<T, NetError>) -> T {
+    result.unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[cfg(test)]

@@ -38,11 +38,11 @@ fn strip_chart(w: &Waveform, rows: u32) -> String {
     out
 }
 
-fn main() {
+fn main() -> Result<(), a4a_sim::SimError> {
     for kind in [ControllerKind::Sync(333.0), ControllerKind::Async] {
         let ctrl = scenario::controller(kind, 4);
-        let mut tb = scenario::fig6().build(ctrl);
-        tb.run_until(scenario::FIG6_T_END);
+        let mut tb = scenario::fig6().try_build(ctrl)?;
+        tb.try_run_until(scenario::FIG6_T_END)?;
         let shorts = tb.short_circuits();
         let w = tb.into_waveform();
         let (a, b) = scenario::FIG6_NORMAL_WINDOW;
@@ -58,4 +58,5 @@ fn main() {
         println!("{}", strip_chart(&w, 12));
     }
     println!("paper: 0.43 V vs 0.36 V ripple, 0.24 A vs 0.21 A peak (Fig. 6)");
+    Ok(())
 }

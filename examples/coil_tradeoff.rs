@@ -8,7 +8,7 @@
 use a4a::scenario::{self, ControllerKind};
 use a4a_analog::{metrics, CoilModel};
 
-fn main() {
+fn main() -> Result<(), a4a_sim::SimError> {
     let coils = [1.0, 1.8, 4.7, 10.0];
     println!(
         "{:>7} {:>10} {:>14} {:>14} {:>12}",
@@ -19,8 +19,8 @@ fn main() {
         let mut peaks = Vec::new();
         for kind in [ControllerKind::Sync(100.0), ControllerKind::Async] {
             let ctrl = scenario::controller(kind, 4);
-            let mut tb = scenario::sweep_coil(l, 6.0).build(ctrl);
-            tb.run_until(8e-6);
+            let mut tb = scenario::sweep_coil(l, 6.0).try_build(ctrl)?;
+            tb.try_run_until(8e-6)?;
             peaks.push(metrics::peak_current(tb.waveform()) * 1e3);
         }
         println!(
@@ -37,4 +37,5 @@ fn main() {
          coil than the 100 MHz synchronous design; the smaller coil's lower DCR\n\
          and high-frequency ESR then buy back conduction losses (Figure 7c)."
     );
+    Ok(())
 }

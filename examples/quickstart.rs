@@ -38,8 +38,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ctrl = AsyncController::new(1, AsyncTiming::default());
     let mut tb = TestbenchBuilder::new()
         .params(BuckParams::default().with_phases(1).with_load(24.0))
-        .build(ctrl);
-    tb.run_until(10e-6);
+        .try_build(ctrl)?;
+    tb.try_run_until(10e-6)?;
     println!(
         "single-phase buck after 10us: v = {:.3} V (target 3.3), i = {:.3} A, shorts = {}",
         tb.buck().output_voltage(),

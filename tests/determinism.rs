@@ -12,8 +12,8 @@ use a4a_synth::{synthesize, SynthOptions, SynthStyle};
 fn cosim_runs_are_bit_identical() {
     let run = || {
         let ctrl = scenario::controller(ControllerKind::Async, 4);
-        let mut tb = scenario::fig6().build(ctrl);
-        tb.run_until(4e-6);
+        let mut tb = scenario::fig6().try_build(ctrl).unwrap();
+        tb.try_run_until(4e-6).unwrap();
         tb.into_waveform()
     };
     let w1 = run();
@@ -28,8 +28,8 @@ fn cosim_runs_are_bit_identical() {
 fn sync_cosim_runs_are_bit_identical() {
     let run = || {
         let ctrl = scenario::controller(ControllerKind::Sync(333.0), 4);
-        let mut tb = scenario::fig6().build(ctrl);
-        tb.run_until(3e-6);
+        let mut tb = scenario::fig6().try_build(ctrl).unwrap();
+        tb.try_run_until(3e-6).unwrap();
         tb.into_waveform()
     };
     let w1 = run();
@@ -97,8 +97,8 @@ fn waveform_records_debug_tracks() {
     // The async controller exposes `get & !pass`; the sync controller
     // exposes `act`. Both must show up in the recorded events.
     let ctrl = scenario::controller(ControllerKind::Async, 4);
-    let mut tb = scenario::fig6().build(ctrl);
-    tb.run_until(2e-6);
+    let mut tb = scenario::fig6().try_build(ctrl).unwrap();
+    tb.try_run_until(2e-6).unwrap();
     assert!(
         tb.waveform()
             .events
@@ -108,8 +108,8 @@ fn waveform_records_debug_tracks() {
     );
 
     let ctrl = scenario::controller(ControllerKind::Sync(333.0), 4);
-    let mut tb = scenario::fig6().build(ctrl);
-    tb.run_until(2e-6);
+    let mut tb = scenario::fig6().try_build(ctrl).unwrap();
+    tb.try_run_until(2e-6).unwrap();
     assert!(
         tb.waveform().events.iter().any(|(_, n, _)| n == "act"),
         "sync activation track missing"

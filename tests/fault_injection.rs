@@ -380,7 +380,7 @@ fn huge_analog_param(rng: &mut Rng) {
         Err(SimError::InvalidParameter { .. }) => {}
         Err(other) => panic!("{field}={value}: wrong error class {other:?}"),
         Ok(mut buck) => {
-            buck.set_switch(0, true, false);
+            buck.try_set_switch(0, true, false).unwrap();
             for _ in 0..50 {
                 match buck.try_step(1e-9) {
                     Ok(()) => {
@@ -397,8 +397,9 @@ fn huge_analog_param(rng: &mut Rng) {
 
 fn bad_step(rng: &mut Rng) {
     let mut buck = Buck::try_new(BuckParams::default()).unwrap();
-    buck.set_switch(rng.usize_below(4), true, false);
-    buck.step(5e-9);
+    buck.try_set_switch(rng.usize_below(4), true, false)
+        .unwrap();
+    buck.try_step(5e-9).unwrap();
     let (v0, i0, t0) = (
         buck.output_voltage(),
         buck.total_coil_current(),
@@ -461,10 +462,10 @@ fn adversarial_testbench(rng: &mut Rng) {
         Err(SimError::InvalidParameter { .. }) => {}
         Err(other) => panic!("wrong build error class: {other:?}"),
         Ok(mut tb) => {
-            // A denormal-but-positive sample period is legal
-            // (validation only demands positive and finite) — bound the
-            // horizon to a few hundred samples so a pathological-but-valid
-            // period can't stall the suite.
+            // A femtosecond sample period is legal (validation demands
+            // a finite period of at least 1 fs) — bound the horizon to a
+            // few hundred samples so a pathological-but-valid period
+            // can't stall the suite.
             let t_end = (period * 500.0).min(1e-6);
             match tb.try_run_until(t_end) {
                 Ok(()) => {

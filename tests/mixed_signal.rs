@@ -11,8 +11,8 @@ use a4a_ctrl::{AsyncController, AsyncTiming, BuckController, SyncController, Syn
 fn all_five_controllers_regulate_and_never_short() {
     for kind in ControllerKind::paper_series() {
         let ctrl = scenario::controller(kind, 4);
-        let mut tb = scenario::fig6().build(ctrl);
-        tb.run_until(5e-6);
+        let mut tb = scenario::fig6().try_build(ctrl).unwrap();
+        tb.try_run_until(5e-6).unwrap();
         let v = tb.buck().output_voltage();
         assert!(
             v > 3.0 && v < 3.6,
@@ -41,8 +41,8 @@ fn async_reaction_is_orders_faster_than_100mhz() {
     };
     let run = |kind: ControllerKind| -> f64 {
         let ctrl = scenario::controller(kind, 4);
-        let mut tb = scenario::fig6().build(ctrl);
-        tb.run_until(1e-6);
+        let mut tb = scenario::fig6().try_build(ctrl).unwrap();
+        tb.try_run_until(1e-6).unwrap();
         first_gp_on(tb.waveform()).expect("a charging cycle started")
     };
     let sync = run(ControllerKind::Sync(100.0));
@@ -56,8 +56,8 @@ fn async_reaction_is_orders_faster_than_100mhz() {
 #[test]
 fn high_load_step_triggers_hl_and_recovers() {
     let ctrl = AsyncController::new(4, AsyncTiming::default());
-    let mut tb = scenario::fig6().build(ctrl);
-    tb.run_until(scenario::FIG6_T_END);
+    let mut tb = scenario::fig6().try_build(ctrl).unwrap();
+    tb.try_run_until(scenario::FIG6_T_END).unwrap();
     let w = tb.waveform();
     // HL fires at startup and again at the 7 us load step.
     let hl_rises: Vec<f64> = w
@@ -81,8 +81,9 @@ fn ov_mode_engages_on_overshoot() {
     let mut tb = TestbenchBuilder::new()
         .params(BuckParams::default().with_load(6.0))
         .load_step(3e-6, 60.0)
-        .build(ctrl);
-    tb.run_until(8e-6);
+        .try_build(ctrl)
+        .unwrap();
+    tb.try_run_until(8e-6).unwrap();
     let w = tb.waveform();
     let ov = w.events.iter().any(|(_, n, v)| n == "ov" && *v);
     let mode = w.events.iter().any(|(_, n, v)| n == "ov_mode" && *v);
@@ -96,8 +97,8 @@ fn ov_mode_engages_on_overshoot() {
 #[test]
 fn phase_currents_balance_across_the_ring() {
     let ctrl = AsyncController::new(4, AsyncTiming::default());
-    let mut tb = scenario::sweep_coil(4.7, 6.0).build(ctrl);
-    tb.run_until(8e-6);
+    let mut tb = scenario::sweep_coil(4.7, 6.0).try_build(ctrl).unwrap();
+    tb.try_run_until(8e-6).unwrap();
     let w = tb.into_waveform().window(3e-6, 8e-6);
     let dcs: Vec<f64> = (0..4).map(|k| metrics::dc_current(&w, k)).collect();
     let max = dcs.iter().cloned().fold(f64::MIN, f64::max);
@@ -113,8 +114,8 @@ fn sync_controller_scales_with_clock() {
     // Peak current overshoot shrinks monotonically with clock frequency.
     let peak = |mhz: f64| -> f64 {
         let ctrl = SyncController::new(4, SyncParams::at_mhz(mhz));
-        let mut tb = scenario::sweep_coil(1.0, 6.0).build(ctrl);
-        tb.run_until(6e-6);
+        let mut tb = scenario::sweep_coil(1.0, 6.0).try_build(ctrl).unwrap();
+        tb.try_run_until(6e-6).unwrap();
         metrics::peak_current(tb.waveform())
     };
     let p100 = peak(100.0);
@@ -132,8 +133,9 @@ fn single_phase_testbench_with_basic_controller() {
     assert_eq!(ctrl.phases(), 1);
     let mut tb = TestbenchBuilder::new()
         .params(BuckParams::default().with_phases(1).with_load(30.0))
-        .build(ctrl);
-    tb.run_until(10e-6);
+        .try_build(ctrl)
+        .unwrap();
+    tb.try_run_until(10e-6).unwrap();
     let v = tb.buck().output_voltage();
     assert!(v > 3.0 && v < 3.6, "v = {v}");
     assert_eq!(tb.short_circuits(), 0);

@@ -16,7 +16,7 @@
 use std::cell::Cell;
 
 use a4a_petri::{
-    Engine, ExploreError, Marking, NetBuilder, PetriNet, ReachabilityGraph, TransitionId,
+    ArcKind, Engine, ExploreError, Marking, NetBuilder, PetriNet, ReachabilityGraph, TransitionId,
 };
 use a4a_rt::prop::{Gen, PropError, PropResult};
 use a4a_stg::{prop_support, StateGraph, Stg, StgBuilder, StgError};
@@ -218,10 +218,10 @@ fn inconsistency_error_is_identical() {
 #[test]
 fn unbounded_net_limit_identical() {
     let mut b = NetBuilder::new();
-    let p = b.place_with_tokens("p", 1);
-    let t = b.transition("t");
-    b.arc_read(p, t);
-    b.arc_tp(t, p);
+    let p = b.place_with_tokens("p", 1).unwrap();
+    let t = b.transition("t").unwrap();
+    b.arc_read(p, t).unwrap();
+    b.arc_tp(t, p).unwrap();
     let net = b.build();
     let kernel = net.explore(16).unwrap_err();
     assert_eq!(kernel, a4a_petri::ExploreError::StateLimit { limit: 16 });
@@ -243,7 +243,7 @@ fn explore_from_arbitrary_marking_par_vs_seq() {
         let Some(t) = net.transition_ids().find(|&t| net.is_enabled(t, &m)) else {
             break;
         };
-        m = net.fire(t, &m);
+        m = net.try_fire(t, &m).unwrap();
     }
     let reference = net.explore_from(m.clone(), 500_000).unwrap();
     let kernel = with_initial_marking(net, &m).explore(500_000).unwrap();
@@ -255,19 +255,18 @@ fn explore_from_arbitrary_marking_par_vs_seq() {
 fn with_initial_marking(net: &PetriNet, marking: &Marking) -> PetriNet {
     let mut b = NetBuilder::new();
     for (place, tokens) in net.places().iter().zip(marking.iter()) {
-        b.place_with_tokens(place.name.clone(), tokens);
+        b.place_with_tokens(place.name.clone(), tokens).unwrap();
     }
     for tr in net.transitions() {
-        let t = b.transition(tr.name.clone());
-        tr.consumed()
-            .iter()
-            .for_each(|&(p, w)| b.arc_pt_weighted(p, t, w));
-        tr.read()
-            .iter()
-            .for_each(|&(p, w)| b.arc_read_weighted(p, t, w));
-        tr.produced()
-            .iter()
-            .for_each(|&(p, w)| b.arc_tp_weighted(t, p, w));
+        let t = b.transition(tr.name.clone()).unwrap();
+        for (kind, arcs) in [
+            (ArcKind::Consume, tr.consumed()),
+            (ArcKind::Read, tr.read()),
+            (ArcKind::Produce, tr.produced()),
+        ] {
+            arcs.iter()
+                .for_each(|&(p, w)| b.arc(kind, p, t, w).unwrap());
+        }
     }
     b.build()
 }
@@ -278,11 +277,11 @@ fn token_overflow_is_typed_and_identical() {
     // firing: a typed TokenOverflow (not a panic), with the same payload
     // from both entry points.
     let mut b = NetBuilder::new();
-    let src = b.place_with_tokens("src", 1);
-    let sink = b.place_with_tokens("sink", u32::MAX);
-    let t = b.transition("t");
-    b.arc_pt(src, t);
-    b.arc_tp(t, sink);
+    let src = b.place_with_tokens("src", 1).unwrap();
+    let sink = b.place_with_tokens("sink", u32::MAX).unwrap();
+    let t = b.transition("t").unwrap();
+    b.arc_pt(src, t).unwrap();
+    b.arc_tp(t, sink).unwrap();
     let net = b.build();
     let reference = net.explore_from(net.initial_marking(), 100).unwrap_err();
     assert_eq!(
@@ -478,13 +477,16 @@ impl Recipe {
     fn builder(&self) -> (NetBuilder, Vec<a4a_petri::PlaceId>) {
         let mut b = NetBuilder::new();
         let ps: Vec<_> = (0..self.tokens.len())
-            .map(|i| b.place_with_tokens(format!("p{i}"), self.tokens[i]))
+            .map(|i| {
+                b.place_with_tokens(format!("p{i}"), self.tokens[i])
+                    .unwrap()
+            })
             .collect();
         for (i, (consume, read, produce)) in self.transitions.iter().enumerate() {
-            let t = b.transition(format!("t{i}"));
-            consume.iter().for_each(|&p| b.arc_pt(ps[p], t));
-            read.iter().for_each(|&p| b.arc_read(ps[p], t));
-            produce.iter().for_each(|&p| b.arc_tp(t, ps[p]));
+            let t = b.transition(format!("t{i}")).unwrap();
+            consume.iter().for_each(|&p| b.arc_pt(ps[p], t).unwrap());
+            read.iter().for_each(|&p| b.arc_read(ps[p], t).unwrap());
+            produce.iter().for_each(|&p| b.arc_tp(t, ps[p]).unwrap());
         }
         (b, ps)
     }
@@ -672,8 +674,9 @@ fn weighted_arc_takes_the_reference_path() {
         // A weight-2 read arc is never enabled in a safe net, but it
         // takes the kernel's masks away.
         let (mut b, ps) = random_safe_recipe(g, places, transitions).builder();
-        let heavy = b.transition("heavy");
-        b.arc_read_weighted(ps[g.usize(0..places)], heavy, 2);
+        let heavy = b.transition("heavy").unwrap();
+        b.arc(ArcKind::Read, ps[g.usize(0..places)], heavy, 2)
+            .unwrap();
         let net = b.build();
         let label = format!("{places} places, {transitions} transitions");
         check_net_result(&label, &net, 10_000, Engine::Reference)

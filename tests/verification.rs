@@ -400,7 +400,7 @@ fn traces_replay_to_their_state_at_bfs_depth() {
             assert_eq!(tree.trace_to(s.index()), trace, "{name}: {s}");
             let end = trace
                 .iter()
-                .fold(net.initial_marking(), |m, &t| net.fire(t, &m));
+                .fold(net.initial_marking(), |m, &t| net.try_fire(t, &m).unwrap());
             assert_eq!(end, reach.marking(s), "{name}: trace to {s}");
         }
     }
