@@ -23,11 +23,13 @@
 #      `verify`, `synth [--gc]`, `timing [--gc]`, `dot [--sg]`,
 #      `verilog` and `verilog --gc --map`, and for one spec read from
 #      `-` (stdin)
-#   4. perf-counter tier: one short traced perfbench run (the repo's
-#      benchmark, see BENCHMARK.json) that must be correct with zero
-#      failed ops, and whose deterministic `count/*` work counters must
-#      equal perf_counters.txt exactly — a change of work is an
-#      explicit, explained update of that file
+#   4. perf-counter tier: one short untraced perfbench `repro` run (the
+#      repo's benchmark, see BENCHMARK.json; it calls the figure entry
+#      points the benchmark times) and one short traced run, each of
+#      which must be correct with zero failed ops; the traced run's
+#      deterministic `count/*` work counters must equal
+#      perf_counters.txt exactly — a change of work is an explicit,
+#      explained update of that file
 #   5. fail if any Cargo.toml re-introduces a registry (non-path)
 #      dependency
 #   6. fail if a library crate of the simulation stack (sim, analog,
@@ -184,24 +186,36 @@ cli_smoke() {
     echo "    $runs a4a runs exited 0"
 }
 
-perf_counter_tier() {
-    echo "==> perf-counter tier: traced perfbench flow run vs perf_counters.txt"
-    local scratch
-    scratch=$(mktemp -d)
-    trap 'rm -rf "$scratch"' RETURN
-    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml \
-        -- --workload flow --seed 1 --seconds 1 --trace 1 > "$scratch/out.jsonl"
-    local summary
-    summary=$(tail -n 1 "$scratch/out.jsonl")
-    case "$summary" in
+# Fails unless the perfbench summary line $2 (of the run named $1)
+# reports a correct run with zero failed ops.
+require_correct() {
+    case "$2" in
         '{"correct":true,'*'"failed":0,'*) ;;
         *)
-            echo "ERROR: perfbench run not correct or has failed ops:" >&2
-            printf '%s\n' "$summary" | head -c 400 >&2
+            echo "ERROR: perfbench $1 run not correct or has failed ops:" >&2
+            printf '%s\n' "$2" | head -c 400 >&2
             echo >&2
             exit 1
             ;;
     esac
+}
+
+perf_counter_tier() {
+    echo "==> perf-counter tier: untraced perfbench repro run, traced run vs perf_counters.txt"
+    local scratch
+    scratch=$(mktemp -d)
+    trap 'rm -rf "$scratch"' RETURN
+    # The untraced repro round calls the figure entry points the benchmark
+    # times (`fig7{a,b,c}_on` among them); the traced round builds its
+    # own cells and never calls them.
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml \
+        -- --workload repro --seed 1 --seconds 1 --trace 0 > "$scratch/repro.jsonl"
+    require_correct "untraced repro" "$(tail -n 1 "$scratch/repro.jsonl")"
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml \
+        -- --workload flow --seed 1 --seconds 1 --trace 1 > "$scratch/out.jsonl"
+    local summary
+    summary=$(tail -n 1 "$scratch/out.jsonl")
+    require_correct traced "$summary"
     # Every `count/*` metric as a sorted `name value` line.
     printf '%s\n' "$summary" \
         | grep -o '"[A-Za-z0-9_.]*":{"value":[^,]*,"unit":"count/[^"]*"}' \

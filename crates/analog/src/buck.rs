@@ -2,7 +2,7 @@ use std::fmt;
 
 use a4a_sim::SimError;
 
-use crate::{CoilModel, Waveform};
+use crate::{CoilModel, Record};
 
 /// Conduction state of one phase's power stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -1039,31 +1039,43 @@ impl Buck {
         }
     }
 
-    /// Appends to `record` the planned state at the points `idx·period`
+    /// Passes to `record` the planned state at the points `idx·period`
     /// of a uniform grid, from `*idx` on, that lie before `before` and
     /// before the plan's end, and moves `*idx` past them. The points must
-    /// lie after the present time. Each value is bit-identical to the
-    /// state [`Buck::try_advance_to`] reaches at that point: the series
-    /// is evaluated by the same Horner loop, on four points per pass,
-    /// with the same multiply and add in every lane.
+    /// lie after the present time. Points before the record's
+    /// [`Record::start`] are passed over, and the output voltage is
+    /// evaluated only for a record that reads it. Each value is
+    /// bit-identical to the state [`Buck::try_advance_to`] reaches at
+    /// that point: the series is evaluated by the same Horner loop, on
+    /// four points per pass, with the same multiply and add in every
+    /// lane.
     ///
     /// # Panics
     ///
-    /// Panics if `record` has a different phase count.
-    pub fn sample_plan(&self, idx: &mut u64, period: f64, before: f64, record: &mut Waveform) {
-        assert_eq!(record.phases(), self.current.len(), "phase count mismatch");
+    /// Panics if `record` does not fit this stage's phase count.
+    pub fn sample_plan<R: Record>(&self, idx: &mut u64, period: f64, before: f64, record: &mut R) {
+        let phases = self.current.len();
+        assert!(record.fits(phases), "phase count mismatch");
         let plan = &self.plan;
         let end = before.min(plan.reach);
-        let start = record.t.len();
-        while (*idx as f64 * period) < end {
-            record.t.push(*idx as f64 * period);
+        let skip = end.min(record.start());
+        while (*idx as f64 * period) < skip {
             *idx += 1;
         }
-        let times = &record.t[start..];
-        let n = self.current.len() + 1;
+        // The terms hold every phase's current and then the voltage.
+        let stride = phases + 1;
+        let n = if R::VOLTAGE { stride } else { phases };
         let m = plan.order;
-        let phases = n - 1;
-        for batch in times.chunks(LANES) {
+        let mut times = [0.0; LANES];
+        while (*idx as f64 * period) < end {
+            let mut len = 0;
+            while len < LANES && (*idx as f64 * period) < end {
+                times[len] = *idx as f64 * period;
+                *idx += 1;
+                len += 1;
+            }
+            let batch = &times[..len];
+            record.times(batch);
             // Lanes past a short batch's end evaluate at 0 and are dropped.
             let mut s = [0.0; LANES];
             for (s, &t) in s.iter_mut().zip(batch) {
@@ -1074,11 +1086,11 @@ impl Buck {
             for first in (0..n).step_by(GROUP) {
                 let width = GROUP.min(n - first);
                 let mut x = [[0.0; LANES]; GROUP];
-                for (x, &t) in x.iter_mut().zip(&plan.terms[m * n + first..][..width]) {
+                for (x, &t) in x.iter_mut().zip(&plan.terms[m * stride + first..][..width]) {
                     *x = [t; LANES];
                 }
                 for k in (0..m).rev() {
-                    let term = &plan.terms[k * n + first..][..width];
+                    let term = &plan.terms[k * stride + first..][..width];
                     for (j, x) in x.iter_mut().enumerate() {
                         if j < width {
                             let t = term[j];
@@ -1089,12 +1101,11 @@ impl Buck {
                     }
                 }
                 for (j, x) in (first..).zip(&x[..width]) {
-                    let column = if j < phases {
-                        &mut record.i[j]
+                    if j < phases {
+                        record.current(batch, j, &x[..len]);
                     } else {
-                        &mut record.v
-                    };
-                    column.extend_from_slice(&x[..batch.len()]);
+                        record.voltage(batch, &x[..len]);
+                    }
                 }
             }
         }
@@ -1181,6 +1192,7 @@ impl Buck {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Waveform;
 
     fn buck() -> Buck {
         Buck::try_new(BuckParams::default()).unwrap()

@@ -14,9 +14,10 @@
 //! * [`CoilModel`] — a Coilcraft-style RF inductor family with
 //!   inductance-dependent DCR and high-frequency ESR, covering the 1–10
 //!   µH sweep of Figure 7;
-//! * [`Waveform`] / [`metrics`] — recording and the paper's measurements
-//!   (voltage ripple, inductor peak current, RMS decomposition, coil
-//!   conduction losses).
+//! * [`Record`] / [`Waveform`] / [`metrics`] — recording and the paper's
+//!   measurements (voltage ripple, inductor peak current, RMS
+//!   decomposition, coil conduction losses); the current metrics are
+//!   also records of their own, folded as a run goes.
 //!
 //! # Examples
 //!
@@ -48,5 +49,5 @@ mod sensors;
 pub use buck::{Buck, BuckParams, SwitchState};
 pub use coil::CoilModel;
 pub use comparator::Comparator;
-pub use record::{TrackId, Waveform};
+pub use record::{Record, TrackId, Waveform};
 pub use sensors::{SensorBank, SensorEvent, SensorKind, SensorThresholds};

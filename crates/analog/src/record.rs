@@ -86,6 +86,58 @@ impl PartialEq<&str> for TrackId {
     }
 }
 
+/// Where a testbench puts what a run produces: the analog state at the
+/// points of its sampling grid, and digital events.
+///
+/// A [`Waveform`] keeps all of it, for plots and for metrics that look
+/// at the record afterwards. The reducers in [`metrics`](crate::metrics)
+/// fold the samples into the one number a figure reads as they arrive,
+/// and keep neither the samples nor any event.
+///
+/// Samples arrive in time order. Grid samples come in runs: one
+/// [`Record::times`] call, then one [`Record::current`] call per phase
+/// and, for a record that reads it, one [`Record::voltage`] call, all
+/// for the same times.
+pub trait Record {
+    /// Whether the record reads digital events. A testbench skips event
+    /// logging, and its controller's debug-track poll, for one that
+    /// does not.
+    const EVENTS: bool;
+    /// Whether the record reads the output voltage of grid runs.
+    /// [`Buck::sample_plan`](crate::Buck::sample_plan) does not evaluate
+    /// it for one that does not.
+    const VOLTAGE: bool;
+
+    /// Whether the record can take the samples of a `phases`-phase
+    /// power stage.
+    fn fits(&self, phases: usize) -> bool;
+
+    /// The earliest sample time the record reads: grid points before it
+    /// may be passed over unevaluated.
+    fn start(&self) -> f64 {
+        f64::NEG_INFINITY
+    }
+
+    /// Makes room for at least `samples` more samples.
+    fn reserve(&mut self, _samples: usize) {}
+
+    /// Takes one sample: its time, the output voltage and every phase's
+    /// coil current.
+    fn sample(&mut self, t: f64, v: f64, currents: &[f64]);
+
+    /// Takes the times of a run of grid samples.
+    fn times(&mut self, _times: &[f64]) {}
+
+    /// Takes one phase's coil current at the run's `times`.
+    fn current(&mut self, times: &[f64], phase: usize, values: &[f64]);
+
+    /// Takes the output voltage at the run's `times`.
+    fn voltage(&mut self, _times: &[f64], _values: &[f64]) {}
+
+    /// Takes a digital event on an interned track.
+    fn event(&mut self, _t: f64, _track: TrackId, _value: bool) {}
+}
+
 /// A recorded mixed-signal run: analog samples plus named digital event
 /// tracks — the data behind Figure 6's waveform plots.
 ///
@@ -225,6 +277,39 @@ impl Waveform {
             let _ = writeln!(out, "{t:.9e},{track},{}", u8::from(value));
         }
         out
+    }
+}
+
+impl Record for Waveform {
+    const EVENTS: bool = true;
+    const VOLTAGE: bool = true;
+
+    fn fits(&self, phases: usize) -> bool {
+        self.phases == phases
+    }
+
+    fn reserve(&mut self, samples: usize) {
+        Waveform::reserve(self, samples);
+    }
+
+    fn sample(&mut self, t: f64, v: f64, currents: &[f64]) {
+        Waveform::sample(self, t, v, currents);
+    }
+
+    fn times(&mut self, times: &[f64]) {
+        self.t.extend_from_slice(times);
+    }
+
+    fn current(&mut self, _times: &[f64], phase: usize, values: &[f64]) {
+        self.i[phase].extend_from_slice(values);
+    }
+
+    fn voltage(&mut self, _times: &[f64], values: &[f64]) {
+        self.v.extend_from_slice(values);
+    }
+
+    fn event(&mut self, t: f64, track: TrackId, value: bool) {
+        Waveform::event(self, t, track, value);
     }
 }
 

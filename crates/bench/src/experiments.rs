@@ -2,7 +2,8 @@
 
 use a4a::scenario::{self, ControllerKind};
 use a4a::TestbenchBuilder;
-use a4a_analog::{metrics, CoilModel, SensorKind, Waveform};
+use a4a_analog::metrics::{self, PeakCurrent, PhaseMoments};
+use a4a_analog::{CoilModel, Record, SensorKind, Waveform};
 use a4a_ctrl::{AsyncController, AsyncTiming, Command, Loopback, SyncParams};
 use a4a_sim::Time;
 
@@ -193,22 +194,65 @@ pub struct SweepPoint {
     pub y: Vec<f64>,
 }
 
+/// Simulated length of a Figure 7 cell (s).
+const SWEEP_T_END: f64 = 8e-6;
+
+/// Start of the steady window the Figure 7c losses are measured over
+/// (s); it runs to the end of the cell.
+const STEADY_FROM: f64 = 3e-6;
+
 /// Runs one Figure 7 cell, the testbench of `builder` under a `kind`
-/// controller, over the sweeps' 8 µs and returns its waveform.
+/// controller, over the sweeps' 8 µs into `record` and returns it.
 ///
 /// # Panics
 ///
 /// Panics if the configuration is invalid, the co-simulation fails, or
 /// the controller shorts a phase.
-pub fn sweep_cell(builder: TestbenchBuilder, kind: ControllerKind) -> Waveform {
+fn run_cell<R: Record>(builder: TestbenchBuilder, kind: ControllerKind, record: R) -> R {
     let ctrl = scenario::controller(kind, 4);
     let mut tb = builder
-        .try_build(ctrl)
+        .try_build_into(ctrl, record)
         .expect("sweep point must configure a valid testbench");
-    tb.try_run_until(8e-6)
+    tb.try_run_until(SWEEP_T_END)
         .expect("sweep co-simulation must not diverge");
     assert_eq!(tb.short_circuits(), 0, "{}: short circuit", kind.label());
-    tb.into_waveform()
+    tb.into_record()
+}
+
+/// A Figure 7a/7b cell: the peak inductor current (mA) of `builder`'s
+/// testbench under a `kind` controller over 8 µs, folded as the run
+/// goes.
+///
+/// # Panics
+///
+/// As the sweeps: on an invalid configuration, a failed co-simulation
+/// or a shorted phase.
+pub fn cell_peak_ma(builder: TestbenchBuilder, kind: ControllerKind) -> f64 {
+    run_cell(builder, kind, PeakCurrent::default()).amps() * 1e3
+}
+
+/// A Figure 7c cell: the coil ripple (AC) losses (µW) of `builder`'s
+/// four phases under a `kind` controller, with `l_uh` µH coils, over the
+/// steady window from 3 µs to the end of the 8 µs run, folded as the run
+/// goes.
+///
+/// # Panics
+///
+/// As [`cell_peak_ma`].
+pub fn cell_loss_uw(builder: TestbenchBuilder, kind: ControllerKind, l_uh: f64) -> f64 {
+    let steady = run_cell(
+        builder,
+        kind,
+        PhaseMoments::new(4, STEADY_FROM, SWEEP_T_END),
+    );
+    let coil = CoilModel::coilcraft(l_uh);
+    let ac: f64 = (0..4)
+        .map(|k| {
+            let a = steady.ac_rms_current(k);
+            a * a * coil.esr_hf
+        })
+        .sum();
+    ac * 1e6
 }
 
 /// Runs one fresh testbench per (grid point, series) pair, in grid
@@ -226,17 +270,17 @@ fn sweep(grid: &[f64], cell: fn(f64, ControllerKind) -> f64) -> Vec<SweepPoint> 
 /// A Figure 7a cell: peak inductor current (mA) with `l` µH coils at
 /// 6 Ω.
 fn coil_peak_ma(l: f64, kind: ControllerKind) -> f64 {
-    metrics::peak_current(&sweep_cell(scenario::sweep_coil(l, 6.0), kind)) * 1e3
+    cell_peak_ma(scenario::sweep_coil(l, 6.0), kind)
 }
 
 /// A Figure 7b cell: peak inductor current (mA) at an `r` Ω load.
 fn load_peak_ma(r: f64, kind: ControllerKind) -> f64 {
-    metrics::peak_current(&sweep_cell(scenario::sweep_load(r), kind)) * 1e3
+    cell_peak_ma(scenario::sweep_load(r), kind)
 }
 
 /// A Figure 7c cell: ripple losses (µW) with `l` µH coils at 6 Ω.
 fn coil_loss_uw(l: f64, kind: ControllerKind) -> f64 {
-    ripple_loss_uw(&sweep_cell(scenario::sweep_coil(l, 6.0), kind), l)
+    cell_loss_uw(scenario::sweep_coil(l, 6.0), kind, l)
 }
 
 /// Figure 7a: peak inductor current (mA) for 1–10 µH coils at 6 Ω.
@@ -271,21 +315,6 @@ pub fn fig7c() -> Vec<SweepPoint> {
 /// [`fig7a_on`].
 pub fn fig7c_on(_: &a4a_rt::Pool, grid: &[f64]) -> Vec<SweepPoint> {
     sweep(grid, coil_loss_uw)
-}
-
-/// The Figure 7c metric of one cell's waveform: the coil ripple (AC)
-/// losses of its four phases with `l_uh` µH coils, in µW, over the
-/// steady window from 3 µs on.
-pub fn ripple_loss_uw(w: &Waveform, l_uh: f64) -> f64 {
-    let coil = CoilModel::coilcraft(l_uh);
-    let steady = w.window(3e-6, 8e-6);
-    let ac: f64 = (0..4)
-        .map(|k| {
-            let a = metrics::ac_rms_current(&steady, k);
-            a * a * coil.esr_hf
-        })
-        .sum();
-    ac * 1e6
 }
 
 #[cfg(test)]

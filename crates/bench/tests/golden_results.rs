@@ -9,8 +9,9 @@
 //! copy-paste plus a `results/` regeneration away.
 
 use a4a::scenario::{self, ControllerKind};
-use a4a_analog::metrics;
-use a4a_bench::experiments::{fig7a, fig7b, fig7c, ripple_loss_uw, sweep_cell, table1, SweepPoint};
+use a4a::TestbenchBuilder;
+use a4a_analog::{metrics, CoilModel, Waveform};
+use a4a_bench::experiments::{cell_loss_uw, cell_peak_ma, fig7a, fig7b, fig7c, table1, SweepPoint};
 
 /// Per-column absolute tolerances for Table I reaction times (ns),
 /// columns HL/UV/OV/OC/ZC. The sync rows are closed-form; ASYNC is a
@@ -238,7 +239,8 @@ const NO_OP_STEP_PERIOD: f64 = 0.37e-9;
 
 /// Every Figure 7 cell, rerun with a load step to its own load every
 /// 0.37 ns, matches its plain run within the golden tolerances: where
-/// windows end must not move the results.
+/// windows end must not move the results. Both runs go through the cell
+/// functions the figures call.
 #[test]
 fn window_splits_do_not_move_fig7_cells() {
     // (coil µH, load Ω): the 7a/7c coil grid at 6 Ω, and the 7b load
@@ -248,28 +250,33 @@ fn window_splits_do_not_move_fig7_cells() {
         .map(|l| (l, 6.0))
         .collect();
     cells.extend(scenario::load_grid().into_iter().map(|r| (4.7, r)));
-    let metrics_of =
-        |w: &a4a_analog::Waveform, l: f64| (metrics::peak_current(w) * 1e3, ripple_loss_uw(w, l));
+    let split = |l: f64, r: f64| {
+        let mut builder = scenario::sweep_coil(l, r);
+        let steps = (8e-6 / NO_OP_STEP_PERIOD) as usize;
+        for k in 1..=steps {
+            builder = builder.load_step(k as f64 * NO_OP_STEP_PERIOD, r);
+        }
+        builder
+    };
     let mut errors = Vec::new();
     for (l, r) in cells {
         for kind in ControllerKind::paper_series() {
-            let (peak, loss) = metrics_of(&sweep_cell(scenario::sweep_coil(l, r), kind), l);
-            let mut builder = scenario::sweep_coil(l, r);
-            let steps = (8e-6 / NO_OP_STEP_PERIOD) as usize;
-            for k in 1..=steps {
-                builder = builder.load_step(k as f64 * NO_OP_STEP_PERIOD, r);
-            }
-            let (split_peak, split_loss) = metrics_of(&sweep_cell(builder, kind), l);
             let label = kind.label();
+            let peak = cell_peak_ma(scenario::sweep_coil(l, r), kind);
+            let split_peak = cell_peak_ma(split(l, r), kind);
             if (peak - split_peak).abs() > TOL_PEAK_MA[0] {
                 errors.push(format!(
                     "{l} uH {r} Ohm {label}: peak {peak:.4} vs split {split_peak:.4} mA"
                 ));
             }
-            if r == 6.0 && (loss - split_loss).abs() > TOL_LOSS_UW[0] {
-                errors.push(format!(
-                    "{l} uH {label}: loss {loss:.4} vs split {split_loss:.4} uW"
-                ));
+            if r == 6.0 {
+                let loss = cell_loss_uw(scenario::sweep_coil(l, r), kind, l);
+                let split_loss = cell_loss_uw(split(l, r), kind, l);
+                if (loss - split_loss).abs() > TOL_LOSS_UW[0] {
+                    errors.push(format!(
+                        "{l} uH {label}: loss {loss:.4} vs split {split_loss:.4} uW"
+                    ));
+                }
             }
         }
     }
@@ -278,4 +285,79 @@ fn window_splits_do_not_move_fig7_cells() {
         "window splits moved cells:\n{}",
         errors.join("\n")
     );
+}
+
+/// Runs a Figure 7 cell into a [`Waveform`], as Figure 6 records.
+fn recorded_cell(builder: TestbenchBuilder, kind: ControllerKind) -> Waveform {
+    let mut tb = builder
+        .try_build(scenario::controller(kind, 4))
+        .expect("valid cell");
+    tb.try_run_until(8e-6).expect("cell runs");
+    assert_eq!(tb.short_circuits(), 0, "{}: short circuit", kind.label());
+    tb.into_waveform()
+}
+
+/// The Figure 7 numbers of a stored waveform, written out as plain
+/// iterator folds over its columns: (peak mA, 3–8 µs ripple loss µW
+/// with `l_uh` µH coils).
+fn stored_cell_numbers(w: &Waveform, l_uh: f64) -> (f64, f64) {
+    let peak =
+        w.i.iter()
+            .flatten()
+            .fold(0.0f64, |peak, &x| peak.max(x.abs()));
+    let steady = w.window(3e-6, 8e-6);
+    let esr = CoilModel::coilcraft(l_uh).esr_hf;
+    let loss: f64 = steady
+        .i
+        .iter()
+        .map(|samples| {
+            let n = samples.len() as f64;
+            let rms = (samples.iter().map(|&x| x * x).sum::<f64>() / n).sqrt();
+            let dc = samples.iter().sum::<f64>() / n;
+            let ac = (rms * rms - dc * dc).max(0.0).sqrt();
+            ac * ac * esr
+        })
+        .sum();
+    (peak * 1e3, loss * 1e6)
+}
+
+/// A Figure 7 cell folded as it runs gives the same bits as the same
+/// cell recorded into a waveform and measured afterwards, with the
+/// waveform metrics and with plain folds over its columns. The golden
+/// tolerances would let a reducer that sums in another order through.
+#[test]
+fn streamed_cells_equal_recorded_cells_bit_for_bit() {
+    // (coil µH, load Ω)
+    let cells = [(1.0, 6.0), (10.0, 6.0), (4.7, 3.0)];
+    for (l, r) in cells {
+        for kind in ControllerKind::paper_series() {
+            let cell = format!("{l} uH {r} Ohm {}", kind.label());
+            let w = recorded_cell(scenario::sweep_coil(l, r), kind);
+            let (peak, loss) = stored_cell_numbers(&w, l);
+            let streamed_peak = cell_peak_ma(scenario::sweep_coil(l, r), kind);
+            let streamed_loss = cell_loss_uw(scenario::sweep_coil(l, r), kind, l);
+            assert_eq!(
+                streamed_peak.to_bits(),
+                peak.to_bits(),
+                "{cell}: streamed peak {streamed_peak} mA, stored {peak} mA"
+            );
+            assert_eq!(
+                streamed_loss.to_bits(),
+                loss.to_bits(),
+                "{cell}: streamed loss {streamed_loss} uW, stored {loss} uW"
+            );
+            let metric_peak = metrics::peak_current(&w) * 1e3;
+            assert_eq!(metric_peak.to_bits(), peak.to_bits(), "{cell}: peak");
+            let steady = w.window(3e-6, 8e-6);
+            let esr = CoilModel::coilcraft(l).esr_hf;
+            let metric_loss = (0..4)
+                .map(|k| {
+                    let a = metrics::ac_rms_current(&steady, k);
+                    a * a * esr
+                })
+                .sum::<f64>()
+                * 1e6;
+            assert_eq!(metric_loss.to_bits(), loss.to_bits(), "{cell}: loss");
+        }
+    }
 }

@@ -19,7 +19,8 @@
 use std::collections::VecDeque;
 
 use a4a_analog::{
-    Buck, BuckParams, SensorBank, SensorEvent, SensorKind, SensorThresholds, TrackId, Waveform,
+    Buck, BuckParams, Record, SensorBank, SensorEvent, SensorKind, SensorThresholds, TrackId,
+    Waveform,
 };
 use a4a_ctrl::{BuckController, Command, GateTiming, TimedCommand};
 use a4a_sim::{SimError, Time};
@@ -182,7 +183,8 @@ impl TestbenchBuilder {
         self
     }
 
-    /// Finalises with the given controller.
+    /// Finalises with the given controller, recording into a
+    /// [`Waveform`].
     ///
     /// # Errors
     ///
@@ -195,11 +197,36 @@ impl TestbenchBuilder {
     /// ([`BuckParams::check_rate`]), at its own load or at a scheduled
     /// one, is [`SimError::InvalidParameter`].
     pub fn try_build<C: BuckController>(self, ctrl: C) -> Result<Testbench<C>, SimError> {
+        let record = Waveform::new(ctrl.phases());
+        self.try_build_into(ctrl, record)
+    }
+
+    /// Finalises with the given controller, passing the run's samples
+    /// and events to `record` (see [`Record`]), for instance a reducer
+    /// of [`a4a_analog::metrics`] that keeps only the number a figure
+    /// reads.
+    ///
+    /// # Errors
+    ///
+    /// As [`TestbenchBuilder::try_build`]; a `record` that does not fit
+    /// the power stage's phase count is [`SimError::InvalidParameter`]
+    /// (`"record phases"`).
+    pub fn try_build_into<C: BuckController, R: Record>(
+        self,
+        ctrl: C,
+        mut record: R,
+    ) -> Result<Testbench<C, R>, SimError> {
         let phases = ctrl.phases();
         if phases != self.params.phases {
             return Err(SimError::PhaseMismatch {
                 controller: phases,
                 power_stage: self.params.phases,
+            });
+        }
+        if !record.fits(phases) {
+            return Err(SimError::InvalidParameter {
+                what: "record phases",
+                value: phases as f64,
             });
         }
         // A grid finer than the femtosecond clock would take more points
@@ -255,7 +282,6 @@ impl TestbenchBuilder {
         // The rest state at t = 0 is the first point of the uniform
         // sampling grid; subsequent grid points clamp the integration
         // windows so every sample lands exactly on the grid.
-        let mut record = Waveform::new(phases);
         record.sample(0.0, 0.0, &vec![0.0; phases]);
         Ok(Testbench {
             buck,
@@ -288,7 +314,9 @@ impl Default for TestbenchBuilder {
 }
 
 /// The mixed-signal testbench coupling buck, sensors, gate drivers, and
-/// a digital controller.
+/// a digital controller. What the run produces goes to a [`Record`]: a
+/// [`Waveform`] unless it was built with
+/// [`TestbenchBuilder::try_build_into`].
 ///
 /// # Examples
 ///
@@ -303,7 +331,7 @@ impl Default for TestbenchBuilder {
 /// # Ok::<(), a4a_sim::SimError>(())
 /// ```
 #[derive(Debug)]
-pub struct Testbench<C: BuckController> {
+pub struct Testbench<C: BuckController, R: Record = Waveform> {
     buck: Buck,
     sensors: SensorBank,
     ctrl: C,
@@ -320,7 +348,7 @@ pub struct Testbench<C: BuckController> {
     /// Pending side effects sorted by time (kept sorted on insert;
     /// drained from the front in O(1)).
     pending: VecDeque<(f64, PendKind)>,
-    record: Waveform,
+    record: R,
     /// Commanded-and-applied switch states.
     gp: Vec<bool>,
     gn: Vec<bool>,
@@ -344,6 +372,18 @@ pub struct Testbench<C: BuckController> {
 }
 
 impl<C: BuckController> Testbench<C> {
+    /// The recorded waveform so far.
+    pub fn waveform(&self) -> &Waveform {
+        &self.record
+    }
+
+    /// Consumes the bench, returning the waveform.
+    pub fn into_waveform(self) -> Waveform {
+        self.record
+    }
+}
+
+impl<C: BuckController, R: Record> Testbench<C, R> {
     /// The analog power stage.
     pub fn buck(&self) -> &Buck {
         &self.buck
@@ -359,13 +399,13 @@ impl<C: BuckController> Testbench<C> {
         &self.ctrl
     }
 
-    /// The recorded waveform so far.
-    pub fn waveform(&self) -> &Waveform {
+    /// What the run has recorded so far.
+    pub fn record(&self) -> &R {
         &self.record
     }
 
-    /// Consumes the bench, returning the waveform.
-    pub fn into_waveform(self) -> Waveform {
+    /// Consumes the bench, returning its record.
+    pub fn into_record(self) -> R {
         self.record
     }
 
@@ -552,6 +592,9 @@ impl<C: BuckController> Testbench<C> {
     /// Interned ids make the comparison a few word compares instead of
     /// string compares.
     fn record_debug_tracks(&mut self, at: f64) {
+        if !R::EVENTS {
+            return;
+        }
         self.tracks_buf.clear();
         self.ctrl.debug_tracks_into(&mut self.tracks_buf);
         if self.tracks_buf == self.debug_tracks {
@@ -887,6 +930,56 @@ mod tests {
                 ..
             })
         ));
+
+        let ctrl = AsyncController::new(4, AsyncTiming::default());
+        assert!(matches!(
+            TestbenchBuilder::new().try_build_into(ctrl, Waveform::new(3)),
+            Err(SimError::InvalidParameter {
+                what: "record phases",
+                ..
+            })
+        ));
+    }
+
+    /// A bench running into a reducer takes the same windows to the
+    /// same state as one recording a waveform, and the reducer folds
+    /// the bits the waveform's metrics read.
+    #[test]
+    fn reducers_run_the_same_cell_as_a_waveform() {
+        use a4a_analog::metrics::{PeakCurrent, PhaseMoments};
+        fn run<R: Record>(record: R) -> (u64, Vec<u64>, R) {
+            let ctrl = SyncController::new(4, SyncParams::at_mhz(333.0));
+            let mut tb = TestbenchBuilder::new()
+                .load_step(3e-6, 3.0)
+                .try_build_into(ctrl, record)
+                .unwrap();
+            tb.try_run_until(5e-6).unwrap();
+            let b = tb.buck();
+            let mut state: Vec<u64> = b.currents().iter().map(|x| x.to_bits()).collect();
+            state.push(b.output_voltage().to_bits());
+            (tb.windows(), state, tb.into_record())
+        }
+        let (windows, state, w) = run(Waveform::new(4));
+        let (peak_windows, peak_state, peak) = run(PeakCurrent::default());
+        let (moment_windows, moment_state, moments) = run(PhaseMoments::new(4, 2e-6, 4e-6));
+        assert_eq!((peak_windows, &peak_state), (windows, &state));
+        assert_eq!((moment_windows, &moment_state), (windows, &state));
+        assert_eq!(peak.amps().to_bits(), metrics::peak_current(&w).to_bits());
+        let steady = w.window(2e-6, 4e-6);
+        for k in 0..4 {
+            assert_eq!(moments.count(k), steady.len(), "phase {k}");
+            let pairs = [
+                (moments.rms_current(k), metrics::rms_current(&steady, k)),
+                (moments.dc_current(k), metrics::dc_current(&steady, k)),
+                (
+                    moments.ac_rms_current(k),
+                    metrics::ac_rms_current(&steady, k),
+                ),
+            ];
+            for (streamed, stored) in pairs {
+                assert_eq!(streamed.to_bits(), stored.to_bits(), "phase {k}");
+            }
+        }
     }
 
     #[test]

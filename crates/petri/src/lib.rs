@@ -57,7 +57,7 @@ pub use invariant::PlaceInvariant;
 pub use kernel::Engine;
 pub use marking::Marking;
 pub use net::{
-    ArcKind, NetBuilder, NetError, PetriNet, Place, PlaceId, TokenOverflow, Transition,
+    ArcKind, FireError, NetBuilder, NetError, PetriNet, Place, PlaceId, TokenOverflow, Transition,
     TransitionId,
 };
 pub use reach::{ExploreError, ReachabilityGraph, StateId};

@@ -266,21 +266,18 @@ impl PetriNet {
             .collect()
     }
 
-    /// Fires `t` in `marking`, returning the successor marking, or a
-    /// typed [`TokenOverflow`] when a produced place would exceed
-    /// `u32::MAX` tokens.
+    /// Fires `t` in `marking`, returning the successor marking.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `t` is not enabled — callers must check with
-    /// [`PetriNet::is_enabled`] first.
-    pub fn try_fire(&self, t: TransitionId, marking: &Marking) -> Result<Marking, TokenOverflow> {
+    /// [`FireError::NotEnabled`] if `t` is not enabled in `marking`
+    /// (see [`PetriNet::is_enabled`]); [`FireError::Overflow`] when a
+    /// produced place would exceed `u32::MAX` tokens.
+    pub fn try_fire(&self, t: TransitionId, marking: &Marking) -> Result<Marking, FireError> {
+        if !self.is_enabled(t, marking) {
+            return Err(FireError::NotEnabled(t));
+        }
         let tr = self.transition(t);
-        assert!(
-            self.is_enabled(t, marking),
-            "transition {} is not enabled",
-            tr.name
-        );
         let mut next = marking.clone();
         for &(p, w) in &tr.consume {
             next.remove(p, w);
@@ -315,6 +312,32 @@ impl fmt::Display for TokenOverflow {
 }
 
 impl std::error::Error for TokenOverflow {}
+
+/// Why [`PetriNet::try_fire`] did not fire a transition.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FireError {
+    /// The transition is not enabled in the marking.
+    NotEnabled(TransitionId),
+    /// Firing would push a place's token counter past `u32::MAX`.
+    Overflow(TokenOverflow),
+}
+
+impl From<TokenOverflow> for FireError {
+    fn from(e: TokenOverflow) -> FireError {
+        FireError::Overflow(e)
+    }
+}
+
+impl fmt::Display for FireError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FireError::NotEnabled(t) => write!(f, "transition {t} is not enabled"),
+            FireError::Overflow(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for FireError {}
 
 /// Why [`NetBuilder`] refused a place, a transition or an arc. A refused
 /// call leaves the builder as it was.
@@ -581,11 +604,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "not enabled")]
-    fn firing_disabled_transition_panics() {
+    fn firing_disabled_transition_is_a_typed_error() {
         let (net, _, t1) = cycle();
         let m0 = net.initial_marking();
-        let _ = net.try_fire(t1, &m0);
+        let err = net.try_fire(t1, &m0).unwrap_err();
+        assert_eq!(err, FireError::NotEnabled(t1));
+        assert_eq!(err.to_string(), "transition t1 is not enabled");
     }
 
     #[test]
