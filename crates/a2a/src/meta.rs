@@ -45,34 +45,17 @@ impl MetaParams {
     ///
     /// # Panics
     ///
-    /// Panics when `probability` is NaN or outside `[0, 1]`; see
-    /// [`MetaParams::try_with_seed`] for the fallible variant.
+    /// Panics when `probability` is NaN or outside `[0, 1]`.
     pub fn with_seed(probability: f64, tau: Time, seed: u64) -> MetaParams {
-        match Self::try_with_seed(probability, tau, seed) {
-            Ok(p) => p,
-            Err(e) => panic!("{e} (probability must be in [0, 1])"),
-        }
-    }
-
-    /// Fallible [`MetaParams::with_seed`]: a NaN or out-of-range
-    /// probability is reported as
-    /// [`SimError::InvalidParameter`](a4a_sim::SimError::InvalidParameter).
-    pub fn try_with_seed(
-        probability: f64,
-        tau: Time,
-        seed: u64,
-    ) -> Result<MetaParams, a4a_sim::SimError> {
-        if !(0.0..=1.0).contains(&probability) {
-            return Err(a4a_sim::SimError::InvalidParameter {
-                what: "metastability probability",
-                value: probability,
-            });
-        }
-        Ok(MetaParams {
+        assert!(
+            (0.0..=1.0).contains(&probability),
+            "metastability probability {probability} outside [0, 1]"
+        );
+        MetaParams {
             probability,
             tau,
             seed,
-        })
+        }
     }
 
     /// Instantiates the runtime state (owning the seeded RNG).
@@ -128,22 +111,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn try_with_seed_rejects_nan_and_out_of_range() {
-        use a4a_sim::SimError;
+    fn with_seed_rejects_nan_and_out_of_range() {
         for bad in [f64::NAN, -0.1, 1.1, f64::INFINITY] {
-            assert!(
-                matches!(
-                    MetaParams::try_with_seed(bad, Time::from_ps(50.0), 1),
-                    Err(SimError::InvalidParameter {
-                        what: "metastability probability",
-                        ..
-                    })
-                ),
-                "{bad} accepted"
-            );
+            let made =
+                std::panic::catch_unwind(|| MetaParams::with_seed(bad, Time::from_ps(50.0), 1));
+            assert!(made.is_err(), "{bad} accepted");
         }
-        let p = MetaParams::try_with_seed(0.5, Time::from_ps(50.0), 7).unwrap();
-        assert_eq!(p, MetaParams::with_seed(0.5, Time::from_ps(50.0), 7));
+        let p = MetaParams::with_seed(0.5, Time::from_ps(50.0), 7);
+        assert_eq!((p.probability, p.seed), (0.5, 7));
     }
 
     #[test]

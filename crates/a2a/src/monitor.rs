@@ -27,9 +27,9 @@ impl Error for ProtocolError {}
 /// Runtime checker for 4-phase request/acknowledge handshakes.
 ///
 /// Feed it every observed edge of one `req`/`ack` pair; it enforces the
-/// cyclic order `req+ ack+ req- ack-` and monotone timestamps. Used by
-/// the controller tests to assert that A2A elements and sub-module
-/// interfaces stay protocol-clean during mixed-signal runs.
+/// cyclic order `req+ ack+ req- ack-` and monotone timestamps. The
+/// property tests of this crate (`tests/prop.rs`) use it to check that
+/// the WAIT element's acknowledgements form a legal handshake.
 ///
 /// # Examples
 ///

@@ -43,23 +43,6 @@ const CATALOGUE: &[(f64, f64, f64)] = &[
 ];
 
 impl CoilModel {
-    /// A coil with explicit parameters (inductance in henries).
-    ///
-    /// # Panics
-    ///
-    /// Panics on non-positive values.
-    pub fn new(inductance: f64, dcr: f64, esr_hf: f64) -> CoilModel {
-        assert!(
-            inductance > 0.0 && dcr > 0.0 && esr_hf > 0.0,
-            "coil parameters must be positive"
-        );
-        CoilModel {
-            inductance,
-            dcr,
-            esr_hf,
-        }
-    }
-
     /// A Coilcraft-style part of the given inductance in **µH**, with
     /// DCR/ESR interpolated from the catalogue family (extrapolated
     /// linearly outside 1–10 µH).
@@ -163,11 +146,5 @@ mod tests {
         let c = CoilModel::coilcraft(4.7);
         let s = c.to_string();
         assert!(s.contains("4.70uH"));
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn non_positive_rejected() {
-        let _ = CoilModel::new(0.0, 0.1, 0.1);
     }
 }

@@ -50,4 +50,4 @@ pub use buck::{Buck, BuckParams, SwitchState};
 pub use coil::CoilModel;
 pub use comparator::Comparator;
 pub use record::{Record, TrackId, Waveform};
-pub use sensors::{SensorBank, SensorEvent, SensorKind, SensorThresholds};
+pub use sensors::{SensorBank, SensorEvent, SensorKind};

@@ -1,5 +1,5 @@
-//! The paper's measurements: voltage ripple, inductor peak current, RMS
-//! decomposition, and coil conduction losses.
+//! The paper's measurements: voltage ripple, inductor peak current and
+//! the RMS decomposition that Figure 7c's ripple loss is made of.
 //!
 //! The current metrics are folded by two reducers, [`PeakCurrent`] and
 //! [`PhaseMoments`]. Each is a [`Record`] a testbench can run into, so a
@@ -15,7 +15,7 @@
 //! explicitly — a corrupted record must never masquerade as a clean
 //! measurement (the sum-based metrics propagate NaN naturally).
 
-use crate::{CoilModel, Record, Waveform};
+use crate::{Record, Waveform};
 
 /// The largest absolute coil current over all phases, folded as the
 /// samples arrive: the reducer behind [`peak_current`].
@@ -295,20 +295,6 @@ pub fn ac_rms_current(w: &Waveform, phase: usize) -> f64 {
     phase_moments(w, phase).ac_rms()
 }
 
-/// Total inductor conduction losses over all phases (W):
-/// `I_dc² · DCR + I_ac,rms² · ESR_hf` per coil — the quantity of
-/// Figure 7c, where the high-frequency ESR term dominates and grows
-/// with inductance.
-pub fn inductor_losses(w: &Waveform, coil: &CoilModel) -> f64 {
-    (0..w.phases())
-        .map(|k| {
-            let dc = dc_current(w, k);
-            let ac = ac_rms_current(w, k);
-            dc * dc * coil.dcr + ac * ac * coil.esr_hf
-        })
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -354,17 +340,6 @@ mod tests {
         // Flat phase has zero AC content.
         assert!(ac_rms_current(&w, 1) < 1e-6);
         assert!((dc_current(&w, 1) - 0.1).abs() < 1e-9);
-    }
-
-    #[test]
-    fn losses_grow_with_coil_resistance() {
-        let w = triangle_wave();
-        let small = CoilModel::coilcraft(1.0);
-        let large = CoilModel::coilcraft(10.0);
-        let p_small = inductor_losses(&w, &small);
-        let p_large = inductor_losses(&w, &large);
-        assert!(p_small > 0.0);
-        assert!(p_large > p_small, "same waveform, lossier coil");
     }
 
     #[test]

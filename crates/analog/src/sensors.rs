@@ -43,48 +43,47 @@ pub struct SensorEvent {
     pub value: bool,
 }
 
-/// Reference values and comparator characteristics for the sensor bank.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SensorThresholds {
+/// Reference values and comparator characteristics of the sensor bank.
+struct Thresholds {
     /// High-load voltage threshold `V_min` (V).
-    pub vmin: f64,
+    vmin: f64,
     /// Regulation target / UV threshold `V_ref` (V).
-    pub vref: f64,
+    vref: f64,
     /// Over-voltage threshold `V_max` (V).
-    pub vmax: f64,
+    vmax: f64,
     /// Normal-mode over-current reference `I_max` (A).
-    pub imax: f64,
+    imax: f64,
     /// Zero-current reference `I_0` (A); the OC reference in OV mode.
-    pub i0: f64,
+    i0: f64,
     /// Negative current limit `I_neg` (A); the ZC reference in OV mode.
-    pub ineg: f64,
+    ineg: f64,
     /// Voltage comparator hysteresis (V).
-    pub v_hyst: f64,
+    v_hyst: f64,
     /// Current comparator hysteresis (A).
-    pub i_hyst: f64,
+    i_hyst: f64,
     /// Comparator propagation delay (s).
-    pub delay: f64,
+    delay: f64,
 }
 
-impl Default for SensorThresholds {
-    fn default() -> Self {
-        SensorThresholds {
-            vmin: 3.05,
-            vref: 3.3,
-            vmax: 3.42,
-            imax: 0.20,
-            i0: 0.0,
-            ineg: -0.10,
-            v_hyst: 0.01,
-            i_hyst: 0.004,
-            delay: 1e-9,
-        }
-    }
-}
+/// The thresholds of every sensor bank. The paper does not report them;
+/// these land in its operating regime.
+const THRESHOLDS: Thresholds = Thresholds {
+    vmin: 3.05,
+    vref: 3.3,
+    vmax: 3.42,
+    imax: 0.20,
+    i0: 0.0,
+    ineg: -0.10,
+    v_hyst: 0.01,
+    i_hyst: 0.004,
+    delay: 1e-9,
+};
 
 /// The full condition-detector bank of an N-phase buck: HL, UV, OV plus
 /// per-phase OC and ZC comparators, with the OV-mode threshold switch of
-/// §II.
+/// §II. Every bank has the same thresholds: `V_min` 3.05 V, `V_ref`
+/// 3.3 V, `V_max` 3.42 V, `I_max` 0.2 A, `I_0` 0 A and `I_neg` −0.1 A,
+/// with 10 mV and 4 mA of hysteresis and a 1 ns comparator delay.
 ///
 /// The bank does not sample its inputs: [`SensorBank::first_crossing`]
 /// finds the next comparator crossing on the buck's planned trajectory,
@@ -96,7 +95,7 @@ impl Default for SensorThresholds {
 /// use a4a_analog::{Buck, BuckParams, SensorBank, SensorKind};
 ///
 /// let mut buck = Buck::try_new(BuckParams::default().with_phases(2))?;
-/// let mut bank = SensorBank::new(2, Default::default());
+/// let mut bank = SensorBank::new(2);
 /// buck.try_plan(1e-9, 1e-9)?;
 /// // At rest the output sits below V_min and V_ref: HL and UV assert at
 /// // once.
@@ -110,7 +109,6 @@ impl Default for SensorThresholds {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SensorBank {
-    thresholds: SensorThresholds,
     /// The comparators in watch order: HL, UV, OV, then OC and ZC by
     /// phase.
     comparators: Vec<(SensorKind, Comparator)>,
@@ -131,8 +129,8 @@ pub struct SensorBank {
 
 impl SensorBank {
     /// Creates the bank for `phases` phases.
-    pub fn new(phases: usize, thresholds: SensorThresholds) -> SensorBank {
-        let t = &thresholds;
+    pub fn new(phases: usize) -> SensorBank {
+        let t = &THRESHOLDS;
         let mut comparators = vec![
             (SensorKind::Hl, Comparator::below(t.vmin, t.v_hyst, t.delay)),
             (SensorKind::Uv, Comparator::below(t.vref, t.v_hyst, t.delay)),
@@ -152,17 +150,11 @@ impl SensorBank {
             next: vec![None; comparators.len()],
             comparators,
             ov_mode: false,
-            thresholds,
             plan: 0,
             first: f64::NAN,
             first_kinds: Vec::new(),
             unresolved: f64::INFINITY,
         }
-    }
-
-    /// The active thresholds.
-    pub fn thresholds(&self) -> &SensorThresholds {
-        &self.thresholds
     }
 
     /// Whether the OV operating mode is active.
@@ -196,7 +188,7 @@ impl SensorBank {
     /// [`SensorBank::first_crossing`]).
     pub fn set_ov_mode(&mut self, on: bool) {
         self.ov_mode = on;
-        let t = &self.thresholds;
+        let t = &THRESHOLDS;
         let (oc_ref, zc_ref) = if on { (t.i0, t.ineg) } else { (t.imax, t.i0) };
         for ((kind, c), next) in self.comparators.iter_mut().zip(&mut self.next) {
             match kind {
@@ -288,7 +280,7 @@ mod tests {
     use crate::BuckParams;
 
     fn bank() -> SensorBank {
-        SensorBank::new(2, SensorThresholds::default())
+        SensorBank::new(2)
     }
 
     /// A two-phase buck with its switches off, at `v` and `i`.
@@ -436,10 +428,11 @@ mod tests {
         assert!(!has(&settle(&mut b, &mut bk), SensorKind::Zc(0), true));
         bk.set_state(3.3, &[-0.15, 0.05]);
         assert!(has(&settle(&mut b, &mut bk), SensorKind::Zc(0), true));
-        // Leaving OV mode restores the references.
+        // Leaving OV mode restores the references: 0.05 A is below I_max
+        // again.
         b.set_ov_mode(false);
         assert!(!b.ov_mode());
-        assert_eq!(b.thresholds().imax, 0.20);
+        assert!(has(&settle(&mut b, &mut bk), SensorKind::Oc(1), false));
     }
 
     #[test]

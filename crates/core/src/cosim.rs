@@ -19,10 +19,9 @@
 use std::collections::VecDeque;
 
 use a4a_analog::{
-    Buck, BuckParams, Record, SensorBank, SensorEvent, SensorKind, SensorThresholds, TrackId,
-    Waveform,
+    Buck, BuckParams, Record, SensorBank, SensorEvent, SensorKind, TrackId, Waveform,
 };
-use a4a_ctrl::{BuckController, Command, GateTiming, TimedCommand};
+use a4a_ctrl::{BuckController, Command, TimedCommand, ACK_DELAY, DRIVER_DELAY};
 use a4a_sim::{SimError, Time};
 
 /// The most samples [`Testbench::try_run_until`] reserves room for up
@@ -129,19 +128,17 @@ impl TrackTable {
 #[derive(Debug)]
 pub struct TestbenchBuilder {
     params: BuckParams,
-    thresholds: SensorThresholds,
-    gate_timing: GateTiming,
     sample_period: f64,
     load_steps: Vec<(f64, f64)>,
 }
 
 impl TestbenchBuilder {
-    /// Starts from default buck parameters and thresholds.
+    /// Starts from default buck parameters. The sensor thresholds are
+    /// fixed (see [`SensorBank`]) and the gate drivers take
+    /// [`DRIVER_DELAY`] and [`ACK_DELAY`].
     pub fn new() -> Self {
         TestbenchBuilder {
             params: BuckParams::default(),
-            thresholds: SensorThresholds::default(),
-            gate_timing: GateTiming::default(),
             sample_period: 2e-9,
             load_steps: Vec::new(),
         }
@@ -150,18 +147,6 @@ impl TestbenchBuilder {
     /// Sets the power-stage parameters.
     pub fn params(mut self, params: BuckParams) -> Self {
         self.params = params;
-        self
-    }
-
-    /// Sets the sensor thresholds.
-    pub fn thresholds(mut self, thresholds: SensorThresholds) -> Self {
-        self.thresholds = thresholds;
-        self
-    }
-
-    /// Sets the gate-driver timing.
-    pub fn gate_timing(mut self, gate_timing: GateTiming) -> Self {
-        self.gate_timing = gate_timing;
         self
     }
 
@@ -191,9 +176,8 @@ impl TestbenchBuilder {
     /// Validates the whole configuration — power-stage parameters (via
     /// [`Buck::try_new`]), controller/power-stage phase agreement, the
     /// sample period (finite and at least the 1 fs resolution of
-    /// [`Time`]), the comparator hysteresis and delay, and every
-    /// scheduled load step — reporting the first violation as a
-    /// [`SimError`]. A power stage too stiff to propagate
+    /// [`Time`]) and every scheduled load step — reporting the first
+    /// violation as a [`SimError`]. A power stage too stiff to propagate
     /// ([`BuckParams::check_rate`]), at its own load or at a scheduled
     /// one, is [`SimError::InvalidParameter`].
     pub fn try_build<C: BuckController>(self, ctrl: C) -> Result<Testbench<C>, SimError> {
@@ -237,20 +221,6 @@ impl TestbenchBuilder {
                 value: self.sample_period,
             });
         }
-        // A comparator without hysteresis could flip back and forth at
-        // one instant for ever.
-        let t = &self.thresholds;
-        for (what, value) in [("v_hyst (V)", t.v_hyst), ("i_hyst (A)", t.i_hyst)] {
-            if !(value.is_finite() && value > 0.0) {
-                return Err(SimError::InvalidParameter { what, value });
-            }
-        }
-        if !(t.delay.is_finite() && t.delay >= 0.0) {
-            return Err(SimError::InvalidParameter {
-                what: "comparator delay (s)",
-                value: t.delay,
-            });
-        }
         for &(at, rload) in &self.load_steps {
             if !(at.is_finite() && at >= 0.0) {
                 return Err(SimError::InvalidParameter {
@@ -285,9 +255,8 @@ impl TestbenchBuilder {
         record.sample(0.0, 0.0, &vec![0.0; phases]);
         Ok(Testbench {
             buck,
-            sensors: SensorBank::new(phases, self.thresholds),
+            sensors: SensorBank::new(phases),
             ctrl,
-            gate_timing: self.gate_timing,
             sample_period: self.sample_period,
             next_sample_at: self.sample_period,
             sample_idx: 1,
@@ -335,7 +304,6 @@ pub struct Testbench<C: BuckController, R: Record = Waveform> {
     buck: Buck,
     sensors: SensorBank,
     ctrl: C,
-    gate_timing: GateTiming,
     sample_period: f64,
     /// Next point of the uniform sampling grid (`sample_idx` grid
     /// periods; kept as an index so the grid never drifts from
@@ -699,7 +667,7 @@ impl<C: BuckController, R: Record> Testbench<C, R> {
                 self.buck.try_set_switch(phase, gp, gn)?;
                 self.record.event(at, self.tracks.gate(phase, pmos), value);
                 self.push_pending(
-                    at + self.gate_timing.ack_delay.as_secs(),
+                    at + ACK_DELAY.as_secs(),
                     PendKind::Ack { phase, pmos, value },
                 );
             }
@@ -753,7 +721,7 @@ impl<C: BuckController, R: Record> Testbench<C, R> {
             match cmd.command {
                 Command::Gate { phase, pmos, value } => {
                     self.push_pending(
-                        at + self.gate_timing.driver_delay.as_secs(),
+                        at + DRIVER_DELAY.as_secs(),
                         PendKind::Apply { phase, pmos, value },
                     );
                 }
@@ -880,21 +848,6 @@ mod tests {
                 })
             ));
         }
-
-        let ctrl = AsyncController::new(4, AsyncTiming::default());
-        let thresholds = SensorThresholds {
-            v_hyst: 0.0,
-            ..SensorThresholds::default()
-        };
-        assert!(matches!(
-            TestbenchBuilder::new()
-                .thresholds(thresholds)
-                .try_build(ctrl),
-            Err(SimError::InvalidParameter {
-                what: "v_hyst (V)",
-                ..
-            })
-        ));
 
         let ctrl = AsyncController::new(4, AsyncTiming::default());
         assert!(matches!(

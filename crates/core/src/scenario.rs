@@ -5,7 +5,7 @@
 //! build the Figure 7 grids. Each returns a configured
 //! [`TestbenchBuilder`] so callers only plug in a controller.
 
-use a4a_analog::{BuckParams, CoilModel, SensorThresholds};
+use a4a_analog::{BuckParams, CoilModel};
 
 use crate::TestbenchBuilder;
 
@@ -51,7 +51,6 @@ pub const FIG6_NORMAL_WINDOW: (f64, f64) = (2e-6, 6.8e-6);
 pub fn fig6() -> TestbenchBuilder {
     TestbenchBuilder::new()
         .params(BuckParams::default())
-        .thresholds(SensorThresholds::default())
         .load_step(7e-6, 3.6)
         .load_step(8e-6, 6.0)
 }

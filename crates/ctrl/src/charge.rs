@@ -10,7 +10,8 @@
 
 use a4a_sim::Time;
 
-use crate::{Command, PolicyTiming};
+use crate::params::{NMIN, PMIN};
+use crate::Command;
 
 /// Charging state of one phase (the CHARGE_CTRL + delay-controller
 /// portion of Figure 5c).
@@ -87,22 +88,22 @@ impl Charge {
         Command::Gate { phase, pmos, value }
     }
 
-    /// The PMOS ack has risen at `t`: PMIN starts, plus PEXT on the first
-    /// cycle after a UV detection.
-    pub(crate) fn pmos_conducts(&mut self, t: Time, policy: &PolicyTiming) {
+    /// The PMOS ack has risen at `t`: PMIN starts, plus `pext` on the
+    /// first cycle after a UV detection.
+    pub(crate) fn pmos_conducts(&mut self, t: Time, pext: Time) {
         let ext = if std::mem::take(&mut self.first_cycle) {
-            policy.pext
+            pext
         } else {
             Time::ZERO
         };
         self.state = PState::PmosOn;
-        self.pmos_min_until = t + policy.pmin + ext;
+        self.pmos_min_until = t + PMIN + ext;
     }
 
     /// The NMOS ack has risen at `t`: NMIN starts.
-    pub(crate) fn nmos_conducts(&mut self, t: Time, policy: &PolicyTiming) {
+    pub(crate) fn nmos_conducts(&mut self, t: Time) {
         self.state = PState::NmosOn;
-        self.nmos_min_until = t + policy.nmin;
+        self.nmos_min_until = t + NMIN;
     }
 }
 
@@ -116,15 +117,15 @@ mod tests {
 
     #[test]
     fn pext_extends_only_the_first_cycle_after_uv() {
-        let policy = PolicyTiming::default();
+        let pext = ns(40.0);
         let mut c = Charge::new();
         c.first_cycle = true;
-        c.pmos_conducts(ns(10.0), &policy);
+        c.pmos_conducts(ns(10.0), pext);
         assert_eq!(c.state, PState::PmosOn);
-        assert_eq!(c.pmos_min_until, ns(10.0) + policy.pmin + policy.pext);
+        assert_eq!(c.pmos_min_until, ns(10.0) + PMIN + pext);
         assert!(!c.first_cycle);
-        c.pmos_conducts(ns(300.0), &policy);
-        assert_eq!(c.pmos_min_until, ns(300.0) + policy.pmin);
+        c.pmos_conducts(ns(300.0), pext);
+        assert_eq!(c.pmos_min_until, ns(300.0) + PMIN);
     }
 
     #[test]

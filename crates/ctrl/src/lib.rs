@@ -41,6 +41,6 @@ mod sync;
 
 pub use iface::{BuckController, Command, TimedCommand};
 pub use loopback::Loopback;
-pub use params::{AsyncTiming, GateTiming, PolicyTiming, SyncParams};
+pub use params::{AsyncTiming, PolicyTiming, SyncParams, ACK_DELAY, DRIVER_DELAY};
 pub use ring::AsyncController;
 pub use sync::SyncController;

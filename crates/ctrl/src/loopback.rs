@@ -6,12 +6,13 @@ use std::collections::VecDeque;
 use a4a_analog::SensorKind;
 use a4a_sim::Time;
 
-use crate::{BuckController, Command, GateTiming, TimedCommand};
+use crate::{BuckController, Command, TimedCommand, ACK_DELAY, DRIVER_DELAY};
 
 /// A controller in a loop with an ideal power stage. Every gate command
 /// is acknowledged one gate round trip after it leaves the controller
-/// (`driver_delay + ack_delay` of [`GateTiming::default`], 2.5 ns);
-/// sensor events come from the caller, and every command is logged.
+/// ([`DRIVER_DELAY`] + [`ACK_DELAY`], 2.5 ns, the mixed-signal
+/// testbench's round trip); sensor events come from the caller, and
+/// every command is logged.
 ///
 /// Inputs reach the controller in the order the [`BuckController`]
 /// contract sets out, the one the mixed-signal testbench keeps.
@@ -33,7 +34,6 @@ use crate::{BuckController, Command, GateTiming, TimedCommand};
 #[derive(Debug)]
 pub struct Loopback<C> {
     ctrl: C,
-    round_trip: Time,
     /// Acknowledgements not yet delivered, in time order.
     acks: VecDeque<(Time, usize, bool, bool)>,
     /// Every input up to this time has been delivered.
@@ -44,10 +44,8 @@ pub struct Loopback<C> {
 impl<C: BuckController> Loopback<C> {
     /// Puts `ctrl` in the loop.
     pub fn new(ctrl: C) -> Self {
-        let gate = GateTiming::default();
         Loopback {
             ctrl,
-            round_trip: gate.driver_delay + gate.ack_delay,
             acks: VecDeque::new(),
             now: Time::ZERO,
             log: Vec::new(),
@@ -124,7 +122,7 @@ impl<C: BuckController> Loopback<C> {
         self.ctrl.take_commands_into(&mut self.log);
         for cmd in &self.log[start..] {
             if let Command::Gate { phase, pmos, value } = cmd.command {
-                let at = cmd.time + self.round_trip;
+                let at = cmd.time + DRIVER_DELAY + ACK_DELAY;
                 let i = self.acks.partition_point(|a| a.0 <= at);
                 self.acks.insert(i, (at, phase, pmos, value));
             }
@@ -230,8 +228,7 @@ mod tests {
         lb.run_until(ns(100.0));
         let gates = lb.gates();
         assert_eq!(gates[0], (ns(2.5), 0, true, true), "{gates:?}");
-        let gate = GateTiming::default();
-        let ack = gates[0].0 + gate.driver_delay + gate.ack_delay;
+        let ack = gates[0].0 + DRIVER_DELAY + ACK_DELAY;
         assert_eq!(ack, period * 5, "the ack lands on an edge");
         assert_eq!(gates[1], (ns(66.5), 0, true, false), "{gates:?}");
     }

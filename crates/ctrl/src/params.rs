@@ -1,12 +1,26 @@
 use a4a_sim::Time;
 
-/// Control-policy timing shared by both controller styles.
+/// Minimum PMOS on-time (`PMIN`, §II), 20 ns.
+pub(crate) const PMIN: Time = Time::from_fs(20_000_000);
+/// Minimum NMOS on-time (`NMIN`), 20 ns.
+pub(crate) const NMIN: Time = Time::from_fs(20_000_000);
+
+/// Gate-driver command-to-switch propagation, 1 ns. The power stage is
+/// the same for every controller, so the mixed-signal testbench and
+/// [`Loopback`](crate::Loopback) both read it.
+pub const DRIVER_DELAY: Time = Time::from_fs(1_000_000);
+/// Switch-to-acknowledge delay (threshold crossing detection,
+/// `V_pmos`/`V_nmos` of Figure 2a), 1.5 ns.
+pub const ACK_DELAY: Time = Time::from_fs(1_500_000);
+
+/// Synchroniser depth of the synchronous controller (2 flops in the
+/// paper).
+pub(crate) const SYNC_STAGES: u32 = 2;
+
+/// Control-policy timing shared by both controller styles. The minimum
+/// on-times `PMIN` and `NMIN` are fixed at 20 ns each.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PolicyTiming {
-    /// Minimum PMOS on-time (`PMIN`, §II).
-    pub pmin: Time,
-    /// Minimum NMOS on-time (`NMIN`).
-    pub nmin: Time,
     /// Extra PMOS on-time on the first charging cycle after UV (`PEXT`).
     pub pext: Time,
     /// Phase rotation period: the token-delay of the asynchronous ring,
@@ -17,47 +31,32 @@ pub struct PolicyTiming {
 impl Default for PolicyTiming {
     fn default() -> Self {
         PolicyTiming {
-            pmin: Time::from_ns(20.0),
-            nmin: Time::from_ns(20.0),
             pext: Time::from_ns(40.0),
             activation_period: Time::from_ns(250.0),
         }
     }
 }
 
-/// Gate-driver characteristics (shared: the power stage is identical).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GateTiming {
-    /// Command-to-switch propagation of the gate driver.
-    pub driver_delay: Time,
-    /// Switch-to-acknowledge delay (threshold crossing detection,
-    /// `V_pmos`/`V_nmos` of Figure 2a).
-    pub ack_delay: Time,
-}
-
-impl Default for GateTiming {
-    fn default() -> Self {
-        GateTiming {
-            driver_delay: Time::from_ns(1.0),
-            ack_delay: Time::from_ns(1.5),
-        }
-    }
-}
-
-/// Parameters of the synchronous controller.
+/// Parameters of the synchronous controller: its `fsm_clk` and the
+/// metastability model of its 2-flop synchronisers. The policy timers are
+/// [`PolicyTiming::default`].
+///
+/// Only [`SyncParams::at_mhz`], [`SyncParams::try_at_mhz`] and
+/// [`SyncParams::with_meta`] build one, so the clock is always checked:
+///
+/// ```compile_fail
+/// let mut p = a4a_ctrl::SyncParams::at_mhz(333.0);
+/// p.fsm_clk_hz = 1e16; // a period that rounds to 0 fs
+/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct SyncParams {
     /// `fsm_clk` frequency in Hz (the paper sweeps 100 MHz–1 GHz).
-    pub fsm_clk_hz: f64,
-    /// Synchroniser depth (2 flops in the paper).
-    pub sync_stages: u32,
+    fsm_clk_hz: f64,
     /// Metastability model for the first synchroniser flop: a marginal
     /// capture resolves to the old value with the model's probability,
     /// costing one extra clock period (the paper's "latency may increase
     /// by another clock period").
-    pub meta: a4a_a2a::MetaParams,
-    /// Policy timers.
-    pub policy: PolicyTiming,
+    pub(crate) meta: a4a_a2a::MetaParams,
 }
 
 impl SyncParams {
@@ -96,9 +95,7 @@ impl SyncParams {
         }
         Ok(SyncParams {
             fsm_clk_hz,
-            sync_stages: 2,
             meta: a4a_a2a::MetaParams::disabled(),
-            policy: PolicyTiming::default(),
         })
     }
 
@@ -109,11 +106,6 @@ impl SyncParams {
     }
 
     /// The clock period.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a `fsm_clk_hz` set by hand gives a period that does
-    /// not fit in [`Time`]; [`SyncParams::try_at_mhz`] rejects those.
     pub fn period(&self) -> Time {
         Time::from_secs(1.0 / self.fsm_clk_hz)
     }
@@ -121,7 +113,7 @@ impl SyncParams {
     /// The paper's nominal reaction latency: 2 periods of
     /// synchronisation plus half a period of FSM operation.
     pub fn nominal_latency(&self) -> Time {
-        self.period() * u64::from(2 * self.sync_stages + 1) / 2
+        self.period() * u64::from(2 * SYNC_STAGES + 1) / 2
     }
 }
 
@@ -235,7 +227,7 @@ mod tests {
     #[test]
     fn policy_defaults_sane() {
         let p = PolicyTiming::default();
-        assert!(p.pext > p.pmin);
+        assert!(p.pext > PMIN);
         assert!(p.activation_period > p.pext);
     }
 

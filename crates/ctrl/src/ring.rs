@@ -445,7 +445,7 @@ impl BuckController for AsyncController {
     }
 
     fn on_gate_ack(&mut self, t: Time, phase: usize, pmos: bool, value: bool) {
-        let policy = &self.timing.policy;
+        let pext = self.timing.policy.pext;
         let p = &mut self.phases[phase];
         if pmos {
             p.gp_ack = value;
@@ -454,7 +454,7 @@ impl BuckController for AsyncController {
         }
         match (p.charge.state, pmos, value) {
             (PState::TurnPmosOn, true, true) => {
-                p.charge.pmos_conducts(t, policy);
+                p.charge.pmos_conducts(t, pext);
                 if p.oc_pending {
                     // OC already latched (e.g. OV-mode reference with
                     // positive current): finish after the minimum.
@@ -475,7 +475,7 @@ impl BuckController for AsyncController {
                 );
             }
             (PState::TurnNmosOn, false, true) => {
-                p.charge.nmos_conducts(t, policy);
+                p.charge.nmos_conducts(t);
                 p.zc_cancelled = false;
                 if p.zc_pending {
                     self.sched

@@ -15,7 +15,8 @@ use a4a_analog::{SensorKind, TrackId};
 use a4a_sim::Time;
 
 use crate::charge::{Charge, PState};
-use crate::{BuckController, Command, SyncParams, TimedCommand};
+use crate::params::SYNC_STAGES;
+use crate::{BuckController, Command, PolicyTiming, SyncParams, TimedCommand};
 
 /// A 2-flop synchroniser pipeline for one asynchronous input bit.
 #[derive(Debug, Clone)]
@@ -28,11 +29,11 @@ struct Synchroniser {
 }
 
 impl Synchroniser {
-    fn new(depth: u32) -> Synchroniser {
+    fn new() -> Synchroniser {
         Synchroniser {
             raw: false,
             prev_raw: false,
-            stages: vec![false; depth as usize],
+            stages: vec![false; SYNC_STAGES as usize],
         }
     }
 
@@ -83,14 +84,14 @@ struct Phase {
 }
 
 impl Phase {
-    fn new(depth: u32) -> Phase {
+    fn new() -> Phase {
         Phase {
             charge: Charge::new(),
             armed: false,
-            gp_ack: Synchroniser::new(depth),
-            gn_ack: Synchroniser::new(depth),
-            oc: Synchroniser::new(depth),
-            zc: Synchroniser::new(depth),
+            gp_ack: Synchroniser::new(),
+            gn_ack: Synchroniser::new(),
+            oc: Synchroniser::new(),
+            zc: Synchroniser::new(),
         }
     }
 
@@ -118,6 +119,7 @@ impl Phase {
 #[derive(Debug)]
 pub struct SyncController {
     params: SyncParams,
+    policy: PolicyTiming,
     phases: Vec<Phase>,
     hl: Synchroniser,
     uv: Synchroniser,
@@ -147,27 +149,20 @@ impl SyncController {
     ///
     /// # Panics
     ///
-    /// Panics when `phases` is zero, or when the clock period
-    /// ([`SyncParams::period`]) is 0 fs or does not fit in [`Time`].
+    /// Panics when `phases` is zero.
     pub fn new(phases: usize, params: SyncParams) -> Self {
         assert!(phases > 0, "at least one phase required");
         let period = params.period();
-        assert!(period > Time::ZERO, "fsm_clk period rounds to 0 fs");
-        let reload = params
-            .policy
-            .activation_period
-            .as_fs()
-            .div_ceil(period.as_fs());
-        let mut phase_vec: Vec<Phase> = (0..phases)
-            .map(|_| Phase::new(params.sync_stages))
-            .collect();
+        let policy = PolicyTiming::default();
+        let reload = policy.activation_period.as_fs().div_ceil(period.as_fs());
+        let mut phase_vec: Vec<Phase> = (0..phases).map(|_| Phase::new()).collect();
         // Phase 0 starts active (mirrors the token starting at stage 0).
         phase_vec[0].armed = true;
         SyncController {
             phases: phase_vec,
-            hl: Synchroniser::new(params.sync_stages),
-            uv: Synchroniser::new(params.sync_stages),
-            ov: Synchroniser::new(params.sync_stages),
+            hl: Synchroniser::new(),
+            uv: Synchroniser::new(),
+            ov: Synchroniser::new(),
             hl_prev: false,
             uv_prev: false,
             next_edge: period,
@@ -184,6 +179,7 @@ impl SyncController {
             out: Vec::new(),
             track_act: TrackId::intern("act"),
             params,
+            policy,
         }
     }
 
@@ -308,7 +304,7 @@ impl SyncController {
     }
 
     fn step_phase(&mut self, t: Time, k: usize, uv: bool, ov: bool) {
-        let policy = &self.params.policy;
+        let pext = self.policy.pext;
         let p = &mut self.phases[k];
         let c = &mut p.charge;
         // The gate command, as `(pmos, value)`, that a guard fires.
@@ -320,13 +316,13 @@ impl SyncController {
                 Some((!ov, true))
             }
             PState::TurnPmosOn if p.gp_ack.out() => {
-                c.pmos_conducts(t, policy);
+                c.pmos_conducts(t, pext);
                 None
             }
             PState::PmosOn if p.oc.out() && t >= c.pmos_min_until => Some((true, false)),
             PState::TurnPmosOff if !p.gp_ack.out() => Some((false, true)),
             PState::TurnNmosOn if p.gn_ack.out() => {
-                c.nmos_conducts(t, policy);
+                c.nmos_conducts(t);
                 None
             }
             // Late/no-ZC scenario of Figure 2b: while (synchronised) UV
@@ -738,14 +734,6 @@ mod tests {
                 run_to(g, &mut every, &mut sleeper, &mut inputs, Time::from_fs(end))
             },
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "0 fs")]
-    fn zero_period_rejected() {
-        let mut params = SyncParams::at_mhz(333.0);
-        params.fsm_clk_hz = 1e16;
-        let _ = SyncController::new(1, params);
     }
 
     #[test]

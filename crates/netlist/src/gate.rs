@@ -121,17 +121,6 @@ impl GateLib {
         }
     }
 
-    /// A slower library (roughly a 0.35 µm-class process) for ablation
-    /// studies.
-    pub fn slow() -> GateLib {
-        GateLib {
-            base: Time::from_ps(180.0),
-            per_literal: Time::from_ps(60.0),
-            latch_penalty: Time::from_ps(120.0),
-            mutex_penalty: Time::from_ps(200.0),
-        }
-    }
-
     /// The delay assigned to a gate of the given kind.
     pub fn delay_for(&self, kind: &GateKind) -> Delay {
         let literals = match kind {

@@ -42,8 +42,8 @@ impl Time {
     ///
     /// # Panics
     ///
-    /// Panics if `ps` is NaN, negative, infinite, or out of range; see
-    /// [`Time::try_from_ps`] for the fallible variant.
+    /// Panics if `ps` is NaN, negative, infinite, or out of range; a
+    /// value from outside the program goes through [`Time::try_from_secs`].
     pub fn from_ps(ps: f64) -> Self {
         Self::from_scaled(ps, 1e3, "ps")
     }
@@ -52,8 +52,8 @@ impl Time {
     ///
     /// # Panics
     ///
-    /// Panics if `ns` is NaN, negative, infinite, or out of range; see
-    /// [`Time::try_from_ns`] for the fallible variant.
+    /// Panics if `ns` is NaN, negative, infinite, or out of range; a
+    /// value from outside the program goes through [`Time::try_from_secs`].
     pub fn from_ns(ns: f64) -> Self {
         Self::from_scaled(ns, 1e6, "ns")
     }
@@ -62,8 +62,8 @@ impl Time {
     ///
     /// # Panics
     ///
-    /// Panics if `us` is NaN, negative, infinite, or out of range; see
-    /// [`Time::try_from_us`] for the fallible variant.
+    /// Panics if `us` is NaN, negative, infinite, or out of range; a
+    /// value from outside the program goes through [`Time::try_from_secs`].
     pub fn from_us(us: f64) -> Self {
         Self::from_scaled(us, 1e9, "us")
     }
@@ -76,27 +76,6 @@ impl Time {
     /// [`Time::try_from_secs`] for the fallible variant.
     pub fn from_secs(secs: f64) -> Self {
         Self::from_scaled(secs, 1e15, "s")
-    }
-
-    /// Fallible [`Time::from_ps`]: rejects NaN, negative, infinite, and
-    /// out-of-range values with [`SimError::InvalidTime`] instead of
-    /// panicking.
-    pub fn try_from_ps(ps: f64) -> Result<Self, SimError> {
-        Self::try_from_scaled(ps, 1e3, "ps")
-    }
-
-    /// Fallible [`Time::from_ns`]: rejects NaN, negative, infinite, and
-    /// out-of-range values with [`SimError::InvalidTime`] instead of
-    /// panicking.
-    pub fn try_from_ns(ns: f64) -> Result<Self, SimError> {
-        Self::try_from_scaled(ns, 1e6, "ns")
-    }
-
-    /// Fallible [`Time::from_us`]: rejects NaN, negative, infinite, and
-    /// out-of-range values with [`SimError::InvalidTime`] instead of
-    /// panicking.
-    pub fn try_from_us(us: f64) -> Result<Self, SimError> {
-        Self::try_from_scaled(us, 1e9, "us")
     }
 
     /// Fallible [`Time::from_secs`]: rejects NaN, negative, infinite, and
@@ -306,27 +285,22 @@ mod tests {
 
     #[test]
     fn try_constructors_reject_nan_negative_and_huge() {
-        for bad in [f64::NAN, -1.0, f64::INFINITY, f64::NEG_INFINITY, 1e30] {
+        for bad in [f64::NAN, -0.5, f64::INFINITY, f64::NEG_INFINITY, 1e30] {
             assert!(
                 matches!(
-                    Time::try_from_ns(bad),
-                    Err(SimError::InvalidTime { unit: "ns", .. })
+                    Time::try_from_secs(bad),
+                    Err(SimError::InvalidTime { unit: "s", .. })
                 ),
                 "{bad} accepted"
             );
         }
-        assert!(matches!(
-            Time::try_from_secs(-0.5),
-            Err(SimError::InvalidTime { unit: "s", .. })
-        ));
-        assert_eq!(Time::try_from_ps(1.0), Ok(Time::from_fs(1_000)));
+        assert_eq!(Time::try_from_secs(1e-9), Ok(Time::from_fs(1_000_000)));
     }
 
     #[test]
     fn try_and_panicking_constructors_agree_on_valid_input() {
-        for v in [0.0, 1.5, 2.25e3, 17.0] {
-            assert_eq!(Time::try_from_ns(v).unwrap(), Time::from_ns(v));
-            assert_eq!(Time::try_from_us(v).unwrap(), Time::from_us(v));
+        for v in [0.0, 1.5e-9, 2.25e-6, 17.0] {
+            assert_eq!(Time::try_from_secs(v).unwrap(), Time::from_secs(v));
         }
     }
 

@@ -27,9 +27,6 @@ pub struct SynthOptions {
     pub lib: GateLib,
     /// State-graph exploration budget.
     pub max_states: usize,
-    /// When `true`, skip the output-persistence gate (used by ablation
-    /// experiments that deliberately synthesise hazardous specs).
-    pub allow_non_persistent: bool,
 }
 
 impl SynthOptions {
@@ -39,14 +36,7 @@ impl SynthOptions {
             style,
             lib: GateLib::tsmc90(),
             max_states: 1_000_000,
-            allow_non_persistent: false,
         }
-    }
-
-    /// Sets the timing library.
-    pub fn with_lib(mut self, lib: GateLib) -> Self {
-        self.lib = lib;
-        self
     }
 }
 
@@ -155,7 +145,7 @@ fn minimize_sets(nvars: usize, on: &[u64], off: &[u64]) -> Result<Cover, Minimiz
 pub fn synthesize(stg: &Stg, opts: &SynthOptions) -> Result<Synthesis, SynthError> {
     let sg = stg.state_graph(opts.max_states)?;
     let report = stg.verify(&sg);
-    if !report.persistence.is_empty() && !opts.allow_non_persistent {
+    if !report.persistence.is_empty() {
         return Err(SynthError::NotPersistent(report.persistence.clone()));
     }
     if report.csc_count > 0 {
